@@ -17,11 +17,7 @@ from .replay import ReplayDivergence, ReplayReport, replay_session
 from .result import TuningResult
 from .storage import (
     load_prior_bank,
-    load_trials,
     save_prior_bank,
-    save_trials,
-    trial_from_dict,
-    trial_to_dict,
     workload_from_dict,
     workload_to_dict,
 )
@@ -67,11 +63,7 @@ __all__ = [
     "replay_session",
     "TuningResult",
     "load_prior_bank",
-    "load_trials",
     "save_prior_bank",
-    "save_trials",
-    "trial_from_dict",
-    "trial_to_dict",
     "workload_from_dict",
     "workload_to_dict",
     "Evaluator",

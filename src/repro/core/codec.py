@@ -1,7 +1,7 @@
 """One codec for trial payloads: library, journal, and wire share it.
 
 Before this module existed the repository had three slightly different
-trial-dict shapes — :mod:`repro.core.storage` wrote one, the benchmark
+trial-dict shapes — the whole-file JSON dumps wrote one, the benchmark
 runner summarised another, and the online agent's step records a third.
 Every serialised trial now goes through :func:`encode_trial` /
 :func:`decode_trial`, and the ask/tell surface (both the in-process
@@ -220,8 +220,8 @@ def encode_trial(
 ) -> dict[str, Any]:
     """The canonical JSON-safe record of one trial.
 
-    Supersedes ``storage.trial_to_dict`` (kept as a thin alias); the same
-    shape is appended to journals and returned over the wire.
+    The same shape is appended to journals, stored in prior banks, and
+    returned over the wire.
 
     ``provenance`` (or, failing that, ``trial.provenance``) is journaled
     under a ``"provenance"`` key: seed lineage, optimizer state digest,

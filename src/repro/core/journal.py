@@ -25,7 +25,7 @@ Backends live in :mod:`repro.core.stores`: a JSON-lines journal
 (:class:`~repro.core.stores.JsonJournalStore`), SQLite in WAL mode
 (:class:`~repro.core.stores.SqliteTrialStore`), and an in-memory store
 for tests. :func:`import_legacy_trials` migrates pre-service whole-file
-JSON dumps (``storage.save_trials``) into any store.
+JSON dumps (version-1 trial files) into any store.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ __all__ = [
 
 META_FORMAT_VERSION = 1
 
-#: Version-1 trial files written by the deprecated ``storage.save_trials``.
+#: Whole-file trial dumps (``{"version": 1, "trials": [record, ...]}``)
+#: written by the removed ``storage.save_trials``.
 LEGACY_TRIALS_VERSION = 1
 
 
@@ -220,7 +221,7 @@ class TrialStore(ABC):
 
 
 def iter_legacy_trials(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Yield trial records from a pre-service ``save_trials`` JSON file."""
+    """Yield trial records from a pre-service version-1 trial file."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:

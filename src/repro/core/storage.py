@@ -1,24 +1,15 @@
-"""Legacy persistence API (deprecated shims over the trial-store layer).
+"""Cross-session artifacts: prior banks and workload descriptors on disk.
 
-The whole-file JSON helpers that used to be the only persistence in the
-library now route through the canonical codec
-(:mod:`repro.core.codec`) and are superseded by the durable, resumable
-:class:`~repro.core.journal.TrialStore` backends in
-:mod:`repro.core.stores`:
+Session state (trials) is journaled through a
+:class:`~repro.core.journal.TrialStore` (:mod:`repro.core.stores`), usually
+via :class:`~repro.core.manager.SessionManager`; the whole-file
+``save_trials``/``load_trials`` helpers that used to live here are gone, and
+:func:`repro.core.journal.import_legacy_trials` is the one reader of the
+version-1 files they wrote.
 
-* new code should journal trials through a store (usually via
-  :class:`~repro.core.manager.SessionManager`);
-* existing ``save_trials``/``load_trials`` call sites keep working — the
-  file format is unchanged — but emit :class:`DeprecationWarning`;
-* old files migrate into any store with
-  :func:`repro.core.journal.import_legacy_trials`.
-
-Writes here are now atomic (write-temp + ``os.replace``), fixing the
-partial-file window the old implementation had.
-
-Prior-bank persistence (:func:`save_prior_bank`/:func:`load_prior_bank`)
-is *not* deprecated — banks are cross-session artifacts, not session
-state — but shares the codec and atomic-write path.
+What stays is persistence for artifacts that outlive a session:
+:func:`save_prior_bank`/:func:`load_prior_bank` (trial records go through
+the canonical codec, writes are atomic) and the workload codecs they use.
 """
 
 from __future__ import annotations
@@ -26,21 +17,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import warnings
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from ..exceptions import ReproError
 from ..space import ConfigurationSpace
 from ..workloads import Workload
 from .codec import decode_trial, encode_trial
-from .optimizer import Trial
 
 __all__ = [
-    "trial_to_dict",
-    "trial_from_dict",
-    "save_trials",
-    "load_trials",
     "workload_to_dict",
     "workload_from_dict",
     "save_prior_bank",
@@ -49,56 +34,12 @@ __all__ = [
 
 _FORMAT_VERSION = 1
 
-#: Canonical codec aliases — the historic names many call sites use.
-trial_to_dict = encode_trial
-trial_from_dict = decode_trial
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.core.storage.{old} is deprecated; persist trials through a "
-        f"TrialStore instead ({new})",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 def _atomic_write_text(path: str | Path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     tmp.write_text(text)
     os.replace(tmp, path)
-
-
-def save_trials(trials: Iterable[Trial], path: str | Path) -> int:
-    """Write trials as one JSON document; returns the number written.
-
-    .. deprecated:: use a :class:`~repro.core.journal.TrialStore` (e.g.
-       ``JsonJournalStore``/``SqliteTrialStore``) via ``SessionManager``
-       for durable, resumable, crash-safe persistence.
-    """
-    _deprecated("save_trials", "SessionManager.create(...) journals automatically")
-    records = [encode_trial(t) for t in trials]
-    payload = {"version": _FORMAT_VERSION, "trials": records}
-    _atomic_write_text(path, json.dumps(payload, indent=2, default=_json_default))
-    return len(records)
-
-
-def load_trials(path: str | Path, space: ConfigurationSpace) -> list[Trial]:
-    """Load trials saved by :func:`save_trials`.
-
-    .. deprecated:: use :func:`repro.core.journal.import_legacy_trials` to
-       migrate the file into a :class:`~repro.core.journal.TrialStore`,
-       then resume through ``SessionManager``.
-    """
-    _deprecated("load_trials", "import_legacy_trials(store, path) + SessionManager.resume(...)")
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise ReproError(f"cannot read trial file {path}: {err}") from err
-    if payload.get("version") != _FORMAT_VERSION:
-        raise ReproError(f"unsupported trial-file version: {payload.get('version')!r}")
-    return [decode_trial(r, space) for r in payload.get("trials", [])]
 
 
 def _json_default(obj: Any):

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..exceptions import OptimizerError
 from ..optimizers.bo import BayesianOptimizer
-from ..telemetry.spans import emit_event, span
+from ..telemetry.spans import current_op, emit_event
 from ..space import Configuration
 
 __all__ = ["Guardrail", "GuardrailVerdict", "SafeBayesianOptimizer"]
@@ -111,11 +111,17 @@ class SafeBayesianOptimizer(BayesianOptimizer):
         self.kappa = float(kappa)
         self.trust_radius = float(trust_radius)
 
+    def _before_model(self) -> Configuration | None:
+        n_done = len(self.history.completed())
+        if n_done < self.n_init:
+            # Even the initial design stays near the running default: start
+            # from the space default and expand cautiously.
+            base = self.space.default_configuration()
+            return self.space.neighbor(base, self.rng, scale=0.05) if n_done else base
+        return None
+
     def _candidates(self) -> list[Configuration]:
-        try:
-            best = self.history.best().config
-        except OptimizerError:
-            return super()._candidates()
+        best = self.history.best().config
         # Trust region: perturbations of the incumbent at graded radii.
         cands = [best]
         for _ in range(self.n_candidates - 1):
@@ -123,28 +129,17 @@ class SafeBayesianOptimizer(BayesianOptimizer):
             cands.append(self.space.neighbor(best, self.rng, scale=scale))
         return cands
 
-    def _suggest(self) -> Configuration:
-        n_done = len(self.history.completed())
-        if n_done < self.n_init:
-            # Even the initial design stays near the running default: start
-            # from the space default and expand cautiously.
-            base = self.space.default_configuration()
-            return self.space.neighbor(base, self.rng, scale=0.05) if n_done else base
-        self._ensure_model()
-        if not self.model.is_fitted:
-            return self.space.sample(self.rng)
-        with span("acquisition.optimize", n_candidates=self.n_candidates, safe=True) as op:
-            cands = self._candidates()
-            X = self.encoder.encode_many(cands)
-            mean, std = self.model.predict(X, return_std=True)
-            best_score = float(self.history.scores().min())
-            limit = best_score + abs(best_score) * self.safety_tolerance
-            safe = (mean + self.kappa * std) <= limit
-            if op is not None:
-                op.set(n_safe=int(safe.sum()))
-            if not safe.any():
-                # Nothing provably safe: stay on the incumbent.
-                return self.history.best().config
-            scores = self.acquisition(mean, std, best_score)
-            scores = np.where(safe, scores, -np.inf)
-            return cands[int(np.argmax(scores))]
+    def _pick(self, cands: list[Configuration]) -> Configuration:
+        X = self.encoder.encode_many(cands)
+        mean, std = self.model.predict(X, return_std=True)
+        best_score = float(self.history.scores().min())
+        limit = best_score + abs(best_score) * self.safety_tolerance
+        safe = (mean + self.kappa * std) <= limit
+        op = current_op()  # the loop's acquisition.optimize span, when traced
+        if op is not None:
+            op.set(n_safe=int(safe.sum()))
+        if not safe.any():
+            # Nothing provably safe: stay on the incumbent.
+            return self.history.best().config
+        scores = self.acquisition(mean, std, best_score)
+        return cands[int(np.argmax(np.where(safe, scores, -np.inf)))]

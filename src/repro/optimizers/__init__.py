@@ -22,6 +22,7 @@ from .gp import GaussianProcessRegressor, SurrogateStats, default_kernel
 from .grid import GridSearchOptimizer
 from .hyperband import HyperbandResult, hyperband
 from .kernels import RBF, ConstantKernel, Kernel, Matern, Product, Sum, WhiteKernel
+from .model_based import ModelBasedOptimizer
 from .multifidelity import FidelityLevel, HalvingRecord, MultiFidelityBO, successive_halving
 from .multitask import MultiOutputGP, MultiTaskOptimizer
 from .parego import LinearScalarizationOptimizer, ParEGOOptimizer
@@ -60,6 +61,7 @@ __all__ = [
     "MultiArmedBanditOptimizer",
     "BestConfigOptimizer",
     "BayesianOptimizer",
+    "ModelBasedOptimizer",
     "ConstrainedBayesianOptimizer",
     "HyperbandResult",
     "hyperband",

@@ -13,7 +13,7 @@ All functions return values to **maximise** over candidates.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import stats
@@ -34,31 +34,36 @@ __all__ = [
 ]
 
 
+#: Share of the candidate pool sampled from the whole space; the rest are
+#: single-knob perturbations of the incumbent.
+GLOBAL_FRACTION = 0.7
+#: Step sizes (unit-cube fractions, tight to loose) of those perturbations.
+LOCAL_SCALES = np.array([0.02, 0.05, 0.15])
+
+
 def generate_candidates(
     space: "ConfigurationSpace",
     rng: np.random.Generator,
     n: int,
     incumbent: "Configuration | None" = None,
-    global_fraction: float = 0.7,
-    local_scales: Sequence[float] = (0.02, 0.05, 0.15),
 ) -> "list[Configuration]":
     """Candidate pool for acquisition maximisation, drawn in two batched calls.
 
-    The standard mix used by the surrogate optimizers: ``global_fraction``
-    of the pool is sampled from the whole space, the rest are single-knob
-    perturbations of the incumbent at a random step size from
-    ``local_scales`` (tight to loose). Everything is vectorized —
+    The standard mix used by the surrogate optimizers:
+    :data:`GLOBAL_FRACTION` of the pool is sampled from the whole space, the
+    rest are single-knob perturbations of the incumbent at a random step
+    size from :data:`LOCAL_SCALES`. Everything is vectorized —
     :meth:`ConfigurationSpace.sample_many` draws all parameter columns at
     once and :meth:`ConfigurationSpace.neighbor_many` groups rows per moved
-    knob — replacing the former per-candidate Python loops.
+    knob.
     """
     n = int(n)
-    n_global = int(n * global_fraction)
+    n_global = int(n * GLOBAL_FRACTION)
     if incumbent is not None and n - n_global < 1:
         n_global = n - 1  # keep >= 1 local neighbor when an incumbent exists
     cands = space.sample_many(n_global, rng)
     if incumbent is not None and n > n_global:
-        scales = rng.choice(np.asarray(local_scales, dtype=float), size=n - n_global)
+        scales = rng.choice(LOCAL_SCALES, size=n - n_global)
         cands.extend(space.neighbor_many(incumbent, n - n_global, rng, scales=scales))
     return cands
 

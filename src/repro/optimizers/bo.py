@@ -15,18 +15,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Objective, Optimizer, Trial, rng_digest
+from ..core import Objective, rng_digest
 from ..exceptions import OptimizerError
-from ..telemetry.spans import span
 from ..space import Configuration, ConfigurationSpace
-from ..space.encoding import OneHotEncoder, OrdinalEncoder, SpaceEncoder, TrialEncodingCache
-from .acquisition import AcquisitionFunction, ExpectedImprovement, generate_candidates
+from ..space.encoding import OneHotEncoder, OrdinalEncoder, SpaceEncoder
+from .acquisition import AcquisitionFunction
 from .gp import GaussianProcessRegressor, default_kernel
+from .model_based import ModelBasedOptimizer
 
 __all__ = ["BayesianOptimizer"]
 
 
-class BayesianOptimizer(Optimizer):
+class BayesianOptimizer(ModelBasedOptimizer):
     """GP-based Bayesian optimization over a configuration space.
 
     Parameters
@@ -58,23 +58,21 @@ class BayesianOptimizer(Optimizer):
         objectives: Objective | list[Objective] | None = None,
         seed: int | None = None,
     ) -> None:
-        super().__init__(space, objectives, seed=seed)
-        if n_init < 1:
-            raise OptimizerError(f"n_init must be >= 1, got {n_init}")
         if n_candidates < 2:
             raise OptimizerError(f"n_candidates must be >= 2, got {n_candidates}")
-        self.n_init = int(n_init)
-        self.acquisition = acquisition if acquisition is not None else ExpectedImprovement()
-        self.encoder = self._make_encoder(encoding, space)
-        self.n_candidates = int(n_candidates)
-        self.refit_every = max(1, int(refit_every))
-        self.model = GaussianProcessRegressor(
-            kernel=default_kernel(self.encoder.n_features), seed=seed
+        encoder = self._make_encoder(encoding, space)
+        super().__init__(
+            space,
+            encoder=encoder,
+            model=GaussianProcessRegressor(kernel=default_kernel(encoder.n_features), seed=seed),
+            n_init=n_init,
+            n_candidates=n_candidates,
+            acquisition=acquisition,
+            objectives=objectives,
+            seed=seed,
         )
-        self._model_stale = True
+        self.refit_every = max(1, int(refit_every))
         self._fit_count = 0
-        # Per-trial feature-row memo: each fit re-encodes only new trials.
-        self._encoding_cache = TrialEncodingCache(self.encoder)
         # Constant-liar state for batch suggestions.
         self._lies: list[np.ndarray] = []
         self._fantasies_total = 0
@@ -87,68 +85,20 @@ class BayesianOptimizer(Optimizer):
             return OneHotEncoder(space)
         raise OptimizerError(f"encoding must be 'ordinal' or 'onehot', got {encoding!r}")
 
-    # -- training data ---------------------------------------------------------
-    def _training_data(self) -> tuple[np.ndarray, np.ndarray]:
-        # Failed trials enter with live-imputed penalty scores: the model
-        # must learn where the crash region is, on the current y-scale.
-        trials, y = self.history.training_data(self.objective, self.crash_penalty_factor)
-        X = self._encoding_cache.encode_trials(trials)
-        if self._lies:
-            X = np.vstack([X, np.stack(self._lies)]) if len(X) else np.stack(self._lies)
-            lie_value = float(y.min()) if len(y) else 0.0
-            y = np.concatenate([y, np.full(len(self._lies), lie_value)])
-        return X, y
-
-    def _ensure_model(self) -> None:
-        X, y = self._training_data()
-        if len(X) == 0:
-            return
+    def _fit(self) -> bool:
+        _, X, y = self._training_set()
         # Lie fits (mid-batch refits on fantasized rows) never re-optimize
         # hyperparameters and don't advance the refit cadence — a batch of k
         # must not burn k cadence slots.
         fantasizing = bool(self._lies)
-        self.model.optimize_hypers = (
-            not fantasizing and self._fit_count % self.refit_every == 0
-        )
-        with span("surrogate.fit", n_observations=len(X), refit_hypers=self.model.optimize_hypers):
-            self.model.fit(X, y)
+        if fantasizing:
+            X = np.vstack([X, np.stack(self._lies)])
+            y = np.concatenate([y, np.full(len(self._lies), y.min())])
+        self.model.optimize_hypers = not fantasizing and self._fit_count % self.refit_every == 0
+        self.model.fit(X, y)
         if not fantasizing:
             self._fit_count += 1
-        self._model_stale = False
-
-    # -- candidate generation --------------------------------------------------------
-    def _candidates(self) -> list[Configuration]:
-        try:
-            best = self.history.best().config
-        except OptimizerError:
-            best = None
-        return generate_candidates(
-            self.space, self.rng, self.n_candidates, incumbent=best
-        )
-
-    # -- suggest ---------------------------------------------------------------------
-    def _suggest(self) -> Configuration:
-        n_done = len(self.history.completed())
-        if n_done < self.n_init:
-            return self.space.sample(self.rng)
-        if self._model_stale or self._lies:
-            try:
-                self._ensure_model()
-            except Exception as err:  # noqa: BLE001 - surrogate failure degrades, never halts
-                self._model_stale = True  # retry the fit on the next suggest
-                return self._degraded_suggest("surrogate.fit", err)
-        if not self.model.is_fitted:
-            return self.space.sample(self.rng)
-        try:
-            with span("acquisition.optimize", n_candidates=self.n_candidates):
-                cands = self._candidates()
-                X = self.encoder.encode_many(cands)
-                mean, std = self.model.predict(X, return_std=True)
-                best_score = float(self.history.scores().min())
-                scores = self.acquisition(mean, std, best_score)
-                return cands[int(np.argmax(scores))]
-        except Exception as err:  # noqa: BLE001 - acquisition failure degrades, never halts
-            return self._degraded_suggest("acquisition.optimize", err)
+        return True
 
     def _suggest_batch(self, n: int) -> list[Configuration]:
         """Batch suggestion with constant-liar fantasies for diversity.
@@ -172,9 +122,6 @@ class BayesianOptimizer(Optimizer):
             self._model_stale = True
         return out
 
-    def _on_observe(self, trial: Trial) -> None:
-        self._model_stale = True
-
     def _digest_state(self) -> dict[str, object]:
         return {
             "fit_count": self._fit_count,
@@ -184,22 +131,14 @@ class BayesianOptimizer(Optimizer):
         }
 
     def surrogate_stats(self) -> dict[str, float]:
-        """Hot-path counters: GP fit/Cholesky/NLL stats plus cache hits.
-
-        Picked up by :class:`~repro.telemetry.TelemetryCallback`, which
-        attaches a snapshot to every trial span.
-        """
-        out = self.model.stats_dict()
-        out.update(self._encoding_cache.stats())
+        out = super().surrogate_stats()
         out["pending_fantasies"] = float(len(self._lies))
         out["fantasies_total"] = float(self._fantasies_total)
-        out["degraded_total"] = float(self._degraded_total)
         return out
 
     # -- introspection --------------------------------------------------------------------
     def surrogate_prediction(self, configs: list[Configuration]) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean/std at given configs (for plots and safety checks)."""
-        if self._model_stale:
-            self._ensure_model()
+        self._refresh_model()
         X = self.encoder.encode_many(configs)
         return self.model.predict(X, return_std=True)

@@ -20,17 +20,17 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats
 
-from ..core import Objective, Optimizer, Trial
+from ..core import Objective, Trial
 from ..exceptions import OptimizerError
 from ..space import Configuration, ConfigurationSpace
-from ..space.encoding import OrdinalEncoder, TrialEncodingCache
-from .acquisition import ExpectedImprovement
+from ..space.encoding import OrdinalEncoder
 from .gp import GaussianProcessRegressor, default_kernel
+from .model_based import ModelBasedOptimizer
 
 __all__ = ["ConstrainedBayesianOptimizer"]
 
 
-class ConstrainedBayesianOptimizer(Optimizer):
+class ConstrainedBayesianOptimizer(ModelBasedOptimizer):
     """GP-EI weighted by the modelled probability of feasibility.
 
     Parameters
@@ -56,32 +56,29 @@ class ConstrainedBayesianOptimizer(Optimizer):
         objectives: Objective | list[Objective] | None = None,
         seed: int | None = None,
     ) -> None:
-        super().__init__(space, objectives, seed=seed)
         if not constraint_metrics:
             raise OptimizerError("need at least one constraint metric")
-        if n_init < 1:
-            raise OptimizerError(f"n_init must be >= 1, got {n_init}")
+        encoder = OrdinalEncoder(space)
+
+        def new_gp() -> GaussianProcessRegressor:
+            return GaussianProcessRegressor(kernel=default_kernel(encoder.n_features), seed=seed)
+
+        super().__init__(
+            space,
+            encoder=encoder,
+            model=new_gp(),
+            n_init=n_init,
+            n_candidates=n_candidates,
+            objectives=objectives,
+            seed=seed,
+        )
         self.constraint_metrics = list(constraint_metrics)
-        self.n_init = int(n_init)
-        self.n_candidates = int(n_candidates)
         self.crash_constraint_value = float(crash_constraint_value)
         self.feasibility_weight_floor = float(feasibility_weight_floor)
-        self.encoder = OrdinalEncoder(space)
-        self.objective_model = GaussianProcessRegressor(
-            kernel=default_kernel(self.encoder.n_features), seed=seed
-        )
-        self.constraint_models = {
-            name: GaussianProcessRegressor(kernel=default_kernel(self.encoder.n_features), seed=seed)
-            for name in self.constraint_metrics
-        }
-        self.acquisition = ExpectedImprovement()
-        self._encoding_cache = TrialEncodingCache(self.encoder)
-        self._stale = True
+        self.objective_model = self.model
+        self.constraint_models = {name: new_gp() for name in self.constraint_metrics}
 
     # -- data -----------------------------------------------------------------
-    def _rows(self) -> list[Trial]:
-        return [t for t in self.history if t.metrics]
-
     def feasible_trials(self) -> list[Trial]:
         """Completed trials satisfying every observed constraint."""
         out = []
@@ -96,33 +93,20 @@ class ConstrainedBayesianOptimizer(Optimizer):
             return trial.metrics[name]
         return self.crash_constraint_value  # crashed or missing: infeasible
 
-    def _fit(self) -> None:
-        trials, y = self.history.training_data(self.objective, self.crash_penalty_factor)
-        if not trials:
-            return
+    def _fit(self) -> bool:
         # One encode per new trial; objective and constraint GPs share rows.
-        X = self._encoding_cache.encode_trials(trials)
+        trials, X, y = self._training_set()
         self.objective_model.fit(X, y)
         for name, model in self.constraint_models.items():
             cv = np.array([self._constraint_value(t, name) for t in trials])
             model.fit(X, cv)
-        self._stale = False
-
-    def surrogate_stats(self) -> dict[str, float]:
-        """Objective-GP + encoding-cache counters (for telemetry spans)."""
-        out = self.objective_model.stats_dict()
-        out.update(self._encoding_cache.stats())
-        return out
+        return True
 
     # -- suggest --------------------------------------------------------------
-    def _suggest(self) -> Configuration:
-        if len(self.history.completed()) < self.n_init:
-            return self.space.sample(self.rng)
-        if self._stale:
-            self._fit()
-        if not self.objective_model.is_fitted:
-            return self.space.sample(self.rng)
-        cands = self.space.sample_many(self.n_candidates, self.rng)
+    def _candidates(self) -> list[Configuration]:
+        return self.space.sample_many(self.n_candidates, self.rng)
+
+    def _pick(self, cands: list[Configuration]) -> Configuration:
         X = self.encoder.encode_many(cands)
         mean, std = self.objective_model.predict(X, return_std=True)
         feasible = self.feasible_trials()
@@ -144,9 +128,6 @@ class ConstrainedBayesianOptimizer(Optimizer):
             # plausibly feasible point instead of a confident violation.
             return cands[int(np.argmax(weight))]
         return cands[int(np.argmax(scores))]
-
-    def _on_observe(self, trial: Trial) -> None:
-        self._stale = True
 
     def best_feasible_trial(self) -> Trial:
         """Best trial among those satisfying every constraint."""

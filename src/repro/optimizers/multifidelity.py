@@ -23,12 +23,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core import Objective, Optimizer, Trial, rng_digest
+from ..core import Objective, rng_digest
 from ..exceptions import OptimizerError
 from ..space import Configuration, ConfigurationSpace
 from ..space.encoding import OrdinalEncoder
-from .acquisition import ExpectedImprovement
 from .gp import GaussianProcessRegressor, default_kernel
+from .model_based import ModelBasedOptimizer
 
 __all__ = ["FidelityLevel", "MultiFidelityBO", "successive_halving", "HalvingRecord"]
 
@@ -50,7 +50,7 @@ class FidelityLevel:
             raise OptimizerError(f"fidelity cost must be positive, got {self.cost}")
 
 
-class MultiFidelityBO(Optimizer):
+class MultiFidelityBO(ModelBasedOptimizer):
     """Joint-space GP: inputs are (encoded config, normalised fidelity).
 
     Observations carry their fidelity (``observe(..., fidelity=...)``). The
@@ -70,63 +70,59 @@ class MultiFidelityBO(Optimizer):
         objectives: Objective | list[Objective] | None = None,
         seed: int | None = None,
     ) -> None:
-        super().__init__(space, objectives, seed=seed)
         if len(fidelities) < 2:
             raise OptimizerError("need at least two fidelity levels")
+        encoder = OrdinalEncoder(space)
+        super().__init__(
+            space,
+            encoder=encoder,
+            model=GaussianProcessRegressor(kernel=default_kernel(encoder.n_features + 1), seed=seed),
+            n_init=n_init,
+            n_candidates=n_candidates,
+            objectives=objectives,
+            seed=seed,
+        )
         self.fidelities = sorted(fidelities, key=lambda f: f.value)
         self.target_fidelity = self.fidelities[-1]
-        self.n_init = int(n_init)
-        self.n_candidates = int(n_candidates)
         self.full_every = max(1, int(full_every))
-        self.encoder = OrdinalEncoder(space)
-        self.model = GaussianProcessRegressor(
-            kernel=default_kernel(self.encoder.n_features + 1), seed=seed
-        )
-        self.acquisition = ExpectedImprovement()
         self.next_fidelity: FidelityLevel = self.fidelities[0]
         self._n_suggested = 0
+        self._best_at_target = np.inf  # incumbent score of the last fit
 
     def _fid_unit(self, value: float) -> float:
         lo = self.fidelities[0].value
         hi = self.target_fidelity.value
         return (value - lo) / (hi - lo) if hi > lo else 1.0
 
-    def _joint(self, configs: list[Configuration], fid_value: float) -> np.ndarray:
-        X = self.encoder.encode_many(configs)
-        return np.column_stack([X, np.full(len(X), self._fid_unit(fid_value))])
-
-    def _training(self) -> tuple[np.ndarray, np.ndarray]:
-        trials, y = self.history.training_data(self.objective, self.crash_penalty_factor)
-        rows = []
-        for t in trials:
-            fid = t.fidelity if t.fidelity is not None else self.target_fidelity.value
-            rows.append(
-                np.append(self.encoder.encode(t.config), self._fid_unit(fid))
-            )
-        return (np.stack(rows) if rows else np.empty((0, self.encoder.n_features + 1))), np.asarray(y)
-
-    def _best_target_score(self, X: np.ndarray, y: np.ndarray) -> float:
-        at_target = X[:, -1] >= 0.999
-        if at_target.any():
-            return float(y[at_target].min())
-        return float(y.min())
-
-    def _suggest(self) -> Configuration:
+    def _before_model(self) -> Configuration | None:
         self._n_suggested += 1
-        if len(self.history.completed()) < self.n_init:
+        self._model_stale = True  # the joint model refits on every suggestion
+        config = super()._before_model()
+        if config is not None:
             # Initial design at the cheapest fidelity.
             self.next_fidelity = self.fidelities[0]
-            return self.space.sample(self.rng)
-        X, y = self._training()
-        self.model.fit(X, y)
+        return config
+
+    def _fit(self) -> bool:
+        trials, X, y = self._training_set()
+        target = self.target_fidelity.value
+        fid = np.array([self._fid_unit(target if t.fidelity is None else t.fidelity) for t in trials])
+        self.model.fit(np.column_stack([X, fid]), y)
+        at_target = fid >= 0.999
+        self._best_at_target = float(y[at_target].min() if at_target.any() else y.min())
+        return True
+
+    def _candidates(self) -> list[Configuration]:
+        return self.space.sample_many(self.n_candidates, self.rng)
+
+    def _pick(self, cands: list[Configuration]) -> Configuration:
         force_full = self._n_suggested % self.full_every == 0
-        cands = self.space.sample_many(self.n_candidates, self.rng)
-        best = self._best_target_score(X, y)
+        X = self.encoder.encode_many(cands)
         best_pair: tuple[float, Configuration, FidelityLevel] | None = None
-        levels = [self.target_fidelity] if force_full else self.fidelities
-        for level in levels:
-            mean, std = self.model.predict(self._joint(cands, level.value), return_std=True)
-            ei = self.acquisition(mean, std, best)
+        for level in [self.target_fidelity] if force_full else self.fidelities:
+            joint = np.column_stack([X, np.full(len(X), self._fid_unit(level.value))])
+            mean, std = self.model.predict(joint, return_std=True)
+            ei = self.acquisition(mean, std, self._best_at_target)
             # Low-fidelity probes are discounted by their transferability:
             # correlation decays as fidelity departs from the target.
             afinity = 0.3 + 0.7 * self._fid_unit(level.value)
@@ -134,12 +130,8 @@ class MultiFidelityBO(Optimizer):
             i = int(np.argmax(utility))
             if best_pair is None or utility[i] > best_pair[0]:
                 best_pair = (float(utility[i]), cands[i], level)
-        _, config, level = best_pair
-        self.next_fidelity = level
+        _, config, self.next_fidelity = best_pair
         return config
-
-    def _on_observe(self, trial: Trial) -> None:
-        pass  # model refits lazily on each suggest
 
     def _digest_state(self) -> dict[str, object]:
         return {

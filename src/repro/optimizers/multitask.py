@@ -16,12 +16,12 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg, optimize
 
-from ..core import Objective, Optimizer, Trial
+from ..core import Objective, Trial
 from ..exceptions import NotFittedError, OptimizerError
 from ..space import Configuration, ConfigurationSpace
-from ..space.encoding import OrdinalEncoder, TrialEncodingCache
-from .acquisition import ExpectedImprovement
+from ..space.encoding import OrdinalEncoder
 from .kernels import Kernel, Matern
+from .model_based import ModelBasedOptimizer
 
 __all__ = ["MultiOutputGP", "MultiTaskOptimizer"]
 
@@ -160,7 +160,7 @@ class MultiOutputGP:
         return mean, np.sqrt(np.maximum(var, 1e-12)) * self._y_std[task]
 
 
-class MultiTaskOptimizer(Optimizer):
+class MultiTaskOptimizer(ModelBasedOptimizer):
     """Optimize k objectives at once, sharing data through an ICM GP.
 
     Each ``suggest`` round-robins the *focus task* and maximises that
@@ -181,62 +181,38 @@ class MultiTaskOptimizer(Optimizer):
     ) -> None:
         if len(objectives) < 2:
             raise OptimizerError("MultiTaskOptimizer needs >= 2 objectives")
-        super().__init__(space, objectives, seed=seed)
-        self.n_init = int(n_init)
-        self.n_candidates = int(n_candidates)
-        self.encoder = OrdinalEncoder(space)
-        self.model = MultiOutputGP(len(objectives), seed=seed)
-        self.acquisition = ExpectedImprovement()
-        self._encoding_cache = TrialEncodingCache(self.encoder)
+        super().__init__(
+            space,
+            encoder=OrdinalEncoder(space),
+            model=MultiOutputGP(len(objectives), seed=seed),
+            n_init=n_init,
+            n_candidates=n_candidates,
+            objectives=objectives,
+            seed=seed,
+        )
         self._focus = 0
-        self._stale = True
 
-    def surrogate_stats(self) -> dict[str, float]:
-        """Encoding-cache counters (picked up by telemetry spans)."""
-        return self._encoding_cache.stats()
-
-    def _training(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows, tasks, ys = [], [], []
-        for t in self.history.completed():
-            x = self._encoding_cache.encode_trial(t)
-            for i, obj in enumerate(self.objectives):
-                if obj.name in t.metrics:
-                    rows.append(x)
-                    tasks.append(i)
-                    ys.append(obj.score(t.metric(obj.name)))
-        if not rows:
-            return np.empty((0, self.encoder.n_features)), np.empty(0, dtype=int), np.empty(0)
-        return np.stack(rows), np.array(tasks), np.array(ys)
-
-    def _suggest(self) -> Configuration:
+    def _before_model(self) -> Configuration | None:
         self._focus = (self._focus + 1) % len(self.objectives)
-        if len(self.history.completed()) < self.n_init:
-            return self.space.sample(self.rng)
-        if self._stale:
-            X, tasks, y = self._training()
-            if len(X) == 0:
-                return self.space.sample(self.rng)
-            self.model.fit(X, tasks, y)
-            self._stale = False
-        task = self._focus
-        obj = self.objectives[task]
-        scores = [
-            obj.score(t.metric(obj.name))
-            for t in self.history.completed()
-            if obj.name in t.metrics
-        ]
-        best = float(min(scores)) if scores else 0.0
-        cands = self.space.sample_many(self.n_candidates, self.rng)
-        mean, std = self.model.predict(self.encoder.encode_many(cands), task, return_std=True)
-        return cands[int(np.argmax(self.acquisition(mean, std, best)))]
+        return super()._before_model()
 
-    def _on_observe(self, trial: Trial) -> None:
-        self._stale = True
+    def _fit(self) -> bool:
+        # Trial-major rows (every task of trial 0, then of trial 1, …); a
+        # completed trial always reports every objective (observe() checks).
+        X = self._encoding_cache.encode_trials(self.history.completed())
+        F = np.column_stack([self.history.scores(obj) for obj in self.objectives])
+        n, k = F.shape
+        self.model.fit(np.repeat(X, k, axis=0), np.tile(np.arange(k), n), F.ravel())
+        return True
+
+    def _candidates(self) -> list[Configuration]:
+        return self.space.sample_many(self.n_candidates, self.rng)
+
+    def _pick(self, cands: list[Configuration]) -> Configuration:
+        best = float(self.history.scores(self.objectives[self._focus]).min())
+        mean, std = self.model.predict(self.encoder.encode_many(cands), self._focus, return_std=True)
+        return cands[int(np.argmax(self.acquisition(mean, std, best)))]
 
     def best_for(self, task: int) -> Trial:
         """Best trial according to objective ``task``."""
-        obj = self.objectives[task]
-        done = [t for t in self.history.completed() if obj.name in t.metrics]
-        if not done:
-            raise OptimizerError(f"no trials with metric {obj.name!r}")
-        return min(done, key=lambda t: obj.score(t.metric(obj.name)))
+        return self.history.best(self.objectives[task])

@@ -14,18 +14,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Objective, Optimizer, Trial
+from ..core import Objective, Trial
 from ..exceptions import OptimizerError
 from ..space import Configuration, ConfigurationSpace
 from ..space.encoding import OrdinalEncoder
-from .acquisition import ExpectedImprovement
 from .gp import GaussianProcessRegressor, default_kernel
+from .model_based import ModelBasedOptimizer
 from .pareto import pareto_front_mask
 
 __all__ = ["ParEGOOptimizer", "LinearScalarizationOptimizer"]
 
 
-class _ScalarizingBO(Optimizer):
+class _ScalarizingBO(ModelBasedOptimizer):
     """Shared machinery: GP-EI over a scalarisation recomputed per suggest."""
 
     supports_multi_objective = True
@@ -40,20 +40,20 @@ class _ScalarizingBO(Optimizer):
     ) -> None:
         if len(objectives) < 2:
             raise OptimizerError("multi-objective optimizers need >= 2 objectives")
-        super().__init__(space, objectives, seed=seed)
-        self.n_init = int(n_init)
-        self.n_candidates = int(n_candidates)
-        self.encoder = OrdinalEncoder(space)
-        self.model = GaussianProcessRegressor(kernel=default_kernel(self.encoder.n_features), seed=seed)
-        self.acquisition = ExpectedImprovement()
+        encoder = OrdinalEncoder(space)
+        super().__init__(
+            space,
+            encoder=encoder,
+            model=GaussianProcessRegressor(kernel=default_kernel(encoder.n_features), seed=seed),
+            n_init=n_init,
+            n_candidates=n_candidates,
+            objectives=objectives,
+            seed=seed,
+        )
+        self._weights = np.empty(0)  # this suggestion's scalarisation weights
+        self._y = np.empty(0)  # the scalarised scores the model was fitted on
 
     # -- scalarisation -------------------------------------------------------
-    def _objective_matrix(self) -> tuple[list[Configuration], np.ndarray]:
-        done = self.history.completed()
-        configs = [t.config for t in done]
-        F = np.array([[obj.score(t.metric(obj.name)) for obj in self.objectives] for t in done])
-        return configs, F
-
     @staticmethod
     def _normalize(F: np.ndarray) -> np.ndarray:
         lo = F.min(axis=0)
@@ -61,26 +61,29 @@ class _ScalarizingBO(Optimizer):
         span[span <= 0] = 1.0
         return (F - lo) / span
 
-    def _draw_weights(self) -> np.ndarray:
-        w = self.rng.dirichlet(np.ones(len(self.objectives)))
-        return np.maximum(w, 1e-6)
-
     def _scalarize(self, F_norm: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     # -- suggest -----------------------------------------------------------------
-    def _suggest(self) -> Configuration:
-        configs, F = self._objective_matrix()
-        if len(configs) < self.n_init:
-            return self.space.sample(self.rng)
-        weights = self._draw_weights()
-        y = self._scalarize(self._normalize(F), weights)
-        X = self.encoder.encode_many(configs)
-        self.model.fit(X, y)
-        cands = self.space.sample_many(self.n_candidates, self.rng)
+    def _before_model(self) -> Configuration | None:
+        config = super()._before_model()
+        if config is None:
+            # Fresh weights every suggestion, so the model refits every time.
+            self._weights = np.maximum(self.rng.dirichlet(np.ones(len(self.objectives))), 1e-6)
+            self._model_stale = True
+        return config
+
+    def _fit(self) -> bool:
+        self._y = self._scalarize(self._normalize(self.objective_values()), self._weights)
+        self.model.fit(self._encoding_cache.encode_trials(self.history.completed()), self._y)
+        return True
+
+    def _candidates(self) -> list[Configuration]:
+        return self.space.sample_many(self.n_candidates, self.rng)
+
+    def _pick(self, cands: list[Configuration]) -> Configuration:
         mean, std = self.model.predict(self.encoder.encode_many(cands), return_std=True)
-        scores = self.acquisition(mean, std, float(y.min()))
-        return cands[int(np.argmax(scores))]
+        return cands[int(np.argmax(self.acquisition(mean, std, float(self._y.min()))))]
 
     # -- results ------------------------------------------------------------------
     def pareto_trials(self) -> list[Trial]:
@@ -88,14 +91,14 @@ class _ScalarizingBO(Optimizer):
         done = self.history.completed()
         if not done:
             return []
-        _, F = self._objective_matrix()
-        mask = pareto_front_mask(F)
+        mask = pareto_front_mask(self.objective_values())
         return [t for t, keep in zip(done, mask) if keep]
 
     def objective_values(self) -> np.ndarray:
         """(n, k) matrix of canonical scores of completed trials."""
-        _, F = self._objective_matrix()
-        return F
+        return np.array(
+            [[obj.score(t.metric(obj.name)) for obj in self.objectives] for t in self.history.completed()]
+        )
 
 
 class ParEGOOptimizer(_ScalarizingBO):

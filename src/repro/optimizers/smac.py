@@ -18,18 +18,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Objective, Optimizer, Trial, rng_digest
+from ..core import Objective, rng_digest
 from ..exceptions import OptimizerError
 from ..telemetry.spans import span
 from ..space import Configuration, ConfigurationSpace
-from ..space.encoding import OneHotEncoder, TrialEncodingCache
-from .acquisition import AcquisitionFunction, ExpectedImprovement, generate_candidates
+from ..space.encoding import OneHotEncoder
+from .acquisition import AcquisitionFunction
 from .forest import RandomForestRegressor
+from .model_based import NUMERICAL_ERRORS, ModelBasedOptimizer
 
 __all__ = ["SMACOptimizer"]
 
 
-class SMACOptimizer(Optimizer):
+class SMACOptimizer(ModelBasedOptimizer):
     """Random-forest Bayesian optimization à la SMAC.
 
     Parameters
@@ -65,21 +66,22 @@ class SMACOptimizer(Optimizer):
         refit_every: int = 8,
         builder: str = "array",
     ) -> None:
-        super().__init__(space, objectives, seed=seed)
-        if n_init < 1:
-            raise OptimizerError(f"n_init must be >= 1, got {n_init}")
         if interleave < 0:
             raise OptimizerError(f"interleave must be >= 0, got {interleave}")
-        self.n_init = int(n_init)
+        super().__init__(
+            space,
+            encoder=OneHotEncoder(space),
+            model=RandomForestRegressor(n_trees=n_trees, seed=seed, builder=builder),
+            n_init=n_init,
+            n_candidates=n_candidates,
+            acquisition=acquisition,
+            objectives=objectives,
+            seed=seed,
+        )
         self.interleave = int(interleave)
-        self.n_candidates = int(n_candidates)
         self.refit_every = max(1, int(refit_every))
-        self.acquisition = acquisition if acquisition is not None else ExpectedImprovement()
-        self.encoder = OneHotEncoder(space)
-        self.model = RandomForestRegressor(n_trees=n_trees, seed=seed, builder=builder)
-        self._model_stale = True
-        # Model-guided suggestions only (satellite fix): the n_init random
-        # phase must not shift the interleave cycle.
+        # Model-guided suggestions only: the n_init random phase must not
+        # shift the interleave cycle.
         self._suggestion_count = 0
         self._fit_count = 0
         # (trial ids, training y) the forest was last fitted on — a warm
@@ -88,14 +90,10 @@ class SMACOptimizer(Optimizer):
         # which forces a full refit).
         self._fitted_ids: tuple[int, ...] = ()
         self._fitted_y: np.ndarray = np.empty(0)
-        self._encoding_cache = TrialEncodingCache(self.encoder)
 
-    def _fit_model(self) -> None:
-        trials, y = self.history.training_data(self.objective, self.crash_penalty_factor)
-        if not trials:
-            return
+    def _fit(self) -> bool:
+        trials, X, y = self._training_set()
         ids = tuple(t.trial_id for t in trials)
-        X = self._encoding_cache.encode_trials(trials)
         k = len(self._fitted_ids)
         warm = (
             self.model.is_fitted
@@ -104,15 +102,14 @@ class SMACOptimizer(Optimizer):
             and ids[:k] == self._fitted_ids
             and np.array_equal(y[:k], self._fitted_y)
         )
-        with span("surrogate.fit", n_observations=len(X), model="forest"):
-            if warm:
-                self.model.partial_fit(X[k:], y[k:])
-            else:
-                self.model.fit(X, y)
+        if warm:
+            self.model.partial_fit(X[k:], y[k:])
+        else:
+            self.model.fit(X, y)
         self._fit_count += 1
         self._fitted_ids = ids
         self._fitted_y = y.copy()
-        self._model_stale = False
+        return True
 
     def _digest_state(self) -> dict[str, object]:
         return {
@@ -122,58 +119,17 @@ class SMACOptimizer(Optimizer):
             "model_rng": rng_digest(self.model.rng),
         }
 
-    def surrogate_stats(self) -> dict[str, float]:
-        """Forest fit/predict counters plus encoding-cache stats.
-
-        Picked up by :class:`~repro.telemetry.TelemetryCallback` and the
-        service metrics endpoint, which register them as gauges — the same
-        path the GP surrogate uses.
-        """
-        out = self.model.stats_dict()
-        out.update(self._encoding_cache.stats())
-        out["degraded_total"] = float(self._degraded_total)
-        return out
-
     # -- suggest ---------------------------------------------------------------
-    def _incumbent(self) -> Configuration | None:
-        try:
-            return self.history.best().config
-        except OptimizerError:
-            return None
-
-    def _candidate_pool(self) -> list[Configuration]:
-        return generate_candidates(
-            self.space, self.rng, self.n_candidates, incumbent=self._incumbent()
-        )
-
     def _interleave_due(self) -> bool:
         """Advance the model-phase counter; True on every (interleave+1)-th."""
         self._suggestion_count += 1
         return bool(self.interleave) and self._suggestion_count % (self.interleave + 1) == 0
 
-    def _suggest(self) -> Configuration:
-        if len(self.history.completed()) < self.n_init:
-            return self.space.sample(self.rng)
-        if self._interleave_due():
-            return self.space.sample(self.rng)
-        if self._model_stale:
-            try:
-                self._fit_model()
-            except Exception as err:  # noqa: BLE001 - surrogate failure degrades, never halts
-                self._model_stale = True  # retry the fit on the next suggest
-                return self._degraded_suggest("surrogate.fit", err)
-        if not self.model.is_fitted:
-            return self.space.sample(self.rng)
-        try:
-            with span("acquisition.optimize", n_candidates=self.n_candidates):
-                cands = self._candidate_pool()
-                X = self.encoder.encode_many(cands)
-                mean, std = self.model.predict(X, return_std=True)
-                best_score = float(self.history.scores().min())
-                scores = self.acquisition(mean, std, best_score)
-                return cands[int(np.argmax(scores))]
-        except Exception as err:  # noqa: BLE001 - acquisition failure degrades, never halts
-            return self._degraded_suggest("acquisition.optimize", err)
+    def _before_model(self) -> Configuration | None:
+        config = super()._before_model()
+        if config is None and self._interleave_due():
+            config = self.space.sample(self.rng)
+        return config
 
     def _suggest_batch(self, n: int) -> list[Configuration] | None:
         """Constant-liar batch: one fit + one routed pool for all ``n`` picks.
@@ -187,13 +143,10 @@ class SMACOptimizer(Optimizer):
         """
         if len(self.history.completed()) < self.n_init:
             return None  # init phase: independent random draws
-        if self._model_stale:
-            try:
-                self._fit_model()
-            except Exception:  # noqa: BLE001 - fall back to per-suggest path,
-                return None  # which retries the fit and emits optimizer.degraded
-        if not self.model.is_fitted:
-            return None
+        try:
+            self._refresh_model()
+        except NUMERICAL_ERRORS:  # fall back to the per-suggest path, which
+            return None  # retries the fit and emits optimizer.degraded
         best_score = float(self.history.scores().min())
         out: list[Configuration] = []
         pool: list[Configuration] | None = None
@@ -207,7 +160,7 @@ class SMACOptimizer(Optimizer):
                     continue
                 if pool is None:
                     with span("acquisition.optimize", n_candidates=self.n_candidates):
-                        pool = self._candidate_pool()
+                        pool = self._candidates()
                         X = self.encoder.encode_many(pool)
                         leaves = self.model.route_leaves(X)
                         taken = np.zeros(len(pool), dtype=bool)
@@ -221,6 +174,3 @@ class SMACOptimizer(Optimizer):
         finally:
             self.model.clear_fantasies()
         return out
-
-    def _on_observe(self, trial: Trial) -> None:
-        self._model_stale = True

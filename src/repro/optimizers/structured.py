@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Objective, Optimizer, Trial
-from ..exceptions import OptimizerError
+from ..core import Objective
 from ..space import Configuration, ConfigurationSpace
-from .acquisition import AcquisitionFunction, ExpectedImprovement
+from ..space.encoding import OrdinalEncoder
+from .acquisition import AcquisitionFunction
 from .gp import GaussianProcessRegressor, default_kernel
+from .model_based import ModelBasedOptimizer
 
 __all__ = ["StructuredBayesianOptimizer"]
 
 
-class StructuredBayesianOptimizer(Optimizer):
+class StructuredBayesianOptimizer(ModelBasedOptimizer):
     """Per-activation-group GPs with EI maximised across groups.
 
     For spaces without conditions this degrades gracefully to vanilla BO
@@ -42,90 +43,68 @@ class StructuredBayesianOptimizer(Optimizer):
         objectives: Objective | list[Objective] | None = None,
         seed: int | None = None,
     ) -> None:
-        super().__init__(space, objectives, seed=seed)
-        if n_init < 1:
-            raise OptimizerError(f"n_init must be >= 1, got {n_init}")
-        self.n_init = int(n_init)
-        self.n_candidates = int(n_candidates)
+        super().__init__(
+            space,
+            encoder=OrdinalEncoder(space),
+            n_init=n_init,
+            n_candidates=n_candidates,
+            acquisition=acquisition,
+            objectives=objectives,
+            seed=seed,
+        )
         self.min_group_size = int(min_group_size)
-        self.acquisition = acquisition if acquisition is not None else ExpectedImprovement()
+        # One GP per activation signature (the frozenset of active knobs).
         self._models: dict[frozenset, GaussianProcessRegressor] = {}
-        self._stale = True
-
-    # -- group machinery --------------------------------------------------------
-    @staticmethod
-    def _signature(config: Configuration) -> frozenset:
-        return config.active
 
     def _active_dims(self, signature: frozenset) -> list[int]:
         return [i for i, name in enumerate(self.space.names) if name in signature]
 
-    def _encode(self, config: Configuration, dims: list[int]) -> np.ndarray:
-        return self.space.to_unit_array(config)[dims]
+    @staticmethod
+    def _by_signature(configs: list[Configuration]) -> dict[frozenset, list[int]]:
+        groups: dict[frozenset, list[int]] = {}
+        for i, config in enumerate(configs):
+            groups.setdefault(config.active, []).append(i)
+        return groups
 
-    def _grouped_training(self) -> dict[frozenset, tuple[list[Configuration], np.ndarray]]:
-        trials, y = self.history.training_data(self.objective, self.crash_penalty_factor)
-        groups: dict[frozenset, tuple[list, list]] = {}
-        for trial, score in zip(trials, y):
-            sig = self._signature(trial.config)
-            configs, scores = groups.setdefault(sig, ([], []))
-            configs.append(trial.config)
-            scores.append(float(score))
-        return {sig: (cfgs, np.array(scores)) for sig, (cfgs, scores) in groups.items()}
-
-    def _fit(self) -> None:
+    def _fit(self) -> bool:
         self._models.clear()
-        for sig, (configs, y) in self._grouped_training().items():
-            if len(configs) < self.min_group_size:
+        trials, X, y = self._training_set()
+        for sig, rows in self._by_signature([t.config for t in trials]).items():
+            if len(rows) < self.min_group_size:
                 continue
             dims = self._active_dims(sig)
-            X = np.stack([self._encode(c, dims) for c in configs])
             gp = GaussianProcessRegressor(kernel=default_kernel(len(dims)), seed=0)
-            gp.fit(X, y)
+            gp.fit(X[np.ix_(rows, dims)], y[rows])
             self._models[sig] = gp
-        self._stale = False
+        return bool(self._models)  # every group still too small: keep sampling
 
     # -- suggest ------------------------------------------------------------------
-    def _suggest(self) -> Configuration:
-        if len(self.history.completed()) < self.n_init:
-            return self.space.sample(self.rng)
-        if self._stale:
-            self._fit()
-        if not self._models:
-            return self.space.sample(self.rng)
+    def _candidates(self) -> list[Configuration]:
+        return self.space.sample_many(self.n_candidates, self.rng)
+
+    def _pick(self, cands: list[Configuration]) -> Configuration:
         best_score = float(self.history.scores().min())
-        cands = self.space.sample_many(self.n_candidates, self.rng)
-        by_group: dict[frozenset, list[int]] = {}
-        for i, cand in enumerate(cands):
-            by_group.setdefault(self._signature(cand), []).append(i)
+        X = self.encoder.encode_many(cands)
         best_pair: tuple[float, Configuration] | None = None
         unmodelled: list[Configuration] = []
-        for sig, indices in by_group.items():
+        for sig, indices in self._by_signature(cands).items():
             gp = self._models.get(sig)
             if gp is None:
                 # Group with too little data for a GP yet: keep one
                 # representative so new structures still get explored.
                 unmodelled.append(cands[indices[int(self.rng.integers(len(indices)))]])
                 continue
-            dims = self._active_dims(sig)
-            X = np.stack([self._encode(cands[i], dims) for i in indices])
-            mean, std = gp.predict(X, return_std=True)
+            mean, std = gp.predict(X[np.ix_(indices, self._active_dims(sig))], return_std=True)
             ei = self.acquisition(mean, std, best_score)
             j = int(np.argmax(ei))
             if best_pair is None or ei[j] > best_pair[0]:
                 best_pair = (float(ei[j]), cands[indices[j]])
         if unmodelled and (best_pair is None or self.rng.random() < 0.1):
             return unmodelled[int(self.rng.integers(len(unmodelled)))]
-        if best_pair is None:
-            return self.space.sample(self.rng)
         return best_pair[1]
-
-    def _on_observe(self, trial: Trial) -> None:
-        self._stale = True
 
     @property
     def n_groups(self) -> int:
         """Activation patterns currently modelled."""
-        if self._stale:
-            self._fit()
+        self._refresh_model()
         return len(self._models)

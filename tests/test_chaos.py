@@ -28,8 +28,20 @@ from repro.chaos import (
 from repro.core.codec import TrialReport
 from repro.core.journal import StorageError, TransientStorageError
 from repro.core.manager import SessionManager
+from repro.core.optimizer import Objective
 from repro.core.stores import JsonJournalStore, MemoryTrialStore, SqliteTrialStore
 from repro.exceptions import ReproError, SystemCrashError
+from repro.optimizers import (
+    ConstrainedBayesianOptimizer,
+    FidelityLevel,
+    GaussianProcessRegressor,
+    MultiFidelityBO,
+    MultiOutputGP,
+    MultiTaskOptimizer,
+    ParEGOOptimizer,
+    RandomForestRegressor,
+    StructuredBayesianOptimizer,
+)
 from repro.optimizers.bo import BayesianOptimizer
 from repro.optimizers.smac import SMACOptimizer
 from repro.resilience import BackoffPolicy, CircuitBreaker, CircuitOpenError
@@ -337,27 +349,56 @@ class TestSpillBuffer:
 # ---------------------------------------------------------------------------
 # Optimizer degradation
 # ---------------------------------------------------------------------------
+TWO_OBJECTIVES = [Objective("score"), Objective("cost")]
+
+#: Every class built on the shared model-based loop, ready for the model phase.
+MODEL_BASED = {
+    "BayesianOptimizer": lambda: BayesianOptimizer(small_space(), n_init=2, seed=5),
+    "SMACOptimizer": lambda: SMACOptimizer(small_space(), n_init=2, seed=5),
+    "ConstrainedBayesianOptimizer": lambda: ConstrainedBayesianOptimizer(small_space(), ["c"], n_init=2, seed=5),
+    "ParEGOOptimizer": lambda: ParEGOOptimizer(small_space(), TWO_OBJECTIVES, n_init=2, seed=5),
+    "StructuredBayesianOptimizer": lambda: StructuredBayesianOptimizer(small_space(), n_init=2, min_group_size=1, seed=5),
+    "MultiFidelityBO": lambda: MultiFidelityBO(
+        small_space(), [FidelityLevel(1.0, 1.0), FidelityLevel(4.0, 3.0)], n_init=2, seed=5
+    ),
+    "MultiTaskOptimizer": lambda: MultiTaskOptimizer(small_space(), TWO_OBJECTIVES, n_init=2, seed=5),
+}
+
+
 class TestDegradedOptimizer:
     def _observe_init(self, opt, n):
         for i in range(n):
-            opt.observe(opt.space.sample(opt.rng), float(i))
+            opt.observe(opt.space.sample(opt.rng), {"score": float(i), "cost": float(n - i), "c": -1.0})
 
-    @pytest.mark.parametrize("cls", [BayesianOptimizer, SMACOptimizer])
-    def test_fit_failure_degrades_to_random(self, cls):
-        opt = cls(small_space(), n_init=2, seed=5)
+    @pytest.mark.parametrize("cls", sorted(MODEL_BASED))
+    def test_fit_failure_degrades_to_random(self, cls, monkeypatch):
+        opt = MODEL_BASED[cls]()
         self._observe_init(opt, 2)
         before = opt.state_digest()
 
         def broken_fit(*args, **kwargs):
             raise ValueError("singular kernel matrix")
 
-        opt.model.fit = broken_fit
-        if hasattr(opt.model, "partial_fit"):
-            opt.model.partial_fit = broken_fit
+        for surrogate in (GaussianProcessRegressor, MultiOutputGP, RandomForestRegressor):
+            monkeypatch.setattr(surrogate, "fit", broken_fit)
+        monkeypatch.setattr(RandomForestRegressor, "partial_fit", broken_fit)
         configs = opt.suggest(2)
         assert len(configs) == 2  # the campaign keeps going
         assert opt.surrogate_stats()["degraded_total"] >= 1
         assert opt.state_digest() != before  # degradation is provenance-visible
+
+    def test_programming_error_in_fit_hook_propagates(self):
+        """Only numerical failures degrade; a bug must not become random search."""
+        opt = MODEL_BASED["BayesianOptimizer"]()
+        self._observe_init(opt, 2)
+
+        def buggy_fit():
+            raise TypeError("unsupported operand type(s)")
+
+        opt._fit = buggy_fit
+        with pytest.raises(TypeError):
+            opt.suggest()
+        assert opt.surrogate_stats()["degraded_total"] == 0
 
     def test_degraded_suggestions_are_deterministic(self):
         def make():

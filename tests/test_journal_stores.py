@@ -24,7 +24,6 @@ from repro.core.journal import (
     import_legacy_trials,
     new_session_id,
 )
-from repro.core.storage import load_trials, save_trials
 from repro.core.stores import (
     JsonJournalStore,
     MemoryTrialStore,
@@ -299,9 +298,26 @@ class TestLegacyMigration:
         opt = RandomSearchOptimizer(simple_space, seed=3)
         for config in opt.suggest(4):
             opt.observe(config, {"score": float(config["n"])}, cost=2.0)
+        # The documented version-1 payload, written literally: the writer
+        # (storage.save_trials) is gone, files it produced are not.
+        payload = {
+            "version": 1,
+            "trials": [
+                {
+                    "trial_id": t.trial_id,
+                    "config": t.config.as_dict(),
+                    "status": t.status.value,
+                    "metrics": dict(t.metrics),
+                    "cost": t.cost,
+                    "fidelity": None,
+                    "context": {},
+                }
+                for t in opt.history.trials
+            ],
+        }
         path = tmp_path / "old-run.json"
-        with pytest.deprecated_call():
-            save_trials(opt.history.trials, path)
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2)
         return path, opt.history.trials
 
     def test_round_trip_through_store(self, tmp_path, simple_space):
@@ -327,13 +343,6 @@ class TestLegacyMigration:
         names = {p["name"] for p in meta.space["parameters"]}
         assert names == set(simple_space.names)
         assert store.trial_count(sid) == len(originals)
-
-    def test_deprecated_loaders_still_work(self, tmp_path, simple_space):
-        path, originals = self._legacy_file(tmp_path, simple_space)
-        with pytest.deprecated_call():
-            loaded = load_trials(path, simple_space)
-        assert [t.trial_id for t in loaded] == [t.trial_id for t in originals]
-        assert loaded[0].metrics == originals[0].metrics
 
     def test_bad_legacy_file_raises(self, tmp_path):
         path = tmp_path / "bad.json"

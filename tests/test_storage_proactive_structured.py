@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    JsonJournalStore,
+    MemoryTrialStore,
     Objective,
+    SessionMeta,
     TrialStatus,
     TuningSession,
+    decode_trial,
+    encode_trial,
+    import_legacy_trials,
     load_prior_bank,
-    load_trials,
     save_prior_bank,
-    save_trials,
     workload_from_dict,
     workload_to_dict,
 )
@@ -32,6 +36,7 @@ from repro.space import (
     EqualsCondition,
     FloatParameter,
 )
+from repro.space.serialize import space_to_dict
 from repro.sysim import QUIET_CLOUD, SimulatedDBMS
 from repro.workloads import DiurnalTrace, tpcc, ycsb
 
@@ -47,11 +52,29 @@ class TestStorage:
                 opt.observe(cfg, float(i), cost=2.0, context={"machine": f"vm-{i}"})
         return opt.history
 
+    @staticmethod
+    def journal(history, store, space) -> None:
+        """Persist a history the supported way: one record per trial in a store."""
+        store.create_session(
+            SessionMeta(
+                session_id="run",
+                space=space_to_dict(space),
+                optimizer={"name": "random", "seed": 0, "options": {}},
+                objectives=[{"name": "lat", "minimize": True}],
+                max_trials=len(history),
+            )
+        )
+        for trial in history:
+            assert store.append_trial("run", encode_trial(trial)).trial_id == trial.trial_id
+
+    @staticmethod
+    def load(store, space):
+        return [decode_trial(record, space) for record in store.load_trials("run")]
+
     def test_roundtrip_trials(self, simple_space, tmp_path):
         history = self.make_history(simple_space)
-        path = tmp_path / "trials.json"
-        assert save_trials(history.trials, path) == 8
-        loaded = load_trials(path, simple_space)
+        self.journal(history, JsonJournalStore(tmp_path, fsync=False), simple_space)
+        loaded = self.load(JsonJournalStore(tmp_path), simple_space)  # re-opened from disk
         assert len(loaded) == 8
         for original, restored in zip(history.trials, loaded):
             assert restored.config == original.config
@@ -62,32 +85,31 @@ class TestStorage:
 
     def test_loaded_trials_warm_start(self, simple_space, tmp_path):
         history = self.make_history(simple_space)
-        path = tmp_path / "trials.json"
-        save_trials(history.trials, path)
+        self.journal(history, JsonJournalStore(tmp_path, fsync=False), simple_space)
         opt = RandomSearchOptimizer(simple_space, Objective("lat"), seed=1)
-        n = warm_start_from_history(opt, load_trials(path, simple_space), top_fraction=1.0)
+        loaded = self.load(JsonJournalStore(tmp_path), simple_space)
+        n = warm_start_from_history(opt, loaded, top_fraction=1.0)
         assert n == 8
         assert opt.history.best_value() == 0.0
 
-    def test_cross_space_load_drops_unknown_knobs(self, simple_space, tmp_path):
-        history = self.make_history(simple_space)
-        path = tmp_path / "trials.json"
-        save_trials(history.trials, path)
+    def test_cross_space_load_drops_unknown_knobs(self, simple_space):
+        store = MemoryTrialStore()
+        self.journal(self.make_history(simple_space), store, simple_space)
         sub = simple_space.subspace(["x", "y"])
-        loaded = load_trials(path, sub)
+        loaded = self.load(store, sub)
         assert set(loaded[0].config) == {"x", "y"}
 
-    def test_bad_file_raises(self, simple_space, tmp_path):
+    def test_bad_file_raises(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         with pytest.raises(ReproError):
-            load_trials(path, simple_space)
+            import_legacy_trials(MemoryTrialStore(), path)
 
-    def test_version_check(self, simple_space, tmp_path):
+    def test_version_check(self, tmp_path):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"version": 99, "trials": []}))
         with pytest.raises(ReproError):
-            load_trials(path, simple_space)
+            import_legacy_trials(MemoryTrialStore(), path)
 
     def test_workload_roundtrip(self):
         w = tpcc(75)
