@@ -10,7 +10,7 @@ from .codec import (
     report_from_trial,
 )
 from .evaluation import EvaluationResult, coerce_evaluation, run_evaluation
-from .journal import AppendResult, SessionMeta, StorageError, TrialStore, import_legacy_trials, new_session_id
+from .journal import AppendResult, SessionMeta, StorageError, TrialStore, new_session_id
 from .manager import SessionManager, make_optimizer, optimizer_names
 from .optimizer import History, Objective, Optimizer, Trial, TrialStatus, rng_digest
 from .replay import ReplayDivergence, ReplayReport, replay_session
@@ -35,7 +35,6 @@ __all__ = [
     "SessionMeta",
     "StorageError",
     "TrialStore",
-    "import_legacy_trials",
     "new_session_id",
     "SessionManager",
     "make_optimizer",

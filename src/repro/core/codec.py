@@ -22,7 +22,7 @@ from typing import Any, Mapping
 
 from ..exceptions import ReproError
 from ..space import Configuration, ConfigurationSpace
-from .optimizer import Trial, TrialStatus
+from .optimizer import Trial, TrialStatus, json_safe
 
 __all__ = [
     "CodecError",
@@ -41,26 +41,6 @@ TRIAL_RECORD_VERSION = 2
 
 class CodecError(ReproError):
     """A payload could not be encoded or decoded."""
-
-
-def json_safe(value: Any) -> Any:
-    """Recursively coerce a payload to JSON-serialisable primitives.
-
-    numpy scalars (anything exposing ``.item()``) become plain Python
-    numbers; mappings and sequences are rebuilt with safe leaves.
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if hasattr(value, "item") and not isinstance(value, Mapping):
-        try:
-            return value.item()
-        except (TypeError, ValueError):
-            pass
-    if isinstance(value, Mapping):
-        return {str(k): json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [json_safe(v) for v in value]
-    return str(value)
 
 
 # -- ask ---------------------------------------------------------------------
@@ -210,7 +190,7 @@ def report_from_trial(trial: Trial, report_id: str | None = None) -> TrialReport
     )
 
 
-# -- trial records (journal / legacy files) ----------------------------------
+# -- trial records (journal) --------------------------------------------------
 
 
 def encode_trial(

@@ -24,18 +24,15 @@ Design
 Backends live in :mod:`repro.core.stores`: a JSON-lines journal
 (:class:`~repro.core.stores.JsonJournalStore`), SQLite in WAL mode
 (:class:`~repro.core.stores.SqliteTrialStore`), and an in-memory store
-for tests. :func:`import_legacy_trials` migrates pre-service whole-file
-JSON dumps (version-1 trial files) into any store.
+for tests. The journal is the only on-disk trial format.
 """
 
 from __future__ import annotations
 
-import json
 import uuid
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping
 
 from ..exceptions import ReproError
 
@@ -46,14 +43,9 @@ __all__ = [
     "AppendResult",
     "TrialStore",
     "new_session_id",
-    "import_legacy_trials",
 ]
 
 META_FORMAT_VERSION = 1
-
-#: Whole-file trial dumps (``{"version": 1, "trials": [record, ...]}``)
-#: written by the removed ``storage.save_trials``.
-LEGACY_TRIALS_VERSION = 1
 
 
 class StorageError(ReproError):
@@ -215,91 +207,3 @@ class TrialStore(ABC):
         if meta is None:
             raise StorageError(f"unknown session {session_id!r}")
         return meta
-
-
-# -- legacy migration --------------------------------------------------------
-
-
-def iter_legacy_trials(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Yield trial records from a pre-service version-1 trial file."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise StorageError(f"cannot read legacy trial file {path}: {err}") from err
-    if payload.get("version") != LEGACY_TRIALS_VERSION:
-        raise StorageError(f"unsupported trial-file version: {payload.get('version')!r}")
-    for record in payload.get("trials", []):
-        yield dict(record)
-
-
-def import_legacy_trials(
-    store: TrialStore,
-    path: str | Path,
-    session_id: str | None = None,
-    space: dict[str, Any] | Any = None,
-    objectives: Sequence[Mapping[str, Any]] | None = None,
-) -> str:
-    """Migrate a whole-file JSON dump into ``store`` as one session.
-
-    ``space`` may be a :class:`~repro.space.ConfigurationSpace` (serialized
-    via :func:`~repro.space.serialize.space_to_dict`) or an
-    already-serialized dict; when omitted, a minimal space is inferred so
-    the records stay loadable, though resuming an *optimizer* over an
-    inferred space is best-effort. Returns the session id.
-    """
-    from ..space import ConfigurationSpace
-    from ..space.serialize import space_to_dict
-
-    records = list(iter_legacy_trials(path))
-    if isinstance(space, ConfigurationSpace):
-        space_spec = space_to_dict(space, strict=False)
-    elif isinstance(space, Mapping):
-        space_spec = dict(space)
-    else:
-        space_spec = _infer_space_spec(records, name=Path(path).stem)
-    sid = session_id or f"legacy-{Path(path).stem}-{new_session_id()[:8]}"
-    metric_names = sorted({name for r in records for name in r.get("metrics", {})})
-    objs = [dict(o) for o in objectives] if objectives else (
-        [{"name": metric_names[0], "minimize": True}] if metric_names else [{"name": "score", "minimize": True}]
-    )
-    meta = SessionMeta(
-        session_id=sid,
-        space=space_spec,
-        optimizer={"name": "random", "seed": 0, "options": {}},
-        objectives=objs,
-        max_trials=max(len(records), 1),
-        status="migrated",
-        extra={"migrated_from": str(path)},
-    )
-    store.create_session(meta)
-    for record in records:
-        store.append_trial(sid, record)
-    return sid
-
-
-def _infer_space_spec(records: Sequence[Mapping[str, Any]], name: str) -> dict[str, Any]:
-    """Best-effort space description from the values seen in a legacy file."""
-    values_by_knob: dict[str, list[Any]] = {}
-    for r in records:
-        for knob, value in r.get("config", {}).items():
-            values_by_knob.setdefault(knob, []).append(value)
-    params: list[dict[str, Any]] = []
-    for knob, values in values_by_knob.items():
-        if all(isinstance(v, bool) for v in values):
-            params.append({"type": "bool", "name": knob, "default": values[0]})
-        elif all(isinstance(v, int) and not isinstance(v, bool) for v in values):
-            lo, hi = min(values), max(values)
-            hi = hi if hi > lo else lo + 1
-            params.append({"type": "int", "name": knob, "lower": lo, "upper": hi, "default": values[0]})
-        elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-            lo, hi = float(min(values)), float(max(values))
-            hi = hi if hi > lo else lo + 1.0
-            params.append({"type": "float", "name": knob, "lower": lo, "upper": hi, "default": float(values[0])})
-        else:
-            choices = sorted(set(values), key=repr)
-            if len(choices) < 2:
-                choices = choices + [f"_not_{choices[0]}"]
-            params.append({"type": "categorical", "name": knob, "choices": choices, "default": values[0]})
-    if not params:
-        params = [{"type": "bool", "name": "placeholder", "default": False}]
-    return {"version": 1, "name": name, "parameters": params, "conditions": []}

@@ -277,15 +277,6 @@ class SessionManager:
         session.epoch = max_epoch + 1
         return session
 
-    def open(
-        self,
-        session_id: str,
-        evaluator: Evaluator | None = None,
-        **kwargs: Any,
-    ) -> TuningSession:
-        """Resume if the session exists; error otherwise (alias of resume)."""
-        return self.resume(session_id, evaluator=evaluator, **kwargs)
-
     # -- registry views ------------------------------------------------------
     def exists(self, session_id: str) -> bool:
         return self.store.get_session(session_id) is not None

@@ -25,8 +25,14 @@ from ..space import Configuration, ConfigurationSpace
 __all__ = ["TrialStatus", "Objective", "Trial", "History", "Optimizer", "rng_digest"]
 
 
-def _canon(value: Any) -> Any:
-    """JSON-canonical form of a value for digesting (numpy → Python)."""
+def json_safe(value: Any) -> Any:
+    """Recursively coerce a payload to JSON-serialisable primitives.
+
+    numpy scalars (anything exposing ``.item()``) become plain Python
+    numbers; mappings and sequences are rebuilt with safe leaves. Digests
+    here and every wire/journal payload (re-exported by
+    :mod:`repro.core.codec`) go through this one function.
+    """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if hasattr(value, "item") and not isinstance(value, Mapping):
@@ -35,14 +41,14 @@ def _canon(value: Any) -> Any:
         except (TypeError, ValueError):
             pass
     if isinstance(value, Mapping):
-        return {str(k): _canon(v) for k, v in value.items()}
+        return {str(k): json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
-        return [_canon(v) for v in value]
+        return [json_safe(v) for v in value]
     return str(value)
 
 
 def _digest(payload: Any, length: int = 12) -> str:
-    text = json.dumps(_canon(payload), sort_keys=True, separators=(",", ":"))
+    text = json.dumps(json_safe(payload), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:length]
 
 
@@ -404,7 +410,7 @@ class Optimizer(ABC):
     # -- provenance ---------------------------------------------------------------
     def _update_history_sha(self, trial: Trial) -> None:
         text = json.dumps(
-            _canon(
+            json_safe(
                 [
                     trial.trial_id,
                     trial.config.as_dict(),

@@ -32,15 +32,14 @@ returns, which is what makes sessions resumable after a crash.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from contextlib import closing, nullcontext
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from ..exceptions import OptimizerError
 from ..space import Configuration
 from ..telemetry.spans import current_trace_id, emit_event, span, trial_scope
 from .callbacks import Callback
 from .codec import SuggestRequest, Suggestion, TrialReport, config_from_values, encode_trial, json_safe
-from .evaluation import coerce_evaluation
 from .journal import TransientStorageError
 from .optimizer import Optimizer, Trial, TrialStatus
 from .result import TuningResult
@@ -142,16 +141,6 @@ class TuningSession:
         self._spill: list[tuple[int, dict[str, Any]]] = []
 
     # -- internals ---------------------------------------------------------
-    @staticmethod
-    def _unpack(result: Any) -> tuple[Mapping[str, float] | float, float]:
-        """Normalise evaluator output to (metrics, cost).
-
-        Kept for backward compatibility; the canonical normalisation is
-        :func:`repro.core.evaluation.coerce_evaluation`.
-        """
-        ev = coerce_evaluation(result)
-        return ev.metrics, ev.cost
-
     def _spent(self) -> float:
         return self.optimizer.history.total_cost()
 
@@ -450,35 +439,53 @@ class TuningSession:
             # spans (surrogate.fit, acquisition.optimize) attach to it. With
             # want > 1 the suggest serves several trials and stays at the
             # session level; each executor task opens its own scope.
-            with (trial_scope() if want == 1 else nullcontext()):
-                configs, ask_info = self._suggest_tracked(want)
-                per_trial_suggest_s = self.last_suggest_latency_s / max(1, len(configs))
-                for i in range(len(configs)):
-                    for cb in self.callbacks:
-                        cb.on_trial_start(self, n_done + i)
-                batch: list[Trial] = []
-                results = executor.map(self.evaluator, configs)
-                try:
-                    for execution in results:
-                        trial = self._observe_execution(execution, per_trial_suggest_s, ask_info)
-                        n_done += 1
-                        batch.append(trial)
-                        if not trial.ok:
-                            for cb in self.callbacks:
-                                cb.on_trial_error(self, trial, execution.result.exception)
-                        for cb in self.callbacks:
-                            cb.on_trial_end(self, trial)
-                        if not self._budget_left(n_done):
-                            break  # lazy executors skip the unevaluated remainder
-                finally:
-                    close = getattr(results, "close", None)
-                    if close is not None:
-                        close()
+            batch: list[Trial] = []
+            with (trial_scope() if want == 1 else nullcontext()), closing(
+                self.run_batch(executor, self.evaluator, want)
+            ) as trials:
+                for trial in trials:
+                    n_done += 1
+                    batch.append(trial)
+                    if not self._budget_left(n_done):
+                        break  # closing() lets lazy executors skip the unevaluated remainder
             for cb in self.callbacks:
                 cb.on_batch_end(self, batch)
         for cb in self.callbacks:
             cb.on_session_end(self)
         return self.result()
+
+    def run_batch(
+        self, executor: "TrialExecutor", evaluator: Evaluator, want: int
+    ) -> Iterator[Trial]:
+        """One closed-loop batch step; yields each trial as it is recorded.
+
+        Suggests ``want`` configurations through the tracked path (so
+        journaled trials carry ask-batch provenance), executes them on
+        ``executor`` and observes each result as it completes, firing the
+        per-trial callbacks. :meth:`run` and the service's ``/step`` are
+        this method in a loop. A generator: a caller that stops early must
+        ``close()`` it, which closes the executor's result iterator.
+        """
+        configs, ask_info = self._suggest_tracked(want)
+        per_trial_suggest_s = self.last_suggest_latency_s / max(1, len(configs))
+        n_done = len(self.optimizer.history)
+        for i in range(len(configs)):
+            for cb in self.callbacks:
+                cb.on_trial_start(self, n_done + i)
+        results = executor.map(evaluator, configs)
+        try:
+            for execution in results:
+                trial = self._observe_execution(execution, per_trial_suggest_s, ask_info)
+                if not trial.ok:
+                    for cb in self.callbacks:
+                        cb.on_trial_error(self, trial, execution.result.exception)
+                for cb in self.callbacks:
+                    cb.on_trial_end(self, trial)
+                yield trial
+        finally:
+            close = getattr(results, "close", None)
+            if close is not None:
+                close()
 
     def _observe_execution(
         self,

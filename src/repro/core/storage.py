@@ -2,10 +2,7 @@
 
 Session state (trials) is journaled through a
 :class:`~repro.core.journal.TrialStore` (:mod:`repro.core.stores`), usually
-via :class:`~repro.core.manager.SessionManager`; the whole-file
-``save_trials``/``load_trials`` helpers that used to live here are gone, and
-:func:`repro.core.journal.import_legacy_trials` is the one reader of the
-version-1 files they wrote.
+via :class:`~repro.core.manager.SessionManager`.
 
 What stays is persistence for artifacts that outlive a session:
 :func:`save_prior_bank`/:func:`load_prior_bank` (trial records go through

@@ -5,7 +5,7 @@ points, batch execute trials" — and TUNA-style noisy-cloud tuning demands
 running many instrumented trials concurrently. This module is the execution
 substrate: a :class:`TrialExecutor` takes a batch of configurations plus an
 evaluator and yields :class:`TrialExecution` records **as trials complete**,
-handling per-trial timeouts, bounded retry with exponential backoff, and the
+handling per-trial timeouts, bounded retry with jittered backoff, and the
 crash/abort → status folding (via :func:`repro.core.evaluation.run_evaluation`)
 that previously lived inline in ``TuningSession``.
 
@@ -53,6 +53,7 @@ from typing import Any, Callable, Iterator, Sequence
 from ..core.evaluation import EvaluationResult, run_evaluation
 from ..core.optimizer import TrialStatus
 from ..exceptions import ReproError, SystemCrashError
+from ..resilience import BackoffPolicy
 from ..telemetry.spans import emit_event, span, trial_scope
 from ..space import Configuration
 
@@ -71,28 +72,21 @@ Evaluator = Callable[[Configuration], Any]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retry with exponential backoff for flaky evaluations.
+    """*When* to retry a flaky evaluation (how long to wait is not its job).
 
     A trial is retried when its evaluation ended with an exception whose
     type matches ``retry_on`` (timeouts surface as :class:`TimeoutError`)
-    and fewer than ``max_retries`` retries have been spent. The k-th retry
-    waits ``backoff_s * backoff_factor**k`` seconds first.
+    and fewer than ``max_retries`` retries have been spent. The sleep before
+    the k-th retry comes from the repository's one backoff curve,
+    :meth:`repro.resilience.BackoffPolicy.delay`.
     """
 
     max_retries: int = 2
-    backoff_s: float = 0.05
-    backoff_factor: float = 2.0
     retry_on: tuple[type[BaseException], ...] = (SystemCrashError, TimeoutError)
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ReproError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_s < 0 or self.backoff_factor < 1.0:
-            raise ReproError("backoff_s must be >= 0 and backoff_factor >= 1")
-
-    def delay(self, retry_index: int) -> float:
-        """Sleep before the ``retry_index``-th retry (0-based)."""
-        return self.backoff_s * self.backoff_factor**retry_index
 
     def should_retry(self, result: EvaluationResult, retries_spent: int) -> bool:
         if result.ok or retries_spent >= self.max_retries:
@@ -191,16 +185,13 @@ def execute_trial(
                     )
                 if retry is None or not retry.should_retry(result, retries):
                     break
-                delay = retry.delay(retries)
+                delay = BackoffPolicy().delay(retries)
                 emit_event(
                     "executor.retry", severity="warning",
                     message=f"retrying after {result.outcome} (attempt {len(attempts) - 1})",
                     index=index, attempt=len(attempts) - 1, outcome=result.outcome, backoff_s=delay,
                 )
-                if delay > 0:
-                    with span("executor.backoff", delay_s=delay):
-                        sleep(delay)
-                else:
+                with span("executor.backoff", delay_s=delay):
                     sleep(delay)
                 backoff_total += delay
                 retries += 1

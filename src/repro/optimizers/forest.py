@@ -9,15 +9,14 @@ Implemented from scratch on numpy: variance-reduction splits, bootstrap
 bagging, and the SMAC-style uncertainty estimate (variance of tree means
 plus mean of leaf variances).
 
-Two tree builders share one flat node-array representation
-(``feature``/``threshold``/``left``/``right``/``value``/``variance``):
-
-* ``builder="array"`` (default) grows each tree breadth-first, searching a
-  whole level's splits at once with presorted per-feature sweeps and
-  segment prefix sums — no Python recursion on the fit hot path.
-* ``builder="recursive"`` is the original per-node :class:`RegressionTree`,
-  kept as the parity reference (same split criterion, stopping rules, and
-  tie-breaks, so both builders produce the same trees on the same data).
+Trees are grown breadth-first by :func:`_grow_tree_arrays`, straight into
+flat node arrays (``feature``/``threshold``/``left``/``right``/``value``/
+``variance``): a whole level's splits are searched at once with presorted
+per-feature sweeps and segment prefix sums — no Python recursion on the fit
+hot path. :class:`RegressionTree`, the per-node recursive CART the grower
+was derived from (same split criterion, stopping rules, and tie-breaks), is
+not used by the forest; it stays as the reference ``tests/test_forest.py``
+compares the grower against tree by tree.
 
 The forest also supports a warm :meth:`~RandomForestRegressor.partial_fit`
 (online bagging: appended rows enter each tree's bootstrap with Poisson(1)
@@ -38,8 +37,8 @@ from ..exceptions import NotFittedError, OptimizerError
 
 __all__ = ["RegressionTree", "RandomForestRegressor", "ForestStats"]
 
-# np.allclose defaults — the array builder replicates the recursive
-# builder's constant-leaf test exactly.
+# np.allclose defaults — the array grower replicates RegressionTree's
+# constant-leaf test exactly.
 _CONST_RTOL = 1e-5
 _CONST_ATOL = 1e-8
 
@@ -161,10 +160,10 @@ class RegressionTree:
             k = max(1, int(round(d * self.max_features)))
             features = self.rng.choice(d, size=k, replace=False)
         best: tuple[float, int, float] | None = None
-        # Sequential (cumsum) totals, not np.sum's pairwise ones: the array
-        # builder accumulates its per-node totals sequentially, and exact
-        # SSE ties between features (same induced partition) must break the
-        # same way in both builders for split parity to hold bit-for-bit.
+        # Sequential (cumsum) totals, not np.sum's pairwise ones:
+        # _grow_tree_arrays accumulates its per-node totals sequentially, and
+        # exact SSE ties between features (same induced partition) must break
+        # the same way in both for split parity to hold bit-for-bit.
         total_sq, total_sum = float(np.cumsum(y * y)[-1]), float(np.cumsum(y)[-1])
         for f in features:
             order = np.argsort(X[:, f], kind="stable")
@@ -342,17 +341,18 @@ def _grow_tree_arrays(
         cmax = int(cnt_t.max())
         # Per-node *local* prefix sums via one padded (node × position)
         # cumsum: each row accumulates sequentially from its own segment
-        # start, bit-identical to the per-node cumsum the recursive builder
+        # start, bit-identical to the per-node cumsum RegressionTree
         # computes — so exact SSE ties between features that induce the
         # same partition (common at small nodes) resolve to the first
-        # feature in both builders. A global cumsum minus segment offsets
-        # would perturb those ties and flip splits. Stale cells from the
-        # previous feature sit past each segment's end and are never read.
-        P = np.empty((mt, cmax))
+        # feature in both. A global cumsum minus segment offsets would
+        # perturb those ties and flip splits. The pad past each segment's
+        # end is never written or read, but the cumsum runs over it, so it
+        # must be zeros: uninitialised memory there overflows to inf/nan.
+        P = np.zeros((mt, cmax))
         rowsel = np.arange(mt)
         # Node totals accumulate over *node order* (not per-feature sorted
         # order), shared by every feature — the same single sequential sum
-        # the recursive builder takes before its feature loop. Per-feature
+        # RegressionTree takes before its feature loop. Per-feature
         # totals would sum in a different order, drift by an ulp, and flip
         # exact SSE ties.
         ysn = y[rows_t]
@@ -437,22 +437,6 @@ def _grow_tree_arrays(
     )
 
 
-def _arrays_from_recursive(tree: RegressionTree, X: np.ndarray) -> _TreeArrays:
-    """Flatten a fitted recursive tree, filling leaf counts by routing its
-    own training rows (internal-node counts stay 0 — only leaves stream)."""
-    count = np.zeros(len(tree._features))
-    np.add.at(count, tree._route(X), 1.0)
-    return _TreeArrays(
-        feature=tree._features.copy(),
-        threshold=tree._thresholds.copy(),
-        left=tree._lefts.copy(),
-        right=tree._rights.copy(),
-        value=tree._values.copy(),
-        variance=tree._variances.copy(),
-        count=count,
-    )
-
-
 @dataclass
 class ForestStats:
     """Fit/predict counters for the forest surrogate (mirrors the GP's
@@ -479,10 +463,6 @@ class RandomForestRegressor:
 
     Parameters
     ----------
-    builder:
-        ``"array"`` (level-wise vectorized growth, the default) or
-        ``"recursive"`` (the original per-node builder, kept for parity
-        benchmarks). Both produce the same splits on the same bootstrap.
     stale_fraction:
         A tree regrows during :meth:`partial_fit` once its pending bootstrap
         appends exceed this fraction of its bootstrap size; one tree per
@@ -496,17 +476,13 @@ class RandomForestRegressor:
         min_samples_leaf: int = 2,
         max_features: float = 0.8,
         seed: int | None = None,
-        builder: str = "array",
         stale_fraction: float = 0.25,
     ) -> None:
         if n_trees < 1:
             raise OptimizerError(f"n_trees must be >= 1, got {n_trees}")
-        if builder not in ("array", "recursive"):
-            raise OptimizerError(f"builder must be 'array' or 'recursive', got {builder!r}")
         if not 0.0 < stale_fraction <= 1.0:
             raise OptimizerError(f"stale_fraction must be in (0, 1], got {stale_fraction}")
         self.n_trees = int(n_trees)
-        self.builder = builder
         self.stale_fraction = float(stale_fraction)
         self.rng = np.random.default_rng(seed)
         self._tree_params = dict(
@@ -530,12 +506,9 @@ class RandomForestRegressor:
         return self.stats.to_dict()
 
     def _grow(self, idx: np.ndarray, seed: int) -> _TreeArrays:
-        Xb, yb = self._X[idx], self._y[idx]
-        if self.builder == "recursive":
-            tree = RegressionTree(seed=seed, **self._tree_params)
-            tree.fit(Xb, yb)
-            return _arrays_from_recursive(tree, Xb)
-        return _grow_tree_arrays(Xb, yb, rng=np.random.default_rng(seed), **self._tree_params)
+        return _grow_tree_arrays(
+            self._X[idx], self._y[idx], rng=np.random.default_rng(seed), **self._tree_params
+        )
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -16,7 +16,9 @@ Hot-path notes (the suggest loop refits this model every trial):
 * Hyperparameter search uses analytic marginal-likelihood gradients
   (``jac=True`` L-BFGS-B) via ``kernel(X, eval_gradient=True)`` — one
   kernel-matrix construction per NLL evaluation instead of one per
-  gradient component.
+  gradient component. The gradient-free ``_nll`` is what
+  :meth:`log_marginal_likelihood` reports and what the tests difference
+  numerically to check the gradient; the search never calls it.
 * :attr:`stats` (a :class:`SurrogateStats`) counts NLL evaluations,
   kernel-matrix constructions, full vs incremental Cholesky updates, and
   accumulates factorization wall-clock, so callers can wire surrogate
@@ -79,14 +81,6 @@ class GaussianProcessRegressor:
         Diagonal stabiliser added before Cholesky.
     normalize_y:
         Standardise targets internally (predictions are de-standardised).
-    analytic_gradients:
-        Use closed-form marginal-likelihood gradients for the L-BFGS-B
-        hyperparameter search (default). When False, falls back to
-        finite-difference gradients — kept for parity benchmarking.
-    incremental:
-        Allow the rank-k Cholesky append when refitting on a grown prefix
-        of the previous training matrix (default). When False, every fit
-        refactorizes from scratch — the full-refit baseline.
     """
 
     def __init__(
@@ -97,16 +91,12 @@ class GaussianProcessRegressor:
         jitter: float = 1e-8,
         normalize_y: bool = True,
         seed: int | None = None,
-        analytic_gradients: bool = True,
-        incremental: bool = True,
     ) -> None:
         self.kernel = kernel if kernel is not None else default_kernel()
         self.optimize_hypers = optimize_hypers
         self.n_restarts = int(n_restarts)
         self.jitter = float(jitter)
         self.normalize_y = normalize_y
-        self.analytic_gradients = bool(analytic_gradients)
-        self.incremental = bool(incremental)
         self.rng = np.random.default_rng(seed)
         self.stats = SurrogateStats()
         self._X: np.ndarray | None = None
@@ -159,8 +149,6 @@ class GaussianProcessRegressor:
         ones the factor was computed with, and that factorization did not
         need jitter escalation.
         """
-        if not self.incremental:
-            return None
         if self._L is None or self._X is None or self._chol_theta is None:
             return None
         if self._jitter_escalated:
@@ -258,17 +246,15 @@ class GaussianProcessRegressor:
         return nll, grad
 
     def _optimize_theta(self) -> None:
-        with span("gp.hyperopt", n_restarts=self.n_restarts, analytic=self.analytic_gradients):
+        with span("gp.hyperopt", n_restarts=self.n_restarts):
             bounds = self.kernel.bounds
             starts = [self.kernel.theta.copy()]
             for _ in range(self.n_restarts):
                 starts.append(self.rng.uniform(bounds[:, 0], bounds[:, 1]))
             best_theta, best_nll = starts[0], np.inf
-            use_jac = self.analytic_gradients
-            fun = self._nll_and_grad if use_jac else self._nll
             for start in starts:
                 res = optimize.minimize(
-                    fun, start, method="L-BFGS-B", bounds=bounds, jac=use_jac,
+                    self._nll_and_grad, start, method="L-BFGS-B", bounds=bounds, jac=True,
                     options={"maxiter": 50},
                 )
                 if res.fun < best_nll:

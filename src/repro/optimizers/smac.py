@@ -48,9 +48,6 @@ class SMACOptimizer(ModelBasedOptimizer):
         warm :meth:`~repro.optimizers.forest.RandomForestRegressor.partial_fit`
         updates (online bagging + bounded regrowth). The same cadence
         contract as the GP's hyperparameter refits.
-    builder:
-        Forest tree builder, ``"array"`` (vectorized, default) or
-        ``"recursive"`` (parity baseline).
     """
 
     def __init__(
@@ -64,14 +61,13 @@ class SMACOptimizer(ModelBasedOptimizer):
         objectives: Objective | list[Objective] | None = None,
         seed: int | None = None,
         refit_every: int = 8,
-        builder: str = "array",
     ) -> None:
         if interleave < 0:
             raise OptimizerError(f"interleave must be >= 0, got {interleave}")
         super().__init__(
             space,
             encoder=OneHotEncoder(space),
-            model=RandomForestRegressor(n_trees=n_trees, seed=seed, builder=builder),
+            model=RandomForestRegressor(n_trees=n_trees, seed=seed),
             n_init=n_init,
             n_candidates=n_candidates,
             acquisition=acquisition,

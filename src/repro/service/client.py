@@ -220,7 +220,6 @@ class ServiceClient:
         session_id: str,
         report: TrialReport,
         retries: int = 20,
-        delay_s: float | None = None,
     ) -> dict[str, Any]:
         """At-least-once tell with journal-side dedup = exactly-once record.
 
@@ -228,14 +227,10 @@ class ServiceClient:
         (server down / restarting) and retryable statuses (429/503 from
         admission control or a transient store outage) through the shared
         full-jitter :class:`BackoffPolicy`, honouring server ``Retry-After``
-        hints. ``delay_s`` overrides the policy's base delay (backward
-        compatibility with the pre-policy signature).
+        hints.
         """
         if report.report_id is None:
             raise WireError("tell_reliably needs a report with a report_id")
-        policy = self.backoff if delay_s is None else BackoffPolicy(
-            base_s=delay_s, cap_s=self.backoff.cap_s, multiplier=self.backoff.multiplier
-        )
         last: Exception | None = None
         for attempt in range(retries + 1):
             retry_after: float | None = None
@@ -247,7 +242,7 @@ class ServiceClient:
                 last, retry_after = err, err.retry_after
             except (ConnectionError, OSError, asyncio.TimeoutError) as err:
                 last = err
-            await asyncio.sleep(policy.delay(attempt, rng=self._rng, retry_after=retry_after))
+            await asyncio.sleep(self.backoff.delay(attempt, rng=self._rng, retry_after=retry_after))
         raise ServiceError(503, f"tell not acknowledged after {retries + 1} attempts: {last}")
 
     async def step(self, session_id: str, n: int = 1) -> dict[str, Any]:

@@ -268,22 +268,7 @@ class ServiceHandlers:
             want = min(n, session.max_trials - len(session.optimizer.history))
             if want <= 0:
                 raise OptimizerError(f"session {session_id!r} is complete")
-            # The tracked path (not a bare optimizer.suggest) so journaled
-            # trials carry ask-batch provenance coordinates, same as the
-            # in-process closed loop.
-            configs, ask_info = session._suggest_tracked(want)
-            per_trial_suggest_s = session.last_suggest_latency_s / max(1, len(configs))
-            done = []
-            results = executor.map(entry.evaluator, configs)
-            try:
-                for execution in results:
-                    trial = session._observe_execution(execution, per_trial_suggest_s, ask_info)
-                    done.append(trial.trial_id)
-            finally:
-                close = getattr(results, "close", None)
-                if close is not None:
-                    close()
-            return done
+            return [t.trial_id for t in session.run_batch(executor, entry.evaluator, want)]
 
         async with entry.lock:
             try:

@@ -17,6 +17,7 @@ from repro.execution import (
     execute_trial,
 )
 from repro.optimizers import RandomSearchOptimizer
+from repro.resilience import BackoffPolicy
 
 from .conftest import quadratic_evaluator
 
@@ -87,13 +88,16 @@ class TestRetryBackoff:
         execution = execute_trial(
             flaky,
             simple_space.default_configuration(),
-            retry=RetryPolicy(max_retries=3, backoff_s=0.01, backoff_factor=2.0),
+            retry=RetryPolicy(max_retries=3),
             sleep=slept.append,
         )
         assert execution.result.ok
         assert execution.retries == 2
         assert execution.attempts == ["crash", "crash", "success"]
-        assert slept == [0.01, 0.02]  # exponential: backoff_s * factor**k
+        # The shared full-jitter curve: the k-th sleep is uniform(0, ceiling(k)).
+        assert len(slept) == 2
+        assert all(0 <= slept[k] <= BackoffPolicy().ceiling(k) for k in range(2))
+        assert execution.backoff_s == sum(slept)
 
     def test_retries_bounded(self, simple_space):
         def always_crash(config):
@@ -102,7 +106,7 @@ class TestRetryBackoff:
         execution = execute_trial(
             always_crash,
             simple_space.default_configuration(),
-            retry=RetryPolicy(max_retries=2, backoff_s=0.0),
+            retry=RetryPolicy(max_retries=2),
             sleep=lambda s: None,
         )
         assert not execution.result.ok
@@ -116,7 +120,7 @@ class TestRetryBackoff:
         execution = execute_trial(
             aborting,
             simple_space.default_configuration(),
-            retry=RetryPolicy(max_retries=3, backoff_s=0.0, retry_on=(SystemCrashError,)),
+            retry=RetryPolicy(max_retries=3, retry_on=(SystemCrashError,)),
             sleep=lambda s: None,
         )
         assert execution.retries == 0
@@ -124,8 +128,6 @@ class TestRetryBackoff:
     def test_retry_policy_validation(self):
         with pytest.raises(ReproError):
             RetryPolicy(max_retries=-1)
-        with pytest.raises(ReproError):
-            RetryPolicy(backoff_factor=0.5)
 
 
 class TestTimeouts:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import NotFittedError, OptimizerError
-from repro.optimizers.forest import RandomForestRegressor, RegressionTree
+from repro.optimizers.forest import RandomForestRegressor, RegressionTree, _grow_tree_arrays
 
 
 def step_function(X):
@@ -104,8 +104,6 @@ class TestRandomForest:
         with pytest.raises(OptimizerError):
             RandomForestRegressor(n_trees=0)
         with pytest.raises(OptimizerError):
-            RandomForestRegressor(builder="jit")
-        with pytest.raises(OptimizerError):
             RandomForestRegressor(stale_fraction=0.0)
 
 
@@ -116,33 +114,49 @@ def wavy(X):
 
 class TestArrayBuilderParity:
     """The vectorized level-wise grower must reproduce the recursive
-    builder: same bootstraps + same split decisions => same predictions."""
+    :class:`RegressionTree` tree by tree: same bootstrap + same split
+    decisions => same leaf mean and variance for every query."""
+
+    # max_features=None: feature subsampling draws rng in a different order
+    # in the two, so parity is defined on the full-feature path.
+    TREE = dict(max_depth=12, min_samples_leaf=2, max_features=None)
+
+    def _assert_same_tree(self, Xb, yb, Xq):
+        grown = _grow_tree_arrays(Xb, yb, rng=np.random.default_rng(0), **self.TREE)
+        reference = RegressionTree(**self.TREE).fit(Xb, yb)
+        for Q in (Xq, Xb):
+            leaves = grown.route(Q)
+            mean, var = reference.predict(Q, return_var=True)
+            np.testing.assert_allclose(grown.value[leaves], mean, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(grown.variance[leaves], var, rtol=1e-9, atol=1e-12)
+        # Leaf counts (what partial_fit's streaming absorb starts from) are
+        # the number of training rows the reference routes to each leaf.
+        ref_leaves = reference._route(Xb)
+        np.testing.assert_array_equal(
+            grown.count[grown.route(Xb)], np.bincount(ref_leaves)[ref_leaves]
+        )
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_mean_and_std_match(self, rng, seed):
         X = rng.random((160, 5))
         y = wavy(X)
-        # max_features=None: feature subsampling draws rng in a different
-        # order per builder, so parity is defined on the full-feature path.
-        kw = dict(n_trees=8, seed=seed, max_features=None)
-        fa = RandomForestRegressor(builder="array", **kw).fit(X, y)
-        fr = RandomForestRegressor(builder="recursive", **kw).fit(X, y)
         Xq = rng.random((50, 5))
-        m_a, s_a = fa.predict(Xq, return_std=True)
-        m_r, s_r = fr.predict(Xq, return_std=True)
-        np.testing.assert_allclose(m_a, m_r, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(s_a, s_r, rtol=1e-9, atol=1e-12)
+        boot_rng = np.random.default_rng(seed)
+        for _ in range(4):
+            idx = boot_rng.integers(0, len(X), size=len(X))  # the forest's bootstrap draw
+            self._assert_same_tree(X[idx], y[idx], Xq)
 
     def test_parity_survives_partial_fit(self, rng):
+        """A bootstrap extended the way ``partial_fit`` extends ``_boot``:
+        appended row ids, each repeated Poisson(1) times."""
         X = rng.random((120, 4))
         y = wavy(X)
-        kw = dict(n_trees=6, seed=3, max_features=None)
-        fa = RandomForestRegressor(builder="array", **kw).fit(X[:100], y[:100])
-        fr = RandomForestRegressor(builder="recursive", **kw).fit(X[:100], y[:100])
-        fa.partial_fit(X[100:], y[100:])
-        fr.partial_fit(X[100:], y[100:])
-        Xq = rng.random((40, 4))
-        np.testing.assert_allclose(fa.predict(Xq), fr.predict(Xq), rtol=1e-9, atol=1e-12)
+        boot_rng = np.random.default_rng(3)
+        idx = boot_rng.integers(0, 100, size=100)
+        new_ids = np.arange(100, 120)
+        idx = np.concatenate([idx, np.repeat(new_ids, boot_rng.poisson(1.0, size=len(new_ids)))])
+        assert len(idx) > 100
+        self._assert_same_tree(X[idx], y[idx], rng.random((40, 4)))
 
 
 class TestPartialFit:

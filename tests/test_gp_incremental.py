@@ -29,11 +29,11 @@ def _data(n, d=3, seed=0):
 
 class TestIncrementalCholesky:
     def _pair(self, d=3):
-        """(incremental GP, full-refit GP) with identical kernels."""
+        """Two GPs with identical kernels. ``slow`` is only ever fitted
+        once per test, and a fresh GP's first fit is a full factorization —
+        that is the full-refit reference the appended ``fast`` must match."""
         fast = GaussianProcessRegressor(kernel=default_kernel(d), optimize_hypers=False)
-        slow = GaussianProcessRegressor(
-            kernel=default_kernel(d), optimize_hypers=False, incremental=False
-        )
+        slow = GaussianProcessRegressor(kernel=default_kernel(d), optimize_hypers=False)
         return fast, slow
 
     def test_single_append_parity(self):
@@ -156,9 +156,19 @@ class TestAnalyticGradients:
     def test_analytic_fit_matches_lml_with_fewer_constructions(self):
         X, y = _data(25)
         analytic = GaussianProcessRegressor(kernel=default_kernel(3), seed=0).fit(X, y)
-        numeric = GaussianProcessRegressor(
-            kernel=default_kernel(3), seed=0, analytic_gradients=False
-        ).fit(X, y)
+        # Baseline: the same search (same starts, bounds, maxiter) driven by
+        # finite differences of _nll instead of the analytic gradient.
+        numeric = GaussianProcessRegressor(kernel=default_kernel(3), seed=0, optimize_hypers=False)
+        numeric.fit(X, y)
+        bounds = numeric.kernel.bounds
+        starts = [numeric.kernel.theta.copy(), numeric.rng.uniform(bounds[:, 0], bounds[:, 1])]
+        fits = [
+            optimize.minimize(
+                numeric._nll, start, method="L-BFGS-B", bounds=bounds, options={"maxiter": 50}
+            )
+            for start in starts
+        ]
+        numeric.kernel.theta = min(fits, key=lambda res: res.fun).x
         assert analytic.log_marginal_likelihood() >= numeric.log_marginal_likelihood() - 1e-6
         assert analytic.stats.kernel_constructions < numeric.stats.kernel_constructions
 

@@ -1,5 +1,4 @@
-"""TrialStore contract tests across every backend, plus crash recovery
-and legacy-file migration."""
+"""TrialStore contract tests across every backend, plus crash recovery."""
 
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ from repro.core.journal import (
     SessionMeta,
     StorageError,
     TransientStorageError,
-    import_legacy_trials,
     new_session_id,
 )
 from repro.core.stores import (
@@ -289,66 +287,6 @@ class TestOpenStore:
         store = open_store(tmp_path / "odd-name", backend="sqlite")
         assert isinstance(store, SqliteTrialStore)
         store.close()
-
-
-class TestLegacyMigration:
-    def _legacy_file(self, tmp_path, simple_space):
-        from repro.optimizers import RandomSearchOptimizer
-
-        opt = RandomSearchOptimizer(simple_space, seed=3)
-        for config in opt.suggest(4):
-            opt.observe(config, {"score": float(config["n"])}, cost=2.0)
-        # The documented version-1 payload, written literally: the writer
-        # (storage.save_trials) is gone, files it produced are not.
-        payload = {
-            "version": 1,
-            "trials": [
-                {
-                    "trial_id": t.trial_id,
-                    "config": t.config.as_dict(),
-                    "status": t.status.value,
-                    "metrics": dict(t.metrics),
-                    "cost": t.cost,
-                    "fidelity": None,
-                    "context": {},
-                }
-                for t in opt.history.trials
-            ],
-        }
-        path = tmp_path / "old-run.json"
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        return path, opt.history.trials
-
-    def test_round_trip_through_store(self, tmp_path, simple_space):
-        path, originals = self._legacy_file(tmp_path, simple_space)
-        store = MemoryTrialStore()
-        sid = import_legacy_trials(store, path, space=simple_space)
-        meta = store.get_session(sid)
-        assert meta.status == "migrated"
-        assert meta.extra["migrated_from"] == str(path)
-        migrated = store.load_trials(sid)
-        assert len(migrated) == len(originals)
-        for rec, trial in zip(migrated, originals):
-            assert rec["trial_id"] == trial.trial_id
-            assert rec["metrics"] == trial.metrics
-            assert rec["cost"] == trial.cost
-            assert dict(rec["config"]) == {k: trial.config[k] for k in trial.config}
-
-    def test_inferred_space_when_none_given(self, tmp_path, simple_space):
-        path, originals = self._legacy_file(tmp_path, simple_space)
-        store = MemoryTrialStore()
-        sid = import_legacy_trials(store, path)
-        meta = store.get_session(sid)
-        names = {p["name"] for p in meta.space["parameters"]}
-        assert names == set(simple_space.names)
-        assert store.trial_count(sid) == len(originals)
-
-    def test_bad_legacy_file_raises(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 99, "trials": []}))
-        with pytest.raises(StorageError):
-            import_legacy_trials(MemoryTrialStore(), path)
 
 
 def test_new_session_id_unique():

@@ -253,7 +253,7 @@ class TestExecutorInstrumentation:
         opt = RandomSearchOptimizer(simple_space, Objective("lat"), seed=0)
         TuningSession(
             opt, flaky, max_trials=2, callbacks=[callback],
-            executor=SerialExecutor(retry=RetryPolicy(max_retries=2, backoff_s=0.0)),
+            executor=SerialExecutor(retry=RetryPolicy(max_retries=2)),
         ).run()
         trace = callback.trace
         retried = trace.span_for(0)

@@ -1,5 +1,7 @@
 """Unit tests for SMAC, CMA-ES, PSO, and the genetic algorithm."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,29 @@ class TestSMAC:
         opt = SMACOptimizer(bowl_space(2), n_init=6, seed=0, n_candidates=128)
         res = TuningSession(opt, quadratic_evaluator(), max_trials=35).run()
         assert res.best_value < 0.05
+
+    def test_healthy_campaign_is_clean_under_warnings_as_errors(self, monkeypatch):
+        """120 trials on an 8-D bowl: no numpy RuntimeWarning anywhere in the
+        fit/predict path, and so not one degraded (random-fallback)
+        suggestion. The forest once cumsummed an ``np.empty`` pad, which
+        only warned when the allocator handed back dirty memory — so
+        ``np.empty`` is poisoned here to make any such read overflow."""
+        real_empty = np.empty
+
+        def poisoned_empty(*args, **kwargs):
+            out = real_empty(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.finfo(out.dtype).max)
+            return out
+
+        monkeypatch.setattr(np, "empty", poisoned_empty)
+        opt = SMACOptimizer(bowl_space(8), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            TuningSession(opt, quadratic_evaluator(), max_trials=120).run()
+        stats = opt.surrogate_stats()
+        assert stats["n_fits"] + stats["n_partial_fits"] > 0
+        assert stats["degraded_total"] == 0
 
     def test_handles_categoricals(self):
         opt = SMACOptimizer(bowl_space(1, with_cat=True), n_init=8, seed=0, n_candidates=128)

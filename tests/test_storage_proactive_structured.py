@@ -14,7 +14,6 @@ from repro.core import (
     TuningSession,
     decode_trial,
     encode_trial,
-    import_legacy_trials,
     load_prior_bank,
     save_prior_bank,
     workload_from_dict,
@@ -98,18 +97,6 @@ class TestStorage:
         sub = simple_space.subspace(["x", "y"])
         loaded = self.load(store, sub)
         assert set(loaded[0].config) == {"x", "y"}
-
-    def test_bad_file_raises(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text("{not json")
-        with pytest.raises(ReproError):
-            import_legacy_trials(MemoryTrialStore(), path)
-
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps({"version": 99, "trials": []}))
-        with pytest.raises(ReproError):
-            import_legacy_trials(MemoryTrialStore(), path)
 
     def test_workload_roundtrip(self):
         w = tpcc(75)

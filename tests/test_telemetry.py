@@ -54,7 +54,7 @@ class TestTelemetryCallback:
         path = tmp_path / "trace.json"
         callback = TelemetryCallback(export_path=str(path))
         opt = RandomSearchOptimizer(simple_space, Objective("lat"), seed=0)
-        with ThreadedExecutor(max_workers=4, retry=RetryPolicy(max_retries=1, backoff_s=0.0)) as executor:
+        with ThreadedExecutor(max_workers=4, retry=RetryPolicy(max_retries=1)) as executor:
             res = TuningSession(
                 opt, crashy, max_trials=8, batch_size=4, callbacks=[callback], executor=executor
             ).run()
