@@ -71,14 +71,15 @@ def test_e23_threadpool_speedup_and_trace(run_once, table, tmp_path):
     assert result.n_trials == TRIALS
     assert speedup >= 2.0, f"expected >= 2x speedup, got {speedup:.2f}x"
 
-    # Acceptance: the JSON trace export has exactly one span per trial,
-    # each recording outcome and retry count.
+    # Acceptance: the JSON trace export has exactly one root span per
+    # trial, each recording outcome and retry count.
     exported = json.loads(export_path.read_text())
-    assert exported["n_spans"] == TRIALS
-    assert sorted(s["trial_id"] for s in exported["spans"]) == list(range(TRIALS))
-    for span in exported["spans"]:
-        assert span["outcome"] == "success"
-        assert span["retries"] == 0
-        assert span["evaluate_s"] >= SLEEP_S * 0.9
+    assert exported["n_trials"] == TRIALS
+    roots = [s for s in exported["spans"] if s["name"] == "session.trial"]
+    assert sorted(s["trial_id"] for s in roots) == list(range(TRIALS))
+    for root in roots:
+        assert root["attributes"]["outcome"] == "success"
+        assert root["attributes"]["retries"] == 0
+        assert root["attributes"]["evaluate_s"] >= SLEEP_S * 0.9
     assert exported["counters"]["trials.total"] == TRIALS
     assert exported["counters"]["batches.total"] == TRIALS / BATCH

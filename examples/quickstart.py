@@ -34,7 +34,7 @@ print(result.summary())
 
 # -- Parallel tuning with tracing ------------------------------------------
 # batch_size > 1 plus a thread-pool executor runs trials concurrently, and
-# a TelemetryCallback records one span per trial (outcome, retries, timing).
+# a TelemetryCallback records one root span per trial (outcome, retries, timing).
 from repro import TelemetryCallback, ThreadedExecutor
 
 telemetry = TelemetryCallback()
@@ -49,4 +49,4 @@ with ThreadedExecutor(max_workers=4) as executor:
         executor=executor,
     ).run()
 print(f"parallel P95 latency: {parallel_result.best_value:.3f} ms "
-      f"({telemetry.trace.outcome_counts()} over {len(telemetry.trace.spans)} spans)")
+      f"({telemetry.trace.outcome_counts()} over {len(telemetry.trace.trial_spans())} trial spans)")

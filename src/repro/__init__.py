@@ -30,7 +30,7 @@ from .execution import (
     TrialExecution,
     TrialExecutor,
 )
-from .telemetry import SessionTrace, TelemetryCallback, TrialSpan
+from .telemetry import SessionTrace, TelemetryCallback
 from .exceptions import (
     BudgetExhaustedError,
     ConstraintViolationError,
@@ -80,7 +80,6 @@ __all__ = [
     "TrialExecutor",
     "SessionTrace",
     "TelemetryCallback",
-    "TrialSpan",
     "History",
     "Objective",
     "Optimizer",

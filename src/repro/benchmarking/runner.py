@@ -120,7 +120,7 @@ class BenchmarkRunner:
 
     def _count(self, name: str, value: float = 1.0) -> None:
         if self.trace is not None:
-            self.trace.incr(f"benchmark.{name}", value)
+            self.trace.metrics.inc(f"benchmark.{name}", value)
 
     def measure(self, config: Configuration) -> Measurement:
         with span("benchmark.measure", repeats=self.repeats, workload=self.workload.name):
@@ -150,7 +150,7 @@ class BenchmarkRunner:
                     true_value=float(value),
                 )
                 if self.trace is not None:
-                    self.trace.gauge("benchmark.seconds_saved", self.early_abort.saved_cost)
+                    self.trace.metrics.set_gauge("benchmark.seconds_saved", self.early_abort.saved_cost)
                 raise
         self.total_benchmark_seconds += cost
         self._count("seconds", cost)

@@ -179,7 +179,7 @@ class OnlineTuningAgent:
         result = OnlineResult()
         # Activate the attached telemetry trace (if any) so policy/system
         # spans and guardrail/crash events land in it, scoped per step.
-        activation = self.trace.activated() if hasattr(self.trace, "activated") else nullcontext()
+        activation = self.trace.activated() if self.trace is not None else nullcontext()
         with activation:
             for step in range(len(trace)):
                 with trial_scope() as ref:
@@ -231,7 +231,7 @@ class OnlineTuningAgent:
                         OnlineStepRecord(step, workload.name, config, float(value), float(reward), crashed, rolled_back)
                     )
         if self.trace is not None:
-            self.trace.gauge("steps.total", float(len(result.records)))
+            self.trace.metrics.set_gauge("steps.total", float(len(result.records)))
         return result
 
     def _record_span(
@@ -248,31 +248,29 @@ class OnlineTuningAgent:
         """Record one online step into the telemetry trace, if attached."""
         if self.trace is None:
             return
-        from ..telemetry import TrialSpan  # deferred: online must not hard-depend on telemetry
-
-        now = self.trace.clock()
         step_s = time.perf_counter() - step_started
-        outcome = "crash" if crashed else ("rollback" if rolled_back else "success")
-        record = TrialSpan(
-            trial_id=step,
-            status="failed" if crashed else "succeeded",
-            outcome=outcome,
-            started_s=now - step_s,
-            ended_s=now,
-            suggest_latency_s=propose_s,
-            evaluate_s=step_s - propose_s,
-            cost=self.duration_s,
-            attributes={"workload": workload_name, "value": float(value), "reward": float(reward)},
+        self.trace.record_trial(
+            step,
+            step_s,
+            {
+                "outcome": "crash" if crashed else ("rollback" if rolled_back else "success"),
+                "trial_status": "failed" if crashed else "succeeded",
+                "retries": 0,
+                "cost": self.duration_s,
+                "suggest_latency_s": propose_s,
+                "evaluate_s": step_s - propose_s,
+                "queue_s": 0.0,
+                "workload": workload_name,
+                "value": float(value),
+                "reward": float(reward),
+            },
+            status="error" if crashed else "ok",
         )
-        record.ended_at = time.time()
-        record.started_at = record.ended_at - step_s
-        self.trace.add_span(record)
-        self.trace.incr("steps.total")
+        metrics = self.trace.metrics
+        metrics.inc("steps.total")
         if crashed:
-            self.trace.incr("steps.crashes")
+            metrics.inc("steps.crashes")
         if rolled_back:
-            self.trace.incr("steps.rollbacks")
-        observe = getattr(self.trace, "observe", None)
-        if observe is not None:
-            observe("step.seconds", step_s)
-            observe("propose.seconds", propose_s)
+            metrics.inc("steps.rollbacks")
+        metrics.observe("step.seconds", step_s)
+        metrics.observe("propose.seconds", propose_s)

@@ -2,14 +2,15 @@
 
 Layers:
 
-* :mod:`~repro.telemetry.spans` — contextvar-backed operation spans
-  (``span``, ``trial_scope``, ``emit_event``) with a strict no-op fast
-  path when no trace is active;
+* :mod:`~repro.telemetry.spans` — :class:`OpSpan`, the one span class,
+  opened through contextvar-backed ``span`` / ``trial_scope`` /
+  ``emit_event`` with a strict no-op fast path when no trace is active;
 * :mod:`~repro.telemetry.metrics` — counters/gauges/latency histograms
   with JSON and Prometheus exposition;
 * :mod:`~repro.telemetry.events` — bounded structured event log;
-* :mod:`~repro.telemetry.tracing` — per-trial :class:`TrialSpan` +
-  :class:`SessionTrace` aggregation and JSON export;
+* :mod:`~repro.telemetry.tracing` — :class:`SessionTrace`: the span ring
+  (a trial is a root span named ``session.trial``), metrics, events, and
+  the schema-2 JSON export;
 * :mod:`~repro.telemetry.export` — Chrome trace-event conversion (open in
   Perfetto);
 * :mod:`~repro.telemetry.analyzer` — offline analysis for ``repro trace``;
@@ -36,7 +37,7 @@ from .spans import (
     span,
     trial_scope,
 )
-from .tracing import SessionTrace, TrialSpan
+from .tracing import SessionTrace
 from .export import chrome_trace, export_chrome_trace, stitch_chrome_trace
 from .callback import TelemetryCallback
 
@@ -53,7 +54,6 @@ __all__ = [
     "TelemetryCallback",
     "TraceContext",
     "TrialRef",
-    "TrialSpan",
     "active_trace",
     "bind_trace",
     "chrome_trace",

@@ -6,20 +6,26 @@ operator actually asks of a finished run:
 
 * **Where did the time go?** Per-phase latency breakdown aggregated over
   every operation span (count, total, mean, p95, max, share of the summed
-  trial time).
-* **Which trials hurt?** The slowest trials with their outcome, retries,
-  and dominant phase.
+  operation time).
+* **Which trials hurt?** The slowest trials (``session.trial`` roots) with
+  their outcome, retries, and dominant phase (longest direct child).
 * **How did trials end?** Outcome × count table with example errors, plus
   the structured event log rolled up by kind/severity.
 
-Everything here works on plain dicts (the exported JSON), so the analyzer
-never needs the process that produced the trace.
+Everything here works on plain dicts (the exported JSON: one flat
+``spans`` list linked by ``parent_id``), so the analyzer never needs the
+process that produced the trace. A span whose parent fell off the trace's
+ring simply has no parent in the file and is read as a root.
 """
 
 from __future__ import annotations
 
 import json
 from typing import Any, Iterable, Mapping
+
+from ..exceptions import ReproError
+from .naming import TRIAL_SPAN
+from .tracing import TRACE_SCHEMA
 
 __all__ = [
     "load_trace",
@@ -33,9 +39,20 @@ __all__ = [
 
 
 def load_trace(path: str) -> dict[str, Any]:
-    """Load a trace JSON file (single trace or a ``compare`` bundle)."""
+    """Load a trace JSON file (single trace or a ``compare`` bundle).
+
+    Raises :class:`ReproError` unless every trace in it carries the
+    current ``schema`` number — another layout would read as an empty run.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    for label, trace in trace_runs(data):
+        if trace.get("schema") != TRACE_SCHEMA:
+            raise ReproError(
+                f"{path}: trace {label!r} has schema {trace.get('schema')!r}, "
+                f"this version reads schema {TRACE_SCHEMA}; export it again"
+            )
+    return data
 
 
 def trace_runs(data: Mapping[str, Any]) -> list[tuple[str, Mapping[str, Any]]]:
@@ -48,11 +65,8 @@ def trace_runs(data: Mapping[str, Any]) -> list[tuple[str, Mapping[str, Any]]]:
     return [(str(data.get("name", "trace")), data)]
 
 
-def _all_ops(trace: Mapping[str, Any]) -> list[dict[str, Any]]:
-    ops = [dict(op) for op in trace.get("ops", ())]
-    for span in trace.get("spans", ()):
-        ops.extend(dict(op) for op in span.get("children", ()))
-    return ops
+def _trial_roots(trace: Mapping[str, Any]) -> list[Mapping[str, Any]]:
+    return [sp for sp in trace.get("spans", ()) if sp["name"] == TRIAL_SPAN]
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -64,10 +78,15 @@ def _percentile(values: list[float], q: float) -> float:
 
 
 def phase_stats(trace: Mapping[str, Any]) -> list[dict[str, Any]]:
-    """Aggregate operation spans by name; sorted by total time, descending."""
+    """Aggregate operation spans by name; sorted by total time, descending.
+
+    Trial roots (``session.trial``) are not a phase and are left out.
+    """
     groups: dict[str, list[float]] = {}
     errors: dict[str, int] = {}
-    for op in _all_ops(trace):
+    for op in trace.get("spans", ()):
+        if op["name"] == TRIAL_SPAN:
+            continue
         groups.setdefault(op["name"], []).append(float(op.get("duration_s", 0.0)))
         if op.get("status") == "error":
             errors[op["name"]] = errors.get(op["name"], 0) + 1
@@ -91,18 +110,24 @@ def phase_stats(trace: Mapping[str, Any]) -> list[dict[str, Any]]:
 
 def slowest_trials(trace: Mapping[str, Any], n: int = 5) -> list[dict[str, Any]]:
     """The ``n`` slowest trials with their dominant phase."""
+    children: dict[int, list[Mapping[str, Any]]] = {}
+    for sp in trace.get("spans", ()):
+        if sp.get("parent_id") is not None:
+            children.setdefault(sp["parent_id"], []).append(sp)
     rows = []
-    for span in trace.get("spans", ()):
-        children = span.get("children", ())
-        dominant = max(children, key=lambda op: op.get("duration_s", 0.0), default=None)
+    for root in _trial_roots(trace):
+        attrs = root.get("attributes") or {}
+        dominant = max(
+            children.get(root["span_id"], ()), key=lambda op: op.get("duration_s", 0.0), default=None
+        )
         rows.append({
-            "trial_id": span.get("trial_id"),
-            "duration_s": float(span.get("duration_s", 0.0)),
-            "queue_s": float(span.get("queue_s", 0.0)),
-            "outcome": span.get("outcome"),
-            "retries": span.get("retries", 0),
+            "trial_id": root.get("trial_id"),
+            "duration_s": float(root.get("duration_s", 0.0)),
+            "queue_s": float(attrs.get("queue_s", 0.0)),
+            "outcome": attrs.get("outcome"),
+            "retries": attrs.get("retries", 0),
             "dominant_phase": dominant["name"] if dominant else "-",
-            "error": span.get("error"),
+            "error": root.get("error"),
         })
     rows.sort(key=lambda r: r["duration_s"], reverse=True)
     return rows[:n]
@@ -111,13 +136,14 @@ def slowest_trials(trace: Mapping[str, Any], n: int = 5) -> list[dict[str, Any]]
 def outcome_table(trace: Mapping[str, Any]) -> list[dict[str, Any]]:
     """Outcome → count, total retries, and one example error message."""
     groups: dict[str, dict[str, Any]] = {}
-    for span in trace.get("spans", ()):
-        outcome = span.get("outcome", "unknown")
+    for root in _trial_roots(trace):
+        attrs = root.get("attributes") or {}
+        outcome = attrs.get("outcome", "unknown")
         row = groups.setdefault(outcome, {"outcome": outcome, "count": 0, "retries": 0, "example_error": None})
         row["count"] += 1
-        row["retries"] += int(span.get("retries", 0) or 0)
-        if row["example_error"] is None and span.get("error"):
-            row["example_error"] = str(span["error"])
+        row["retries"] += int(attrs.get("retries", 0) or 0)
+        if row["example_error"] is None and root.get("error"):
+            row["example_error"] = str(root["error"])
     return sorted(groups.values(), key=lambda r: r["count"], reverse=True)
 
 
@@ -153,8 +179,8 @@ def format_report(data: Mapping[str, Any], top: int = 5, show_events: bool = Fal
     sections: list[str] = []
     for label, trace in trace_runs(data):
         header = (
-            f"trace {label!r}: {trace.get('n_spans', len(trace.get('spans', ())))} trials, "
-            f"{trace.get('n_ops', 0)} ops, {len(trace.get('events', ()))} events, "
+            f"trace {label!r}: {trace['n_trials']} trials, "
+            f"{trace['n_spans']} spans, {len(trace.get('events', ()))} events, "
             f"elapsed {float(trace.get('elapsed_s', 0.0)):.3f}s"
         )
         sections.append(header)

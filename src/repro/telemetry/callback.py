@@ -3,33 +3,34 @@
 :class:`TelemetryCallback` turns the hook stream of a
 :class:`~repro.core.session.TuningSession` into a
 :class:`~repro.telemetry.tracing.SessionTrace`: exactly one
-:class:`~repro.telemetry.tracing.TrialSpan` per trial (success *or*
-failure), latency histograms (trial / suggest / evaluate / queue seconds,
-so p50/p95/p99 come for free), counters for starts/outcomes/errors/
-retries/batches, and gauges for the incumbent.
+``session.trial`` root span per trial (success *or* failure), latency
+histograms (trial / suggest / evaluate / queue seconds, so p50/p95/p99
+come for free), counters for starts/outcomes/errors/retries/batches, and
+gauges for the incumbent.
 
 On ``on_session_start`` the callback *activates* its trace
 (:mod:`repro.telemetry.spans`), so every instrumented layer below — the
 session's ``optimizer.suggest`` span, the optimizer's ``surrogate.fit``
 and ``acquisition.optimize``, the executor's ``executor.run`` /
 ``executor.attempt`` spans and retry/timeout events, the benchmark
-runner's ``benchmark.measure`` — lands in the same trace and is attached
-to the right trial, including across :class:`~repro.execution
-.ThreadedExecutor` worker threads. Execution-side numbers (evaluate
-wall-clock, queue wait, retry count, per-attempt durations, outcome tag,
-suggest latency) additionally arrive through ``Trial.context``, so the
-flat per-trial record stays complete even for process-pool executors
-whose child processes cannot contribute spans.
+runner's ``benchmark.measure`` — lands in the same trace and, at
+``on_trial_end``, under the right trial's root, including across
+:class:`~repro.execution.ThreadedExecutor` worker threads. Execution-side
+numbers (evaluate wall-clock, queue wait, retry count, per-attempt
+durations, outcome tag, suggest latency) arrive through ``Trial.context``
+and become the root's attributes, so the per-trial record stays complete
+even for process-pool executors whose child processes cannot contribute
+spans.
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..core.callbacks import Callback
 from ..core.optimizer import Trial
-from .tracing import SessionTrace, TrialSpan
+from ..exceptions import OptimizerError
+from .tracing import SessionTrace
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.session import TuningSession
@@ -69,95 +70,81 @@ class TelemetryCallback(Callback):
 
     # -- hooks ---------------------------------------------------------------
     def on_session_start(self, session: "TuningSession") -> None:
-        self.trace.incr("sessions.started")
+        self.trace.metrics.inc("sessions.started")
         # Activate: nested spans/events from every layer below now land in
         # this trace for the duration of the run.
         self._activation = self.trace.activated()
         self._activation.__enter__()
 
     def on_trial_start(self, session: "TuningSession", trial_index: int) -> None:
-        self.trace.incr("trials.started")
+        self.trace.metrics.inc("trials.started")
 
     def on_trial_error(self, session: "TuningSession", trial: Trial, exc: BaseException | None) -> None:
-        self.trace.incr("trials.errors")
+        self.trace.metrics.inc("trials.errors")
         if exc is not None:
-            self.trace.incr(f"trials.errors.{type(exc).__name__}")
+            self.trace.metrics.inc(f"trials.errors.{type(exc).__name__}")
 
     def on_trial_end(self, session: "TuningSession", trial: Trial) -> None:
         ctx = trial.context
-        now = self.trace.clock()
+        metrics = self.trace.metrics
         evaluate_s = float(ctx.get("evaluate_s", 0.0))
         suggest_s = float(ctx.get("suggest_latency_s", 0.0))
         queue_s = float(ctx.get("queue_s", 0.0))
         retries = int(ctx.get("retries", 0))
-        outcome = str(ctx.get("outcome", "success" if trial.ok else trial.status.value))
-        span = TrialSpan(
-            trial_id=trial.trial_id,
-            status=trial.status.value,
-            outcome=outcome,
-            started_s=now - evaluate_s - suggest_s - queue_s,
-            ended_s=now,
-            suggest_latency_s=suggest_s,
-            evaluate_s=evaluate_s,
-            queue_s=queue_s,
-            retries=retries,
-            cost=trial.cost,
-            error=ctx.get("error"),
-        )
-        # Tighten the window to the recorded operation spans when they exist
-        # (they share the monotonic clock): the trial span then provably
-        # brackets its children, and nested durations sum to <= the parent.
-        if self.trace.clock is time.monotonic:
-            ops = self.trace.ops_for(trial.trial_id)
-            if ops:
-                span.started_s = min(min(op.t0 for op in ops), span.started_s)
-                span.ended_s = max(max(op.t1 for op in ops), span.started_s)
-        span.ended_at = time.time()
-        span.started_at = span.ended_at - span.duration_s
+        attributes = {
+            "outcome": str(ctx.get("outcome", "success" if trial.ok else trial.status.value)),
+            "trial_status": trial.status.value,
+            "retries": retries,
+            "cost": trial.cost,
+            "suggest_latency_s": suggest_s,
+            "evaluate_s": evaluate_s,
+            "queue_s": queue_s,
+        }
         if ctx.get("attempt_s"):
-            span.attributes["attempt_s"] = list(ctx["attempt_s"])
+            attributes["attempt_s"] = list(ctx["attempt_s"])
         if ctx.get("attempts"):
-            span.attributes["attempts"] = list(ctx["attempts"])
-        if self.span_attributes:
-            span.attributes.update(self.span_attributes)
-        self.trace.add_span(span)
+            attributes["attempts"] = list(ctx["attempts"])
+        attributes.update(self.span_attributes)
         # Surrogate hot-path counters (cholesky_ms, nll_evals, cache hits …):
         # optimizers exposing `surrogate_stats()` get a cumulative snapshot on
-        # every span, so traces show where optimizer time goes.
+        # every trial root, so traces show where optimizer time goes.
         stats_fn = getattr(session.optimizer, "surrogate_stats", None)
-        if callable(stats_fn):
-            try:
-                snapshot = stats_fn()
-            except Exception:
-                snapshot = None
-            if snapshot:
-                span.attributes["surrogate"] = dict(snapshot)
-                self.trace.metrics.absorb(snapshot, "surrogate")
-        self.trace.incr("trials.total")
-        self.trace.incr(f"trials.{trial.status.value}")
+        snapshot = stats_fn() if callable(stats_fn) else None
+        if snapshot:
+            attributes["surrogate"] = dict(snapshot)
+            metrics.absorb(snapshot, "surrogate")
+        root = self.trace.record_trial(
+            trial.trial_id,
+            evaluate_s + suggest_s + queue_s,
+            attributes,
+            status="ok" if trial.ok else "error",
+            error=ctx.get("error"),
+        )
+        metrics.inc("trials.total")
+        metrics.inc(f"trials.{trial.status.value}")
         if retries:
-            self.trace.incr("trials.retries", retries)
-        self.trace.incr("suggest.seconds", suggest_s)
-        self.trace.incr("evaluate.seconds", evaluate_s)
-        self.trace.incr("cost.total", trial.cost)
+            metrics.inc("trials.retries", retries)
+        metrics.inc("suggest.seconds", suggest_s)
+        metrics.inc("evaluate.seconds", evaluate_s)
+        metrics.inc("cost.total", trial.cost)
         # Latency distributions: the p50/p95/p99 the CLI summary reports.
-        self.trace.observe("trial.seconds", span.duration_s)
-        self.trace.observe("suggest.seconds", suggest_s)
-        self.trace.observe("evaluate.seconds", evaluate_s)
+        metrics.observe("trial.seconds", root.duration_s)
+        metrics.observe("suggest.seconds", suggest_s)
+        metrics.observe("evaluate.seconds", evaluate_s)
         if queue_s:
-            self.trace.observe("queue.seconds", queue_s)
+            metrics.observe("queue.seconds", queue_s)
 
     def on_batch_end(self, session: "TuningSession", trials: Sequence[Trial]) -> None:
-        self.trace.incr("batches.total")
-        self.trace.gauge("batch.size.last", float(len(trials)))
+        self.trace.metrics.inc("batches.total")
+        self.trace.metrics.set_gauge("batch.size.last", float(len(trials)))
 
     def on_session_end(self, session: "TuningSession") -> None:
         obj = session.optimizer.objective
         try:
-            self.trace.gauge("best.value", float(session.optimizer.history.best_value(obj)))
-        except Exception:
+            self.trace.metrics.set_gauge("best.value", float(session.optimizer.history.best_value(obj)))
+        except OptimizerError:
             pass  # every trial failed — there is no incumbent to report
-        self.trace.gauge("trials.history", float(len(session.optimizer.history)))
+        self.trace.metrics.set_gauge("trials.history", float(len(session.optimizer.history)))
         if self._activation is not None:
             self._activation.__exit__(None, None, None)
             self._activation = None

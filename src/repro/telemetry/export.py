@@ -2,21 +2,26 @@
 
 Converts a :class:`~repro.telemetry.tracing.SessionTrace` (or its exported
 JSON dict — the converter works offline on saved traces) into the Chrome
-trace-event format: one complete (``ph="X"``) event per trial span and per
-operation span, instant (``ph="i"``) events for the structured event log,
-and metadata records naming the tracks. Each trial gets its own track
-(``tid`` = trial id), so concurrent trials from a thread-pool executor
-render as parallel lanes with their nested operations stacked inside.
+trace-event format: one complete (``ph="X"``) event per span (trial roots
+in category ``trial``, everything else ``op``), instant (``ph="i"``)
+events for the structured event log, and metadata records naming the
+tracks. Each trial gets its own track (``tid`` = trial id + 1; spans with
+no trial share the session track), so concurrent trials from a
+thread-pool executor render as parallel lanes with their nested
+operations stacked inside. The viewer nests by time containment, so a
+span whose parent fell off the trace's ring still renders — as a
+top-level bar on its track.
 
 Timestamps are microseconds relative to the session's wall-clock start
-(``started_at``), falling back to the monotonic clock for traces saved
-before epoch timestamps existed.
+(``started_at``).
 """
 
 from __future__ import annotations
 
 import json
 from typing import Any, Mapping
+
+from .naming import TRIAL_SPAN
 
 __all__ = ["chrome_trace", "export_chrome_trace", "stitch_chrome_trace"]
 
@@ -30,13 +35,10 @@ def _as_dict(trace: Any) -> Mapping[str, Any]:
 def chrome_trace(trace: Any) -> dict[str, Any]:
     """Build a Chrome trace-event dict from a trace (object or dict)."""
     data = _as_dict(trace)
-    wall_base = float(data.get("started_at") or 0.0)
-    mono_base = float(data.get("started_s") or 0.0)
+    wall_base = float(data["started_at"])
 
-    def us_wall(wall: float | None, mono: float | None) -> int:
-        if wall_base and wall:
-            return max(0, int(round((wall - wall_base) * 1e6)))
-        return max(0, int(round(((mono or 0.0) - mono_base) * 1e6)))
+    def us(wall: float) -> int:
+        return max(0, int(round((wall - wall_base) * 1e6)))
 
     events: list[dict[str, Any]] = [
         {"name": "process_name", "ph": "M", "pid": 1, "tid": _SESSION_TID,
@@ -44,52 +46,32 @@ def chrome_trace(trace: Any) -> dict[str, Any]:
         {"name": "thread_name", "ph": "M", "pid": 1, "tid": _SESSION_TID,
          "args": {"name": "session"}},
     ]
-    seen_tids: set[int] = set()
+    seen_tids = {_SESSION_TID}
 
-    def op_events(ops: list[dict[str, Any]], tid: int) -> None:
-        for op in ops:
-            events.append({
-                "name": op["name"],
-                "cat": "op",
-                "ph": "X",
-                "pid": 1,
-                "tid": tid,
-                "ts": us_wall(op.get("started_at"), op.get("t0_s")),
-                "dur": max(1, int(round(float(op.get("duration_s", 0.0)) * 1e6))),
-                "args": {
-                    "status": op.get("status"),
-                    "thread": op.get("thread"),
-                    "error": op.get("error"),
-                    **(op.get("attributes") or {}),
-                },
-            })
-
-    for span in data.get("spans", ()):
-        tid = int(span.get("trial_id", 0)) + 1  # track per trial; 0 = session
+    for sp in data.get("spans", ()):
+        trial_id = sp.get("trial_id")
+        tid = _SESSION_TID if trial_id is None else int(trial_id) + 1  # track per trial
         if tid not in seen_tids:
             seen_tids.add(tid)
             events.append({"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-                           "args": {"name": f"trial {span.get('trial_id')}"}})
+                           "args": {"name": f"trial {trial_id}"}})
+        attrs = sp.get("attributes") or {}
+        is_trial = sp["name"] == TRIAL_SPAN
         events.append({
-            "name": f"trial[{span.get('trial_id')}] {span.get('outcome', '')}".strip(),
-            "cat": "trial",
+            "name": f"trial[{trial_id}] {attrs.get('outcome', '')}".strip() if is_trial else sp["name"],
+            "cat": "trial" if is_trial else "op",
             "ph": "X",
             "pid": 1,
             "tid": tid,
-            "ts": us_wall(span.get("started_at"), span.get("started_s")),
-            "dur": max(1, int(round(float(span.get("duration_s", 0.0)) * 1e6))),
+            "ts": us(sp["started_at"]),
+            "dur": max(1, int(round(float(sp.get("duration_s", 0.0)) * 1e6))),
             "args": {
-                "status": span.get("status"),
-                "outcome": span.get("outcome"),
-                "retries": span.get("retries"),
-                "cost": span.get("cost"),
-                "error": span.get("error"),
-                **(span.get("attributes") or {}),
+                "status": sp.get("status"),
+                "thread": sp.get("thread"),
+                "error": sp.get("error"),
+                **attrs,
             },
         })
-        op_events(span.get("children", ()), tid)
-
-    op_events(list(data.get("ops", ())), _SESSION_TID)
 
     for event in data.get("events", ()):
         tid = _SESSION_TID if event.get("trial_id") is None else int(event["trial_id"]) + 1
@@ -100,7 +82,7 @@ def chrome_trace(trace: Any) -> dict[str, Any]:
             "s": "g",  # global scope: draw the marker across all tracks
             "pid": 1,
             "tid": tid,
-            "ts": us_wall(event.get("ts"), event.get("t_s")),
+            "ts": us(event["ts"]),
             "args": {
                 "severity": event.get("severity"),
                 "message": event.get("message"),
@@ -118,22 +100,14 @@ def stitch_chrome_trace(traces: "list[Any]") -> dict[str, Any]:
     service trace share a ``trace_id`` (propagated via the ``traceparent``
     header), so stitching them gives the full picture — client wire time on
     one pid, server handling and optimizer work on another, on a shared
-    wall-clock timeline. Traces keep their own relative timebases only if
-    they lack epoch timestamps; with ``started_at`` present (the normal
-    case) events align on the common wall clock.
+    wall-clock timeline (each trace's events are shifted by its
+    ``started_at`` relative to the earliest one).
     """
     merged: list[dict[str, Any]] = []
-    base: float | None = None
     datas = [_as_dict(t) for t in traces]
-    for data in datas:
-        started = float(data.get("started_at") or 0.0)
-        if started:
-            base = started if base is None else min(base, started)
+    base = min((float(data["started_at"]) for data in datas), default=0.0)
     for pid, data in enumerate(datas, start=1):
-        shift_us = 0
-        started = float(data.get("started_at") or 0.0)
-        if base is not None and started:
-            shift_us = int(round((started - base) * 1e6))
+        shift_us = int(round((float(data["started_at"]) - base) * 1e6))
         for event in chrome_trace(data)["traceEvents"]:
             event = dict(event)
             event["pid"] = pid

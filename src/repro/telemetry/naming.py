@@ -17,13 +17,18 @@ document it in ``docs/static-analysis.md``'s naming table.
 
 from __future__ import annotations
 
-__all__ = ["SPAN_NAMES", "EVENT_KINDS", "is_valid_span_name", "is_valid_event_kind"]
+__all__ = ["SPAN_NAMES", "TRIAL_SPAN", "EVENT_KINDS", "is_valid_span_name", "is_valid_event_kind"]
+
+#: Name of the root span of one trial (or online step); recorded by
+#: :meth:`repro.telemetry.tracing.SessionTrace.record_trial`.
+TRIAL_SPAN = "session.trial"
 
 #: Operation-span names (``with span(name): ...``), one per instrumented
 #: operation. Grouping key for the trace analyzer and latency histograms.
 SPAN_NAMES: frozenset[str] = frozenset(
     {
         # session / optimizer layer
+        TRIAL_SPAN,               # root of one trial: outcome, retries, cost, phase seconds
         "optimizer.suggest",      # one suggest() call (any optimizer)
         "surrogate.fit",          # surrogate model (re)fit
         "acquisition.optimize",   # acquisition search over candidates

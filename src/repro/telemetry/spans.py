@@ -1,10 +1,11 @@
-"""Hierarchical operation spans over ``contextvars`` — the tracing core.
+"""Hierarchical spans over ``contextvars`` — the tracing core.
 
-The flat per-trial :class:`~repro.telemetry.tracing.TrialSpan` tells you
-*that* a trial took 1.2 s; it cannot tell you whether that was surrogate
+Knowing *that* a trial took 1.2 s is not enough; was it surrogate
 fitting, acquisition maximisation, executor queue wait, or the workload
-run. This module adds the missing dimension: lightweight *operation
-spans*, opened anywhere in the stack with::
+run? :class:`OpSpan` is the one span class that answers both: a trial is
+the root span (``session.trial``, recorded by
+:meth:`~repro.telemetry.tracing.SessionTrace.record_trial`), and below it
+sit lightweight *operation spans*, opened anywhere in the stack with::
 
     with span("surrogate.fit", n_observations=40):
         model.fit(X, y)
@@ -34,8 +35,8 @@ submitting context into each worker task (``contextvars.copy_context``),
 so spans opened inside a worker attach to the right trial even though
 pool threads are reused across trials. Process pools cross a pickle
 boundary — spans opened in child processes are silently dropped (the
-context variables are unset there), which degrades to the flat PR-1
-behavior rather than corrupting the tree.
+context variables are unset there), which leaves that trial's root
+without children rather than corrupting the tree.
 """
 
 from __future__ import annotations

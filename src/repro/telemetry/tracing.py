@@ -5,16 +5,14 @@ from the same prerequisite: *knowing what happened inside every trial*.
 This module gives tuning runs a lightweight, dependency-free trace model
 in the OpenTelemetry spirit:
 
-* :class:`TrialSpan` — one trial (or online step): when it ran (monotonic
-  *and* wall-clock epoch), how long the suggest and evaluate phases took,
-  how many retries it burned, and how it ended (``success`` / ``crash`` /
-  ``abort`` / ``censored`` / ``timeout``);
-* nested **operation spans** (:mod:`repro.telemetry.spans`) — where the
-  time went *inside* a trial: ``optimizer.suggest``, ``surrogate.fit``,
-  ``acquisition.optimize``, ``executor.run``/``executor.attempt``,
-  ``benchmark.measure`` … recorded into the active trace and attached to
-  their trial at export;
-* :class:`SessionTrace` — spans + a
+* one span class, :class:`~repro.telemetry.spans.OpSpan`. Operation spans
+  (``optimizer.suggest``, ``surrogate.fit``, ``acquisition.optimize``,
+  ``executor.run``/``executor.attempt``, ``benchmark.measure`` …) say
+  where the time went; a trial (or online step) is the *root* of its
+  spans — an ``OpSpan`` named ``session.trial`` whose attributes carry how
+  it ended (``success`` / ``crash`` / ``abort`` / ``censored`` /
+  ``timeout``), its retries, cost, and suggest/evaluate/queue seconds;
+* :class:`SessionTrace` — a bounded ring of those spans + a
   :class:`~repro.telemetry.metrics.MetricsRegistry` (counters, gauges,
   latency histograms with p50/p95/p99) + a bounded
   :class:`~repro.telemetry.events.EventLog`, exportable as JSON for the
@@ -31,101 +29,59 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from collections import Counter, deque
+from typing import Any
 
 from . import spans as _spans
 from .events import EventLog
 from .metrics import MetricsRegistry
+from .naming import TRIAL_SPAN
 from .spans import OpSpan, TrialRef
 
-__all__ = ["TrialSpan", "SessionTrace"]
+__all__ = ["SessionTrace", "TRACE_SCHEMA"]
+
+#: Layout version of :meth:`SessionTrace.to_dict`; ``load_trace`` refuses
+#: files that carry another (or none). 2 = one flat ``spans`` list linked
+#: by ``parent_id``, trials being the spans named ``session.trial``.
+TRACE_SCHEMA = 2
 
 
-@dataclass
-class TrialSpan:
-    """One trial's execution record — the root of that trial's span tree.
-
-    ``started_s``/``ended_s`` are on the session's (monotonic) clock and
-    give durations; ``started_at``/``ended_at`` are wall-clock epoch
-    seconds so a saved trace can be correlated with other sessions,
-    machines, and system logs.
-    """
-
-    trial_id: int
-    status: str = "succeeded"
-    outcome: str = "success"  # success | crash | abort | censored | timeout
-    started_s: float = 0.0
-    ended_s: float = 0.0
-    started_at: float = 0.0  # wall-clock epoch
-    ended_at: float = 0.0  # wall-clock epoch
-    suggest_latency_s: float = 0.0
-    evaluate_s: float = 0.0
-    queue_s: float = 0.0
-    retries: int = 0
-    cost: float = 0.0
-    error: str | None = None
-    attributes: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration_s(self) -> float:
-        return max(0.0, self.ended_s - self.started_s)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "trial_id": self.trial_id,
-            "status": self.status,
-            "outcome": self.outcome,
-            "started_s": self.started_s,
-            "ended_s": self.ended_s,
-            "started_at": self.started_at,
-            "ended_at": self.ended_at,
-            "duration_s": self.duration_s,
-            "suggest_latency_s": self.suggest_latency_s,
-            "evaluate_s": self.evaluate_s,
-            "queue_s": self.queue_s,
-            "retries": self.retries,
-            "cost": self.cost,
-            "error": self.error,
-            "attributes": dict(self.attributes),
-        }
+def _outcome_counts(roots: list[OpSpan]) -> dict[str, int]:
+    return dict(Counter(root.attributes.get("outcome", "unknown") for root in roots))
 
 
 class SessionTrace:
     """Spans + metrics + events for one tuning run.
 
-    Counters accumulate (``incr``), gauges hold the latest value
-    (``gauge``), histograms aggregate latencies (``observe``) — all backed
-    by a :class:`MetricsRegistry`; the historic ``trace.counters`` /
-    ``trace.gauges`` dict reads keep working as snapshots. Operation spans
-    and structured events arrive through the context-variable machinery in
-    :mod:`repro.telemetry.spans` while the trace is :meth:`activated`.
+    Spans of every kind land in :attr:`ops`, a ring that keeps the newest
+    ``max_ops`` (a long-lived server keeps recording; what fell off is
+    counted in :attr:`ops_dropped`). Counters, gauges and latency
+    histograms live on :attr:`metrics`. Operation spans and structured
+    events arrive through the context-variable machinery in
+    :mod:`repro.telemetry.spans` while the trace is :meth:`activated`;
+    :meth:`record_trial` closes a trial by adding its root span.
     """
 
     def __init__(
         self,
         name: str = "tuning-session",
-        clock: Callable[[], float] = time.monotonic,
         max_ops: int = 100_000,
         max_events: int = 4096,
         trace_id: str | None = None,
     ) -> None:
         self.name = name
-        self.clock = clock
-        self.started_s = clock()
+        self.started_s = time.monotonic()
         self.started_at = time.time()  # wall-clock epoch
         #: Distributed trace id (W3C shape). Spans recorded while this trace
         #: is active default to it unless an inbound context is already
         #: bound — the server binds the client's ``traceparent`` first, so
         #: cross-process spans stitch under the *caller's* id.
         self.trace_id = trace_id if trace_id is not None else _spans.new_trace_id()
-        self.spans: list[TrialSpan] = []
         self.metrics = MetricsRegistry()
         self.events = EventLog(maxlen=max_events)
-        self.ops: list[OpSpan] = []
         self.max_ops = int(max_ops)
-        self.ops_dropped = 0
+        self.ops: deque[OpSpan] = deque(maxlen=self.max_ops)
+        self.ops_recorded = 0
         self._lock = threading.Lock()
 
     # -- activation ----------------------------------------------------------
@@ -158,18 +114,50 @@ class SessionTrace:
         return _Activation()
 
     # -- recording ----------------------------------------------------------
-    def add_span(self, span: TrialSpan) -> TrialSpan:
-        with self._lock:
-            self.spans.append(span)
-        return span
-
     def record_op(self, op: OpSpan) -> None:
-        """Sink for :func:`repro.telemetry.spans.span` (bounded)."""
+        """Sink for :func:`repro.telemetry.spans.span` (newest ``max_ops`` kept)."""
         with self._lock:
-            if len(self.ops) < self.max_ops:
-                self.ops.append(op)
-            else:
-                self.ops_dropped += 1
+            self.ops.append(op)
+            self.ops_recorded += 1
+
+    def record_trial(
+        self,
+        trial_id: int,
+        duration_s: float,
+        attributes: dict[str, Any],
+        status: str = "ok",
+        error: str | None = None,
+    ) -> OpSpan:
+        """Close trial ``trial_id``: record its root span and return it.
+
+        The root is an :class:`OpSpan` named ``session.trial`` ending now.
+        The trial's parent-less spans become its children, and when there
+        are any the window is tightened to them (same monotonic clock), so
+        the root brackets its children and their durations sum to at most
+        its own; otherwise (process pools contribute no spans) the window
+        is the ``duration_s`` the caller measured.
+        """
+        ref = TrialRef()
+        ref.trial_id = trial_id
+        root = OpSpan(TRIAL_SPAN, parent_id=None, ref=ref, attributes=attributes)
+        root.status = status
+        root.error = error
+        now = root.t0
+        root.t0 = now - duration_s
+        with self._lock:
+            children = [
+                op for op in self.ops
+                if op.parent_id is None and op.trial_id == trial_id and op.name != TRIAL_SPAN
+            ]
+            if children:
+                root.t0 = min(root.t0, min(op.t0 for op in children))
+                root.t1 = max(op.t1 for op in children)
+            root.wall0 -= now - root.t0
+            for op in children:
+                op.parent_id = root.span_id
+            self.ops.append(root)
+            self.ops_recorded += 1
+        return root
 
     def record_event(
         self, kind: str, severity: str, message: str, ref: TrialRef | None, attributes: dict
@@ -178,83 +166,51 @@ class SessionTrace:
         self.events.emit(kind, severity=severity, message=message, ref=ref, **attributes)
         self.metrics.inc(f"events.{kind}")
 
-    def incr(self, name: str, value: float = 1.0) -> None:
-        self.metrics.inc(name, value)
-
-    def gauge(self, name: str, value: float) -> None:
-        self.metrics.set_gauge(name, value)
-
-    def observe(self, name: str, value: float) -> None:
-        self.metrics.observe(name, value)
-
     # -- reading ------------------------------------------------------------
     @property
-    def counters(self) -> dict[str, float]:
-        counters: dict[str, float] = defaultdict(float)
-        counters.update(self.metrics.counters)
-        return counters
+    def ops_dropped(self) -> int:
+        return self.ops_recorded - len(self.ops)
 
-    @property
-    def gauges(self) -> dict[str, float]:
-        return self.metrics.gauges
-
-    def span_for(self, trial_id: int) -> TrialSpan | None:
-        for span in self.spans:
-            if span.trial_id == trial_id:
-                return span
-        return None
-
-    def ops_for(self, trial_id: int) -> list[OpSpan]:
-        """All operation spans attributed to one trial."""
+    def trial_spans(self) -> list[OpSpan]:
+        """The trial roots (``session.trial`` spans) still in the ring."""
         with self._lock:
-            return [op for op in self.ops if op.trial_id == trial_id]
+            return [op for op in self.ops if op.name == TRIAL_SPAN]
 
     def outcome_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = defaultdict(int)
-        for span in self.spans:
-            counts[span.outcome] += 1
-        return dict(counts)
+        return _outcome_counts(self.trial_spans())
 
     def summary(self) -> dict[str, Any]:
         """One-line-able digest: trial count, best value, tail latencies."""
+        roots = self.trial_spans()
         return {
-            "trials": len(self.spans),
+            "trials": len(roots),
             "best_value": self.metrics.gauges.get("best.value"),
             "p95_trial_s": self.metrics.quantile("trial.seconds", 0.95),
             "p95_suggest_s": self.metrics.quantile("suggest.seconds", 0.95),
-            "outcomes": self.outcome_counts(),
+            "outcomes": _outcome_counts(roots),
             "events": len(self.events),
         }
 
     # -- export -------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         with self._lock:
-            spans = list(self.spans)
             ops = list(self.ops)
-        by_trial: dict[int | None, list[dict]] = defaultdict(list)
-        for op in ops:
-            by_trial[op.trial_id].append(op.to_dict())
-        span_dicts = []
-        for span in spans:
-            d = span.to_dict()
-            d["children"] = by_trial.pop(span.trial_id, [])
-            span_dicts.append(d)
-        loose_ops = [d for group in by_trial.values() for d in group]
+        roots = [op for op in ops if op.name == TRIAL_SPAN]
         return {
+            "schema": TRACE_SCHEMA,
             "name": self.name,
             "trace_id": self.trace_id,
             "started_s": self.started_s,
             "started_at": self.started_at,
-            "elapsed_s": self.clock() - self.started_s,
-            "n_spans": len(spans),
-            "n_ops": len(ops),
-            "ops_dropped": self.ops_dropped,
-            "outcomes": self.outcome_counts(),
+            "elapsed_s": time.monotonic() - self.started_s,
+            "n_trials": len(roots),
+            "n_spans": len(ops),
+            "ops_dropped": self.ops_recorded - len(ops),
+            "outcomes": _outcome_counts(roots),
             "counters": self.metrics.counters,
             "gauges": self.metrics.gauges,
             "metrics": self.metrics.to_dict(),
-            "spans": span_dicts,
-            "ops": loose_ops,
+            "spans": [op.to_dict() for op in ops],
             "events": self.events.to_dicts(),
         }
 
@@ -267,4 +223,4 @@ class SessionTrace:
             fh.write(self.to_json(indent=2))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SessionTrace({self.name!r}, n_spans={len(self.spans)}, n_ops={len(self.ops)})"
+        return f"SessionTrace({self.name!r}, n_ops={len(self.ops)})"

@@ -1,10 +1,11 @@
 """Observability subsystem: nested spans, histograms, events, CLI trace tools.
 
 Covers the guarantees ``docs/observability.md`` documents: spans attach to
-the right trial across thread-pool workers, exceptions close spans instead
-of orphaning them, histogram quantiles are exact at bucket boundaries, the
-event ring buffer is bounded, and the ``--trace-out`` → ``repro trace`` →
-Chrome-trace pipeline round-trips.
+the right trial across thread-pool workers, every trial — however it ran —
+is one ``session.trial`` root whose tree holds its spans, exceptions close
+spans instead of orphaning them, histogram quantiles are exact at bucket
+boundaries, the span and event rings keep the newest entries, and the
+``--trace-out`` → ``repro trace`` → Chrome-trace pipeline round-trips.
 """
 
 from __future__ import annotations
@@ -16,8 +17,14 @@ import time
 import pytest
 
 from repro.core import Objective, TuningSession
-from repro.exceptions import SystemCrashError
-from repro.execution import RetryPolicy, SerialExecutor, ThreadedExecutor, execute_trial
+from repro.exceptions import ReproError, SystemCrashError
+from repro.execution import (
+    ProcessExecutor,
+    RetryPolicy,
+    SerialExecutor,
+    ThreadedExecutor,
+    execute_trial,
+)
 from repro.optimizers import BayesianOptimizer, RandomSearchOptimizer
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
@@ -31,7 +38,9 @@ from repro.telemetry import (
     span,
     trial_scope,
 )
-from repro.telemetry.spans import active_trace, current_op, current_trial_ref
+from repro.telemetry.analyzer import load_trace, outcome_table, phase_stats, slowest_trials
+from repro.telemetry.naming import TRIAL_SPAN
+from repro.telemetry.spans import OpSpan, active_trace, current_op, current_trial_ref
 from repro.space import ConfigurationSpace, FloatParameter
 
 
@@ -39,6 +48,38 @@ def _space():
     space = ConfigurationSpace("obs", seed=0)
     space.add(FloatParameter("x", 0.0, 1.0, default=0.5))
     return space
+
+
+def _traced_eval(config):  # module-level: ProcessExecutor pickles it
+    with span("eval.work"):
+        time.sleep(0.002)
+    return {"lat": float(config["x"])}
+
+
+def _assert_trial_trees(trace, n_trials, sums_under_root=False):
+    """The span-model invariants: one ``session.trial`` root per trial id,
+    every span of a trial below its root and inside its window. Returns
+    ``{trial_id: (root, direct children)}``."""
+    by_id = {op.span_id: op for op in trace.ops}
+    roots = trace.trial_spans()
+    assert sorted(root.trial_id for root in roots) == list(range(n_trials))
+    trees = {root.trial_id: (root, []) for root in roots}
+    for op in trace.ops:
+        if op.trial_id is None or op.name == TRIAL_SPAN:
+            continue
+        root, children = trees[op.trial_id]
+        top = op
+        while top.parent_id is not None and top.parent_id != root.span_id:
+            top = by_id[top.parent_id]
+        assert top.parent_id == root.span_id, f"{op!r} does not reach {root!r}"
+        if top is op:
+            children.append(op)
+        assert root.t0 - 1e-9 <= op.t0 and op.t1 <= root.t1 + 1e-9
+    for root, children in trees.values():
+        assert root.parent_id is None and root.duration_s >= 0.0 and root.wall0 > 1e9
+        if sums_under_root:
+            assert sum(op.duration_s for op in children) <= root.duration_s + 1e-9
+    return trees
 
 
 # -- histogram math -----------------------------------------------------------
@@ -208,13 +249,64 @@ class TestSpans:
             assert trace.ops[0].trial_id == 42
 
     def test_ops_bounded(self):
+        # A ring, not fill-and-stop: the newest max_ops spans are kept and
+        # the trace keeps recording. Each span names its predecessor as
+        # parent, so the oldest survivor's parent has been evicted.
         trace = SessionTrace(max_ops=3)
-        with trace.activated():
-            for _ in range(5):
-                with span("op"):
-                    pass
-        assert len(trace.ops) == 3
+        parent_id = None
+        for i in range(5):
+            op = OpSpan("op", parent_id=parent_id, ref=None, attributes={"i": i})
+            trace.record_op(op)
+            parent_id = op.span_id
+        assert [op.attributes["i"] for op in trace.ops] == [2, 3, 4]
         assert trace.ops_dropped == 2
+        trace.record_trial(0, 0.01, {"outcome": "success"})
+        assert trace.ops_dropped == 3 and trace.ops[-1].name == TRIAL_SPAN
+        data = json.loads(trace.to_json())
+        assert (data["n_spans"], data["n_trials"], data["ops_dropped"]) == (3, 1, 3)
+        kept = {s["span_id"] for s in data["spans"]}
+        assert data["spans"][0]["parent_id"] not in kept  # dangling: read as a root
+        assert [r["count"] for r in phase_stats(data)] == [2]
+        assert [r["dominant_phase"] for r in slowest_trials(data)] == ["-"]
+        assert len([e for e in chrome_trace(data)["traceEvents"] if e["ph"] == "X"]) == 3
+
+    def test_ring_under_concurrent_writers_and_readers(self):
+        # 8 writer threads race record_trial()/to_dict() on the main thread.
+        # ops_recorded is a read-modify-write shared by all of them: a lost
+        # update (or a reader tripping over a concurrent append) fails here.
+        import sys
+
+        trace = SessionTrace(max_ops=64)
+        n_writers, per_writer = 8, 4000
+        start = threading.Barrier(n_writers + 1)
+
+        def writer():
+            start.wait(timeout=10)
+            with trace.activated():
+                for _ in range(per_writer):
+                    with span("op"):
+                        pass
+
+        threads = [threading.Thread(target=writer) for _ in range(n_writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            start.wait(timeout=10)
+            n_trials = 0
+            while any(t.is_alive() for t in threads) and n_trials < 10_000:
+                trace.record_trial(n_trials, 0.0, {"outcome": "success"})
+                assert trace.to_dict()["n_spans"] <= 64
+                n_trials += 1
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert n_trials > 1  # the reader really overlapped the writers
+        assert trace.ops_recorded == n_writers * per_writer + n_trials
+        assert len(trace.ops) == 64 and trace.ops_dropped == trace.ops_recorded - 64
 
 
 # -- executor instrumentation -------------------------------------------------
@@ -236,7 +328,7 @@ class TestExecutorInstrumentation:
                 opt, sleepy, max_trials=3, batch_size=3,
                 callbacks=[callback], executor=executor,
             ).run()
-        queued = [s.queue_s for s in callback.trace.spans]
+        queued = [root.attributes["queue_s"] for root in callback.trace.trial_spans()]
         assert max(queued) > 0.02  # the last trial waited for two others
         assert callback.trace.metrics.histogram("queue.seconds").count >= 1
 
@@ -256,14 +348,14 @@ class TestExecutorInstrumentation:
             executor=SerialExecutor(retry=RetryPolicy(max_retries=2)),
         ).run()
         trace = callback.trace
-        retried = trace.span_for(0)
-        assert retried.retries == 1
+        (retried,) = [root for root in trace.trial_spans() if root.trial_id == 0]
+        assert retried.attributes["retries"] == 1
         assert retried.attributes["attempts"] == ["crash", "success"]
         assert len(retried.attributes["attempt_s"]) == 2
         events = trace.events.filter(kind="executor.retry")
         assert len(events) == 1
         assert events[0].trial_id == 0
-        assert trace.counters["events.executor.retry"] == 1
+        assert trace.metrics.counter_value("events.executor.retry") == 1
 
     def test_timeout_emits_event(self):
         def hang(config):
@@ -337,19 +429,11 @@ class TestSessionTracing:
             opt, lambda c: (c["x"] - 0.4) ** 2, max_trials=8, callbacks=[callback]
         ).run()
         trace = callback.trace
-        assert len(trace.spans) == 8
-        for trial_span in trace.spans:
-            ops = trace.ops_for(trial_span.trial_id)
-            assert len(ops) >= 3  # optimizer.suggest, executor.run, executor.attempt
-            names = {op.name for op in ops}
+        _assert_trial_trees(trace, 8, sums_under_root=True)
+        for root in trace.trial_spans():
+            names = {op.name for op in trace.ops if op.trial_id == root.trial_id}
             assert {"optimizer.suggest", "executor.run", "executor.attempt"} <= names
-            # Every op falls inside its trial's window, and top-level
-            # children can't sum past the parent duration.
-            for op in ops:
-                assert op.t0 >= trial_span.started_s - 1e-9
-                assert op.t1 <= trial_span.ended_s + 1e-9
-            roots = [op for op in ops if op.parent_id is None]
-            assert sum(op.duration_s for op in roots) <= trial_span.duration_s + 1e-9
+            assert "surrogate" in root.attributes  # cumulative surrogate_stats() snapshot
         # Model-phase spans exist once BO takes over.
         assert any(op.name == "surrogate.fit" for op in trace.ops)
         assert any(op.name == "acquisition.optimize" for op in trace.ops)
@@ -360,10 +444,9 @@ class TestSessionTracing:
         TuningSession(opt, lambda c: {"lat": 1.0}, max_trials=2, callbacks=[callback]).run()
         trace = callback.trace
         assert trace.started_at > 1e9  # epoch seconds
-        for s in trace.spans:
-            assert s.started_at > 1e9 and s.ended_at >= s.started_at
-        for op in trace.ops:
-            assert op.wall0 > 1e9
+        assert len(trace.trial_spans()) == 2
+        for op in trace.ops:  # trial roots included: one clock pair for every span
+            assert op.wall0 > 1e9 and op.t1 >= op.t0
 
     def test_surrogate_stats_absorbed_without_breaking_api(self):
         space = _space()
@@ -382,14 +465,106 @@ class TestSessionTracing:
         opt = RandomSearchOptimizer(_space(), Objective("lat"), seed=0)
         TuningSession(opt, lambda c: {"lat": 1.0}, max_trials=3, callbacks=[callback]).run()
         data = json.loads(path.read_text())
-        assert data["n_spans"] == 3
-        for s in data["spans"]:
-            assert len(s["children"]) >= 3
-            child_sum = sum(c["duration_s"] for c in s["children"] if c["parent_id"] is None)
-            assert child_sum <= s["duration_s"] + 1e-9
+        assert data["schema"] == 2 and data["n_trials"] == 3
+        assert data["n_spans"] == len(data["spans"])
+        assert "ops" not in data
+        for root in (s for s in data["spans"] if s["name"] == TRIAL_SPAN):
+            assert "children" not in root
+            children = [s for s in data["spans"] if s["parent_id"] == root["span_id"]]
+            assert {c["name"] for c in children} == {"optimizer.suggest", "executor.run"}
+            assert sum(c["duration_s"] for c in children) <= root["duration_s"] + 1e-9
+            assert sum(s["trial_id"] == root["trial_id"] for s in data["spans"]) >= 4
         assert "metrics" in data and "histograms" in data["metrics"]
         assert "trial.seconds" in data["metrics"]["histograms"]
         assert isinstance(data["events"], list)
+
+
+# -- one span model, every way a trial can run --------------------------------
+
+_TRIAL_KEYS = {
+    "outcome", "trial_status", "retries", "cost",
+    "suggest_latency_s", "evaluate_s", "queue_s",
+}
+
+
+def _run_session(executor_cls, batch_size):
+    callback = TelemetryCallback()
+    opt = RandomSearchOptimizer(_space(), Objective("lat"), seed=0)
+    kwargs = {} if executor_cls is SerialExecutor else {"max_workers": 2}
+    with executor_cls(**kwargs) as executor:
+        # 7 = 3 + 3 + 1: the batched runs end on a single-trial batch.
+        TuningSession(
+            opt, _traced_eval, max_trials=7, batch_size=batch_size,
+            callbacks=[callback], executor=executor,
+        ).run()
+    return callback.trace, 7
+
+
+def _run_agent():
+    from repro.online import GreedyOnlineTuner, OnlineTuningAgent
+    from repro.sysim import QUIET_CLOUD, RedisServer, redis_benchmark_workload
+    from repro.workloads import PhasedTrace
+
+    server = RedisServer(env=QUIET_CLOUD(seed=0), seed=0)
+    trace = SessionTrace("online")
+    agent = OnlineTuningAgent(
+        server, GreedyOnlineTuner(server.space, seed=0), Objective("latency_p95"),
+        duration_s=5.0, trace=trace,
+    )
+    agent.run(PhasedTrace([(redis_benchmark_workload(), 5)]))
+    return trace, 5
+
+
+class TestTrialTree:
+    @pytest.mark.parametrize("how, batch_size", [
+        (executor_cls, batch_size)
+        for executor_cls in (SerialExecutor, ThreadedExecutor, ProcessExecutor)
+        for batch_size in (1, 3)
+    ] + [("agent", 1)], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_every_trial_is_one_root_span(self, how, batch_size):
+        trace, n = _run_agent() if how == "agent" else _run_session(how, batch_size)
+        trees = _assert_trial_trees(
+            trace, n, sums_under_root=(how is SerialExecutor and batch_size == 1)
+        )
+        for root, children in trees.values():
+            if how == "agent":
+                assert _TRIAL_KEYS | {"workload", "value", "reward"} == set(root.attributes)
+                assert [op.name for op in children] == ["policy.propose", "system.run"]
+            else:
+                # Same record whether or not the executor's spans crossed back.
+                assert _TRIAL_KEYS | {"attempts", "attempt_s"} == set(root.attributes)
+                assert bool(children) == (how is not ProcessExecutor)
+        if how is ThreadedExecutor:
+            evals = [op for op in trace.ops if op.name == "eval.work"]
+            assert sorted(op.trial_id for op in evals) == list(range(n))
+
+        # Export -> json -> every reader.
+        data = json.loads(trace.to_json())
+        assert (data["schema"], data["n_trials"], data["n_spans"]) == (2, n, len(trace.ops))
+        phases = {r["phase"]: r for r in phase_stats(data)}
+        assert TRIAL_SPAN not in phases
+        assert sum(r["count"] for r in phases.values()) == len(trace.ops) - n
+        slow = slowest_trials(data, n=n)
+        assert sorted(r["trial_id"] for r in slow) == list(range(n))
+        for row in slow:
+            _, children = trees[row["trial_id"]]
+            assert (row["dominant_phase"] == "-") == (not children)
+        assert sum(r["count"] for r in outcome_table(data)) == n
+        complete = [e for e in chrome_trace(data)["traceEvents"] if e["ph"] == "X"]
+        assert sum(e["cat"] == "trial" for e in complete) == n
+        assert sum(e["cat"] == "op" for e in complete) == len(trace.ops) - n
+
+    def test_load_trace_rejects_other_layouts(self, tmp_path):
+        path = tmp_path / "old.json"
+        data = SessionTrace("t").to_dict()
+        del data["schema"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ReproError, match="schema"):
+            load_trace(str(path))
+        bundle = {"kind": "compare", "runs": [{"optimizer": "bo", "seed": 0, "trace": data}]}
+        path.write_text(json.dumps(bundle))
+        with pytest.raises(ReproError, match="bo/seed0"):
+            load_trace(str(path))
 
 
 # -- chrome export + analyzer + CLI -------------------------------------------
@@ -414,14 +589,14 @@ class TestTraceTools:
         events = doc["traceEvents"]
         complete = [e for e in events if e["ph"] == "X"]
         assert len([e for e in complete if e["cat"] == "trial"]) == 4
-        assert len([e for e in complete if e["cat"] == "op"]) == len(trace.ops)
+        assert len([e for e in complete if e["cat"] == "op"]) == len(trace.ops) - 4
         assert [e for e in events if e["ph"] == "i"]  # instant markers
         tids = {e["tid"] for e in complete if e["cat"] == "trial"}
         assert tids == {1, 2, 3, 4}  # one track per trial
         assert all(e["ts"] >= 0 and e.get("dur", 1) >= 1 for e in complete)
 
     def test_analyzer_report(self, exported):
-        from repro.telemetry.analyzer import format_report, load_trace, phase_stats
+        from repro.telemetry.analyzer import format_report
 
         path, _ = exported
         data = load_trace(str(path))
@@ -446,8 +621,10 @@ class TestTraceTools:
         out = capsys.readouterr().out
         assert "telemetry:" in out and "p95 trial=" in out
         data = json.loads(trace_out.read_text())
-        assert data["n_spans"] == 4
-        assert all(len(s["children"]) >= 3 for s in data["spans"])
+        assert data["n_trials"] == 4
+        for root in (s for s in data["spans"] if s["name"] == TRIAL_SPAN):
+            assert sum(s["trial_id"] == root["trial_id"] for s in data["spans"]) >= 4
+            assert root["attributes"]["optimizer"] == "random"  # span_attributes land on the root
         assert "# TYPE repro_trial_seconds histogram" in metrics_out.read_text()
 
         chrome_out = tmp_path / "chrome.json"
@@ -460,7 +637,7 @@ class TestTraceTools:
 
     def test_cli_compare_bundle(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.telemetry.analyzer import load_trace, trace_runs
+        from repro.telemetry.analyzer import trace_runs
 
         trace_out = tmp_path / "bundle.json"
         rc = main([
@@ -474,7 +651,7 @@ class TestTraceTools:
         labels = {label for label, _ in runs}
         assert labels == {"random/seed0", "anneal/seed0"}
         for _, tr in runs:
-            assert tr["n_spans"] == 3
+            assert tr["n_trials"] == 3
         rc = main(["trace", str(trace_out)])
         assert rc == 0
         assert "random/seed0" in capsys.readouterr().out

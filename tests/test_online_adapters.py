@@ -78,7 +78,7 @@ class TestOnlinePolicyOptimizer:
                 callbacks=[callback], executor=executor,
             ).run()
         assert res.n_trials == 8
-        assert len(callback.trace.spans) == 8
+        assert len(callback.trace.trial_spans()) == 8
 
 
 class TestOptimizerPolicy:

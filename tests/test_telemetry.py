@@ -1,4 +1,4 @@
-"""Telemetry: spans per trial, counters, JSON export, runner/agent wiring."""
+"""Telemetry: one root span per trial, counters, JSON export, runner/agent wiring."""
 
 from __future__ import annotations
 
@@ -10,37 +10,45 @@ from repro.core import Objective, TuningSession
 from repro.exceptions import SystemCrashError
 from repro.execution import RetryPolicy, ThreadedExecutor
 from repro.optimizers import RandomSearchOptimizer
-from repro.telemetry import SessionTrace, TelemetryCallback, TrialSpan
+from repro.telemetry import SessionTrace, TelemetryCallback
 
 
 class TestSessionTrace:
     def test_counters_and_gauges(self):
         trace = SessionTrace("t")
-        trace.incr("a")
-        trace.incr("a", 2.0)
-        trace.gauge("g", 1.0)
-        trace.gauge("g", 3.0)
-        assert trace.counters["a"] == 3.0
-        assert trace.gauges["g"] == 3.0  # gauges hold the latest value
+        trace.metrics.inc("a")
+        trace.metrics.inc("a", 2.0)
+        trace.metrics.set_gauge("g", 1.0)
+        trace.metrics.set_gauge("g", 3.0)
+        assert trace.metrics.counter_value("a") == 3.0
+        assert trace.metrics.gauges["g"] == 3.0  # gauges hold the latest value
 
     def test_span_lookup_and_outcomes(self):
         trace = SessionTrace()
-        trace.add_span(TrialSpan(trial_id=0, outcome="success"))
-        trace.add_span(TrialSpan(trial_id=1, outcome="crash", status="failed"))
-        assert trace.span_for(1).outcome == "crash"
-        assert trace.span_for(99) is None
+        trace.record_trial(0, 0.0, {"outcome": "success"})
+        trace.record_trial(1, 0.0, {"outcome": "crash"}, status="error", error="boom")
+        by_id = {root.trial_id: root for root in trace.trial_spans()}
+        assert set(by_id) == {0, 1}
+        assert by_id[1].name == "session.trial"
+        assert by_id[1].attributes["outcome"] == "crash"
+        assert (by_id[1].status, by_id[1].error) == ("error", "boom")
         assert trace.outcome_counts() == {"success": 1, "crash": 1}
 
     def test_json_roundtrip(self, tmp_path):
         trace = SessionTrace("roundtrip")
-        trace.add_span(TrialSpan(trial_id=0, retries=2, outcome="success", cost=1.5))
-        trace.incr("trials.total")
+        trace.record_trial(0, 0.25, {"retries": 2, "outcome": "success", "cost": 1.5})
+        trace.metrics.inc("trials.total")
         path = tmp_path / "trace.json"
         trace.export(str(path))
         loaded = json.loads(path.read_text())
         assert loaded["name"] == "roundtrip"
-        assert loaded["n_spans"] == 1
-        assert loaded["spans"][0]["retries"] == 2
+        assert loaded["schema"] == 2
+        assert loaded["n_trials"] == loaded["n_spans"] == 1
+        (root,) = loaded["spans"]
+        assert root["name"] == "session.trial" and root["parent_id"] is None
+        assert root["duration_s"] == pytest.approx(0.25)
+        assert root["attributes"]["retries"] == 2
+        assert "children" not in root and "ops" not in loaded
         assert loaded["counters"]["trials.total"] == 1.0
 
 
@@ -60,23 +68,28 @@ class TestTelemetryCallback:
             ).run()
 
         trace = callback.trace
-        assert len(trace.spans) == res.n_trials == 8
-        assert sorted(s.trial_id for s in trace.spans) == list(range(8))
-        for span in trace.spans:
-            assert span.outcome in ("success", "crash")
-            assert span.retries >= 0
-        crashes = [s for s in trace.spans if s.outcome == "crash"]
+        roots = trace.trial_spans()
+        assert len(roots) == res.n_trials == 8
+        assert sorted(root.trial_id for root in roots) == list(range(8))
+        for root in roots:
+            assert root.attributes["outcome"] in ("success", "crash")
+            assert root.attributes["retries"] >= 0
+        crashes = [root for root in roots if root.attributes["outcome"] == "crash"]
         assert crashes  # deterministic: even n crashes (even after 1 retry)
-        assert all(s.retries == 1 for s in crashes)  # retried once, still crashed
-        assert trace.counters["trials.total"] == 8
-        assert trace.counters["trials.failed"] == len(crashes)
-        assert trace.counters["trials.errors"] == len(crashes)
-        assert trace.counters["batches.total"] == 2
-        assert trace.gauges["best.value"] == res.best_value
+        assert all(root.attributes["retries"] == 1 for root in crashes)  # retried once, still crashed
+        assert all(root.status == "error" and "even n crashes" in root.error for root in crashes)
+        counter = trace.metrics.counter_value
+        assert counter("trials.total") == 8
+        assert counter("trials.failed") == len(crashes)
+        assert counter("trials.errors") == len(crashes)
+        assert counter("batches.total") == 2
+        assert trace.metrics.gauges["best.value"] == res.best_value
 
         exported = json.loads(path.read_text())
-        assert exported["n_spans"] == 8
-        assert all("outcome" in s and "retries" in s for s in exported["spans"])
+        assert exported["n_trials"] == 8
+        exported_roots = [s for s in exported["spans"] if s["name"] == "session.trial"]
+        assert len(exported_roots) == 8
+        assert all("outcome" in s["attributes"] and "retries" in s["attributes"] for s in exported_roots)
 
     def test_all_failed_session_still_exports(self, simple_space):
         def always_crash(config):
@@ -85,8 +98,8 @@ class TestTelemetryCallback:
         callback = TelemetryCallback()
         opt = RandomSearchOptimizer(simple_space, Objective("lat"), seed=0)
         TuningSession(opt, always_crash, max_trials=3, callbacks=[callback]).run()
-        assert callback.trace.counters["trials.failed"] == 3
-        assert "best.value" not in callback.trace.gauges
+        assert callback.trace.metrics.counter_value("trials.failed") == 3
+        assert "best.value" not in callback.trace.metrics.gauges
 
 
 class TestBenchmarkRunnerTrace:
@@ -100,8 +113,8 @@ class TestBenchmarkRunnerTrace:
             duration_s=10.0, repeats=2, trace=trace,
         )
         runner(quiet_dbms.space.default_configuration())
-        assert trace.counters["benchmark.runs"] == 2
-        assert trace.counters["benchmark.seconds"] == pytest.approx(runner.total_benchmark_seconds)
+        assert trace.metrics.counter_value("benchmark.runs") == 2
+        assert trace.metrics.counter_value("benchmark.seconds") == pytest.approx(runner.total_benchmark_seconds)
 
 
 class TestOnlineAgentTrace:
@@ -118,10 +131,11 @@ class TestOnlineAgentTrace:
         )
         workloads = PhasedTrace([(redis_benchmark_workload(), 6)])
         result = agent.run(workloads)
-        assert len(trace.spans) == len(result.records) == 6
-        assert trace.counters["steps.total"] == 6
-        assert all(s.attributes["workload"] for s in trace.spans)
-        assert trace.gauges["steps.total"] == 6
+        roots = trace.trial_spans()
+        assert len(roots) == len(result.records) == 6
+        assert trace.metrics.counter_value("steps.total") == 6
+        assert all(root.attributes["workload"] for root in roots)
+        assert trace.metrics.gauges["steps.total"] == 6
 
 
 class TestTraceContext:
