@@ -1,11 +1,11 @@
-"""Shared helpers for the experiment benchmarks (E1–E20).
+"""Shared helpers for the shape experiments (E1–E23).
 
-Each benchmark reproduces one slide's table/figure: it runs the experiment
-once inside pytest-benchmark, prints the rows/series the slide reports
-(through captured-output bypass so they appear on the console), and asserts
-the *shape* of the result — who wins, roughly by how much, where the
-crossovers fall. Absolute numbers come from the simulators, not the
-authors' testbed, and are not expected to match.
+Each experiment reproduces one slide's table/figure: it runs once, prints
+the rows/series the slide reports (through captured-output bypass so they
+appear on the console), and asserts the *shape* of the result — who wins,
+roughly by how much, where the crossovers fall. Absolute numbers come from
+the simulators, not the authors' testbed, and are not expected to match.
+Nothing here is timed: the repo's benchmark is ``benchmarks/perf``.
 """
 
 from __future__ import annotations
@@ -35,16 +35,6 @@ def table(emit):
         emit("\n" + format_table(headers, rows, title=title))
 
     return _table
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-
-    def _run(fn):
-        return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
-
-    return _run
 
 
 THROUGHPUT = Objective("throughput", minimize=False)

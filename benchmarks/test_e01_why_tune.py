@@ -38,7 +38,7 @@ def _tune_redis(seed):
     return default, res.best_value
 
 
-def test_e01_tuned_vs_default(run_once, table):
+def test_e01_tuned_vs_default(table):
     def experiment():
         rows = []
         for workload in (tpcc(100), ycsb("a")):
@@ -48,7 +48,7 @@ def test_e01_tuned_vs_default(run_once, table):
         rows.append(("Redis kernel-knob P95 (ms)", d_p95, t_p95, 1.0 - t_p95 / d_p95))
         return rows
 
-    rows = run_once(experiment)
+    rows = experiment()
     table(
         "E1 (slide 10) — why tune: default vs tuned",
         ["system/metric", "default", "tuned", "ratio (or P95 cut)"],

@@ -31,7 +31,7 @@ def _space(seed):
     )
 
 
-def test_e02_search_strategy_comparison(run_once, table):
+def test_e02_search_strategy_comparison(table):
     def experiment():
         return compare_optimizers(
             {
@@ -44,7 +44,7 @@ def test_e02_search_strategy_comparison(run_once, table):
             n_seeds=N_SEEDS,
         )
 
-    results = run_once(experiment)
+    results = experiment()
     target = 0.50  # deep in the valley (default is ~1.9 p95)
     rows = [
         (

@@ -23,7 +23,7 @@ def _redis_curve(n=40, seed=0):
     return X, y, server
 
 
-def test_e03_gp_model_quality(run_once, table):
+def test_e03_gp_model_quality(table):
     def experiment():
         X, y, server = _redis_curve(40)
         Xq = np.linspace(0, 1, 101)[:, None]
@@ -51,7 +51,7 @@ def test_e03_gp_model_quality(run_once, table):
         _, std_far = gp.predict(np.array([[3.0]]), return_std=True)
         return rows, preds, float(std_at.mean()), float(std_far[0])
 
-    rows, preds, std_at, std_far = run_once(experiment)
+    rows, preds, std_at, std_far = experiment()
     table(
         "E3 (slides 35-44) — GP fit of the Redis kernel-response curve",
         ["kernel", "held-out RMSE", "mean posterior std"],

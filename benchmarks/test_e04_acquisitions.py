@@ -40,7 +40,7 @@ def _bo(space, acquisition, seed):
     )
 
 
-def test_e04_acquisition_comparison(run_once, table):
+def test_e04_acquisition_comparison(table):
     def experiment():
         return compare_optimizers(
             {
@@ -55,7 +55,7 @@ def test_e04_acquisition_comparison(run_once, table):
             n_seeds=N_SEEDS,
         )
 
-    results = run_once(experiment)
+    results = experiment()
     rows = [
         (name, comp.mean_best(), comp.mean_trials_to(0.45))
         for name, comp in results.items()

@@ -40,7 +40,7 @@ def _space(seed):
     return _db(seed).space
 
 
-def test_e05_surrogate_families(run_once, table):
+def test_e05_surrogate_families(table):
     def experiment():
         return compare_optimizers(
             {
@@ -56,7 +56,7 @@ def test_e05_surrogate_families(run_once, table):
             n_seeds=N_SEEDS,
         )
 
-    results = run_once(experiment)
+    results = experiment()
     default_tput = _db(0).run(WORKLOAD, config=_db(0).space.default_configuration()).throughput
     rows = [
         (name, comp.mean_best(), comp.mean_best() / default_tput)

@@ -41,7 +41,7 @@ def _fresh_evaluator(seed):
     return _db(seed).evaluator(WORKLOAD, "throughput")
 
 
-def test_e06_discrete_hybrid(run_once, table):
+def test_e06_discrete_hybrid(table):
     def experiment():
         return compare_optimizers(
             {
@@ -64,7 +64,7 @@ def test_e06_discrete_hybrid(run_once, table):
             n_seeds=N_SEEDS,
         )
 
-    results = run_once(experiment)
+    results = experiment()
     rows = []
     for name, comp in results.items():
         # How often did the method's final best use the truly fastest flush

@@ -28,7 +28,7 @@ def _runner(mode, seed):
     return ParallelRunner(opt, db.evaluator(WORKLOAD, "throughput"), n_workers=WORKERS, mode=mode)
 
 
-def test_e07_parallel_modes(run_once, table):
+def test_e07_parallel_modes(table):
     def experiment():
         out = {}
         for mode in ("serial", "sync", "async"):
@@ -39,7 +39,7 @@ def test_e07_parallel_modes(run_once, table):
             )
         return out
 
-    results = run_once(experiment)
+    results = experiment()
     rows = [
         (mode, wall, best, results["serial"][0] / wall)
         for mode, (wall, best) in results.items()

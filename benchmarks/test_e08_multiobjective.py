@@ -28,7 +28,7 @@ def _run(opt_cls, seed):
     return opt
 
 
-def test_e08_pareto_front(run_once, table):
+def test_e08_pareto_front(table):
     def experiment():
         out = {}
         for name, cls in (("parego", ParEGOOptimizer), ("linear", LinearScalarizationOptimizer)):
@@ -45,7 +45,7 @@ def test_e08_pareto_front(run_once, table):
             out[name] = (float(np.mean(hvs)), float(np.mean(fronts)), float(np.mean(spans)))
         return out
 
-    results = run_once(experiment)
+    results = experiment()
     rows = [(name, hv, n, span) for name, (hv, n, span) in results.items()]
     table(
         f"E8 (slide 58) — latency vs memory Pareto front, budget={BUDGET}",

@@ -41,7 +41,7 @@ def _strip_conditions(space: ConfigurationSpace) -> ConfigurationSpace:
     return flat
 
 
-def test_e09_constraints_and_structure(run_once, table):
+def test_e09_constraints_and_structure(table):
     def experiment():
         # (a) Declared vs undeclared constraint: count crashed trials.
         crash_counts = {}
@@ -69,7 +69,7 @@ def test_e09_constraints_and_structure(run_once, table):
             struct_best[label] = float(np.mean(bests))
         return crash_counts, struct_best
 
-    crash_counts, struct_best = run_once(experiment)
+    crash_counts, struct_best = experiment()
     table(
         f"E9a (slide 60) — declared vs undeclared constraint, {BUDGET} random trials",
         ["constraint handling", "mean crashed trials"],

@@ -72,7 +72,7 @@ def _run(make_opt, seed):
     return res.best_value, float(curve[EARLY - 1])
 
 
-def test_e10_llamatune(run_once, table):
+def test_e10_llamatune(table):
     def experiment():
         methods = {
             "random": lambda space, s: RandomSearchOptimizer(space, THROUGHPUT, seed=s),
@@ -89,7 +89,7 @@ def test_e10_llamatune(run_once, table):
             out[name] = (float(np.mean(earlies)), float(np.mean(finals)))
         return out
 
-    results = run_once(experiment)
+    results = experiment()
     rows = [(name, early, final) for name, (early, final) in results.items()]
     table(
         f"E10 (slide 62) — LlamaTune projection, {21 + N_INERT}-knob space, {WORKLOAD.name} "

@@ -36,7 +36,7 @@ def _run(space_fn, seed):
     return res.best_value, float(res.incumbent_curve()[EARLY - 1])
 
 
-def test_e11_manual_discovery(run_once, table):
+def test_e11_manual_discovery(table):
     extractor = ManualKnowledgeExtractor()
 
     def experiment():
@@ -65,7 +65,7 @@ def test_e11_manual_discovery(run_once, table):
         )[0, 1])
         return out, rho
 
-    results, rho = run_once(experiment)
+    results, rho = experiment()
     rows = [(name, early, final) for name, (early, final) in results.items()]
     table(
         f"E11 (slides 63-64) — manual-driven knob discovery on {WORKLOAD.name}",

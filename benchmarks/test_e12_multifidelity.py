@@ -81,7 +81,7 @@ def _bp_sensitivity(warehouses):
     return big / small
 
 
-def test_e12_multifidelity(run_once, table):
+def test_e12_multifidelity(table):
     def experiment():
         mf = [_run_multifidelity(seed) for seed in range(N_SEEDS)]
         sf = [_run_single_fidelity(seed) for seed in range(N_SEEDS)]
@@ -93,7 +93,7 @@ def test_e12_multifidelity(run_once, table):
             sens,
         )
 
-    mf_best, mf_cost, mf_points, sf_best, sf_cost, sf_points, sens = run_once(experiment)
+    mf_best, mf_cost, mf_points, sf_best, sf_cost, sf_points, sens = experiment()
     table(
         f"E12 (slide 65) — multi- vs single-fidelity at equal cost ({COST_BUDGET:g} units)",
         ["method", "best full-scale tput", f"cost to reach {TARGET:g}", "configs sampled"],

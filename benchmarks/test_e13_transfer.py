@@ -52,7 +52,7 @@ def _tune(seed, bank=None, max_distance=None):
     return float(session_curve[EARLY - 1]), res.best_value, crashes
 
 
-def test_e13_knowledge_transfer(run_once, table):
+def test_e13_knowledge_transfer(table):
     def experiment():
         similar = [_prior_run(ycsb("a"), s) for s in range(1)]
         dissimilar = [_prior_run(tpch(10), s) for s in range(1)]
@@ -78,7 +78,7 @@ def test_e13_knowledge_transfer(run_once, table):
             )
         return scenarios
 
-    scenarios = run_once(experiment)
+    scenarios = experiment()
     rows = [(k, e, f, c) for k, (e, f, c) in scenarios.items()]
     table(
         f"E13 (slide 67) — warm starts on a perturbed ycsb-a, budget={BUDGET}",

@@ -33,7 +33,7 @@ def _tune_subspace(names, seed):
     return TuningSession(opt, db.evaluator(WORKLOAD, "throughput"), max_trials=TUNE_BUDGET).run().best_value
 
 
-def test_e14_knob_importance(run_once, table):
+def test_e14_knob_importance(table):
     def experiment():
         db = _db(0)
         opt = RandomSearchOptimizer(db.space, THROUGHPUT, seed=0)
@@ -51,7 +51,7 @@ def test_e14_knob_importance(run_once, table):
         default = _db(9).run(WORKLOAD, config=_db(9).space.default_configuration()).throughput
         return db, lasso, perm, results, default
 
-    db, lasso, perm, results, default = run_once(experiment)
+    db, lasso, perm, results, default = experiment()
     table(
         f"E14 (slide 68) — knob rankings from {HISTORY_TRIALS} random trials",
         ["rank", "lasso", "permutation"],

@@ -42,7 +42,7 @@ def _run(seed, with_abort):
     return res.best_value, res.total_cost, (policy.aborts if policy else 0)
 
 
-def test_e15_early_abort(run_once, table):
+def test_e15_early_abort(table):
     def experiment():
         out = {}
         for label, with_abort in (("no-abort", False), ("early-abort@1.5x", True)):
@@ -51,7 +51,7 @@ def test_e15_early_abort(run_once, table):
             out[label] = (float(np.mean(bests)), float(np.mean(costs)), float(np.mean(aborts)))
         return out
 
-    results = run_once(experiment)
+    results = experiment()
     rows = [(k, b, c, a) for k, (b, c, a) in results.items()]
     table(
         f"E15 (slide 69) — early abort on Spark TPC-H Q1, {BUDGET} trials",

@@ -81,7 +81,7 @@ def _run(kind, seed):
     return _true_value(res.best_config), res.total_cost
 
 
-def test_e16_noise_strategies(run_once, table):
+def test_e16_noise_strategies(table):
     def experiment():
         out = {}
         for kind in ("raw", "repeat-3x", "duet", "tuna"):
@@ -94,7 +94,7 @@ def test_e16_noise_strategies(run_once, table):
             )
         return out
 
-    results = run_once(experiment)
+    results = experiment()
     rows = [(k, cv, tv, c) for k, (cv, tv, c) in results.items()]
     table(
         f"E16 (slides 70-71) — noise strategies on a nasty cloud, budget={BUDGET} trials",

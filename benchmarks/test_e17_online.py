@@ -60,7 +60,7 @@ POLICIES = {
 }
 
 
-def test_e17_online_policies(run_once, table):
+def test_e17_online_policies(table):
     def experiment():
         out = {}
         for name, make in POLICIES.items():
@@ -77,7 +77,7 @@ def test_e17_online_policies(run_once, table):
         reg_off = guard_off.regression_steps(baseline, tolerance=0.3, minimize=False)
         return out, reg_on, reg_off
 
-    results, reg_on, reg_off = run_once(experiment)
+    results, reg_on, reg_off = experiment()
     rows = [(k, a, p, c) for k, (a, p, c) in results.items()]
     table(
         f"E17 (slides 79-84) — online policies, ycsb-b -> tpcc shift at t={PHASE}",

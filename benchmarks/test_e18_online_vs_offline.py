@@ -60,7 +60,7 @@ def _run(policy_factory, seed):
     return float(values[:PHASE1].mean()), float(values[PHASE1:].mean()), float(values.mean())
 
 
-def test_e18_online_vs_offline(run_once, table):
+def test_e18_online_vs_offline(table):
     def experiment():
         out = {}
         strategies = {
@@ -76,7 +76,7 @@ def test_e18_online_vs_offline(run_once, table):
             out[name] = tuple(float(np.mean(col)) for col in zip(*runs))
         return out
 
-    results = run_once(experiment)
+    results = experiment()
     rows = [(k, pre, post, overall) for k, (pre, post, overall) in results.items()]
     table(
         f"E18 (slides 86-87) — online vs offline across a shift at t={PHASE1}",

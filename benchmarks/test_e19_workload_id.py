@@ -43,7 +43,7 @@ def _tuned_config(db, workload, seed):
     return TuningSession(opt, db.evaluator(workload, "throughput"), max_trials=25).run().best_config
 
 
-def test_e19_workload_identification(run_once, table):
+def test_e19_workload_identification(table):
     def experiment():
         rng = np.random.default_rng(0)
         # 1. Clustering noisy observations of each family.
@@ -86,7 +86,7 @@ def test_e19_workload_identification(run_once, table):
                 alarms.append(t)
         return accuracy, silhouette, matched_name, reuse_tput, default_tput, scratch_tput, alarms
 
-    accuracy, silhouette, matched, reuse, default, scratch, alarms = run_once(experiment)
+    accuracy, silhouette, matched, reuse, default, scratch, alarms = experiment()
     table(
         "E19 (slides 88-91) — embedding quality",
         ["metric", "value"],

@@ -90,7 +90,7 @@ def _autotuner(spark, evaluate, seed):
     return res.best_value
 
 
-def test_e20_spark_game(run_once, table):
+def test_e20_spark_game(table):
     def experiment():
         rows = []
         for seed in range(2):
@@ -103,7 +103,7 @@ def test_e20_spark_game(run_once, table):
             rows.append((seed, default_runtime, human, bot))
         return rows
 
-    rows = run_once(experiment)
+    rows = experiment()
     table(
         f"E20a (slide 14) — Spark tuning game: TPC-H Q1 runtime, {TRIES} tries",
         ["seed", "default (s)", "human greedy (s)", "autotuner (s)"],
@@ -116,7 +116,7 @@ def test_e20_spark_game(run_once, table):
     assert bot_mean < default_mean * 0.6  # and crushes the default
 
 
-def test_e20_synthetic_benchmark(run_once, table):
+def test_e20_synthetic_benchmark(table):
     def experiment():
         # A library with scale variants so the mixture can match volume
         # characteristics, not just the operation mix.
@@ -141,7 +141,7 @@ def test_e20_synthetic_benchmark(run_once, table):
         mix = {w.name: round(float(wt), 3) for w, wt in zip(library, weights) if wt > 0}
         return results, mix
 
-    results, mix = run_once(experiment)
+    results, mix = experiment()
     table(
         "E20b (slide 92) — synthetic benchmark generation: production throughput",
         ["config source", "throughput on production"],

@@ -24,7 +24,7 @@ from repro.workloads import tpcc
 from benchmarks.conftest import THROUGHPUT
 
 
-def test_e21a_constant_liar(run_once, table):
+def test_e21a_constant_liar(table):
     def experiment():
         space = ConfigurationSpace("cl", seed=0)
         for i in range(3):
@@ -48,7 +48,7 @@ def test_e21a_constant_liar(run_once, table):
 
         return batch_spread(True), batch_spread(False)
 
-    with_liar, without = run_once(experiment)
+    with_liar, without = experiment()
     table(
         "E21a — constant-liar batch diversity (mean pairwise distance)",
         ["mode", "batch spread"],
@@ -57,7 +57,7 @@ def test_e21a_constant_liar(run_once, table):
     assert with_liar > without * 1.5
 
 
-def test_e21b_tuna_rungs(run_once, table):
+def test_e21b_tuna_rungs(table):
     def experiment():
         out = {}
         for rungs in ((1,), (1, 3), (1, 5)):
@@ -77,7 +77,7 @@ def test_e21b_tuna_rungs(run_once, table):
             out[str(rungs)] = (float(np.std(values) / np.mean(values)), cost)
         return out
 
-    results = run_once(experiment)
+    results = experiment()
     table(
         "E21b — TUNA rung-schedule ablation (one fixed config, 10 evaluations)",
         ["rungs", "score CV", "total cost (s)"],
@@ -89,7 +89,7 @@ def test_e21b_tuna_rungs(run_once, table):
     assert results["(1, 5)"][1] > results["(1,)"][1]
 
 
-def test_e21c_safety_tolerance(run_once, table):
+def test_e21c_safety_tolerance(table):
     def experiment():
         space = ConfigurationSpace("cliff", seed=0)
         space.add(FloatParameter("x", 0.0, 1.0, default=0.2))
@@ -112,7 +112,7 @@ def test_e21c_safety_tolerance(run_once, table):
             out[tol] = (float(np.mean(visits)), float(np.mean(bests)))
         return out
 
-    results = run_once(experiment)
+    results = experiment()
     table(
         "E21c — SafeBO safety-tolerance ablation (cliff at x > 0.7)",
         ["tolerance", "mean cliff visits", "mean best"],

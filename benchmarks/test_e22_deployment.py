@@ -42,7 +42,7 @@ def _tune(db, space, seed):
     return res.best_value, res.total_cost, db.restart_count
 
 
-def test_e22_deployment_levels(run_once, table):
+def test_e22_deployment_levels(table):
     def experiment():
         out = {}
         # (a) tune everything: startup knobs restart the server per change.
@@ -61,7 +61,7 @@ def test_e22_deployment_levels(run_once, table):
         out["startup-once + runtime tuning"] = (best, cost, restarts)
         return out
 
-    results = run_once(experiment)
+    results = experiment()
     rows = [(k, b, c, r) for k, (b, c, r) in results.items()]
     table(
         f"E22 (slide 19) — deployment levels, {BUDGET} trials each",

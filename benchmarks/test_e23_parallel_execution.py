@@ -47,7 +47,7 @@ def _run(executor, callbacks=()):
     return result, wall
 
 
-def test_e23_threadpool_speedup_and_trace(run_once, table, tmp_path):
+def test_e23_threadpool_speedup_and_trace(table, tmp_path):
     export_path = tmp_path / "trace.json"
 
     def experiment():
@@ -59,7 +59,7 @@ def test_e23_threadpool_speedup_and_trace(run_once, table, tmp_path):
         )
         return serial_wall, parallel_wall, result, telemetry.trace
 
-    serial_wall, parallel_wall, result, trace = run_once(experiment)
+    serial_wall, parallel_wall, result, trace = experiment()
     speedup = serial_wall / parallel_wall
     table(
         f"E23 — parallel execution, {TRIALS} trials, batch={BATCH}, {SLEEP_S*1000:.0f} ms each",

@@ -33,9 +33,8 @@ from .core import Objective, TuningSession
 from .core.manager import make_optimizer, optimizer_names
 from .exceptions import ReproError
 from .targets import SYSTEMS as _SYSTEMS
-from .targets import make_system as _targets_make_system
+from .targets import make_system, objective_for
 from .targets import make_workload as _make_workload
-from .targets import objective_for
 from .telemetry import SessionTrace, TelemetryCallback, export_chrome_trace
 from .telemetry.analyzer import format_report, load_trace
 from .sysim import CloudEnvironment, SparkCluster
@@ -48,14 +47,6 @@ _OPTIMIZER_OPTIONS = {
     "bo": {"n_candidates": 192},
     "smac": {"n_candidates": 192},
 }
-
-
-def _make_system(name: str, seed: int, noise: float):
-    return _targets_make_system(name, seed=seed, noise=noise)
-
-
-def _objective_for(system: str, metric: str) -> Objective:
-    return objective_for(metric)
 
 
 def _make_optimizer(name: str, space, seed: int, objective: Objective):
@@ -78,9 +69,9 @@ def _summary_line(trace: SessionTrace) -> str:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    system = _make_system(args.system, args.seed, args.noise)
+    system = make_system(args.system, args.seed, args.noise)
     workload = _make_workload(args.system, args.workload)
-    objective = _objective_for(args.system, args.metric)
+    objective = objective_for(args.metric)
     default = system.run(workload, config=system.space.default_configuration()).metric(args.metric)
     optimizer = _make_optimizer(args.optimizer, system.space, args.seed, objective)
     telemetry = TelemetryCallback(
@@ -107,10 +98,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    objective = _objective_for(args.system, args.metric)
+    objective = objective_for(args.metric)
 
     def evaluator_factory(seed):
-        system = _make_system(args.system, seed, args.noise)
+        system = make_system(args.system, seed, args.noise)
         workload = _make_workload(args.system, args.workload)
         return system.evaluator(workload, args.metric)
 
@@ -119,7 +110,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         name = name.strip()
 
         def factory(seed, _name=name):
-            space = _make_system(args.system, seed, args.noise).space
+            space = make_system(args.system, seed, args.noise).space
             return _make_optimizer(_name, space, seed, objective)
 
         factories[name] = factory
@@ -178,9 +169,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_importance(args: argparse.Namespace) -> int:
-    system = _make_system(args.system, args.seed, args.noise)
+    system = make_system(args.system, args.seed, args.noise)
     workload = _make_workload(args.system, args.workload)
-    objective = _objective_for(args.system, args.metric)
+    objective = objective_for(args.metric)
     optimizer = make_optimizer("random", system.space, objective, seed=args.seed)
     telemetry = TelemetryCallback(
         export_path=args.trace_out, metrics_path=args.metrics_out,
@@ -271,7 +262,7 @@ def _cmd_lint_space(args: argparse.Namespace) -> int:
     names = [args.system] if args.system else list(_SYSTEMS)
     failed = False
     for name in names:
-        system = _make_system(name, seed=0, noise=0.0)
+        system = make_system(name, seed=0, noise=0.0)
         report = lint_space(system.space, ignore=args.ignore)
         if report.clean and not report.suppressed:
             print(f"lint {report.target}: {report.summary()}")

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..exceptions import OptimizerError
 from .optimizer import Trial
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,7 +131,7 @@ class StopWhenReached(Callback):
         obj = session.optimizer.objective
         try:
             best = session.optimizer.history.best_value(obj)
-        except Exception:
+        except OptimizerError:  # no completed trial yet
             return False
         return obj.score(best) <= obj.score(self.target)
 

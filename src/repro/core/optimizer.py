@@ -140,6 +140,10 @@ class History:
     def __iter__(self):
         return iter(self._trials)
 
+    def __getitem__(self, trial_id: int) -> Trial:
+        """The trial with this id — ids are contiguous from 0, so O(1)."""
+        return self._trials[trial_id]
+
     def add(self, trial: Trial) -> None:
         self._trials.append(trial)
 
@@ -149,11 +153,17 @@ class History:
     def failed(self) -> list[Trial]:
         return [t for t in self._trials if t.status in (TrialStatus.FAILED, TrialStatus.ABORTED)]
 
-    def with_metrics(self, objective: Objective | None = None) -> list[Trial]:
-        """Trials usable as surrogate training data: successes plus
-        failures carrying imputed metrics (so models learn crash regions)."""
-        obj = objective or self.primary
-        return [t for t in self._trials if obj.name in t.metrics]
+    @staticmethod
+    def crash_score(real_scores: np.ndarray, crash_penalty_factor: float) -> float:
+        """Pessimistic score for a failed trial, given the real ones so far.
+
+        Knowledge-transfer slide: *Bad: no score (e.g. crashed)? Make it up!
+        N × worst score measured* — pushed strictly further in the bad
+        direction whatever the score's sign (maximize objectives have
+        negative scores).
+        """
+        worst = float(real_scores.max())
+        return worst + (crash_penalty_factor - 1.0) * abs(worst) + 1e-9
 
     def training_data(
         self,
@@ -169,14 +179,11 @@ class History:
         obj = objective or self.primary
         real = self.completed()
         real_scores = np.array([obj.score(t.metric(obj.name)) for t in real])
-        failed = [t for t in self._trials if t.status in (TrialStatus.FAILED, TrialStatus.ABORTED)]
         if len(real_scores) == 0:
             return real, real_scores
-        worst = float(real_scores.max())
-        imputed = worst + (crash_penalty_factor - 1.0) * abs(worst) + 1e-9
-        trials = real + failed
-        scores = np.concatenate([real_scores, np.full(len(failed), imputed)])
-        return trials, scores
+        failed = self.failed()
+        imputed = self.crash_score(real_scores, crash_penalty_factor)
+        return real + failed, np.concatenate([real_scores, np.full(len(failed), imputed)])
 
     def scores(self, objective: Objective | None = None) -> np.ndarray:
         """Canonical minimize-scores of completed trials, in trial order."""
@@ -194,12 +201,6 @@ class History:
         obj = objective or self.primary
         return self.best(obj).metric(obj.name)
 
-    def worst_score(self, objective: Objective | None = None) -> float:
-        scores = self.scores(objective)
-        if len(scores) == 0:
-            raise OptimizerError("no completed trials yet")
-        return float(scores.max())
-
     def incumbent_curve(self, objective: Objective | None = None) -> np.ndarray:
         """Best-so-far metric value after each trial (failed trials repeat).
 
@@ -216,16 +217,6 @@ class History:
 
     def total_cost(self) -> float:
         return float(sum(t.cost for t in self._trials))
-
-    def to_arrays(self, space: ConfigurationSpace, objective: Objective | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(X, y) training data: unit-encoded configs and minimize-scores."""
-        obj = objective or self.primary
-        done = self.completed()
-        if not done:
-            return np.empty((0, space.n_dims)), np.empty(0)
-        X = np.stack([space.to_unit_array(t.config) for t in done])
-        y = np.array([obj.score(t.metric(obj.name)) for t in done])
-        return X, y
 
 
 class Optimizer(ABC):
@@ -340,26 +331,14 @@ class Optimizer(ABC):
         """Record a trial result and update the internal model."""
         if isinstance(metrics, (int, float, np.floating, np.integer)):
             metrics = {self.objective.name: float(metrics)}
-        trial = Trial(
-            trial_id=self._next_trial_id,
-            config=config,
-            status=status,
-            metrics={k: float(v) for k, v in metrics.items()},
-            cost=float(cost),
-            fidelity=fidelity,
-            context=dict(context or {}),
-        )
-        self._next_trial_id += 1
-        if trial.ok:
+        metrics = {k: float(v) for k, v in metrics.items()}
+        if status is TrialStatus.SUCCEEDED:
             for obj in self.objectives:
-                if obj.name not in trial.metrics:
+                if obj.name not in metrics:
                     raise OptimizerError(
-                        f"completed trial is missing objective metric {obj.name!r}; got {sorted(trial.metrics)}"
+                        f"completed trial is missing objective metric {obj.name!r}; got {sorted(metrics)}"
                     )
-        self.history.add(trial)
-        self._update_history_sha(trial)
-        self._on_observe(trial)
-        return trial
+        return self._ingest(config, metrics, cost, status, fidelity, context)
 
     def observe_failure(
         self,
@@ -368,44 +347,43 @@ class Optimizer(ABC):
         status: TrialStatus = TrialStatus.FAILED,
         context: Mapping[str, Any] | None = None,
     ) -> Trial:
-        """Record a crashed/aborted trial, imputing a pessimistic score.
-
-        Knowledge-transfer slide: *Bad: no score (e.g. crashed)? Make it up!
-        N × worst_score_measured* — the imputed value steers the model away
-        from the crash region without poisoning the scale too badly.
-        """
+        """Record a crashed/aborted trial under a pessimistic imputed score
+        (:meth:`History.crash_score`), which steers the model away from the
+        crash region without poisoning the scale too badly."""
         metrics: dict[str, float] = {}
         for obj in self.objectives:
             scores = self.history.scores(obj)
-            if len(scores) > 0:
-                worst = float(scores.max())
-                # Push strictly further in the bad direction, regardless of
-                # the score's sign (maximize objectives have negative scores).
-                imputed_score = worst + (self.crash_penalty_factor - 1.0) * abs(worst) + 1e-9
-                imputed = obj.unscore(imputed_score)
-            else:
-                imputed = obj.unscore(1e9)
-            metrics[obj.name] = imputed
+            imputed = History.crash_score(scores, self.crash_penalty_factor) if len(scores) else 1e9
+            metrics[obj.name] = obj.unscore(imputed)
+        return self._ingest(config, metrics, cost, status, fidelity=None, context=context)
+
+    def _ingest(
+        self,
+        config: Configuration,
+        metrics: dict[str, float],
+        cost: float,
+        status: TrialStatus,
+        fidelity: float | None,
+        context: Mapping[str, Any] | None,
+    ) -> Trial:
+        """The one way a trial enters: id, history, running digest, model hook."""
         trial = Trial(
             trial_id=self._next_trial_id,
             config=config,
             status=status,
             metrics=metrics,
             cost=float(cost),
+            fidelity=fidelity,
             context=dict(context or {}),
         )
         self._next_trial_id += 1
         self.history.add(trial)
         self._update_history_sha(trial)
-        self._on_observe_failure(trial)
+        self._on_observe(trial)
         return trial
 
     def _on_observe(self, trial: Trial) -> None:
-        """Hook: update the surrogate after a successful trial."""
-
-    def _on_observe_failure(self, trial: Trial) -> None:
-        """Hook: by default failures (with imputed metrics) train the model too."""
-        self._on_observe(trial)
+        """Hook: update the model after any trial; failures arrive with imputed metrics."""
 
     # -- provenance ---------------------------------------------------------------
     def _update_history_sha(self, trial: Trial) -> None:

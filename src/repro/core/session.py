@@ -261,7 +261,7 @@ class TuningSession:
                         session_id=self.session_id,
                         spilled=len(self._spill),
                     )
-            return self.optimizer.history.trials[trial_id], True
+            return self.optimizer.history[trial_id], True
         config = self._pending_asks.pop(report.ask_id, None) if report.ask_id is not None else None
         ask_info = self._ask_meta.pop(report.ask_id, None) if report.ask_id is not None else None
         if config is None:

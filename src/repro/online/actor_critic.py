@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..exceptions import OptimizerError
+from ..exceptions import OptimizerError, SpaceError
 from ..space import Configuration, ConfigurationSpace
 from ..space.params import CategoricalParameter
 from .agent import OnlinePolicy
@@ -99,7 +99,7 @@ class ActorCriticTuner(OnlinePolicy):
             values[k] = self.space[k].from_unit(float(u))
         try:
             return self.space.make(values)
-        except Exception:
+        except SpaceError:
             # Infeasible joint move: fall back to the mean action.
             for k, u in zip(self.knobs, mean):
                 values[k] = self.space[k].from_unit(float(u))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Objective, Optimizer, Trial
-from ..exceptions import OptimizerError
+from ..exceptions import OptimizerError, SpaceError
 from ..space import Configuration, ConfigurationSpace
 from .agent import OnlinePolicy
 
@@ -77,7 +77,7 @@ class GeneticAlgorithmOptimizer(Optimizer):
             values[name] = a[name] if self.rng.random() < 0.5 else b[name]
         try:
             return self.space.make(values)
-        except Exception:
+        except SpaceError:
             return a  # infeasible child: keep a parent
 
     def _mutate(self, config: Configuration) -> Configuration:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..exceptions import OptimizerError
+from ..exceptions import OptimizerError, SpaceError
 from ..space import Configuration, ConfigurationSpace
 from .agent import OnlinePolicy
 
@@ -76,7 +76,7 @@ class GreedyOnlineTuner(OnlinePolicy):
             values[name] = param.neighbor(values[name], self.rng)
         try:
             return self.space.make(values)
-        except Exception:
+        except SpaceError:
             return self.current
 
     def propose(self, observation: np.ndarray) -> Configuration:

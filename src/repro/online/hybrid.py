@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import OptimizerError
+from ..exceptions import OptimizerError, SpaceError
 from ..space import Configuration, ConfigurationSpace
 from ..space.params import CategoricalParameter
 from .agent import OnlinePolicy
@@ -103,7 +103,7 @@ class HybridBanditTuner(OnlinePolicy):
             values[k] = self.space[k].choices[bandit.pull()]
         try:
             return self.space.make(values)
-        except Exception:
+        except SpaceError:
             # Infeasible probe: propose the unperturbed centre instead.
             for k, u in zip(self.numeric_knobs, self.center):
                 values[k] = self.space[k].from_unit(float(u))

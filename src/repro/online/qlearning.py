@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..exceptions import OptimizerError
+from ..exceptions import OptimizerError, SpaceError
 from ..space import Configuration, ConfigurationSpace
 from ..space.params import CategoricalParameter
 from .agent import OnlinePolicy
@@ -92,7 +92,7 @@ class QLearningTuner(OnlinePolicy):
             values[name] = param.from_unit(float(np.clip(u, 0.0, 1.0)))
         try:
             return self.space.make(values)
-        except Exception:
+        except SpaceError:
             return self._config  # infeasible move: hold position
 
     # -- OnlinePolicy -----------------------------------------------------------

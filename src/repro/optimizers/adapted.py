@@ -68,6 +68,3 @@ class ProjectedOptimizer(Optimizer):
             self.inner.observe(latent, trial.metrics, cost=trial.cost)
         else:
             self.inner.observe(latent, trial.metrics, cost=trial.cost, status=trial.status)
-
-    def _on_observe_failure(self, trial: Trial) -> None:
-        self._on_observe(trial)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Objective, Optimizer, Trial
-from ..exceptions import OptimizerError
+from ..exceptions import OptimizerError, SpaceError
 from ..space import Configuration, ConfigurationSpace
 
 __all__ = ["BestConfigOptimizer"]
@@ -55,7 +55,7 @@ class BestConfigOptimizer(Optimizer):
         for row in grid:
             try:
                 out.append(self.space.from_unit_array(row, check_constraints=True))
-            except Exception:
+            except SpaceError:
                 # One draw per rare infeasible LHS row, not a hot loop.
                 out.append(self.space.sample(self.rng))  # repro: noqa AST204
         return out
@@ -72,7 +72,7 @@ class BestConfigOptimizer(Optimizer):
             point = lo + row * (hi - lo)
             try:
                 out.append(self.space.from_unit_array(point, check_constraints=True))
-            except Exception:
+            except SpaceError:
                 # Same: fallback for the occasional infeasible box point.
                 out.append(self.space.neighbor(center, self.rng, scale=self._radius))  # repro: noqa AST204
         return out

@@ -117,6 +117,3 @@ class EnsembleOptimizer(Optimizer):
                 member.observe(trial.config, trial.metrics, cost=trial.cost)
             else:
                 member.observe(trial.config, trial.metrics, cost=trial.cost, status=trial.status)
-
-    def _on_observe_failure(self, trial: Trial) -> None:
-        self._on_observe(trial)

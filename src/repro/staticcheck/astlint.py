@@ -25,9 +25,10 @@ replay work depend on but nothing previously enforced:
   per-configuration Python overhead once per candidate; the batched
   ``sample_many``/``neighbor_many`` equivalents draw every parameter
   column vectorized.
-* **AST301 — swallowed exceptions in executor/service code.** A bare
-  ``except:`` (or ``except Exception``) that neither re-raises nor leaves
-  a trace in the event log / metrics turns crash-recovery bugs invisible.
+* **AST301 — swallowed exceptions in service, executor, optimizer, online
+  and core code.** A bare ``except:`` (or a handler for ``Exception``) that
+  neither re-raises nor leaves a trace in the event log / metrics turns
+  crash-recovery bugs invisible and programming errors into fallbacks.
 * **AST401 — span/event names outside the telemetry registry.** Names are
   a closed vocabulary (:mod:`repro.telemetry.naming`); a typo creates a
   new series instead of extending one.
@@ -99,6 +100,8 @@ _STDLIB_RANDOM_FNS = {
 #: Handler calls that count as "the failure left a trace".
 _EVIDENCE_CALLS = {"emit_event", "inc", "observe", "warn", "warning", "error",
                    "exception", "log", "record_event", "set_gauge"}
+#: Packages where AST301 applies: a fallback there must name the failure it is for.
+_SWALLOW_SCOPE = ("repro/service", "repro/execution", "repro/optimizers", "repro/online", "repro/core")
 
 
 def _dotted(node: ast.expr) -> str:
@@ -126,13 +129,13 @@ class _FileChecker(ast.NodeVisitor):
         path: str,
         source: str,
         in_service: bool,
-        in_executor: bool,
+        in_swallow_scope: bool,
         in_optimizers: bool = False,
     ) -> None:
         self.path = path
         self.lines = source.splitlines()
         self.in_service = in_service
-        self.in_executor = in_executor
+        self.in_swallow_scope = in_swallow_scope
         self.in_optimizers = in_optimizers
         self.findings: list[Finding] = []
         self._async_depth = 0
@@ -341,7 +344,7 @@ class _FileChecker(ast.NodeVisitor):
 
     # -- exception handlers --------------------------------------------------
     def visit_Try(self, node: ast.Try) -> None:
-        if self.in_service or self.in_executor:
+        if self.in_swallow_scope:
             for handler in node.handlers:
                 self._check_handler(handler)
         self.generic_visit(node)
@@ -358,7 +361,7 @@ class _FileChecker(ast.NodeVisitor):
         self._report(
             "AST301", handler,
             f"{what} swallows the failure: the handler neither re-raises nor emits "
-            "an event/metric, so executor/service crashes disappear silently",
+            "an event/metric, so crashes and programming errors disappear silently",
             "re-raise, narrow the exception type, or emit_event/inc a metric in the handler",
         )
 
@@ -381,7 +384,7 @@ def lint_source(
     """Run every AST rule over one source text."""
     posix = Path(path).as_posix()
     in_service = "repro/service" in posix
-    in_executor = "repro/execution" in posix
+    in_swallow_scope = any(pkg in posix for pkg in _SWALLOW_SCOPE)
     in_optimizers = "repro/optimizers" in posix
     try:
         tree = ast.parse(source, filename=path)
@@ -391,7 +394,7 @@ def lint_source(
             subject=f"{path}:{err.lineno or 0}", message=f"file does not parse: {err.msg}",
             hint="fix the syntax error",
         )]
-    checker = _FileChecker(path, source, in_service, in_executor, in_optimizers)
+    checker = _FileChecker(path, source, in_service, in_swallow_scope, in_optimizers)
     checker.visit(tree)
     return checker.findings
 

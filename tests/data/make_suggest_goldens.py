@@ -2,11 +2,13 @@
 
 Records, for each of the eight model-based classes at a fixed seed, every
 configuration suggested by a scripted campaign (singles, two crashes, one
-``suggest(3)`` batch) plus the final ``state_digest_parts()``, and one
-JSON-lines journal each for ``bo`` and ``smac`` driven through
-``SessionManager``. ``tests/test_model_based.py`` re-runs the same script and
-demands exact equality, so a refactor of the suggest loop cannot move a
-single RNG draw unnoticed.
+``suggest(3)`` batch) plus the final ``state_digest_parts()`` and the work
+counters of ``surrogate_stats()``, and one JSON-lines journal each for ``bo``
+and ``smac`` driven through ``SessionManager``. ``tests/test_model_based.py``
+re-runs the same script and demands exact equality, so a refactor of the
+suggest loop can neither move a single RNG draw nor make the surrogate do
+more work (an extra kernel construction, a lost incremental Cholesky)
+unnoticed.
 
 Regenerate (only when a behaviour change is intended and explained)::
 
@@ -95,7 +97,7 @@ def build_optimizers() -> dict[str, object]:
 
 
 def run_script(opt) -> dict[str, object]:
-    """Drive ``opt`` through :data:`SCRIPT`; return suggestions + digest."""
+    """Drive ``opt`` through :data:`SCRIPT`; return suggestions, digest and work counters."""
     wanted = {obj.name for obj in opt.objectives} | set(getattr(opt, "constraint_metrics", ()))
     suggested: list[dict] = []
 
@@ -119,6 +121,8 @@ def run_script(opt) -> dict[str, object]:
         "suggestions": suggested,
         "digest": opt.state_digest_parts(),
         "digest_state": json_safe(opt._digest_state()),  # raw, so a diff is readable
+        # Counts are exact for a seed on any machine; the ``*_ms`` timings are not.
+        "counters": {k: v for k, v in opt.surrogate_stats().items() if not k.endswith("_ms")},
     }
 
 

@@ -66,19 +66,6 @@ class TestHistory:
         opt.observe(opt.suggest(1)[0], 1.0, cost=4.0)
         assert opt.history.total_cost() == 7.0
 
-    def test_to_arrays(self, simple_space):
-        opt = self.make_opt(simple_space)
-        for v in (1.0, 2.0):
-            opt.observe(opt.suggest(1)[0], v)
-        X, y = opt.history.to_arrays(simple_space)
-        assert X.shape == (2, simple_space.n_dims)
-        assert list(y) == [1.0, 2.0]
-
-    def test_to_arrays_empty(self, simple_space):
-        opt = self.make_opt(simple_space)
-        X, y = opt.history.to_arrays(simple_space)
-        assert X.shape == (0, simple_space.n_dims) and len(y) == 0
-
 
 class TestObserve:
     def test_scalar_metrics_named_after_objective(self, simple_space):

@@ -1,10 +1,9 @@
 """Surrogate hot-path correctness: incremental Cholesky parity, analytic
 NLL gradients, encoding caches, and seeded suggest determinism.
 
-These are the tier-1 (fast) counterparts of the E24 perf benchmark: they
-assert the *exactness* of every shortcut the suggest loop takes, so the
-speed claims in ``benchmarks/test_e24_surrogate_perf.py`` can never drift
-away from correctness.
+They assert the *exactness* of every shortcut the suggest loop takes; how
+much work each one saves is pinned by the ``counters`` block of
+``tests/data/suggest_goldens.json``.
 """
 
 import numpy as np

@@ -80,10 +80,13 @@ class TestSharedMachinery:
         opt = build_optimizers()[name]
         trace = SessionTrace()
         with trace.activated():
-            run_script(opt)
+            result = run_script(opt)
         spans = {op.name for op in trace.ops}
         assert {"surrogate.fit", "acquisition.optimize"} <= spans
         stats = opt.surrogate_stats()
         assert stats["degraded_total"] == 0.0  # a healthy campaign never degrades
         assert stats["encode_cache_misses"] > 0
         assert opt._encoding_cache.encoder is opt.encoder
+        # The blocking work gate: same suggestions from more fits, kernel
+        # constructions or full factorisations is a regression too.
+        assert result["counters"] == GOLDENS[name]["counters"]

@@ -81,7 +81,7 @@ class TestAskTell:
         first, dup1 = session.tell(report)
         second, dup2 = session.tell(report)
         assert (dup1, dup2) == (False, True)
-        assert second.trial_id == first.trial_id
+        assert second is first  # the recorded object, by id — not a search or a copy
         assert len(session.optimizer.history) == 1
 
     def test_ask_respects_budget(self, simple_space):

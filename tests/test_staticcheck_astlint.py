@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.staticcheck import AST_RULES, Severity, lint_paths, lint_source
 
 
@@ -174,6 +176,17 @@ class TestSwallowedExceptions:
         """)
         assert findings == []
 
+    @pytest.mark.parametrize("package", ["optimizers", "online", "core"])
+    def test_broad_except_as_fallback_in_tuner_code(self, package):
+        findings = lint("""
+            def move(self, values):
+                try:
+                    return self.space.make(values)
+                except Exception:
+                    return self.current
+        """, path=f"src/repro/{package}/mod.py")
+        assert rules_of(findings) == ["AST301"]
+
     def test_library_code_outside_scope(self):
         findings = lint("""
             def f():
@@ -181,7 +194,7 @@ class TestSwallowedExceptions:
                     g()
                 except Exception:
                     pass
-        """, path="src/repro/optimizers/mod.py")
+        """, path="src/repro/sysim/mod.py")
         assert findings == []
 
 
