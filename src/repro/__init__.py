@@ -9,6 +9,7 @@ genetic, hybrid bandits, safety), the systems substrate it all runs on
 (embeddings, shift detection, benchmark synthesis).
 """
 
+from ._lazy import lazy_exports
 from .core import (
     Callback,
     ConvergenceTracker,
@@ -45,17 +46,6 @@ from .exceptions import (
     SystemCrashError,
     TrialAbortedError,
 )
-from .optimizers import (
-    BayesianOptimizer,
-    CMAESOptimizer,
-    GridSearchOptimizer,
-    MultiArmedBanditOptimizer,
-    ParEGOOptimizer,
-    ParticleSwarmOptimizer,
-    RandomSearchOptimizer,
-    SimulatedAnnealingOptimizer,
-    SMACOptimizer,
-)
 from .space import (
     BooleanParameter,
     CategoricalParameter,
@@ -66,6 +56,23 @@ from .space import (
 )
 
 __version__ = "1.0.0"
+
+# The optimizer classes resolve through repro.optimizers on first use, so
+# ``import repro`` loads no surrogate model and no scipy.
+_OPTIMIZERS = dict.fromkeys(
+    (
+        "BayesianOptimizer",
+        "CMAESOptimizer",
+        "GridSearchOptimizer",
+        "MultiArmedBanditOptimizer",
+        "ParEGOOptimizer",
+        "ParticleSwarmOptimizer",
+        "RandomSearchOptimizer",
+        "SimulatedAnnealingOptimizer",
+        "SMACOptimizer",
+    ),
+    ".optimizers",
+)
 
 __all__ = [
     "Callback",
@@ -99,15 +106,6 @@ __all__ = [
     "SpaceError",
     "SystemCrashError",
     "TrialAbortedError",
-    "BayesianOptimizer",
-    "CMAESOptimizer",
-    "GridSearchOptimizer",
-    "MultiArmedBanditOptimizer",
-    "ParEGOOptimizer",
-    "ParticleSwarmOptimizer",
-    "RandomSearchOptimizer",
-    "SimulatedAnnealingOptimizer",
-    "SMACOptimizer",
     "BooleanParameter",
     "CategoricalParameter",
     "Configuration",
@@ -115,4 +113,6 @@ __all__ = [
     "FloatParameter",
     "IntegerParameter",
     "__version__",
+    *_OPTIMIZERS,
 ]
+__getattr__, __dir__ = lazy_exports(__name__, _OPTIMIZERS)

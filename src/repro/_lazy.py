@@ -1,0 +1,26 @@
+"""PEP 562 lazy exports for the package boundaries with heavy submodules."""
+
+from __future__ import annotations
+
+import sys
+from importlib import import_module
+from typing import Any, Callable, Mapping
+
+
+def lazy_exports(package: str, table: Mapping[str, str]) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
+    """Module ``__getattr__``/``__dir__`` importing ``table[name]`` on first use of ``name``."""
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str) -> Any:
+        if name not in table:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        module = import_module(table[name], package)
+        namespace[name] = getattr(module, name)
+        # Importing ``.hyperband`` just bound the package attribute ``hyperband``
+        # to the submodule; the export of that name (the function) must win.
+        shadowed = table[name].rpartition(".")[2]
+        if table.get(shadowed) == table[name]:
+            namespace[shadowed] = getattr(module, shadowed)
+        return namespace[name]
+
+    return __getattr__, lambda: sorted({*namespace, *table})

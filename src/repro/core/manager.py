@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import time
 import warnings
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
+from .. import optimizers
 from ..exceptions import ReproError
 from ..space import ConfigurationSpace
 from ..space.serialize import space_from_dict, space_to_dict
@@ -39,35 +40,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SessionManager", "make_optimizer", "optimizer_names"]
 
 
-def _registry() -> dict[str, Callable[..., Optimizer]]:
-    # Deferred import: repro.optimizers imports repro.core, so binding the
-    # registry at module import time would be circular.
-    from ..optimizers import (
-        BayesianOptimizer,
-        BestConfigOptimizer,
-        CMAESOptimizer,
-        GridSearchOptimizer,
-        ParticleSwarmOptimizer,
-        RandomSearchOptimizer,
-        SimulatedAnnealingOptimizer,
-        SMACOptimizer,
-    )
-
-    return {
-        "random": RandomSearchOptimizer,
-        "grid": GridSearchOptimizer,
-        "bo": BayesianOptimizer,
-        "smac": SMACOptimizer,
-        "anneal": SimulatedAnnealingOptimizer,
-        "cmaes": CMAESOptimizer,
-        "pso": ParticleSwarmOptimizer,
-        "bestconfig": BestConfigOptimizer,
-    }
+# Wire name -> class exported by repro.optimizers. Looked up by name so that
+# listing the names imports no optimizer and ``create`` imports only its own.
+_REGISTRY = {
+    "random": "RandomSearchOptimizer",
+    "grid": "GridSearchOptimizer",
+    "bo": "BayesianOptimizer",
+    "smac": "SMACOptimizer",
+    "anneal": "SimulatedAnnealingOptimizer",
+    "cmaes": "CMAESOptimizer",
+    "pso": "ParticleSwarmOptimizer",
+    "bestconfig": "BestConfigOptimizer",
+}
 
 
 def optimizer_names() -> list[str]:
     """Registered optimizer names usable in session specs."""
-    return sorted(_registry())
+    return sorted(_REGISTRY)
 
 
 def make_optimizer(
@@ -78,12 +67,9 @@ def make_optimizer(
     options: Mapping[str, Any] | None = None,
 ) -> Optimizer:
     """Instantiate a registered optimizer from its wire-level spec."""
-    try:
-        cls = _registry()[name]
-    except KeyError:
-        raise ReproError(
-            f"unknown optimizer {name!r}; choose from {optimizer_names()}"
-        ) from None
+    if name not in _REGISTRY:
+        raise ReproError(f"unknown optimizer {name!r}; choose from {optimizer_names()}")
+    cls = getattr(optimizers, _REGISTRY[name])
     try:
         return cls(space, objectives=list(objectives) if isinstance(objectives, Sequence) else objectives, seed=seed, **dict(options or {}))
     except TypeError as err:

@@ -1,33 +1,28 @@
 """Online tuning: agents, RL policies, GAs, hybrid bandits, safety."""
 
-from .actor_critic import ActorCriticTuner
-from .adapters import OnlinePolicyOptimizer, OptimizerPolicy
-from .agent import OnlinePolicy, OnlineResult, OnlineStepRecord, OnlineTuningAgent
-from .contextual import ContextualBOTuner, StaticConfigPolicy
-from .genetic import GeneticAlgorithmOptimizer, GeneticOnlineTuner
-from .greedy import GreedyOnlineTuner
-from .hybrid import HybridBanditTuner
-from .proactive import ProactiveForecastTuner
-from .qlearning import QLearningTuner
-from .safety import Guardrail, GuardrailVerdict, SafeBayesianOptimizer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ActorCriticTuner",
-    "OnlinePolicyOptimizer",
-    "OptimizerPolicy",
-    "OnlinePolicy",
-    "OnlineResult",
-    "OnlineStepRecord",
-    "OnlineTuningAgent",
-    "ContextualBOTuner",
-    "StaticConfigPolicy",
-    "GeneticAlgorithmOptimizer",
-    "GeneticOnlineTuner",
-    "GreedyOnlineTuner",
-    "HybridBanditTuner",
-    "ProactiveForecastTuner",
-    "QLearningTuner",
-    "Guardrail",
-    "GuardrailVerdict",
-    "SafeBayesianOptimizer",
-]
+# Public name -> defining submodule, imported on first use (see repro.optimizers).
+_EXPORTS = {
+    "ActorCriticTuner": ".actor_critic",
+    "OnlinePolicyOptimizer": ".adapters",
+    "OptimizerPolicy": ".adapters",
+    "OnlinePolicy": ".agent",
+    "OnlineResult": ".agent",
+    "OnlineStepRecord": ".agent",
+    "OnlineTuningAgent": ".agent",
+    "ContextualBOTuner": ".contextual",
+    "StaticConfigPolicy": ".contextual",
+    "GeneticAlgorithmOptimizer": ".genetic",
+    "GeneticOnlineTuner": ".genetic",
+    "GreedyOnlineTuner": ".greedy",
+    "HybridBanditTuner": ".hybrid",
+    "ProactiveForecastTuner": ".proactive",
+    "QLearningTuner": ".qlearning",
+    "Guardrail": ".safety",
+    "GuardrailVerdict": ".safety",
+    "SafeBayesianOptimizer": ".safety",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

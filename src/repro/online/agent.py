@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,7 +25,9 @@ from ..telemetry.spans import emit_event, span, trial_scope
 from ..space import Configuration
 from ..sysim.system import SimulatedSystem
 from ..workloads import WorkloadTrace
-from .safety import Guardrail
+
+if TYPE_CHECKING:  # pragma: no cover - .safety loads the GP; the agent only names the type
+    from .safety import Guardrail
 
 __all__ = ["OnlinePolicy", "OnlineTuningAgent", "OnlineStepRecord", "OnlineResult"]
 

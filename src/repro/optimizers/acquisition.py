@@ -16,7 +16,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from ..exceptions import OptimizerError
 
@@ -68,6 +68,15 @@ def generate_candidates(
     return cands
 
 
+# The standard normal's CDF and density, written out: scipy's distribution
+# object returns the same bits, but importing it loads most of scipy.
+_norm_cdf = ndtr
+
+
+def _norm_pdf(z: np.ndarray) -> np.ndarray:
+    return np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
+
+
 class AcquisitionFunction(ABC):
     """Scores candidate points given posterior mean/std and the incumbent."""
 
@@ -95,7 +104,7 @@ class ProbabilityOfImprovement(AcquisitionFunction):
     def __call__(self, mean: np.ndarray, std: np.ndarray, best: float) -> np.ndarray:
         mean, std = self._validate(mean, std)
         z = (best - self.xi - mean) / std
-        return stats.norm.cdf(z)
+        return _norm_cdf(z)
 
 
 class ExpectedImprovement(AcquisitionFunction):
@@ -110,7 +119,7 @@ class ExpectedImprovement(AcquisitionFunction):
         mean, std = self._validate(mean, std)
         delta = best - self.xi - mean
         z = delta / std
-        return delta * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+        return delta * _norm_cdf(z) + std * _norm_pdf(z)
 
 
 class LowerConfidenceBound(AcquisitionFunction):

@@ -18,12 +18,11 @@ black-box constraints are learnable.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
-
 from ..core import Objective, Trial
 from ..exceptions import OptimizerError
 from ..space import Configuration, ConfigurationSpace
 from ..space.encoding import OrdinalEncoder
+from .acquisition import _norm_cdf
 from .gp import GaussianProcessRegressor, default_kernel
 from .model_based import ModelBasedOptimizer
 
@@ -121,7 +120,7 @@ class ConstrainedBayesianOptimizer(ModelBasedOptimizer):
         weight = np.ones(len(cands))
         for model in self.constraint_models.values():
             c_mean, c_std = model.predict(X, return_std=True)
-            weight *= stats.norm.cdf(-c_mean / np.maximum(c_std, 1e-12))
+            weight *= _norm_cdf(-c_mean / np.maximum(c_std, 1e-12))
         scores = ei * weight
         if scores.max() <= self.feasibility_weight_floor:
             # Nothing both promising and plausibly feasible: chase the most

@@ -25,6 +25,8 @@ loop keeps serving other sessions.
 from __future__ import annotations
 
 import asyncio
+import resource
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -124,6 +126,8 @@ class ServiceHandlers:
         return {"ok": True, "sessions_hosted": len(self._hosted)}
 
     async def metrics_text(self) -> str:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
+        self.metrics.set_gauge("service.process.peak_rss_bytes", peak * (1 if sys.platform == "darwin" else 1024))
         return self.metrics.to_prometheus()
 
     async def list_sessions(self) -> dict[str, Any]:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats  # the reference; src/ itself never imports scipy.stats
 
 from repro.exceptions import OptimizerError
 from repro.optimizers.acquisition import (
@@ -10,7 +11,11 @@ from repro.optimizers.acquisition import (
     LowerConfidenceBound,
     ProbabilityOfImprovement,
     ThompsonSampling,
+    _norm_cdf,
+    _norm_pdf,
 )
+from repro.optimizers.constrained_bo import ConstrainedBayesianOptimizer
+from repro.space import ConfigurationSpace, FloatParameter
 
 
 MEAN = np.array([0.0, 1.0, 2.0])
@@ -127,3 +132,61 @@ def test_shape_validation():
     ei = ExpectedImprovement()
     with pytest.raises(OptimizerError):
         ei(np.zeros(3), np.zeros(2), 0.0)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal as 64-bit patterns; a NaN matches any NaN (its payload is not a value)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+class TestNormalHelpersAreScipyStatsNorm:
+    """``_norm_cdf``/``_norm_pdf`` replaced ``scipy.stats.norm`` on the claim
+    that they return the same bits, so goldens and replay digests hold."""
+
+    Z = np.concatenate([
+        np.linspace(-40.0, 40.0, 160_001),
+        np.random.default_rng(0).standard_normal(50_000) * 5.0,
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 38.5, -38.5, 1e154, -1e154, 1e-320],
+    ])
+
+    def test_cdf_bit_for_bit(self):
+        assert same_bits(_norm_cdf(self.Z), stats.norm.cdf(self.Z))
+
+    def test_pdf_bit_for_bit(self):
+        assert same_bits(_norm_pdf(self.Z), stats.norm.pdf(self.Z))
+
+    # A recorded BO step: posterior over five candidates and the incumbent.
+    MEAN = np.array([0.31, -1.7, 0.0, 2.4e3, 0.305])
+    STD = np.array([0.2, 1e-13, 3.0, 1.0e3, 1e-4])
+    BEST = 0.3
+
+    def test_pi_and_ei_match_the_scipy_stats_formulas(self):
+        std = np.maximum(self.STD, 1e-12)
+        delta = self.BEST - 0.01 - self.MEAN
+        z = delta / std
+        assert same_bits(ProbabilityOfImprovement(xi=0.01)(self.MEAN, self.STD, self.BEST), stats.norm.cdf(z))
+        assert same_bits(
+            ExpectedImprovement(xi=0.01)(self.MEAN, self.STD, self.BEST),
+            delta * stats.norm.cdf(z) + std * stats.norm.pdf(z),
+        )
+
+    def test_constrained_feasibility_weight_matches_scipy_stats(self):
+        space = ConfigurationSpace("c", seed=0)
+        space.add(FloatParameter("x", 0.0, 1.0))
+        opt = ConstrainedBayesianOptimizer(space, ["c"], seed=0)
+        cands = space.sample_many(len(self.MEAN), np.random.default_rng(1))
+
+        class Recorded:
+            def __init__(self, mean, std):
+                self.mean, self.std = mean, std
+
+            def predict(self, X, return_std=True):
+                return self.mean, self.std
+
+        # No feasible trial yet, so the pick is the largest feasibility weight.
+        opt.objective_model = Recorded(self.MEAN, self.STD)
+        opt.constraint_models = {"c": Recorded(self.MEAN - 0.3, self.STD)}
+        weight = stats.norm.cdf(-(self.MEAN - 0.3) / np.maximum(self.STD, 1e-12))
+        assert opt._pick(cands) is cands[int(np.argmax(weight))]

@@ -1,0 +1,164 @@
+"""The import budget: which modules each entry point may load.
+
+A tuner runs beside the system it tunes, so its start-up time and resident
+memory are overhead charged to the target. What decides both is the set of
+modules a process imports, and a set — unlike a stopwatch — is exact for a
+commit. Every case runs a fresh interpreter with ``PYTHONPATH=src`` and
+asserts on ``sys.modules``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+BLOCK_SCIPY = "import sys; sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+
+# Creates a journalled session on the redis target and drives ask/tell round
+# trips against the simulator, the way a campaign or a service client does.
+DRIVER = """
+import json, sys
+from repro.core.codec import TrialReport, config_from_values
+from repro.core.evaluation import run_evaluation
+from repro.core.manager import SessionManager
+from repro.core.stores import open_store
+from repro.targets import make_evaluator
+
+evaluator, space, objective = make_evaluator("redis", seed=3)
+
+def create(optimizer, store_dir):
+    manager = SessionManager(open_store(store_dir, backend="json"))
+    return manager.create(space, optimizer=optimizer, objectives=objective, max_trials=64, seed=3)
+
+def round_trips(session, n):
+    for _ in range(n):
+        suggestion = session.ask()[0]
+        result = run_evaluation(evaluator, config_from_values(suggestion.config, space))
+        session.tell(TrialReport(
+            config=suggestion.config,
+            metrics={objective.name: float(result.metrics)} if result.ok else {},
+            status=result.status.value,
+            ask_id=suggestion.ask_id,
+        ))
+    return len(session.optimizer.history)
+"""
+
+
+def fresh(code: str, *argv: str):
+    """Run ``code`` in a fresh interpreter; return the JSON its last output line holds."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def scipy_parts(modules) -> set[str]:
+    """Top-level scipy subpackages (``special``, ``_lib``, …) among module names."""
+    return {m.split(".")[1] for m in modules if m.startswith("scipy.")}
+
+
+# -- (a) entry points ----------------------------------------------------------
+
+ENTRY_POINTS = [
+    "import repro",
+    "import repro.cli",
+    "import repro.core.manager",
+    "import repro.core.stores",
+    "import repro.targets",
+    "import repro.service.server",
+    "import repro.service.client",
+    "import repro.execution",
+    "import repro.staticcheck",
+    "import repro.telemetry",
+    "import repro.chaos",
+    "import repro.online",
+    "from repro.online import QLearningTuner",
+]
+# repro.cli legitimately loads the numpy-only optimizers.forest (analysis.importance).
+SURROGATES = {f"repro.optimizers.{m}" for m in ("gp", "kernels", "bo", "multitask", "smac", "model_based")}
+
+
+@pytest.mark.parametrize("statement", ENTRY_POINTS)
+def test_entry_point_loads_no_scipy_and_no_surrogate(statement):
+    loaded = set(fresh(f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"))
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+    assert not loaded & SURROGATES
+
+
+def test_listing_the_registry_imports_no_optimizer():
+    """The CLI calls ``optimizer_names()`` to build its parser."""
+    code = "import json, sys\nfrom repro.core.manager import optimizer_names\n"
+    names, loaded = fresh(code + "print(json.dumps([optimizer_names(), sorted(sys.modules)]))")
+    assert names == ["anneal", "bestconfig", "bo", "cmaes", "grid", "pso", "random", "smac"]
+    assert not {m for m in loaded if m.startswith(("repro.optimizers.", "scipy"))}
+
+
+# -- (b) six of the eight served optimizers never need scipy -------------------
+
+
+@pytest.mark.parametrize("optimizer", ["random", "grid", "anneal", "cmaes", "pso", "bestconfig"])
+def test_model_free_optimizer_runs_with_scipy_blocked(optimizer, tmp_path):
+    code = BLOCK_SCIPY + DRIVER + "print(round_trips(create(*sys.argv[1:]), 12))"
+    assert fresh(code, optimizer, str(tmp_path)) == 12
+
+
+def test_staticcheck_runs_with_scipy_blocked():
+    main = "from repro.staticcheck.__main__ import main\n"
+    assert fresh(BLOCK_SCIPY + main + 'print(main(["--spaces", "src"]))') == 0
+
+
+# -- (c), (d) a model family loads its own scipy share, inside create ----------
+
+# What each family may import from scipy, named by the statement that loads it;
+# the allow-list is whatever that statement pulls on the installed scipy.
+FAMILY_IMPORTS = {
+    "smac": "import scipy.special",
+    "bo": "import scipy.special, scipy.linalg, scipy.optimize",
+}
+
+
+@pytest.fixture(scope="module", params=sorted(FAMILY_IMPORTS))
+def family(request, tmp_path_factory):
+    code = DRIVER + textwrap.dedent("""
+        session = create(*sys.argv[1:])
+        after_create = sorted(sys.modules)
+        n = round_trips(session, 30)
+        print(json.dumps({
+            "after_create": after_create,
+            "after_round_trips": sorted(sys.modules),
+            "n": n,
+            "stats": session.optimizer.surrogate_stats(),
+        }))
+    """)
+    allowed = fresh(f"import json, sys\n{FAMILY_IMPORTS[request.param]}\nprint(json.dumps(sorted(sys.modules)))")
+    run = fresh(code, request.param, str(tmp_path_factory.mktemp(request.param)))
+    return request.param, run, scipy_parts(allowed)
+
+
+def test_family_loads_only_its_scipy_subpackages(family):
+    name, run, allowed = family
+    loaded = scipy_parts(run["after_create"])
+    assert "special" in loaded  # the family does need scipy: the list is not vacuous
+    assert loaded <= allowed, f"{name} loaded scipy.{sorted(loaded - allowed)}"
+    assert "stats" not in loaded
+
+
+def test_ask_and_tell_import_nothing(family):
+    """The whole import cost sits in ``create``; none can leak into a measured ask."""
+    name, run, _allowed = family
+    assert run["n"] == 30
+    # Past n_init: those round trips include hyper-parameter fits / full forest regrows.
+    assert run["stats"]["nll_evals" if name == "bo" else "n_fits"] > 0
+    new = set(run["after_round_trips"]) - set(run["after_create"])
+    assert not {m for m in new if m.split(".")[0] in ("scipy", "repro")}

@@ -4,6 +4,7 @@ kill-mid-campaign restart acceptance demo."""
 from __future__ import annotations
 
 import asyncio
+import re
 import socket
 
 import pytest
@@ -193,6 +194,8 @@ class TestWireContract:
                 assert "service_requests_total" in text
                 assert "service_trials_total" in text
                 assert "service_sessions_created" in text
+                (peak,) = re.findall(r"^repro_service_process_peak_rss_bytes (\S+)$", text, re.M)
+                assert float(peak) > 0
             finally:
                 await server.stop()
 

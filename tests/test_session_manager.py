@@ -41,10 +41,14 @@ class TestOptimizerRegistry:
         assert len(opt.suggest(2)) == 2
 
     def test_unknown_name_and_bad_options(self, simple_space):
-        with pytest.raises(ReproError, match="unknown optimizer"):
+        names = "['anneal', 'bestconfig', 'bo', 'cmaes', 'grid', 'pso', 'random', 'smac']"
+        with pytest.raises(ReproError) as unknown:
             make_optimizer("nope", simple_space, Objective("score"))
-        with pytest.raises(ReproError, match="bad options"):
+        assert str(unknown.value) == f"unknown optimizer 'nope'; choose from {names}"
+        with pytest.raises(ReproError) as bad:
             make_optimizer("random", simple_space, Objective("score"), options={"bogus_kw": 1})
+        assert str(bad.value).startswith("bad options for optimizer 'random': ")
+        assert "unexpected keyword argument 'bogus_kw'" in str(bad.value)
 
 
 class TestAskTell:
