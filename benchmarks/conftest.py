@@ -6,6 +6,11 @@ appear on the console), and asserts the *shape* of the result — who wins,
 roughly by how much, where the crossovers fall. Absolute numbers come from
 the simulators, not the authors' testbed, and are not expected to match.
 Nothing here is timed: the repo's benchmark is ``benchmarks/perf``.
+
+The suite is a blocking CI step. A shape that is known to be red carries
+``xfail(strict=True, raises=AssertionError)`` with its first-bad commit and
+the failing numbers as the reason, so a shape that flips *either* way fails
+the build; the status table is in ``EXPERIMENTS.md``.
 """
 
 from __future__ import annotations

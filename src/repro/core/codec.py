@@ -230,15 +230,13 @@ def encode_trial(
 def decode_trial(record: Mapping[str, Any], space: ConfigurationSpace) -> Trial:
     """Rebuild a trial, re-validating the configuration against ``space``.
 
-    Unknown knobs are dropped and missing ones take defaults, so histories
-    transfer across compatible spaces (mirrors ``Optimizer.warm_start``).
+    The configuration goes through :func:`config_from_values`, so
+    histories transfer across compatible spaces.
     """
     try:
-        values = {k: v for k, v in record["config"].items() if k in space}
-        config = space.make(values, check_constraints=False)
         return Trial(
             trial_id=int(record["trial_id"]),
-            config=config,
+            config=config_from_values(record["config"], space),
             status=TrialStatus(record["status"]),
             metrics={k: float(v) for k, v in record.get("metrics", {}).items()},
             cost=float(record.get("cost", 1.0)),
@@ -251,7 +249,11 @@ def decode_trial(record: Mapping[str, Any], space: ConfigurationSpace) -> Trial:
 
 
 def config_from_values(values: Mapping[str, Any], space: ConfigurationSpace) -> Configuration:
-    """Re-validate a plain value mapping into a configuration of ``space``."""
+    """Re-validate a plain value mapping into a configuration of ``space``.
+
+    Unknown knobs are dropped and missing ones take defaults, so recorded
+    values transfer across compatible spaces.
+    """
     try:
         return space.make({k: v for k, v in values.items() if k in space}, check_constraints=False)
     except ReproError:

@@ -1,16 +1,18 @@
 """The evaluation contract: one normalized result type for every evaluator.
 
-Historically evaluators could return three ad-hoc shapes — a bare float, a
-metric mapping, or a ``(metrics, cost)`` tuple — and every consumer
-(``TuningSession``, ``ParallelRunner``, executors) re-implemented the
-unpacking plus the crash/abort ``try/except`` dance. This module is the one
-place where raw evaluator output becomes an :class:`EvaluationResult`:
+Evaluators may return three ad-hoc shapes — a bare float, a metric mapping,
+or a ``(metrics, cost)`` tuple — and signal crashes and aborts by raising.
+This module is the one place where raw evaluator output becomes an
+:class:`EvaluationResult` and where a result reaches an optimizer; the
+executors, ``TuningSession``, ``ParallelRunner`` and replay all call it:
 
 * :func:`coerce_evaluation` normalizes the legacy return shapes;
 * :func:`run_evaluation` additionally folds the exception protocol
   (:class:`~repro.exceptions.SystemCrashError`,
   :class:`~repro.exceptions.TrialAbortedError` with optional censored
-  metrics) into statuses, so callers observe results mechanically.
+  metrics) into statuses;
+* :func:`observe_evaluation` records a result with an optimizer: a success
+  with its metrics, anything else under an imputed score.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import Any, Callable, Mapping
 
 from ..exceptions import SystemCrashError, TrialAbortedError
 from ..space import Configuration
-from .optimizer import TrialStatus
+from .optimizer import Optimizer, Trial, TrialStatus
 
-__all__ = ["EvaluationResult", "coerce_evaluation", "run_evaluation"]
+__all__ = ["EvaluationResult", "coerce_evaluation", "run_evaluation", "observe_evaluation"]
 
 
 @dataclass
@@ -126,3 +128,19 @@ def run_evaluation(
             metadata={"outcome": "abort", "error": str(abort)},
             exception=abort,
         )
+
+
+def observe_evaluation(
+    optimizer: Optimizer,
+    config: Configuration,
+    result: EvaluationResult,
+    fidelity: float | None = None,
+    context: Mapping[str, Any] | None = None,
+) -> Trial:
+    """Record ``result`` with ``optimizer``: a success (censored bounds
+    included) with its metrics, a crash or abort under an imputed score."""
+    if result.ok:
+        return optimizer.observe(
+            config, result.metrics, cost=result.cost, status=result.status, fidelity=fidelity, context=context
+        )
+    return optimizer.observe_failure(config, cost=result.cost, status=result.status, context=context)

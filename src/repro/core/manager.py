@@ -11,6 +11,10 @@ Library code, the CLI, and the HTTP service all construct sessions through
   from storage alone — any process holding the store can continue any
   session, which is what makes the service crash-tolerant.
 
+Both, and every epoch of ``repro replay``, get their optimizer from
+:func:`rebuild_optimizer`, so they cannot disagree on how an epoch is
+seeded or how history is re-observed.
+
 The optimizer registry maps wire-friendly names (``"bo"``, ``"smac"``,
 ``"random"``, …) to constructors; it is the same table the CLI uses, so a
 session created from the command line can be resumed over HTTP and vice
@@ -22,6 +26,8 @@ from __future__ import annotations
 import time
 import warnings
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
+
+import numpy as np
 
 from .. import optimizers
 from ..exceptions import ReproError
@@ -92,6 +98,53 @@ def _normalise_objectives(
     return out
 
 
+def record_epoch(record: Mapping[str, Any]) -> int:
+    """The process incarnation that journaled ``record`` (0 without provenance)."""
+    return int((record.get("provenance") or {}).get("epoch", 0))
+
+
+def _epoch_seed(seed: int | None, epoch: int) -> int | None:
+    """The optimizer seed of incarnation ``epoch``: the session's own for
+    epoch 0, a stream of its own for every resume — re-seeding with the
+    session seed would re-suggest what the dead process already evaluated."""
+    if seed is None or epoch == 0:
+        return seed
+    return int(np.random.SeedSequence((seed, epoch)).generate_state(1)[0])
+
+
+def rebuild_optimizer(
+    meta: SessionMeta,
+    records: Sequence[Mapping[str, Any]],
+    epoch: int,
+    space: ConfigurationSpace | None = None,
+) -> Optimizer:
+    """The optimizer of incarnation ``epoch`` of a stored session.
+
+    Built from the stored spec, seeded for ``epoch``, and warm-started on
+    ``records`` (the journal prefix) with their recorded metrics — failed
+    trials keep their stored imputations: the re-observe is exact. ``space``
+    is the live space of a session being created, callable members included.
+    """
+    if space is None:
+        space = space_from_dict(meta.space)
+    spec = meta.optimizer
+    optimizer = make_optimizer(
+        spec.get("name", "random"),
+        space,
+        _normalise_objectives(meta.objectives),
+        seed=_epoch_seed(spec.get("seed"), epoch),
+        options=spec.get("options"),
+    )
+    optimizer.warm_start(decode_trial(record, space) for record in records)
+    for position, record in enumerate(records):
+        if int(record["trial_id"]) != position:
+            raise StorageError(
+                f"journal of session {meta.session_id!r} is not contiguous: record "
+                f"{record['trial_id']} at position {position}"
+            )
+    return optimizer
+
+
 class SessionManager:
     """Factory and registry of durable tuning sessions over one store.
 
@@ -160,9 +213,8 @@ class SessionManager:
                     stacklevel=2,
                 )
         objs = _normalise_objectives(objectives)
-        sid = session_id or new_session_id()
         meta = SessionMeta(
-            session_id=sid,
+            session_id=session_id or new_session_id(),
             space=space_to_dict(space, strict=False),
             optimizer={
                 "name": optimizer,
@@ -177,18 +229,7 @@ class SessionManager:
             extra=dict(extra or {}),
         )
         self.store.create_session(meta)
-        opt = make_optimizer(optimizer, space, objs, seed=seed, options=optimizer_options)
-        session = TuningSession(
-            opt,
-            evaluator,
-            max_trials=meta.max_trials,
-            max_cost=meta.max_cost,
-            batch_size=meta.batch_size,
-            callbacks=callbacks,
-            executor=executor,
-            store=self.store,
-            session_id=sid,
-        )
+        session = self._open(meta, space=space, evaluator=evaluator, executor=executor, callbacks=callbacks)
         session.lint_report = lint_report
         return session
 
@@ -201,66 +242,47 @@ class SessionManager:
     ) -> TuningSession:
         """Rebuild a session from storage: space, optimizer, full history.
 
-        Journaled trials are replayed into the fresh optimizer with their
-        recorded metrics (failed trials keep their stored imputations —
-        replay is exact, not re-imputed), so the optimizer's model picks up
-        where the dead process left off and trial ids stay contiguous with
-        the journal. Tell-idempotency state (seen ``report_id``s) is
-        restored as well.
+        Journaled trials are re-observed by a fresh optimizer
+        (:func:`rebuild_optimizer`), so its model picks up where the dead
+        process left off and trial ids stay contiguous with the journal;
+        its RNG stream is the new epoch's own, not a rerun of epoch 0's.
+        Tell-idempotency state (seen ``report_id``s) is restored as well.
         """
-        meta = self.store.get_session(session_id)
-        if meta is None:
-            raise StorageError(f"unknown session {session_id!r}")
-        space = space_from_dict(meta.space)
-        objs = _normalise_objectives(meta.objectives)
-        opt = make_optimizer(
-            meta.optimizer.get("name", "random"),
-            space,
-            objs,
-            seed=meta.optimizer.get("seed"),
-            options=meta.optimizer.get("options"),
+        return self._open(
+            self.meta(session_id),
+            self.store.load_trials(session_id),
+            evaluator=evaluator,
+            executor=executor,
+            callbacks=callbacks,
         )
-        records = self.store.load_trials(session_id)
-        report_ids: dict[str, int] = {}
-        # Records without provenance (pre-provenance journals) count as
-        # epoch 0, so any resume over a non-empty journal starts a new one.
-        max_epoch = 0 if records else -1
-        for record in records:
-            trial = decode_trial(record, space)
-            if trial.provenance is not None:
-                max_epoch = max(max_epoch, int(trial.provenance.get("epoch", 0)))
-            replayed = opt.observe(
-                trial.config,
-                trial.metrics,
-                cost=trial.cost,
-                status=trial.status,
-                fidelity=trial.fidelity,
-                context=trial.context,
-            )
-            if replayed.trial_id != trial.trial_id:
-                raise StorageError(
-                    f"journal of session {session_id!r} is not contiguous: record "
-                    f"{trial.trial_id} replayed as {replayed.trial_id}"
-                )
-            if record.get("report_id") is not None:
-                report_ids[record["report_id"]] = trial.trial_id
+
+    def _open(
+        self,
+        meta: SessionMeta,
+        records: Sequence[Mapping[str, Any]] = (),
+        space: ConfigurationSpace | None = None,
+        **wiring: Any,
+    ) -> TuningSession:
+        """The live session of the incarnation that follows ``records``;
+        ``wiring`` (evaluator, executor, callbacks) is the session's own."""
+        # Every resume is a new epoch: the untold asks of the dead process
+        # are unrecoverable and this process draws from its own RNG stream.
+        # Journaling the epoch per trial lets ``repro replay`` simulate
+        # exactly these boundaries (records without provenance are epoch 0).
+        epoch = max((record_epoch(r) for r in records), default=-1) + 1
         session = TuningSession(
-            opt,
-            evaluator,
+            rebuild_optimizer(meta, records, epoch, space),
             max_trials=meta.max_trials,
             max_cost=meta.max_cost,
             batch_size=meta.batch_size,
-            callbacks=callbacks,
-            executor=executor,
             store=self.store,
-            session_id=session_id,
+            session_id=meta.session_id,
+            **wiring,
         )
-        session._report_trial_ids.update(report_ids)
-        # Every resume is a new epoch: this process's RNG stream starts
-        # fresh from the journal prefix, and the untold asks of the dead
-        # process are unrecoverable. Journaling the epoch per trial lets
-        # ``repro replay`` simulate exactly these boundaries.
-        session.epoch = max_epoch + 1
+        session.epoch = epoch
+        session._report_trial_ids.update(
+            (r["report_id"], int(r["trial_id"])) for r in records if r.get("report_id") is not None
+        )
         return session
 
     # -- registry views ------------------------------------------------------

@@ -12,9 +12,10 @@ store and verifies it bit-exactly against the journal:
 
 * the space is rebuilt from the serialised dict and its version hash
   checked against every record;
-* per epoch, a **fresh** optimizer is constructed from the stored spec
-  (mirroring :meth:`SessionManager.resume`: each resume re-seeded the RNG
-  and exactly re-observed the journal prefix, so replay does the same);
+* per epoch, a **fresh** optimizer comes from
+  :func:`~repro.core.manager.rebuild_optimizer` — the function
+  :meth:`SessionManager.resume` itself calls, so the epoch's seed and the
+  exact re-observe of the journal prefix cannot differ from the original;
 * suggest calls are re-executed **at the recorded history positions** —
   call ``k`` with batch width ``n`` runs exactly when the optimizer has
   observed ``observed`` trials, reproducing the original RNG stream even
@@ -37,17 +38,17 @@ as unverified rather than failing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from itertools import groupby
+from typing import Any, Mapping
 
-from ..space.serialize import space_from_dict, space_to_dict, space_version_hash
+from ..space.serialize import space_to_dict, space_version_hash
 from ..telemetry.spans import emit_event, span
 from ..telemetry.tracing import SessionTrace
-from .codec import decode_trial, json_safe
-from .journal import StorageError, TrialStore
+from .codec import config_from_values, json_safe
+from .evaluation import EvaluationResult, observe_evaluation
+from .journal import SessionMeta, TrialStore
+from .manager import SessionManager, rebuild_optimizer, record_epoch
 from .optimizer import Optimizer, TrialStatus
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..space import ConfigurationSpace
 
 __all__ = ["ReplayDivergence", "ReplayReport", "replay_session"]
 
@@ -100,11 +101,11 @@ class ReplayReport:
     session_id: str
     optimizer: str
     n_records: int
-    n_epochs: int
-    n_suggest_calls: int
-    n_verified: int          # configs matched against re-executed suggests
-    n_unverified: int        # records replayed without config verification
-    n_failures_verified: int  # crash imputations re-run and matched
+    n_epochs: int = 0
+    n_suggest_calls: int = 0
+    n_verified: int = 0          # configs matched against re-executed suggests
+    n_unverified: int = 0        # records replayed without config verification
+    n_failures_verified: int = 0  # crash imputations re-run and matched
     divergence: ReplayDivergence | None = None
 
     @property
@@ -140,11 +141,6 @@ class ReplayReport:
         return head + "\n" + self.divergence.format()
 
 
-def _record_epoch(record: Mapping[str, Any]) -> int:
-    provenance = record.get("provenance") or {}
-    return int(provenance.get("epoch", 0))
-
-
 def _record_ask(record: Mapping[str, Any]) -> Mapping[str, Any] | None:
     return (record.get("provenance") or {}).get("ask")
 
@@ -157,7 +153,9 @@ class _EpochReplayer:
     is *verifiable* only when the referenced call numbers are contiguous
     from zero — a gap means an ask of unknown width was never told (its
     RNG draws are unrecoverable), so config and RNG verification degrade
-    gracefully to history-digest verification for the whole epoch.
+    gracefully to history-digest verification for the whole epoch. So
+    does a resumed epoch journaled under provenance version 1, which was
+    re-seeded with the session seed itself — a derivation that is gone.
     """
 
     def __init__(self, optimizer: Optimizer, records: list[Mapping[str, Any]]) -> None:
@@ -168,7 +166,11 @@ class _EpochReplayer:
             if ask is not None:
                 calls[int(ask["call"])] = (int(ask["n"]), int(ask["observed"]))
         self.schedule = sorted(calls.items())
-        self.verifiable = [call for call, _ in self.schedule] == list(range(len(self.schedule)))
+        first = records[0].get("provenance") or {}
+        legacy_seed = record_epoch(records[0]) >= 1 and int(first.get("version", 1)) < 2
+        self.verifiable = not legacy_seed and (
+            [call for call, _ in self.schedule] == list(range(len(self.schedule)))
+        )
         self._cursor = 0
         self._suggested: dict[int, list[Any]] = {}
         self.n_suggest_calls = 0
@@ -215,48 +217,16 @@ def replay_session(
     ``replay.divergence`` event; by default a private trace is used so
     the event log is always populated.
     """
-    from .manager import _normalise_objectives, make_optimizer
-
-    meta = store.get_session(session_id)
-    if meta is None:
-        raise StorageError(f"unknown session {session_id!r}")
-    space = space_from_dict(meta.space)
-    objectives = _normalise_objectives(meta.objectives)
+    meta = SessionManager(store).meta(session_id)
     optimizer_name = meta.optimizer.get("name", "random")
     records = store.load_trials(session_id)
 
-    # Both acceptable space hashes: the stored spec verbatim (what epoch 0
-    # hashed) and its deserialise/serialise round-trip (what resumed
-    # epochs hashed — callable members dropped at create time are absent).
-    space_hashes = {
-        space_version_hash(meta.space),
-        space_version_hash(space_to_dict(space, strict=False)),
-    }
-
-    def fresh_optimizer() -> Optimizer:
-        return make_optimizer(
-            optimizer_name,
-            space,
-            objectives,
-            seed=meta.optimizer.get("seed"),
-            options=meta.optimizer.get("options"),
-        )
-
-    report = ReplayReport(
-        session_id=session_id,
-        optimizer=optimizer_name,
-        n_records=len(records),
-        n_epochs=0,
-        n_suggest_calls=0,
-        n_verified=0,
-        n_unverified=0,
-        n_failures_verified=0,
-    )
+    report = ReplayReport(session_id=session_id, optimizer=optimizer_name, n_records=len(records))
 
     trace = trace if trace is not None else SessionTrace(name="replay")
     with trace.activated():
         with span("session.replay", session_id=session_id, optimizer=optimizer_name):
-            divergence = _replay(store, session_id, space, records, fresh_optimizer, space_hashes, report)
+            divergence = _replay(meta, records, report)
             if divergence is not None:
                 report.divergence = divergence
                 detail = divergence.to_dict()
@@ -272,68 +242,55 @@ def replay_session(
 
 
 def _replay(
-    store: TrialStore,
-    session_id: str,
-    space: "ConfigurationSpace",
+    meta: SessionMeta,
     records: list[Mapping[str, Any]],
-    fresh_optimizer: Any,
-    space_hashes: set[str],
     report: ReplayReport,
 ) -> ReplayDivergence | None:
     """The verification loop; mutates ``report`` counters, returns the
     first divergence (or ``None`` for a bit-exact replay)."""
-    index = 0
+    done = 0  # records replayed so far: the journal prefix of the next epoch
     current_epoch: int | None = None
-    while index < len(records):
-        epoch = _record_epoch(records[index])
+    for epoch, group in groupby(records, key=record_epoch):
+        slice_records = list(group)
         if current_epoch is not None and epoch <= current_epoch:
             return ReplayDivergence(
-                trial_id=int(records[index]["trial_id"]),
+                trial_id=int(slice_records[0]["trial_id"]),
                 kind="schedule",
                 recorded=f"epoch {epoch}",
                 replayed=f"epochs must increase along the journal (was in epoch {current_epoch})",
             )
         current_epoch = epoch
-        end = index
-        while end < len(records) and _record_epoch(records[end]) == epoch:
-            end += 1
-        slice_records = records[index:end]
         report.n_epochs += 1
 
-        # A fresh process incarnation: new optimizer, exact re-observe of
-        # the journal prefix (same as SessionManager.resume — failures
-        # keep their stored imputations, no verification: every prefix
-        # record was verified when its own epoch was replayed).
-        replayer = _EpochReplayer(fresh_optimizer(), slice_records)
-        for prior in records[:index]:
-            trial = decode_trial(prior, space)
-            replayer.optimizer.observe(
-                trial.config,
-                trial.metrics,
-                cost=trial.cost,
-                status=trial.status,
-                fidelity=trial.fidelity,
-                context=trial.context,
-            )
-
+        # A fresh process incarnation, exactly as SessionManager.resume
+        # built it. The prefix is re-observed without verification: every
+        # prefix record was verified when its own epoch was replayed.
+        replayer = _EpochReplayer(rebuild_optimizer(meta, records[:done], epoch), slice_records)
         try:
-            divergence = _replay_epoch(space, slice_records, replayer, space_hashes, report)
+            divergence = _replay_epoch(meta, slice_records, replayer, report)
         finally:
             report.n_suggest_calls += replayer.n_suggest_calls
         if divergence is not None:
             return divergence
-        index = end
+        done += len(slice_records)
     return None
 
 
 def _replay_epoch(
-    space: "ConfigurationSpace",
+    meta: SessionMeta,
     slice_records: list[Mapping[str, Any]],
     replayer: _EpochReplayer,
-    space_hashes: set[str],
     report: ReplayReport,
 ) -> ReplayDivergence | None:
     optimizer = replayer.optimizer
+    space = optimizer.space
+    # Both acceptable space hashes: the stored spec verbatim (what epoch 0
+    # hashed) and its deserialise/serialise round-trip (what resumed
+    # epochs hashed — callable members dropped at create time are absent).
+    space_hashes = {
+        space_version_hash(meta.space),
+        space_version_hash(space_to_dict(space, strict=False)),
+    }
     for record in slice_records:
         trial_id = int(record["trial_id"])
         provenance = record.get("provenance") or {}
@@ -373,30 +330,20 @@ def _replay_epoch(
         else:
             # No provenance (legacy journal) or unverifiable schedule:
             # rebuild the configuration from the journaled values.
-            values = {k: v for k, v in record["config"].items() if k in space}
-            config = space.make(values, check_constraints=False)
+            config = config_from_values(record["config"], space)
             report.n_unverified += 1
 
-        status = TrialStatus(record["status"])
         recorded_metrics = {str(k): float(v) for k, v in record.get("metrics", {}).items()}
-        if status is TrialStatus.SUCCEEDED:
-            trial = optimizer.observe(
-                config,
-                recorded_metrics,
-                cost=float(record.get("cost", 1.0)),
-                status=status,
-                fidelity=record.get("fidelity"),
-                context=dict(record.get("context", {})),
-            )
-        else:
-            # Re-run crash-score imputation from the replayed history and
-            # verify it lands on exactly the journaled values.
-            trial = optimizer.observe_failure(
-                config,
-                cost=float(record.get("cost", 1.0)),
-                status=status,
-                context=dict(record.get("context", {})),
-            )
+        result = EvaluationResult(
+            recorded_metrics, cost=float(record.get("cost", 1.0)), status=TrialStatus(record["status"])
+        )
+        # Entered as the live loops enter a trial: a failure re-runs crash-score
+        # imputation from the replayed history, which must land on exactly
+        # the journaled values.
+        trial = observe_evaluation(
+            optimizer, config, result, fidelity=record.get("fidelity"), context=dict(record.get("context", {}))
+        )
+        if not trial.ok:
             if trial.metrics != recorded_metrics:
                 return ReplayDivergence(
                     trial_id=trial_id,

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..exceptions import OptimizerError
 from ..space import Configuration
 from .optimizer import History, Objective, Trial
 
@@ -22,6 +23,28 @@ class TuningResult:
     history: History
     n_trials: int
     total_cost: float
+
+    @classmethod
+    def from_history(cls, history: History) -> "TuningResult":
+        """The result of whatever ``history`` holds so far (valid mid-run)."""
+        obj = history.primary
+        try:
+            best = history.best(obj)
+        except OptimizerError:
+            # Every trial failed: fall back to the least-bad imputed trial so
+            # callers still get a full report of the (disastrous) run.
+            trials = [t for t in history if obj.name in t.metrics]
+            if not trials:
+                raise
+            best = min(trials, key=lambda t: obj.score(t.metric(obj.name)))
+        return cls(
+            best_config=best.config,
+            best_value=best.metric(obj.name),
+            objective=obj,
+            history=history,
+            n_trials=len(history),
+            total_cost=history.total_cost(),
+        )
 
     @property
     def best_trial(self) -> Trial:

@@ -11,7 +11,8 @@ parallel tuning). Crashes (:class:`~repro.exceptions.SystemCrashError`) and
 early aborts (:class:`~repro.exceptions.TrialAbortedError`) become failed
 trials with imputed scores rather than terminating the run; that folding
 lives in :func:`repro.core.evaluation.run_evaluation`, shared by every
-executor backend.
+executor backend, and the imputing observe in
+:func:`repro.core.evaluation.observe_evaluation`.
 
 Two ways to drive a session:
 
@@ -23,10 +24,11 @@ Two ways to drive a session:
   surface the HTTP service exposes, with the same dataclasses; reports
   carrying a ``report_id`` are idempotent.
 
-When a :class:`~repro.core.journal.TrialStore` is attached (normally by a
-:class:`~repro.core.manager.SessionManager`), every observed trial —
-whichever loop produced it — is durably journaled before the observe
-returns, which is what makes sessions resumable after a crash.
+Both loops enter each trial through one method (``_enter``: observe,
+journal, callbacks), so when a :class:`~repro.core.journal.TrialStore` is
+attached (normally by a :class:`~repro.core.manager.SessionManager`) every
+observed trial is durably journaled before the tell or batch step returns,
+which is what makes sessions resumable after a crash.
 """
 
 from __future__ import annotations
@@ -40,12 +42,13 @@ from ..space import Configuration
 from ..telemetry.spans import current_trace_id, emit_event, span, trial_scope
 from .callbacks import Callback
 from .codec import SuggestRequest, Suggestion, TrialReport, config_from_values, encode_trial, json_safe
+from .evaluation import EvaluationResult, observe_evaluation
 from .journal import TransientStorageError
 from .optimizer import Optimizer, Trial, TrialStatus
 from .result import TuningResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular import)
-    from ..execution import TrialExecution, TrialExecutor
+    from ..execution import TrialExecutor
     from .journal import TrialStore
 
 __all__ = ["TuningSession", "Evaluator"]
@@ -121,7 +124,8 @@ class TuningSession:
         self.lint_report = None
         self.last_suggest_latency_s = 0.0
         self._next_ask_id = 0
-        self._pending_asks: dict[int, Configuration] = {}
+        # ask_id -> (configuration, batch coordinates) of asks not told yet
+        self._pending_asks: dict[int, tuple[Configuration, dict[str, Any]]] = {}
         self._report_trial_ids: dict[str, int] = {}  # report_id -> trial_id (tell idempotency)
         #: Resume generation: 0 for a fresh session, bumped by
         #: :meth:`SessionManager.resume` past the highest journaled epoch.
@@ -129,7 +133,6 @@ class TuningSession:
         #: incarnation (and hence each fresh RNG re-seeding) began.
         self.epoch = 0
         self._suggest_calls = 0  # suggest() invocations this epoch
-        self._ask_meta: dict[int, dict[str, Any]] = {}  # ask_id -> batch coordinates
         self._space_hash: str | None = None
         #: Graceful degradation for transient store failures: encoded trial
         #: records that could not be journaled yet, flushed in order before
@@ -141,13 +144,10 @@ class TuningSession:
         self._spill: list[tuple[int, dict[str, Any]]] = []
 
     # -- internals ---------------------------------------------------------
-    def _spent(self) -> float:
-        return self.optimizer.history.total_cost()
-
     def _budget_left(self, n_done: int) -> bool:
         if n_done >= self.max_trials:
             return False
-        if self.max_cost is not None and self._spent() >= self.max_cost:
+        if self.max_cost is not None and self.optimizer.history.total_cost() >= self.max_cost:
             return False
         return any(cb.should_stop(self) for cb in self.callbacks) is False
 
@@ -223,8 +223,7 @@ class TuningSession:
         for i, config in enumerate(configs):
             ask_id = self._next_ask_id
             self._next_ask_id += 1
-            self._pending_asks[ask_id] = config
-            self._ask_meta[ask_id] = {**ask_info, "i": i}
+            self._pending_asks[ask_id] = (config, {**ask_info, "i": i})
             suggestions.append(
                 Suggestion(
                     config=json_safe(config.as_dict()),
@@ -262,34 +261,50 @@ class TuningSession:
                         spilled=len(self._spill),
                     )
             return self.optimizer.history[trial_id], True
-        config = self._pending_asks.pop(report.ask_id, None) if report.ask_id is not None else None
-        ask_info = self._ask_meta.pop(report.ask_id, None) if report.ask_id is not None else None
+        config, ask_info = self._pending_asks.pop(report.ask_id, (None, None))
         if config is None:
             # Unknown or pre-restart ask: the report carries the full
             # configuration values, so rebuild (and re-validate) from them.
             config = config_from_values(report.config, self.optimizer.space)
-        status = TrialStatus(report.status)
-        context = dict(report.context)
-        if status is TrialStatus.SUCCEEDED:
-            trial = self.optimizer.observe(
-                config,
-                report.metrics,
-                cost=report.cost,
-                status=status,
-                fidelity=report.fidelity,
-                context=context,
-            )
-        else:
-            trial = self.optimizer.observe_failure(
-                config, cost=report.cost, status=status, context=context
-            )
-        self._record(trial, report_id=report.report_id, ask_info=ask_info)
+        result = EvaluationResult(report.metrics, cost=report.cost, status=TrialStatus(report.status))
+        trial = self._enter(
+            config,
+            result,
+            dict(report.context),
+            fidelity=report.fidelity,
+            report_id=report.report_id,
+            ask_info=ask_info,
+        )
+        return trial, False
+
+    def _enter(
+        self,
+        config: Configuration,
+        result: EvaluationResult,
+        context: dict[str, Any],
+        fidelity: float | None = None,
+        report_id: str | None = None,
+        ask_info: Mapping[str, Any] | None = None,
+        span_ref: Any = None,
+    ) -> Trial:
+        """The one way a trial enters a session, whichever loop produced it.
+
+        The optimizer observes it (a crash or abort under an imputed
+        score), the journal records it, then the per-trial callbacks fire.
+        ``span_ref`` is the telemetry ref the executor's spans were recorded
+        against (``None`` when told, or when they stayed in a process pool);
+        the trial id exists only after the observe, so it is bound here.
+        """
+        trial = observe_evaluation(self.optimizer, config, result, fidelity=fidelity, context=context)
+        if span_ref is not None:
+            span_ref.trial_id = trial.trial_id
+        self._record(trial, report_id=report_id, ask_info=ask_info)
         if not trial.ok:
             for cb in self.callbacks:
-                cb.on_trial_error(self, trial, None)
+                cb.on_trial_error(self, trial, result.exception)
         for cb in self.callbacks:
             cb.on_trial_end(self, trial)
-        return trial, False
+        return trial
 
     def _space_version_hash(self) -> str:
         if self._space_hash is None:
@@ -308,7 +323,7 @@ class TuningSession:
         from .. import __version__  # deferred: the package imports this module
 
         provenance: dict[str, Any] = {
-            "version": 1,
+            "version": 2,
             "digest": self.optimizer.state_digest_parts(),
             "space": self._space_version_hash(),
             "seed": self.optimizer.seed,
@@ -475,78 +490,31 @@ class TuningSession:
         results = executor.map(evaluator, configs)
         try:
             for execution in results:
-                trial = self._observe_execution(execution, per_trial_suggest_s, ask_info)
-                if not trial.ok:
-                    for cb in self.callbacks:
-                        cb.on_trial_error(self, trial, execution.result.exception)
-                for cb in self.callbacks:
-                    cb.on_trial_end(self, trial)
-                yield trial
+                # Execution-side instrumentation travels in ``Trial.context``.
+                result = execution.result
+                context = dict(result.metadata)
+                context["retries"] = execution.retries
+                context["evaluate_s"] = execution.wall_clock_s
+                context["suggest_latency_s"] = per_trial_suggest_s
+                context.setdefault("outcome", result.outcome)
+                if execution.queue_s:
+                    context["queue_s"] = execution.queue_s
+                if execution.attempts:
+                    context["attempts"] = list(execution.attempts)
+                if execution.attempt_s:
+                    context["attempt_s"] = [round(a, 6) for a in execution.attempt_s]
+                yield self._enter(
+                    execution.config,
+                    result,
+                    context,
+                    ask_info={**ask_info, "i": execution.index},
+                    span_ref=execution.span_ref,
+                )
         finally:
             close = getattr(results, "close", None)
             if close is not None:
                 close()
 
-    def _observe_execution(
-        self,
-        execution: "TrialExecution",
-        suggest_latency_s: float = 0.0,
-        ask_info: Mapping[str, Any] | None = None,
-    ) -> Trial:
-        """Record one executed trial with the optimizer, carrying the
-        execution-side instrumentation into ``Trial.context``."""
-        result = execution.result
-        context = dict(result.metadata)
-        context["retries"] = execution.retries
-        context["evaluate_s"] = execution.wall_clock_s
-        context["suggest_latency_s"] = suggest_latency_s
-        context.setdefault("outcome", result.outcome)
-        if execution.queue_s:
-            context["queue_s"] = execution.queue_s
-        if execution.attempts:
-            context["attempts"] = list(execution.attempts)
-        if execution.attempt_s:
-            context["attempt_s"] = [round(a, 6) for a in execution.attempt_s]
-        if result.ok:
-            trial = self.optimizer.observe(
-                execution.config,
-                result.metrics,
-                cost=result.cost,
-                status=result.status,
-                context=context,
-            )
-        else:
-            trial = self.optimizer.observe_failure(
-                execution.config, cost=result.cost, status=result.status, context=context
-            )
-        # The trial id exists only now: bind it onto the telemetry ref that
-        # the executor's spans were recorded against, so the trace can
-        # attribute them. (None for process pools — spans didn't cross.)
-        if execution.span_ref is not None:
-            execution.span_ref.trial_id = trial.trial_id
-        self._record(
-            trial,
-            ask_info=None if ask_info is None else {**ask_info, "i": execution.index},
-        )
-        return trial
-
     def result(self) -> TuningResult:
         """Snapshot the current result (valid mid-run as well)."""
-        obj = self.optimizer.objective
-        try:
-            best = self.optimizer.history.best(obj)
-        except OptimizerError:
-            # Every trial failed: fall back to the least-bad imputed trial so
-            # callers still get a full report of the (disastrous) run.
-            trials = [t for t in self.optimizer.history if obj.name in t.metrics]
-            if not trials:
-                raise
-            best = min(trials, key=lambda t: obj.score(t.metric(obj.name)))
-        return TuningResult(
-            best_config=best.config,
-            best_value=best.metric(obj.name),
-            objective=obj,
-            history=self.optimizer.history,
-            n_trials=len(self.optimizer.history),
-            total_cost=self._spent(),
-        )
+        return TuningResult.from_history(self.optimizer.history)

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from pathlib import Path
 from typing import Any
 
 from ..exceptions import ReproError
 from ..space import ConfigurationSpace
 from ..workloads import Workload
-from .codec import decode_trial, encode_trial
+from .codec import decode_trial, encode_trial, json_safe
+from .stores.json_journal import _atomic_write
 
 __all__ = [
     "workload_to_dict",
@@ -30,20 +30,6 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
-
-
-def _atomic_write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _json_default(obj: Any):
-    # numpy scalars and similar sneak into metrics; coerce to plain floats.
-    if hasattr(obj, "item"):
-        return obj.item()
-    raise TypeError(f"not JSON serialisable: {type(obj)!r}")
 
 
 # -- workloads ---------------------------------------------------------------
@@ -78,7 +64,7 @@ def save_prior_bank(bank, path: str | Path) -> int:
         for run in bank.runs
     ]
     payload = {"version": _FORMAT_VERSION, "runs": runs}
-    _atomic_write_text(path, json.dumps(payload, indent=2, default=_json_default))
+    _atomic_write(Path(path), json.dumps(json_safe(payload), indent=2))
     return len(runs)
 
 

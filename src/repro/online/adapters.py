@@ -28,7 +28,7 @@ import numpy as np
 
 from ..core.optimizer import Objective, Optimizer, Trial
 from ..space import Configuration, ConfigurationSpace
-from .agent import OnlinePolicy
+from .agent import DeltaReward, OnlinePolicy
 
 __all__ = ["OnlinePolicyOptimizer", "OptimizerPolicy"]
 
@@ -42,9 +42,10 @@ class OnlinePolicyOptimizer(Optimizer):
 
     ``suggest`` obtains an observation (from ``observation_fn``; zeros when
     none is given) and asks the policy to propose; ``observe`` converts the
-    trial's objective metric into the same delta-performance EMA reward the
-    online agent computes and feeds it back. Failed trials feed the flat
-    ``-2.0`` crash reward, mirroring the agent's crash handling.
+    trial's objective metric into the online agent's own reward
+    (:class:`~repro.online.agent.DeltaReward`) and feeds it back. Failed
+    trials feed the flat ``-2.0`` crash reward, mirroring the agent's crash
+    handling.
 
     Semantic caveats (the "thin adapter" contract):
 
@@ -70,7 +71,7 @@ class OnlinePolicyOptimizer(Optimizer):
         self.policy = policy
         self._observation_fn = observation_fn or (lambda: np.zeros(_DEFAULT_OBS_DIM))
         self._pending: list[tuple[Configuration, np.ndarray]] = []
-        self._reward_scale: float | None = None
+        self._reward = DeltaReward(self.objective)
 
     # -- ask ----------------------------------------------------------------
     def _suggest(self) -> Configuration:
@@ -86,17 +87,6 @@ class OnlinePolicyOptimizer(Optimizer):
                 del self._pending[i]
                 return observation
         return np.zeros(_DEFAULT_OBS_DIM)
-
-    def _reward(self, value: float) -> float:
-        """Delta-performance reward, identical to the online agent's."""
-        score = self.objective.score(value)
-        if self._reward_scale is None:
-            self._reward_scale = score
-            return 0.0
-        ema = self._reward_scale
-        reward = float(np.clip((ema - score) / (abs(ema) + 1e-12), -2.0, 2.0))
-        self._reward_scale = 0.9 * ema + 0.1 * score
-        return reward
 
     def _on_observe(self, trial: Trial) -> None:
         observation = self._pop_observation(trial.config)

@@ -32,6 +32,29 @@ if TYPE_CHECKING:  # pragma: no cover - .safety loads the GP; the agent only nam
 __all__ = ["OnlinePolicy", "OnlineTuningAgent", "OnlineStepRecord", "OnlineResult"]
 
 
+class DeltaReward:
+    """Delta-performance reward (the CDBTune convention).
+
+    Positive when a value beat the recent average (an EMA over the values
+    seen so far), negative when it regressed — an informative, scale-free
+    signal even when the raw metric drifts with the workload.
+    """
+
+    def __init__(self, objective: Objective) -> None:
+        self.objective = objective
+        self._ema: float | None = None
+
+    def __call__(self, value: float) -> float:
+        score = self.objective.score(value)
+        if self._ema is None:
+            self._ema = score
+            return 0.0
+        ema = self._ema
+        reward = float(np.clip((ema - score) / (abs(ema) + 1e-12), -2.0, 2.0))
+        self._ema = 0.9 * ema + 0.1 * score
+        return reward
+
+
 class OnlinePolicy(ABC):
     """A policy that proposes configurations and learns from rewards."""
 
@@ -112,7 +135,7 @@ class OnlineTuningAgent:
     policy:
         The learning policy.
     objective:
-        Metric and direction; rewards are its negated, scale-normalised score.
+        Metric and direction; rewards are :class:`DeltaReward` over it.
     guardrail:
         Optional safety monitor; on violation the agent rolls back to the
         last safe configuration and penalises the policy.
@@ -144,7 +167,7 @@ class OnlineTuningAgent:
         self._observe = observe if observe is not None else self._default_observation
         self._last_metrics: dict[str, float] = {}
         self._safe_config = system.current_config
-        self._reward_scale: float | None = None
+        self._reward = DeltaReward(objective)
         self.trace = trace
 
     @staticmethod
@@ -159,22 +182,6 @@ class OnlineTuningAgent:
                 last_metrics.get("io_util", 0.0),
             ]
         )
-
-    def _reward(self, value: float) -> float:
-        """Delta-performance reward (the CDBTune convention).
-
-        Positive when the step beat the recent average, negative when it
-        regressed — an informative, scale-free signal even when the raw
-        metric drifts with the workload.
-        """
-        score = self.objective.score(value)
-        if self._reward_scale is None:
-            self._reward_scale = score
-            return 0.0
-        ema = self._reward_scale
-        reward = float(np.clip((ema - score) / (abs(ema) + 1e-12), -2.0, 2.0))
-        self._reward_scale = 0.9 * ema + 0.1 * score
-        return reward
 
     def run(self, trace: WorkloadTrace) -> OnlineResult:
         from contextlib import nullcontext

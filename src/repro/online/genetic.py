@@ -4,20 +4,19 @@ A steady population of configurations evolves by tournament selection,
 uniform crossover, and neighbourhood mutation. Usable two ways:
 
 * as a plain ask/tell :class:`GeneticAlgorithmOptimizer` (offline), and
-* as an :class:`OnlinePolicy` (:class:`GeneticOnlineTuner`) that evaluates
-  one individual per production step — HUNTER's hybrid pattern of trying
+* as an :class:`OnlinePolicy` (:class:`GeneticOnlineTuner`, the GA behind
+  :class:`~repro.online.adapters.OptimizerPolicy`) that evaluates one
+  individual per production step — HUNTER's hybrid pattern of trying
   candidates on cloned instances maps to evaluating them on successive
   steps here.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core import Objective, Optimizer, Trial
 from ..exceptions import OptimizerError, SpaceError
 from ..space import Configuration, ConfigurationSpace
-from .agent import OnlinePolicy
+from .adapters import OptimizerPolicy
 
 __all__ = ["GeneticAlgorithmOptimizer", "GeneticOnlineTuner"]
 
@@ -123,24 +122,9 @@ class GeneticAlgorithmOptimizer(Optimizer):
         self._scores[idx] = obj.score(trial.metric(obj.name))
 
 
-def _sort_key(pair):  # pragma: no cover - trivial
-    return pair[0]
-
-
-class GeneticOnlineTuner(OnlinePolicy):
+class GeneticOnlineTuner(OptimizerPolicy):
     """Online wrapper: one individual evaluated per production step."""
 
-    def __init__(self, ga: GeneticAlgorithmOptimizer) -> None:
-        self.ga = ga
-        self._last: Configuration | None = None
-
-    def propose(self, observation: np.ndarray) -> Configuration:
-        self._last = self.ga.suggest(1)[0]
-        return self._last
-
-    def feedback(self, observation: np.ndarray, config: Configuration, reward: float) -> None:
-        if self._last is None:
-            return
-        # The GA minimises canonical scores; rewards are higher-better.
-        self.ga.observe(self._last, {self.ga.objective.name: self.ga.objective.unscore(-reward)})
-        self._last = None
+    @property
+    def ga(self) -> GeneticAlgorithmOptimizer:
+        return self.optimizer

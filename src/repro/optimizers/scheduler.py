@@ -16,9 +16,10 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable
 
-from ..core import Optimizer, TrialStatus
+from ..core import Optimizer
+from ..core.evaluation import EvaluationResult, observe_evaluation, run_evaluation
 from ..core.result import TuningResult
-from ..exceptions import OptimizerError, SystemCrashError, TrialAbortedError
+from ..exceptions import OptimizerError
 from ..space import Configuration
 
 __all__ = ["ParallelRunner", "ParallelResult"]
@@ -44,7 +45,9 @@ class ParallelRunner:
         Any ask/tell optimizer. Batch modes exploit optimizers whose
         ``suggest(n)`` diversifies (e.g. BO's constant liar).
     evaluator:
-        ``config -> (metrics, duration_s)``.
+        ``config -> (metrics, duration_s)``; crashes and aborts it raises
+        are folded by :func:`repro.core.evaluation.run_evaluation` (1 s on
+        the worker, or the cost a censored abort reports).
     n_workers:
         Pool size k.
     mode:
@@ -68,23 +71,6 @@ class ParallelRunner:
         self.n_workers = 1 if mode == "serial" else int(n_workers)
         self.mode = mode
 
-    def _evaluate(self, config: Configuration) -> tuple:
-        """Returns (metrics_or_none, duration, status)."""
-        try:
-            metrics, duration = self.evaluator(config)
-            return metrics, float(duration), TrialStatus.SUCCEEDED
-        except SystemCrashError:
-            return None, 1.0, TrialStatus.FAILED
-        except TrialAbortedError:
-            return None, 1.0, TrialStatus.ABORTED
-
-    def _observe(self, config: Configuration, outcome: tuple) -> None:
-        metrics, duration, status = outcome
-        if status is TrialStatus.SUCCEEDED:
-            self.optimizer.observe(config, metrics, cost=duration)
-        else:
-            self.optimizer.observe_failure(config, cost=duration, status=status)
-
     def run(self, max_trials: int) -> ParallelResult:
         if max_trials < 1:
             raise OptimizerError(f"max_trials must be >= 1, got {max_trials}")
@@ -92,16 +78,7 @@ class ParallelRunner:
             wall = self._run_sync(max_trials)
         else:
             wall = self._run_async(max_trials)
-        obj = self.optimizer.objective
-        best = self.optimizer.history.best(obj)
-        result = TuningResult(
-            best_config=best.config,
-            best_value=best.metric(obj.name),
-            objective=obj,
-            history=self.optimizer.history,
-            n_trials=len(self.optimizer.history),
-            total_cost=self.optimizer.history.total_cost(),
-        )
+        result = TuningResult.from_history(self.optimizer.history)
         return ParallelResult(result, wall, self.n_workers, self.mode)
 
     def _run_sync(self, max_trials: int) -> float:
@@ -110,35 +87,35 @@ class ParallelRunner:
         while remaining > 0:
             batch = min(self.n_workers, remaining)
             configs = self.optimizer.suggest(batch)
-            outcomes = [self._evaluate(c) for c in configs]
+            results = [run_evaluation(self.evaluator, c) for c in configs]
             # Barrier: the batch takes as long as its slowest trial.
-            wall += max(o[1] for o in outcomes)
-            for config, outcome in zip(configs, outcomes):
-                self._observe(config, outcome)
+            wall += max(r.cost for r in results)
+            for config, result in zip(configs, results):
+                observe_evaluation(self.optimizer, config, result)
             remaining -= batch
         return wall
 
     def _run_async(self, max_trials: int) -> float:
-        # Event-driven simulation: a heap of (finish_time, seq, config, outcome).
+        # Event-driven simulation: a heap of (finish_time, seq, config, result).
         clock = 0.0
         seq = 0
-        in_flight: list[tuple[float, int, Configuration, tuple]] = []
+        in_flight: list[tuple[float, int, Configuration, EvaluationResult]] = []
         started = 0
 
         def launch(at: float) -> None:
             nonlocal seq, started
             config = self.optimizer.suggest(1)[0]
-            outcome = self._evaluate(config)
-            heapq.heappush(in_flight, (at + outcome[1], seq, config, outcome))
+            result = run_evaluation(self.evaluator, config)
+            heapq.heappush(in_flight, (at + result.cost, seq, config, result))
             seq += 1
             started += 1
 
         while started < min(self.n_workers, max_trials):
             launch(clock)
         while in_flight:
-            finish, _, config, outcome = heapq.heappop(in_flight)
+            finish, _, config, result = heapq.heappop(in_flight)
             clock = finish
-            self._observe(config, outcome)
+            observe_evaluation(self.optimizer, config, result)
             if started < max_trials:
                 launch(clock)
         return clock

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import Optimizer, Trial, TrialStatus
+from ..core.codec import config_from_values
 from ..exceptions import OptimizerError
 from ..space import ConfigurationSpace, HistogramPrior, Prior
 from ..space.params import _NumericParameter
@@ -68,10 +69,7 @@ def warm_start_from_history(
     count = optimizer.warm_start(selected)
     if include_failures:
         for t in failed:
-            config = optimizer.space.make(
-                {k: v for k, v in t.config.as_dict().items() if k in optimizer.space},
-                check_constraints=False,
-            )
+            config = config_from_values(t.config.as_dict(), optimizer.space)
             optimizer.observe_failure(config, cost=t.cost, status=t.status)
             count += 1
     return count

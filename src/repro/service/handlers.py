@@ -7,10 +7,13 @@
 * the table of *hosted* sessions — live ``TuningSession`` objects keyed by
   id, each guarded by an asyncio lock so interleaved ask/tell requests for
   one session serialise while different sessions proceed concurrently;
-* **lazy resume**: a request touching a session this process has never
-  seen falls back to ``SessionManager.resume`` — this is the whole
+* **lazy resume**: a request touching a session this process does not
+  host falls back to ``SessionManager.resume`` — this is the whole
   crash-recovery story from the client's point of view, a restarted
   server just works;
+* **eviction on completion**: a session that spends its budget or is
+  completed explicitly leaves the hosted table (histories and models are
+  most of a server's memory); a later touch re-hosts it by lazy resume;
 * one shared :class:`~repro.execution.ThreadedExecutor` reused by every
   session's server-side ``/step`` evaluation (pool reuse per service, not
   per session);
@@ -28,8 +31,9 @@ import asyncio
 import resource
 import sys
 import warnings
+from contextlib import asynccontextmanager
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, AsyncIterator, Mapping
 
 from ..core.journal import StorageError, TransientStorageError
 from ..core.manager import SessionManager
@@ -103,6 +107,34 @@ class ServiceHandlers:
             self.metrics.inc("service.sessions.resumed")
             self.metrics.set_gauge("service.sessions.hosted", len(self._hosted))
             return entry
+
+    @asynccontextmanager
+    async def _locked(self, session_id: str) -> AsyncIterator[_Hosted]:
+        """The hosted session, under its lock. The request ahead in the
+        queue may have completed and evicted it; an evicted entry must not
+        be driven (a re-hosted twin may be journaling already), so the
+        table is checked again once the lock is held."""
+        while True:
+            entry = await self._host(session_id)
+            async with entry.lock:
+                if self._hosted.get(session_id) is entry:
+                    yield entry
+                    return
+
+    async def _finish(self, entry: _Hosted, session_id: str) -> None:
+        """Mark a session completed and stop hosting it (entry lock held).
+
+        Last chance to make every acknowledged trial durable: spilled
+        records must land before completion is acknowledged and the only
+        copy dropped. ``manager.complete`` is idempotent, so a duplicate
+        retry of the final tell safely re-hosts and re-runs all of it.
+        """
+        if entry.session.spilled_count:
+            await asyncio.to_thread(entry.session.flush_spill)
+        await asyncio.to_thread(self.manager.complete, session_id)
+        async with self._admission:
+            self._hosted.pop(session_id, None)
+            self.metrics.set_gauge("service.sessions.hosted", len(self._hosted))
 
     @staticmethod
     def _target_evaluator(extra: Mapping[str, Any]) -> Evaluator | None:
@@ -209,8 +241,7 @@ class ServiceHandlers:
 
     async def ask(self, session_id: str, body: Mapping[str, Any]) -> dict[str, Any]:
         request = parse_suggest_request(body)
-        entry = await self._host(session_id)
-        async with entry.lock:
+        async with self._locked(session_id) as entry:
             try:
                 suggestions = await asyncio.to_thread(entry.session.ask, request)
             except OptimizerError as err:
@@ -227,19 +258,11 @@ class ServiceHandlers:
 
     async def tell(self, session_id: str, body: Mapping[str, Any]) -> dict[str, Any]:
         report = parse_trial_report(body)
-        entry = await self._host(session_id)
-        async with entry.lock:
+        async with self._locked(session_id) as entry:
             trial, duplicate = await asyncio.to_thread(entry.session.tell, report)
             complete = entry.session.is_complete
             if complete:
-                # Last chance to make every acknowledged trial durable: a
-                # session that completes while records sit in the spill
-                # buffer must not acknowledge completion until they land.
-                # (manager.complete is idempotent, so duplicate retries of
-                # the final tell safely re-run both steps.)
-                if entry.session.spilled_count:
-                    await asyncio.to_thread(entry.session.flush_spill)
-                await asyncio.to_thread(self.manager.complete, session_id)
+                await self._finish(entry, session_id)
         self.metrics.inc("service.trials.duplicates" if duplicate else "service.trials.total")
         return {
             "session_id": session_id,
@@ -259,29 +282,28 @@ class ServiceHandlers:
         n = int(body.get("n", 1))
         if n < 1:
             raise WireError(f"step n must be >= 1, got {n}")
-        entry = await self._host(session_id)
-        if entry.evaluator is None:
-            raise WireError(
-                f"session {session_id!r} has no server-side evaluator (created "
-                "without a 'target' spec); drive it via /ask and /tell"
-            )
         executor = self._shared_executor()
+        async with self._locked(session_id) as entry:
+            if entry.evaluator is None:
+                raise WireError(
+                    f"session {session_id!r} has no server-side evaluator (created "
+                    "without a 'target' spec); drive it via /ask and /tell"
+                )
 
-        def _run_steps() -> list[int]:
-            session = entry.session
-            want = min(n, session.max_trials - len(session.optimizer.history))
-            if want <= 0:
-                raise OptimizerError(f"session {session_id!r} is complete")
-            return [t.trial_id for t in session.run_batch(executor, entry.evaluator, want)]
+            def _run_steps() -> list[int]:
+                session = entry.session
+                want = min(n, session.max_trials - len(session.optimizer.history))
+                if want <= 0:
+                    raise OptimizerError(f"session {session_id!r} is complete")
+                return [t.trial_id for t in session.run_batch(executor, entry.evaluator, want)]
 
-        async with entry.lock:
             try:
                 trial_ids = await asyncio.to_thread(_run_steps)
             except OptimizerError as err:
                 raise WireError(str(err)) from err
             complete = entry.session.is_complete
             if complete:
-                await asyncio.to_thread(self.manager.complete, session_id)
+                await self._finish(entry, session_id)
         self.metrics.inc("service.trials.total", len(trial_ids))
         self.metrics.inc("service.steps", len(trial_ids))
         self._absorb_surrogate_stats(entry.session)
@@ -289,7 +311,13 @@ class ServiceHandlers:
 
     async def complete(self, session_id: str) -> dict[str, Any]:
         try:
-            await asyncio.to_thread(self.manager.complete, session_id)
+            if session_id in self._hosted:
+                async with self._locked(session_id) as entry:
+                    await self._finish(entry, session_id)
+            else:  # nothing of it in memory: no need to resume it first
+                await asyncio.to_thread(self.manager.complete, session_id)
+        except TransientStorageError:
+            raise  # e.g. the spill flush against a store that is still down: 503, not 404
         except StorageError as err:
             raise NotFoundError(str(err)) from err
         return {"session_id": session_id, "status": "completed"}

@@ -19,6 +19,17 @@ from repro.sysim import QUIET_CLOUD, CloudEnvironment, RedisServer, SimulatedDBM
 from repro.workloads import tpcc, ycsb
 
 
+def assert_healthy(optimizer) -> None:
+    """A healthy campaign never degraded a suggestion to random sampling.
+
+    Model-free optimizers have no surrogate to degrade and expose no
+    ``surrogate_stats``; for them there is nothing to assert.
+    """
+    stats = getattr(optimizer, "surrogate_stats", None)
+    if stats is not None:
+        assert stats()["degraded_total"] == 0, f"{type(optimizer).__name__} degraded: {stats()}"
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

@@ -27,6 +27,8 @@ from repro.sysim import QUIET_CLOUD, CloudEnvironment, RedisServer, SimulatedDBM
 from repro.workload_id import WorkloadEmbedder, euclidean_distance
 from repro.workloads import PhasedTrace, tpcc, ycsb
 
+from .conftest import assert_healthy
+
 TPUT = Objective("throughput", minimize=False)
 P95 = Objective("latency_p95", minimize=True)
 
@@ -39,6 +41,7 @@ class TestOfflinePipeline:
         opt = BayesianOptimizer(space, n_init=5, objectives=P95, seed=0, n_candidates=128)
         res = TuningSession(opt, server.evaluator(redis_benchmark_workload(), "latency_p95"),
                             max_trials=25).run()
+        assert_healthy(opt)
         default_p95 = server.run(
             redis_benchmark_workload(), config=server.space.default_configuration()
         ).latency_p95
@@ -61,6 +64,7 @@ class TestOfflinePipeline:
         informed = ManualKnowledgeExtractor().informed_space(db.space, k=5)
         opt = BayesianOptimizer(informed, n_init=6, objectives=TPUT, seed=0, n_candidates=128)
         res = TuningSession(opt, db.evaluator(tpcc(100), "throughput"), max_trials=25).run()
+        assert_healthy(opt)
         default = db.run(tpcc(100), config=db.space.default_configuration()).throughput
         assert res.best_value > default * 2
 
@@ -82,6 +86,7 @@ class TestOfflinePipeline:
         db = SimulatedDBMS(env=QUIET_CLOUD(seed=5), seed=5)
         src_opt = SMACOptimizer(db.space, n_init=8, objectives=TPUT, seed=0, n_candidates=128)
         TuningSession(src_opt, db.evaluator(ycsb("a"), "throughput"), max_trials=30).run()
+        assert_healthy(src_opt)
         bank = PriorBank()
         bank.add(PriorRun(ycsb("a"), src_opt.history.trials))
         dst_opt = SMACOptimizer(db.space, n_init=8, objectives=TPUT, seed=1, n_candidates=128)
@@ -130,6 +135,7 @@ class TestOnlinePipeline:
         sub = db.space.subspace(["buffer_pool_mb", "worker_threads"])
         offline = BayesianOptimizer(sub, n_init=6, objectives=TPUT, seed=0, n_candidates=128)
         TuningSession(offline, db.evaluator(ycsb("b"), "throughput"), max_trials=20).run()
+        assert_healthy(offline)
         best = offline.best_config()
         trace = PhasedTrace([(ycsb("b"), 10)])
         warm_agent = OnlineTuningAgent(db, StaticConfigPolicy(best), TPUT)

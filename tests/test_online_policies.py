@@ -13,6 +13,7 @@ from repro.online import (
     GeneticOnlineTuner,
     HybridBanditTuner,
     OnlineTuningAgent,
+    OptimizerPolicy,
     QLearningTuner,
     StaticConfigPolicy,
 )
@@ -142,6 +143,7 @@ class TestGeneticOnline:
         ga = GeneticAlgorithmOptimizer(toy_space(), population_size=8, seed=0,
                                        objectives=Objective("score"))
         policy = GeneticOnlineTuner(ga)
+        assert isinstance(policy, OptimizerPolicy) and policy.ga is ga
         rewards = drive(policy, bowl_reward, steps=200)
         assert rewards[-40:].mean() > rewards[:40].mean()
 

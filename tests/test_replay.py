@@ -6,13 +6,16 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core import SessionManager, TrialReport
 from repro.core.manager import optimizer_names
-from repro.core.stores import JsonJournalStore, MemoryTrialStore, SqliteTrialStore
+from repro.core.stores import JsonJournalStore, MemoryTrialStore, SqliteTrialStore, open_store
 from repro.space import CategoricalParameter, ConfigurationSpace, FloatParameter, IntegerParameter
 from repro.telemetry import SessionTrace
+
+from .conftest import assert_healthy
 
 #: Options keeping surrogate optimizers fast enough for per-optimizer sweeps.
 FAST_OPTIONS = {
@@ -43,6 +46,7 @@ def drive(session, n: int, fail_every: int = 0) -> None:
         else:
             report = TrialReport(config=sugg.config, metrics=metric(sugg.config), ask_id=sugg.ask_id)
         session.tell(report)
+    assert_healthy(session.optimizer)  # every campaign driven here is a healthy one
 
 
 class TestProvenanceCapture:
@@ -54,7 +58,7 @@ class TestProvenanceCapture:
         assert len(records) == 3
         for call, record in enumerate(records):
             prov = record["provenance"]
-            assert prov["version"] == 1
+            assert prov["version"] == 2
             assert prov["seed"] == 11
             assert prov["epoch"] == 0
             assert prov["ask"] == {"call": call, "n": 1, "observed": call, "i": 0}
@@ -232,6 +236,33 @@ class TestLegacyJournals:
         assert report.n_suggest_calls == 0
 
 
+    def test_resumed_epoch_seeded_the_version_1_way_is_history_verified_only(self, tmp_path):
+        """Provenance version 1 re-seeded every resume with the session seed.
+        That derivation is gone, so such an epoch's RNG stream cannot be
+        re-run: its records take the unverifiable-schedule path (history
+        digest and crash imputations still checked) instead of diverging."""
+        store = JsonJournalStore(tmp_path / "store")
+        manager = SessionManager(store)
+        session = manager.create(make_space(), optimizer="random", seed=5, max_trials=20, session_id="v1")
+        drive(session, 3)
+        resumed = manager.resume("v1")
+        resumed.optimizer.seed = 5  # what a version-1 resume built
+        resumed.optimizer.rng = np.random.default_rng(5)
+        drive(resumed, 3, fail_every=2)
+        store.close()
+        journal = tmp_path / "store" / "v1.journal.jsonl"
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert [r["config"] for r in records[3:]] == [r["config"] for r in records[:3]]  # the old bug, recorded
+        for record in records:
+            record["provenance"]["version"] = 1
+        journal.write_text("".join(json.dumps(r) + "\n" for r in records))
+        report = SessionManager(JsonJournalStore(tmp_path / "store")).replay_session("v1")
+        assert report.ok, report.format()
+        assert (report.n_verified, report.n_unverified) == (3, 3)
+        assert report.n_failures_verified == 1
+        assert report.n_suggest_calls == 3  # epoch 0 only
+
+
 class TestAcceptance:
     """The issue's acceptance demo: a 60-trial SMAC + BO campaign with a
     mid-campaign kill, replayed bit-exactly on both durable backends."""
@@ -267,4 +298,28 @@ class TestAcceptance:
             assert report.n_verified == 60
             assert report.n_epochs == 2
             assert report.optimizer == name
+        store.close()
+
+    @pytest.mark.parametrize("backend", ["json", "sqlite"])
+    def test_three_epoch_bo_campaign_with_a_crash_in_each_epoch(self, tmp_path, backend):
+        """Resume and replay get each epoch's optimizer (and seed) from one
+        function, so a journal of several incarnations replays clean."""
+        store = open_store(tmp_path / ("store.sqlite" if backend == "sqlite" else "store"), backend=backend)
+        manager = SessionManager(store)
+        session = manager.create(
+            make_space(), optimizer="bo", seed=17, max_trials=40,
+            optimizer_options=FAST_OPTIONS["bo"], session_id="bo-3",
+        )
+        drive(session, 9, fail_every=4)
+        for epoch in (1, 2):
+            session = manager.resume("bo-3")  # simulated SIGKILL
+            assert session.epoch == epoch
+            drive(session, 7, fail_every=3)
+        records = store.load_trials("bo-3")
+        seeds = [r["provenance"]["seed"] for r in records]
+        assert len(set(seeds)) == 3 and seeds[0] == 17  # one stream per epoch, epoch 0 on the session seed
+        report = manager.replay_session("bo-3")
+        assert report.ok, report.format()
+        assert (report.n_records, report.n_verified, report.n_epochs) == (23, 23, 3)
+        assert report.n_failures_verified == 2 + 2 + 2
         store.close()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Objective
-from repro.exceptions import OptimizerError, SystemCrashError
+from repro.exceptions import OptimizerError, SystemCrashError, TrialAbortedError
 from repro.optimizers import (
     BayesianOptimizer,
     ParallelRunner,
@@ -75,6 +75,40 @@ class TestParallelRunner:
         opt = RandomSearchOptimizer(space_nd(2), seed=0)
         out = ParallelRunner(opt, crashy, n_workers=2, mode="sync").run(8)
         assert len(out.result.history.failed()) == 4
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_censored_abort_is_a_succeeded_trial_at_the_bound(self, mode):
+        """Early aborts fold through ``run_evaluation`` like in every other
+        loop: a censored bound is information (succeeded, at the cost the
+        abort reports), a bare abort an imputed failure holding its worker 1 s."""
+        calls = {"n": 0}
+
+        def aborting(config):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                err = TrialAbortedError("slower than the incumbent")
+                err.censored_metrics = {"score": 20.0}
+                err.cost = 3.0
+                raise err
+            if calls["n"] == 3:
+                raise TrialAbortedError("no bound")
+            return 1.0, 5.0
+
+        opt = RandomSearchOptimizer(space_nd(2), seed=0)
+        out = ParallelRunner(opt, aborting, n_workers=2, mode=mode).run(4)
+        by_outcome = {t.metrics["score"]: t for t in out.result.history if t.ok}
+        assert by_outcome[20.0].cost == 3.0
+        (aborted,) = out.result.history.failed()
+        assert (aborted.status.value, aborted.cost) == ("aborted", 1.0)
+        assert out.result.best_value == 1.0
+
+    def test_all_failed_run_still_reports(self):
+        def crashy(config):
+            raise SystemCrashError("boom")
+
+        opt = RandomSearchOptimizer(space_nd(2), seed=0)
+        out = ParallelRunner(opt, crashy, n_workers=2, mode="sync").run(4)
+        assert out.result.n_trials == 4 and not out.result.history.completed()
 
     def test_validation(self):
         opt = RandomSearchOptimizer(space_nd(1), seed=0)

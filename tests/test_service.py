@@ -202,6 +202,58 @@ class TestWireContract:
         run(main())
 
 
+class TestEvictionOnCompletion:
+    def test_finished_sessions_leave_the_hosted_table(self):
+        """A session that spends its budget or is completed explicitly stops
+        being hosted (its history is most of a server's memory); any later
+        touch re-hosts it by lazy resume, exactly as after a restart."""
+
+        async def main():
+            server, client = await start_server(MemoryTrialStore())
+
+            async def hosted() -> int:
+                return (await client.health())["sessions_hosted"]
+
+            reports = iter(range(100))  # ask ids restart on resume; report ids must not
+
+            async def tell_one(session_id: str) -> tuple[TrialReport, dict]:
+                (sugg,) = await client.ask(session_id)
+                report = TrialReport(
+                    config=sugg.config, metrics=evaluate(sugg.config),
+                    ask_id=sugg.ask_id, report_id=f"r-{next(reports)}",
+                )
+                return report, await client.tell(session_id, report)
+
+            try:
+                for session_id, budget in (("a", 2), ("b", 5)):
+                    await client.create_session(
+                        space=small_space_spec(), optimizer="random", seed=1, max_trials=budget,
+                        session_id=session_id, objectives=[{"name": "loss", "minimize": True}],
+                    )
+                assert await hosted() == 2
+
+                _, ack = await tell_one("a")
+                assert not ack["complete"] and await hosted() == 2
+                final, ack = await tell_one("a")
+                assert ack["complete"] and await hosted() == 1  # told to budget
+                retried = await client.tell("a", final)  # the client never saw the ack
+                assert retried["duplicate"] and retried["trial_id"] == ack["trial_id"]
+                assert retried["complete"] and await hosted() == 1
+                assert (await client.status("a"))["n_trials"] == 2
+
+                await tell_one("b")
+                await client.complete("b")  # POST .../complete
+                assert await hosted() == 0
+                assert (await client.status("b"))["status"] == "completed"
+                assert "repro_service_sessions_hosted 0" in await client.metrics()
+                _, ack = await tell_one("b")  # a later touch resumes it and carries on
+                assert ack["trial_id"] == 1 and await hosted() == 1
+            finally:
+                await server.stop()
+
+        run(main())
+
+
 class TestServerSideStep:
     def test_step_runs_target_session(self):
         async def main():

@@ -25,6 +25,8 @@ from repro.space import (
 )
 from repro.space.serialize import SpaceCodecError, space_from_dict, space_to_dict
 
+from .conftest import assert_healthy
+
 
 def evaluate(config) -> dict[str, float]:
     return {"score": (config["x"] - 0.3) ** 2 + 0.01 * config["n"]}
@@ -166,6 +168,25 @@ class TestDurability:
             trial, _ = resumed.tell(TrialReport(config=s.config, metrics=evaluate(s.config)))
             assert trial.trial_id == 4
 
+    def test_resume_does_not_replay_the_rng_stream(self, simple_space):
+        """A resumed epoch draws from its own stream: re-seeding it with the
+        session seed would re-suggest the dead process's trials bit for bit
+        and spend evaluation budget on configurations already measured."""
+        manager = SessionManager(MemoryTrialStore())
+        session = manager.create(simple_space, optimizer="random", seed=7,
+                                 max_trials=20, session_id="s1")
+        first = []
+        for _ in range(4):
+            (s,) = session.ask()
+            first.append(s.config)
+            session.tell(TrialReport(config=s.config, metrics=evaluate(s.config), ask_id=s.ask_id))
+        resumed = manager.resume("s1")
+        second = [s.config for _ in range(4) for s in resumed.ask()]
+        assert not [c for c in second if c in first]
+        # ... and it is still a pure function of (seed, epoch, journal).
+        again = manager.resume("s1")
+        assert [s.config for _ in range(4) for s in again.ask()] == second
+
     def test_batch_ask_replays_deterministically(self, simple_space, tmp_path):
         """ask(count=k) through SMAC's constant-liar batch path is a pure
         function of (seed, journal): two fresh resumes must produce
@@ -187,13 +208,16 @@ class TestDurability:
                 suggested.append(dict(s.config))
                 session.tell(TrialReport(config=s.config, metrics=evaluate(s.config),
                                          ask_id=s.ask_id))
+            assert_healthy(session.optimizer)
         journaled = [r["config"] for r in store.load_trials("batch")]
         assert journaled == suggested
 
         def resumed_batch():
             with SessionManager(JsonJournalStore(tmp_path)) as fresh:
                 session = fresh.resume("batch")
-                return [dict(s.config) for s in session.ask(count=4)]
+                batch = [dict(s.config) for s in session.ask(count=4)]
+                assert_healthy(session.optimizer)
+                return batch
 
         first, second = resumed_batch(), resumed_batch()
         assert first == second
