@@ -20,6 +20,7 @@ from pathlib import Path
 
 from repro.core.codec import TrialReport
 from repro.service import ServiceClient
+from repro.service.client import ServiceError
 from repro.space import ConfigurationSpace, FloatParameter, IntegerParameter
 from repro.space.serialize import space_to_dict
 
@@ -75,18 +76,36 @@ async def main() -> int:
         print(f"session complete: {status['n_trials']} trials, "
               f"best loss = {status['best_value']:.4f} at {status['best_config']}")
 
-        # 4. Scrape the per-service Prometheus endpoint.
+        # 4. A client's mistake is the client's: a wrong method answers 405
+        #    and a malformed body 400 — neither is a server failure.
+        for method, path, body, expected in (
+            ("DELETE", "/sessions/quickstart", None, 405),
+            ("POST", "/sessions", {"space": {"parameters": 5}}, 400),
+        ):
+            try:
+                await client.request(method, path, body)
+            except ServiceError as err:
+                assert err.status == expected, err
+                print(f"{method} {path} -> {err}")
+            else:
+                raise AssertionError(f"{method} {path} was accepted")
+
+        # 5. Scrape the per-service Prometheus endpoint. 500 means a bug, so
+        #    `repro_service_requests_crashed` above 0 fails the smoke.
         metrics = await client.metrics()
         wanted = [line for line in metrics.splitlines()
                   if line.startswith(("repro_service_trials_total",
                                       "repro_service_requests_total",
+                                      "repro_service_requests_crashed",
                                       "repro_service_sessions_created"))]
         print("metrics scrape:")
         for line in wanted:
             print(f"  {line}")
         assert any(line.startswith("repro_service_trials_total 20") for line in wanted), wanted
+        crashed = [line for line in wanted if line.startswith("repro_service_requests_crashed")]
+        assert all(float(line.split()[-1]) == 0 for line in crashed), crashed
 
-        # 5. Graceful shutdown: SIGINT, then verify the clean-exit banner.
+        # 6. Graceful shutdown: SIGINT, then verify the clean-exit banner.
         server.send_signal(signal.SIGINT)
         out, _ = server.communicate(timeout=30)
         assert "service shut down cleanly" in out, out

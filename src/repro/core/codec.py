@@ -77,7 +77,7 @@ class SuggestRequest:
                 session_id=data.get("session_id"),
                 fidelity=None if data.get("fidelity") is None else float(data["fidelity"]),
             )
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise CodecError(f"malformed SuggestRequest: {err}") from err
 
 
@@ -148,6 +148,8 @@ class TrialReport:
                 f"unknown trial status {self.status!r}; expected one of "
                 f"{[s.value for s in TrialStatus]}"
             ) from None
+        if not isinstance(self.report_id, (str, int, type(None))):
+            raise CodecError(f"report_id must be a string, got {self.report_id!r}")
 
     @property
     def ok(self) -> bool:
@@ -173,7 +175,7 @@ class TrialReport:
                 report_id=data.get("report_id"),
                 session_id=data.get("session_id"),
             )
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise CodecError(f"malformed TrialReport: {err}") from err
 
 

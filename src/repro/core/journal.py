@@ -39,6 +39,7 @@ from ..exceptions import ReproError
 __all__ = [
     "StorageError",
     "TransientStorageError",
+    "UnknownSessionError",
     "SessionMeta",
     "AppendResult",
     "TrialStore",
@@ -68,6 +69,10 @@ class TransientStorageError(StorageError):
     ``append_trial`` the journal must be exactly as if the append was never
     attempted (no phantom or torn records surfacing on the next load).
     """
+
+
+class UnknownSessionError(StorageError):
+    """The store holds no session of that id (the service answers 404)."""
 
 
 def new_session_id() -> str:
@@ -205,5 +210,5 @@ class TrialStore(ABC):
     @staticmethod
     def _require_session(meta: SessionMeta | None, session_id: str) -> SessionMeta:
         if meta is None:
-            raise StorageError(f"unknown session {session_id!r}")
+            raise UnknownSessionError(f"unknown session {session_id!r}")
         return meta

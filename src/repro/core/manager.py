@@ -78,7 +78,7 @@ def make_optimizer(
     cls = getattr(optimizers, _REGISTRY[name])
     try:
         return cls(space, objectives=list(objectives) if isinstance(objectives, Sequence) else objectives, seed=seed, **dict(options or {}))
-    except TypeError as err:
+    except (TypeError, ValueError) as err:
         raise ReproError(f"bad options for optimizer {name!r}: {err}") from err
 
 
@@ -195,8 +195,10 @@ class SessionManager:
         ``session.lint_report``. With ``strict=True`` an ERROR-severity
         finding (unsatisfiable condition, dead parameter, contradictory
         constraints, …) rejects the space with a rule-id-bearing
-        :class:`~repro.staticcheck.SpaceLintError` *before* anything is
-        persisted. ``lint_ignore`` suppresses individual rule ids.
+        :class:`~repro.staticcheck.SpaceLintError`. ``lint_ignore``
+        suppresses individual rule ids. Whatever rejects a create — the
+        lint, an unknown optimizer or option, a bad budget — does so *before*
+        anything is persisted.
         """
         lint_report = None
         if lint:
@@ -228,8 +230,10 @@ class SessionManager:
             created_at=time.time(),
             extra=dict(extra or {}),
         )
-        self.store.create_session(meta)
+        # Everything that can reject the request has run once the session is
+        # built; only then is it persisted, so a failed create leaves nothing.
         session = self._open(meta, space=space, evaluator=evaluator, executor=executor, callbacks=callbacks)
+        self.store.create_session(meta)
         session.lint_report = lint_report
         return session
 
@@ -290,10 +294,7 @@ class SessionManager:
         return self.store.get_session(session_id) is not None
 
     def meta(self, session_id: str) -> SessionMeta:
-        meta = self.store.get_session(session_id)
-        if meta is None:
-            raise StorageError(f"unknown session {session_id!r}")
-        return meta
+        return TrialStore._require_session(self.store.get_session(session_id), session_id)
 
     def list_sessions(self) -> list[str]:
         return self.store.list_sessions()

@@ -43,7 +43,7 @@ from ..telemetry.spans import current_trace_id, emit_event, span, trial_scope
 from .callbacks import Callback
 from .codec import SuggestRequest, Suggestion, TrialReport, config_from_values, encode_trial, json_safe
 from .evaluation import EvaluationResult, observe_evaluation
-from .journal import TransientStorageError
+from .journal import StorageError, TransientStorageError
 from .optimizer import Optimizer, Trial, TrialStatus
 from .result import TuningResult
 
@@ -390,7 +390,7 @@ class TuningSession:
             trial_id, record = self._spill[0]
             appended = self.store.append_trial(self.session_id, record)
             if appended.trial_id != trial_id:
-                raise OptimizerError(
+                raise StorageError(
                     f"journal/optimizer trial-id divergence in session {self.session_id!r}: "
                     f"journal assigned {appended.trial_id}, optimizer {trial_id} "
                     "(was the optimizer observed outside the session?)"

@@ -6,10 +6,11 @@ client speaks the same wire dataclasses as the server: ``ask`` returns
 :class:`~repro.core.codec.Suggestion` objects, ``tell`` takes a
 :class:`~repro.core.codec.TrialReport`.
 
-``tell_reliably`` is the recommended way to report results: it retries on
-connection failures with the same ``report_id``, relying on the server's
-journal-level deduplication — at-least-once delivery, exactly-once
-recording.
+``tell_reliably`` is the recommended way to report results: it retries
+with the same ``report_id``, relying on the server's journal-level
+deduplication — at-least-once delivery, exactly-once recording. What is
+retryable (no answer, or 429/503) and how long to wait first is written
+once, in ``ServiceClient._back_off``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ __all__ = ["ServiceClient", "ServiceError"]
 #: Statuses that mean "the server is fine, just not right now" — retried
 #: by ``tell_reliably``/``run_session`` alongside connection failures.
 _RETRYABLE_STATUSES = frozenset({429, 503})
+#: No answer at all: the server is down, restarting, or unreachable.
+_CONNECTION_ERRORS = (ConnectionError, OSError, asyncio.TimeoutError)
 
 
 class ServiceError(ReproError):
@@ -147,7 +150,7 @@ class ServiceClient:
                 if op is not None:
                     op.set(status=err.status)
                 raise
-            except (ConnectionError, OSError, asyncio.TimeoutError):
+            except _CONNECTION_ERRORS:
                 if self.breaker is not None:
                     self.breaker.record_failure()
                 raise
@@ -192,6 +195,15 @@ class ServiceClient:
             raise ServiceError(status, message, retry_after=retry_after)
         return data
 
+    async def _back_off(self, err: Exception, attempt: int) -> None:
+        """Wait out a retryable failure — no answer, or 429/503 — on the
+        shared full-jitter curve, the server's ``Retry-After`` hint winning;
+        re-raise anything a retry cannot fix."""
+        if isinstance(err, ServiceError) and err.status not in _RETRYABLE_STATUSES:
+            raise err
+        hint = getattr(err, "retry_after", None)
+        await asyncio.sleep(self.backoff.delay(attempt, rng=self._rng, retry_after=hint))
+
     # -- API ----------------------------------------------------------------
     async def health(self) -> dict[str, Any]:
         return await self.request("GET", "/healthz")
@@ -233,16 +245,11 @@ class ServiceClient:
             raise WireError("tell_reliably needs a report with a report_id")
         last: Exception | None = None
         for attempt in range(retries + 1):
-            retry_after: float | None = None
             try:
                 return await self.tell(session_id, report, retry=attempt)
-            except ServiceError as err:
-                if err.status not in _RETRYABLE_STATUSES:
-                    raise
-                last, retry_after = err, err.retry_after
-            except (ConnectionError, OSError, asyncio.TimeoutError) as err:
+            except (ServiceError, *_CONNECTION_ERRORS) as err:
                 last = err
-            await asyncio.sleep(self.backoff.delay(attempt, rng=self._rng, retry_after=retry_after))
+                await self._back_off(err, attempt)
         raise ServiceError(503, f"tell not acknowledged after {retries + 1} attempts: {last}")
 
     async def step(self, session_id: str, n: int = 1) -> dict[str, Any]:
@@ -268,32 +275,22 @@ class ServiceClient:
         prefix = report_prefix or session_id
         outage = 0  # consecutive failed polls; resets once the server answers
         while True:
-            retry_after: float | None = None
             try:
                 status = await self.status(session_id)
                 if status["complete"]:
                     return status
                 want = min(batch, status["max_trials"] - status["n_trials"])
                 suggestions = await self.ask(session_id, n=want)
-            except (ConnectionError, OSError, asyncio.TimeoutError):
-                # Server down or restarting: durable sessions make waiting
-                # out the outage the whole recovery protocol. Full-jitter
-                # backoff keeps a fleet of waiting clients from stampeding
-                # the server the instant it returns.
-                outage += 1
-                await asyncio.sleep(self.backoff.delay(outage - 1, rng=self._rng))
-                continue
-            except ServiceError as err:
-                if err.status == 400:  # completed concurrently
+            except (ServiceError, *_CONNECTION_ERRORS) as err:
+                if isinstance(err, ServiceError) and err.status == 400:  # completed concurrently
                     return await self.status(session_id)
-                if err.status in _RETRYABLE_STATUSES:
-                    outage += 1
-                    retry_after = err.retry_after
-                    await asyncio.sleep(
-                        self.backoff.delay(outage - 1, rng=self._rng, retry_after=retry_after)
-                    )
-                    continue
-                raise
+                # Server down, restarting or shedding: durable sessions make
+                # waiting out the outage the whole recovery protocol. Full-
+                # jitter backoff keeps a fleet of waiting clients from
+                # stampeding the server the instant it returns.
+                await self._back_off(err, outage)
+                outage += 1
+                continue
             outage = 0
             for suggestion in suggestions:
                 metrics = evaluate(suggestion.config)

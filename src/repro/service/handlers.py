@@ -22,7 +22,10 @@
 
 Blocking work (store fsyncs, SQLite commits, optimizer fits, simulated
 benchmarks) runs in worker threads via ``asyncio.to_thread`` so the event
-loop keeps serving other sessions.
+loop keeps serving other sessions. ``ask``/``tell``/``step`` enter their
+session through one helper (``_in_session``: hosted entry under its lock →
+worker thread → finish if complete). Handlers raise and never choose a
+status: :func:`repro.service.wire.error_status` decides that, once.
 """
 
 from __future__ import annotations
@@ -32,13 +35,12 @@ import resource
 import sys
 import warnings
 from contextlib import asynccontextmanager
-from dataclasses import dataclass
-from typing import Any, AsyncIterator, Mapping
+from dataclasses import dataclass, field
+from typing import Any, AsyncIterator, Callable, Mapping
 
-from ..core.journal import StorageError, TransientStorageError
 from ..core.manager import SessionManager
 from ..core.session import Evaluator, TuningSession
-from ..exceptions import OptimizerError, ReproError
+from ..exceptions import OptimizerError
 from ..space.serialize import space_from_dict
 from ..staticcheck import SpaceLintError
 from ..telemetry.metrics import MetricsRegistry
@@ -50,18 +52,14 @@ from .wire import (
     parse_trial_report,
 )
 
-__all__ = ["ServiceHandlers", "NotFoundError"]
-
-
-class NotFoundError(ReproError):
-    """Unknown session or route (maps to HTTP 404)."""
+__all__ = ["ServiceHandlers"]
 
 
 @dataclass
 class _Hosted:
     session: TuningSession
-    lock: asyncio.Lock
     evaluator: Evaluator | None = None
+    lock: asyncio.Lock = field(default_factory=asyncio.Lock)
 
 
 class ServiceHandlers:
@@ -94,16 +92,9 @@ class ServiceHandlers:
             entry = self._hosted.get(session_id)
             if entry is not None:
                 return entry
-            try:
-                session = await asyncio.to_thread(self.manager.resume, session_id)
-            except TransientStorageError:
-                raise  # retryable store outage, not a missing session: let it map to 503
-            except StorageError as err:
-                raise NotFoundError(str(err)) from err
+            session = await asyncio.to_thread(self.manager.resume, session_id)
             meta = await asyncio.to_thread(self.manager.meta, session_id)
-            evaluator = self._target_evaluator(meta.extra)
-            entry = _Hosted(session=session, lock=asyncio.Lock(), evaluator=evaluator)
-            self._hosted[session_id] = entry
+            entry = self._hosted[session_id] = _Hosted(session, self._target_evaluator(meta.extra))
             self.metrics.inc("service.sessions.resumed")
             self.metrics.set_gauge("service.sessions.hosted", len(self._hosted))
             return entry
@@ -120,6 +111,27 @@ class ServiceHandlers:
                 if self._hosted.get(session_id) is entry:
                     yield entry
                     return
+
+    async def _in_session(
+        self, session_id: str, work: Callable[[_Hosted], Any]
+    ) -> tuple[_Hosted, Any, bool]:
+        """Run ``work(entry)`` on a worker thread under the session's lock,
+        then stop hosting the session if that spent its budget; returns
+        ``(entry, result, complete)``. The lock bounds the *session*: a
+        request cancelled (deadline) while the thread runs keeps it until the
+        thread has returned, so a retry never enters the optimizer beside it."""
+        async with self._locked(session_id) as entry:
+            thread = asyncio.ensure_future(asyncio.to_thread(work, entry))
+            try:
+                result = await asyncio.shield(thread)
+            except asyncio.CancelledError:
+                await asyncio.wait([thread])
+                thread.exception()  # consumed: nobody is left to answer with it
+                raise
+            complete = entry.session.is_complete
+            if complete:
+                await self._finish(entry, session_id)
+        return entry, result, complete
 
     async def _finish(self, entry: _Hosted, session_id: str) -> None:
         """Mark a session completed and stop hosting it (entry lock held).
@@ -207,15 +219,11 @@ class ServiceHandlers:
 
         try:
             session = await asyncio.to_thread(_create)
-        except SpaceLintError as err:
+        except SpaceLintError:
             self.metrics.inc("service.sessions.lint_rejected")
-            raise WireError(str(err)) from err
-        except StorageError as err:
-            raise WireError(str(err)) from err
+            raise
         async with self._admission:
-            self._hosted[session.session_id] = _Hosted(
-                session=session, lock=asyncio.Lock(), evaluator=evaluator
-            )
+            self._hosted[session.session_id] = _Hosted(session, evaluator)
             self.metrics.set_gauge("service.sessions.hosted", len(self._hosted))
         self.metrics.inc("service.sessions.created")
         out: dict[str, Any] = {"session_id": session.session_id, "resumed": False, "n_trials": 0}
@@ -225,12 +233,7 @@ class ServiceHandlers:
         return out
 
     async def status(self, session_id: str) -> dict[str, Any]:
-        try:
-            return await asyncio.to_thread(self.manager.status, session_id)
-        except TransientStorageError:
-            raise
-        except StorageError as err:
-            raise NotFoundError(str(err)) from err
+        return await asyncio.to_thread(self.manager.status, session_id)
 
     def _absorb_surrogate_stats(self, session: TuningSession) -> None:
         """Register the optimizer's surrogate counters as gauges (GP fit
@@ -241,11 +244,7 @@ class ServiceHandlers:
 
     async def ask(self, session_id: str, body: Mapping[str, Any]) -> dict[str, Any]:
         request = parse_suggest_request(body)
-        async with self._locked(session_id) as entry:
-            try:
-                suggestions = await asyncio.to_thread(entry.session.ask, request)
-            except OptimizerError as err:
-                raise WireError(str(err)) from err
+        entry, suggestions, _ = await self._in_session(session_id, lambda e: e.session.ask(request))
         self.metrics.inc("service.asks", len(suggestions))
         if request.n > 1:
             self.metrics.inc("service.asks.batched")
@@ -258,11 +257,9 @@ class ServiceHandlers:
 
     async def tell(self, session_id: str, body: Mapping[str, Any]) -> dict[str, Any]:
         report = parse_trial_report(body)
-        async with self._locked(session_id) as entry:
-            trial, duplicate = await asyncio.to_thread(entry.session.tell, report)
-            complete = entry.session.is_complete
-            if complete:
-                await self._finish(entry, session_id)
+        _, (trial, duplicate), complete = await self._in_session(
+            session_id, lambda e: e.session.tell(report)
+        )
         self.metrics.inc("service.trials.duplicates" if duplicate else "service.trials.total")
         return {
             "session_id": session_id,
@@ -279,47 +276,33 @@ class ServiceHandlers:
         system) can step — client-defined spaces have no server-side
         evaluator. Evaluations share the service-wide thread pool.
         """
-        n = int(body.get("n", 1))
-        if n < 1:
-            raise WireError(f"step n must be >= 1, got {n}")
+        n = parse_suggest_request(body).n
         executor = self._shared_executor()
-        async with self._locked(session_id) as entry:
+
+        def _run_steps(entry: _Hosted) -> list[int]:
+            session = entry.session
             if entry.evaluator is None:
                 raise WireError(
                     f"session {session_id!r} has no server-side evaluator (created "
                     "without a 'target' spec); drive it via /ask and /tell"
                 )
+            want = min(n, session.max_trials - len(session.optimizer.history))
+            if want <= 0:
+                raise OptimizerError(f"session {session_id!r} is complete")
+            return [t.trial_id for t in session.run_batch(executor, entry.evaluator, want)]
 
-            def _run_steps() -> list[int]:
-                session = entry.session
-                want = min(n, session.max_trials - len(session.optimizer.history))
-                if want <= 0:
-                    raise OptimizerError(f"session {session_id!r} is complete")
-                return [t.trial_id for t in session.run_batch(executor, entry.evaluator, want)]
-
-            try:
-                trial_ids = await asyncio.to_thread(_run_steps)
-            except OptimizerError as err:
-                raise WireError(str(err)) from err
-            complete = entry.session.is_complete
-            if complete:
-                await self._finish(entry, session_id)
+        entry, trial_ids, complete = await self._in_session(session_id, _run_steps)
         self.metrics.inc("service.trials.total", len(trial_ids))
         self.metrics.inc("service.steps", len(trial_ids))
         self._absorb_surrogate_stats(entry.session)
         return {"session_id": session_id, "trial_ids": trial_ids, "complete": complete}
 
     async def complete(self, session_id: str) -> dict[str, Any]:
-        try:
-            if session_id in self._hosted:
-                async with self._locked(session_id) as entry:
-                    await self._finish(entry, session_id)
-            else:  # nothing of it in memory: no need to resume it first
-                await asyncio.to_thread(self.manager.complete, session_id)
-        except TransientStorageError:
-            raise  # e.g. the spill flush against a store that is still down: 503, not 404
-        except StorageError as err:
-            raise NotFoundError(str(err)) from err
+        if session_id in self._hosted:
+            async with self._locked(session_id) as entry:
+                await self._finish(entry, session_id)
+        else:  # nothing of it in memory: no need to resume it first
+            await asyncio.to_thread(self.manager.complete, session_id)
         return {"session_id": session_id, "status": "completed"}
 
     # -- lifecycle ----------------------------------------------------------

@@ -2,10 +2,15 @@
 
 No web framework: ``asyncio.start_server`` plus a small, strict HTTP/1.1
 request parser (request line, headers, ``Content-Length`` bodies,
-keep-alive). That keeps the service inside the repository's
-no-new-dependencies rule while still hosting hundreds of concurrent
-connections — each connection is one asyncio task, and all blocking work
-is delegated to threads by :class:`~repro.service.handlers.ServiceHandlers`.
+keep-alive) — no new dependency, hundreds of concurrent connections, each
+one asyncio task; blocking work is delegated to threads by
+:class:`~repro.service.handlers.ServiceHandlers`.
+
+A request is one pipeline, each decision written once: *frame* (read it;
+the one path parse, whose route label admission needs) → *admit* (capacity,
+queue, shed) → *resolve* (the ``_ROUTES`` row to its handler, or 404/405) →
+*run* (a task that may outlive its response) → *respond* (the deadline, and
+the one ``except``: :func:`~repro.service.wire.error_status`).
 
 Durability note: the server itself holds **no** tuning state. Sessions
 live in the :class:`~repro.core.journal.TrialStore`; killing the process
@@ -19,37 +24,43 @@ import asyncio
 import re
 import time
 from contextlib import nullcontext
-from typing import Any, Awaitable, Callable
+from functools import partial
+from http import HTTPStatus
+from typing import Any, Awaitable, Callable, Mapping
 
-from ..core.journal import StorageError, TransientStorageError
+from ..core.journal import TransientStorageError
 from ..exceptions import ReproError
 from ..telemetry.spans import bind_trace, current_trace_id, emit_event, parse_traceparent, span
-from .handlers import NotFoundError, ServiceHandlers
-from .wire import WireError, dump_json, error_body, parse_json_body
+from .handlers import ServiceHandlers
+from .wire import dump_json, error_body, error_status, parse_json_body
 
 __all__ = ["TuningServer", "serve"]
 
 _MAX_HEADER_LINE = 16 * 1024
 _MAX_BODY = 16 * 1024 * 1024
-_SESSION_PATH = re.compile(r"^/sessions/([A-Za-z0-9._-]+)(?:/([a-z]+))?$")
+_SESSION_PATH = re.compile(r"^/sessions/([A-Za-z0-9._-]+)(/[a-z]+)?$")
 
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
+#: The route table: path shape -> (metrics label, {method: (``ServiceHandlers``
+#: attribute, whether it takes the JSON body)}). A new endpoint is one row.
+#: ``ID`` stands for any session id and is a legal one itself, so the only
+#: path that equals a session row's key is one that carries a session id.
+_ROUTES: Mapping[str, tuple[str, Mapping[str, tuple[str, bool]]]] = {
+    "/healthz": ("healthz", {"GET": ("health", False)}),
+    "/metrics": ("metrics", {"GET": ("metrics_text", False)}),
+    "/sessions": ("sessions", {"GET": ("list_sessions", False), "POST": ("create_session", True)}),
+    "/sessions/ID": ("session.status", {"GET": ("status", False)}),
+    "/sessions/ID/ask": ("session.ask", {"POST": ("ask", True)}),
+    "/sessions/ID/tell": ("session.tell", {"POST": ("tell", True)}),
+    "/sessions/ID/step": ("session.step", {"POST": ("step", True)}),
+    "/sessions/ID/complete": ("session.complete", {"POST": ("complete", False)}),
 }
-
 
 _NULL_CTX = nullcontext()
 
 
 class _HttpError(Exception):
+    """Malformed connection framing: answered once, then the connection drops."""
+
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
@@ -236,9 +247,8 @@ class TuningServer:
         keep_alive: bool,
         extra_headers: dict[str, str] | None = None,
     ) -> None:
-        reason = _STATUS_TEXT.get(status, "Unknown")
         head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(payload)}\r\n"
             f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
@@ -249,22 +259,7 @@ class TuningServer:
         writer.write(head.encode("latin-1") + payload)
         await writer.drain()
 
-    # -- routing ------------------------------------------------------------
-    @staticmethod
-    def _route_key(method: str, path: str) -> str:
-        """Low-cardinality route label for per-route metric series."""
-        path = path.split("?", 1)[0]
-        if path == "/healthz":
-            return "healthz"
-        if path == "/metrics":
-            return "metrics"
-        if path == "/sessions":
-            return "sessions"
-        match = _SESSION_PATH.match(path)
-        if match:
-            return f"session.{match.group(2)}" if match.group(2) else "session.status"
-        return "unknown"
-
+    # -- the request pipeline: frame -> admit -> resolve -> run -> respond ------
     def _retry_headers(self) -> dict[str, str]:
         return {"Retry-After": f"{self.retry_after_s:g}"}
 
@@ -284,8 +279,7 @@ class TuningServer:
             in_flight=self._in_flight,
             queued=self._queued,
         )
-        body = error_body(status, message, retry_after=self.retry_after_s)
-        return status, body, "application/json", self._retry_headers()
+        return (*self._error(status, message), self._retry_headers())
 
     async def _serve_request(
         self, method: str, path: str, headers: dict[str, str], body: bytes
@@ -302,30 +296,27 @@ class TuningServer:
         ``/healthz`` and ``/metrics`` bypass admission control: probes and
         scrapers must keep working precisely when the service is saturated.
         """
-        route = self._route_key(method, path)
+        route, run = self._resolve(method, path, body)
         exempt = route in ("healthz", "metrics")
         if self._draining and not exempt:
             return self._shed(route, 503, "draining", "server is draining; retry later")
         acquired = False
         if not exempt and self._capacity is not None:
-            if self._capacity.locked():
-                if self._queued >= self.queue_depth:
-                    return self._shed(
-                        route,
-                        429,
-                        "queue_full",
-                        f"server at capacity ({self.max_in_flight} in flight, "
-                        f"{self._queued} queued); retry later",
-                    )
-                self._queued += 1
-                self.handlers.metrics.set_gauge("http.requests.queued", self._queued)
-                try:
-                    await self._capacity.acquire()
-                finally:
-                    self._queued -= 1
-                    self.handlers.metrics.set_gauge("http.requests.queued", self._queued)
-            else:
+            if self._capacity.locked() and self._queued >= self.queue_depth:
+                return self._shed(
+                    route,
+                    429,
+                    "queue_full",
+                    f"server at capacity ({self.max_in_flight} in flight, "
+                    f"{self._queued} queued); retry later",
+                )
+            self._queued += 1
+            self.handlers.metrics.set_gauge("http.requests.queued", self._queued)
+            try:
                 await self._capacity.acquire()
+            finally:
+                self._queued -= 1
+                self.handlers.metrics.set_gauge("http.requests.queued", self._queued)
             acquired = True
         inbound = parse_traceparent(headers.get("traceparent"))
         metrics = self.handlers.metrics
@@ -334,23 +325,15 @@ class TuningServer:
             self._idle.clear()
         metrics.set_gauge("http.requests.in_flight", self._in_flight)
         t0 = time.perf_counter()
-        try:
-            with (bind_trace(inbound) if inbound is not None else _NULL_CTX):
-                with self.handlers.trace.activated():
-                    with span("http.request", route=route, method=method) as op:
-                        status, payload, content_type = await self._deadline_dispatch(
-                            method, path, body
-                        )
-                        if op is not None:
-                            op.set(status=status)
-        finally:
-            self._in_flight -= 1
-            if self._in_flight == 0 and self._idle is not None:
-                self._idle.set()
-            metrics.set_gauge("http.requests.in_flight", self._in_flight)
-            if acquired:
-                assert self._capacity is not None
-                self._capacity.release()
+        with (bind_trace(inbound) if inbound is not None else _NULL_CTX):
+            with self.handlers.trace.activated():
+                with span("http.request", route=route, method=method) as op:
+                    # A task: overdue work outlives its 503 and keeps its slot.
+                    work = asyncio.ensure_future(run())
+                    work.add_done_callback(partial(self._release, acquired))
+                    status, payload, content_type = await self._respond(work)
+                    if op is not None:
+                        op.set(status=status)
         elapsed = time.perf_counter() - t0
         metrics.inc("service.requests.total")
         if status >= 400:
@@ -361,86 +344,81 @@ class TuningServer:
         extra = self._retry_headers() if status in (429, 503) else {}
         return status, payload, content_type, extra
 
-    async def _deadline_dispatch(self, method: str, path: str, body: bytes) -> tuple[int, bytes, str]:
-        """Dispatch under the per-request deadline (overrun → 503)."""
-        if self.request_timeout_s is None:
-            return await self._dispatch(method, path, body)
-        try:
-            return await asyncio.wait_for(
-                self._dispatch(method, path, body), timeout=self.request_timeout_s
-            )
-        except asyncio.TimeoutError:
-            self.handlers.metrics.inc("service.requests.deadline_exceeded")
-            payload = error_body(
-                503,
-                f"request exceeded the {self.request_timeout_s:g}s deadline",
-                trace_id=current_trace_id(),
-                retry_after=self.retry_after_s,
-            )
-            return 503, payload, "application/json"
+    def _release(self, acquired: bool, work: "asyncio.Future[Any]") -> None:
+        """The work has ended — answered or overdue: give its slot back."""
+        if not work.cancelled():
+            work.exception()  # consumed: an overdue request has had its 503
+        self._in_flight -= 1
+        if self._in_flight == 0 and self._idle is not None:
+            self._idle.set()
+        self.handlers.metrics.set_gauge("http.requests.in_flight", self._in_flight)
+        if acquired:
+            self._capacity.release()
 
-    async def _dispatch(self, method: str, path: str, body: bytes) -> tuple[int, bytes, str]:
-        try:
-            return await self._route(method, path, body)
-        except WireError as err:
-            return 400, error_body(400, str(err), trace_id=current_trace_id()), "application/json"
-        except NotFoundError as err:
-            return 404, error_body(404, str(err), trace_id=current_trace_id()), "application/json"
-        except TransientStorageError as err:
-            # Retryable store outage (contention, disk pressure, injected
-            # chaos): tell the client to back off and try again, never 409.
-            self.handlers.metrics.inc("service.requests.storage_transient")
-            payload = error_body(
-                503, str(err), trace_id=current_trace_id(), retry_after=self.retry_after_s
-            )
-            return 503, payload, "application/json"
-        except StorageError as err:
-            return 409, error_body(409, str(err), trace_id=current_trace_id()), "application/json"
-        except Exception as err:  # noqa: BLE001 - the server must not die with a connection
-            self.handlers.metrics.inc("service.requests.crashed")
-            return 500, error_body(500, f"{type(err).__name__}: {err}", trace_id=current_trace_id()), "application/json"
-
-    async def _route(self, method: str, path: str, body: bytes) -> tuple[int, bytes, str]:
-        path, _, query = path.partition("?")
-        if path == "/healthz" and method == "GET":
-            payload = await self.handlers.health()
-            payload["ready"] = self.is_ready
-            payload["draining"] = self._draining
-            # Liveness (bare GET) always answers 200 while the process can
-            # serve at all; the readiness probe (?ready) goes 503 during
-            # drain so load balancers stop routing before shutdown.
-            if "ready" in query.split("&") and not self.is_ready:
-                return 503, dump_json(payload), "application/json"
-            return 200, dump_json(payload), "application/json"
-        if path == "/metrics" and method == "GET":
-            text = await self.handlers.metrics_text()
-            return 200, text.encode("utf-8"), "text/plain; version=0.0.4"
-        if path == "/sessions":
-            if method == "GET":
-                return 200, dump_json(await self.handlers.list_sessions()), "application/json"
-            if method == "POST":
-                payload = await self.handlers.create_session(parse_json_body(body))
-                return 200, dump_json(payload), "application/json"
-            raise _HttpError(405, f"{method} not allowed on {path}")
+    def _resolve(
+        self, method: str, target: str, body: bytes
+    ) -> tuple[str, Callable[[], Awaitable[tuple[int, bytes, str]]]]:
+        """The one path parse: the route's metrics label, and the coroutine
+        function that answers the request from its row of the table."""
+        path, _, query = target.partition("?")
         match = _SESSION_PATH.match(path)
-        if match:
-            session_id, action = match.group(1), match.group(2)
-            if action is None:
-                if method != "GET":
-                    raise _HttpError(405, f"{method} not allowed on {path}")
-                return 200, dump_json(await self.handlers.status(session_id)), "application/json"
-            if method != "POST":
-                raise _HttpError(405, f"{method} not allowed on {path}")
-            handler: Callable[[str, dict[str, Any]], Awaitable[dict[str, Any]]] | None = {
-                "ask": self.handlers.ask,
-                "tell": self.handlers.tell,
-                "step": self.handlers.step,
-            }.get(action)
-            if handler is not None:
-                return 200, dump_json(await handler(session_id, parse_json_body(body))), "application/json"
-            if action == "complete":
-                return 200, dump_json(await self.handlers.complete(session_id)), "application/json"
-        raise NotFoundError(f"no route for {method} {path}")
+        shape = f"/sessions/ID{match.group(2) or ''}" if match else path
+        route, methods = _ROUTES.get(shape, ("unknown", None))
+
+        async def run() -> tuple[int, bytes, str]:
+            if methods is None:
+                return self._error(404, f"no route for {method} {path}")
+            if method not in methods:
+                return self._error(405, f"{method} not allowed on {path}")
+            name, takes_body = methods[method]
+            # Looked up per request, so a handler patched on the instance or
+            # the class (tests, the layer tracer) is the one that runs.
+            handler = getattr(self.handlers, name)
+            args: list[Any] = [match.group(1)] if match else []
+            if takes_body:
+                args.append(parse_json_body(body))
+            result = await handler(*args)
+            if isinstance(result, str):
+                return 200, result.encode("utf-8"), "text/plain; version=0.0.4"
+            status = 200
+            if route == "healthz":
+                result["ready"] = self.is_ready
+                result["draining"] = self._draining
+                # Liveness (bare GET) always answers 200 while the process can
+                # serve at all; the readiness probe (?ready) goes 503 during
+                # drain so load balancers stop routing before shutdown.
+                if "ready" in query.split("&") and not self.is_ready:
+                    status = 503
+            return status, dump_json(result), "application/json"
+
+        return route, run
+
+    def _error(self, status: int, message: str) -> tuple[int, bytes, str]:
+        retry_after = self.retry_after_s if status in (429, 503) else None
+        body = error_body(status, message, trace_id=current_trace_id(), retry_after=retry_after)
+        return status, body, "application/json"
+
+    async def _respond(self, work: "asyncio.Future[tuple[int, bytes, str]]") -> tuple[int, bytes, str]:
+        """The work's answer, or what its failure means on the wire. The
+        deadline bounds the *response*: overdue work is cancelled at its next
+        ``await``, but a worker thread it started runs on under its session
+        lock (``ServiceHandlers._in_session``)."""
+        metrics = self.handlers.metrics
+        try:
+            done, _ = await asyncio.wait([work], timeout=self.request_timeout_s)
+            if not done:
+                work.cancel()
+                metrics.inc("service.requests.deadline_exceeded")
+                raise asyncio.TimeoutError(f"request exceeded the {self.request_timeout_s:g}s deadline")
+            return work.result()
+        except Exception as err:  # noqa: BLE001 - the server must not die with a connection
+            status, message = error_status(err), str(err)
+            if status == 500:  # not a ReproError: a bug of ours, never the client's mistake
+                metrics.inc("service.requests.crashed")
+                message = f"{type(err).__name__}: {err}"
+            elif isinstance(err, TransientStorageError):
+                metrics.inc("service.requests.storage_transient")
+            return self._error(status, message)
 
 
 async def serve(

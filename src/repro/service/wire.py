@@ -5,7 +5,8 @@ There is deliberately no service-specific trial shape: ``/ask`` returns
 :class:`~repro.core.codec.TrialReport` payloads — the very dataclasses
 :meth:`TuningSession.ask`/``tell`` use in-process, serialised by the same
 codec. This module adds only what HTTP needs on top: the create-session
-request, error envelopes, and strict JSON body parsing.
+request, strict JSON body parsing, error envelopes, and the one rule that
+turns an exception into an HTTP status (:func:`error_status`).
 
 Endpoints (see ``docs/service.md`` for the full contract)::
 
@@ -18,15 +19,19 @@ Endpoints (see ``docs/service.md`` for the full contract)::
     POST /sessions/{id}/tell           TrialReport -> {trial_id, duplicate}
     POST /sessions/{id}/step           server-side evaluate n trials
     POST /sessions/{id}/complete       mark finished
+
+Another method on one of these paths answers 405, any other path 404.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..core.codec import CodecError, SuggestRequest, TrialReport, json_safe
+from ..core.codec import SuggestRequest, TrialReport, json_safe
+from ..core.journal import StorageError, TransientStorageError, UnknownSessionError
 from ..exceptions import ReproError
 
 __all__ = [
@@ -35,6 +40,7 @@ __all__ = [
     "parse_json_body",
     "dump_json",
     "error_body",
+    "error_status",
     "SuggestRequest",
     "TrialReport",
 ]
@@ -87,6 +93,22 @@ def error_body(
     return dump_json({"error": error})
 
 
+#: Whose fault a failure is, first match wins. Every error raised on purpose
+#: derives from ``ReproError``, so what falls off the end is a bug (500).
+_STATUS_RULE: tuple[tuple[type[BaseException], int], ...] = (
+    (TransientStorageError, 503),  # the store, for now: back off and retry
+    (UnknownSessionError, 404),
+    (StorageError, 409),  # the store, for good: retrying cannot help
+    (ReproError, 400),  # the request
+    (asyncio.TimeoutError, 503),  # the per-request deadline
+)
+
+
+def error_status(err: BaseException) -> int:
+    """The HTTP status of a failed request — the only exception → status map."""
+    return next((status for cls, status in _STATUS_RULE if isinstance(err, cls)), 500)
+
+
 @dataclass(frozen=True)
 class CreateSessionRequest:
     """Body of ``POST /sessions``.
@@ -117,7 +139,7 @@ class CreateSessionRequest:
         if (space is None) == (target is None):
             raise WireError("provide exactly one of 'space' or 'target'")
         try:
-            return cls(
+            request = cls(
                 optimizer=str(data.get("optimizer", "random")),
                 max_trials=int(data.get("max_trials", 100)),
                 space=None if space is None else dict(space),
@@ -131,19 +153,14 @@ class CreateSessionRequest:
                 strict=bool(data.get("strict", False)),
                 lint_ignore=[str(r) for r in data.get("lint_ignore", [])],
             )
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise WireError(f"malformed create-session request: {err}") from err
+        if any("name" not in objective for objective in request.objectives):
+            raise WireError("every objective needs a 'name'")
+        return request
 
 
-def parse_suggest_request(data: Mapping[str, Any]) -> SuggestRequest:
-    try:
-        return SuggestRequest.from_dict(data)
-    except CodecError as err:
-        raise WireError(str(err)) from err
-
-
-def parse_trial_report(data: Mapping[str, Any]) -> TrialReport:
-    try:
-        return TrialReport.from_dict(data)
-    except CodecError as err:
-        raise WireError(str(err)) from err
+#: The bodies of ``/ask`` (and the ``n`` of ``/step``) and of ``/tell`` are the
+#: codec's own payloads; the wire names them for the handlers and the layer tracer.
+parse_suggest_request = SuggestRequest.from_dict
+parse_trial_report = TrialReport.from_dict

@@ -350,8 +350,8 @@ class CategoricalParameter(Parameter):
         self._index = {c: i for i, c in enumerate(choices)}
         if weights is not None:
             w = np.asarray(weights, dtype=float)
-            if w.shape != (len(choices),) or np.any(w < 0) or w.sum() <= 0:
-                raise SpaceError(f"{name}: weights must be {len(choices)} non-negative values")
+            if w.shape != (len(choices),) or np.any(w < 0) or not 0 < w.sum() < np.inf:
+                raise SpaceError(f"{name}: weights must be {len(choices)} non-negative finite values")
             self.weights = w / w.sum()
         else:
             self.weights = np.full(len(choices), 1.0 / len(choices))

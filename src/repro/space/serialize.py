@@ -64,6 +64,13 @@ class SpaceCodecError(SpaceError):
         self.rule = rule
 
 
+def _expect(data: Any, kind: type, what: str) -> Any:
+    """``data`` if it has the JSON shape ``kind`` (``Mapping`` or ``list``)."""
+    if not isinstance(data, kind):
+        raise SpaceCodecError(f"{what} must be a JSON {kind.__name__.lower()}, got {data!r}")
+    return data
+
+
 # -- priors ------------------------------------------------------------------
 
 def _prior_to_dict(prior: Prior) -> dict[str, Any] | None:
@@ -81,7 +88,7 @@ def _prior_to_dict(prior: Prior) -> dict[str, Any] | None:
 def _prior_from_dict(data: Mapping[str, Any] | None) -> Prior | None:
     if data is None:
         return None
-    kind = data.get("kind")
+    kind = _expect(data, Mapping, "a prior").get("kind")
     try:
         if kind == "normal":
             return NormalPrior(float(data["mean"]), float(data["std"]))
@@ -143,7 +150,7 @@ def _param_to_dict(param: Parameter) -> dict[str, Any]:
 
 
 def _param_from_dict(data: Mapping[str, Any]) -> Parameter:
-    kind = data.get("type")
+    kind = _expect(data, Mapping, "a parameter").get("type")
     try:
         name = str(data["name"])
         if kind == "bool":
@@ -174,9 +181,7 @@ def _param_from_dict(data: Mapping[str, Any]) -> Parameter:
                 quantization=None if data.get("quantization") is None else float(data["quantization"]),
                 prior=_prior_from_dict(data.get("prior")),
             )
-    except SpaceCodecError:
-        raise
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise SpaceCodecError(f"malformed parameter {data!r}: {err}") from err
     raise SpaceCodecError(f"unknown parameter type {kind!r} in {data!r}")
 
@@ -206,7 +211,7 @@ def _condition_to_dict(cond: Condition) -> dict[str, Any] | None:
 
 
 def _condition_from_dict(data: Mapping[str, Any]) -> Condition:
-    kind = data.get("kind")
+    kind = _expect(data, Mapping, "a condition").get("kind")
     try:
         child, parent = str(data["child"]), str(data["parent"])
         if kind == "equals":
@@ -285,15 +290,15 @@ def space_version_hash(space: ConfigurationSpace | Mapping[str, Any]) -> str:
 
 def space_from_dict(data: Mapping[str, Any]) -> ConfigurationSpace:
     """Rebuild a configuration space written by :func:`space_to_dict`."""
-    version = data.get("version", SPACE_FORMAT_VERSION)
+    version = _expect(data, Mapping, "a space description").get("version", SPACE_FORMAT_VERSION)
     if version != SPACE_FORMAT_VERSION:
         raise SpaceCodecError(f"unsupported space-format version {version!r}")
-    params = data.get("parameters")
+    params = _expect(data.get("parameters", []), list, "'parameters'")
     if not params:
         raise SpaceCodecError("space description has no parameters")
     space = ConfigurationSpace(str(data.get("name", "space")))
     for p in params:
         space.add(_param_from_dict(p))
-    for c in data.get("conditions", ()):
+    for c in _expect(data.get("conditions", []), list, "'conditions'"):
         space.add_condition(_condition_from_dict(c))
     return space

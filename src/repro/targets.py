@@ -102,12 +102,17 @@ def target_spec(spec: Mapping[str, Any]):
     """
     try:
         system = str(spec["system"])
+        seed, noise = int(spec.get("seed", 0)), float(spec.get("noise", 0.03))
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
     except KeyError:
         raise ReproError("target spec needs a 'system' key") from None
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ReproError(f"malformed target spec: {err}") from err
     return make_evaluator(
         system,
         workload=str(spec.get("workload", "default")),
         metric=str(spec.get("metric", "throughput")),
-        seed=int(spec.get("seed", 0)),
-        noise=float(spec.get("noise", 0.03)),
+        seed=seed,
+        noise=noise,
     )

@@ -564,6 +564,61 @@ class TestServerHardening:
 
         run(main())
 
+    def test_session_lock_outlives_the_deadline(self):
+        """The deadline bounds the response, the lock bounds the session: the
+        overdue ask's worker thread keeps the session to itself until it has
+        returned, so the client's 503-retry never runs beside it."""
+
+        async def main():
+            server, client = await start_server(MemoryTrialStore(), request_timeout_s=0.2)
+            unretrieved = []
+            asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: unretrieved.append(ctx))
+            await client.create_session(session_id="s1", **simple_meta_dict())
+            optimizer = server.handlers._hosted["s1"].session.optimizer
+            suggest, calls, inside = optimizer.suggest, [], []
+
+            def slow_first_suggest(n):
+                inside.append(len(inside) + 1)
+                assert inside[-1] == 1 + len(calls), "two threads inside one optimizer"
+                if not calls:
+                    time.sleep(0.6)
+                try:
+                    return suggest(n)
+                finally:
+                    calls.append(time.monotonic())
+
+            optimizer.suggest = slow_first_suggest
+            try:
+                t0 = time.monotonic()
+                with pytest.raises(ServiceError) as err:
+                    await client.ask("s1", n=1)
+                assert err.value.status == 503 and err.value.retry_after is not None
+                assert time.monotonic() - t0 < 0.5  # answered at the deadline, not after the thread
+                assert server._in_flight == 1  # the overdue work still holds its slot
+                while True:  # the immediate retry, and its retries: waiting is cancellable
+                    try:
+                        [second] = await client.ask("s1", n=1)
+                        break
+                    except ServiceError as busy:
+                        assert busy.status == 503
+                assert len(calls) == 2 and calls[0] - t0 >= 0.6  # served only once the first left
+                assert second.ask_id == 1  # the overdue ask took 0, alone; no waiter took any
+                assert server._in_flight == 0
+                # A failure nobody is left to answer with is consumed, not logged.
+                optimizer.suggest = lambda n: time.sleep(0.4) or 1 / 0
+                with pytest.raises(ServiceError) as err:
+                    await client.ask("s1", n=1)
+                assert err.value.status == 503
+                stop = asyncio.create_task(server.stop(drain_timeout_s=5.0))
+                await asyncio.sleep(0.05)
+                assert not stop.done()  # the drain waits for the overdue thread too
+                await stop
+                assert server._in_flight == 0 and unretrieved == []
+            finally:
+                await server.stop()
+
+        run(main())
+
     def test_transient_storage_maps_to_503_not_404(self):
         async def main():
             plan = FaultPlan(seed=4, rules=[FaultRule(site="store.meta", kind="error", stop=1)])

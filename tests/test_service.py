@@ -4,10 +4,14 @@ kill-mid-campaign restart acceptance demo."""
 from __future__ import annotations
 
 import asyncio
+import copy
+import json
 import re
 import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.codec import TrialReport
 from repro.core.manager import SessionManager
@@ -524,9 +528,7 @@ class TestTracePropagation:
                 raw = await reader.read()
                 writer.close()
                 body = raw.partition(b"\r\n\r\n")[2]
-                import json as _json
-
-                error = _json.loads(body)["error"]
+                error = json.loads(body)["error"]
                 assert error["status"] == 404
                 assert error["trace_id"] == trace_id
             finally:
@@ -608,3 +610,235 @@ class TestTracePropagation:
                 await server.stop()
 
         run(asyncio.wait_for(main(), timeout=60))
+
+
+# ---------------------------------------------------------------------------
+# The status rule: whose fault a failure is, decided once
+# ---------------------------------------------------------------------------
+OBJECTIVES = [{"name": "loss", "minimize": True}]
+
+
+def create_body(**overrides) -> dict:
+    return {"space": small_space_spec(), "optimizer": "random", "seed": 1, "max_trials": 3,
+            "objectives": OBJECTIVES, **overrides}
+
+
+def space_with(**overrides) -> dict:
+    return {**small_space_spec(), **overrides}
+
+
+def param(**overrides) -> dict:
+    return {"type": "float", "name": "x", "lower": -2.0, "upper": 2.0, **overrides}
+
+
+#: One row per client mistake: (id, method, path, body, expected status).
+#: Sessions on the probed server: "s1" (open, one ask pending), "done"
+#: (budget spent) and "t1" (target session, can /step).
+STATUS_RULE = [
+    # -- POST /sessions: a malformed body or an impossible spec is a 400 --------
+    ("create-empty-body", "POST", "/sessions", {}, 400),
+    ("create-not-json", "POST", "/sessions", b"{not json", 400),
+    ("create-json-array", "POST", "/sessions", b"[1, 2]", 400),
+    ("create-space-and-target", "POST", "/sessions", create_body(target={"system": "redis"}), 400),
+    ("create-max-trials-text", "POST", "/sessions", create_body(max_trials="many"), 400),
+    ("create-max-trials-zero", "POST", "/sessions", create_body(max_trials=0), 400),
+    ("create-inverted-bounds", "POST", "/sessions",
+     create_body(space=space_with(parameters=[param(lower=2.0, upper=-2.0)])), 400),
+    ("create-unknown-parameter-type", "POST", "/sessions",
+     create_body(space=space_with(parameters=[param(type="complex")])), 400),
+    ("create-parameters-not-a-list", "POST", "/sessions", create_body(space=space_with(parameters=5)), 400),
+    ("create-parameter-not-an-object", "POST", "/sessions", create_body(space=space_with(parameters=[5])), 400),
+    ("create-no-parameters", "POST", "/sessions", create_body(space={"name": "empty"}), 400),
+    ("create-duplicate-parameter", "POST", "/sessions",
+     create_body(space=space_with(parameters=[param(), param()])), 400),
+    ("create-conditions-not-a-list", "POST", "/sessions", create_body(space=space_with(conditions=5)), 400),
+    ("create-prior-not-an-object", "POST", "/sessions",
+     create_body(space=space_with(parameters=[param(prior=5)])), 400),
+    ("create-objective-without-name", "POST", "/sessions", create_body(objectives=[{"minimize": True}]), 400),
+    ("create-unknown-optimizer", "POST", "/sessions", create_body(optimizer="nope"), 400),
+    ("create-unknown-optimizer-option", "POST", "/sessions", create_body(optimizer_options={"zzz": 1}), 400),
+    ("create-unknown-target-system", "POST", "/sessions", {"target": {"system": "mainframe"}}, 400),
+    ("create-unknown-target-workload", "POST", "/sessions",
+     {"target": {"system": "redis", "workload": "nope"}}, 400),
+    ("create-unknown-lint-ignore", "POST", "/sessions", create_body(lint_ignore=["SP999"]), 400),
+    ("create-duplicate-session-id", "POST", "/sessions", create_body(session_id="s1"), 409),
+    # -- the route table: unknown path 404, known path + other method 405 ------
+    ("no-such-route", "GET", "/no/such/route", None, 404),
+    ("no-such-action", "POST", "/sessions/s1/bogus", {}, 404),
+    ("put-sessions", "PUT", "/sessions", {}, 405),
+    ("delete-session", "DELETE", "/sessions/s1", None, 405),
+    ("get-ask", "GET", "/sessions/s1/ask", None, 405),
+    ("post-healthz", "POST", "/healthz", {}, 405),
+    # -- a session nobody created is a 404 on every route ----------------------
+    ("status-ghost", "GET", "/sessions/ghost", None, 404),
+    ("ask-ghost", "POST", "/sessions/ghost/ask", {"n": 1}, 404),
+    ("tell-ghost", "POST", "/sessions/ghost/tell", {"config": {"x": 0.0, "n": 2}, "metrics": {"loss": 1.0}}, 404),
+    ("complete-ghost", "POST", "/sessions/ghost/complete", None, 404),
+    # -- ask / tell / step bodies ------------------------------------------------
+    ("ask-n-zero", "POST", "/sessions/s1/ask", {"n": 0}, 400),
+    ("ask-n-text", "POST", "/sessions/s1/ask", {"n": "abc"}, 400),
+    ("ask-completed", "POST", "/sessions/done/ask", {"n": 1}, 400),
+    ("tell-without-config", "POST", "/sessions/s1/tell", {"metrics": {"loss": 1.0}}, 400),
+    ("tell-without-objective-metric", "POST", "/sessions/s1/tell",
+     {"config": {"x": 0.0, "n": 2}, "metrics": {"other": 1.0}}, 400),
+    ("tell-value-out-of-range", "POST", "/sessions/s1/tell",
+     {"config": {"x": 99.0, "n": 2}, "metrics": {"loss": 1.0}}, 400),
+    ("step-n-text", "POST", "/sessions/t1/step", {"n": "abc"}, 400),
+]
+
+
+async def raw_request(server: TuningServer, method: str, path: str, body) -> tuple[int, dict]:
+    """One request over a real socket, any method, any bytes; (status, JSON body)."""
+    payload = b"" if body is None else body if isinstance(body, bytes) else json.dumps(body).encode()
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    writer.write(
+        f"{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {len(payload)}\r\n"
+        "Connection: close\r\n\r\n".encode() + payload
+    )
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    head, _, data = raw.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(data)
+
+
+async def start_probed_server() -> tuple[TuningServer, ServiceClient]:
+    server, client = await start_server(MemoryTrialStore())
+    await client.create_session(**create_body(session_id="s1"))
+    await client.ask("s1", n=1)
+    await client.create_session(**create_body(session_id="done", max_trials=1))
+    (s,) = await client.ask("done", n=1)
+    await client.tell("done", TrialReport(config=s.config, metrics=evaluate(s.config)))
+    await client.create_session(
+        target={"system": "redis", "workload": "ycsb-b"}, optimizer="random", seed=2,
+        max_trials=4, session_id="t1",
+    )
+    return server, client
+
+
+class TestStatusRule:
+    """Nothing a client can send is a crash: every mistake answers its 4xx,
+    carries the trace id, and leaves ``service.requests.crashed`` at 0."""
+
+    @pytest.mark.parametrize(
+        "method, path, body, expected",
+        [pytest.param(*row[1:], id=row[0]) for row in STATUS_RULE],
+    )
+    def test_client_mistake_answers_its_status(self, method, path, body, expected):
+        async def main():
+            server, _ = await start_probed_server()
+            try:
+                status, answer = await raw_request(server, method, path, body)
+                assert status == expected, answer
+                assert answer["error"]["status"] == expected
+                assert answer["error"]["trace_id"]
+                counters = server.handlers.metrics
+                assert counters.counter_value("service.requests.crashed") == 0
+                assert counters.counter_value("service.requests.errors") == 1
+            finally:
+                await server.stop()
+
+        run(main())
+
+    def test_only_a_path_with_a_session_id_reaches_a_session_row(self):
+        async def main():
+            server, _ = await start_server(MemoryTrialStore())
+            try:
+                for path in ("/sessions/{id}/ask", "/sessions/ID/ask", "/sessions//ask", "/ask"):
+                    status, _ = await raw_request(server, "POST", path, {"n": 1})
+                    assert status == 404, path  # no row, or the row of a session nobody created
+                assert server.handlers.metrics.counter_value("service.requests.crashed") == 0
+            finally:
+                await server.stop()
+
+        run(main())
+
+    def test_a_bug_in_a_handler_is_the_only_500(self, monkeypatch):
+        async def broken_status(self, session_id):
+            raise KeyError(session_id)
+
+        monkeypatch.setattr(ServiceHandlers, "status", broken_status)
+
+        async def main():
+            server, _ = await start_server(MemoryTrialStore())
+            try:
+                status, answer = await raw_request(server, "GET", "/sessions/s1", None)
+                assert status == 500 and "KeyError" in answer["error"]["message"]
+                assert answer["error"]["trace_id"]
+                assert server.handlers.metrics.counter_value("service.requests.crashed") == 1
+            finally:
+                await server.stop()
+
+        run(main())
+
+
+# -- property: a valid body with one field replaced by any JSON value never crashes ----
+VALID_BODIES = {
+    "/sessions": create_body(
+        space=space_with(
+            parameters=[param(prior={"kind": "normal", "mean": 0.5, "std": 0.2}, default=0.0, log=False),
+                        {"type": "int", "name": "n", "lower": 1, "upper": 8},
+                        {"type": "categorical", "name": "c", "choices": ["a", "b"], "weights": [1, 2]}],
+            conditions=[{"kind": "gt", "child": "c", "parent": "n", "threshold": 2}],
+        ),
+        max_cost=50.0, optimizer_options={}, session_id="fresh", resume=False, strict=False,
+        lint_ignore=["SP402"],
+    ),
+    "/sessions#target": {
+        "target": {"system": "redis", "workload": "ycsb-b", "metric": "throughput", "seed": 0, "noise": 0.03},
+        "optimizer": "random", "max_trials": 2,
+    },
+    "/sessions/s1/ask": {"n": 1, "fidelity": 1.0, "session_id": "s1"},
+    "/sessions/s1/tell": {
+        "config": {"x": 0.25, "n": 2}, "metrics": {"loss": 1.0}, "cost": 1.0, "status": "succeeded",
+        "fidelity": 1.0, "context": {"host": "a"}, "ask_id": 0, "report_id": "r-0", "session_id": "s1",
+    },
+    "/sessions/t1/step": {"n": 1},
+}
+
+
+def field_paths(value, prefix=()):
+    """Every replaceable position in a JSON value: each key, each index."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield (*prefix, key)
+        yield from field_paths(child, (*prefix, key))
+
+
+MUTATIONS = [(route, path) for route, body in VALID_BODIES.items() for path in field_paths(body)]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mutation=st.sampled_from(MUTATIONS), value=json_values)
+def test_no_request_body_is_a_crash(mutation, value):
+    route, path = mutation
+    body = copy.deepcopy(VALID_BODIES[route])
+    at = body
+    for key in path[:-1]:
+        at = at[key]
+    at[path[-1]] = value
+
+    async def main():
+        server = TuningServer(ServiceHandlers(SessionManager(MemoryTrialStore())))
+        try:
+            for setup in ("s1", "t1"):
+                if setup in route:
+                    spec = VALID_BODIES["/sessions#target"] if setup == "t1" else create_body()
+                    await server.handlers.create_session({**spec, "session_id": setup})
+            if "s1" in route:
+                await server.handlers.ask("s1", {"n": 1})
+            status, payload, _, _ = await server._serve_request(
+                "POST", route.partition("#")[0], {}, json.dumps(body).encode()
+            )
+            assert status in (200, 400, 409), (route, path, value, payload)
+            assert server.handlers.metrics.counter_value("service.requests.crashed") == 0
+        finally:
+            await server.handlers.close()
+
+    run(main())

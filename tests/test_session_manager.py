@@ -7,9 +7,9 @@ import pytest
 
 from repro.core import Objective, TuningSession
 from repro.core.codec import SuggestRequest, Suggestion, TrialReport, encode_trial
-from repro.core.journal import StorageError
+from repro.core.journal import StorageError, UnknownSessionError
 from repro.core.manager import SessionManager, make_optimizer, optimizer_names
-from repro.core.stores import JsonJournalStore, MemoryTrialStore
+from repro.core.stores import JsonJournalStore, MemoryTrialStore, SqliteTrialStore
 from repro.exceptions import OptimizerError, ReproError
 from repro.space import (
     BetaPrior,
@@ -232,8 +232,12 @@ class TestDurability:
             session.ask(SuggestRequest(n=2), count=2)
 
     def test_resume_unknown_session(self):
-        with pytest.raises(StorageError):
-            SessionManager().resume("ghost")
+        """One typed fact, raised from one place, whichever call meets the gap."""
+        manager = SessionManager()
+        for touch in (manager.resume, manager.meta, manager.status, manager.complete):
+            with pytest.raises(UnknownSessionError, match="unknown session 'ghost'"):
+                touch("ghost")
+        assert issubclass(UnknownSessionError, StorageError)
 
     def test_status_snapshot(self, simple_space):
         manager = SessionManager()
@@ -254,6 +258,26 @@ class TestDurability:
         manager.create(simple_space, session_id="s1")
         with pytest.raises(StorageError):
             manager.create(simple_space, session_id="s1")
+
+    @pytest.mark.parametrize("backend", ["memory", "json", "sqlite"])
+    @pytest.mark.parametrize(
+        "mistake",
+        [{"optimizer": "nope"}, {"optimizer_options": {"zzz": 1}}, {"max_trials": 0}],
+        ids=["unknown-optimizer", "unknown-option", "zero-budget"],
+    )
+    def test_rejected_create_leaves_nothing_behind(self, simple_space, tmp_path, backend, mistake):
+        store = {
+            "memory": MemoryTrialStore,
+            "json": lambda: JsonJournalStore(tmp_path / "journal"),
+            "sqlite": lambda: SqliteTrialStore(tmp_path / "trials.sqlite"),
+        }[backend]()
+        with SessionManager(store) as manager:
+            with pytest.raises(ReproError):
+                manager.create(simple_space, session_id="s1", **mistake)
+            assert manager.list_sessions() == [] and not manager.exists("s1")
+            # Nothing of the failed attempt is in the way of the corrected one.
+            session = manager.create(simple_space, session_id="s1", optimizer="random", max_trials=2)
+            assert session.session_id == "s1" and manager.list_sessions() == ["s1"]
 
     def test_list_and_exists(self, simple_space):
         manager = SessionManager()
