@@ -70,7 +70,7 @@ class JsonJournalStore(TrialStore):
         self.root.mkdir(parents=True, exist_ok=True)
         self.fsync = bool(fsync)
         self._lock = threading.RLock()
-        # Per-session journal state, lazily recovered from disk:
+        # Journal state per unfinished session, lazily recovered from disk:
         # number of valid records and the set of seen report ids.
         self._counts: dict[str, int] = {}
         self._report_ids: dict[str, set[str]] = {}
@@ -115,6 +115,9 @@ class JsonJournalStore(TrialStore):
                     raise StorageError(f"unknown session-meta field {key!r}")
                 setattr(meta, key, value)
             _atomic_write(self._meta_path(session_id), json.dumps(meta.to_dict(), indent=2), self.fsync)
+            if meta.status == "completed":  # a later touch recovers it from disk
+                self._counts.pop(session_id, None)
+                self._report_ids.pop(session_id, None)
 
     def list_sessions(self) -> list[str]:
         return sorted(p.name[: -len(".meta.json")] for p in self.root.glob("*.meta.json"))

@@ -54,6 +54,10 @@ from .wire import (
 
 __all__ = ["ServiceHandlers"]
 
+#: Spans the service-wide trace keeps (≈ 2 MB at 507 B each: the newest thousand
+#: requests and more); the library default is sized for one exported campaign.
+SERVICE_TRACE_SPANS = 4096
+
 
 @dataclass
 class _Hosted:
@@ -75,7 +79,7 @@ class ServiceHandlers:
         #: spans they enclose are recorded here (with the *caller's* trace
         #: id when the request carried a ``traceparent``). Share the service
         #: metrics registry so trace-emitted counters land on ``/metrics``.
-        self.trace = SessionTrace(name="service")
+        self.trace = SessionTrace(name="service", max_ops=SERVICE_TRACE_SPANS)
         self.trace.metrics = self.metrics
         self.step_workers = int(step_workers)
         self._hosted: dict[str, _Hosted] = {}

@@ -19,8 +19,7 @@ state:
   online agent for its runs). With no active trace, :func:`span`,
   :func:`trial_scope`, and :func:`emit_event` are strict no-ops: one
   ``ContextVar.get`` plus a ``None`` check, no allocation — cheap enough
-  to leave the instrumentation permanently in hot paths (measured by
-  ``benchmarks/test_e25_observability_overhead.py``).
+  to leave the instrumentation permanently in hot paths.
 * the **current parent span** — nested ``span()`` blocks form a tree via
   ``parent_id``; exceptions propagate but the span is always closed (with
   ``status="error"``), so no orphans survive a crash.

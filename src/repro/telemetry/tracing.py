@@ -50,6 +50,30 @@ def _outcome_counts(roots: list[OpSpan]) -> dict[str, int]:
     return dict(Counter(root.attributes.get("outcome", "unknown") for root in roots))
 
 
+class _Activation:
+    """Context manager behind :meth:`SessionTrace.activated`."""
+
+    __slots__ = ("_trace", "_token", "_trace_binding")
+
+    def __init__(self, trace: "SessionTrace") -> None:
+        self._trace = trace
+
+    def __enter__(self) -> "SessionTrace":
+        self._token = _spans.activate(self._trace)
+        if _spans.current_trace_context() is None:
+            self._trace_binding = _spans.bind_trace(self._trace.trace_id)
+            self._trace_binding.__enter__()
+        else:
+            self._trace_binding = None
+        return self._trace
+
+    def __exit__(self, *exc_info: object) -> bool:
+        if self._trace_binding is not None:
+            self._trace_binding.__exit__(*exc_info)
+        _spans.deactivate(self._token)
+        return False
+
+
 class SessionTrace:
     """Spans + metrics + events for one tuning run.
 
@@ -92,26 +116,7 @@ class SessionTrace:
         context — unless one is already bound (an inbound ``traceparent``
         takes precedence so propagated traces stitch).
         """
-
-        trace = self
-
-        class _Activation:
-            def __enter__(self) -> "SessionTrace":
-                self._token = _spans.activate(trace)
-                if _spans.current_trace_context() is None:
-                    self._trace_binding = _spans.bind_trace(trace.trace_id)
-                    self._trace_binding.__enter__()
-                else:
-                    self._trace_binding = None
-                return trace
-
-            def __exit__(self, *exc_info: object) -> bool:
-                if self._trace_binding is not None:
-                    self._trace_binding.__exit__(*exc_info)
-                _spans.deactivate(self._token)
-                return False
-
-        return _Activation()
+        return _Activation(self)
 
     # -- recording ----------------------------------------------------------
     def record_op(self, op: OpSpan) -> None:

@@ -104,13 +104,23 @@ def test_listing_the_registry_imports_no_optimizer():
     assert not {m for m in loaded if m.startswith(("repro.optimizers.", "scipy"))}
 
 
-# -- (b) six of the eight served optimizers never need scipy -------------------
+# -- (b) seven of the eight served optimizers never need scipy -----------------
 
 
 @pytest.mark.parametrize("optimizer", ["random", "grid", "anneal", "cmaes", "pso", "bestconfig"])
 def test_model_free_optimizer_runs_with_scipy_blocked(optimizer, tmp_path):
     code = BLOCK_SCIPY + DRIVER + "print(round_trips(create(*sys.argv[1:]), 12))"
     assert fresh(code, optimizer, str(tmp_path)) == 12
+
+
+def test_forest_family_runs_with_scipy_blocked(tmp_path):
+    """Past ``n_init``, so with real forest fits and EI picks."""
+    code = BLOCK_SCIPY + DRIVER + textwrap.dedent("""
+        session = create(*sys.argv[1:])
+        print(json.dumps([round_trips(session, 30), session.optimizer.surrogate_stats()["n_fits"]]))
+    """)
+    n, n_fits = fresh(code, "smac", str(tmp_path))
+    assert n == 30 and n_fits > 0
 
 
 def test_staticcheck_runs_with_scipy_blocked():
@@ -123,8 +133,8 @@ def test_staticcheck_runs_with_scipy_blocked():
 # What each family may import from scipy, named by the statement that loads it;
 # the allow-list is whatever that statement pulls on the installed scipy.
 FAMILY_IMPORTS = {
-    "smac": "import scipy.special",
-    "bo": "import scipy.special, scipy.linalg, scipy.optimize",
+    "smac": "",  # the forest family: nothing
+    "bo": "import scipy.linalg, scipy.optimize",
 }
 
 
@@ -149,7 +159,7 @@ def family(request, tmp_path_factory):
 def test_family_loads_only_its_scipy_subpackages(family):
     name, run, allowed = family
     loaded = scipy_parts(run["after_create"])
-    assert "special" in loaded  # the family does need scipy: the list is not vacuous
+    assert ("linalg" in loaded) == (name == "bo")  # the GP does need scipy: the list is not vacuous
     assert loaded <= allowed, f"{name} loaded scipy.{sorted(loaded - allowed)}"
     assert "stats" not in loaded
 

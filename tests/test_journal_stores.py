@@ -22,6 +22,7 @@ from repro.core.journal import (
     TransientStorageError,
     new_session_id,
 )
+from repro.core.manager import SessionManager
 from repro.core.stores import (
     JsonJournalStore,
     MemoryTrialStore,
@@ -214,6 +215,19 @@ class TestJsonJournalRecovery:
         with pytest.raises(StorageError):
             fresh.load_trials("s1")
         fresh.close()
+
+    def test_completed_session_leaves_the_tables(self, tmp_path):
+        """A server journals sessions without end; only live ones may cost it memory."""
+        store = JsonJournalStore(tmp_path, fsync=False)
+        store.create_session(simple_meta("s1"))
+        for i in range(3):
+            store.append_trial("s1", record(i, report_id=f"r-{i}"))
+        SessionManager(store).complete("s1")
+        assert "s1" not in store._counts and "s1" not in store._report_ids
+        # A late duplicate is still one: the tables are recovered from disk.
+        assert store.append_trial("s1", record(9, report_id="r-1")) == AppendResult(trial_id=1, duplicate=True)
+        assert store.trial_count("s1") == 3
+        store.close()
 
 
 KILL_SCRIPT = textwrap.dedent(

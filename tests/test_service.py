@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import asyncio
 import copy
+import gc
 import json
+import os
 import re
 import socket
 
@@ -48,6 +50,16 @@ async def start_server(store) -> tuple[TuningServer, ServiceClient]:
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def proc_self() -> tuple[int, float] | None:
+    """``(open fds, resident MB)`` of this process, where there is a ``/proc``."""
+    try:
+        with open("/proc/self/statm") as fh:
+            resident_pages = int(fh.read().split()[1])
+        return len(os.listdir("/proc/self/fd")), resident_pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+    except OSError:
+        return None
 
 
 class TestWireContract:
@@ -256,6 +268,58 @@ class TestEvictionOnCompletion:
                 await server.stop()
 
         run(main())
+
+
+class TestSoak:
+    """ROADMAP 6(e): what a server holds is its live sessions, not its past."""
+
+    SESSIONS_PER_PHASE = 250
+    TRIALS_PER_SESSION = 6
+
+    def test_memory_is_flat_across_finished_sessions(self, tmp_path):
+        async def main():
+            store = JsonJournalStore(tmp_path, fsync=False)
+            server, client = await start_server(store)
+            handlers = server.handlers
+
+            async def phase(k: int) -> dict:
+                for i in range(self.SESSIONS_PER_PHASE):
+                    sid = f"soak-{k}-{i:03d}"
+                    await client.create_session(
+                        space=small_space_spec(), optimizer="random", seed=i,
+                        max_trials=self.TRIALS_PER_SESSION, session_id=sid,
+                        objectives=[{"name": "loss", "minimize": True}],
+                    )
+                    for _ in range(self.TRIALS_PER_SESSION):
+                        (sugg,) = await client.ask(sid)
+                        ack = await client.tell(sid, TrialReport(
+                            config=sugg.config, metrics=evaluate(sugg.config),
+                            ask_id=sugg.ask_id, report_id=f"{sid}-{sugg.ask_id}",
+                        ))
+                    assert ack["complete"]
+                gc.collect()
+                return {
+                    "objects": len(gc.get_objects()),
+                    "proc": proc_self(),
+                    "hosted": len(handlers._hosted),
+                    "tables": len(store._counts) + len(store._report_ids),
+                    "ring": len(handlers.trace.ops),
+                    "wrapped": handlers.trace.ops_dropped > 0,
+                }
+
+            try:
+                first, second = await phase(1), await phase(2)
+            finally:
+                await server.stop()
+            full = {"hosted": 0, "tables": 0, "ring": handlers.trace.max_ops, "wrapped": True}
+            assert {key: first[key] for key in full} == full
+            assert {key: second[key] for key in full} == full
+            assert second["objects"] < first["objects"] * 1.01, (first, second)
+            if first["proc"] is not None:
+                (fds, rss_mb), (fds_later, rss_mb_later) = first["proc"], second["proc"]
+                assert fds_later == fds and rss_mb_later - rss_mb <= 1.0, (first, second)
+
+        run(asyncio.wait_for(main(), timeout=300))
 
 
 class TestServerSideStep:
