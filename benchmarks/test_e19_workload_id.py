@@ -12,7 +12,6 @@ Three applications of workload embeddings:
 """
 
 import numpy as np
-import pytest
 
 from repro.core import TuningSession
 from repro.optimizers import BayesianOptimizer
@@ -44,7 +43,6 @@ def _tuned_config(db, workload, seed):
     return TuningSession(opt, db.evaluator(workload, "throughput"), max_trials=25).run().best_config
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="red since 90f9369 (vectorised SMAC forest): reuse 17190 < 0.5 x scratch 34948")
 def test_e19_workload_identification(table):
     def experiment():
         rng = np.random.default_rng(0)

@@ -15,10 +15,11 @@ Hot-path notes (the suggest loop refits this model every trial):
   history) falls back to the full path.
 * Hyperparameter search uses analytic marginal-likelihood gradients
   (``jac=True`` L-BFGS-B) via ``kernel(X, eval_gradient=True)`` — one
-  kernel-matrix construction per NLL evaluation instead of one per
-  gradient component. The gradient-free ``_nll`` is what
-  :meth:`log_marginal_likelihood` reports and what the tests difference
-  numerically to check the gradient; the search never calls it.
+  kernel-matrix construction per NLL evaluation, and the kernel contracts
+  ∂K/∂θ against the weight matrix instead of materialising it, so an
+  evaluation holds O(n²) beside the kernel's cached distance tensor. The
+  gradient-free ``_nll`` is what :meth:`log_marginal_likelihood` reports
+  and what the tests difference numerically; the search never calls it.
 * :attr:`stats` (a :class:`SurrogateStats`) counts NLL evaluations,
   kernel-matrix constructions, full vs incremental Cholesky updates, and
   accumulates factorization wall-clock, so callers can wire surrogate
@@ -219,14 +220,15 @@ class GaussianProcessRegressor:
     def _nll_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """NLL and its analytic gradient — one kernel construction per call.
 
-        ∂NLL/∂θ_j = −½ tr((ααᵀ − K⁻¹) ∂K/∂θ_j) with α = K⁻¹y.
+        ∂NLL/∂θ_j = −½ tr((ααᵀ − K⁻¹) ∂K/∂θ_j) with α = K⁻¹y; the kernel
+        returns that trace as a contraction, never ∂K/∂θ itself.
         """
         self.stats.nll_evals += 1
         self.stats.nll_grad_evals += 1
         self.stats.kernel_constructions += 1
         self.kernel.theta = theta
         n = len(self._X)
-        K, dK = self.kernel(self._X, eval_gradient=True)
+        K, contract = self.kernel(self._X, eval_gradient=True)
         K = K + self.jitter * np.eye(n)
         try:
             L = linalg.cholesky(K, lower=True)
@@ -241,12 +243,11 @@ class GaussianProcessRegressor:
         if not np.isfinite(nll):
             return 1e25, np.zeros_like(theta)
         K_inv = linalg.cho_solve((L, True), np.eye(n))
-        tmp = np.outer(alpha, alpha) - K_inv
-        grad = -0.5 * np.einsum("ij,ijk->k", tmp, dK)
-        return nll, grad
+        return nll, -0.5 * contract(np.outer(alpha, alpha) - K_inv)
 
     def _optimize_theta(self) -> None:
-        with span("gp.hyperopt", n_restarts=self.n_restarts):
+        evals_before = self.stats.nll_evals
+        with span("gp.hyperopt", n_restarts=self.n_restarts, n_observations=len(self._X)) as op:
             bounds = self.kernel.bounds
             starts = [self.kernel.theta.copy()]
             for _ in range(self.n_restarts):
@@ -260,6 +261,8 @@ class GaussianProcessRegressor:
                 if res.fun < best_nll:
                     best_nll, best_theta = float(res.fun), res.x
             self.kernel.theta = best_theta
+            if op is not None:
+                op.set(nll_evals=self.stats.nll_evals - evals_before, nll=best_nll)
 
     def _recompute(self) -> None:
         t0 = time.perf_counter()

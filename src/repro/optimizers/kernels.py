@@ -9,11 +9,10 @@ All hyperparameters live in log-space vectors (``theta``) so the marginal-
 likelihood optimizer can do unconstrained-ish box search.
 
 Every kernel supports ``__call__(X, eval_gradient=True)``, returning
-``(K, dK)`` where ``dK[:, :, j] = ∂K/∂θ_j`` (log-space). This powers the
-analytic marginal-likelihood gradients in
-:class:`~repro.optimizers.gp.GaussianProcessRegressor`, replacing the
-finite-difference L-BFGS-B search that re-formed the kernel matrix once per
-gradient component.
+``(K, contract)`` where ``contract(W)[j] = Σ_ab W_ab ∂K_ab/∂θ_j`` (log-space).
+The marginal-likelihood gradient in
+:class:`~repro.optimizers.gp.GaussianProcessRegressor` needs those |θ| numbers,
+not the n²·|θ| entries of ∂K/∂θ, so the derivative tensor is never formed.
 
 Stationary kernels additionally cache the raw (unscaled) squared-difference
 tensor of the training matrix: within one hyperparameter fit the inputs are
@@ -26,6 +25,7 @@ from __future__ import annotations
 import math
 import weakref
 from abc import ABC, abstractmethod
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +34,12 @@ from ..exceptions import OptimizerError
 __all__ = ["Kernel", "ConstantKernel", "WhiteKernel", "RBF", "Matern", "Sum", "Product"]
 
 #: Raw squared-difference tensors larger than this many elements are
-#: recomputed on demand instead of cached (bounds memory to ~256 MB).
+#: recomputed on demand instead of cached. This bounds the one cached tensor
+#: (~256 MB), which is also the largest array a hyperparameter fit holds.
 _CACHE_MAX_ELEMENTS = 32_000_000
+
+#: ``W ↦ [Σ_ab W_ab ∂K_ab/∂θ_j for j in range(len(theta))]``.
+Contraction = Callable[[np.ndarray], np.ndarray]
 
 
 def _cdist_sq(X1: np.ndarray, X2: np.ndarray, length_scale: np.ndarray) -> np.ndarray:
@@ -56,13 +60,13 @@ class Kernel(ABC):
     @abstractmethod
     def __call__(
         self, X1: np.ndarray, X2: np.ndarray | None = None, eval_gradient: bool = False
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray | tuple[np.ndarray, Contraction]:
         """Covariance matrix K(X1, X2); X2=None means K(X1, X1).
 
         With ``eval_gradient=True`` (only valid when ``X2 is None``), returns
-        ``(K, dK)`` where ``dK`` has shape ``(n, n, len(theta))`` and
-        ``dK[:, :, j]`` is the derivative of K w.r.t. the j-th log-space
-        hyperparameter.
+        ``(K, contract)``: ``contract(W)`` is the ``len(theta)``-vector whose
+        j-th entry is ``Σ_ab W_ab ∂K_ab/∂θ_j`` for the j-th log-space
+        hyperparameter, at the θ the kernel had when it was called.
         """
 
     @abstractmethod
@@ -115,8 +119,9 @@ class ConstantKernel(Kernel):
         if not eval_gradient:
             return K
         _require_no_x2(X2)
-        # ∂(v·1)/∂log v = v·1 = K.
-        return K, K[:, :, None].copy()
+        # ∂(v·1)/∂log v = v·1 = K, so Σ W⊙K = v·ΣW.
+        variance = self.variance
+        return K, lambda W: np.array([variance * np.sum(W)])
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         return np.full(len(X), self.variance)
@@ -152,8 +157,9 @@ class WhiteKernel(Kernel):
         if not eval_gradient:
             return K
         _require_no_x2(X2)
-        # ∂(σ·I)/∂log σ = σ·I = K.
-        return K, K[:, :, None].copy()
+        # ∂(σ·I)/∂log σ = σ·I = K, so Σ W⊙K = σ·tr W.
+        noise = self.noise
+        return K, lambda W: np.array([noise * np.trace(W)])
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         return np.full(len(X), self.noise)
@@ -206,38 +212,36 @@ class _StationaryKernel(Kernel):
             self.cache_hits += 1
             return self._diff_cache
         self.cache_misses += 1
+        # Drop the old entry before building the new one, in place: a miss holds one tensor.
+        self._diff_ref = self._diff_cache = None
         if self.anisotropic:
-            diff = X[:, None, :] - X[None, :, :]
-            raw = diff * diff
+            raw = X[:, None, :] - X[None, :, :]
+            np.multiply(raw, raw, out=raw)
         else:
             raw = _cdist_sq(X, X, np.ones(1))
         if raw.size <= _CACHE_MAX_ELEMENTS:
-            try:
-                self._diff_ref = weakref.ref(X)
-                self._diff_cache = raw
-            except TypeError:
-                self._diff_ref = None
-                self._diff_cache = None
+            self._diff_ref, self._diff_cache = weakref.ref(X), raw
         return raw
 
-    def _train_D2(self, X: np.ndarray) -> np.ndarray:
-        """Scaled squared distances D² of the training matrix (via cache)."""
+    def _train_D2(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(raw, D²): the cached tensor and the scaled squared distances from it."""
         raw = self._raw_sq_diffs(X)
         if self.anisotropic:
-            return raw @ (1.0 / (self.length_scale**2))
-        return raw / (self.length_scale[0] ** 2)
+            return raw, raw @ (1.0 / (self.length_scale**2))
+        return raw, raw / (self.length_scale[0] ** 2)
 
-    def _train_components(self, X: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-        """(per-dim scaled sq diffs or None if isotropic, total D²)."""
-        raw = self._raw_sq_diffs(X)
-        if self.anisotropic:
-            comps = raw * (1.0 / (self.length_scale**2))
-            return comps, comps.sum(axis=2)
-        return None, raw / (self.length_scale[0] ** 2)
+    def _length_scale_contraction(self, raw: np.ndarray, g: np.ndarray) -> Contraction:
+        """Contraction for ∂K/∂log ℓ_j = g · (Δ_j²/ℓ_j²), g the kernel's radial factor.
+
+        One mat-vec over the cached tensor read as an (n², d) matrix
+        (isotropic: d = 1, the sum over dimensions is already in ``raw``).
+        """
+        ls2 = self.length_scale**2
+        return lambda W: ((W * g).ravel() @ raw.reshape(W.size, -1)) / ls2
 
     def _D2(self, X1: np.ndarray, X2: np.ndarray | None) -> np.ndarray:
         if X2 is None:
-            return self._train_D2(X1)
+            return self._train_D2(X1)[1]
         return _cdist_sq(X1, X2, self.length_scale)
 
     @property
@@ -266,14 +270,10 @@ class RBF(_StationaryKernel):
         if not eval_gradient:
             return np.exp(-0.5 * self._D2(X1, X2))
         _require_no_x2(X2)
-        comps, D2 = self._train_components(X1)
+        raw, D2 = self._train_D2(X1)
         K = np.exp(-0.5 * D2)
-        # ∂K/∂log ℓ_d = K · (Δ_d²/ℓ_d²); isotropic folds the sum into D².
-        if comps is not None:
-            dK = K[:, :, None] * comps
-        else:
-            dK = (K * D2)[:, :, None]
-        return K, dK
+        # ∂K/∂log ℓ_d = K · (Δ_d²/ℓ_d²): the radial factor is K itself.
+        return K, self._length_scale_contraction(raw, K)
 
 
 class Matern(_StationaryKernel):
@@ -308,7 +308,7 @@ class Matern(_StationaryKernel):
         if not eval_gradient:
             return self._from_dist(np.sqrt(self._D2(X1, X2)))
         _require_no_x2(X2)
-        comps, D2 = self._train_components(X1)
+        raw, D2 = self._train_D2(X1)
         d = np.sqrt(D2)
         K = self._from_dist(d)
         # Per-dimension factor g such that ∂K/∂log ℓ_d = g · (Δ_d²/ℓ_d²).
@@ -321,11 +321,7 @@ class Matern(_StationaryKernel):
         else:
             s = math.sqrt(5.0) * d
             g = (5.0 / 3.0) * (1.0 + s) * np.exp(-s)
-        if comps is not None:
-            dK = g[:, :, None] * comps
-        else:
-            dK = (g * D2)[:, :, None]
-        return K, dK
+        return K, self._length_scale_contraction(raw, g)
 
 
 class _CompositeKernel(Kernel):
@@ -360,9 +356,9 @@ class Sum(_CompositeKernel):
         if not eval_gradient:
             return self.k1(X1, X2) + self.k2(X1, X2)
         _require_no_x2(X2)
-        K1, d1 = self.k1(X1, eval_gradient=True)
-        K2, d2 = self.k2(X1, eval_gradient=True)
-        return K1 + K2, np.concatenate([d1, d2], axis=2)
+        K1, c1 = self.k1(X1, eval_gradient=True)
+        K2, c2 = self.k2(X1, eval_gradient=True)
+        return K1 + K2, lambda W: np.concatenate([c1(W), c2(W)])
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         return self.k1.diag(X) + self.k2.diag(X)
@@ -375,10 +371,10 @@ class Product(_CompositeKernel):
         if not eval_gradient:
             return self.k1(X1, X2) * self.k2(X1, X2)
         _require_no_x2(X2)
-        K1, d1 = self.k1(X1, eval_gradient=True)
-        K2, d2 = self.k2(X1, eval_gradient=True)
-        dK = np.concatenate([d1 * K2[:, :, None], K1[:, :, None] * d2], axis=2)
-        return K1 * K2, dK
+        K1, c1 = self.k1(X1, eval_gradient=True)
+        K2, c2 = self.k2(X1, eval_gradient=True)
+        # ∂(K1⊙K2) = ∂K1⊙K2 + K1⊙∂K2: each factor's weight carries the other.
+        return K1 * K2, lambda W: np.concatenate([c1(W * K2), c2(W * K1)])
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         return self.k1.diag(X) * self.k2.diag(X)

@@ -6,6 +6,8 @@ much work each one saves is pinned by the ``counters`` block of
 ``tests/data/suggest_goldens.json``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -177,6 +179,23 @@ class TestAnalyticGradients:
         gp = GaussianProcessRegressor(kernel=default_kernel(3), seed=0).fit(X, y)
         stats = gp.stats_dict()
         assert stats["distance_cache_hits"] > 0
+
+    def test_gradient_evaluation_never_holds_the_derivative_tensor(self):
+        """The gradient is |θ| numbers: one evaluation allocates O(n²) beside the
+        kernel's cached (n, n, d) tensor, never an (n, n, |θ|) array."""
+        n, d = 150, 21
+        rng = np.random.default_rng(0)
+        gp = GaussianProcessRegressor(kernel=default_kernel(d), optimize_hypers=False)
+        gp.fit(rng.random((n, d)), rng.standard_normal(n))
+        theta = gp.kernel.theta.copy()
+        gp._nll_and_grad(theta)  # warm-up: the cached tensor exists from here on
+        tracemalloc.start()
+        try:
+            gp._nll_and_grad(theta)
+            allocated_at_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert allocated_at_peak <= 16 * n * n * 8  # d = 21: one tensor alone is 21·n²·8
 
 
 class TestSuggestDeterminism:

@@ -1,5 +1,7 @@
 """Unit tests for GP kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,14 +167,19 @@ class TestEvalGradient:
     def test_gradient_matches_finite_differences(self, name):
         k = self.KERNELS[name]()
         X = grid(9)
-        K, dK = k(X, eval_gradient=True)
-        assert np.allclose(K, k(X))
-        assert dK.shape == (len(X), len(X), len(k.theta))
-        assert np.allclose(dK, _fd_gradient(k, X), atol=1e-5)
+        K, contract = k(X, eval_gradient=True)
+        assert np.array_equal(K, k(X))
+        dK = _fd_gradient(k, X)
+        A = np.random.default_rng(1).standard_normal((len(X), len(X)))
+        for W in (A + A.T, A):  # symmetric (what the GP passes) and not
+            got = contract(W)
+            assert got.shape == k.theta.shape
+            assert np.allclose(got, np.einsum("ij,ijk->k", W, dK), atol=1e-5)
 
     def test_gradient_requires_square_call(self):
-        with pytest.raises(OptimizerError):
-            RBF(0.4)(grid(4), grid(3, seed=1), eval_gradient=True)
+        for make in self.KERNELS.values():
+            with pytest.raises(OptimizerError):
+                make()(grid(4), grid(3, seed=1), eval_gradient=True)
 
     def test_walk_visits_nested_kernels(self):
         k = ConstantKernel(1.0) * RBF(0.3) + WhiteKernel(0.01)
@@ -199,3 +206,20 @@ class TestDistanceCache:
         k(X)
         k(X.copy())
         assert k.cache_misses == 2
+
+    def test_a_miss_holds_one_tensor(self):
+        """Refilling the cache frees the old entry first and squares in place."""
+        k = Matern(np.full(21, 0.4), nu=2.5)
+        X = grid(60, 21)
+        tracemalloc.start()
+        try:
+            k(X)
+            tensor = k._diff_cache.nbytes
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            k(X.copy())  # a new array object: miss, the entry is replaced
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k.cache_misses == 2 and k._diff_cache.nbytes == tensor
+        assert peak - held < 0.5 * tensor  # O(n²) temporaries, not old + diff + diff²

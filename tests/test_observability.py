@@ -11,6 +11,7 @@ boundaries, the span and event rings keep the newest entries, and the
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 
@@ -437,6 +438,11 @@ class TestSessionTracing:
         # Model-phase spans exist once BO takes over.
         assert any(op.name == "surrogate.fit" for op in trace.ops)
         assert any(op.name == "acquisition.optimize" for op in trace.ops)
+        # A hyper-fit says how large it was and what it spent: together the
+        # spans account for every NLL evaluation the surrogate counted.
+        fits = [op.attributes for op in trace.ops if op.name == "gp.hyperopt"]
+        assert sum(a["nll_evals"] for a in fits) == opt.surrogate_stats()["nll_evals"] > 0
+        assert all(3 <= a["n_observations"] <= 8 and math.isfinite(a["nll"]) for a in fits)
 
     def test_wall_clock_epoch_alongside_monotonic(self):
         callback = TelemetryCallback()
