@@ -1,4 +1,4 @@
-"""E21 — ablations of the design choices DESIGN.md calls out.
+"""E21 — ablations of the design choices docs/architecture.md calls out.
 
 Not a slide reproduction: a sanity layer over our own engineering choices.
 

@@ -90,6 +90,18 @@ async def main() -> int:
             else:
                 raise AssertionError(f"{method} {path} was accepted")
 
+        #    Nor is broken framing: a negative Content-Length or a header
+        #    without a colon answers 400 over a raw socket, then the
+        #    connection drops.
+        for framing in (b"Content-Length: -5", b"no colon here"):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"POST /sessions HTTP/1.1\r\nHost: demo\r\n" + framing + b"\r\n\r\n")
+            await writer.drain()
+            status_line = (await reader.read()).split(b"\r\n", 1)[0].decode()
+            writer.close()
+            assert " 400 " in status_line, status_line
+            print(f"{framing.decode()!r} -> {status_line}")
+
         # 5. Scrape the per-service Prometheus endpoint. 500 means a bug, so
         #    `repro_service_requests_crashed` above 0 fails the smoke.
         metrics = await client.metrics()

@@ -33,10 +33,8 @@ from .execution import (
 )
 from .telemetry import SessionTrace, TelemetryCallback
 from .exceptions import (
-    BudgetExhaustedError,
     ConstraintViolationError,
     ExhaustedError,
-    GuardrailViolationError,
     InvalidValueError,
     NotFittedError,
     OptimizerError,
@@ -94,10 +92,8 @@ __all__ = [
     "TrialStatus",
     "TuningResult",
     "TuningSession",
-    "BudgetExhaustedError",
     "ConstraintViolationError",
     "ExhaustedError",
-    "GuardrailViolationError",
     "InvalidValueError",
     "NotFittedError",
     "OptimizerError",

@@ -1,6 +1,6 @@
 """Analysis: knob importance, convergence comparison, reporting."""
 
-from .convergence import ComparisonResult, compare_optimizers, mean_incumbent_curves
+from .convergence import ComparisonResult, compare_optimizers
 from .importance import (
     KnobRanking,
     LassoImportance,
@@ -12,7 +12,6 @@ from .reporting import format_table, format_value, print_table
 __all__ = [
     "ComparisonResult",
     "compare_optimizers",
-    "mean_incumbent_curves",
     "KnobRanking",
     "LassoImportance",
     "lasso_coordinate_descent",

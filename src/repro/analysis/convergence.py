@@ -17,7 +17,7 @@ from ..core import Callback, Objective, Optimizer, TuningSession
 from ..core.result import TuningResult
 from ..exceptions import ReproError
 
-__all__ = ["ComparisonResult", "compare_optimizers", "mean_incumbent_curves"]
+__all__ = ["ComparisonResult", "compare_optimizers"]
 
 
 @dataclass
@@ -26,22 +26,6 @@ class ComparisonResult:
 
     name: str
     results: list[TuningResult] = field(default_factory=list)
-
-    def curves(self) -> np.ndarray:
-        """(n_seeds, n_trials) best-so-far matrix (NaN-padded)."""
-        if not self.results:
-            raise ReproError("no results collected")
-        n = max(r.n_trials for r in self.results)
-        out = np.full((len(self.results), n), np.nan)
-        for i, r in enumerate(self.results):
-            curve = r.incumbent_curve()
-            out[i, : len(curve)] = curve
-            if len(curve) < n and len(curve) > 0:
-                out[i, len(curve):] = curve[-1]
-        return out
-
-    def mean_curve(self) -> np.ndarray:
-        return np.nanmean(self.curves(), axis=0)
 
     def best_values(self) -> np.ndarray:
         return np.array([r.best_value for r in self.results])
@@ -60,13 +44,6 @@ class ComparisonResult:
     def reach_rate(self, target: float) -> float:
         hits = sum(1 for r in self.results if r.trials_to_reach(target) is not None)
         return hits / len(self.results)
-
-    def mean_cost_to(self, target: float) -> float:
-        costs = []
-        for r in self.results:
-            c = r.cost_to_reach(target)
-            costs.append(c if c is not None else r.total_cost)
-        return float(np.mean(costs))
 
 
 def compare_optimizers(
@@ -102,8 +79,3 @@ def compare_optimizers(
             comparison.results.append(session.run())
         out[name] = comparison
     return out
-
-
-def mean_incumbent_curves(results: dict[str, ComparisonResult]) -> dict[str, np.ndarray]:
-    """Mean best-so-far curve per optimizer (for plotting/printing)."""
-    return {name: comp.mean_curve() for name, comp in results.items()}

@@ -74,12 +74,6 @@ class KnobRanking:
     def top(self, k: int) -> list[str]:
         return list(self.knobs[:k])
 
-    def score_of(self, knob: str) -> float:
-        try:
-            return self.scores[self.knobs.index(knob)]
-        except ValueError:
-            raise OptimizerError(f"knob {knob!r} not in ranking") from None
-
 
 class LassoImportance:
     """OtterTune-style knob ranking via the Lasso path.

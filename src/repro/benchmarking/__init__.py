@@ -1,19 +1,17 @@
 """Benchmark execution: measurements, repeats, early abort, duet, TUNA."""
 
 from .duet import DuetBenchmarkRunner, DuetOutcome
-from .measurement import LATENCY_PERCENTILES, Measurement, aggregate_measurements
-from .runner import BenchmarkRunner, EarlyAbortPolicy, evaluator_from_callable
+from .measurement import Measurement, aggregate_measurements
+from .runner import BenchmarkRunner, EarlyAbortPolicy
 from .tuna import TunaObservation, TunaRunner
 
 __all__ = [
     "DuetBenchmarkRunner",
     "DuetOutcome",
-    "LATENCY_PERCENTILES",
     "Measurement",
     "aggregate_measurements",
     "BenchmarkRunner",
     "EarlyAbortPolicy",
-    "evaluator_from_callable",
     "TunaObservation",
     "TunaRunner",
 ]

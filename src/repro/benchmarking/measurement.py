@@ -9,17 +9,14 @@ throughput, cost, resource usage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from ..exceptions import ReproError
 
-__all__ = ["Measurement", "aggregate_measurements", "LATENCY_PERCENTILES"]
-
-#: Percentiles reported by default.
-LATENCY_PERCENTILES = (50, 95, 99)
+__all__ = ["Measurement", "aggregate_measurements"]
 
 
 @dataclass(frozen=True)
@@ -72,11 +69,6 @@ class Measurement:
             return self.metrics()[name]
         except KeyError:
             raise ReproError(f"no metric {name!r}; have {sorted(self.metrics())}") from None
-
-    def with_extra(self, **extra: float) -> "Measurement":
-        merged = dict(self.extra)
-        merged.update({k: float(v) for k, v in extra.items()})
-        return replace(self, extra=merged)
 
 
 def aggregate_measurements(

@@ -8,7 +8,6 @@ than the best known, stop paying for it.
 
 from __future__ import annotations
 
-from typing import Callable
 
 from typing import TYPE_CHECKING
 
@@ -157,15 +156,3 @@ class BenchmarkRunner:
         metrics = dict(m.metrics())
         metrics[self.objective.name] = value
         return metrics, cost
-
-
-def evaluator_from_callable(
-    fn: Callable[[Configuration], float],
-    cost: float = 1.0,
-):
-    """Wrap a plain ``config -> value`` function as a session evaluator."""
-
-    def evaluate(config: Configuration):
-        return fn(config), cost
-
-    return evaluate

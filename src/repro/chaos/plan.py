@@ -3,9 +3,8 @@
 A :class:`FaultPlan` is a seed plus an ordered list of :class:`FaultRule`
 entries, each naming an injection *site* (``"store.append"``,
 ``"client.request"``, ``"evaluator.run"``, …), a fault *kind*, a firing
-rate, and an optional window. The plan is pure data — ``to_dict`` /
-``from_dict`` round-trip it through JSON, so a chaos campaign's exact
-failure schedule travels with its artefacts.
+rate, and an optional window. The plan is pure data: a chaos campaign's
+exact failure schedule is its seed and its rules.
 
 Determinism is the whole point. Whether invocation ``i`` of a site (for a
 given *key* — usually a session id) suffers a fault is a pure function of
@@ -29,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Iterable
 
 from ..exceptions import ReproError
 from ..telemetry.spans import emit_event
@@ -56,8 +55,6 @@ __all__ = [
 #: ``crash``     the evaluated trial crashes (``SystemCrashError``).
 #: ``noise``     the trial's metrics are scaled by ``1 + magnitude``.
 KINDS = frozenset({"error", "torn", "ack_lost", "reset", "latency", "crash", "noise"})
-
-PLAN_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -89,34 +86,6 @@ class FaultRule:
             raise ReproError(f"bad fault window [{self.start}, {self.stop})")
         if self.max_fires is not None and self.max_fires < 1:
             raise ReproError(f"max_fires must be >= 1, got {self.max_fires}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "site": self.site,
-            "kind": self.kind,
-            "rate": self.rate,
-            "start": self.start,
-            "stop": self.stop,
-            "max_fires": self.max_fires,
-            "magnitude": self.magnitude,
-            "message": self.message,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultRule":
-        try:
-            return cls(
-                site=str(data["site"]),
-                kind=str(data["kind"]),
-                rate=float(data.get("rate", 1.0)),
-                start=int(data.get("start", 0)),
-                stop=None if data.get("stop") is None else int(data["stop"]),
-                max_fires=None if data.get("max_fires") is None else int(data["max_fires"]),
-                magnitude=float(data.get("magnitude", 0.0)),
-                message=str(data.get("message", "")),
-            )
-        except (KeyError, TypeError, ValueError) as err:
-            raise ReproError(f"malformed fault rule: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -182,28 +151,6 @@ class FaultPlan:
         """
         injector = self.injector()
         return [injector.decide(site, key, record=False) for _ in range(n)]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "version": PLAN_FORMAT_VERSION,
-            "name": self.name,
-            "seed": self.seed,
-            "rules": [r.to_dict() for r in self.rules],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        version = data.get("version", PLAN_FORMAT_VERSION)
-        if version != PLAN_FORMAT_VERSION:
-            raise ReproError(f"unsupported fault-plan version {version!r}")
-        try:
-            return cls(
-                seed=int(data["seed"]),
-                rules=tuple(FaultRule.from_dict(r) for r in data.get("rules", [])),
-                name=str(data.get("name", "chaos")),
-            )
-        except (KeyError, TypeError, ValueError) as err:
-            raise ReproError(f"malformed fault plan: {err}") from err
 
 
 class FaultInjector:
@@ -279,12 +226,6 @@ class FaultInjector:
         return decision
 
     # -- introspection -------------------------------------------------------
-    @property
-    def events(self) -> list[FaultEvent]:
-        """Every fired fault so far, in firing order (timing-dependent)."""
-        with self._lock:
-            return list(self._events)
-
     def canonical_log(self) -> list[tuple[str, str, int, str, int]]:
         """The fired faults as a sorted, timing-independent tuple list.
 
@@ -295,11 +236,6 @@ class FaultInjector:
         """
         with self._lock:
             return sorted(e.as_tuple() for e in self._events)
-
-    def invocations(self, site: str, key: str = "") -> int:
-        """How many times (site, key) has been consulted."""
-        with self._lock:
-            return self._counts.get((site, key), 0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -17,7 +17,7 @@ Wraps any :class:`~repro.core.journal.TrialStore` and consults a
       which is precisely what the chaos harness is proving.
 
 ``store.read``
-    * ``error`` — ``load_trials`` / ``trial_count`` fail transiently.
+    * ``error`` — ``load_trials`` fails transiently.
 
 ``store.meta``
     * ``error`` — ``get_session`` fails transiently (resume-path faults).
@@ -102,12 +102,6 @@ class FaultyStore(TrialStore):
         if decision is not None:
             self._raise(decision)
         return self.inner.load_trials(session_id)
-
-    def trial_count(self, session_id: str) -> int:
-        decision = self.injector.decide("store.read", session_id)
-        if decision is not None:
-            self._raise(decision)
-        return self.inner.trial_count(session_id)
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:

@@ -7,7 +7,6 @@ from .codec import (
     TrialReport,
     decode_trial,
     encode_trial,
-    report_from_trial,
 )
 from .evaluation import EvaluationResult, coerce_evaluation, run_evaluation
 from .journal import AppendResult, SessionMeta, StorageError, TrialStore, new_session_id
@@ -15,12 +14,6 @@ from .manager import SessionManager, make_optimizer, optimizer_names
 from .optimizer import History, Objective, Optimizer, Trial, TrialStatus, rng_digest
 from .replay import ReplayDivergence, ReplayReport, replay_session
 from .result import TuningResult
-from .storage import (
-    load_prior_bank,
-    save_prior_bank,
-    workload_from_dict,
-    workload_to_dict,
-)
 from .stores import JsonJournalStore, MemoryTrialStore, SqliteTrialStore, open_store
 from .session import Evaluator, TuningSession
 
@@ -30,7 +23,6 @@ __all__ = [
     "TrialReport",
     "decode_trial",
     "encode_trial",
-    "report_from_trial",
     "AppendResult",
     "SessionMeta",
     "StorageError",
@@ -61,10 +53,6 @@ __all__ = [
     "ReplayReport",
     "replay_session",
     "TuningResult",
-    "load_prior_bank",
-    "save_prior_bank",
-    "workload_from_dict",
-    "workload_to_dict",
     "Evaluator",
     "TuningSession",
 ]

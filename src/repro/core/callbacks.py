@@ -100,9 +100,6 @@ class ConvergenceTracker(Callback):
             obj.unscore(self._best_score) if np.isfinite(self._best_score) else np.nan
         )
 
-    def curve(self) -> np.ndarray:
-        return np.array(self.best_so_far)
-
 
 class LoggingCallback(Callback):
     """Logs each trial at INFO level — the session's flight recorder."""

@@ -31,12 +31,8 @@ __all__ = [
     "TrialReport",
     "encode_trial",
     "decode_trial",
-    "report_from_trial",
     "json_safe",
 ]
-
-#: Trial-record schema version written by :func:`encode_trial`.
-TRIAL_RECORD_VERSION = 2
 
 
 class CodecError(ReproError):
@@ -61,9 +57,6 @@ class SuggestRequest:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise CodecError(f"SuggestRequest.n must be >= 1, got {self.n}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return json_safe(asdict(self))
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SuggestRequest":
@@ -151,10 +144,6 @@ class TrialReport:
         if not isinstance(self.report_id, (str, int, type(None))):
             raise CodecError(f"report_id must be a string, got {self.report_id!r}")
 
-    @property
-    def ok(self) -> bool:
-        return self.status == TrialStatus.SUCCEEDED.value
-
     def to_dict(self) -> dict[str, Any]:
         return json_safe(asdict(self))
 
@@ -177,19 +166,6 @@ class TrialReport:
             )
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise CodecError(f"malformed TrialReport: {err}") from err
-
-
-def report_from_trial(trial: Trial, report_id: str | None = None) -> TrialReport:
-    """Build the canonical tell payload from an evaluated :class:`Trial`."""
-    return TrialReport(
-        config=json_safe(trial.config.as_dict()),
-        metrics={k: float(v) for k, v in trial.metrics.items()},
-        cost=float(trial.cost),
-        status=trial.status.value,
-        fidelity=trial.fidelity,
-        context=json_safe(trial.context),
-        report_id=report_id,
-    )
 
 
 # -- trial records (journal) --------------------------------------------------

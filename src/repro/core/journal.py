@@ -192,10 +192,6 @@ class TrialStore(ABC):
     def load_trials(self, session_id: str) -> list[dict[str, Any]]:
         """All journaled records of a session, in append order."""
 
-    @abstractmethod
-    def trial_count(self, session_id: str) -> int:
-        """Number of journaled trials (cheaper than ``len(load_trials())``)."""
-
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:  # pragma: no cover - trivial default
         """Release resources; further use is undefined."""
@@ -211,4 +207,14 @@ class TrialStore(ABC):
     def _require_session(meta: SessionMeta | None, session_id: str) -> SessionMeta:
         if meta is None:
             raise UnknownSessionError(f"unknown session {session_id!r}")
+        return meta
+
+    @classmethod
+    def _updated(cls, meta: SessionMeta | None, session_id: str, fields: Mapping[str, Any]) -> SessionMeta:
+        """``meta`` with ``fields`` set — what every ``update_session`` does before its own write."""
+        meta = cls._require_session(meta, session_id)
+        for key, value in fields.items():
+            if not hasattr(meta, key):
+                raise StorageError(f"unknown session-meta field {key!r}")
+            setattr(meta, key, value)
         return meta

@@ -258,7 +258,7 @@ class Optimizer(ABC):
         self.crash_penalty_factor = float(crash_penalty_factor)
         self._next_trial_id = 0
         # Running digest over everything this optimizer has observed, in
-        # order — part of :meth:`state_digest`. Incremental (one sha256
+        # order — part of :meth:`state_digest_parts`. Incremental (one sha256
         # update per observe), so journaling provenance stays O(1)/trial.
         self._history_sha = hashlib.sha256()
         #: How many suggestions degraded to random sampling because the
@@ -403,7 +403,7 @@ class Optimizer(ABC):
         self._history_sha.update(text.encode("utf-8"))
 
     def _digest_state(self) -> dict[str, Any]:
-        """Hook: model counters folded into :meth:`state_digest`.
+        """Hook: model counters folded into :meth:`state_digest_parts`.
 
         Subclasses return the internal-state summary that should be
         provenance-visible (fit counts, pending lies, per-arm pulls, …).
@@ -433,11 +433,6 @@ class Optimizer(ABC):
             parts["model"] = _digest(state)
         return parts
 
-    def state_digest(self) -> str:
-        """One opaque token summarising the optimizer's deterministic state."""
-        parts = self.state_digest_parts()
-        return _digest("|".join(f"{k}={parts[k]}" for k in sorted(parts)), length=16)
-
     # -- warm start --------------------------------------------------------------
     def warm_start(self, trials: Iterable[Trial]) -> int:
         """Seed the optimizer with prior trials (knowledge transfer).
@@ -456,11 +451,8 @@ class Optimizer(ABC):
         return count
 
     # -- results -----------------------------------------------------------------
-    def best_trial(self) -> Trial:
-        return self.history.best()
-
     def best_config(self) -> Configuration:
-        return self.best_trial().config
+        return self.history.best().config
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(space={self.space.name!r}, n_trials={len(self.history)})"

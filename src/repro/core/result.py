@@ -8,7 +8,7 @@ import numpy as np
 
 from ..exceptions import OptimizerError
 from ..space import Configuration
-from .optimizer import History, Objective, Trial
+from .optimizer import History, Objective
 
 __all__ = ["TuningResult"]
 
@@ -45,10 +45,6 @@ class TuningResult:
             n_trials=len(history),
             total_cost=history.total_cost(),
         )
-
-    @property
-    def best_trial(self) -> Trial:
-        return self.history.best(self.objective)
 
     def incumbent_curve(self) -> np.ndarray:
         """Best-so-far objective value after each trial."""

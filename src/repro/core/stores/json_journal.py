@@ -109,11 +109,7 @@ class JsonJournalStore(TrialStore):
 
     def update_session(self, session_id: str, **fields: Any) -> None:
         with self._lock:
-            meta = self._require_session(self.get_session(session_id), session_id)
-            for key, value in fields.items():
-                if not hasattr(meta, key):
-                    raise StorageError(f"unknown session-meta field {key!r}")
-                setattr(meta, key, value)
+            meta = self._updated(self.get_session(session_id), session_id, fields)
             _atomic_write(self._meta_path(session_id), json.dumps(meta.to_dict(), indent=2), self.fsync)
             if meta.status == "completed":  # a later touch recovers it from disk
                 self._counts.pop(session_id, None)
@@ -227,11 +223,6 @@ class JsonJournalStore(TrialStore):
         with self._lock:
             self._require_session(self.get_session(session_id), session_id)
             return self._read_journal(session_id, repair=True)
-
-    def trial_count(self, session_id: str) -> int:
-        with self._lock:
-            self._recover(session_id)
-            return self._counts[session_id]
 
     def close(self) -> None:
         with self._lock:

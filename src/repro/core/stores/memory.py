@@ -42,11 +42,7 @@ class MemoryTrialStore(TrialStore):
 
     def update_session(self, session_id: str, **fields: Any) -> None:
         with self._lock:
-            meta = self._require_session(self._sessions.get(session_id), session_id)
-            for key, value in fields.items():
-                if not hasattr(meta, key):
-                    raise StorageError(f"unknown session-meta field {key!r}")
-                setattr(meta, key, value)
+            self._updated(self._sessions.get(session_id), session_id, fields)
 
     def list_sessions(self) -> list[str]:
         with self._lock:
@@ -71,8 +67,3 @@ class MemoryTrialStore(TrialStore):
         with self._lock:
             self._require_session(self._sessions.get(session_id), session_id)
             return copy.deepcopy(self._trials[session_id])
-
-    def trial_count(self, session_id: str) -> int:
-        with self._lock:
-            self._require_session(self._sessions.get(session_id), session_id)
-            return len(self._trials[session_id])

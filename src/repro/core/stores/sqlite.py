@@ -109,11 +109,7 @@ class SqliteTrialStore(TrialStore):
 
     def update_session(self, session_id: str, **fields: Any) -> None:
         with self._lock:
-            meta = self._require_session(self.get_session(session_id), session_id)
-            for key, value in fields.items():
-                if not hasattr(meta, key):
-                    raise StorageError(f"unknown session-meta field {key!r}")
-                setattr(meta, key, value)
+            meta = self._updated(self.get_session(session_id), session_id, fields)
             self._db.execute(
                 "UPDATE sessions SET meta = ? WHERE session_id = ?",
                 (json.dumps(meta.to_dict()), session_id),
@@ -171,14 +167,6 @@ class SqliteTrialStore(TrialStore):
             return [json.loads(r[0]) for r in rows]
         except json.JSONDecodeError as err:
             raise StorageError(f"corrupt trial record in {session_id!r}: {err}") from err
-
-    def trial_count(self, session_id: str) -> int:
-        with self._lock:
-            self._require_session(self.get_session(session_id), session_id)
-            row = self._db.execute(
-                "SELECT COUNT(*) FROM trials WHERE session_id = ?", (session_id,)
-            ).fetchone()
-        return int(row[0])
 
     def close(self) -> None:
         with self._lock:

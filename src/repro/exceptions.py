@@ -48,10 +48,6 @@ class ExhaustedError(OptimizerError):
     """An exhaustive optimizer (e.g. grid search) has no suggestions left."""
 
 
-class BudgetExhaustedError(ReproError):
-    """The tuning session's trial or cost budget was consumed."""
-
-
 class SystemCrashError(ReproError):
     """A simulated system crashed under the applied configuration.
 
@@ -62,7 +58,3 @@ class SystemCrashError(ReproError):
 
 class TrialAbortedError(ReproError):
     """A trial was aborted early (early-abort policy or guardrail)."""
-
-
-class GuardrailViolationError(ReproError):
-    """An online guardrail detected a performance regression."""

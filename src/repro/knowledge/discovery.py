@@ -4,7 +4,7 @@ DB-BERT/GPTuner use a language model to (1) identify the important tuning
 knobs and (2) bias their search ranges, from documentation text. Here the
 "language model" is a deterministic keyword scorer over the same corpus —
 the *downstream interface is identical*: a ranked knob subset plus priors
-handed to any optimizer. (DESIGN.md records this substitution.)
+handed to any optimizer. (docs/architecture.md records this substitution.)
 """
 
 from __future__ import annotations
@@ -113,10 +113,6 @@ class ManualKnowledgeExtractor:
             )
         out.sort(key=lambda d: -d.score)
         return out
-
-    def important_knobs(self, k: int = 5, knobs: list[str] | None = None) -> list[str]:
-        """The top-k knobs by extracted importance."""
-        return [d.knob for d in self.discover(knobs)[: max(1, k)]]
 
     def informed_space(self, space: ConfigurationSpace, k: int = 5) -> ConfigurationSpace:
         """A reduced, prior-biased copy of ``space``: the GPTuner pipeline.

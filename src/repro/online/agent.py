@@ -69,18 +69,6 @@ class OnlinePolicy(ABC):
         Rewards are normalised "higher is better" values.
         """
 
-    def as_optimizer(self, space, objectives=None, observation_fn=None, seed=None):
-        """Expose this policy behind the offline ``suggest(n)``/``observe``
-        protocol, so sessions, executors, and telemetry can drive it.
-
-        See :class:`repro.online.adapters.OnlinePolicyOptimizer`.
-        """
-        from .adapters import OnlinePolicyOptimizer  # deferred: avoids a circular import
-
-        return OnlinePolicyOptimizer(
-            space, self, objectives=objectives, observation_fn=observation_fn, seed=seed
-        )
-
 
 @dataclass
 class OnlineStepRecord:
@@ -103,14 +91,6 @@ class OnlineResult:
 
     def values(self) -> np.ndarray:
         return np.array([r.value for r in self.records])
-
-    def cumulative_regret(self, oracle_values: np.ndarray, minimize: bool = True) -> np.ndarray:
-        """Cumulative regret against per-step oracle values."""
-        values = self.values()
-        if len(oracle_values) != len(values):
-            raise ReproError("oracle series length mismatch")
-        inst = values - oracle_values if minimize else oracle_values - values
-        return np.cumsum(np.maximum(inst, 0.0))
 
     def regression_steps(self, baseline_values: np.ndarray, tolerance: float = 0.1, minimize: bool = True) -> int:
         """How many steps performed worse than baseline by > tolerance.

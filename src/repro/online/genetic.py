@@ -124,7 +124,3 @@ class GeneticAlgorithmOptimizer(Optimizer):
 
 class GeneticOnlineTuner(OptimizerPolicy):
     """Online wrapper: one individual evaluated per production step."""
-
-    @property
-    def ga(self) -> GeneticAlgorithmOptimizer:
-        return self.optimizer

@@ -115,7 +115,3 @@ class QLearningTuner(OnlinePolicy):
         td_target = reward + self.gamma * float(self.q[next_state].max())
         self.q[state][action] += self.alpha * (td_target - self.q[state][action])
         self.epsilon *= self.epsilon_decay
-
-    @property
-    def n_states_visited(self) -> int:
-        return len(self.q)

@@ -80,9 +80,6 @@ class Guardrail:
             return GuardrailVerdict(violated=True, is_safe_point=False, penalty=self.penalty)
         return GuardrailVerdict(violated=False, is_safe_point=score <= baseline)
 
-    def reset(self) -> None:
-        self._scores.clear()
-
 
 class SafeBayesianOptimizer(BayesianOptimizer):
     """BO that refuses to propose predicted-unsafe configurations.

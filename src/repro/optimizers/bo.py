@@ -137,8 +137,3 @@ class BayesianOptimizer(ModelBasedOptimizer):
         return out
 
     # -- introspection --------------------------------------------------------------------
-    def surrogate_prediction(self, configs: list[Configuration]) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean/std at given configs (for plots and safety checks)."""
-        self._refresh_model()
-        X = self.encoder.encode_many(configs)
-        return self.model.predict(X, return_std=True)

@@ -325,51 +325,6 @@ class GaussianProcessRegressor:
         std = np.sqrt(np.maximum(var, 1e-12)) * self._y_std
         return mean, std
 
-    @staticmethod
-    def _sample_mvn(
-        mean: np.ndarray, cov: np.ndarray, n_samples: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Draw N(mean, cov) samples via Cholesky — O(n³) once, then O(n²·s).
-
-        ``rng.multivariate_normal`` factorizes with SVD; the direct Cholesky
-        draw is several times faster and numerically adequate with a little
-        jitter (escalated on failure, eigen-clip as the last resort).
-        """
-        n = len(cov)
-        jitter = 1e-10
-        L = None
-        for _ in range(6):
-            try:
-                L = linalg.cholesky(cov + jitter * np.eye(n), lower=True)
-                break
-            except linalg.LinAlgError:
-                jitter *= 100.0
-        if L is None:
-            w, V = linalg.eigh(cov)
-            L = V * np.sqrt(np.maximum(w, 0.0))
-        z = rng.standard_normal((n, n_samples))
-        return (mean[:, None] + L @ z).T
-
-    def sample_y(self, X: np.ndarray, n_samples: int = 1, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Draw posterior function samples at X — shape (n_samples, len(X))."""
-        self._require_fit()
-        rng = rng if rng is not None else self.rng
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Ks = self.kernel(self._X, X)
-        mean = Ks.T @ self._alpha
-        v = linalg.solve_triangular(self._L, Ks, lower=True)
-        cov = self.kernel(X) - v.T @ v
-        draws = self._sample_mvn(mean, cov, n_samples, rng)
-        return draws * self._y_std + self._y_mean
-
-    def prior_sample(self, X: np.ndarray, n_samples: int = 1, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Draw from the GP *prior* (no data) — the slide's 'model random
-        functions' picture."""
-        rng = rng if rng is not None else self.rng
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        cov = self.kernel(X)
-        return self._sample_mvn(np.zeros(len(X)), cov, n_samples, rng)
-
     def _require_fit(self) -> None:
         if not self.is_fitted:
             raise NotFittedError("call fit() before querying the GP")

@@ -41,14 +41,6 @@ class GridSearchOptimizer(Optimizer):
             self.rng.shuffle(self._grid)
         self._cursor = 0
 
-    @property
-    def grid_size(self) -> int:
-        return len(self._grid)
-
-    @property
-    def remaining(self) -> int:
-        return len(self._grid) - self._cursor
-
     def _suggest(self) -> Configuration:
         if self._cursor >= len(self._grid):
             raise ExhaustedError(

@@ -31,10 +31,6 @@ class HyperbandResult:
     brackets: list[list[HalvingRecord]]
     total_cost: float
 
-    @property
-    def n_brackets(self) -> int:
-        return len(self.brackets)
-
 
 def hyperband(
     space: ConfigurationSpace,

@@ -36,6 +36,7 @@ and ``surrogate_stats()``.
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from typing import Any
 
 import numpy as np
@@ -129,12 +130,10 @@ class ModelBasedOptimizer(Optimizer):
             return self.space.sample(self.rng)
         return None
 
+    @abstractmethod
     def _fit(self) -> bool:
         """Hook 2: train the surrogate(s) on the history. Return ``False``
         when there is still nothing to ask (the suggestion is then random)."""
-        _, X, y = self._training_set()
-        self.model.fit(X, y)
-        return True
 
     def _candidates(self) -> list[Configuration]:
         """Hook 3: the acquisition's candidate pool. Default: global samples

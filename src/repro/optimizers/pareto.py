@@ -11,7 +11,7 @@ import numpy as np
 
 from ..exceptions import OptimizerError
 
-__all__ = ["dominates", "pareto_front_mask", "pareto_front", "hypervolume_2d", "crowding_distance"]
+__all__ = ["dominates", "pareto_front_mask", "pareto_front", "hypervolume_2d"]
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
@@ -62,22 +62,3 @@ def hypervolume_2d(points: np.ndarray, reference: np.ndarray) -> float:
         volume += (reference[0] - x) * (prev_y - y)
         prev_y = y
     return float(volume)
-
-
-def crowding_distance(points: np.ndarray) -> np.ndarray:
-    """NSGA-II crowding distance (diversity pressure for evolutionary MOO)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n, k = points.shape
-    if n <= 2:
-        return np.full(n, np.inf)
-    distance = np.zeros(n)
-    for j in range(k):
-        order = np.argsort(points[:, j])
-        span = points[order[-1], j] - points[order[0], j]
-        distance[order[0]] = distance[order[-1]] = np.inf
-        if span <= 0:
-            continue
-        for rank in range(1, n - 1):
-            gap = points[order[rank + 1], j] - points[order[rank - 1], j]
-            distance[order[rank]] += gap / span
-    return distance

@@ -10,9 +10,8 @@ Tools:
   selecting good and crashed trials per the slide's policy.
 * :class:`PriorBank` — store tuning histories keyed by workload signature;
   retrieve the most similar prior run(s) for a new workload.
-* :func:`space_with_priors` / :func:`priors_from_trials` — turn good prior
-  configurations into per-knob histogram priors (the "specifying priors /
-  histograms for individual tunables" marginal constraint).
+* :func:`space_with_priors` — a space whose knobs sample from given priors
+  (the "specifying priors for individual tunables" marginal constraint).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 from ..core import Optimizer, Trial, TrialStatus
 from ..core.codec import config_from_values
 from ..exceptions import OptimizerError
-from ..space import ConfigurationSpace, HistogramPrior, Prior
+from ..space import ConfigurationSpace, Prior
 from ..space.params import _NumericParameter
 from ..workloads import Workload
 
@@ -33,7 +32,6 @@ __all__ = [
     "warm_start_from_history",
     "PriorBank",
     "PriorRun",
-    "priors_from_trials",
     "space_with_priors",
 ]
 
@@ -102,13 +100,6 @@ class PriorBank:
     def add(self, run: PriorRun) -> None:
         self._runs.append(run)
 
-    def __len__(self) -> int:
-        return len(self._runs)
-
-    @property
-    def runs(self) -> list[PriorRun]:
-        return list(self._runs)
-
     def _standardised_signatures(self) -> np.ndarray:
         sigs = np.stack([r.signature() for r in self._runs])
         mean = sigs.mean(axis=0)
@@ -153,31 +144,6 @@ class PriorBank:
                 include_failures=True,
             )
         return count
-
-
-def priors_from_trials(
-    space: ConfigurationSpace,
-    trials: list[Trial],
-    objective_name: str,
-    minimize: bool = True,
-    top_fraction: float = 0.25,
-    n_bins: int = 10,
-) -> dict[str, Prior]:
-    """Histogram priors per numeric knob from the best prior configurations."""
-    done = [t for t in trials if t.ok and objective_name in t.metrics]
-    if not done:
-        raise OptimizerError("no completed trials with the requested metric")
-    done.sort(key=lambda t: t.metric(objective_name) if minimize else -t.metric(objective_name))
-    n_top = max(1, int(np.ceil(len(done) * top_fraction)))
-    best = done[:n_top]
-    priors: dict[str, Prior] = {}
-    for param in space.parameters:
-        if not isinstance(param, _NumericParameter):
-            continue
-        units = [param.to_unit(t.config[param.name]) for t in best if param.name in t.config]
-        if units:
-            priors[param.name] = HistogramPrior.from_samples(units, n_bins=n_bins)
-    return priors
 
 
 def space_with_priors(space: ConfigurationSpace, priors: dict[str, Prior]) -> ConfigurationSpace:

@@ -219,7 +219,10 @@ class TuningServer:
             raise _HttpError(400, f"malformed request line {request_line!r}") from None
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # over the StreamReader limit, which is above _MAX_HEADER_LINE
+                raise _HttpError(400, "header line too long") from None
             if len(line) > _MAX_HEADER_LINE:
                 raise _HttpError(400, "header line too long")
             if line in (b"\r\n", b"\n", b""):
@@ -229,10 +232,9 @@ class TuningServer:
                 raise _HttpError(400, f"malformed header line {line!r}")
             headers[name.strip().lower()] = value.strip()
         length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError:
-            raise _HttpError(400, f"bad Content-Length {length_text!r}") from None
+        if not length_text.isdecimal():  # 1*DIGIT: no sign, no text
+            raise _HttpError(400, f"bad Content-Length {length_text!r}")
+        length = int(length_text)
         if length > _MAX_BODY:
             raise _HttpError(413, f"body of {length} bytes exceeds limit {_MAX_BODY}")
         body = await reader.readexactly(length) if length else b""
@@ -290,8 +292,7 @@ class TuningServer:
         The inbound ``traceparent`` (if any) is bound *before* the service
         trace activates, so every span recorded while handling — including
         optimizer spans running in worker threads via ``asyncio.to_thread``,
-        which copies this context — carries the caller's trace id and the
-        client and server traces stitch into one Chrome trace.
+        which copies this context — carries the caller's trace id.
 
         ``/healthz`` and ``/metrics`` bypass admission control: probes and
         scrapers must keep working precisely when the service is saturated.

@@ -78,7 +78,7 @@ def error_body(
     Without the id, a failed request is invisible in traces — the client
     sees an opaque 4xx/5xx and cannot find the matching server-side
     ``http.request`` span. The server passes the current distributed trace
-    id so every error response is greppable in a stitched Chrome trace.
+    id so every error response is greppable in the server's trace.
 
     ``retry_after`` mirrors the ``Retry-After`` response header into the
     body for clients that only see the envelope (e.g. through proxies that

@@ -29,7 +29,6 @@ from .space import Configuration, ConfigurationSpace
 
 __all__ = [
     "SpaceAdapter",
-    "IdentityAdapter",
     "RandomProjectionAdapter",
     "BucketizationAdapter",
     "SpecialValuesAdapter",
@@ -51,17 +50,6 @@ class SpaceAdapter(ABC):
     @abstractmethod
     def project(self, adapted_config: Configuration) -> Configuration:
         """Adapted-space point → target-space configuration."""
-
-
-class IdentityAdapter(SpaceAdapter):
-    """No-op adapter (baseline for adapter ablations)."""
-
-    @property
-    def adapted_space(self) -> ConfigurationSpace:
-        return self.target_space
-
-    def project(self, adapted_config: Configuration) -> Configuration:
-        return adapted_config
 
 
 class RandomProjectionAdapter(SpaceAdapter):

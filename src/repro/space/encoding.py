@@ -42,10 +42,9 @@ class SpaceEncoder(ABC):
     def decode(self, x: Sequence[float]) -> Configuration:
         """Feature vector → configuration (lossy for rounded values)."""
 
+    @abstractmethod
     def encode_many(self, configs: Sequence[Configuration]) -> np.ndarray:
-        if not configs:
-            return np.empty((0, self.n_features))
-        return np.stack([self.encode(c) for c in configs])
+        """Configurations → an ``(n, n_features)`` matrix in one pass."""
 
 
 class OrdinalEncoder(SpaceEncoder):
@@ -153,16 +152,6 @@ class TrialEncodingCache:
         self.hits = 0
         self.misses = 0
 
-    def encode_trial(self, trial: "Trial") -> np.ndarray:
-        row = self._rows.get(trial.trial_id)
-        if row is None:
-            self.misses += 1
-            row = self.encoder.encode(trial.config)
-            self._rows[trial.trial_id] = row
-        else:
-            self.hits += 1
-        return row
-
     def encode_trials(self, trials: Sequence["Trial"]) -> np.ndarray:
         if not trials:
             return np.empty((0, self.encoder.n_features))
@@ -174,9 +163,6 @@ class TrialEncodingCache:
             self.misses += len(missing)
         self.hits += len(trials) - len(missing)
         return np.stack([self._rows[t.trial_id] for t in trials])
-
-    def clear(self) -> None:
-        self._rows.clear()
 
     def stats(self) -> dict[str, float]:
         return {"encode_cache_hits": float(self.hits), "encode_cache_misses": float(self.misses)}

@@ -55,40 +55,29 @@ class Parameter(ABC):
     def sample(self, rng: np.random.Generator) -> Any:
         """Draw one value from the parameter's prior."""
 
+    @abstractmethod
     def sample_many(self, rng: np.random.Generator, n: int) -> list[Any]:
-        """Draw ``n`` values in one vectorized pass (plain-Python scalars).
-
-        Subclasses override with closed-form array math; the fallback loops
-        over :meth:`sample`.
-        """
-        return [self.sample(rng) for _ in range(int(n))]
+        """Draw ``n`` values in one vectorized pass (plain-Python scalars)."""
 
     # -- unit-cube encoding ----------------------------------------------
     @abstractmethod
     def to_unit(self, value: Any) -> float:
         """Map a domain value into ``[0, 1]``."""
 
+    @abstractmethod
     def to_unit_many(self, values: Sequence[Any]) -> np.ndarray:
-        """Vectorized :meth:`to_unit` over a batch of values.
-
-        Subclasses override with closed-form array math where possible; the
-        fallback loops.
-        """
-        return np.array([self.to_unit(v) for v in values], dtype=float)
+        """Vectorized :meth:`to_unit` over a batch of values."""
 
     @abstractmethod
     def from_unit(self, u: float) -> Any:
         """Map a unit-interval position back into the domain."""
-
-    def from_unit_many(self, u: Sequence[float]) -> list[Any]:
-        """Vectorized :meth:`from_unit` over a batch of unit positions."""
-        return [self.from_unit(float(v)) for v in np.asarray(u, dtype=float)]
 
     # -- neighbourhoods (annealing / GA / local search) --------------------
     @abstractmethod
     def neighbor(self, value: Any, rng: np.random.Generator, scale: float = 0.1) -> Any:
         """Return a value near ``value``; ``scale`` in (0, 1] sets the step."""
 
+    @abstractmethod
     def neighbor_many(
         self,
         value: Any,
@@ -96,12 +85,7 @@ class Parameter(ABC):
         n: int,
         scale: float | np.ndarray = 0.1,
     ) -> list[Any]:
-        """Draw ``n`` neighbours of one value (``scale`` may be per-row).
-
-        Subclasses override with one vectorized draw; the fallback loops.
-        """
-        scales = np.broadcast_to(np.asarray(scale, dtype=float), (int(n),))
-        return [self.neighbor(value, rng, float(s)) for s in scales]
+        """Draw ``n`` neighbours of one value (``scale`` may be per-row)."""
 
     @property
     def is_numeric(self) -> bool:
@@ -179,6 +163,10 @@ class _NumericParameter(Parameter):
 
     def sample(self, rng: np.random.Generator) -> Any:
         return self.from_unit(self.prior.sample_unit(rng))
+
+    @abstractmethod
+    def from_unit_many(self, u: Sequence[float]) -> list[Any]:
+        """Vectorized :meth:`from_unit` over a batch of unit positions."""
 
     def sample_many(self, rng: np.random.Generator, n: int) -> list[Any]:
         return self.from_unit_many(self.prior.sample_unit_many(rng, n))

@@ -29,13 +29,9 @@ class Prior(ABC):
     def sample_unit(self, rng: np.random.Generator) -> float:
         """Draw one position in the unit interval."""
 
+    @abstractmethod
     def sample_unit_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` unit positions in one call.
-
-        Subclasses override with a single vectorized draw; the fallback
-        loops over :meth:`sample_unit`.
-        """
-        return np.array([self.sample_unit(rng) for _ in range(int(n))], dtype=float)
+        """Draw ``n`` unit positions in one vectorized call."""
 
     @abstractmethod
     def pdf_unit(self, u: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ knob name to value, with inactive conditional knobs pinned to their defaults.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -55,9 +55,6 @@ class Configuration(Mapping[str, Any]):
         """Names of knobs whose values are under the optimizer's control."""
         return self._active
 
-    def is_active(self, name: str) -> bool:
-        return name in self._active
-
     def __getitem__(self, name: str) -> Any:
         return self._values[name]
 
@@ -80,15 +77,6 @@ class Configuration(Mapping[str, Any]):
     def as_dict(self) -> dict[str, Any]:
         """A mutable copy of the full value mapping."""
         return dict(self._values)
-
-    def with_updates(self, **updates: Any) -> "Configuration":
-        """Return a new configuration with some knobs changed (re-validated)."""
-        merged = self.as_dict()
-        merged.update(updates)
-        return self._space.make(merged)
-
-    def to_unit_array(self) -> np.ndarray:
-        return self._space.to_unit_array(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(f"{k}={self._values[k]!r}" for k in self._space.names)
@@ -127,10 +115,6 @@ class ConfigurationSpace:
             raise DuplicateParameterError(param.name)
         self._params[param.name] = param
         return param
-
-    def add_all(self, params: Iterable[Parameter]) -> None:
-        for p in params:
-            self.add(p)
 
     def add_condition(self, condition: Condition) -> Condition:
         for ref in (condition.child, condition.parent):
@@ -196,12 +180,6 @@ class ConfigurationSpace:
         try:
             return self._params[name]
         except KeyError:
-            raise UnknownParameterError(name) from None
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
             raise UnknownParameterError(name) from None
 
     # -- activation ---------------------------------------------------------

@@ -129,10 +129,6 @@ class CloudEnvironment:
     def allocate_pool(self, n: int) -> list[Machine]:
         return [self.allocate() for _ in range(n)]
 
-    @property
-    def machines(self) -> list[Machine]:
-        return list(self._machines.values())
-
     # -- noise -------------------------------------------------------------
     def advance(self, machine: Machine) -> None:
         """Random-walk the machine's co-tenant load (call once per run)."""

@@ -38,16 +38,6 @@ class TelemetryTrace:
                 f"telemetry must be (n_steps, {len(TELEMETRY_CHANNELS)}), got {self.data.shape}"
             )
 
-    @property
-    def n_steps(self) -> int:
-        return int(self.data.shape[0])
-
-    def channel(self, name: str) -> np.ndarray:
-        try:
-            return self.data[:, TELEMETRY_CHANNELS.index(name)]
-        except ValueError:
-            raise ReproError(f"unknown channel {name!r}; have {TELEMETRY_CHANNELS}") from None
-
 
 def _base_levels(workload: Workload) -> np.ndarray:
     """Deterministic mean utilisation per channel from workload features."""

@@ -38,7 +38,7 @@ from .spans import (
     trial_scope,
 )
 from .tracing import SessionTrace
-from .export import chrome_trace, export_chrome_trace, stitch_chrome_trace
+from .export import chrome_trace, export_chrome_trace
 from .callback import TelemetryCallback
 
 __all__ = [
@@ -64,6 +64,5 @@ __all__ = [
     "format_traceparent",
     "parse_traceparent",
     "span",
-    "stitch_chrome_trace",
     "trial_scope",
 ]

@@ -28,11 +28,10 @@ kind                              severity   emitted by
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .spans import TrialRef
@@ -90,8 +89,8 @@ class EventLog:
     Parameters
     ----------
     maxlen:
-        Buffer capacity; the oldest events are dropped (and counted in
-        :attr:`dropped`) once exceeded.
+        Buffer capacity; the oldest events are dropped once exceeded
+        (``emitted - len(log)`` of them).
     """
 
     def __init__(self, maxlen: int = 4096) -> None:
@@ -101,10 +100,6 @@ class EventLog:
         self._events: deque[Event] = deque(maxlen=self.maxlen)
         self._lock = threading.Lock()
         self.emitted = 0
-
-    @property
-    def dropped(self) -> int:
-        return self.emitted - len(self._events)
 
     def emit(
         self,
@@ -123,37 +118,12 @@ class EventLog:
     def __len__(self) -> int:
         return len(self._events)
 
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self.snapshot())
-
     def snapshot(self) -> list[Event]:
         with self._lock:
             return list(self._events)
 
-    def filter(self, kind: str | None = None, severity: str | None = None) -> list[Event]:
-        """Events matching a kind prefix and/or minimum severity."""
-        floor = SEVERITIES.index(severity) if severity is not None else 0
-        return [
-            e
-            for e in self.snapshot()
-            if (kind is None or e.kind == kind or e.kind.startswith(kind + "."))
-            and SEVERITIES.index(e.severity) >= floor
-        ]
-
-    def counts_by_kind(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for event in self.snapshot():
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
-
     def to_dicts(self) -> list[dict[str, Any]]:
         return [e.to_dict() for e in self.snapshot()]
-
-    def write_jsonl(self, path: str) -> None:
-        """One JSON object per line — greppable, streamable."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for event in self.snapshot():
-                fh.write(json.dumps(event.to_dict(), default=str) + "\n")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EventLog(n={len(self)}, emitted={self.emitted}, maxlen={self.maxlen})"

@@ -23,7 +23,7 @@ from typing import Any, Mapping
 
 from .naming import TRIAL_SPAN
 
-__all__ = ["chrome_trace", "export_chrome_trace", "stitch_chrome_trace"]
+__all__ = ["chrome_trace", "export_chrome_trace"]
 
 _SESSION_TID = 0
 
@@ -91,34 +91,6 @@ def chrome_trace(trace: Any) -> dict[str, Any]:
         })
 
     return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def stitch_chrome_trace(traces: "list[Any]") -> dict[str, Any]:
-    """Merge several traces into one Chrome trace, one process track each.
-
-    The cross-wire story: a client ``run_session`` trace and the server's
-    service trace share a ``trace_id`` (propagated via the ``traceparent``
-    header), so stitching them gives the full picture — client wire time on
-    one pid, server handling and optimizer work on another, on a shared
-    wall-clock timeline (each trace's events are shifted by its
-    ``started_at`` relative to the earliest one).
-    """
-    merged: list[dict[str, Any]] = []
-    datas = [_as_dict(t) for t in traces]
-    base = min((float(data["started_at"]) for data in datas), default=0.0)
-    for pid, data in enumerate(datas, start=1):
-        shift_us = int(round((float(data["started_at"]) - base) * 1e6))
-        for event in chrome_trace(data)["traceEvents"]:
-            event = dict(event)
-            event["pid"] = pid
-            if "ts" in event:
-                event["ts"] = event["ts"] + shift_us
-            if event.get("ph") == "M" and event.get("name") == "process_name":
-                name = data.get("name", f"trace {pid}")
-                trace_id = data.get("trace_id")
-                event["args"] = {"name": f"repro {name}" + (f" [{trace_id[:8]}]" if trace_id else "")}
-            merged.append(event)
-    return {"traceEvents": merged, "displayTimeUnit": "ms"}
 
 
 def export_chrome_trace(trace: Any, path: str) -> None:

@@ -185,10 +185,6 @@ class MetricsRegistry:
         hist = self.histogram(name)
         return hist.quantile(q) if hist is not None else 0.0
 
-    def quantiles(self, name: str, qs: Iterable[float] = (0.5, 0.95, 0.99)) -> dict[str, float]:
-        hist = self.histogram(name)
-        return {f"p{int(round(q * 100))}": (hist.quantile(q) if hist else 0.0) for q in qs}
-
     # -- merging (multi-run aggregation, e.g. `repro compare`) ---------------
     def merge(self, other: "MetricsRegistry") -> None:
         with self._lock, other._lock:

@@ -17,7 +17,7 @@ document it in ``docs/static-analysis.md``'s naming table.
 
 from __future__ import annotations
 
-__all__ = ["SPAN_NAMES", "TRIAL_SPAN", "EVENT_KINDS", "is_valid_span_name", "is_valid_event_kind"]
+__all__ = ["SPAN_NAMES", "TRIAL_SPAN", "EVENT_KINDS"]
 
 #: Name of the root span of one trial (or online step); recorded by
 #: :meth:`repro.telemetry.tracing.SessionTrace.record_trial`.
@@ -75,11 +75,3 @@ EVENT_KINDS: frozenset[str] = frozenset(
         "service.drain",          # server entered graceful drain
     }
 )
-
-
-def is_valid_span_name(name: str) -> bool:
-    return name in SPAN_NAMES
-
-
-def is_valid_event_kind(kind: str) -> bool:
-    return kind in EVENT_KINDS

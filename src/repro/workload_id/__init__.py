@@ -1,47 +1,28 @@
 """Workload identification: features, embeddings, similarity, shift
 detection, synthetic benchmark generation."""
 
-from .embedding import PCAEmbedding, RandomProjectionEmbedding, WorkloadEmbedder
-from .forecasting import SeasonalForecaster
-from .features import (
-    QUERY_FEATURE_NAMES,
-    TELEMETRY_FEATURE_NAMES,
-    QueryRecord,
-    query_log_features,
-    synthetic_query_log,
-    telemetry_features,
-)
-from .shift_detection import PageHinkleyDetector, WindowShiftDetector
-from .similarity import (
-    clustering_accuracy,
-    cosine_similarity,
-    euclidean_distance,
-    kmeans,
-    knn_indices,
-    silhouette_score,
-)
-from .synthesis import blend_mixture, mixture_weights, synthesize_benchmark
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PCAEmbedding",
-    "RandomProjectionEmbedding",
-    "WorkloadEmbedder",
-    "QUERY_FEATURE_NAMES",
-    "TELEMETRY_FEATURE_NAMES",
-    "QueryRecord",
-    "query_log_features",
-    "synthetic_query_log",
-    "telemetry_features",
-    "SeasonalForecaster",
-    "PageHinkleyDetector",
-    "WindowShiftDetector",
-    "clustering_accuracy",
-    "cosine_similarity",
-    "euclidean_distance",
-    "kmeans",
-    "knn_indices",
-    "silhouette_score",
-    "blend_mixture",
-    "mixture_weights",
-    "synthesize_benchmark",
-]
+# Public name -> defining submodule, imported on first use: only ``.synthesis`` needs scipy.
+_EXPORTS = {
+    "PCAEmbedding": ".embedding",
+    "RandomProjectionEmbedding": ".embedding",
+    "WorkloadEmbedder": ".embedding",
+    "QueryRecord": ".features",
+    "query_log_features": ".features",
+    "synthetic_query_log": ".features",
+    "telemetry_features": ".features",
+    "SeasonalForecaster": ".forecasting",
+    "PageHinkleyDetector": ".shift_detection",
+    "WindowShiftDetector": ".shift_detection",
+    "clustering_accuracy": ".similarity",
+    "kmeans": ".similarity",
+    "knn_indices": ".similarity",
+    "silhouette_score": ".similarity",
+    "blend_mixture": ".synthesis",
+    "mixture_weights": ".synthesis",
+    "synthesize_benchmark": ".synthesis",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

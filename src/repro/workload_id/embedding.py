@@ -61,9 +61,6 @@ class PCAEmbedding:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return ((X - self._mean) / self._std) @ self._components.T
 
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
 
 class RandomProjectionEmbedding:
     """Gaussian random projection (Johnson–Lindenstrauss style)."""
@@ -91,9 +88,6 @@ class RandomProjectionEmbedding:
             raise NotFittedError("fit the embedding first")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return ((X - self._mean) / self._std) @ self._matrix
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
 
 
 class WorkloadEmbedder:
@@ -158,6 +152,3 @@ class WorkloadEmbedder:
         if not self._fitted:
             raise NotFittedError("fit the embedder on a workload corpus first")
         return self.projection.transform(self.raw_features(workload)[None, :])[0]
-
-    def embed_many(self, workloads: list[Workload]) -> np.ndarray:
-        return np.stack([self.embed(w) for w in workloads])

@@ -15,16 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ReproError
-from ..sysim.telemetry import TELEMETRY_CHANNELS, TelemetryTrace
+from ..sysim.telemetry import TelemetryTrace
 from ..workloads import Workload
 
 __all__ = [
     "telemetry_features",
-    "TELEMETRY_FEATURE_NAMES",
     "QueryRecord",
     "synthetic_query_log",
     "query_log_features",
-    "QUERY_FEATURE_NAMES",
 ]
 
 
@@ -45,13 +43,6 @@ def _dominant_frequency(x: np.ndarray) -> float:
         return 0.0
     peak = int(np.argmax(spectrum[1:])) + 1
     return peak / len(spectrum)
-
-
-#: Feature names produced per telemetry channel.
-_PER_CHANNEL = ("mean", "std", "p95", "autocorr1", "dom_freq")
-TELEMETRY_FEATURE_NAMES = tuple(
-    f"{ch}_{f}" for ch in TELEMETRY_CHANNELS for f in _PER_CHANNEL
-)
 
 
 def telemetry_features(trace: TelemetryTrace) -> np.ndarray:
@@ -117,18 +108,6 @@ def synthetic_query_log(
             cost = float(rng.lognormal(0.5 + workload.commit_sensitivity, 0.3))
         log.append(QueryRecord(kind, tables, cost))
     return log
-
-
-QUERY_FEATURE_NAMES = (
-    "frac_point_select",
-    "frac_range_scan",
-    "frac_insert",
-    "frac_update",
-    "mean_tables",
-    "log_mean_cost",
-    "log_p95_cost",
-    "cost_skewness",
-)
 
 
 def query_log_features(log: list[QueryRecord]) -> np.ndarray:

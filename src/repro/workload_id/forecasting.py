@@ -85,12 +85,6 @@ class SeasonalForecaster:
             out.append(float(seasonal + resid))
         return np.array(out)
 
-    def forecast_interval(self, horizon: int = 1, z: float = 1.64) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) bands — widen with the AR-residual uncertainty."""
-        point = self.forecast(horizon)
-        scale = self._resid_std * np.sqrt(np.arange(1, horizon + 1))
-        return point - z * scale, point + z * scale
-
     def detect_anomaly(self, value: float, z: float = 3.0) -> bool:
         """Is the next observation far outside the forecast band?
 

@@ -13,26 +13,11 @@ import numpy as np
 from ..exceptions import ReproError
 
 __all__ = [
-    "euclidean_distance",
-    "cosine_similarity",
     "kmeans",
     "knn_indices",
     "silhouette_score",
     "clustering_accuracy",
 ]
-
-
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    denom = np.linalg.norm(a) * np.linalg.norm(b)
-    if denom == 0:
-        return 0.0
-    return float(a @ b / denom)
 
 
 def _pairwise_sq(X: np.ndarray, C: np.ndarray) -> np.ndarray:

@@ -105,24 +105,6 @@ class Workload:
     def write_fraction(self) -> float:
         return 1.0 - self.read_fraction
 
-    def scaled(self, factor: float, name: str | None = None) -> "Workload":
-        """A smaller/larger copy of this workload (multi-fidelity lever).
-
-        Scale factor multiplies data and working-set sizes — exactly the
-        TPC-H SF1 vs SF100 situation from the "Systems Challenges of
-        Multi-Fidelity" slide, including the hazard that at small scale
-        everything fits in memory and I/O knobs stop mattering.
-        """
-        if factor <= 0:
-            raise ReproError(f"scale factor must be positive, got {factor}")
-        return dataclasses.replace(
-            self,
-            name=name or f"{self.name}@sf{factor:g}",
-            data_size_mb=self.data_size_mb * factor,
-            working_set_mb=self.working_set_mb * factor,
-            scale_factor=self.scale_factor * factor,
-        )
-
     def blend(self, other: "Workload", alpha: float, name: str | None = None) -> "Workload":
         """Convex mix of two workloads; ``alpha=0`` is self, 1 is ``other``.
 

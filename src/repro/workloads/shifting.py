@@ -70,14 +70,6 @@ class PhasedTrace(WorkloadTrace):
             remaining -= phase.steps
         return self._phases[-1].workload
 
-    def shift_points(self) -> list[int]:
-        """Steps at which the workload changes (for detector ground truth)."""
-        points, acc = [], 0
-        for phase in self._phases[:-1]:
-            acc += phase.steps
-            points.append(acc)
-        return points
-
 
 class DriftingTrace(WorkloadTrace):
     """Gradual linear drift from one workload to another."""

@@ -42,10 +42,6 @@ class TpchQuery:
     parallel_fraction: float
     selectivity: float
 
-    @property
-    def name(self) -> str:
-        return f"Q{self.number}"
-
 
 def _q(n: int, scan: float, join: float, sort: float, par: float, sel: float) -> TpchQuery:
     return TpchQuery(n, scan, join, sort, par, sel)

@@ -8,7 +8,6 @@ from repro.benchmarking import (
     EarlyAbortPolicy,
     Measurement,
     aggregate_measurements,
-    evaluator_from_callable,
 )
 from repro.core import Objective, TuningSession
 from repro.exceptions import ReproError, TrialAbortedError
@@ -48,10 +47,6 @@ class TestMeasurement:
             meas(lat=-0.5)
         with pytest.raises(ReproError):
             meas(elapsed=0.0)
-
-    def test_with_extra(self):
-        m = meas().with_extra(foo=1.0)
-        assert m.metric("foo") == 1.0
 
 
 class TestAggregation:
@@ -156,8 +151,3 @@ class TestBenchmarkRunner:
         db = SimulatedDBMS(env=QUIET_CLOUD(seed=0), seed=0)
         with pytest.raises(ReproError):
             BenchmarkRunner(db, tpcc(10), Objective("throughput"), repeats=0)
-
-
-def test_evaluator_from_callable():
-    evaluate = evaluator_from_callable(lambda c: 42.0, cost=3.0)
-    assert evaluate(None) == (42.0, 3.0)

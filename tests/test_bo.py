@@ -100,17 +100,6 @@ class TestAcquisitionPlumbing:
         res = TuningSession(opt, quadratic_evaluator(), max_trials=15).run()
         assert res.best_value < 0.05
 
-    def test_surrogate_prediction_shape(self):
-        space = bowl_space(1)
-        opt = BayesianOptimizer(space, n_init=2, seed=0, n_candidates=64)
-        for _ in range(4):
-            c = opt.suggest(1)[0]
-            opt.observe(c, quadratic_evaluator()(c)[0])
-        configs = [space.sample(np.random.default_rng(0)) for _ in range(5)]
-        mean, std = opt.surrogate_prediction(configs)
-        assert mean.shape == (5,) and std.shape == (5,)
-        assert np.all(std > 0)
-
 
 class TestCrashHandling:
     def test_learns_to_avoid_crash_region(self):

@@ -124,14 +124,6 @@ class TestFaultPlan:
         fired = [d.index for d in plan.schedule("store.append", "s", 10) if d is not None]
         assert fired == [2, 3]  # window opens at 2, max_fires caps at 2
 
-    def test_roundtrip(self):
-        plan = FaultPlan(
-            seed=3,
-            rules=[FaultRule(site="evaluator.run", kind="noise", rate=0.2, magnitude=0.5)],
-            name="campaign-a",
-        )
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
-
     def test_invalid_rules_rejected(self):
         with pytest.raises(ReproError):
             FaultRule(site="s", kind="meltdown")
@@ -139,8 +131,6 @@ class TestFaultPlan:
             FaultRule(site="s", kind="error", rate=1.5)
         with pytest.raises(ReproError):
             FaultRule(site="s", kind="error", start=4, stop=2)
-        with pytest.raises(ReproError):
-            FaultPlan.from_dict({"version": 99, "seed": 0})
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +178,7 @@ class TestFaultyStore:
         store.create_session(_meta())
         with pytest.raises(TransientStorageError):
             store.append_trial("s1", _record(0))
-        assert store.inner.trial_count("s1") == 0  # as if never attempted
+        assert len(store.inner.load_trials("s1")) == 0  # as if never attempted
         assert store.append_trial("s1", _record(0)).trial_id == 0
 
     def test_ack_lost_then_retry_dedups(self, backend, tmp_path):
@@ -200,7 +190,7 @@ class TestFaultyStore:
         # The write landed; the retry must dedup to the same trial id.
         result = store.append_trial("s1", _record(0, report_id="r-0"))
         assert result.duplicate and result.trial_id == 0
-        assert store.inner.trial_count("s1") == 1
+        assert len(store.inner.load_trials("s1")) == 1
 
     def test_read_and_meta_faults_are_transient(self, backend, tmp_path):
         plan = FaultPlan(
@@ -224,7 +214,7 @@ class TestFaultyStore:
         store.create_session(_meta())
         for i in range(3):
             assert store.append_trial("s1", _record(i)).trial_id == i
-        assert store.trial_count("s1") == 3
+        assert len(store.load_trials("s1")) == 3
         assert [r["trial_id"] for r in store.load_trials("s1")] == [0, 1, 2]
         assert store.list_sessions() == ["s1"]
 
@@ -311,7 +301,7 @@ class TestSpillBuffer:
         # append index 2 still faults, 3 succeeds: one retry drains it.
         assert session.flush_spill(retries=3, policy=BackoffPolicy(base_s=0.0)) == 1
         assert session.spilled_count == 0
-        assert store.inner.trial_count("spill") == 2
+        assert len(store.inner.load_trials("spill")) == 2
         manager.close()
 
     def test_flush_spill_raises_when_store_stays_down(self, tmp_path):
@@ -374,7 +364,7 @@ class TestDegradedOptimizer:
     def test_fit_failure_degrades_to_random(self, cls, monkeypatch):
         opt = MODEL_BASED[cls]()
         self._observe_init(opt, 2)
-        before = opt.state_digest()
+        before = opt.state_digest_parts()
 
         def broken_fit(*args, **kwargs):
             raise ValueError("singular kernel matrix")
@@ -385,7 +375,7 @@ class TestDegradedOptimizer:
         configs = opt.suggest(2)
         assert len(configs) == 2  # the campaign keeps going
         assert opt.surrogate_stats()["degraded_total"] >= 1
-        assert opt.state_digest() != before  # degradation is provenance-visible
+        assert opt.state_digest_parts() != before  # degradation is provenance-visible
 
     def test_programming_error_in_fit_hook_propagates(self):
         """Only numerical failures degrade; a bug must not become random search."""
@@ -708,7 +698,7 @@ class TestClientResilience:
                 # First two tells reset on the wire; the third lands, once.
                 ack = await faulty.tell_reliably("s1", report)
                 assert ack["trial_id"] == 0 and not ack["duplicate"]
-                assert store.trial_count("s1") == 1
+                assert len(store.load_trials("s1")) == 1
             finally:
                 await server.stop()
 
@@ -879,7 +869,7 @@ def test_chaos_acceptance_campaign(backend, tmp_path):
         # Exactly-once + replay-clean, verified against the *inner* store
         # (no injected faults in the verification pass).
         verifier = SessionManager(inner)
-        total_faults = len(injector.events)
+        total_faults = len(injector.canonical_log())
         for sid in session_ids:
             records = inner.load_trials(sid)
             assert [r["trial_id"] for r in records] == list(range(TRIALS_PER_SESSION)), (

@@ -38,12 +38,6 @@ class TestSeasonalForecaster:
         assert fc.is_fitted
         assert len(fc.forecast(3)) == 3
 
-    def test_interval_widens_with_horizon(self):
-        fc = SeasonalForecaster(period=24).fit(diurnal_series())
-        lo, hi = fc.forecast_interval(12)
-        widths = hi - lo
-        assert widths[-1] >= widths[0]
-
     def test_anomaly_detection(self):
         fc = SeasonalForecaster(period=24).fit(diurnal_series())
         expected = fc.forecast(1)[0]

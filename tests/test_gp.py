@@ -97,19 +97,3 @@ class TestHyperparameterFitting:
         # The learned white-noise term should be near the injected variance.
         learned_noise = np.exp(gp.kernel.theta[-1])
         assert 0.01 < learned_noise < 0.5
-
-
-class TestSampling:
-    def test_posterior_samples_match_moments(self, fitted_gp, rng):
-        gp, X, y = fitted_gp
-        Xq = np.array([[0.2], [0.8]])
-        draws = gp.sample_y(Xq, n_samples=300, rng=rng)
-        mean, std = gp.predict(Xq, return_std=True)
-        assert np.abs(draws.mean(axis=0) - mean).max() < 0.1
-        assert draws.shape == (300, 2)
-
-    def test_prior_samples_have_kernel_scale(self, rng):
-        gp = GaussianProcessRegressor(kernel=ConstantKernel(4.0) * RBF(0.3), seed=0)
-        draws = gp.prior_sample(np.linspace(0, 1, 20)[:, None], n_samples=200, rng=rng)
-        # Prior variance 4 -> std 2.
-        assert abs(draws.std() - 2.0) < 0.4

@@ -49,7 +49,7 @@ class TestHyperband:
             eta=3.0, rng=np.random.default_rng(0),
         )
         # s_max = log3(27) = 3 -> brackets s=3..0 -> 4 brackets.
-        assert result.n_brackets == 4
+        assert len(result.brackets) == 4
 
     def test_early_brackets_try_more_configs(self, rng):
         result = hyperband(

@@ -123,6 +123,38 @@ def test_forest_family_runs_with_scipy_blocked(tmp_path):
     assert n == 30 and n_fits > 0
 
 
+def test_gp_optimizer_without_scipy_names_the_extra(tmp_path):
+    code = BLOCK_SCIPY + DRIVER + textwrap.dedent("""
+        from repro.exceptions import ReproError
+        try:
+            create(*sys.argv[1:])
+        except ReproError as err:
+            print(json.dumps(str(err)))
+    """)
+    assert "repro[gp]" in fresh(code, "bo", str(tmp_path))
+
+
+def test_proactive_tuner_steps_with_scipy_blocked():
+    """``repro.workload_id`` resolves lazily: the forecaster does not drag in ``synthesis``."""
+    code = BLOCK_SCIPY + textwrap.dedent("""
+        import json, numpy as np
+        import repro.workload_id
+        from repro.online import ProactiveForecastTuner
+        from repro.space import ConfigurationSpace, FloatParameter
+        from repro.workload_id import WindowShiftDetector
+
+        space = ConfigurationSpace("p", seed=0)
+        space.add(FloatParameter("x", 0.0, 1.0, default=0.5))
+        policy = ProactiveForecastTuner(space, period=4, n_bands=2, seed=0)
+        for step in range(12):
+            observation = np.array([0.2 if step % 4 < 2 else 0.8])
+            config = policy.propose(observation)
+            policy.feedback(observation, config, -((config["x"] - 0.3) ** 2))
+        print(json.dumps([WindowShiftDetector.__name__, step + 1]))
+    """)
+    assert fresh(code) == ["WindowShiftDetector", 12]
+
+
 def test_staticcheck_runs_with_scipy_blocked():
     main = "from repro.staticcheck.__main__ import main\n"
     assert fresh(BLOCK_SCIPY + main + 'print(main(["--spaces", "src"]))') == 0

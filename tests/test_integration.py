@@ -24,7 +24,7 @@ from repro.optimizers import (
 )
 from repro.space.adapters import LlamaTuneAdapter
 from repro.sysim import QUIET_CLOUD, CloudEnvironment, RedisServer, SimulatedDBMS, redis_benchmark_workload
-from repro.workload_id import WorkloadEmbedder, euclidean_distance
+from repro.workload_id import WorkloadEmbedder
 from repro.workloads import PhasedTrace, tpcc, ycsb
 
 from .conftest import assert_healthy
@@ -154,5 +154,5 @@ class TestWorkloadIdPipeline:
         rng = np.random.default_rng(0)
         mystery = ycsb("b").perturbed(rng, 0.02)
         z = embedder.embed(mystery)
-        dists = [euclidean_distance(z, embedder.embed(w)) for w in corpus]
+        dists = [np.linalg.norm(z - embedder.embed(w)) for w in corpus]
         assert int(np.argmin(dists)) == 1  # matched to ycsb-b

@@ -46,7 +46,7 @@ class TestExtraction:
         assert rho > 0.6
 
     def test_top5_overlaps_true_important_knobs(self, extractor, db):
-        top5 = set(extractor.important_knobs(5))
+        top5 = {d.knob for d in extractor.discover()[:5]}
         assert len(top5 & set(db.IMPORTANT_KNOBS)) >= 3
 
     def test_junk_knobs_score_negative(self, extractor, db):

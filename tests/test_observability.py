@@ -144,9 +144,7 @@ class TestMetricsRegistry:
             reg.observe("lat", v)
         assert reg.counter_value("c") == 3.0
         assert reg.gauges["g"] == 7.0
-        q = reg.quantiles("lat")
-        assert set(q) == {"p50", "p95", "p99"}
-        assert 0.0 < q["p50"] <= q["p95"] <= q["p99"]
+        assert 0.0 < reg.quantile("lat", 0.5) <= reg.quantile("lat", 0.95) <= reg.quantile("lat", 0.99)
         assert reg.quantile("missing", 0.5) == 0.0
 
     def test_prometheus_exposition(self, tmp_path):
@@ -186,17 +184,8 @@ class TestEventLog:
         for i in range(10):
             log.emit("k", message=str(i))
         assert len(log.snapshot()) == 4
-        assert log.dropped == 6
+        assert log.emitted - len(log) == 6
         assert [e.message for e in log.snapshot()] == ["6", "7", "8", "9"]
-
-    def test_filter_and_counts(self):
-        log = EventLog()
-        log.emit("executor.retry", severity="warning")
-        log.emit("executor.timeout", severity="warning")
-        log.emit("agent.crash", severity="error")
-        assert log.counts_by_kind() == {"executor.retry": 1, "executor.timeout": 1, "agent.crash": 1}
-        assert len(log.filter(kind="executor")) == 2
-        assert len(log.filter(severity="error")) == 1
 
     def test_invalid_severity_rejected(self):
         log = EventLog()
@@ -353,7 +342,7 @@ class TestExecutorInstrumentation:
         assert retried.attributes["retries"] == 1
         assert retried.attributes["attempts"] == ["crash", "success"]
         assert len(retried.attributes["attempt_s"]) == 2
-        events = trace.events.filter(kind="executor.retry")
+        events = [e for e in trace.events.snapshot() if e.kind == "executor.retry"]
         assert len(events) == 1
         assert events[0].trial_id == 0
         assert trace.metrics.counter_value("events.executor.retry") == 1
@@ -367,7 +356,7 @@ class TestExecutorInstrumentation:
         with trace.activated():
             execution = execute_trial(hang, _space().default_configuration(), timeout_s=0.05)
         assert execution.result.outcome == "timeout"
-        assert trace.events.filter(kind="executor.timeout")
+        assert [e for e in trace.events.snapshot() if e.kind == "executor.timeout"]
 
     def test_evaluator_spans_cross_worker_threads_to_right_trial(self, simple_space):
         # The acceptance property: under a thread pool, spans opened inside

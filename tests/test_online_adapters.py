@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import Objective, TuningSession
 from repro.execution import ThreadedExecutor
-from repro.online import GreedyOnlineTuner, OnlinePolicyOptimizer, OptimizerPolicy, QLearningTuner
+from repro.online import GreedyOnlineTuner, OnlinePolicyOptimizer, OptimizerPolicy
 from repro.optimizers import RandomSearchOptimizer
 from repro.telemetry import TelemetryCallback
 
@@ -21,12 +21,6 @@ class TestOnlinePolicyOptimizer:
         assert len(opt.history) == 12
         # The policy actually learned: it saw feedback for every trial.
         assert policy.moves_adopted + policy.moves_reverted > 0
-
-    def test_as_optimizer_convenience(self, simple_space):
-        policy = QLearningTuner(simple_space, seed=0)
-        opt = policy.as_optimizer(simple_space, objectives=Objective("lat"))
-        res = TuningSession(opt, lambda c: {"lat": float(c["x"])}, max_trials=6).run()
-        assert res.n_trials == 6
 
     def test_observation_fn_reaches_policy(self, simple_space):
         seen: list[np.ndarray] = []

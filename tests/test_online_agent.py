@@ -128,12 +128,6 @@ class TestGuardrail:
             guard.check(100.0)
         assert guard.check(90.0).is_safe_point
 
-    def test_reset(self):
-        guard = Guardrail(grace=1)
-        guard.check(1.0)
-        guard.reset()
-        assert guard._scores == []
-
     def test_validation(self):
         with pytest.raises(OptimizerError):
             Guardrail(tolerance=-0.1)
@@ -174,12 +168,3 @@ class TestOnlineResult:
         result = agent.run(DiurnalTrace(ycsb("b"), length=5, amplitude=0.0))
         base = result.values()
         assert result.regression_steps(base, tolerance=0.1, minimize=False) == 0
-
-    def test_cumulative_regret_monotone(self, agent_setup):
-        db, sub = agent_setup
-        policy = StaticConfigPolicy(sub.default_configuration())
-        agent = OnlineTuningAgent(db, policy, Objective("throughput", minimize=False))
-        result = agent.run(DiurnalTrace(ycsb("b"), length=6, amplitude=0.0))
-        oracle = result.values() * 2  # pretend the oracle doubles throughput
-        regret = result.cumulative_regret(oracle, minimize=False)
-        assert np.all(np.diff(regret) >= 0)

@@ -45,22 +45,15 @@ class TestGridSearch:
     def test_exhausts_grid(self):
         space = bowl_space(1)
         opt = GridSearchOptimizer(space, points_per_dim=5)
-        assert opt.grid_size == 5
         configs = opt.suggest(5)
         xs = sorted(c["x0"] for c in configs)
         assert xs == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
         with pytest.raises(ExhaustedError):
             opt.suggest(1)
 
-    def test_remaining(self):
-        opt = GridSearchOptimizer(bowl_space(1), points_per_dim=5)
-        opt.suggest(2)
-        assert opt.remaining == 3
-
     def test_shuffle_changes_order(self):
         a = GridSearchOptimizer(bowl_space(2), points_per_dim=4, shuffle=True, seed=0)
         b = GridSearchOptimizer(bowl_space(2), points_per_dim=4, shuffle=False)
-        assert a.grid_size == b.grid_size == 16
         assert a.suggest(16) != b.suggest(16)
 
     def test_grid_resolution_limits_accuracy(self):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.exceptions import OptimizerError
 from repro.optimizers.pareto import (
-    crowding_distance,
     dominates,
     hypervolume_2d,
     pareto_front,
@@ -84,19 +83,3 @@ class TestHypervolume:
     def test_shape_validation(self):
         with pytest.raises(OptimizerError):
             hypervolume_2d(np.zeros((2, 3)), np.zeros(3))
-
-
-class TestCrowding:
-    def test_extremes_infinite(self):
-        pts = np.array([[1, 4], [2, 3], [3, 2], [4, 1]])
-        d = crowding_distance(pts)
-        assert np.isinf(d[0]) and np.isinf(d[3])
-        assert np.isfinite(d[1]) and np.isfinite(d[2])
-
-    def test_isolated_point_scores_higher(self):
-        pts = np.array([[0.0, 4.0], [0.1, 3.9], [2.0, 2.0], [4.0, 0.0]])
-        d = crowding_distance(pts)
-        assert d[2] > d[1]
-
-    def test_tiny_sets(self):
-        assert np.all(np.isinf(crowding_distance(np.array([[1, 2], [3, 4]]))))

@@ -7,7 +7,6 @@ from repro.exceptions import SpaceError
 from repro.space import CategoricalParameter, ConfigurationSpace, FloatParameter, IntegerParameter
 from repro.space.adapters import (
     BucketizationAdapter,
-    IdentityAdapter,
     LlamaTuneAdapter,
     RandomProjectionAdapter,
     SpecialValuesAdapter,
@@ -22,14 +21,6 @@ def wide_space():
     space.add(IntegerParameter("threads", 1, 64, log=True))
     space.add(CategoricalParameter("mode", ["a", "b", "c"]))
     return space
-
-
-class TestIdentityAdapter:
-    def test_noop(self, wide_space, rng):
-        ad = IdentityAdapter(wide_space)
-        cfg = wide_space.sample(rng)
-        assert ad.project(cfg) == cfg
-        assert ad.adapted_space is wide_space
 
 
 class TestRandomProjection:

@@ -73,8 +73,8 @@ class TestActivationResolution:
         # c's condition on b is irrelevant when b itself is deactivated.
         space = self.build_chain()
         cfg = space.make({"a": False, "b": True, "c": 0.9})
-        assert not cfg.is_active("b")
-        assert not cfg.is_active("c")
+        assert "b" not in cfg.active
+        assert "c" not in cfg.active
 
     def test_multiple_conditions_are_anded(self):
         space = ConfigurationSpace("and")

@@ -47,7 +47,6 @@ class TestConstruction:
         assert len(simple_space) == 4
         assert "x" in simple_space
         assert "zzz" not in simple_space
-        assert simple_space.index_of("y") == 1
         with pytest.raises(UnknownParameterError):
             simple_space["zzz"]
 
@@ -72,12 +71,12 @@ class TestMake:
     def test_inactive_pinned_to_default(self, conditional_space):
         cfg = conditional_space.make({"jit": False, "jit_cost": 5000})
         assert cfg["jit_cost"] == 10**5  # reset to default
-        assert not cfg.is_active("jit_cost")
+        assert "jit_cost" not in cfg.active
 
     def test_active_conditional_keeps_value(self, conditional_space):
         cfg = conditional_space.make({"jit": True, "jit_cost": 5000})
         assert cfg["jit_cost"] == 5000
-        assert cfg.is_active("jit_cost")
+        assert "jit_cost" in cfg.active
 
     def test_constraint_enforced(self, conditional_space):
         with pytest.raises(ConstraintViolationError):
@@ -101,11 +100,6 @@ class TestMake:
         c = simple_space.make({"x": 0.75})
         assert a == b and hash(a) == hash(b)
         assert a != c
-
-    def test_with_updates(self, simple_space):
-        a = simple_space.default_configuration()
-        b = a.with_updates(x=0.9)
-        assert b["x"] == 0.9 and a["x"] == 0.5
 
 
 class TestSampling:

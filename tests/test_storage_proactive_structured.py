@@ -1,7 +1,5 @@
 """Unit tests for history persistence, proactive tuning, structured BO."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -14,17 +12,11 @@ from repro.core import (
     TuningSession,
     decode_trial,
     encode_trial,
-    load_prior_bank,
-    save_prior_bank,
-    workload_from_dict,
-    workload_to_dict,
 )
 from repro.exceptions import OptimizerError, ReproError
 from repro.online import OnlineTuningAgent, ProactiveForecastTuner, StaticConfigPolicy
 from repro.optimizers import (
     BayesianOptimizer,
-    PriorBank,
-    PriorRun,
     RandomSearchOptimizer,
     StructuredBayesianOptimizer,
     warm_start_from_history,
@@ -37,7 +29,7 @@ from repro.space import (
 )
 from repro.space.serialize import space_to_dict
 from repro.sysim import QUIET_CLOUD, SimulatedDBMS
-from repro.workloads import DiurnalTrace, tpcc, ycsb
+from repro.workloads import DiurnalTrace, ycsb
 
 
 class TestStorage:
@@ -97,23 +89,6 @@ class TestStorage:
         sub = simple_space.subspace(["x", "y"])
         loaded = self.load(store, sub)
         assert set(loaded[0].config) == {"x", "y"}
-
-    def test_workload_roundtrip(self):
-        w = tpcc(75)
-        again = workload_from_dict(workload_to_dict(w))
-        assert again == w
-
-    def test_prior_bank_roundtrip(self, simple_space, tmp_path):
-        bank = PriorBank()
-        bank.add(PriorRun(ycsb("a"), self.make_history(simple_space).trials, context={"vm": "medium"}))
-        bank.add(PriorRun(tpcc(50), self.make_history(simple_space).trials))
-        path = tmp_path / "bank.json"
-        assert save_prior_bank(bank, path) == 2
-        loaded = load_prior_bank(path, simple_space)
-        assert len(loaded) == 2
-        run, dist = loaded.nearest(ycsb("b"))[0]
-        assert "ycsb" in run.workload.name
-        assert loaded.runs[0].context == {"vm": "medium"}
 
 
 class TestProactiveForecastTuner:

@@ -22,7 +22,6 @@ class TestAllocation:
         env = CloudEnvironment(seed=0)
         pool = env.allocate_pool(5)
         assert len({m.machine_id for m in pool}) == 5
-        assert len(env.machines) == 5
 
     def test_persistent_speed_factors_differ(self):
         env = CloudEnvironment(machine_spread=0.1, seed=0)

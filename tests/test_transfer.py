@@ -10,7 +10,6 @@ from repro.optimizers import (
     PriorBank,
     PriorRun,
     RandomSearchOptimizer,
-    priors_from_trials,
     space_with_priors,
     warm_start_from_history,
 )
@@ -121,24 +120,6 @@ class TestPriorBank:
         n = bank.warm_start(opt, ycsb("a"), k=1)
         assert n >= 1
         assert len(opt.history) >= 1
-
-
-class TestPriorsFromTrials:
-    def test_priors_concentrate_on_good_region(self, rng):
-        space = space_1d()
-        trials = make_history(
-            space,
-            [(0.30, 0.1), (0.32, 0.1), (0.28, 0.1), (0.9, 9.0), (0.1, 5.0), (0.6, 3.0)],
-        )
-        priors = priors_from_trials(space, trials, "score", top_fraction=0.5)
-        assert "x" in priors
-        draws = [priors["x"].sample_unit(rng) for _ in range(300)]
-        assert abs(np.mean(draws) - 0.3) < 0.15
-
-    def test_requires_completed(self):
-        space = space_1d()
-        with pytest.raises(OptimizerError):
-            priors_from_trials(space, [], "score")
 
 
 class TestSpaceWithPriors:

@@ -13,8 +13,6 @@ from repro.workload_id import (
     WindowShiftDetector,
     WorkloadEmbedder,
     clustering_accuracy,
-    cosine_similarity,
-    euclidean_distance,
     kmeans,
     knn_indices,
     mixture_weights,
@@ -38,7 +36,7 @@ class TestFeatures:
         a1 = telemetry_features(generate_telemetry(ycsb("a"), rng=rng))
         a2 = telemetry_features(generate_telemetry(ycsb("a"), rng=rng))
         h = telemetry_features(generate_telemetry(tpch(10), rng=rng))
-        assert euclidean_distance(a1, a2) < euclidean_distance(a1, h)
+        assert np.linalg.norm(a1 - a2) < np.linalg.norm(a1 - h)
 
     def test_query_log_mix_matches_workload(self, rng):
         log = synthetic_query_log(ycsb("c"), n_queries=400, rng=rng)
@@ -92,7 +90,7 @@ class TestEmbeddings:
         za = embedder.embed(ycsb("a"))
         za2 = embedder.embed(ycsb("a"))
         zh = embedder.embed(tpch(20))
-        assert euclidean_distance(za, za2) < euclidean_distance(za, zh)
+        assert np.linalg.norm(za - za2) < np.linalg.norm(za - zh)
 
     def test_embedder_modalities(self):
         with pytest.raises(ReproError):
@@ -109,12 +107,6 @@ class TestEmbeddings:
 
 
 class TestSimilarity:
-    def test_cosine(self):
-        assert cosine_similarity([1, 0], [1, 0]) == pytest.approx(1.0)
-        assert cosine_similarity([1, 0], [0, 1]) == pytest.approx(0.0)
-        assert cosine_similarity([1, 0], [-1, 0]) == pytest.approx(-1.0)
-        assert cosine_similarity([0, 0], [1, 0]) == 0.0
-
     def test_kmeans_recovers_blobs(self, rng):
         blobs = np.vstack([
             rng.normal(0, 0.2, (30, 2)),
@@ -207,8 +199,8 @@ class TestSynthesis:
         target = tpcc(150)
         synthetic, weights = synthesize_benchmark(target, library)
         assert weights.sum() == pytest.approx(1.0)
-        d_syn = euclidean_distance(synthetic.signature(), target.signature())
-        d_far = euclidean_distance(tpch(10).signature(), target.signature())
+        d_syn = np.linalg.norm(synthetic.signature() - target.signature())
+        d_far = np.linalg.norm(tpch(10).signature() - target.signature())
         assert d_syn < d_far / 2
 
     def test_validation(self):

@@ -32,14 +32,6 @@ class TestWorkloadBase:
     def test_write_fraction(self):
         assert Workload("w", read_fraction=0.7).write_fraction == pytest.approx(0.3)
 
-    def test_scaled(self):
-        w = tpch(1.0)
-        big = w.scaled(100.0)
-        assert big.data_size_mb == pytest.approx(w.data_size_mb * 100)
-        assert big.scale_factor == pytest.approx(100.0)
-        with pytest.raises(ReproError):
-            w.scaled(0.0)
-
     def test_blend_endpoints(self):
         a, b = ycsb("a"), tpch(10)
         assert a.blend(b, 0.0).read_fraction == pytest.approx(a.read_fraction)
@@ -153,7 +145,6 @@ class TestTraces:
     def test_phased_shift_points(self):
         trace = PhasedTrace([(ycsb("a"), 10), (tpcc(10), 5), (tpch(1), 5)])
         assert len(trace) == 20
-        assert trace.shift_points() == [10, 15]
         assert trace.at(9).name == "ycsb-a"
         assert trace.at(10).name == "tpcc-10w"
         assert trace.at(19).name == "tpch-sf1"
