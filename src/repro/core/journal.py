@@ -29,6 +29,7 @@ for tests. The journal is the only on-disk trial format.
 
 from __future__ import annotations
 
+import re
 import uuid
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -44,6 +45,8 @@ __all__ = [
     "AppendResult",
     "TrialStore",
     "new_session_id",
+    "SESSION_ID_PATTERN",
+    "check_session_id",
 ]
 
 META_FORMAT_VERSION = 1
@@ -73,6 +76,21 @@ class TransientStorageError(StorageError):
 
 class UnknownSessionError(StorageError):
     """The store holds no session of that id (the service answers 404)."""
+
+
+#: The one session-id grammar: what a store holds is what a URL can address
+#: (and what is safe as a file name — no separators, no leading dot).
+SESSION_ID_PATTERN = r"[A-Za-z0-9][A-Za-z0-9._-]{0,127}"
+
+
+def check_session_id(session_id: str) -> str:
+    """``session_id`` if it fits :data:`SESSION_ID_PATTERN`; the caller's mistake otherwise."""
+    if not re.fullmatch(SESSION_ID_PATTERN, session_id):
+        raise ReproError(
+            f"invalid session id {session_id!r}: use 1-128 chars of [A-Za-z0-9._-], "
+            "not starting with '.', '_' or '-'"
+        )
+    return session_id
 
 
 def new_session_id() -> str:

@@ -34,7 +34,7 @@ from ..exceptions import ReproError
 from ..space import ConfigurationSpace
 from ..space.serialize import space_from_dict, space_to_dict
 from .codec import decode_trial
-from .journal import SessionMeta, StorageError, TrialStore, new_session_id
+from .journal import SessionMeta, StorageError, TrialStore, check_session_id, new_session_id
 from .optimizer import Objective, Optimizer, TrialStatus
 from .session import Evaluator, TuningSession
 
@@ -200,7 +200,8 @@ class SessionManager:
         constraints, …) rejects the space with a rule-id-bearing
         :class:`~repro.staticcheck.SpaceLintError`. ``lint_ignore``
         suppresses individual rule ids. Whatever rejects a create — the
-        lint, an unknown optimizer or option, a bad budget — does so *before*
+        lint, an unknown optimizer or option, a bad budget, a ``session_id``
+        outside :data:`~repro.core.journal.SESSION_ID_PATTERN` — does so *before*
         anything is persisted.
         """
         lint_report = None
@@ -219,7 +220,7 @@ class SessionManager:
                 )
         objs = _normalise_objectives(objectives)
         meta = SessionMeta(
-            session_id=session_id or new_session_id(),
+            session_id=check_session_id(session_id or new_session_id()),
             space=space_to_dict(space, strict=False),
             optimizer={
                 "name": optimizer,

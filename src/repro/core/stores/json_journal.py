@@ -24,27 +24,21 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import threading
 import time
 from pathlib import Path
 from typing import Any, Mapping
 
-from ..journal import AppendResult, SessionMeta, StorageError, TransientStorageError, TrialStore
+from ..journal import (
+    AppendResult,
+    SessionMeta,
+    StorageError,
+    TransientStorageError,
+    TrialStore,
+    check_session_id,
+)
 
 __all__ = ["JsonJournalStore"]
-
-_SESSION_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
-
-
-def _check_session_id(session_id: str) -> str:
-    if not _SESSION_ID_RE.match(session_id):
-        raise StorageError(
-            f"invalid session id {session_id!r}: use 1-128 chars of [A-Za-z0-9._-], "
-            "not starting with '.'"
-        )
-    return session_id
-
 
 def _atomic_write(path: Path, text: str, fsync: bool = True) -> None:
     """Write-temp + ``os.replace`` so readers never observe a partial file."""
@@ -77,10 +71,10 @@ class JsonJournalStore(TrialStore):
 
     # -- paths --------------------------------------------------------------
     def _meta_path(self, session_id: str) -> Path:
-        return self.root / f"{_check_session_id(session_id)}.meta.json"
+        return self.root / f"{check_session_id(session_id)}.meta.json"
 
     def _journal_path(self, session_id: str) -> Path:
-        return self.root / f"{_check_session_id(session_id)}.journal.jsonl"
+        return self.root / f"{check_session_id(session_id)}.journal.jsonl"
 
     # -- sessions -----------------------------------------------------------
     def create_session(self, meta: SessionMeta) -> None:

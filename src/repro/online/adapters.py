@@ -2,15 +2,17 @@
 
 The offline world speaks :class:`~repro.core.optimizer.Optimizer`'s
 ``suggest(n)`` / ``observe(trial)``; the online world speaks
-:class:`~repro.online.agent.OnlinePolicy`'s ``propose(observation)`` /
-``feedback(observation, config, reward)``. The two protocols differ only
+:class:`OnlinePolicy`'s ``propose(observation)`` /
+``feedback(observation, config, reward)``, defined here with the one
+reward rule (:class:`DeltaReward`). The two protocols differ only
 in what flows alongside the configuration (an observation vector and a
 scale-free reward instead of metrics and cost), so thin adapters make
 either side usable from the other:
 
 * :class:`OnlinePolicyOptimizer` wraps an online policy behind the
   offline protocol — sessions, executors, and telemetry then drive RL/GA
-  policies exactly like any Bayesian optimizer;
+  policies exactly like any Bayesian optimizer, and an
+  :class:`~repro.online.agent.OnlineTuningAgent` run *is* such a session;
 * :class:`OptimizerPolicy` wraps an offline optimizer behind the online
   protocol — the :class:`~repro.online.agent.OnlineTuningAgent` (with its
   guardrail) can then deploy GP-BO or random search as its policy.
@@ -22,19 +24,58 @@ say so: rewards are *relative* delta-performance signals, metrics are
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..core.optimizer import Objective, Optimizer, Trial
 from ..space import Configuration, ConfigurationSpace
-from .agent import DeltaReward, OnlinePolicy
+from ..telemetry.spans import span
 
-__all__ = ["OnlinePolicyOptimizer", "OptimizerPolicy"]
+__all__ = ["OnlinePolicy", "OnlinePolicyOptimizer", "OptimizerPolicy"]
 
 #: Dimensionality of the default (all-zeros) observation vector, matching
 #: :meth:`OnlineTuningAgent._default_observation`.
 _DEFAULT_OBS_DIM = 6
+
+
+class OnlinePolicy(ABC):
+    """A policy that proposes configurations and learns from rewards."""
+
+    @abstractmethod
+    def propose(self, observation: np.ndarray) -> Configuration:
+        """Next configuration given the current observation vector."""
+
+    @abstractmethod
+    def feedback(self, observation: np.ndarray, config: Configuration, reward: float) -> None:
+        """Learn from the reward of the configuration just applied.
+
+        Rewards are normalised "higher is better" values.
+        """
+
+
+class DeltaReward:
+    """Delta-performance reward (the CDBTune convention).
+
+    Positive when a value beat the recent average (an EMA over the values
+    seen so far), negative when it regressed — an informative, scale-free
+    signal even when the raw metric drifts with the workload.
+    """
+
+    def __init__(self, objective: Objective) -> None:
+        self.objective = objective
+        self._ema: float | None = None
+
+    def __call__(self, value: float) -> float:
+        score = self.objective.score(value)
+        if self._ema is None:
+            self._ema = score
+            return 0.0
+        ema = self._ema
+        reward = float(np.clip((ema - score) / (abs(ema) + 1e-12), -2.0, 2.0))
+        self._ema = 0.9 * ema + 0.1 * score
+        return reward
 
 
 class OnlinePolicyOptimizer(Optimizer):
@@ -42,10 +83,11 @@ class OnlinePolicyOptimizer(Optimizer):
 
     ``suggest`` obtains an observation (from ``observation_fn``; zeros when
     none is given) and asks the policy to propose; ``observe`` converts the
-    trial's objective metric into the online agent's own reward
-    (:class:`~repro.online.agent.DeltaReward`) and feeds it back. Failed
-    trials feed the flat ``-2.0`` crash reward, mirroring the agent's crash
-    handling.
+    trial's objective metric into the online reward (:class:`DeltaReward`,
+    less any ``reward_penalty`` a guardrail left in the trial's context),
+    feeds it back and leaves it in ``trial.context["reward"]``. A failed
+    trial feeds a flat ``-2.0``: the policy must learn the region is
+    off-limits regardless of the metric scale.
 
     Semantic caveats (the "thin adapter" contract):
 
@@ -76,7 +118,8 @@ class OnlinePolicyOptimizer(Optimizer):
     # -- ask ----------------------------------------------------------------
     def _suggest(self) -> Configuration:
         observation = np.asarray(self._observation_fn(), dtype=float)
-        config = self.policy.propose(observation)
+        with span("policy.propose"):
+            config = self.policy.propose(observation)
         self._pending.append((config, observation))
         return config
 
@@ -91,9 +134,10 @@ class OnlinePolicyOptimizer(Optimizer):
     def _on_observe(self, trial: Trial) -> None:
         observation = self._pop_observation(trial.config)
         if trial.ok:
-            reward = self._reward(trial.metric(self.objective.name))
+            reward = self._reward(trial.metric(self.objective.name)) - trial.context.get("reward_penalty", 0.0)
         else:
-            reward = -2.0  # the agent's flat crash penalty
+            reward = -2.0
+        trial.context["reward"] = reward
         self.policy.feedback(observation, trial.config, reward)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..core import Objective, Optimizer, Trial, TrialStatus
+from ..core import Objective, Optimizer, Trial
 from ..exceptions import OptimizerError
 from ..space import Configuration
 from ..space.adapters import SpaceAdapter
@@ -64,7 +64,4 @@ class ProjectedOptimizer(Optimizer):
             # Observation for a config we did not project (e.g. warm start):
             # the latent optimizer cannot learn from it.
             return
-        if trial.status is TrialStatus.SUCCEEDED:
-            self.inner.observe(latent, trial.metrics, cost=trial.cost)
-        else:
-            self.inner.observe(latent, trial.metrics, cost=trial.cost, status=trial.status)
+        self.inner.observe(latent, trial.metrics, cost=trial.cost, status=trial.status)

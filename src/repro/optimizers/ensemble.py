@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..core import Objective, Optimizer, Trial, TrialStatus
+from ..core import Objective, Optimizer, Trial
 from ..exceptions import OptimizerError
 from ..space import Configuration, ConfigurationSpace
 
@@ -113,7 +113,4 @@ class EnsembleOptimizer(Optimizer):
         for name, member in self.members.items():
             if name != producer and not member.accepts_foreign_observations:
                 continue
-            if trial.status is TrialStatus.SUCCEEDED:
-                member.observe(trial.config, trial.metrics, cost=trial.cost)
-            else:
-                member.observe(trial.config, trial.metrics, cost=trial.cost, status=trial.status)
+            member.observe(trial.config, trial.metrics, cost=trial.cost, status=trial.status)

@@ -28,7 +28,7 @@ from functools import partial
 from http import HTTPStatus
 from typing import Any, Awaitable, Callable, Mapping
 
-from ..core.journal import TransientStorageError
+from ..core.journal import SESSION_ID_PATTERN, TransientStorageError
 from ..exceptions import ReproError
 from ..telemetry.spans import bind_trace, current_trace_id, emit_event, parse_traceparent, span
 from .handlers import ServiceHandlers
@@ -38,7 +38,7 @@ __all__ = ["TuningServer", "serve"]
 
 _MAX_HEADER_LINE = 16 * 1024
 _MAX_BODY = 16 * 1024 * 1024
-_SESSION_PATH = re.compile(r"^/sessions/([A-Za-z0-9._-]+)(/[a-z]+)?$")
+_SESSION_PATH = re.compile(rf"^/sessions/({SESSION_ID_PATTERN})(/[a-z]+)?$")
 
 #: The route table: path shape -> (metrics label, {method: (``ServiceHandlers``
 #: attribute, whether it takes the JSON body)}). A new endpoint is one row.

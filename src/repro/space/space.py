@@ -438,7 +438,7 @@ class ConfigurationSpace:
             if cond.child in keep and cond.parent in keep:
                 sub.add_condition(cond)
         for con in self._constraints:
-            mentioned = _constraint_params(con)
+            mentioned = constraint_params(con)
             if mentioned is not None and mentioned <= keep:
                 sub.add_constraint(con)
         return sub
@@ -447,7 +447,7 @@ class ConfigurationSpace:
         return f"ConfigurationSpace(name={self.name!r}, n_dims={self.n_dims})"
 
 
-def _constraint_params(constraint: Constraint) -> set[str] | None:
+def constraint_params(constraint: Constraint) -> set[str] | None:
     """Best-effort extraction of the knob names a constraint mentions.
 
     Returns None for black-box constraints whose dependencies are unknown —

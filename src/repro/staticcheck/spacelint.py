@@ -46,6 +46,7 @@ from ..space.params import (
     _NumericParameter,
 )
 from ..space.priors import BetaPrior, HistogramPrior, NormalPrior, UniformPrior
+from ..space.space import constraint_params
 from ..exceptions import ConstraintViolationError, SpaceError
 from .findings import Finding, Severity, SpaceLintReport
 
@@ -339,7 +340,7 @@ def _lint_constraints(space: ConfigurationSpace, report: SpaceLintReport) -> Non
             "(and every service session) run without it",
             "enforce it inside the evaluator too, or accept the strict=False drop",
         ))
-        refs = _constraint_refs(con)
+        refs = constraint_params(con)
         if refs is None:
             continue  # black-box callable: nothing more to say statically
         missing = sorted(r for r in refs if r not in space)
@@ -460,17 +461,6 @@ def _anti_scale(a: LinearConstraint, b: LinearConstraint) -> float | None:
         elif not math.isclose(k, ratio, rel_tol=1e-9):
             return None
     return k
-
-
-def _constraint_refs(con: Constraint) -> set[str] | None:
-    if isinstance(con, LinearConstraint):
-        return set(con.coefficients)
-    if isinstance(con, RatioConstraint):
-        refs = {con.numerator, con.denominator}
-        if con.divisor:
-            refs.add(con.divisor)
-        return refs
-    return None
 
 
 def _lint_priors(space: ConfigurationSpace, report: SpaceLintReport) -> None:

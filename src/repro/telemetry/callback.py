@@ -104,6 +104,8 @@ class TelemetryCallback(Callback):
             attributes["attempt_s"] = list(ctx["attempt_s"])
         if ctx.get("attempts"):
             attributes["attempts"] = list(ctx["attempts"])
+        # An online step says what it ran under and what the policy learned.
+        attributes.update((key, ctx[key]) for key in ("workload", "value", "reward") if key in ctx)
         attributes.update(self.span_attributes)
         # Surrogate hot-path counters (cholesky_ms, nll_evals, cache hits …):
         # optimizers exposing `surrogate_stats()` get a cumulative snapshot on

@@ -15,8 +15,8 @@ is *active* in the current context. Three context variables carry the
 state:
 
 * the **active trace** — set by :meth:`SessionTrace.activated` (the
-  :class:`~repro.telemetry.TelemetryCallback` does this for sessions, the
-  online agent for its runs). With no active trace, :func:`span`,
+  :class:`~repro.telemetry.TelemetryCallback` does this for sessions, an
+  online agent's run included). With no active trace, :func:`span`,
   :func:`trial_scope`, and :func:`emit_event` are strict no-ops: one
   ``ContextVar.get`` plus a ``None`` check, no allocation — cheap enough
   to leave the instrumentation permanently in hot paths.

@@ -1,0 +1,98 @@
+"""Characterisation goldens for the online tuning agent.
+
+Records, for the six E17 policies with the guardrail on and off, every step
+of a 40-step two-phase run (``ycsb-b`` → ``tpcc``) on the simulated DBMS:
+the configuration applied, the value and reward recorded, and whether the
+step crashed or was rolled back. ``tests/test_online_agent.py`` re-runs the
+same script and demands exact equality, so a refactor of the agent loop can
+move neither an RNG draw of a policy or the simulator, nor a reward, a crash
+imputation or a guardrail decision, unnoticed. Recorded at the commit before
+``OnlineTuningAgent.run`` became a ``TuningSession``.
+
+Regenerate (only when a behaviour change is intended and explained)::
+
+    PYTHONPATH=src python tests/data/make_online_goldens.py
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from repro.core import Objective
+from repro.core.codec import json_safe
+from repro.online import (
+    ActorCriticTuner,
+    ContextualBOTuner,
+    GeneticAlgorithmOptimizer,
+    GeneticOnlineTuner,
+    Guardrail,
+    HybridBanditTuner,
+    OnlineTuningAgent,
+    QLearningTuner,
+    StaticConfigPolicy,
+)
+from repro.sysim import CloudEnvironment, SimulatedDBMS
+from repro.workloads import PhasedTrace, tpcc, ycsb
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "online_goldens.json"
+
+SEED = 5
+PHASE = 20
+KNOBS = ["buffer_pool_mb", "worker_threads", "work_mem_mb", "checkpoint_interval_s", "flush_method"]
+THROUGHPUT = Objective("throughput", minimize=False)
+
+POLICIES = {
+    "static": lambda s: StaticConfigPolicy(s.default_configuration()),
+    "q-learning": lambda s: QLearningTuner(s, seed=0),
+    "actor-critic": lambda s: ActorCriticTuner(s, seed=0),
+    "genetic": lambda s: GeneticOnlineTuner(
+        GeneticAlgorithmOptimizer(s, population_size=8, objectives=Objective("score"), seed=0)
+    ),
+    "hybrid-bandit": lambda s: HybridBanditTuner(s, seed=0),
+    "contextual-bo": lambda s: ContextualBOTuner(s, seed=0, n_candidates=64),
+}
+
+
+#: One row per step: the five knob values in :data:`KNOBS` order, then these.
+COLUMNS = [*KNOBS, "value", "reward", "crashed", "rolled_back"]
+
+
+def run_case(policy: str, guardrail: bool) -> list[list[object]]:
+    """One 40-step run; one JSON-safe row (see :data:`COLUMNS`) per step."""
+    db = SimulatedDBMS(env=CloudEnvironment(seed=SEED, transient_noise=0.03), seed=SEED)
+    agent = OnlineTuningAgent(
+        db,
+        POLICIES[policy](db.space.subspace(KNOBS)),
+        THROUGHPUT,
+        guardrail=Guardrail(tolerance=0.3, grace=3) if guardrail else None,
+    )
+    result = agent.run(PhasedTrace([(ycsb("b"), PHASE), (tpcc(80), PHASE)]))
+    return [
+        [*(json_safe(r.config[k]) for k in KNOBS), r.value, r.reward, r.crashed, r.rolled_back]
+        for r in result.records
+    ]
+
+
+def record_goldens() -> dict[str, list[list[object]]]:
+    return {
+        f"{policy}/guardrail-{'on' if guardrail else 'off'}": run_case(policy, guardrail)
+        for policy in POLICIES
+        for guardrail in (True, False)
+    }
+
+
+def main() -> None:
+    goldens = record_goldens()
+    cases = ",\n".join(
+        f' {json.dumps(name)}: [\n' + ",\n".join(f"  {json.dumps(row)}" for row in rows) + "\n ]"
+        for name, rows in sorted(goldens.items())
+    )
+    GOLDEN_PATH.write_text("{\n" + cases + "\n}\n")  # one step a line: a diff names the step
+    for name, rows in goldens.items():
+        print(f"{name}: {sum(r[-2] for r in rows)} crashes, {sum(r[-1] for r in rows)} rollbacks")
+    print(f"wrote {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    main()

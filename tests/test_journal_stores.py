@@ -29,6 +29,8 @@ from repro.core.stores import (
     SqliteTrialStore,
     open_store,
 )
+from repro.exceptions import ReproError
+from repro.space.serialize import space_from_dict
 
 BACKENDS = ("memory", "json", "sqlite")
 
@@ -98,6 +100,15 @@ class TestContract:
         store.create_session(simple_meta("s1"))
         with pytest.raises(StorageError):
             store.create_session(simple_meta("s1"))
+
+    @pytest.mark.parametrize("session_id", ["a/b", ".hidden", "-flag", "sp ace", "x" * 129, "é"])
+    def test_session_id_outside_the_url_grammar_is_refused_before_persisting(self, store, session_id):
+        """One grammar for every backend: an id no URL can address is the
+        caller's mistake (not a storage failure) and leaves nothing behind."""
+        with pytest.raises(ReproError, match="invalid session id") as err:
+            SessionManager(store).create(space_from_dict(simple_meta().space), session_id=session_id, lint=False)
+        assert not isinstance(err.value, StorageError)
+        assert store.list_sessions() == []
 
     def test_update_session(self, store):
         store.create_session(simple_meta("s1"))

@@ -519,16 +519,24 @@ class TestTrialTree:
     def test_every_trial_is_one_root_span(self, how, batch_size):
         trace, n = _run_agent() if how == "agent" else _run_session(how, batch_size)
         trees = _assert_trial_trees(
-            trace, n, sums_under_root=(how is SerialExecutor and batch_size == 1)
+            trace, n, sums_under_root=(how in (SerialExecutor, "agent") and batch_size == 1)
         )
         for root, children in trees.values():
+            # Same record whether or not the executor's spans crossed back; an
+            # online step is a serial session's trial that also says what it
+            # ran under and what the policy learned.
+            online = {"workload", "value", "reward"} if how == "agent" else set()
+            assert _TRIAL_KEYS | {"attempts", "attempt_s"} | online == set(root.attributes)
+            assert bool(children) == (how is not ProcessExecutor)
             if how == "agent":
-                assert _TRIAL_KEYS | {"workload", "value", "reward"} == set(root.attributes)
-                assert [op.name for op in children] == ["policy.propose", "system.run"]
-            else:
-                # Same record whether or not the executor's spans crossed back.
-                assert _TRIAL_KEYS | {"attempts", "attempt_s"} == set(root.attributes)
-                assert bool(children) == (how is not ProcessExecutor)
+                assert [op.name for op in children] == ["optimizer.suggest", "executor.run"]
+                names = {op.span_id: op.name for op in trace.ops}
+                parent_of = {
+                    op.name: names[op.parent_id]
+                    for op in trace.ops if op.trial_id == root.trial_id and op is not root
+                }
+                assert parent_of["policy.propose"] == "optimizer.suggest"
+                assert (parent_of["system.run"], parent_of["executor.attempt"]) == ("executor.attempt", "executor.run")
         if how is ThreadedExecutor:
             evals = [op for op in trace.ops if op.name == "eval.work"]
             assert sorted(op.trial_id for op in evals) == list(range(n))

@@ -1,5 +1,7 @@
 """Unit tests for the online tuning agent loop and guardrail."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from repro.online import (
 from repro.online.agent import OnlinePolicy
 from repro.sysim import QUIET_CLOUD, SimulatedDBMS
 from repro.workloads import DiurnalTrace, PhasedTrace, tpcc, ycsb
+
+from .data.make_online_goldens import GOLDEN_PATH, run_case
 
 
 class RecordingPolicy(OnlinePolicy):
@@ -168,3 +172,22 @@ class TestOnlineResult:
         result = agent.run(DiurnalTrace(ycsb("b"), length=5, amplitude=0.0))
         base = result.values()
         assert result.regression_steps(base, tolerance=0.1, minimize=False) == 0
+
+
+# -- recorded step sequences ---------------------------------------------------
+
+GOLDENS = json.loads(GOLDEN_PATH.read_text())
+
+
+def test_goldens_cover_crashes_and_rollbacks():
+    assert len(GOLDENS) == 12 and all(len(rows) == 40 for rows in GOLDENS.values())
+    assert any(row[-2] for rows in GOLDENS.values() for row in rows)  # a crash
+    assert any(row[-1] for rows in GOLDENS.values() for row in rows)  # a rollback
+
+
+@pytest.mark.parametrize("case", sorted(GOLDENS))
+def test_agent_reproduces_recorded_steps(case):
+    """Exact (config, value, reward, crashed, rolled_back) per step, recorded
+    before the agent's loop became a TuningSession."""
+    policy, guardrail = case.split("/guardrail-")
+    assert run_case(policy, guardrail == "on") == GOLDENS[case]

@@ -146,7 +146,6 @@ UNREACHED = {
     "ConvergenceTracker": "stock callback of the inventory's Tuning-core row, like LoggingCallback and StopWhen*",
     "RegressionTree": "reference for `_grow_tree_arrays` parity (tests/test_forest.py)",
     "ProcessExecutor": "documented (README 'Parallel evaluation', docs/architecture.md): CPU-bound evaluators",
-    "OnlinePolicyOptimizer": "documented (docs/architecture.md): any OnlinePolicy behind suggest/observe; ROADMAP item 7",
     "coerce_evaluation": "documented (docs/architecture.md): the evaluator-contract normaliser `run_evaluation` applies",
     "blend_mixture": "step of `synthesize_benchmark` (E20), named only inside its module",
     "mixture_weights": "step of `synthesize_benchmark` (E20), named only inside its module",

@@ -688,6 +688,9 @@ STATUS_RULE = [
      {"target": {"system": "redis", "workload": "nope"}}, 400),
     ("create-unknown-lint-ignore", "POST", "/sessions", create_body(lint_ignore=["SP999"]), 400),
     ("create-duplicate-session-id", "POST", "/sessions", create_body(session_id="s1"), 409),
+    ("create-session-id-no-url-can-address", "POST", "/sessions", create_body(session_id="a/b"), 400),
+    ("create-or-resume-session-id-no-url-can-address", "POST", "/sessions",
+     create_body(session_id="../b", resume=True), 400),
     # -- the route table: unknown path 404, known path + other method 405 ------
     ("no-such-route", "GET", "/no/such/route", None, 404),
     ("no-such-action", "POST", "/sessions/s1/bogus", {}, 404),

@@ -133,9 +133,10 @@ class TestOnlineAgentTrace:
         result = agent.run(workloads)
         roots = trace.trial_spans()
         assert len(roots) == len(result.records) == 6
-        assert trace.metrics.counter_value("steps.total") == 6
+        assert trace.metrics.counter_value("trials.total") == 6
         assert all(root.attributes["workload"] for root in roots)
-        assert trace.metrics.gauges["steps.total"] == 6
+        assert sum(trace.outcome_counts().values()) == 6
+        assert trace.metrics.gauges["trials.history"] == 6
 
 
 class TestTraceContext:
