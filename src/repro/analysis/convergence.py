@@ -51,7 +51,6 @@ def compare_optimizers(
     evaluator_factory: Callable[[int], Callable],
     max_trials: int,
     n_seeds: int = 3,
-    max_cost: float | None = None,
     callbacks_factory: Callable[[str, int], Sequence[Callback]] | None = None,
 ) -> dict[str, ComparisonResult]:
     """Run each optimizer factory over ``n_seeds`` fresh evaluators.
@@ -72,10 +71,7 @@ def compare_optimizers(
             optimizer = factory(seed)
             evaluator = evaluator_factory(seed)
             callbacks = callbacks_factory(name, seed) if callbacks_factory is not None else ()
-            session = TuningSession(
-                optimizer, evaluator, max_trials=max_trials, max_cost=max_cost,
-                callbacks=callbacks,
-            )
+            session = TuningSession(optimizer, evaluator, max_trials=max_trials, callbacks=callbacks)
             comparison.results.append(session.run())
         out[name] = comparison
     return out

@@ -25,14 +25,16 @@ from ..space.encoding import OneHotEncoder
 
 __all__ = ["lasso_coordinate_descent", "LassoImportance", "permutation_importance", "KnobRanking"]
 
+#: Coordinate-descent sweeps at most, and the largest weight change that counts as converged.
+LASSO_MAX_ITER = 500
+LASSO_TOL = 1e-6
+#: Points on the geometric α grid of the Lasso path.
+N_ALPHAS = 20
+#: Permutations averaged per knob.
+N_REPEATS = 5
 
-def lasso_coordinate_descent(
-    X: np.ndarray,
-    y: np.ndarray,
-    alpha: float,
-    max_iter: int = 500,
-    tol: float = 1e-6,
-) -> np.ndarray:
+
+def lasso_coordinate_descent(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     """Solve ``min ½‖y − Xw‖²/n + α‖w‖₁`` by cyclic coordinate descent.
 
     Expects standardised columns; returns the weight vector.
@@ -47,7 +49,7 @@ def lasso_coordinate_descent(
     w = np.zeros(d)
     col_sq = (X * X).sum(axis=0) / n
     residual = y - X @ w
-    for _ in range(max_iter):
+    for _ in range(LASSO_MAX_ITER):
         max_delta = 0.0
         for j in range(d):
             if col_sq[j] <= 1e-15:
@@ -59,7 +61,7 @@ def lasso_coordinate_descent(
                 residual -= X[:, j] * delta
                 w[j] = new_w
                 max_delta = max(max_delta, abs(delta))
-        if max_delta < tol:
+        if max_delta < LASSO_TOL:
             break
     return w
 
@@ -83,10 +85,9 @@ class LassoImportance:
     the path earlier (survive stronger shrinkage) score higher.
     """
 
-    def __init__(self, space: ConfigurationSpace, n_alphas: int = 20) -> None:
+    def __init__(self, space: ConfigurationSpace) -> None:
         self.space = space
         self.encoder = OneHotEncoder(space)
-        self.n_alphas = int(n_alphas)
 
     def _design(self, history: History, objective: Objective) -> tuple[np.ndarray, np.ndarray]:
         done = history.completed()
@@ -103,7 +104,7 @@ class LassoImportance:
         X, y = self._design(history, objective)
         n = len(y)
         alpha_max = float(np.abs(X.T @ y).max()) / n
-        alphas = alpha_max * np.geomspace(1.0, 1e-3, self.n_alphas)
+        alphas = alpha_max * np.geomspace(1.0, 1e-3, N_ALPHAS)
         entry_alpha = np.zeros(X.shape[1])  # strongest alpha at which each feature is active
         coef_mag = np.zeros(X.shape[1])
         for alpha in alphas:
@@ -124,16 +125,12 @@ def permutation_importance(
     space: ConfigurationSpace,
     history: History,
     objective: Objective | None = None,
-    n_repeats: int = 5,
-    n_trees: int = 64,
-    max_depth: int = 10,
-    min_samples_leaf: int = 4,
     seed: int | None = None,
 ) -> KnobRanking:
     """Model-agnostic importance: fit a forest, permute each knob's block,
     score by the increase in prediction error.
 
-    The forest defaults are deliberately regularized (moderate depth,
+    The forest is deliberately regularized (moderate depth,
     min_samples_leaf > 1): an overfit forest memorises noise and then
     reports noise columns as "important" when permuted.
     """
@@ -145,15 +142,13 @@ def permutation_importance(
     X = encoder.encode_many([t.config for t in done])
     y = np.array([objective.score(t.metric(objective.name)) for t in done])
     rng = np.random.default_rng(seed)
-    model = RandomForestRegressor(
-        n_trees=n_trees, max_depth=max_depth, min_samples_leaf=min_samples_leaf, seed=seed
-    )
+    model = RandomForestRegressor(n_trees=64, max_depth=10, min_samples_leaf=4, seed=seed)
     model.fit(X, y)
     base_mse = float(np.mean((model.predict(X) - y) ** 2))
     scores = {}
     for name, start, width in encoder._blocks:
         increases = []
-        for _ in range(n_repeats):
+        for _ in range(N_REPEATS):
             Xp = X.copy()
             perm = rng.permutation(len(X))
             Xp[:, start:start + width] = X[perm, start:start + width]

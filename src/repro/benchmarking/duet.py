@@ -21,7 +21,6 @@ from ..workloads import Workload
 from .measurement import Measurement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular import)
-    from ..sysim.cloud import Machine
     from ..sysim.system import SimulatedSystem
 
 __all__ = ["DuetBenchmarkRunner", "DuetOutcome"]
@@ -58,24 +57,23 @@ class DuetBenchmarkRunner:
         system: SimulatedSystem,
         workload: Workload,
         objective: Objective,
-        baseline: Configuration | None = None,
         duration_s: float = 60.0,
     ) -> None:
         self.system = system
         self.workload = workload
         self.objective = objective
-        self.baseline = baseline if baseline is not None else system.space.default_configuration()
+        self.baseline = system.space.default_configuration()
         self.duration_s = duration_s
         self._calibration: float | None = None
 
-    def run_pair(self, candidate: Configuration, machine: Machine | None = None) -> DuetOutcome:
+    def run_pair(self, candidate: Configuration) -> DuetOutcome:
         """One duet: both configs measured under one shared transient draw."""
         system = self.system
         if not system.space.is_feasible(candidate):
             from ..exceptions import SystemCrashError
 
             raise SystemCrashError(f"infeasible configuration: {candidate}")
-        machine = machine or system._home_machine
+        machine = system._home_machine
         system.env.advance(machine)
         shared = system.env.transient_draw()
         profile_b = system.performance(self.baseline, self.workload)

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 from ..core import Objective
 from ..exceptions import ReproError, TrialAbortedError
-from ..telemetry.spans import emit_event, span
+from ..telemetry.spans import span
 from ..space import Configuration
 from ..workloads import Workload
 from .measurement import Measurement, aggregate_measurements
@@ -72,17 +72,12 @@ class BenchmarkRunner:
     system, workload:
         What to benchmark.
     objective:
-        The metric being optimized (used by early abort).
+        The metric being optimized.
     duration_s:
         Benchmark length per run.
     repeats:
         Naive noise strategy: run N times and aggregate (slide 70's
         "costly" baseline).
-    aggregate:
-        "mean" or "median" across repeats.
-    early_abort:
-        Optional :class:`EarlyAbortPolicy` (only sensible for runtime-like
-        metrics where metric ≈ cost).
     runtime_metric:
         When True, trial cost is the measured metric value itself (TPC-H
         style) rather than the fixed duration.
@@ -99,8 +94,6 @@ class BenchmarkRunner:
         objective: Objective,
         duration_s: float = 60.0,
         repeats: int = 1,
-        aggregate: str = "median",
-        early_abort: EarlyAbortPolicy | None = None,
         runtime_metric: bool = False,
         trace=None,
     ) -> None:
@@ -111,8 +104,6 @@ class BenchmarkRunner:
         self.objective = objective
         self.duration_s = duration_s
         self.repeats = int(repeats)
-        self.aggregate = aggregate
-        self.early_abort = early_abort
         self.runtime_metric = runtime_metric
         self.total_benchmark_seconds = 0.0
         self.trace = trace
@@ -127,7 +118,7 @@ class BenchmarkRunner:
                 self.system.run(self.workload, duration_s=self.duration_s, config=config)
                 for _ in range(self.repeats)
             ]
-            return aggregate_measurements(runs, how=self.aggregate)
+            return aggregate_measurements(runs)
 
     def __call__(self, config: Configuration):
         """Evaluator: returns (metrics dict, cost)."""
@@ -135,24 +126,6 @@ class BenchmarkRunner:
         value = m.metric(self.objective.name)
         cost = value * self.repeats if self.runtime_metric else m.elapsed_s
         self._count("runs", self.repeats)
-        if self.early_abort is not None:
-            try:
-                value = self.early_abort.check(value, self.objective.name)
-            except TrialAbortedError as abort:
-                paid = getattr(abort, "cost", cost)
-                self.total_benchmark_seconds += paid
-                self._count("aborts")
-                self._count("seconds", paid)
-                emit_event(
-                    "benchmark.early_abort", severity="info", message=str(abort),
-                    workload=self.workload.name, paid_cost=float(paid),
-                    true_value=float(value),
-                )
-                if self.trace is not None:
-                    self.trace.metrics.set_gauge("benchmark.seconds_saved", self.early_abort.saved_cost)
-                raise
         self.total_benchmark_seconds += cost
         self._count("seconds", cost)
-        metrics = dict(m.metrics())
-        metrics[self.objective.name] = value
-        return metrics, cost
+        return dict(m.metrics()), cost

@@ -33,6 +33,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular import)
 
 __all__ = ["TunaRunner", "TunaObservation"]
 
+#: Only configs within this factor of the incumbent graduate to the wider rung.
+PROMOTE_TOLERANCE = 1.15
+#: Measurements more than this many MADs from the rung median are discarded
+#: before aggregation.
+OUTLIER_Z = 3.0
+#: Benchmark length per run, in simulated seconds.
+DURATION_S = 60.0
+
 
 @dataclass
 class TunaObservation:
@@ -89,11 +97,8 @@ class TunaRunner:
         The VM pool noise is sampled across.
     rungs:
         Machines used per rung, e.g. ``(1, 3)``: every config runs on one
-        machine; only configs looking better than ``promote_tolerance ×``
+        machine; only configs looking better than ``PROMOTE_TOLERANCE ×``
         the incumbent graduate to the wider rung.
-    outlier_z:
-        Measurements more than this many MADs from the rung median are
-        discarded before aggregation.
     """
 
     def __init__(
@@ -103,9 +108,6 @@ class TunaRunner:
         objective: Objective,
         machines: list[Machine],
         rungs: tuple[int, ...] = (1, 3),
-        promote_tolerance: float = 1.15,
-        outlier_z: float = 3.0,
-        duration_s: float = 60.0,
         seed: int | None = None,
     ) -> None:
         if not machines:
@@ -119,16 +121,13 @@ class TunaRunner:
         self.objective = objective
         self.machines = list(machines)
         self.rungs = tuple(rungs)
-        self.promote_tolerance = float(promote_tolerance)
-        self.outlier_z = float(outlier_z)
-        self.duration_s = duration_s
         self.rng = np.random.default_rng(seed)
         self.load_model = _LoadModel()
         self.best_score: float | None = None
         self.observations: list[TunaObservation] = []
 
     def _run_on(self, config: Configuration, machine: Machine) -> TunaObservation:
-        m = self.system.run(self.workload, duration_s=self.duration_s, machine=machine, config=config)
+        m = self.system.run(self.workload, duration_s=DURATION_S, machine=machine, config=config)
         load = self.system.env.sideband_signal(machine)
         value = m.metric(self.objective.name)
         obs = TunaObservation(machine.machine_id, load, value)
@@ -143,7 +142,7 @@ class TunaRunner:
         if len(corrected) >= 3:
             med = np.median(corrected)
             mad = np.median(np.abs(corrected - med)) or 1e-12
-            keep = np.abs(corrected - med) <= self.outlier_z * 1.4826 * mad
+            keep = np.abs(corrected - med) <= OUTLIER_Z * 1.4826 * mad
             corrected = corrected[keep] if keep.any() else corrected
         return float(np.median(corrected))
 
@@ -159,13 +158,13 @@ class TunaRunner:
             need = n_machines - len(collected)
             for machine in pool[:max(0, need)]:
                 collected.append(self._run_on(config, machine))
-                cost += self.duration_s
+                cost += DURATION_S
             value = self._aggregate(collected)
             score = obj.score(value)
             if self.best_score is None or score < self.best_score:
                 self.best_score = score
             elif rung_idx < len(self.rungs) - 1:
-                tol = abs(self.best_score) * (self.promote_tolerance - 1.0)
+                tol = abs(self.best_score) * (PROMOTE_TOLERANCE - 1.0)
                 if score > self.best_score + tol:
                     break  # not promising: stop sampling wider rungs
         return {obj.name: float(value)}, cost

@@ -34,12 +34,11 @@ class ClientFaultTransport:
     opening the connection; it raises (or delays) according to the plan.
     """
 
-    def __init__(self, injector: FaultInjector, site: str = "client.request") -> None:
+    def __init__(self, injector: FaultInjector) -> None:
         self.injector = injector
-        self.site = site
 
     async def before_request(self, path: str) -> None:
-        decision = self.injector.decide(self.site, path)
+        decision = self.injector.decide("client.request", path)
         if decision is None:
             return
         if decision.kind == "latency":
@@ -59,13 +58,12 @@ class ServerFaultHook:
     (slow peer) before serving it.
     """
 
-    def __init__(self, injector: FaultInjector, site: str = "server.connection") -> None:
+    def __init__(self, injector: FaultInjector) -> None:
         self.injector = injector
-        self.site = site
 
     async def on_connection(self) -> bool:
         """Returns ``False`` when the connection must be dropped."""
-        decision = self.injector.decide(self.site)
+        decision = self.injector.decide("server.connection")
         if decision is None:
             return True
         if decision.kind == "latency":
@@ -78,7 +76,6 @@ def chaotic_evaluator(
     evaluator: Callable[[Any], Any],
     injector: FaultInjector,
     key: str = "",
-    site: str = "evaluator.run",
 ) -> Callable[[Any], Any]:
     """Wrap an evaluator with deterministic crashes and noise spikes.
 
@@ -93,7 +90,7 @@ def chaotic_evaluator(
     """
 
     def evaluate(config: Any) -> Any:
-        decision = injector.decide(site, key)
+        decision = injector.decide("evaluator.run", key)
         if decision is not None and decision.kind == "crash":
             raise SystemCrashError(decision.message)
         result = evaluator(config)

@@ -141,12 +141,14 @@ class StopWhenConverged(Callback):
     for convergence.
     """
 
-    def __init__(self, patience: int = 15, min_trials: int = 10, rel_tolerance: float = 1e-3) -> None:
+    #: An improvement smaller than this fraction of the incumbent does not reset the count.
+    REL_TOLERANCE = 1e-3
+
+    def __init__(self, patience: int = 15, min_trials: int = 10) -> None:
         if patience < 1 or min_trials < 1:
             raise ValueError("patience and min_trials must be >= 1")
         self.patience = int(patience)
         self.min_trials = int(min_trials)
-        self.rel_tolerance = float(rel_tolerance)
         self._best: float | None = None
         self._since_improvement = 0
         self._n_trials = 0
@@ -158,7 +160,7 @@ class StopWhenConverged(Callback):
             self._since_improvement += 1
             return
         score = obj.score(trial.metric(obj.name))
-        if self._best is None or score < self._best - abs(self._best) * self.rel_tolerance:
+        if self._best is None or score < self._best - abs(self._best) * self.REL_TOLERANCE:
             self._best = score
             self._since_improvement = 0
         else:

@@ -171,22 +171,17 @@ class TrialReport:
 # -- trial records (journal) --------------------------------------------------
 
 
-def encode_trial(
-    trial: Trial,
-    report_id: str | None = None,
-    provenance: Mapping[str, Any] | None = None,
-) -> dict[str, Any]:
+def encode_trial(trial: Trial, report_id: str | None = None) -> dict[str, Any]:
     """The canonical JSON-safe record of one trial.
 
     The same shape is appended to journals, stored in prior banks, and
     returned over the wire.
 
-    ``provenance`` (or, failing that, ``trial.provenance``) is journaled
-    under a ``"provenance"`` key: seed lineage, optimizer state digest,
-    space version hash, ask-batch coordinates, executor attempt history,
-    library version, and parent trace id — everything ``repro replay``
-    needs to re-execute the session bit-exactly and to pinpoint the first
-    divergence when it cannot.
+    ``trial.provenance`` is journaled under a ``"provenance"`` key: seed
+    lineage, optimizer state digest, space version hash, ask-batch
+    coordinates, executor attempt history, library version, and parent
+    trace id — everything ``repro replay`` needs to re-execute the session
+    bit-exactly and to pinpoint the first divergence when it cannot.
     """
     record = {
         "trial_id": trial.trial_id,
@@ -199,9 +194,8 @@ def encode_trial(
     }
     if report_id is not None:
         record["report_id"] = report_id
-    lineage = provenance if provenance is not None else trial.provenance
-    if lineage is not None:
-        record["provenance"] = json_safe(lineage)
+    if trial.provenance is not None:
+        record["provenance"] = json_safe(trial.provenance)
     return record
 
 

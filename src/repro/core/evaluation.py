@@ -1,12 +1,12 @@
 """The evaluation contract: one normalized result type for every evaluator.
 
-Evaluators may return three ad-hoc shapes — a bare float, a metric mapping,
-or a ``(metrics, cost)`` tuple — and signal crashes and aborts by raising.
+Evaluators return an :class:`EvaluationResult`, a ``(metrics, cost)`` tuple, or
+a bare metric mapping or float, and signal crashes and aborts by raising.
 This module is the one place where raw evaluator output becomes an
 :class:`EvaluationResult` and where a result reaches an optimizer; the
 executors, ``TuningSession``, ``ParallelRunner`` and replay all call it:
 
-* :func:`coerce_evaluation` normalizes the legacy return shapes;
+* :func:`coerce_evaluation` normalizes the three return shapes;
 * :func:`run_evaluation` additionally folds the exception protocol
   (:class:`~repro.exceptions.SystemCrashError`,
   :class:`~repro.exceptions.TrialAbortedError` with optional censored
@@ -68,17 +68,11 @@ class EvaluationResult:
 def coerce_evaluation(raw: Any) -> EvaluationResult:
     """Normalize any evaluator return value to an :class:`EvaluationResult`.
 
-    Accepted shapes, in order of preference:
+    Accepted shapes:
 
     1. an :class:`EvaluationResult` (returned as-is);
     2. a ``(metrics, cost)`` 2-tuple;
     3. a bare metric mapping or float (cost defaults to ``1.0``).
-
-    .. deprecated::
-        Shapes 2 and 3 are the legacy evaluator contract and remain
-        supported indefinitely for backward compatibility, but new
-        evaluators should return :class:`EvaluationResult` directly —
-        it carries status and metadata the ad-hoc shapes cannot express.
     """
     if isinstance(raw, EvaluationResult):
         return raw

@@ -241,13 +241,7 @@ class SessionManager:
         session.lint_report = lint_report
         return session
 
-    def resume(
-        self,
-        session_id: str,
-        evaluator: Evaluator | None = None,
-        executor: "TrialExecutor | None" = None,
-        callbacks: Sequence["Callback"] = (),
-    ) -> TuningSession:
+    def resume(self, session_id: str) -> TuningSession:
         """Rebuild a session from storage: space, optimizer, full history.
 
         Journaled trials are re-observed by a fresh optimizer
@@ -255,14 +249,10 @@ class SessionManager:
         process left off and trial ids stay contiguous with the journal;
         its RNG stream is the new epoch's own, not a rerun of epoch 0's.
         Tell-idempotency state (seen ``report_id``s) is restored as well.
+        The session comes back ask/tell-only; set ``session.evaluator`` to
+        :meth:`~TuningSession.run` it.
         """
-        return self._open(
-            self.meta(session_id),
-            self.store.load_trials(session_id),
-            evaluator=evaluator,
-            executor=executor,
-            callbacks=callbacks,
-        )
+        return self._open(self.meta(session_id), self.store.load_trials(session_id), evaluator=None)
 
     def _open(
         self,

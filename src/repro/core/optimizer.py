@@ -24,6 +24,9 @@ from ..space import Configuration, ConfigurationSpace
 
 __all__ = ["TrialStatus", "Objective", "Trial", "History", "Optimizer", "rng_digest"]
 
+#: A failed trial is imputed at this multiple of the worst real score (knowledge-transfer slide).
+CRASH_PENALTY_FACTOR = 2.0
+
 
 def json_safe(value: Any) -> Any:
     """Recursively coerce a payload to JSON-serialisable primitives.
@@ -47,9 +50,9 @@ def json_safe(value: Any) -> Any:
     return str(value)
 
 
-def _digest(payload: Any, length: int = 12) -> str:
+def _digest(payload: Any) -> str:
     text = json.dumps(json_safe(payload), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:length]
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 def rng_digest(rng: np.random.Generator) -> str:
@@ -154,7 +157,7 @@ class History:
         return [t for t in self._trials if t.status in (TrialStatus.FAILED, TrialStatus.ABORTED)]
 
     @staticmethod
-    def crash_score(real_scores: np.ndarray, crash_penalty_factor: float) -> float:
+    def crash_score(real_scores: np.ndarray) -> float:
         """Pessimistic score for a failed trial, given the real ones so far.
 
         Knowledge-transfer slide: *Bad: no score (e.g. crashed)? Make it up!
@@ -163,13 +166,9 @@ class History:
         negative scores).
         """
         worst = float(real_scores.max())
-        return worst + (crash_penalty_factor - 1.0) * abs(worst) + 1e-9
+        return worst + (CRASH_PENALTY_FACTOR - 1.0) * abs(worst) + 1e-9
 
-    def training_data(
-        self,
-        objective: Objective | None = None,
-        crash_penalty_factor: float = 2.0,
-    ) -> tuple[list[Trial], np.ndarray]:
+    def training_data(self, objective: Objective | None = None) -> tuple[list[Trial], np.ndarray]:
         """(trials, scores) for surrogate fitting, with *live* crash imputation.
 
         Failed trials are re-imputed against the current worst real score at
@@ -182,7 +181,7 @@ class History:
         if len(real_scores) == 0:
             return real, real_scores
         failed = self.failed()
-        imputed = self.crash_score(real_scores, crash_penalty_factor)
+        imputed = self.crash_score(real_scores)
         return real + failed, np.concatenate([real_scores, np.full(len(failed), imputed)])
 
     def scores(self, objective: Objective | None = None) -> np.ndarray:
@@ -241,7 +240,6 @@ class Optimizer(ABC):
         space: ConfigurationSpace,
         objectives: Sequence[Objective] | Objective | None = None,
         seed: int | None = None,
-        crash_penalty_factor: float = 2.0,
     ) -> None:
         if isinstance(objectives, Objective):
             objectives = [objectives]
@@ -255,7 +253,6 @@ class Optimizer(ABC):
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.history = History(self.objectives)
-        self.crash_penalty_factor = float(crash_penalty_factor)
         self._next_trial_id = 0
         # Running digest over everything this optimizer has observed, in
         # order — part of :meth:`state_digest_parts`. Incremental (one sha256
@@ -353,7 +350,7 @@ class Optimizer(ABC):
         metrics: dict[str, float] = {}
         for obj in self.objectives:
             scores = self.history.scores(obj)
-            imputed = History.crash_score(scores, self.crash_penalty_factor) if len(scores) else 1e9
+            imputed = History.crash_score(scores) if len(scores) else 1e9
             metrics[obj.name] = obj.unscore(imputed)
         return self._ingest(config, metrics, cost, status, fidelity=None, context=context)
 

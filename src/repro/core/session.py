@@ -93,6 +93,11 @@ class TuningSession:
         May be ``None`` for ask/tell-only sessions; :meth:`run` then raises.
     """
 
+    #: Spilled records beyond which a store failure propagates: a backpressure
+    #: threshold, not a drop policy — records are never discarded; past the
+    #: limit callers stop feeding an unwritable store.
+    spill_limit = 256
+
     def __init__(
         self,
         optimizer: Optimizer,
@@ -104,7 +109,6 @@ class TuningSession:
         executor: "TrialExecutor | None" = None,
         store: "TrialStore | None" = None,
         session_id: str | None = None,
-        spill_limit: int = 256,
     ) -> None:
         if max_trials < 1:
             raise OptimizerError(f"max_trials must be >= 1, got {max_trials}")
@@ -136,11 +140,7 @@ class TuningSession:
         self._space_hash: str | None = None
         #: Graceful degradation for transient store failures: encoded trial
         #: records that could not be journaled yet, flushed in order before
-        #: the next append (or explicitly via :meth:`flush_spill`). The
-        #: limit is a backpressure threshold, not a drop policy — records
-        #: are never discarded; past the limit the failure propagates so
-        #: callers stop feeding an unwritable store.
-        self.spill_limit = int(spill_limit)
+        #: the next append (or explicitly via :meth:`flush_spill`).
         self._spill: list[tuple[int, dict[str, Any]]] = []
 
     # -- internals ---------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..exceptions import ReproError
 from ..space import ConfigurationSpace, NormalPrior, Prior
-from .manual import DBMS_MANUAL, ManualEntry
+from .manual import DBMS_MANUAL
 
 __all__ = ["DiscoveredKnob", "ManualKnowledgeExtractor"]
 
@@ -64,18 +64,17 @@ class DiscoveredKnob:
 
 
 class ManualKnowledgeExtractor:
-    """Scores knobs from documentation text and proposes search priors.
+    """Scores knobs from the simulated DBMS manual and proposes search priors.
 
     Parameters
     ----------
-    manual:
-        The corpus (defaults to the simulated DBMS manual).
     prior_std:
         Width of the Normal priors placed at hinted range centres.
     """
 
-    def __init__(self, manual: dict[str, ManualEntry] | None = None, prior_std: float = 0.15) -> None:
-        self.manual = manual if manual is not None else DBMS_MANUAL
+    manual = DBMS_MANUAL
+
+    def __init__(self, prior_std: float = 0.15) -> None:
         if prior_std <= 0:
             raise ReproError(f"prior_std must be positive, got {prior_std}")
         self.prior_std = float(prior_std)

@@ -19,6 +19,12 @@ from .agent import OnlinePolicy
 
 __all__ = ["ActorCriticTuner"]
 
+#: Gradient step sizes of the actor and the critic.
+ACTOR_LR = 0.05
+CRITIC_LR = 0.10
+#: Discount factor.
+GAMMA = 0.9
+
 
 class ActorCriticTuner(OnlinePolicy):
     """Linear-Gaussian actor + linear TD(0) critic over numeric knobs.
@@ -28,25 +34,18 @@ class ActorCriticTuner(OnlinePolicy):
 
     Parameters
     ----------
-    actor_lr, critic_lr:
-        Gradient step sizes.
     sigma:
         Exploration noise of the Gaussian policy, annealed by
         ``sigma_decay`` each step.
-    gamma:
-        Discount factor.
     """
 
     def __init__(
         self,
         space: ConfigurationSpace,
         knobs: Sequence[str] | None = None,
-        actor_lr: float = 0.05,
-        critic_lr: float = 0.10,
         sigma: float = 0.15,
         sigma_decay: float = 0.997,
         sigma_min: float = 0.02,
-        gamma: float = 0.9,
         seed: int | None = None,
     ) -> None:
         self.space = space
@@ -58,12 +57,9 @@ class ActorCriticTuner(OnlinePolicy):
             raise OptimizerError("actor-critic needs at least one numeric knob")
         if sigma <= 0:
             raise OptimizerError(f"sigma must be positive, got {sigma}")
-        self.actor_lr = float(actor_lr)
-        self.critic_lr = float(critic_lr)
         self.sigma = float(sigma)
         self.sigma_decay = float(sigma_decay)
         self.sigma_min = float(sigma_min)
-        self.gamma = float(gamma)
         self.rng = np.random.default_rng(seed)
 
         self._n_actions = len(self.knobs)
@@ -113,14 +109,14 @@ class ActorCriticTuner(OnlinePolicy):
         # TD(0) critic update.
         v_s = float(self._v @ phi)
         v_next = float(self._v @ next_phi)
-        delta = float(np.clip(reward + self.gamma * v_next - v_s, -2.0, 2.0))
-        self._v += self.critic_lr * delta * phi
+        delta = float(np.clip(reward + GAMMA * v_next - v_s, -2.0, 2.0))
+        self._v += CRITIC_LR * delta * phi
         # Policy gradient for a Gaussian policy: ∇ log π ∝ (a − μ)/σ².
         # Normalised by σ (not σ²) — a natural-gradient-style step that keeps
         # update magnitudes O(1) as exploration noise anneals.
         grad_mean = (action - mean) / self.sigma
-        self._W += self.actor_lr * delta * np.outer(grad_mean, phi)
-        self._b += self.actor_lr * delta * grad_mean
+        self._W += ACTOR_LR * delta * np.outer(grad_mean, phi)
+        self._b += ACTOR_LR * delta * grad_mean
         self._b = np.clip(self._b, 0.0, 1.0)
         self.sigma = max(self.sigma_min, self.sigma * self.sigma_decay)
 

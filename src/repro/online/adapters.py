@@ -36,7 +36,7 @@ from ..telemetry.spans import span
 __all__ = ["OnlinePolicy", "OnlinePolicyOptimizer", "OptimizerPolicy"]
 
 #: Dimensionality of the default (all-zeros) observation vector, matching
-#: :meth:`OnlineTuningAgent._default_observation`.
+#: :meth:`OnlineTuningAgent._observe`.
 _DEFAULT_OBS_DIM = 6
 
 
@@ -107,9 +107,8 @@ class OnlinePolicyOptimizer(Optimizer):
         objectives: Sequence[Objective] | Objective | None = None,
         observation_fn: Callable[[], np.ndarray] | None = None,
         seed: int | None = None,
-        crash_penalty_factor: float = 2.0,
     ) -> None:
-        super().__init__(space, objectives, seed=seed, crash_penalty_factor=crash_penalty_factor)
+        super().__init__(space, objectives, seed=seed)
         self.policy = policy
         self._observation_fn = observation_fn or (lambda: np.zeros(_DEFAULT_OBS_DIM))
         self._pending: list[tuple[Configuration, np.ndarray]] = []

@@ -116,10 +116,6 @@ class OnlineTuningAgent:
     guardrail:
         Optional safety monitor; on violation the agent rolls back to the
         last safe configuration and penalises the policy.
-    observe:
-        Maps (workload, last measurement metrics) to the observation vector
-        the policy sees. Defaults to observable load features only — the
-        agent cannot read the workload's ground truth.
     trace:
         Optional :class:`~repro.telemetry.SessionTrace`; when given, a
         :class:`~repro.telemetry.TelemetryCallback` records the run into it
@@ -134,7 +130,6 @@ class OnlineTuningAgent:
         objective: Objective,
         guardrail: Guardrail | None = None,
         duration_s: float = 60.0,
-        observe=None,
         trace=None,
     ) -> None:
         self.system = system
@@ -142,13 +137,14 @@ class OnlineTuningAgent:
         self.objective = objective
         self.guardrail = guardrail
         self.duration_s = duration_s
-        self._observe = observe if observe is not None else self._default_observation
         self._last_metrics: dict[str, float] = {}
         self._safe_config = system.current_config
         self.trace = trace
 
     @staticmethod
-    def _default_observation(workload, last_metrics: dict[str, float]) -> np.ndarray:
+    def _observe(workload, last_metrics: dict[str, float]) -> np.ndarray:
+        """What the policy sees: observable load features only — the agent
+        cannot read the workload's ground truth."""
         return np.array(
             [
                 np.log10(workload.concurrency + 1.0) / 3.0,

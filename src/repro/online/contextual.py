@@ -12,13 +12,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import OptimizerError
-from ..optimizers.acquisition import AcquisitionFunction, ExpectedImprovement
+from ..optimizers.acquisition import ExpectedImprovement
 from ..optimizers.gp import GaussianProcessRegressor, default_kernel
 from ..space import Configuration, ConfigurationSpace
 from ..space.encoding import OrdinalEncoder
 from .agent import OnlinePolicy
 
 __all__ = ["ContextualBOTuner", "StaticConfigPolicy"]
+
+#: Neighbourhood scale of candidate generation (OnlineTune's subspace iteration).
+TRUST_RADIUS = 0.15
+#: Probability of proposing a global random candidate set instead of the trust region.
+EXPLORE_PROB = 0.10
+#: GP training window (keeps fitting O(window³) online).
+MAX_HISTORY = 120
 
 
 class StaticConfigPolicy(OnlinePolicy):
@@ -44,14 +51,6 @@ class ContextualBOTuner(OnlinePolicy):
     ----------
     n_init:
         Random-ish steps before the model activates.
-    trust_radius:
-        Neighbourhood scale of candidate generation (OnlineTune's subspace
-        iteration).
-    explore_prob:
-        Probability of proposing a global random candidate set instead of
-        the trust region.
-    max_history:
-        GP training window (keeps fitting O(window³) online).
     """
 
     def __init__(
@@ -59,10 +58,6 @@ class ContextualBOTuner(OnlinePolicy):
         space: ConfigurationSpace,
         n_init: int = 6,
         n_candidates: int = 128,
-        trust_radius: float = 0.15,
-        explore_prob: float = 0.10,
-        max_history: int = 120,
-        acquisition: AcquisitionFunction | None = None,
         seed: int | None = None,
     ) -> None:
         if n_init < 1:
@@ -71,10 +66,7 @@ class ContextualBOTuner(OnlinePolicy):
         self.encoder = OrdinalEncoder(space)
         self.n_init = int(n_init)
         self.n_candidates = int(n_candidates)
-        self.trust_radius = float(trust_radius)
-        self.explore_prob = float(explore_prob)
-        self.max_history = int(max_history)
-        self.acquisition = acquisition if acquisition is not None else ExpectedImprovement()
+        self.acquisition = ExpectedImprovement()
         self.rng = np.random.default_rng(seed)
         self._X: list[np.ndarray] = []  # context ⊕ config rows
         self._rewards: list[float] = []
@@ -111,12 +103,12 @@ class ContextualBOTuner(OnlinePolicy):
             return self.space.neighbor(base, self.rng, scale=0.1)
         if self._model is None:
             self._fit()
-        if self.rng.random() < self.explore_prob:
+        if self.rng.random() < EXPLORE_PROB:
             cands = [self.space.sample(self.rng) for _ in range(self.n_candidates)]
         else:
             best = self._best_config(observation)
             cands = [best] + [
-                self.space.neighbor(best, self.rng, scale=float(self.rng.uniform(0.02, self.trust_radius)))
+                self.space.neighbor(best, self.rng, scale=float(self.rng.uniform(0.02, TRUST_RADIUS)))
                 for _ in range(self.n_candidates - 1)
             ]
         rows = np.stack([self._row(observation, c) for c in cands])
@@ -126,8 +118,8 @@ class ContextualBOTuner(OnlinePolicy):
         return cands[int(np.argmax(scores))]
 
     def _fit(self) -> None:
-        X = np.stack(self._X[-self.max_history:])
-        y = np.array(self._rewards[-self.max_history:])
+        X = np.stack(self._X[-MAX_HISTORY:])
+        y = np.array(self._rewards[-MAX_HISTORY:])
         self._model = GaussianProcessRegressor(kernel=default_kernel(X.shape[1]), seed=0)
         self._model.fit(X, y)
 

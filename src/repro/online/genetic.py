@@ -20,6 +20,13 @@ from .adapters import OptimizerPolicy
 
 __all__ = ["GeneticAlgorithmOptimizer", "GeneticOnlineTuner"]
 
+#: Per-individual probability of a mutation after crossover.
+MUTATION_RATE = 0.3
+#: Neighbourhood size of a mutation in unit-space.
+MUTATION_SCALE = 0.15
+#: Tournament size for parent selection.
+TOURNAMENT = 3
+
 
 class GeneticAlgorithmOptimizer(Optimizer):
     """Generational GA over configurations.
@@ -30,10 +37,6 @@ class GeneticAlgorithmOptimizer(Optimizer):
         Individuals per generation.
     elite_fraction:
         Top fraction copied unchanged into the next generation.
-    mutation_rate:
-        Per-individual probability of a mutation after crossover.
-    tournament:
-        Tournament size for parent selection.
     """
 
     #: Observations are matched to suggestions by queue order, so
@@ -45,9 +48,6 @@ class GeneticAlgorithmOptimizer(Optimizer):
         space: ConfigurationSpace,
         population_size: int = 12,
         elite_fraction: float = 0.25,
-        mutation_rate: float = 0.3,
-        mutation_scale: float = 0.15,
-        tournament: int = 3,
         objectives: Objective | list[Objective] | None = None,
         seed: int | None = None,
     ) -> None:
@@ -56,13 +56,8 @@ class GeneticAlgorithmOptimizer(Optimizer):
             raise OptimizerError(f"population_size must be >= 4, got {population_size}")
         if not 0.0 < elite_fraction < 1.0:
             raise OptimizerError(f"elite_fraction must be in (0, 1), got {elite_fraction}")
-        if not 0.0 <= mutation_rate <= 1.0:
-            raise OptimizerError(f"mutation_rate must be in [0, 1], got {mutation_rate}")
         self.population_size = int(population_size)
         self.elite_fraction = float(elite_fraction)
-        self.mutation_rate = float(mutation_rate)
-        self.mutation_scale = float(mutation_scale)
-        self.tournament = max(2, int(tournament))
         self._population: list[Configuration] = [space.sample(self.rng) for _ in range(self.population_size)]
         self._scores: list[float | None] = [None] * self.population_size
         self._cursor = 0
@@ -80,12 +75,12 @@ class GeneticAlgorithmOptimizer(Optimizer):
             return a  # infeasible child: keep a parent
 
     def _mutate(self, config: Configuration) -> Configuration:
-        if self.rng.random() >= self.mutation_rate:
+        if self.rng.random() >= MUTATION_RATE:
             return config
-        return self.space.neighbor(config, self.rng, scale=self.mutation_scale)
+        return self.space.neighbor(config, self.rng, scale=MUTATION_SCALE)
 
     def _tournament_pick(self, scored: list[tuple[float, Configuration]]) -> Configuration:
-        contenders = [scored[int(self.rng.integers(len(scored)))] for _ in range(self.tournament)]
+        contenders = [scored[int(self.rng.integers(len(scored)))] for _ in range(TOURNAMENT)]
         return min(contenders)[1]
 
     def _evolve(self) -> None:

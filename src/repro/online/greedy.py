@@ -20,6 +20,9 @@ from .agent import OnlinePolicy
 
 __all__ = ["GreedyOnlineTuner"]
 
+#: Smoothing for the incumbent's reward estimate.
+EMA = 0.5
+
 
 class GreedyOnlineTuner(OnlinePolicy):
     """Hill climbing with single-knob moves and revert-on-regression.
@@ -31,8 +34,6 @@ class GreedyOnlineTuner(OnlinePolicy):
     patience:
         Consecutive failed moves before the step size grows (escape
         plateaus) — the "balancing exploration & exploitation" dial.
-    ema:
-        Smoothing for the incumbent's reward estimate.
     """
 
     def __init__(
@@ -41,7 +42,6 @@ class GreedyOnlineTuner(OnlinePolicy):
         knobs: Sequence[str] | None = None,
         step: float = 0.1,
         patience: int = 6,
-        ema: float = 0.5,
         seed: int | None = None,
     ) -> None:
         if not 0.0 < step <= 0.5:
@@ -56,7 +56,6 @@ class GreedyOnlineTuner(OnlinePolicy):
         self.step = float(step)
         self.base_step = float(step)
         self.patience = int(patience)
-        self.ema = float(ema)
         self.rng = np.random.default_rng(seed)
         self.current = space.default_configuration()
         self._current_reward: float | None = None
@@ -93,7 +92,7 @@ class GreedyOnlineTuner(OnlinePolicy):
             if self._current_reward is None:
                 self._current_reward = reward
             else:
-                self._current_reward = self.ema * self._current_reward + (1 - self.ema) * reward
+                self._current_reward = EMA * self._current_reward + (1 - EMA) * reward
             return
         # Verdict on the attempted move.
         if reward > self._current_reward:

@@ -17,12 +17,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import OptimizerError, SpaceError
+from ..exceptions import SpaceError
 from ..space import Configuration, ConfigurationSpace
 from ..space.params import CategoricalParameter
 from .agent import OnlinePolicy
 
 __all__ = ["HybridBanditTuner"]
+
+#: SPSA probe radius in unit-space.
+PERTURBATION = 0.08
+#: Step size for the numeric centre update.
+NUMERIC_LR = 0.15
+#: Exponential-weights learning rate for discrete knobs.
+BANDIT_LR = 0.3
+#: EMA factor of the reward baseline used for centring.
+BASELINE_DECAY = 0.9
 
 
 class _Exp3Bandit:
@@ -51,43 +60,22 @@ class _Exp3Bandit:
 
 
 class HybridBanditTuner(OnlinePolicy):
-    """Discrete knobs via Exp3, numeric knobs via one-point SPSA.
-
-    Parameters
-    ----------
-    perturbation:
-        SPSA probe radius in unit-space.
-    numeric_lr:
-        Step size for the numeric centre update.
-    bandit_lr:
-        Exponential-weights learning rate for discrete knobs.
-    baseline_decay:
-        EMA factor of the reward baseline used for centring.
-    """
+    """Discrete knobs via Exp3, numeric knobs via one-point SPSA."""
 
     def __init__(
         self,
         space: ConfigurationSpace,
-        perturbation: float = 0.08,
-        numeric_lr: float = 0.15,
-        bandit_lr: float = 0.3,
-        baseline_decay: float = 0.9,
         seed: int | None = None,
     ) -> None:
-        if not 0.0 < perturbation <= 0.5:
-            raise OptimizerError(f"perturbation must be in (0, 0.5], got {perturbation}")
         self.space = space
         self.rng = np.random.default_rng(seed)
-        self.perturbation = float(perturbation)
-        self.numeric_lr = float(numeric_lr)
-        self.baseline_decay = float(baseline_decay)
 
         self.numeric_knobs = [p.name for p in space.parameters if not isinstance(p, CategoricalParameter)]
         self.discrete_knobs = [p.name for p in space.parameters if isinstance(p, CategoricalParameter)]
         default = space.default_configuration()
         self.center = np.array([space[k].to_unit(default[k]) for k in self.numeric_knobs])
         self.bandits = {
-            k: _Exp3Bandit(space[k].n_choices, bandit_lr, self.rng) for k in self.discrete_knobs
+            k: _Exp3Bandit(space[k].n_choices, BANDIT_LR, self.rng) for k in self.discrete_knobs
         }
         self._baseline: float | None = None
         self._last_delta: np.ndarray | None = None
@@ -95,7 +83,7 @@ class HybridBanditTuner(OnlinePolicy):
     def propose(self, observation: np.ndarray) -> Configuration:
         values = {}
         delta = self.rng.choice([-1.0, 1.0], size=len(self.numeric_knobs))
-        probe = np.clip(self.center + self.perturbation * delta, 0.0, 1.0)
+        probe = np.clip(self.center + PERTURBATION * delta, 0.0, 1.0)
         self._last_delta = delta
         for k, u in zip(self.numeric_knobs, probe):
             values[k] = self.space[k].from_unit(float(u))
@@ -113,12 +101,12 @@ class HybridBanditTuner(OnlinePolicy):
         if self._baseline is None:
             self._baseline = reward
         advantage = reward - self._baseline
-        self._baseline = self.baseline_decay * self._baseline + (1 - self.baseline_decay) * reward
+        self._baseline = BASELINE_DECAY * self._baseline + (1 - BASELINE_DECAY) * reward
         if self._last_delta is not None:
             # One-point gradient estimate: move toward perturbations that
             # beat the baseline, away from the ones that lost to it.
             self.center = np.clip(
-                self.center + self.numeric_lr * advantage * self._last_delta * self.perturbation,
+                self.center + NUMERIC_LR * advantage * self._last_delta * PERTURBATION,
                 0.0,
                 1.0,
             )

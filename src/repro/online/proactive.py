@@ -24,15 +24,16 @@ from .agent import OnlinePolicy
 
 __all__ = ["ProactiveForecastTuner"]
 
+#: Which observation-vector entry carries the load signal (the default
+#: observation's index 0 is log-concurrency).
+LOAD_INDEX = 0
+
 
 class ProactiveForecastTuner(OnlinePolicy):
     """Per-load-band incumbents, selected by a seasonal forecast.
 
     Parameters
     ----------
-    load_index:
-        Which observation-vector entry carries the load signal (the default
-        observation's index 0 is log-concurrency).
     n_bands:
         Number of load bands (each with its own incumbent config).
     period:
@@ -46,7 +47,6 @@ class ProactiveForecastTuner(OnlinePolicy):
         self,
         space: ConfigurationSpace,
         period: int,
-        load_index: int = 0,
         n_bands: int = 3,
         explore_prob: float = 0.3,
         seed: int | None = None,
@@ -56,7 +56,6 @@ class ProactiveForecastTuner(OnlinePolicy):
         if not 0.0 <= explore_prob <= 1.0:
             raise ReproError(f"explore_prob must be in [0, 1], got {explore_prob}")
         self.space = space
-        self.load_index = int(load_index)
         self.n_bands = int(n_bands)
         self.explore_prob = float(explore_prob)
         self.rng = np.random.default_rng(seed)
@@ -84,7 +83,7 @@ class ProactiveForecastTuner(OnlinePolicy):
 
     # -- OnlinePolicy ------------------------------------------------------------
     def propose(self, observation: np.ndarray) -> Configuration:
-        load = float(np.asarray(observation).ravel()[self.load_index])
+        load = float(np.asarray(observation).ravel()[LOAD_INDEX])
         self._loads.append(load)
         self.forecaster.update(load)
         band = self._band_of(self._predicted_load(load))

@@ -20,6 +20,12 @@ from .agent import OnlinePolicy
 
 __all__ = ["QLearningTuner"]
 
+#: Learning rate and discount of the TD update.
+ALPHA = 0.3
+GAMMA = 0.8
+#: Discretization resolution for each observation dimension.
+N_STATE_BINS = 3
+
 
 class QLearningTuner(OnlinePolicy):
     """ε-greedy tabular Q-learning over single-knob adjustment actions.
@@ -32,11 +38,9 @@ class QLearningTuner(OnlinePolicy):
         Subset of knob names to act on (default: all).
     step:
         Adjustment size in unit-space per action.
-    n_state_bins:
-        Discretization resolution for each observation dimension.
-    alpha, gamma, epsilon:
-        Learning rate, discount, exploration rate. ``epsilon_decay``
-        multiplies ε each step (anneal exploration as confidence grows).
+    epsilon:
+        Exploration rate. ``epsilon_decay`` multiplies ε each step (anneal
+        exploration as confidence grows).
     """
 
     def __init__(
@@ -44,9 +48,6 @@ class QLearningTuner(OnlinePolicy):
         space: ConfigurationSpace,
         knobs: Sequence[str] | None = None,
         step: float = 0.12,
-        n_state_bins: int = 3,
-        alpha: float = 0.3,
-        gamma: float = 0.8,
         epsilon: float = 0.25,
         epsilon_decay: float = 0.995,
         seed: int | None = None,
@@ -59,9 +60,6 @@ class QLearningTuner(OnlinePolicy):
         if not 0.0 < step <= 1.0:
             raise OptimizerError(f"step must be in (0, 1], got {step}")
         self.step = float(step)
-        self.n_state_bins = int(n_state_bins)
-        self.alpha = float(alpha)
-        self.gamma = float(gamma)
         self.epsilon = float(epsilon)
         self.epsilon_decay = float(epsilon_decay)
         self.rng = np.random.default_rng(seed)
@@ -75,7 +73,7 @@ class QLearningTuner(OnlinePolicy):
 
     # -- state/action plumbing ----------------------------------------------
     def _state_key(self, observation: np.ndarray) -> tuple:
-        bins = np.clip((np.asarray(observation) * self.n_state_bins).astype(int), 0, self.n_state_bins - 1)
+        bins = np.clip((np.asarray(observation) * N_STATE_BINS).astype(int), 0, N_STATE_BINS - 1)
         return tuple(int(b) for b in bins)
 
     def _apply_action(self, action: int) -> Configuration:
@@ -112,6 +110,6 @@ class QLearningTuner(OnlinePolicy):
             return
         state, action = self._last
         next_state = self._state_key(observation)
-        td_target = reward + self.gamma * float(self.q[next_state].max())
-        self.q[state][action] += self.alpha * (td_target - self.q[state][action])
+        td_target = reward + GAMMA * float(self.q[next_state].max())
+        self.q[state][action] += ALPHA * (td_target - self.q[state][action])
         self.epsilon *= self.epsilon_decay

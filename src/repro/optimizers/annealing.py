@@ -15,6 +15,9 @@ from ..space import Configuration, ConfigurationSpace
 
 __all__ = ["SimulatedAnnealingOptimizer"]
 
+#: Neighbourhood size in unit-space (passed to ``space.neighbor``).
+STEP_SCALE = 0.15
+
 
 class SimulatedAnnealingOptimizer(Optimizer):
     """Metropolis acceptance over the space's neighbourhood structure.
@@ -27,8 +30,6 @@ class SimulatedAnnealingOptimizer(Optimizer):
         ``n_init`` random probes.
     cooling:
         Geometric cooling rate per observed trial, in (0, 1).
-    step_scale:
-        Neighbourhood size in unit-space (passed to ``space.neighbor``).
     n_init:
         Random probes before annealing starts.
     """
@@ -38,7 +39,6 @@ class SimulatedAnnealingOptimizer(Optimizer):
         space: ConfigurationSpace,
         initial_temperature: float | None = None,
         cooling: float = 0.95,
-        step_scale: float = 0.15,
         n_init: int = 5,
         objectives: Objective | list[Objective] | None = None,
         seed: int | None = None,
@@ -49,7 +49,6 @@ class SimulatedAnnealingOptimizer(Optimizer):
         if n_init < 1:
             raise OptimizerError(f"n_init must be >= 1, got {n_init}")
         self.cooling = cooling
-        self.step_scale = step_scale
         self.n_init = n_init
         self._temperature = initial_temperature
         self._current: Configuration | None = None
@@ -60,7 +59,7 @@ class SimulatedAnnealingOptimizer(Optimizer):
         if len(self.history) < self.n_init or self._current is None:
             self._pending = self.space.sample(self.rng)
         else:
-            self._pending = self.space.neighbor(self._current, self.rng, scale=self.step_scale)
+            self._pending = self.space.neighbor(self._current, self.rng, scale=STEP_SCALE)
         return self._pending
 
     def _on_observe(self, trial: Trial) -> None:

@@ -21,6 +21,11 @@ from ..space import Configuration, ConfigurationSpace
 
 __all__ = ["MultiArmedBanditOptimizer", "BanditArmStats"]
 
+#: Exploration rate of the ε-greedy policy.
+EPSILON = 0.1
+#: Exploration weight of UCB1.
+UCB_C = 2.0
+
 
 class BanditArmStats:
     """Running reward statistics of one arm (Welford updates)."""
@@ -57,10 +62,6 @@ class MultiArmedBanditOptimizer(Optimizer):
         random feasible configurations are drawn once.
     policy:
         "epsilon" | "ucb1" | "thompson".
-    epsilon:
-        Exploration rate for the ε-greedy policy.
-    ucb_c:
-        Exploration weight for UCB1.
     """
 
     def __init__(
@@ -69,22 +70,16 @@ class MultiArmedBanditOptimizer(Optimizer):
         arms: Sequence[Configuration] | None = None,
         n_arms: int = 16,
         policy: str = "ucb1",
-        epsilon: float = 0.1,
-        ucb_c: float = 2.0,
         objectives: Objective | list[Objective] | None = None,
         seed: int | None = None,
     ) -> None:
         super().__init__(space, objectives, seed=seed)
         if policy not in ("epsilon", "ucb1", "thompson"):
             raise OptimizerError(f"unknown policy {policy!r}")
-        if not 0.0 <= epsilon <= 1.0:
-            raise OptimizerError(f"epsilon must be in [0, 1], got {epsilon}")
         self.arms = list(arms) if arms is not None else space.sample_many(n_arms, self.rng)
         if len(self.arms) < 2:
             raise OptimizerError("need at least 2 arms")
         self.policy = policy
-        self.epsilon = float(epsilon)
-        self.ucb_c = float(ucb_c)
         self.stats = [BanditArmStats() for _ in self.arms]
         self._arm_of: dict[Configuration, int] = {a: i for i, a in enumerate(self.arms)}
         self._scale = 1.0
@@ -99,13 +94,13 @@ class MultiArmedBanditOptimizer(Optimizer):
             if s.pulls == 0:
                 return i
         if self.policy == "epsilon":
-            if self.rng.random() < self.epsilon:
+            if self.rng.random() < EPSILON:
                 return int(self.rng.integers(len(self.arms)))
             return int(np.argmax([s.mean for s in self.stats]))
         if self.policy == "ucb1":
             total = self.total_pulls
             ucb = [
-                s.mean + self.ucb_c * math.sqrt(math.log(total) / s.pulls)
+                s.mean + UCB_C * math.sqrt(math.log(total) / s.pulls)
                 for s in self.stats
             ]
             return int(np.argmax(ucb))

@@ -16,6 +16,9 @@ from ..space import Configuration, ConfigurationSpace
 
 __all__ = ["BestConfigOptimizer"]
 
+#: Box shrink factor per bound-and-search round.
+SHRINK = 0.5
+
 
 class BestConfigOptimizer(Optimizer):
     """Alternating diverge/bound-and-search rounds.
@@ -24,25 +27,19 @@ class BestConfigOptimizer(Optimizer):
     ----------
     round_size:
         Samples per round.
-    shrink:
-        Box shrink factor per bound-and-search round (0 < shrink < 1).
     """
 
     def __init__(
         self,
         space: ConfigurationSpace,
         round_size: int = 10,
-        shrink: float = 0.5,
         objectives: Objective | list[Objective] | None = None,
         seed: int | None = None,
     ) -> None:
         super().__init__(space, objectives, seed=seed)
         if round_size < 2:
             raise OptimizerError(f"round_size must be >= 2, got {round_size}")
-        if not 0.0 < shrink < 1.0:
-            raise OptimizerError(f"shrink must be in (0, 1), got {shrink}")
         self.round_size = int(round_size)
-        self.shrink = float(shrink)
         self._queue: list[Configuration] = []
         self._round = 0
         self._radius = 0.5  # half-width of the current search box (unit space)
@@ -87,7 +84,7 @@ class BestConfigOptimizer(Optimizer):
             self._queue = self._lhs_round()
         else:
             self._queue = self._bounded_round(incumbent)
-            self._radius = max(0.02, self._radius * self.shrink)
+            self._radius = max(0.02, self._radius * SHRINK)
 
     def _suggest(self) -> Configuration:
         if not self._queue:

@@ -25,6 +25,9 @@ from .model_based import ModelBasedOptimizer
 
 __all__ = ["BayesianOptimizer"]
 
+#: Every k-th fit re-optimises the GP hyperparameters; the fits in between only condition.
+REFIT_EVERY = 4
+
 
 class BayesianOptimizer(ModelBasedOptimizer):
     """GP-based Bayesian optimization over a configuration space.
@@ -42,9 +45,9 @@ class BayesianOptimizer(ModelBasedOptimizer):
         the discrete/hybrid handling choices from slide 51.
     n_candidates:
         Candidate-set size for acquisition maximisation.
-    refit_every:
-        Re-optimise GP hyperparameters every k-th trial (conditioning on new
-        data happens every trial regardless).
+
+    GP hyperparameters are re-optimised every :data:`REFIT_EVERY`-th fit
+    (conditioning on new data happens every trial regardless).
     """
 
     def __init__(
@@ -54,7 +57,6 @@ class BayesianOptimizer(ModelBasedOptimizer):
         acquisition: AcquisitionFunction | None = None,
         encoding: str = "ordinal",
         n_candidates: int = 512,
-        refit_every: int = 4,
         objectives: Objective | list[Objective] | None = None,
         seed: int | None = None,
     ) -> None:
@@ -71,7 +73,6 @@ class BayesianOptimizer(ModelBasedOptimizer):
             objectives=objectives,
             seed=seed,
         )
-        self.refit_every = max(1, int(refit_every))
         self._fit_count = 0
         # Constant-liar state for batch suggestions.
         self._lies: list[np.ndarray] = []
@@ -94,7 +95,7 @@ class BayesianOptimizer(ModelBasedOptimizer):
         if fantasizing:
             X = np.vstack([X, np.stack(self._lies)])
             y = np.concatenate([y, np.full(len(self._lies), y.min())])
-        self.model.optimize_hypers = not fantasizing and self._fit_count % self.refit_every == 0
+        self.model.optimize_hypers = not fantasizing and self._fit_count % REFIT_EVERY == 0
         self.model.fit(X, y)
         if not fantasizing:
             self._fit_count += 1

@@ -17,23 +17,19 @@ import math
 import numpy as np
 
 from ..core import Objective, Optimizer, Trial
-from ..exceptions import OptimizerError
 from ..space import Configuration, ConfigurationSpace
 
 __all__ = ["CMAESOptimizer"]
+
+#: Initial step size in unit-cube units.
+SIGMA0 = 0.3
 
 
 class CMAESOptimizer(Optimizer):
     """(μ/μ_w, λ)-CMA-ES over the unit-encoded space.
 
-    Parameters
-    ----------
-    popsize:
-        λ; defaults to Hansen's 4 + ⌊3 ln n⌋.
-    sigma0:
-        Initial step size in unit-cube units.
-    x0:
-        Starting configuration (defaults to the space default).
+    λ is Hansen's 4 + ⌊3 ln n⌋, the search starts at the space default with
+    step size :data:`SIGMA0` in unit-cube units.
     """
 
     #: Observations are matched to suggestions by queue order, so
@@ -43,19 +39,13 @@ class CMAESOptimizer(Optimizer):
     def __init__(
         self,
         space: ConfigurationSpace,
-        popsize: int | None = None,
-        sigma0: float = 0.3,
-        x0: Configuration | None = None,
         objectives: Objective | list[Objective] | None = None,
         seed: int | None = None,
     ) -> None:
         super().__init__(space, objectives, seed=seed)
         n = space.n_dims
         self.n = n
-        self.lam = popsize if popsize is not None else 4 + int(3 * math.log(n + 1e-9)) if n > 1 else 6
-        self.lam = max(4, int(self.lam))
-        if sigma0 <= 0:
-            raise OptimizerError(f"sigma0 must be positive, got {sigma0}")
+        self.lam = max(4, 4 + int(3 * math.log(n + 1e-9)) if n > 1 else 6)
         self.mu = self.lam // 2
         w = np.log(self.mu + 0.5) - np.log(np.arange(1, self.mu + 1))
         self.weights = w / w.sum()
@@ -72,9 +62,8 @@ class CMAESOptimizer(Optimizer):
         self.damps = 1.0 + 2.0 * max(0.0, math.sqrt((self.mueff - 1.0) / (n + 1.0)) - 1.0) + self.cs
         self.chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
 
-        start = x0 if x0 is not None else space.default_configuration()
-        self.mean = space.to_unit_array(start)
-        self.sigma = float(sigma0)
+        self.mean = space.to_unit_array(space.default_configuration())
+        self.sigma = SIGMA0
         self.C = np.eye(n)
         self.p_sigma = np.zeros(n)
         self.p_c = np.zeros(n)

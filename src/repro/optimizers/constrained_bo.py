@@ -28,6 +28,11 @@ from .model_based import ModelBasedOptimizer
 
 __all__ = ["ConstrainedBayesianOptimizer"]
 
+#: Constraint value recorded for crashed trials and missing metrics (strongly infeasible).
+CRASH_CONSTRAINT_VALUE = 1.0
+#: An acquisition × feasibility score at or below this is no information: chase feasibility alone.
+FEASIBILITY_FLOOR = 1e-6
+
 
 class ConstrainedBayesianOptimizer(ModelBasedOptimizer):
     """GP-EI weighted by the modelled probability of feasibility.
@@ -37,11 +42,6 @@ class ConstrainedBayesianOptimizer(ModelBasedOptimizer):
     constraint_metrics:
         Names of metrics the evaluator reports; feasible iff <= 0. E.g.
         report ``{"latency": ..., "mem_overrun_mb": used - budget}``.
-    crash_constraint_value:
-        Constraint value recorded for crashed trials (strongly infeasible).
-    feasibility_weight_floor:
-        Lower bound on the feasibility weight, so EI information is never
-        fully erased in unexplored regions.
     """
 
     def __init__(
@@ -50,8 +50,6 @@ class ConstrainedBayesianOptimizer(ModelBasedOptimizer):
         constraint_metrics: list[str],
         n_init: int = 8,
         n_candidates: int = 512,
-        crash_constraint_value: float = 1.0,
-        feasibility_weight_floor: float = 1e-6,
         objectives: Objective | list[Objective] | None = None,
         seed: int | None = None,
     ) -> None:
@@ -72,8 +70,6 @@ class ConstrainedBayesianOptimizer(ModelBasedOptimizer):
             seed=seed,
         )
         self.constraint_metrics = list(constraint_metrics)
-        self.crash_constraint_value = float(crash_constraint_value)
-        self.feasibility_weight_floor = float(feasibility_weight_floor)
         self.objective_model = self.model
         self.constraint_models = {name: new_gp() for name in self.constraint_metrics}
 
@@ -90,7 +86,7 @@ class ConstrainedBayesianOptimizer(ModelBasedOptimizer):
     def _constraint_value(self, trial: Trial, name: str) -> float:
         if trial.ok and name in trial.metrics:
             return trial.metrics[name]
-        return self.crash_constraint_value  # crashed or missing: infeasible
+        return CRASH_CONSTRAINT_VALUE
 
     def _fit(self) -> bool:
         # One encode per new trial; objective and constraint GPs share rows.
@@ -122,7 +118,7 @@ class ConstrainedBayesianOptimizer(ModelBasedOptimizer):
             c_mean, c_std = model.predict(X, return_std=True)
             weight *= _norm_cdf(-c_mean / np.maximum(c_std, 1e-12))
         scores = ei * weight
-        if scores.max() <= self.feasibility_weight_floor:
+        if scores.max() <= FEASIBILITY_FLOOR:
             # Nothing both promising and plausibly feasible: chase the most
             # plausibly feasible point instead of a confident violation.
             return cands[int(np.argmax(weight))]

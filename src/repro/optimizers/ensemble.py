@@ -23,6 +23,11 @@ from ..space import Configuration, ConfigurationSpace
 
 __all__ = ["EnsembleOptimizer"]
 
+#: Exploration constant of the allocation bandit.
+UCB_C = 1.0
+#: Exponential decay of past credit, so allocation tracks which technique is good *now*.
+CREDIT_DECAY = 0.95
+
 
 class EnsembleOptimizer(Optimizer):
     """Technique-allocating meta-optimizer.
@@ -32,35 +37,24 @@ class EnsembleOptimizer(Optimizer):
     members:
         Mapping name → optimizer factory ``space -> Optimizer``. Members
         must be single-objective and share this optimizer's objective.
-    ucb_c:
-        Exploration constant of the allocation bandit.
-    credit_decay:
-        Exponential decay of past credit, so allocation tracks which
-        technique is good *now* (search phases change).
     """
 
     def __init__(
         self,
         space: ConfigurationSpace,
         members: Mapping[str, Callable[[ConfigurationSpace], Optimizer]],
-        ucb_c: float = 1.0,
-        credit_decay: float = 0.95,
         objectives: Objective | Sequence[Objective] | None = None,
         seed: int | None = None,
     ) -> None:
         super().__init__(space, objectives, seed=seed)
         if len(members) < 2:
             raise OptimizerError("an ensemble needs at least 2 member techniques")
-        if not 0.0 < credit_decay <= 1.0:
-            raise OptimizerError(f"credit_decay must be in (0, 1], got {credit_decay}")
         self.members: dict[str, Optimizer] = {}
         for name, factory in members.items():
             member = factory(space)
             member.objectives = [self.objective]
             member.history.objectives = [self.objective]
             self.members[name] = member
-        self.ucb_c = float(ucb_c)
-        self.credit_decay = float(credit_decay)
         self._credit = {name: 0.0 for name in self.members}
         self._pulls = {name: 0 for name in self.members}
         self._pending: list[str] = []  # member that produced each suggestion
@@ -74,7 +68,7 @@ class EnsembleOptimizer(Optimizer):
         total = sum(self._pulls.values())
         scores = {
             name: self._credit[name] / self._pulls[name]
-            + self.ucb_c * math.sqrt(math.log(total) / self._pulls[name])
+            + UCB_C * math.sqrt(math.log(total) / self._pulls[name])
             for name in self.members
         }
         return max(scores, key=scores.get)
@@ -104,7 +98,7 @@ class EnsembleOptimizer(Optimizer):
         else:
             improvement = 0.0
         for name in self._credit:
-            self._credit[name] *= self.credit_decay
+            self._credit[name] *= CREDIT_DECAY
         if producer is not None:
             self._credit[producer] += min(1.0, improvement)
         # Shared result bank: the producer always learns from its own

@@ -458,35 +458,29 @@ class ForestStats:
         return {k: float(v) for k, v in asdict(self).items()}
 
 
-class RandomForestRegressor:
-    """Bagged regression trees with SMAC-style mean/variance prediction.
+#: A tree regrows during ``partial_fit`` once its pending bootstrap appends reach this
+#: fraction of its bootstrap size; one tree per call regrows regardless (round-robin).
+STALE_FRACTION = 0.25
+#: Share of the features each split of a forest tree considers.
+MAX_FEATURES = 0.8
 
-    Parameters
-    ----------
-    stale_fraction:
-        A tree regrows during :meth:`partial_fit` once its pending bootstrap
-        appends exceed this fraction of its bootstrap size; one tree per
-        call regrows regardless (round-robin) so structure tracks the data.
-    """
+
+class RandomForestRegressor:
+    """Bagged regression trees with SMAC-style mean/variance prediction."""
 
     def __init__(
         self,
         n_trees: int = 24,
         max_depth: int = 12,
         min_samples_leaf: int = 2,
-        max_features: float = 0.8,
         seed: int | None = None,
-        stale_fraction: float = 0.25,
     ) -> None:
         if n_trees < 1:
             raise OptimizerError(f"n_trees must be >= 1, got {n_trees}")
-        if not 0.0 < stale_fraction <= 1.0:
-            raise OptimizerError(f"stale_fraction must be in (0, 1], got {stale_fraction}")
         self.n_trees = int(n_trees)
-        self.stale_fraction = float(stale_fraction)
         self.rng = np.random.default_rng(seed)
         self._tree_params = dict(
-            max_depth=max_depth, min_samples_leaf=min_samples_leaf, max_features=max_features
+            max_depth=max_depth, min_samples_leaf=min_samples_leaf, max_features=MAX_FEATURES
         )
         self._trees: list[_TreeArrays] = []
         self._boot: list[np.ndarray] = []
@@ -540,7 +534,7 @@ class RandomForestRegressor:
         Each new row enters each tree's bootstrap with Poisson(1)
         multiplicity (Oza & Russell). Trees absorb their copies into leaf
         statistics immediately; a tree only regrows from its full bootstrap
-        once ``stale_fraction`` of it is pending (plus one round-robin
+        once ``STALE_FRACTION`` of it is pending (plus one round-robin
         regrow per call), so the per-call cost is a small, bounded slice of
         a full refit.
         """
@@ -573,7 +567,7 @@ class RandomForestRegressor:
         regrow = {
             t
             for t in range(self.n_trees)
-            if self._pending[t] >= self.stale_fraction * len(self._boot[t])
+            if self._pending[t] >= STALE_FRACTION * len(self._boot[t])
         }
         cursor = self._regrow_cursor % self.n_trees
         self._regrow_cursor += 1

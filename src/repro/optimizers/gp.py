@@ -41,6 +41,9 @@ from .kernels import ConstantKernel, Kernel, Matern, WhiteKernel
 
 __all__ = ["GaussianProcessRegressor", "SurrogateStats", "default_kernel"]
 
+#: Random restarts of the hyperparameter search, beside the start from the current θ.
+N_RESTARTS = 1
+
 
 def default_kernel(ard_dims: int | None = None) -> Kernel:
     """The BO workhorse: scaled Matérn-5/2 plus learned white noise."""
@@ -76,28 +79,22 @@ class GaussianProcessRegressor:
     optimize_hypers:
         Maximise the log marginal likelihood over kernel hyperparameters on
         each :meth:`fit`.
-    n_restarts:
-        Extra random restarts for the hyperparameter search.
     jitter:
         Diagonal stabiliser added before Cholesky.
-    normalize_y:
-        Standardise targets internally (predictions are de-standardised).
+
+    Targets are standardised internally (predictions are de-standardised).
     """
 
     def __init__(
         self,
         kernel: Kernel | None = None,
         optimize_hypers: bool = True,
-        n_restarts: int = 1,
         jitter: float = 1e-8,
-        normalize_y: bool = True,
         seed: int | None = None,
     ) -> None:
         self.kernel = kernel if kernel is not None else default_kernel()
         self.optimize_hypers = optimize_hypers
-        self.n_restarts = int(n_restarts)
         self.jitter = float(jitter)
-        self.normalize_y = normalize_y
         self.rng = np.random.default_rng(seed)
         self.stats = SurrogateStats()
         self._X: np.ndarray | None = None
@@ -120,11 +117,8 @@ class GaussianProcessRegressor:
             raise OptimizerError(f"X and y disagree: {len(X)} vs {len(y)}")
         if len(X) == 0:
             raise OptimizerError("cannot fit a GP to zero observations")
-        if self.normalize_y:
-            self._y_mean = float(y.mean())
-            self._y_std = float(y.std()) or 1.0
-        else:
-            self._y_mean, self._y_std = 0.0, 1.0
+        self._y_mean = float(y.mean())
+        self._y_std = float(y.std()) or 1.0
         self._y = (y - self._y_mean) / self._y_std
 
         if self.optimize_hypers and len(X) >= 2:
@@ -247,10 +241,10 @@ class GaussianProcessRegressor:
 
     def _optimize_theta(self) -> None:
         evals_before = self.stats.nll_evals
-        with span("gp.hyperopt", n_restarts=self.n_restarts, n_observations=len(self._X)) as op:
+        with span("gp.hyperopt", n_restarts=N_RESTARTS, n_observations=len(self._X)) as op:
             bounds = self.kernel.bounds
             starts = [self.kernel.theta.copy()]
-            for _ in range(self.n_restarts):
+            for _ in range(N_RESTARTS):
                 starts.append(self.rng.uniform(bounds[:, 0], bounds[:, 1]))
             best_theta, best_nll = starts[0], np.inf
             for start in starts:

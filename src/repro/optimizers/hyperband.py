@@ -21,6 +21,10 @@ from .multifidelity import HalvingRecord, successive_halving
 
 __all__ = ["HyperbandResult", "hyperband"]
 
+#: Smallest budget a bracket starts from, and the halving rate between rungs (Li et al.).
+MIN_BUDGET = 1.0
+ETA = 3.0
+
 
 @dataclass
 class HyperbandResult:
@@ -36,23 +40,20 @@ def hyperband(
     space: ConfigurationSpace,
     evaluate: Callable[[Configuration, float], float],
     max_budget: float,
-    min_budget: float = 1.0,
-    eta: float = 3.0,
     rng: np.random.Generator | None = None,
     minimize: bool = True,
 ) -> HyperbandResult:
     """Run Hyperband over random configurations from ``space``.
 
     ``evaluate(config, budget)`` returns a score at the given budget;
-    budgets range geometrically from ``min_budget`` to ``max_budget``.
+    budgets range geometrically (factor :data:`ETA`) from :data:`MIN_BUDGET`
+    to ``max_budget``.
     Evaluation cost is accounted as the budget spent.
     """
-    if max_budget <= min_budget:
-        raise OptimizerError(f"max_budget must exceed min_budget, got {min_budget}..{max_budget}")
-    if eta <= 1.0:
-        raise OptimizerError(f"eta must be > 1, got {eta}")
+    if max_budget <= MIN_BUDGET:
+        raise OptimizerError(f"max_budget must exceed {MIN_BUDGET}, got {max_budget}")
     rng = rng if rng is not None else np.random.default_rng(0)
-    s_max = int(math.floor(math.log(max_budget / min_budget, eta)))
+    s_max = int(math.floor(math.log(max_budget / MIN_BUDGET, ETA)))
     best_config: Configuration | None = None
     best_score = math.inf
     sign = 1.0 if minimize else -1.0
@@ -60,8 +61,8 @@ def hyperband(
     brackets: list[list[HalvingRecord]] = []
 
     for s in range(s_max, -1, -1):
-        n = int(math.ceil((s_max + 1) / (s + 1) * eta**s))
-        budgets = [max_budget * eta ** (i - s) for i in range(s + 1)]
+        n = int(math.ceil((s_max + 1) / (s + 1) * ETA**s))
+        budgets = [max_budget * ETA ** (i - s) for i in range(s + 1)]
         candidates = space.sample_many(n, rng)
 
         spent = {"v": 0.0}
@@ -71,7 +72,7 @@ def hyperband(
             return evaluate(config, budget)
 
         winner, records = successive_halving(
-            candidates, tracked, budgets, eta=eta, minimize=minimize
+            candidates, tracked, budgets, eta=ETA, minimize=minimize
         )
         total_cost += spent["v"]
         brackets.append(records)

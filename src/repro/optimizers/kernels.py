@@ -107,11 +107,12 @@ def _require_no_x2(X2: np.ndarray | None) -> None:
 class ConstantKernel(Kernel):
     """K(x, x') = variance. Scales other kernels via products."""
 
-    def __init__(self, variance: float = 1.0, bounds: tuple[float, float] = (1e-4, 1e4)) -> None:
+    _BOUNDS = (1e-4, 1e4)
+
+    def __init__(self, variance: float = 1.0) -> None:
         if variance <= 0:
             raise OptimizerError(f"variance must be positive, got {variance}")
         self.variance = float(variance)
-        self._bounds = bounds
 
     def __call__(self, X1: np.ndarray, X2: np.ndarray | None = None, eval_gradient: bool = False):
         n2 = len(X1) if X2 is None else len(X2)
@@ -136,7 +137,7 @@ class ConstantKernel(Kernel):
 
     @property
     def bounds(self) -> np.ndarray:
-        return np.log(np.array([self._bounds]))
+        return np.log(np.array([self._BOUNDS]))
 
 
 class WhiteKernel(Kernel):
@@ -146,11 +147,12 @@ class WhiteKernel(Kernel):
     measurement noise and starts averaging it out.
     """
 
-    def __init__(self, noise: float = 1e-3, bounds: tuple[float, float] = (1e-8, 1e2)) -> None:
+    _BOUNDS = (1e-8, 1e2)
+
+    def __init__(self, noise: float = 1e-3) -> None:
         if noise <= 0:
             raise OptimizerError(f"noise must be positive, got {noise}")
         self.noise = float(noise)
-        self._bounds = bounds
 
     def __call__(self, X1: np.ndarray, X2: np.ndarray | None = None, eval_gradient: bool = False):
         K = self.noise * np.eye(len(X1)) if X2 is None else np.zeros((len(X1), len(X2)))
@@ -174,7 +176,7 @@ class WhiteKernel(Kernel):
 
     @property
     def bounds(self) -> np.ndarray:
-        return np.log(np.array([self._bounds]))
+        return np.log(np.array([self._BOUNDS]))
 
 
 class _StationaryKernel(Kernel):
@@ -187,12 +189,13 @@ class _StationaryKernel(Kernel):
     rescales cached differences instead of recomputing them.
     """
 
-    def __init__(self, length_scale: float | np.ndarray = 1.0, bounds: tuple[float, float] = (1e-3, 1e3)) -> None:
+    _BOUNDS = (1e-3, 1e3)
+
+    def __init__(self, length_scale: float | np.ndarray = 1.0) -> None:
         ls = np.atleast_1d(np.asarray(length_scale, dtype=float))
         if np.any(ls <= 0):
             raise OptimizerError(f"length_scale must be positive, got {length_scale}")
         self.length_scale = ls
-        self._bounds = bounds
         self._diff_ref: weakref.ref | None = None
         self._diff_cache: np.ndarray | None = None
         self.cache_hits = 0
@@ -254,7 +257,7 @@ class _StationaryKernel(Kernel):
 
     @property
     def bounds(self) -> np.ndarray:
-        return np.log(np.tile(np.array([self._bounds]), (len(self.length_scale), 1)))
+        return np.log(np.tile(np.array([self._BOUNDS]), (len(self.length_scale), 1)))
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         return np.ones(len(X))
@@ -284,13 +287,8 @@ class Matern(_StationaryKernel):
 
     _SUPPORTED_NU = (0.5, 1.5, 2.5)
 
-    def __init__(
-        self,
-        length_scale: float | np.ndarray = 1.0,
-        nu: float = 2.5,
-        bounds: tuple[float, float] = (1e-3, 1e3),
-    ) -> None:
-        super().__init__(length_scale, bounds)
+    def __init__(self, length_scale: float | np.ndarray = 1.0, nu: float = 2.5) -> None:
+        super().__init__(length_scale)
         if nu not in self._SUPPORTED_NU:
             raise OptimizerError(f"nu must be one of {self._SUPPORTED_NU}, got {nu}")
         self.nu = float(nu)

@@ -156,7 +156,7 @@ class ModelBasedOptimizer(Optimizer):
         Failed trials enter with live-imputed penalty scores: the model must
         learn where the crash region is, on the current y-scale.
         """
-        trials, y = self.history.training_data(self.objective, self.crash_penalty_factor)
+        trials, y = self.history.training_data(self.objective)
         return trials, self._encoding_cache.encode_trials(trials), y
 
     def surrogate_stats(self) -> dict[str, float]:

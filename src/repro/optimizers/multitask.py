@@ -20,7 +20,7 @@ from ..core import Objective, Trial
 from ..exceptions import NotFittedError, OptimizerError
 from ..space import Configuration, ConfigurationSpace
 from ..space.encoding import OrdinalEncoder
-from .kernels import Kernel, Matern
+from .kernels import Matern
 from .model_based import ModelBasedOptimizer
 
 __all__ = ["MultiOutputGP", "MultiTaskOptimizer"]
@@ -36,17 +36,13 @@ class MultiOutputGP:
     def __init__(
         self,
         n_tasks: int,
-        input_kernel: Kernel | None = None,
-        noise: float = 1e-3,
-        optimize_hypers: bool = True,
         seed: int | None = None,
     ) -> None:
         if n_tasks < 2:
             raise OptimizerError(f"need >= 2 tasks, got {n_tasks}")
         self.n_tasks = int(n_tasks)
-        self.input_kernel = input_kernel if input_kernel is not None else Matern(0.3, nu=2.5)
-        self.noise = float(noise)
-        self.optimize_hypers = optimize_hypers
+        self.input_kernel = Matern(0.3, nu=2.5)
+        self.noise = 1e-3  # initial value; learned with the kernel hyperparameters
         self.rng = np.random.default_rng(seed)
         # Task covariance parameters: W (n_tasks,) rank-1 + diagonal v.
         self._w = np.ones(self.n_tasks)
@@ -87,7 +83,7 @@ class MultiOutputGP:
                 self._y_std[t] = float(y[mask].std()) or 1.0
             y_std[mask] = (y[mask] - self._y_mean[t]) / self._y_std[t]
         self._X, self._tasks, self._y = X, tasks, y_std
-        if self.optimize_hypers and len(X) >= 4:
+        if len(X) >= 4:
             self._optimize()
         self._recompute()
         return self

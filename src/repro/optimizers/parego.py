@@ -104,15 +104,12 @@ class _ScalarizingBO(ModelBasedOptimizer):
 class ParEGOOptimizer(_ScalarizingBO):
     """Augmented Tchebycheff: g(f) = max_i θᵢ fᵢ + ρ Σ θᵢ fᵢ."""
 
-    def __init__(self, *args, rho: float = 0.05, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if rho < 0:
-            raise OptimizerError(f"rho must be >= 0, got {rho}")
-        self.rho = float(rho)
+    #: Weight of the sum term that breaks the Tchebycheff max's ties.
+    RHO = 0.05
 
     def _scalarize(self, F_norm: np.ndarray, weights: np.ndarray) -> np.ndarray:
         weighted = F_norm * weights
-        return weighted.max(axis=1) + self.rho * weighted.sum(axis=1)
+        return weighted.max(axis=1) + self.RHO * weighted.sum(axis=1)
 
 
 class LinearScalarizationOptimizer(_ScalarizingBO):

@@ -16,6 +16,13 @@ from ..space import Configuration, ConfigurationSpace
 
 __all__ = ["ParticleSwarmOptimizer"]
 
+#: Velocity persistence w.
+INERTIA = 0.7
+#: Attraction strengths toward personal (c1) and global (c2) bests.
+COGNITIVE = SOCIAL = 1.5
+#: Velocity clamp in unit-cube units.
+V_MAX = 0.25
+
 
 class ParticleSwarmOptimizer(Optimizer):
     """Canonical PSO with inertia weight.
@@ -24,12 +31,6 @@ class ParticleSwarmOptimizer(Optimizer):
     ----------
     n_particles:
         Swarm size.
-    inertia:
-        Velocity persistence w.
-    cognitive, social:
-        Attraction strengths toward personal (c1) and global (c2) bests.
-    v_max:
-        Velocity clamp in unit-cube units.
     """
 
     #: Observations are matched to suggestions by queue order, so
@@ -40,28 +41,17 @@ class ParticleSwarmOptimizer(Optimizer):
         self,
         space: ConfigurationSpace,
         n_particles: int = 12,
-        inertia: float = 0.7,
-        cognitive: float = 1.5,
-        social: float = 1.5,
-        v_max: float = 0.25,
         objectives: Objective | list[Objective] | None = None,
         seed: int | None = None,
     ) -> None:
         super().__init__(space, objectives, seed=seed)
         if n_particles < 2:
             raise OptimizerError(f"need at least 2 particles, got {n_particles}")
-        for name, v in [("inertia", inertia), ("cognitive", cognitive), ("social", social)]:
-            if v < 0:
-                raise OptimizerError(f"{name} must be >= 0, got {v}")
         self.n_particles = int(n_particles)
-        self.inertia = float(inertia)
-        self.cognitive = float(cognitive)
-        self.social = float(social)
-        self.v_max = float(v_max)
 
         n = space.n_dims
         self.positions = self.rng.random((self.n_particles, n))
-        self.velocities = self.rng.uniform(-v_max, v_max, (self.n_particles, n))
+        self.velocities = self.rng.uniform(-V_MAX, V_MAX, (self.n_particles, n))
         self.pbest_pos = self.positions.copy()
         self.pbest_score = np.full(self.n_particles, np.inf)
         self.gbest_pos = self.positions[0].copy()
@@ -82,11 +72,11 @@ class ParticleSwarmOptimizer(Optimizer):
         r1 = self.rng.random(self.positions.shape)
         r2 = self.rng.random(self.positions.shape)
         self.velocities = (
-            self.inertia * self.velocities
-            + self.cognitive * r1 * (self.pbest_pos - self.positions)
-            + self.social * r2 * (self.gbest_pos[None, :] - self.positions)
+            INERTIA * self.velocities
+            + COGNITIVE * r1 * (self.pbest_pos - self.positions)
+            + SOCIAL * r2 * (self.gbest_pos[None, :] - self.positions)
         )
-        np.clip(self.velocities, -self.v_max, self.v_max, out=self.velocities)
+        np.clip(self.velocities, -V_MAX, V_MAX, out=self.velocities)
         self.positions = np.clip(self.positions + self.velocities, 0.0, 1.0)
 
     def _on_observe(self, trial: Trial) -> None:

@@ -8,7 +8,7 @@ model-guided suggestion is random — SMAC's guarantee against model lock-in.
 The suggest hot path is fully batched: candidates come from
 :func:`~repro.optimizers.acquisition.generate_candidates` (two vectorized
 space calls instead of 512 Python-loop samples), the forest refits on a
-cadence (``refit_every``, mirroring the GP's contract) with warm
+cadence (``REFIT_EVERY``, mirroring the GP's contract) with warm
 ``partial_fit`` updates in between, and ``suggest(n>1)`` amortizes one fit
 across the whole batch via constant-liar fantasies on a shared routed
 candidate pool.
@@ -23,11 +23,13 @@ from ..exceptions import OptimizerError
 from ..telemetry.spans import span
 from ..space import Configuration, ConfigurationSpace
 from ..space.encoding import OneHotEncoder
-from .acquisition import AcquisitionFunction
 from .forest import RandomForestRegressor
 from .model_based import NUMERICAL_ERRORS, ModelBasedOptimizer
 
 __all__ = ["SMACOptimizer"]
+
+#: Every k-th fit grows the forest from scratch; the fits in between are warm ``partial_fit`` updates.
+REFIT_EVERY = 8
 
 
 class SMACOptimizer(ModelBasedOptimizer):
@@ -43,11 +45,12 @@ class SMACOptimizer(ModelBasedOptimizer):
         the interleave cycle — the ``n_init`` random phase does not shift it.
     n_candidates:
         Candidate-set size for acquisition maximisation.
-    refit_every:
-        Grow the forest from scratch every k-th fit; the fits in between are
-        warm :meth:`~repro.optimizers.forest.RandomForestRegressor.partial_fit`
-        updates (online bagging + bounded regrowth). The same cadence
-        contract as the GP's hyperparameter refits.
+
+    The forest grows from scratch every :data:`REFIT_EVERY`-th fit; the fits
+    in between are warm
+    :meth:`~repro.optimizers.forest.RandomForestRegressor.partial_fit`
+    updates (online bagging + bounded regrowth). The same cadence contract as
+    the GP's hyperparameter refits.
     """
 
     def __init__(
@@ -57,10 +60,8 @@ class SMACOptimizer(ModelBasedOptimizer):
         interleave: int = 4,
         n_candidates: int = 512,
         n_trees: int = 24,
-        acquisition: AcquisitionFunction | None = None,
         objectives: Objective | list[Objective] | None = None,
         seed: int | None = None,
-        refit_every: int = 8,
     ) -> None:
         if interleave < 0:
             raise OptimizerError(f"interleave must be >= 0, got {interleave}")
@@ -70,12 +71,10 @@ class SMACOptimizer(ModelBasedOptimizer):
             model=RandomForestRegressor(n_trees=n_trees, seed=seed),
             n_init=n_init,
             n_candidates=n_candidates,
-            acquisition=acquisition,
             objectives=objectives,
             seed=seed,
         )
         self.interleave = int(interleave)
-        self.refit_every = max(1, int(refit_every))
         # Model-guided suggestions only: the n_init random phase must not
         # shift the interleave cycle.
         self._suggestion_count = 0
@@ -93,7 +92,7 @@ class SMACOptimizer(ModelBasedOptimizer):
         k = len(self._fitted_ids)
         warm = (
             self.model.is_fitted
-            and self._fit_count % self.refit_every != 0
+            and self._fit_count % REFIT_EVERY != 0
             and len(ids) > k
             and ids[:k] == self._fitted_ids
             and np.array_equal(y[:k], self._fitted_y)

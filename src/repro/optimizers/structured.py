@@ -17,7 +17,6 @@ import numpy as np
 from ..core import Objective
 from ..space import Configuration, ConfigurationSpace
 from ..space.encoding import OrdinalEncoder
-from .acquisition import AcquisitionFunction
 from .gp import GaussianProcessRegressor, default_kernel
 from .model_based import ModelBasedOptimizer
 
@@ -39,7 +38,6 @@ class StructuredBayesianOptimizer(ModelBasedOptimizer):
         n_init: int = 8,
         n_candidates: int = 384,
         min_group_size: int = 4,
-        acquisition: AcquisitionFunction | None = None,
         objectives: Objective | list[Objective] | None = None,
         seed: int | None = None,
     ) -> None:
@@ -48,7 +46,6 @@ class StructuredBayesianOptimizer(ModelBasedOptimizer):
             encoder=OrdinalEncoder(space),
             n_init=n_init,
             n_candidates=n_candidates,
-            acquisition=acquisition,
             objectives=objectives,
             seed=seed,
         )

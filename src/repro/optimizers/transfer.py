@@ -40,17 +40,15 @@ def warm_start_from_history(
     optimizer: Optimizer,
     trials: list[Trial],
     top_fraction: float = 0.3,
-    include_failures: bool = True,
-    include_middling: bool = False,
 ) -> int:
     """Seed ``optimizer`` with selected trials from a prior run.
 
     * the best ``top_fraction`` of completed trials transfer with their
       scores ("good samples: reuse results");
-    * crashed/aborted trials always transfer when ``include_failures``
-      ("bad samples: reuse everywhere");
-    * the middle of the distribution transfers only when asked
-      ("poor samples: unclear — could be good in this case?").
+    * crashed/aborted trials always transfer ("bad samples: reuse
+      everywhere");
+    * the middle of the distribution does not ("poor samples: unclear —
+      could be good in this case?").
 
     Returns the number of trials ingested.
     """
@@ -61,15 +59,11 @@ def warm_start_from_history(
     failed = [t for t in trials if t.status in (TrialStatus.FAILED, TrialStatus.ABORTED)]
     completed.sort(key=lambda t: obj.score(t.metric(obj.name)))
     n_top = max(1, int(np.ceil(len(completed) * top_fraction))) if completed else 0
-    selected = completed[:n_top]
-    if include_middling:
-        selected = completed
-    count = optimizer.warm_start(selected)
-    if include_failures:
-        for t in failed:
-            config = config_from_values(t.config.as_dict(), optimizer.space)
-            optimizer.observe_failure(config, cost=t.cost, status=t.status)
-            count += 1
+    count = optimizer.warm_start(completed[:n_top])
+    for t in failed:
+        config = config_from_values(t.config.as_dict(), optimizer.space)
+        optimizer.observe_failure(config, cost=t.cost, status=t.status)
+        count += 1
     return count
 
 
@@ -100,7 +94,7 @@ class PriorBank:
     def add(self, run: PriorRun) -> None:
         self._runs.append(run)
 
-    def _standardised_signatures(self) -> np.ndarray:
+    def _standardised_signatures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         sigs = np.stack([r.signature() for r in self._runs])
         mean = sigs.mean(axis=0)
         std = sigs.std(axis=0)
@@ -123,7 +117,6 @@ class PriorBank:
         workload: Workload,
         k: int = 1,
         max_distance: float | None = None,
-        top_fraction: float = 0.3,
     ) -> int:
         """Warm-start from the nearest compatible run(s).
 
@@ -132,17 +125,10 @@ class PriorBank:
         """
         count = 0
         for run, dist in self.nearest(workload, k):
-            similar = max_distance is None or dist <= max_distance
-            count += warm_start_from_history(
-                optimizer,
-                run.trials,
-                top_fraction=top_fraction if similar else 1.0,
-                include_failures=True,
-                include_middling=False,
-            ) if similar else warm_start_from_history(
-                optimizer, [t for t in run.trials if t.status is not TrialStatus.SUCCEEDED],
-                include_failures=True,
-            )
+            trials = run.trials
+            if max_distance is not None and dist > max_distance:
+                trials = [t for t in trials if t.status is not TrialStatus.SUCCEEDED]
+            count += warm_start_from_history(optimizer, trials)
         return count
 
 

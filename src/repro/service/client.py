@@ -259,28 +259,20 @@ class ServiceClient:
         return await self.request("POST", f"/sessions/{session_id}/complete")
 
     # -- convenience --------------------------------------------------------
-    async def run_session(
-        self,
-        session_id: str,
-        evaluate,
-        batch: int = 1,
-        report_prefix: str | None = None,
-    ) -> dict[str, Any]:
+    async def run_session(self, session_id: str, evaluate) -> dict[str, Any]:
         """Drive one session's full ask/evaluate/tell loop from the client.
 
         ``evaluate(config_dict) -> metrics dict`` runs locally. Reports use
-        deterministic ids (``{prefix}-{ask_id}``) so the loop survives
+        deterministic ids (``{session_id}-{ask_id}``) so the loop survives
         server restarts mid-campaign without duplicating trials.
         """
-        prefix = report_prefix or session_id
         outage = 0  # consecutive failed polls; resets once the server answers
         while True:
             try:
                 status = await self.status(session_id)
                 if status["complete"]:
                     return status
-                want = min(batch, status["max_trials"] - status["n_trials"])
-                suggestions = await self.ask(session_id, n=want)
+                suggestions = await self.ask(session_id)
             except (ServiceError, *_CONNECTION_ERRORS) as err:
                 if isinstance(err, ServiceError) and err.status == 400:  # completed concurrently
                     return await self.status(session_id)
@@ -298,6 +290,6 @@ class ServiceClient:
                     config=suggestion.config,
                     metrics=metrics,
                     ask_id=suggestion.ask_id,
-                    report_id=f"{prefix}-{suggestion.ask_id}",
+                    report_id=f"{session_id}-{suggestion.ask_id}",
                 )
                 await self.tell_reliably(session_id, report)

@@ -67,14 +67,9 @@ class _Hosted:
 
 
 class ServiceHandlers:
-    def __init__(
-        self,
-        manager: SessionManager,
-        metrics: MetricsRegistry | None = None,
-        step_workers: int = 4,
-    ) -> None:
+    def __init__(self, manager: SessionManager, step_workers: int = 4) -> None:
         self.manager = manager
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         #: The service-wide trace: ``http.request`` spans and the optimizer
         #: spans they enclose are recorded here (with the *caller's* trace
         #: id when the request carried a ``traceparent``). Share the service

@@ -88,6 +88,14 @@ class TuningServer:
         retry_after_s: float = 0.1,
         fault_hook: Any | None = None,
     ) -> None:
+        if max_in_flight < 1:
+            raise ReproError(f"max_in_flight must be >= 1, got {max_in_flight}")
+        if queue_depth < 0:
+            raise ReproError(f"queue_depth must be >= 0, got {queue_depth}")
+        if request_timeout_s is not None and request_timeout_s <= 0:
+            raise ReproError(f"request_timeout_s must be > 0 or None, got {request_timeout_s}")
+        if retry_after_s < 0:
+            raise ReproError(f"retry_after_s must be >= 0, got {retry_after_s}")
         self.handlers = handlers
         self.host = host
         self.port = port
@@ -429,9 +437,6 @@ async def serve(
     backend: str | None = None,
     step_workers: int = 4,
     ready: Callable[["TuningServer"], None] | None = None,
-    max_in_flight: int = 64,
-    queue_depth: int = 128,
-    request_timeout_s: float | None = 30.0,
 ) -> None:
     """Open the store, start a :class:`TuningServer`, and serve until cancelled.
 
@@ -444,14 +449,7 @@ async def serve(
 
     manager = SessionManager(open_store(store_path, backend=backend))
     handlers = ServiceHandlers(manager, step_workers=step_workers)
-    server = TuningServer(
-        handlers,
-        host=host,
-        port=port,
-        max_in_flight=max_in_flight,
-        queue_depth=queue_depth,
-        request_timeout_s=request_timeout_s,
-    )
+    server = TuningServer(handlers, host=host, port=port)
     await server.start()
     if ready is not None:
         ready(server)

@@ -165,7 +165,6 @@ class LlamaTuneAdapter(SpaceAdapter):
         d: int = 8,
         n_buckets: int | None = 16,
         special_values: Mapping[str, Sequence[float]] | None = None,
-        bias: float = 0.2,
         seed: int | None = None,
     ) -> None:
         super().__init__(target_space)
@@ -173,11 +172,7 @@ class LlamaTuneAdapter(SpaceAdapter):
         self._bucketize = (
             BucketizationAdapter(target_space, n_buckets) if n_buckets else None
         )
-        self._special = (
-            SpecialValuesAdapter(target_space, special_values, bias=bias)
-            if special_values
-            else None
-        )
+        self._special = SpecialValuesAdapter(target_space, special_values) if special_values else None
 
     @property
     def adapted_space(self) -> ConfigurationSpace:

@@ -129,10 +129,10 @@ class HistogramPrior(Prior):
         self.bin_weights = w / w.sum()
 
     @classmethod
-    def from_samples(cls, unit_values: Sequence[float], n_bins: int = 10, smoothing: float = 1.0) -> "HistogramPrior":
-        """Build a prior from unit-interval samples with Laplace smoothing."""
+    def from_samples(cls, unit_values: Sequence[float], n_bins: int = 10) -> "HistogramPrior":
+        """Build a prior from unit-interval samples with Laplace (add-one) smoothing."""
         counts, _ = np.histogram(np.asarray(unit_values, dtype=float), bins=n_bins, range=(0.0, 1.0))
-        return cls(counts + smoothing)
+        return cls(counts + 1.0)
 
     @property
     def n_bins(self) -> int:

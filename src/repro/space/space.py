@@ -314,15 +314,15 @@ class ConfigurationSpace:
         config: Configuration,
         rng: np.random.Generator | None = None,
         scale: float = 0.1,
-        n_moves: int = 1,
     ) -> Configuration:
-        """Perturb ``n_moves`` random active knobs (annealing / GA mutation)."""
+        """Perturb one random active knob (annealing / GA mutation)."""
         rng = rng if rng is not None else self._rng
         values = config.as_dict()
         active = sorted(config.active)
         for _ in range(self._MAX_SAMPLE_ATTEMPTS // 100):
             candidate = dict(values)
-            moved = rng.choice(active, size=min(n_moves, len(active)), replace=False)
+            # One knob; drawn as an array because recorded trajectories pin this exact rng call.
+            moved = rng.choice(active, size=min(1, len(active)), replace=False)
             for name in moved:
                 candidate[name] = self._params[name].neighbor(candidate[name], rng, scale)
             try:

@@ -17,7 +17,6 @@ kind                              severity   emitted by
 ================================  =========  ===================================
 ``executor.retry``                warning    retry with backoff scheduled
 ``executor.timeout``              warning    trial hit its wall-clock deadline
-``benchmark.early_abort``         info       early-abort policy censored a trial
 ``guardrail.violation``           warning    online guardrail flagged regression
 ``agent.rollback``                warning    agent restored last safe config
 ``agent.crash``                   error      online step crashed the system

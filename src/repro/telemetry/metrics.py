@@ -41,9 +41,9 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
 
-def _prom_name(name: str, prefix: str) -> str:
+def _prom_name(name: str) -> str:
     sanitized = _NAME_RE.sub("_", name)
-    return prefix + sanitized if not sanitized.startswith(prefix) else sanitized
+    return "repro_" + sanitized if not sanitized.startswith("repro_") else sanitized
 
 
 class Histogram:
@@ -155,11 +155,11 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = float(value)
 
-    def observe(self, name: str, value: float, buckets: Iterable[float] | None = None) -> None:
+    def observe(self, name: str, value: float) -> None:
         with self._lock:
             hist = self._histograms.get(name)
             if hist is None:
-                hist = self._histograms[name] = Histogram(buckets or DEFAULT_LATENCY_BUCKETS)
+                hist = self._histograms[name] = Histogram()
             hist.observe(value)
 
     # -- reading ------------------------------------------------------------
@@ -206,24 +206,24 @@ class MetricsRegistry:
                 "histograms": {name: h.to_dict() for name, h in self._histograms.items()},
             }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, default=str)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, default=str)
 
-    def to_prometheus(self, prefix: str = "repro_") -> str:
+    def to_prometheus(self) -> str:
         """Prometheus text exposition format (version 0.0.4)."""
         with self._lock:
             lines: list[str] = []
             for name in sorted(self._counters):
-                metric = _prom_name(name, prefix)
+                metric = _prom_name(name)
                 lines.append(f"# TYPE {metric} counter")
                 lines.append(f"{metric} {self._counters[name]:g}")
             for name in sorted(self._gauges):
-                metric = _prom_name(name, prefix)
+                metric = _prom_name(name)
                 lines.append(f"# TYPE {metric} gauge")
                 lines.append(f"{metric} {self._gauges[name]:g}")
             for name in sorted(self._histograms):
                 hist = self._histograms[name]
-                metric = _prom_name(name, prefix)
+                metric = _prom_name(name)
                 lines.append(f"# TYPE {metric} histogram")
                 cumulative = 0
                 for bound, count in zip(hist.bounds, hist.counts):

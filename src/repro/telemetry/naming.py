@@ -57,7 +57,6 @@ EVENT_KINDS: frozenset[str] = frozenset(
     {
         "executor.timeout",
         "executor.retry",
-        "benchmark.early_abort",
         "guardrail.violation",
         "agent.crash",
         "agent.rollback",

@@ -121,9 +121,9 @@ def new_span_id() -> str:
     return uuid.uuid4().hex[:16]
 
 
-def format_traceparent(trace_id: str, span_id: str | None = None) -> str:
-    """Render a W3C ``traceparent`` header value (version 00, sampled)."""
-    return f"00-{trace_id}-{span_id or new_span_id()}-01"
+def format_traceparent(trace_id: str) -> str:
+    """Render a W3C ``traceparent`` header value (version 00, sampled) under a fresh span id."""
+    return f"00-{trace_id}-{new_span_id()}-01"
 
 
 def parse_traceparent(header: str | None) -> TraceContext | None:

@@ -90,8 +90,6 @@ class SessionTrace:
         self,
         name: str = "tuning-session",
         max_ops: int = 100_000,
-        max_events: int = 4096,
-        trace_id: str | None = None,
     ) -> None:
         self.name = name
         self.started_s = time.monotonic()
@@ -100,9 +98,9 @@ class SessionTrace:
         #: is active default to it unless an inbound context is already
         #: bound — the server binds the client's ``traceparent`` first, so
         #: cross-process spans stitch under the *caller's* id.
-        self.trace_id = trace_id if trace_id is not None else _spans.new_trace_id()
+        self.trace_id = _spans.new_trace_id()
         self.metrics = MetricsRegistry()
-        self.events = EventLog(maxlen=max_events)
+        self.events = EventLog()
         self.max_ops = int(max_ops)
         self.ops: deque[OpSpan] = deque(maxlen=self.max_ops)
         self.ops_recorded = 0

@@ -101,8 +101,6 @@ class WorkloadEmbedder:
         Embedding dimensionality.
     n_steps:
         Telemetry length per workload observation.
-    noise:
-        Telemetry noise level (the realism knob).
     """
 
     def __init__(
@@ -111,7 +109,6 @@ class WorkloadEmbedder:
         use_query_log: bool = True,
         n_components: int = 4,
         n_steps: int = 128,
-        noise: float = 0.04,
         seed: int | None = None,
     ) -> None:
         if not (use_telemetry or use_query_log):
@@ -119,7 +116,6 @@ class WorkloadEmbedder:
         self.use_telemetry = use_telemetry
         self.use_query_log = use_query_log
         self.n_steps = int(n_steps)
-        self.noise = float(noise)
         self.rng = np.random.default_rng(seed)
         self.projection = PCAEmbedding(n_components)
         self._fitted = False
@@ -138,12 +134,11 @@ class WorkloadEmbedder:
     def _observe_telemetry(self, workload: Workload) -> TelemetryTrace:
         from ..sysim.telemetry import generate_telemetry
 
-        return generate_telemetry(workload, n_steps=self.n_steps, noise=self.noise, rng=self.rng)
+        return generate_telemetry(workload, n_steps=self.n_steps, rng=self.rng)
 
-    def fit(self, workloads: list[Workload], observations_per_workload: int = 3) -> "WorkloadEmbedder":
-        X = np.stack(
-            [self.raw_features(w) for w in workloads for _ in range(observations_per_workload)]
-        )
+    def fit(self, workloads: list[Workload]) -> "WorkloadEmbedder":
+        """Fit the projection on three (stochastic) observations of each workload."""
+        X = np.stack([self.raw_features(w) for w in workloads for _ in range(3)])
         self.projection.fit(X)
         self._fitted = True
         return self

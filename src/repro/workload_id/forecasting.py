@@ -85,8 +85,8 @@ class SeasonalForecaster:
             out.append(float(seasonal + resid))
         return np.array(out)
 
-    def detect_anomaly(self, value: float, z: float = 3.0) -> bool:
-        """Is the next observation far outside the forecast band?
+    def detect_anomaly(self, value: float) -> bool:
+        """Is the next observation more than 3 residual sigmas off the forecast?
 
         A cheap workload-shift signal that complements the embedding-based
         detectors in :mod:`repro.workload_id.shift_detection`.
@@ -94,4 +94,4 @@ class SeasonalForecaster:
         if not self.is_fitted or self._resid_std <= 0:
             return False
         expected = self.forecast(1)[0]
-        return abs(value - expected) > z * self._resid_std
+        return abs(value - expected) > 3.0 * self._resid_std

@@ -34,24 +34,23 @@ class WindowShiftDetector:
     threshold_z:
         Alarm when the window-mean distance exceeds mean + z·std of the
         reference self-distances.
-    cooldown:
-        Steps to suppress repeated alarms after one fires (the detector
-        re-references on alarm).
     """
+
+    #: Steps to suppress repeated alarms after one fires (the detector
+    #: re-references on alarm).
+    COOLDOWN = 10
 
     def __init__(
         self,
         reference_size: int = 20,
         window: int = 8,
         threshold_z: float = 4.0,
-        cooldown: int = 10,
     ) -> None:
         if reference_size < 4 or window < 2:
             raise ReproError("reference_size must be >= 4 and window >= 2")
         self.reference_size = int(reference_size)
         self.window = int(window)
         self.threshold_z = float(threshold_z)
-        self.cooldown = int(cooldown)
         self._reference: list[np.ndarray] = []
         self._window: deque[np.ndarray] = deque(maxlen=self.window)
         self._ref_mean: np.ndarray | None = None
@@ -88,7 +87,7 @@ class WindowShiftDetector:
         z = (dist - self._dist_mean) / self._dist_std
         if z > self.threshold_z:
             self.alarms.append(self._step)
-            self._cooldown_left = self.cooldown
+            self._cooldown_left = self.COOLDOWN
             emit_event(
                 "workload.shift", severity="warning",
                 message=f"window distance z={z:.2f} exceeded threshold {self.threshold_z:g}",
@@ -105,12 +104,14 @@ class WindowShiftDetector:
 class PageHinkleyDetector:
     """Page–Hinkley sequential test on a scalar statistic."""
 
-    def __init__(self, delta: float = 0.02, threshold: float = 1.0, burn_in: int = 10) -> None:
+    #: Observations after a (re)start during which no alarm fires.
+    BURN_IN = 10
+
+    def __init__(self, delta: float = 0.02, threshold: float = 1.0) -> None:
         if threshold <= 0:
             raise ReproError(f"threshold must be positive, got {threshold}")
         self.delta = float(delta)
         self.threshold = float(threshold)
-        self.burn_in = int(burn_in)
         self._mean = 0.0
         self._n = 0
         self._cum = 0.0
@@ -122,7 +123,7 @@ class PageHinkleyDetector:
         self._mean += (value - self._mean) / self._n
         self._cum += value - self._mean - self.delta
         self._min_cum = min(self._min_cum, self._cum)
-        if self._n <= self.burn_in:
+        if self._n <= self.BURN_IN:
             return False
         if self._cum - self._min_cum > self.threshold:
             self.alarms.append(self._n - 1)

@@ -19,6 +19,10 @@ __all__ = [
     "clustering_accuracy",
 ]
 
+#: k-means restarts (single inits routinely merge nearby clusters) and Lloyd iterations at most.
+N_INIT = 8
+N_ITER = 50
+
 
 def _pairwise_sq(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     return (
@@ -28,14 +32,8 @@ def _pairwise_sq(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     )
 
 
-def kmeans(
-    X: np.ndarray,
-    k: int,
-    n_iter: int = 50,
-    rng: np.random.Generator | None = None,
-    n_init: int = 8,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's algorithm, k-means++ seeding, best of ``n_init`` restarts.
+def kmeans(X: np.ndarray, k: int, rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's algorithm, k-means++ seeding, best of :data:`N_INIT` restarts.
 
     Returns (labels, centroids) of the restart with the lowest within-
     cluster sum of squares — single inits routinely merge nearby clusters.
@@ -43,19 +41,17 @@ def kmeans(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if k < 1 or k > len(X):
         raise ReproError(f"k must be in [1, {len(X)}], got {k}")
-    if n_init < 1:
-        raise ReproError(f"n_init must be >= 1, got {n_init}")
     rng = rng if rng is not None else np.random.default_rng(0)
     best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for _ in range(n_init):
-        labels, C = _kmeans_once(X, k, n_iter, rng)
+    for _ in range(N_INIT):
+        labels, C = _kmeans_once(X, k, rng)
         inertia = float(np.sum((X - C[labels]) ** 2))
         if best is None or inertia < best[0]:
             best = (inertia, labels, C)
     return best[1], best[2]
 
 
-def _kmeans_once(X: np.ndarray, k: int, n_iter: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _kmeans_once(X: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     # k-means++ seeding.
     centroids = [X[int(rng.integers(len(X)))]]
     while len(centroids) < k:
@@ -65,7 +61,7 @@ def _kmeans_once(X: np.ndarray, k: int, n_iter: int, rng: np.random.Generator) -
         centroids.append(X[int(rng.choice(len(X), p=probs))])
     C = np.stack(centroids)
     labels = np.zeros(len(X), dtype=int)
-    for iteration in range(n_iter):
+    for iteration in range(N_ITER):
         new_labels = np.argmin(_pairwise_sq(X, C), axis=1)
         if np.array_equal(new_labels, labels) and iteration > 0:
             break

@@ -19,12 +19,11 @@ from ..workloads import Workload
 
 __all__ = ["mixture_weights", "blend_mixture", "synthesize_benchmark"]
 
+#: Mixture weights below this are noise: zeroed before renormalising.
+MIN_WEIGHT = 0.02
 
-def mixture_weights(
-    target_signature: np.ndarray,
-    library_signatures: np.ndarray,
-    min_weight: float = 0.02,
-) -> np.ndarray:
+
+def mixture_weights(target_signature: np.ndarray, library_signatures: np.ndarray) -> np.ndarray:
     """Convex weights w ≥ 0, Σw = 1 minimising ‖Sᵀw − target‖².
 
     Solved as NNLS on standardised signatures with a sum-to-one penalty
@@ -48,9 +47,9 @@ def mixture_weights(
     if w.sum() <= 0:
         raise ReproError("NNLS produced an all-zero mixture")
     w = w / w.sum()
-    w[w < min_weight] = 0.0
+    w[w < MIN_WEIGHT] = 0.0
     if w.sum() <= 0:
-        raise ReproError("all mixture weights fell below min_weight")
+        raise ReproError(f"all mixture weights fell below {MIN_WEIGHT}")
     return w / w.sum()
 
 

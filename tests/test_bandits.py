@@ -93,5 +93,3 @@ class TestMechanics:
             MultiArmedBanditOptimizer(arm_space, policy="bogus")
         with pytest.raises(OptimizerError):
             MultiArmedBanditOptimizer(arm_space, arms=[arm_space.make({})])
-        with pytest.raises(OptimizerError):
-            MultiArmedBanditOptimizer(arm_space, epsilon=1.5)

@@ -71,7 +71,7 @@ class TestEnsemble:
             "bo": lambda s: BayesianOptimizer(s, n_init=5, seed=0, n_candidates=96),
             "awful": lambda s: AwfulOptimizer(s, seed=0),
         }
-        opt = EnsembleOptimizer(bowl_space(), members, ucb_c=0.3, seed=0)
+        opt = EnsembleOptimizer(bowl_space(), members, seed=0)
         TuningSession(opt, quadratic_evaluator(), max_trials=40).run()
         alloc = opt.allocation()
         assert alloc["bo"] > alloc["awful"]
@@ -79,8 +79,6 @@ class TestEnsemble:
     def test_validation(self):
         with pytest.raises(OptimizerError):
             EnsembleOptimizer(bowl_space(), {"only": MEMBERS["random"]})
-        with pytest.raises(OptimizerError):
-            EnsembleOptimizer(bowl_space(), MEMBERS, credit_decay=0.0)
 
     def test_objective_propagates_to_members(self):
         obj = Objective("throughput", minimize=False)

@@ -103,8 +103,6 @@ class TestRandomForest:
     def test_validation(self):
         with pytest.raises(OptimizerError):
             RandomForestRegressor(n_trees=0)
-        with pytest.raises(OptimizerError):
-            RandomForestRegressor(stale_fraction=0.0)
 
 
 def wavy(X):
@@ -184,9 +182,9 @@ class TestPartialFit:
 
     def test_stale_trees_regrow(self, data, rng):
         X, y = data
-        rf = RandomForestRegressor(n_trees=8, seed=0, stale_fraction=0.05).fit(X, y)
+        rf = RandomForestRegressor(n_trees=8, seed=0).fit(X, y)
         grown_before = rf.stats.trees_grown
-        Xn = rng.random((30, 2))  # 25% of the data: every tree goes stale
+        Xn = rng.random((90, 2))  # 75% of the data: every tree goes stale
         rf.partial_fit(Xn, step_function(Xn))
         assert rf.stats.trees_grown - grown_before == 8
 

@@ -228,7 +228,7 @@ class TestSuggestDeterminism:
 
     def test_bo_uses_incremental_path_between_refits(self, simple_space):
         opt = BayesianOptimizer(
-            simple_space, n_init=4, seed=3, n_candidates=32, refit_every=4, objectives=SCORE
+            simple_space, n_init=4, seed=3, n_candidates=32, objectives=SCORE
         )
         for _ in range(14):
             config = opt.suggest()[0]

@@ -37,16 +37,16 @@ class TestHyperband:
 
     def test_finds_good_point(self, rng):
         result = hyperband(
-            bowl_space(2), self.noisy_objective(rng), max_budget=27.0, min_budget=1.0,
-            eta=3.0, rng=np.random.default_rng(0),
+            bowl_space(2), self.noisy_objective(rng), max_budget=27.0,
+            rng=np.random.default_rng(0),
         )
         assert result.best_score < 0.25
         assert result.total_cost > 0
 
     def test_bracket_count(self, rng):
         result = hyperband(
-            bowl_space(1), self.noisy_objective(rng), max_budget=27.0, min_budget=1.0,
-            eta=3.0, rng=np.random.default_rng(0),
+            bowl_space(1), self.noisy_objective(rng), max_budget=27.0,
+            rng=np.random.default_rng(0),
         )
         # s_max = log3(27) = 3 -> brackets s=3..0 -> 4 brackets.
         assert len(result.brackets) == 4
@@ -71,9 +71,7 @@ class TestHyperband:
 
     def test_validation(self, rng):
         with pytest.raises(OptimizerError):
-            hyperband(bowl_space(1), lambda c, b: 0.0, max_budget=1.0, min_budget=1.0)
-        with pytest.raises(OptimizerError):
-            hyperband(bowl_space(1), lambda c, b: 0.0, max_budget=9.0, eta=1.0)
+            hyperband(bowl_space(1), lambda c, b: 0.0, max_budget=1.0)
 
 
 class TestBestConfig:
@@ -104,8 +102,6 @@ class TestBestConfig:
     def test_validation(self):
         with pytest.raises(OptimizerError):
             BestConfigOptimizer(bowl_space(1), round_size=1)
-        with pytest.raises(OptimizerError):
-            BestConfigOptimizer(bowl_space(1), shrink=1.0)
 
 
 class TestGreedyOnlineTuner:

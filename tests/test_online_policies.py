@@ -62,7 +62,7 @@ class TestQLearning:
         assert policy.epsilon < 0.5 * 0.9**40
 
     def test_states_discretized(self):
-        policy = QLearningTuner(toy_space(), n_state_bins=2, seed=0)
+        policy = QLearningTuner(toy_space(), seed=0)
         drive(policy, bowl_reward, steps=30)
         assert len(policy.q) >= 1
 
@@ -108,10 +108,6 @@ class TestHybridBandit:
         policy = HybridBanditTuner(toy_space(), seed=0)
         drive(policy, bowl_reward, steps=400)
         assert policy.center_config()["flag"] is True
-
-    def test_validation(self):
-        with pytest.raises(OptimizerError):
-            HybridBanditTuner(toy_space(), perturbation=0.0)
 
 
 class TestContextualBO:

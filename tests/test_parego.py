@@ -55,10 +55,6 @@ class TestParEGO:
         with pytest.raises(OptimizerError):
             ParEGOOptimizer(tradeoff_space(), [Objective("f1")], seed=0)
 
-    def test_rho_validation(self):
-        with pytest.raises(OptimizerError):
-            ParEGOOptimizer(tradeoff_space(), OBJS, rho=-0.1)
-
     def test_maximize_objectives_supported(self):
         objs = [Objective("f1", minimize=False), Objective("f2", minimize=False)]
 

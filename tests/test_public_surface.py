@@ -168,3 +168,101 @@ def test_every_export_is_reached_or_excused():
             unreached.add(name)
     assert unreached - set(UNREACHED) == set(), "exported, named by nothing, and not excused"
     assert set(UNREACHED) - unreached == set(), "excused although something names it"
+
+
+# Defaulted parameters that no call site under src/, benchmarks/ or examples/ passes, each with why it
+# stays settable (docs/architecture.md "Surface rule", the options half). A key is a parameter
+# (``repro.mod.Owner.param``), everything under an owner (``repro.mod.Owner.``) or a name wherever it
+# appears (``*.seed``). An entry that excuses nothing fails too.
+WHAT = "what is tuned or what it is called (seed, objective, knob subset, name), not how"
+RECORD_FIELD = "field of a record, result or wire type: producers fill it, callers read it"
+SEAM = "seam through which a test substitutes a fake (clock, sleep, rng, trace, fault hook, transport)"
+SAFETY = "safety threshold or deadline (CircuitBreaker, Guardrail, RetryPolicy, timeouts, RegressionTree parity arms)"
+DEPLOYMENT = "deployment setting: address, port, path, backend, capacity and deadlines of server and client"
+SCENARIO = "scenario input of a simulated substrate: it describes the world, it does not switch behaviour"
+WIRE = "documented wire or stored-spec field (docs/service.md, space spec): a remote caller or a journal may carry it"
+TEST_BUDGET = "test budget: tests pass a small value to reach in seconds a behaviour production also reaches"
+SECOND_TIER = "only tests set it and one of them is a test of the knob itself: goes with that test, past this PR's removal budget"
+OPTIONS_KEPT = {
+    **dict.fromkeys(["*.seed", "*.objectives", "*.objective", "*.name", "*.knobs", "repro.optimizers.hyperband.hyperband.minimize"], WHAT),
+    **dict.fromkeys(["*.rng", "*.clock", "*.sleep", "*.trace", "*.fault_hook", "*.transport_faults",
+                     "repro.service.client.ServiceClient.backoff", "repro.service.client.ServiceClient.backoff_seed",
+                     "repro.service.client.ServiceClient.breaker",
+                     "repro.core.manager.SessionManager.create.callbacks", "repro.core.manager.SessionManager.create.executor"], SEAM),
+    **dict.fromkeys(["repro.sysim.", "repro.workloads.", "repro.benchmarking.duet.DuetBenchmarkRunner.duration_s",
+                     "repro.online.agent.OnlineTuningAgent.duration_s", "repro.optimizers.transfer.scale_config_for_vm.scaling"], SCENARIO),
+    **dict.fromkeys([
+        "repro.analysis.convergence.ComparisonResult.", "repro.benchmarking.tuna._LoadModel.", "repro.chaos.plan.FaultRule.",
+        "repro.core.codec.SuggestRequest.", "repro.core.codec.TrialReport.", "repro.core.journal.SessionMeta.status",
+        "repro.core.replay.ReplayReport.", "repro.optimizers.forest.ForestStats.", "repro.optimizers.forest._Node.",
+        "repro.optimizers.gp.SurrogateStats.", "repro.optimizers.transfer.PriorRun.context", "repro.service.handlers._Hosted.lock",
+        "repro.service.wire.CreateSessionRequest.", "repro.staticcheck.findings.LintReport.findings",
+    ], RECORD_FIELD),
+    **dict.fromkeys(["repro.core.manager.SessionManager.create.batch_size", "repro.space.constraints.RatioConstraint.divisor"], WIRE),
+    **dict.fromkeys([
+        "repro.online.safety.Guardrail.", "repro.online.safety.SafeBayesianOptimizer.kappa", "repro.resilience.BackoffPolicy.multiplier",
+        "repro.resilience.CircuitBreaker.failure_threshold", "repro.resilience.CircuitBreaker.recovery_s",
+        "repro.execution.executor.RetryPolicy.retry_on", "repro.execution.executor._PoolExecutor.timeout_s",
+        "repro.optimizers.forest.RegressionTree.", "repro.space.space.ConfigurationSpace.grid.max_points",
+    ], SAFETY),
+    **dict.fromkeys([
+        "repro.service.server.TuningServer.max_in_flight", "repro.service.server.TuningServer.queue_depth",
+        "repro.service.server.TuningServer.request_timeout_s", "repro.service.server.TuningServer.retry_after_s",
+        "repro.service.server.TuningServer.stop.", "repro.service.client.ServiceClient.timeout_s",
+        "repro.service.client.ServiceClient.tell_reliably.retries", "repro.staticcheck.astlint.lint_paths.root",
+    ], DEPLOYMENT),
+    **dict.fromkeys([
+        "repro.core.callbacks.StopWhenConverged.", "repro.online.actor_critic.ActorCriticTuner.sigma",
+        "repro.online.actor_critic.ActorCriticTuner.sigma_decay", "repro.online.actor_critic.ActorCriticTuner.sigma_min",
+        "repro.online.contextual.ContextualBOTuner.n_init", "repro.online.genetic.GeneticAlgorithmOptimizer.elite_fraction",
+        "repro.online.greedy.GreedyOnlineTuner.patience", "repro.online.greedy.GreedyOnlineTuner.step",
+        "repro.online.proactive.ProactiveForecastTuner.explore_prob", "repro.online.proactive.ProactiveForecastTuner.n_bands",
+        "repro.online.qlearning.QLearningTuner.epsilon", "repro.online.qlearning.QLearningTuner.epsilon_decay",
+        "repro.online.qlearning.QLearningTuner.step", "repro.optimizers.annealing.SimulatedAnnealingOptimizer.cooling",
+        "repro.optimizers.annealing.SimulatedAnnealingOptimizer.initial_temperature",
+        "repro.optimizers.bandits.MultiArmedBanditOptimizer.arms", "repro.optimizers.bestconfig.BestConfigOptimizer.round_size",
+        "repro.optimizers.gp.GaussianProcessRegressor.jitter", "repro.optimizers.smac.SMACOptimizer.interleave",
+        "repro.optimizers.structured.StructuredBayesianOptimizer.min_group_size",
+        "repro.optimizers.transfer.warm_start_from_history.top_fraction", "repro.space.adapters.LlamaTuneAdapter.special_values",
+        "repro.space.priors.HistogramPrior.from_samples.n_bins", "repro.telemetry.events.EventLog.maxlen",
+        "repro.workload_id.embedding.RandomProjectionEmbedding.n_components", "repro.workload_id.features.synthetic_query_log.n_queries",
+        "repro.workload_id.shift_detection.PageHinkleyDetector.",
+    ], TEST_BUDGET),
+    **dict.fromkeys([
+        "repro.benchmarking.runner.BenchmarkRunner.runtime_metric", "repro.benchmarking.measurement.aggregate_measurements.how",
+        "repro.core.callbacks.LoggingCallback.every", "repro.knowledge.discovery.ManualKnowledgeExtractor.prior_std",
+        "repro.optimizers.acquisition.CostAwareEI.",
+        "repro.space.adapters.SpecialValuesAdapter.bias", "repro.workload_id.embedding.WorkloadEmbedder.use_query_log",
+        "repro.workload_id.embedding.WorkloadEmbedder.use_telemetry",
+    ], SECOND_TIER),
+}
+
+
+def _excuse(key: str) -> str | None:
+    """The OPTIONS_KEPT entry that names ``key``: itself, an owner prefix, or its bare name."""
+    owners = (key[:i + 1] for i, ch in enumerate(key) if ch == ".")
+    return next((k for k in (key, "*." + key.rsplit(".", 1)[1], *owners) if k in OPTIONS_KEPT), None)
+
+
+def test_every_option_is_set_or_excused():
+    from .census.options import census
+
+    unset = {key for key, (_, verdict, _) in census().items()
+             if verdict != "live" and not key.rsplit(".", 1)[1].startswith("_")}  # `_name=name` binds a loop variable
+    used = {key: _excuse(key) for key in unset}
+    assert sorted(k for k, excuse in used.items() if excuse is None) == [], "defaulted, passed by no caller, and not excused"
+    assert sorted(set(OPTIONS_KEPT) - set(used.values())) == [], "excused although a caller passes it (or it is gone)"
+
+
+def test_service_doc_lists_the_options_each_optimizer_accepts():
+    import inspect
+
+    from repro.core.manager import _REGISTRY
+
+    rows = re.findall(r"^\| (`[a-z`, ]+`) \| (.*) \|$", (ROOT / "docs" / "service.md").read_text(), re.M)
+    documented = {name: set(re.findall(r"`(\w+)` \(", keys)) for names, keys in rows[1:] for name in re.findall(r"`(\w+)`", names)}
+    accepted = {
+        name: set(inspect.signature(getattr(repro.optimizers, cls).__init__).parameters) - {"self", "space", "objectives", "seed", "acquisition"}
+        for name, cls in _REGISTRY.items()
+    }
+    assert documented == accepted

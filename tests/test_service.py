@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.codec import TrialReport
 from repro.core.manager import SessionManager
 from repro.core.stores import JsonJournalStore, MemoryTrialStore
+from repro.exceptions import ReproError
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.handlers import ServiceHandlers
 from repro.service.server import TuningServer
@@ -50,6 +51,19 @@ async def start_server(store) -> tuple[TuningServer, ServiceClient]:
 
 def run(coro):
     return asyncio.run(coro)
+
+
+@pytest.mark.parametrize("setting", [
+    {"max_in_flight": 0}, {"max_in_flight": -1}, {"queue_depth": -1},
+    {"request_timeout_s": 0}, {"request_timeout_s": -1.0}, {"retry_after_s": -0.1},
+], ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
+def test_server_rejects_out_of_range_settings_at_construction(setting):
+    """A zero semaphore wedges every request, a negative one only fails in
+    ``start()``, ``queue_depth=-1`` sheds everything: all are a ReproError up front."""
+    handlers = ServiceHandlers(SessionManager(MemoryTrialStore()))
+    with pytest.raises(ReproError, match=next(iter(setting))):
+        TuningServer(handlers, port=0, **setting)
+    TuningServer(handlers, port=0, queue_depth=0, request_timeout_s=None, retry_after_s=0)  # the edges are legal
 
 
 def proc_self() -> tuple[int, float] | None:
@@ -764,6 +778,33 @@ class TestStatusRule:
                 counters = server.handlers.metrics
                 assert counters.counter_value("service.requests.crashed") == 0
                 assert counters.counter_value("service.requests.errors") == 1
+            finally:
+                await server.stop()
+
+        run(main())
+
+    @pytest.mark.parametrize("optimizer, option", [
+        ("bo", "refit_every"), ("smac", "refit_every"), ("smac", "acquisition"), ("anneal", "step_scale"),
+        ("cmaes", "sigma0"), ("pso", "inertia"), ("bestconfig", "shrink"),
+    ])
+    def test_removed_option_is_a_type_error_and_a_400(self, optimizer, option):
+        """A constructor parameter that became a constant (CHANGES.md, PR 24) is gone for every caller."""
+        import repro.optimizers
+        from repro.core.manager import _REGISTRY
+
+        space = ConfigurationSpace("t")
+        space.add(FloatParameter("x", 0.0, 1.0))
+        with pytest.raises(TypeError, match=option):
+            getattr(repro.optimizers, _REGISTRY[optimizer])(space, **{option: 1})
+
+        async def main():
+            server, _ = await start_server(MemoryTrialStore())
+            try:
+                body = create_body(optimizer=optimizer, optimizer_options={option: 1})
+                status, answer = await raw_request(server, "POST", "/sessions", body)
+                assert status == 400 and "bad options" in answer["error"]["message"], answer
+                assert option in answer["error"]["message"]
+                assert server.handlers.metrics.counter_value("service.requests.crashed") == 0
             finally:
                 await server.stop()
 

@@ -76,7 +76,7 @@ class TestHistogramPrior:
             HistogramPrior([0.0, 0.0])
 
     def test_smoothing_keeps_all_bins_reachable(self, rng):
-        p = HistogramPrior.from_samples([0.05] * 50, n_bins=5, smoothing=1.0)
+        p = HistogramPrior.from_samples([0.05] * 50, n_bins=5)
         xs = np.array([p.sample_unit(rng) for _ in range(2000)])
         # With Laplace smoothing every bin retains some mass.
         assert xs.max() > 0.2

@@ -44,7 +44,7 @@ class TestWarmStart:
         space = space_1d()
         prior = make_history(space, [(0.1, 5.0), (0.3, 1.0), (0.9, 9.0), (0.35, 1.5)])
         opt = RandomSearchOptimizer(space, Objective("score"), seed=0)
-        n = warm_start_from_history(opt, prior, top_fraction=0.5, include_failures=False)
+        n = warm_start_from_history(opt, prior, top_fraction=0.5)
         assert n == 2
         assert opt.history.best_value() == 1.0
 
@@ -55,13 +55,6 @@ class TestWarmStart:
         n = warm_start_from_history(opt, prior, top_fraction=0.5)
         assert n == 3
         assert len(opt.history.failed()) == 2
-
-    def test_include_middling(self):
-        space = space_1d()
-        prior = make_history(space, [(0.1, 5.0), (0.3, 1.0), (0.9, 9.0)])
-        opt = RandomSearchOptimizer(space, Objective("score"), seed=0)
-        n = warm_start_from_history(opt, prior, top_fraction=0.34, include_middling=True)
-        assert n == 3
 
     def test_warm_started_bo_converges_faster(self):
         """The slide's point: reuse makes the new optimization cheaper."""
