@@ -15,10 +15,27 @@ the build; the status table is in ``EXPERIMENTS.md``.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis import format_table
 from repro.core import Objective
+
+#: Seeds of a powered shape: one paired comparison per seed (ROADMAP item 2).
+POWERED_SEEDS = range(20)
+
+
+def paired_ratio_interval(numerators, denominators, level=0.90):
+    """Mean of the per-seed ratios and its bootstrap percentile interval.
+
+    A powered shape asserts on the interval, not on a two-seed point estimate:
+    the claim "A ≥ k·B" holds when the interval's lower end clears k. The
+    resampling seed is fixed, so the interval is a function of the data.
+    """
+    ratios = np.asarray(numerators, dtype=float) / np.asarray(denominators, dtype=float)
+    means = np.random.default_rng(0).choice(ratios, size=(10_000, len(ratios))).mean(axis=1)
+    tail = (1.0 - level) / 2.0
+    return float(ratios.mean()), float(np.quantile(means, tail)), float(np.quantile(means, 1.0 - tail))
 
 
 @pytest.fixture

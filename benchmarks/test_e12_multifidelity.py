@@ -11,10 +11,14 @@ Slide 66's systems caveat is measured directly: at the small scale the
 working set nearly fits in modest buffer pools, so the buffer-pool knob's
 *sensitivity* (tuned-vs-default effect) is smaller — knowledge transfers
 only partially.
+
+"Stays competitive" is a paired comparison over :data:`POWERED_SEEDS` at
+:data:`POWERED_BUDGET`: the mean of the per-seed ratio multi- / single-fidelity
+best, with its bootstrap interval. One seed's ratio lies anywhere between
+about 0.3 and 2.5, so the two full-budget seeds of the table decide nothing.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import TuningSession
 from repro.exceptions import SystemCrashError
@@ -22,10 +26,11 @@ from repro.optimizers import BayesianOptimizer, FidelityLevel, MultiFidelityBO
 from repro.sysim import CloudEnvironment, QUIET_CLOUD, SimulatedDBMS
 from repro.workloads import tpcc
 
-from benchmarks.conftest import THROUGHPUT
+from benchmarks.conftest import POWERED_SEEDS, THROUGHPUT, paired_ratio_interval
 
 CHEAP_W, FULL_W = 10, 100
 COST_BUDGET = 160.0  # cheap-trial units; one full trial costs 8
+POWERED_BUDGET = 96.0  # 12 full trials: the powered comparison runs POWERED_SEEDS campaigns per method
 TARGET = 16_000.0  # full-scale throughput requiring genuine tuning
 FIDS = [FidelityLevel(float(CHEAP_W), cost=1.0), FidelityLevel(float(FULL_W), cost=8.0)]
 KNOBS = ["buffer_pool_mb", "worker_threads", "flush_method", "work_mem_mb", "io_concurrency"]
@@ -36,14 +41,14 @@ def _db(seed):
     return SimulatedDBMS(env=CloudEnvironment(seed=seed, transient_noise=0.02), seed=seed)
 
 
-def _run_multifidelity(seed):
+def _run_multifidelity(seed, budget=COST_BUDGET):
     db = _db(seed)
     space = db.space.subspace(KNOBS)
     opt = MultiFidelityBO(
         space, FIDS, n_init=6, full_every=3, objectives=THROUGHPUT, seed=seed, n_candidates=128
     )
     spent, best_full, cost_to_target = 0.0, -np.inf, None
-    while spent < COST_BUDGET:
+    while spent < budget:
         cfg = opt.suggest(1)[0]
         level = opt.next_fidelity
         try:
@@ -57,21 +62,21 @@ def _run_multifidelity(seed):
         if cost_to_target is None and best_full >= TARGET:
             cost_to_target = spent
     n_points = len(opt.history)
-    return best_full, (cost_to_target if cost_to_target is not None else COST_BUDGET), n_points
+    return best_full, (cost_to_target if cost_to_target is not None else budget), n_points
 
 
-def _run_single_fidelity(seed):
+def _run_single_fidelity(seed, budget=COST_BUDGET):
     db = _db(seed)
     space = db.space.subspace(KNOBS)
     opt = BayesianOptimizer(space, n_init=6, objectives=THROUGHPUT, seed=seed, n_candidates=128)
-    n_trials = int(COST_BUDGET / FIDS[1].cost)
+    n_trials = int(budget / FIDS[1].cost)
     res = TuningSession(
         opt,
         lambda cfg: (db.run(tpcc(FULL_W), config=cfg).metrics(), FIDS[1].cost),
         max_trials=n_trials,
     ).run()
     cost = res.cost_to_reach(TARGET)
-    return res.best_value, (cost if cost is not None else COST_BUDGET), res.n_trials
+    return res.best_value, (cost if cost is not None else budget), res.n_trials
 
 
 def _bp_sensitivity(warehouses):
@@ -82,7 +87,6 @@ def _bp_sensitivity(warehouses):
     return big / small
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="red since 89d2000 (surrogate hot-path overhaul): mf_best 19938 < 0.95 x sf_best 21069")
 def test_e12_multifidelity(table):
     def experiment():
         mf = [_run_multifidelity(seed) for seed in range(N_SEEDS)]
@@ -96,6 +100,10 @@ def test_e12_multifidelity(table):
         )
 
     mf_best, mf_cost, mf_points, sf_best, sf_cost, sf_points, sens = experiment()
+    powered = paired_ratio_interval(
+        [_run_multifidelity(seed, POWERED_BUDGET)[0] for seed in POWERED_SEEDS],
+        [_run_single_fidelity(seed, POWERED_BUDGET)[0] for seed in POWERED_SEEDS],
+    )
     table(
         f"E12 (slide 65) — multi- vs single-fidelity at equal cost ({COST_BUDGET:g} units)",
         ["method", "best full-scale tput", f"cost to reach {TARGET:g}", "configs sampled"],
@@ -103,6 +111,11 @@ def test_e12_multifidelity(table):
             ("multi-fidelity BO", mf_best, mf_cost, mf_points),
             ("single-fidelity BO", sf_best, sf_cost, sf_points),
         ],
+    )
+    table(
+        f"E12 — multi- / single-fidelity best, paired over {len(POWERED_SEEDS)} seeds at {POWERED_BUDGET:g} units",
+        ["mean ratio", "90% interval low", "90% interval high"],
+        [powered],
     )
     table(
         "E12 (slide 66) — buffer-pool sensitivity by benchmark scale",
@@ -113,6 +126,6 @@ def test_e12_multifidelity(table):
     # multi-fidelity run explores far more configurations per unit cost and
     # ends at least as good as the all-full-fidelity baseline.
     assert mf_points >= sf_points * 2
-    assert mf_best >= sf_best * 0.95
+    assert powered[1] >= 0.95
     # Caveat shape: the knob matters more at full scale.
     assert sens[FULL_W] > sens[CHEAP_W] * 1.1

@@ -9,6 +9,11 @@ the *robust* quality of each strategy's chosen config (re-measured on a
 quiet reference machine). Shape: duet/TUNA register much stabler scores
 than a raw run and pick configs at least as good, at lower cost than
 brute-force repeats.
+
+What repeats cost is a paired comparison over :data:`POWERED_SEEDS`: a
+repeated trial is three runs, but a run's length depends on the
+configuration, so the per-seed cost ratio to a raw campaign sits near 2.45,
+and "more than 2.5×", asserted on two seeds, was never supported by more.
 """
 
 import numpy as np
@@ -19,7 +24,7 @@ from repro.optimizers import BayesianOptimizer
 from repro.sysim import CloudEnvironment, QUIET_CLOUD, SimulatedDBMS
 from repro.workloads import tpcc
 
-from benchmarks.conftest import THROUGHPUT
+from benchmarks.conftest import POWERED_SEEDS, THROUGHPUT, paired_ratio_interval
 
 BUDGET = 20
 N_SEEDS = 2
@@ -101,13 +106,21 @@ def test_e16_noise_strategies(table):
         ["strategy", "score CV (stability)", "true quality of chosen config", "total cost (s)"],
         rows,
     )
+    repeat_cost = paired_ratio_interval(
+        [_run("repeat-3x", seed)[1] for seed in POWERED_SEEDS],
+        [_run("raw", seed)[1] for seed in POWERED_SEEDS],
+    )
+    table(
+        f"E16 — repeat-3x / raw campaign cost, paired over {len(POWERED_SEEDS)} seeds",
+        ["mean ratio", "90% interval low", "90% interval high"],
+        [repeat_cost],
+    )
     cv = {k: v[0] for k, v in results.items()}
     true_q = {k: v[1] for k, v in results.items()}
-    cost = {k: v[2] for k, v in results.items()}
     # Shape: duet and TUNA register much stabler scores than a raw run...
     assert cv["duet"] < cv["raw"] / 2
     assert cv["tuna"] < cv["raw"]
-    # ...repeats help too but cost 3x per trial...
-    assert cost["repeat-3x"] > cost["raw"] * 2.5
+    # ...repeats help too but cost three runs per trial...
+    assert repeat_cost[1] > 2.0
     # ...and the robust strategies choose configs at least as good as raw's.
     assert max(true_q["duet"], true_q["tuna"]) >= true_q["raw"] * 0.9

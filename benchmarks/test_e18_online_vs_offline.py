@@ -6,6 +6,12 @@ the tutorial's recommended combination — warm-start online from offline —
 gets both. Shape: (a) offline-static wins pre-shift, loses post-shift;
 (b) online recovers post-shift; (c) offline+online is at least as good as
 either alone overall.
+
+That the combination keeps offline's post-shift level is a paired comparison
+over :data:`POWERED_SEEDS` on shorter phases (:data:`POWERED_PHASES`): the mean
+per-seed ratio of the two post-shift throughputs with its bootstrap interval.
+One seed's ratio lies anywhere between about 0.5 and 1.9, so the two seeds of
+the table decide nothing.
 """
 
 import numpy as np
@@ -16,9 +22,10 @@ from repro.optimizers import BayesianOptimizer
 from repro.sysim import CloudEnvironment, SimulatedDBMS
 from repro.workloads import PhasedTrace, tpcc, ycsb
 
-from benchmarks.conftest import THROUGHPUT
+from benchmarks.conftest import POWERED_SEEDS, THROUGHPUT, paired_ratio_interval
 
 PHASE1, PHASE2 = 30, 60
+POWERED_PHASES = (20, 40)
 KNOBS = ["buffer_pool_mb", "worker_threads", "work_mem_mb", "checkpoint_interval_s", "flush_method"]
 LAB_WORKLOAD = ycsb("b")
 PROD_SHIFTED = tpcc(400)  # far higher concurrency than the lab workload
@@ -50,14 +57,22 @@ class _WarmContextualBO(ContextualBOTuner):
         return super().propose(observation)
 
 
-def _run(policy_factory, seed):
+def _run(policy_factory, seed, phases=(PHASE1, PHASE2)):
     db = _db(seed)
     sub = db.space.subspace(KNOBS)
-    trace = PhasedTrace([(LAB_WORKLOAD, PHASE1), (PROD_SHIFTED, PHASE2)])
+    trace = PhasedTrace([(LAB_WORKLOAD, phases[0]), (PROD_SHIFTED, phases[1])])
     agent = OnlineTuningAgent(db, policy_factory(sub, seed), THROUGHPUT)
     result = agent.run(trace)
     values = result.values()
-    return float(values[:PHASE1].mean()), float(values[PHASE1:].mean()), float(values.mean())
+    return float(values[: phases[0]].mean()), float(values[phases[0]:].mean()), float(values.mean())
+
+
+def _post_shift_pair(seed):
+    """Post-shift throughput of offline+online and of offline-static, same seed, powered phases."""
+    offline = _offline_best(seed)
+    combined = _run(lambda sub, s: _WarmContextualBO(sub, offline, seed=s, n_candidates=32), seed, POWERED_PHASES)
+    static = _run(lambda sub, s: StaticConfigPolicy(offline), seed, POWERED_PHASES)
+    return combined[1], static[1]
 
 
 def test_e18_online_vs_offline(table):
@@ -83,6 +98,13 @@ def test_e18_online_vs_offline(table):
         ["strategy", "pre-shift tput", "post-shift tput", "overall"],
         rows,
     )
+    keeps_edge = paired_ratio_interval(*zip(*(_post_shift_pair(seed) for seed in POWERED_SEEDS)))
+    table(
+        f"E18 — offline+online / offline-static post-shift tput, paired over {len(POWERED_SEEDS)} seeds, "
+        f"phases {POWERED_PHASES}",
+        ["mean ratio", "90% interval low", "90% interval high"],
+        [keeps_edge],
+    )
     # Shape claims — the tutorial's own "Online vs Offline" table:
     offline = results["offline-static"]
     online = results["online (ctx-BO)"]
@@ -99,5 +121,5 @@ def test_e18_online_vs_offline(table):
     assert online[2] > default[2] * 1.5
     # (d) the recommended combination — "warm-up online with offline" —
     #     keeps most of offline's pre-shift edge AND adapts post-shift.
-    assert combined[1] >= offline[1] * 0.9
+    assert keeps_edge[1] >= 0.9
     assert combined[2] >= online[2]

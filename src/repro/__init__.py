@@ -56,7 +56,7 @@ from .space import (
 __version__ = "1.0.0"
 
 # The optimizer classes resolve through repro.optimizers on first use, so
-# ``import repro`` loads no surrogate model and no scipy.
+# ``import repro`` loads no surrogate model.
 _OPTIMIZERS = dict.fromkeys(
     (
         "BayesianOptimizer",

@@ -75,10 +75,7 @@ def make_optimizer(
     """Instantiate a registered optimizer from its wire-level spec."""
     if name not in _REGISTRY:
         raise ReproError(f"unknown optimizer {name!r}; choose from {optimizer_names()}")
-    try:
-        cls = getattr(optimizers, _REGISTRY[name])
-    except ImportError as err:  # only the GP family imports scipy, which is the ``gp`` extra
-        raise ReproError(f"optimizer {name!r} did not import ({err}); it needs scipy: install 'repro[gp]'") from err
+    cls = getattr(optimizers, _REGISTRY[name])
     try:
         return cls(space, objectives=list(objectives) if isinstance(objectives, Sequence) else objectives, seed=seed, **dict(options or {}))
     except (TypeError, ValueError) as err:

@@ -70,7 +70,7 @@ def generate_candidates(
 
 # The standard normal's CDF and density, written out: ``scipy.special.ndtr``
 # agrees with this CDF to an ulp, but importing it costs a process 22 MB and
-# 0.2 s, and the forest family needs nothing else of scipy.
+# 0.2 s, and the package needs nothing else of scipy.
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 

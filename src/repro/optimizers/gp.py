@@ -13,13 +13,22 @@ Hot-path notes (the suggest loop refits this model every trial):
   factorization. Parity with the full recompute is exact up to floating-
   point rounding; any doubt (refit, jitter escalation, shrunk or edited
   history) falls back to the full path.
-* Hyperparameter search uses analytic marginal-likelihood gradients
-  (``jac=True`` L-BFGS-B) via ``kernel(X, eval_gradient=True)`` — one
-  kernel-matrix construction per NLL evaluation, and the kernel contracts
-  ∂K/∂θ against the weight matrix instead of materialising it, so an
-  evaluation holds O(n²) beside the kernel's cached distance tensor. The
-  gradient-free ``_nll`` is what :meth:`log_marginal_likelihood` reports
-  and what the tests difference numerically; the search never calls it.
+* The model keeps L⁻¹, not L: the Cholesky factor is inverted once per
+  factorization (:func:`~repro.optimizers._dense.tri_inv`, blocked and
+  recursive), K⁻¹ = L⁻ᵀL⁻¹ is LAPACK's ``potri`` (n³ flops, where two
+  triangular solves against the identity cost 2n³), α = L⁻ᵀ(L⁻¹y), and
+  :meth:`predict`'s triangular solve against the cross-covariance is a
+  matrix product. The incremental update extends L⁻¹ by the same block
+  formula. Everything is numpy: the GP family imports no scipy.
+* Hyperparameter search uses analytic marginal-likelihood gradients via
+  ``kernel(X, eval_gradient=True)`` — one kernel-matrix construction per
+  NLL evaluation, and the kernel contracts ∂K/∂θ against the weight matrix
+  instead of materialising it, so an evaluation holds O(n²) beside the
+  kernel's cached distance tensor. The search is the in-tree projected
+  L-BFGS :func:`~repro.optimizers._dense.minimize_box` (memory 10,
+  L-BFGS-B's stopping rules). The gradient-free ``_nll`` is what
+  :meth:`log_marginal_likelihood` reports and what the tests difference
+  numerically; the search never calls it.
 * :attr:`stats` (a :class:`SurrogateStats`) counts NLL evaluations,
   kernel-matrix constructions, full vs incremental Cholesky updates, and
   accumulates factorization wall-clock, so callers can wire surrogate
@@ -33,10 +42,10 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import linalg, optimize
 
 from ..exceptions import NotFittedError, OptimizerError
 from ..telemetry.spans import emit_event, span
+from ._dense import cholesky, minimize_box, tri_inv
 from .kernels import ConstantKernel, Kernel, Matern, WhiteKernel
 
 __all__ = ["GaussianProcessRegressor", "SurrogateStats", "default_kernel"]
@@ -99,7 +108,7 @@ class GaussianProcessRegressor:
         self.stats = SurrogateStats()
         self._X: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
-        self._L: np.ndarray | None = None
+        self._L_inv: np.ndarray | None = None  # inverse of K's lower Cholesky factor
         self._y_mean = 0.0
         self._y_std = 1.0
         # Incremental-update bookkeeping: the θ the current factor was built
@@ -144,7 +153,7 @@ class GaussianProcessRegressor:
         ones the factor was computed with, and that factorization did not
         need jitter escalation.
         """
-        if self._L is None or self._X is None or self._chol_theta is None:
+        if self._L_inv is None or self._X is None or self._chol_theta is None:
             return None
         if self._jitter_escalated:
             return None
@@ -158,41 +167,45 @@ class GaussianProcessRegressor:
         return n_old
 
     def _update_incremental(self, X: np.ndarray, n_old: int) -> None:
-        """Extend the Cholesky factor by the appended rows of ``X``.
+        """Extend the inverse Cholesky factor by the appended rows of ``X``.
 
-        Block update: with K = [[K11, K12], [K12ᵀ, K22]] and K11 = L L ᵀ,
-        the new factor is [[L, 0], [L12ᵀ, L22]] where L12 = L⁻¹K12 and
-        L22 L22ᵀ = K22 − L12ᵀL12. Cost is O(n²·k) for k appended rows.
+        Block update: with K = [[K11, K12], [K12ᵀ, K22]] and K11 = L Lᵀ, the
+        new factor is [[L, 0], [L12ᵀ, L22]] where L12 = L⁻¹K12 and
+        L22 L22ᵀ = K22 − L12ᵀL12, so its inverse is
+        [[L⁻¹, 0], [−L22⁻¹L12ᵀL⁻¹, L22⁻¹]]. Cost is O(n²·k) for k appended rows.
         """
         k = len(X) - n_old
         if k == 0:
             # Same inputs, (possibly) new targets: only α changes — O(n²).
-            self._alpha = linalg.cho_solve((self._L, True), self._y)
+            self._alpha = self._solve(self._y)
             return
         t0 = time.perf_counter()
         X_new = X[n_old:]
         K12 = self.kernel(self._X, X_new)
         K22 = self.kernel(X_new) + self.jitter * np.eye(k)
-        L12 = linalg.solve_triangular(self._L, K12, lower=True)
-        S = K22 - L12.T @ L12
+        L12 = self._L_inv @ K12
         try:
-            L22 = linalg.cholesky(S, lower=True)
-        except linalg.LinAlgError:
+            L22_inv = tri_inv(cholesky(K22 - L12.T @ L12))
+        except np.linalg.LinAlgError:
             # Schur complement lost positive-definiteness (near-duplicate
             # rows): fall back to the full path with jitter escalation.
             self._X = X
             self._recompute()
             return
         n = len(X)
-        L = np.zeros((n, n))
-        L[:n_old, :n_old] = self._L
-        L[n_old:, :n_old] = L12.T
-        L[n_old:, n_old:] = L22
-        self._L = L
+        L_inv = np.zeros((n, n))
+        L_inv[:n_old, :n_old] = self._L_inv
+        L_inv[n_old:, :n_old] = -L22_inv @ (L12.T @ self._L_inv)
+        L_inv[n_old:, n_old:] = L22_inv
+        self._L_inv = L_inv
         self._X = X
-        self._alpha = linalg.cho_solve((self._L, True), self._y)
+        self._alpha = self._solve(self._y)
         self.stats.cholesky_incremental += 1
         self.stats.cholesky_ms += (time.perf_counter() - t0) * 1e3
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """K⁻¹b through the stored inverse factor: L⁻ᵀ(L⁻¹b)."""
+        return self._L_inv.T @ (self._L_inv @ b)
 
     def _nll(self, theta: np.ndarray) -> float:
         self.stats.nll_evals += 1
@@ -200,10 +213,11 @@ class GaussianProcessRegressor:
         self.kernel.theta = theta
         K = self.kernel(self._X) + self.jitter * np.eye(len(self._X))
         try:
-            L = linalg.cholesky(K, lower=True)
-        except linalg.LinAlgError:
+            L = cholesky(K)
+        except np.linalg.LinAlgError:
             return 1e25
-        alpha = linalg.cho_solve((L, True), self._y)
+        L_inv = tri_inv(L)
+        alpha = L_inv.T @ (L_inv @ self._y)
         nll = (
             0.5 * float(self._y @ alpha)
             + float(np.log(np.diag(L)).sum())
@@ -225,10 +239,11 @@ class GaussianProcessRegressor:
         K, contract = self.kernel(self._X, eval_gradient=True)
         K = K + self.jitter * np.eye(n)
         try:
-            L = linalg.cholesky(K, lower=True)
-        except linalg.LinAlgError:
+            L = cholesky(K)
+        except np.linalg.LinAlgError:
             return 1e25, np.zeros_like(theta)
-        alpha = linalg.cho_solve((L, True), self._y)
+        L_inv = tri_inv(L)
+        alpha = L_inv.T @ (L_inv @ self._y)
         nll = (
             0.5 * float(self._y @ alpha)
             + float(np.log(np.diag(L)).sum())
@@ -236,7 +251,7 @@ class GaussianProcessRegressor:
         )
         if not np.isfinite(nll):
             return 1e25, np.zeros_like(theta)
-        K_inv = linalg.cho_solve((L, True), np.eye(n))
+        K_inv = L_inv.T @ L_inv
         return nll, -0.5 * contract(np.outer(alpha, alpha) - K_inv)
 
     def _optimize_theta(self) -> None:
@@ -248,12 +263,9 @@ class GaussianProcessRegressor:
                 starts.append(self.rng.uniform(bounds[:, 0], bounds[:, 1]))
             best_theta, best_nll = starts[0], np.inf
             for start in starts:
-                res = optimize.minimize(
-                    self._nll_and_grad, start, method="L-BFGS-B", bounds=bounds, jac=True,
-                    options={"maxiter": 50},
-                )
-                if res.fun < best_nll:
-                    best_nll, best_theta = float(res.fun), res.x
+                theta, nll = minimize_box(self._nll_and_grad, start, bounds)
+                if nll < best_nll:
+                    best_nll, best_theta = nll, theta
             self.kernel.theta = best_theta
             if op is not None:
                 op.set(nll_evals=self.stats.nll_evals - evals_before, nll=best_nll)
@@ -264,12 +276,12 @@ class GaussianProcessRegressor:
         K = self.kernel(self._X) + self.jitter * np.eye(len(self._X))
         self._jitter_escalated = False
         try:
-            self._L = linalg.cholesky(K, lower=True)
-        except linalg.LinAlgError:
+            L = cholesky(K)
+        except np.linalg.LinAlgError:
             # Escalate the jitter rather than fail: noisy-system data can
             # contain near-duplicate rows.
             K += 1e-4 * np.eye(len(self._X))
-            self._L = linalg.cholesky(K, lower=True)
+            L = cholesky(K)
             self._jitter_escalated = True
             self.stats.jitter_escalations += 1
             emit_event(
@@ -277,7 +289,8 @@ class GaussianProcessRegressor:
                 message="kernel matrix not positive definite; jitter escalated to 1e-4",
                 n_observations=len(self._X),
             )
-        self._alpha = linalg.cho_solve((self._L, True), self._y)
+        self._L_inv = tri_inv(L)
+        self._alpha = self._solve(self._y)
         self._chol_theta = self.kernel.theta.copy()
         self.stats.cholesky_full += 1
         self.stats.cholesky_ms += (time.perf_counter() - t0) * 1e3
@@ -314,7 +327,7 @@ class GaussianProcessRegressor:
         mean = Ks.T @ self._alpha * self._y_std + self._y_mean
         if not return_std:
             return mean
-        v = linalg.solve_triangular(self._L, Ks, lower=True)
+        v = self._L_inv @ Ks
         var = self.kernel.diag(X) - np.sum(v * v, axis=0)
         std = np.sqrt(np.maximum(var, 1e-12)) * self._y_std
         return mean, std

@@ -14,12 +14,12 @@ task's EI, but every observation of any task sharpens all tasks' models.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg, optimize
 
 from ..core import Objective, Trial
 from ..exceptions import NotFittedError, OptimizerError
 from ..space import Configuration, ConfigurationSpace
 from ..space.encoding import OrdinalEncoder
+from ._dense import cholesky, minimize_box, tri_inv
 from .kernels import Matern
 from .model_based import ModelBasedOptimizer
 
@@ -50,7 +50,7 @@ class MultiOutputGP:
         self._X: np.ndarray | None = None
         self._tasks: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
-        self._L: np.ndarray | None = None
+        self._L_inv: np.ndarray | None = None  # inverse of K's lower Cholesky factor
         self._y_mean = np.zeros(self.n_tasks)
         self._y_std = np.ones(self.n_tasks)
 
@@ -103,27 +103,48 @@ class MultiOutputGP:
         self._v = np.exp(theta[nk + self.n_tasks:nk + 2 * self.n_tasks])
         self.noise = float(np.exp(theta[-1]))
 
-    def _nll(self, theta: np.ndarray) -> float:
+    def _nll_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """NLL (up to its constant) and its gradient in θ.
+
+        K = B[t,t] ⊙ Kx + (noise + 1e-8)·I and ∂NLL/∂θ_j = −½ Σ M ⊙ ∂K/∂θ_j with
+        M = ααᵀ − K⁻¹. The input kernel's share is its own contraction of
+        M ⊙ B[t,t]; the task parameters only enter through B, so theirs come
+        from G = Eᵀ(M ⊙ Kx)E, M ⊙ Kx summed over each pair of tasks (E the
+        one-hot task indicator): ∂/∂log w_i = 2 w_i (Gw)_i, ∂/∂log v_i = v_i G_ii
+        (the bounds keep v above the 1e-6 floor), ∂/∂log noise = noise · tr M.
+        """
         self._set_theta(theta)
+        Kx, contract = self.input_kernel(self._X, eval_gradient=True)
+        B_tt = self.task_covariance()[np.ix_(self._tasks, self._tasks)]
+        K = B_tt * Kx + (self.noise + 1e-8) * np.eye(len(Kx))
         try:
-            K = self._full_kernel(self._X, self._tasks)
-            L = linalg.cholesky(K + 1e-8 * np.eye(len(K)), lower=True)
-        except linalg.LinAlgError:
-            return 1e25
-        alpha = linalg.cho_solve((L, True), self._y)
+            L = cholesky(K)
+        except np.linalg.LinAlgError:
+            return 1e25, np.zeros_like(theta)
+        L_inv = tri_inv(L)
+        alpha = L_inv.T @ (L_inv @ self._y)
         nll = 0.5 * float(self._y @ alpha) + float(np.log(np.diag(L)).sum())
-        return nll if np.isfinite(nll) else 1e25
+        if not np.isfinite(nll):
+            return 1e25, np.zeros_like(theta)
+        M = np.outer(alpha, alpha) - L_inv.T @ L_inv
+        E = np.eye(self.n_tasks)[self._tasks]
+        G = E.T @ (M * Kx) @ E
+        grad = np.concatenate([
+            contract(M * B_tt),
+            2.0 * self._w * (G @ self._w),
+            self._v * np.diag(G),
+            [self.noise * np.trace(M)],
+        ])
+        return nll, -0.5 * grad
 
     def _optimize(self) -> None:
-        start = self._theta()
-        bounds = (
-            [tuple(b) for b in self.input_kernel.bounds]
-            + [(-3.0, 3.0)] * self.n_tasks  # log |w|
-            + [(-6.0, 2.0)] * self.n_tasks  # log v
-            + [(np.log(1e-6), np.log(1.0))]  # log noise
-        )
-        res = optimize.minimize(self._nll, start, method="L-BFGS-B", bounds=bounds, options={"maxiter": 60})
-        self._set_theta(res.x if res.fun < self._nll(start) else start)
+        bounds = np.vstack([
+            self.input_kernel.bounds,
+            np.tile([-3.0, 3.0], (self.n_tasks, 1)),  # log |w|
+            np.tile([-6.0, 2.0], (self.n_tasks, 1)),  # log v
+            [[np.log(1e-6), np.log(1.0)]],  # log noise
+        ])
+        self._set_theta(minimize_box(self._nll_and_grad, self._theta(), bounds)[0])
 
     def _full_kernel(self, X: np.ndarray, tasks: np.ndarray, X2=None, tasks2=None) -> np.ndarray:
         X2 = X if X2 is None else X2
@@ -137,8 +158,8 @@ class MultiOutputGP:
 
     def _recompute(self) -> None:
         K = self._full_kernel(self._X, self._tasks)
-        self._L = linalg.cholesky(K + 1e-8 * np.eye(len(K)), lower=True)
-        self._alpha = linalg.cho_solve((self._L, True), self._y)
+        self._L_inv = tri_inv(cholesky(K + 1e-8 * np.eye(len(K))))
+        self._alpha = self._L_inv.T @ (self._L_inv @ self._y)
 
     # -- prediction -------------------------------------------------------------
     def predict(self, X: np.ndarray, task: int, return_std: bool = False):
@@ -150,7 +171,7 @@ class MultiOutputGP:
         mean = Ks.T @ self._alpha * self._y_std[task] + self._y_mean[task]
         if not return_std:
             return mean
-        v = linalg.solve_triangular(self._L, Ks, lower=True)
+        v = self._L_inv @ Ks
         prior = self.task_covariance()[task, task] * self.input_kernel.diag(X)
         var = prior - np.sum(v * v, axis=0)
         return mean, np.sqrt(np.maximum(var, 1e-12)) * self._y_std[task]

@@ -3,7 +3,7 @@ detection, synthetic benchmark generation."""
 
 from .._lazy import lazy_exports
 
-# Public name -> defining submodule, imported on first use: only ``.synthesis`` needs scipy.
+# Public name -> defining submodule, imported on first use.
 _EXPORTS = {
     "PCAEmbedding": ".embedding",
     "RandomProjectionEmbedding": ".embedding",

@@ -12,7 +12,6 @@ mixture of base workloads whose blended signature best matches, via NNLS.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from ..exceptions import ReproError
 from ..workloads import Workload
@@ -43,7 +42,7 @@ def mixture_weights(target_signature: np.ndarray, library_signatures: np.ndarray
     rho = 10.0
     A = np.vstack([Sz.T, rho * np.ones(len(S))])
     b = np.concatenate([tz, [rho]])
-    w, _ = optimize.nnls(A, b)
+    w = _nnls(A, b)
     if w.sum() <= 0:
         raise ReproError("NNLS produced an all-zero mixture")
     w = w / w.sum()
@@ -51,6 +50,39 @@ def mixture_weights(target_signature: np.ndarray, library_signatures: np.ndarray
     if w.sum() <= 0:
         raise ReproError(f"all mixture weights fell below {MIN_WEIGHT}")
     return w / w.sum()
+
+
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ‖Ax − b‖ subject to x ≥ 0, by Lawson and Hanson's active-set method.
+
+    Variables enter the passive (unconstrained) set one at a time, the one
+    whose gradient promises the steepest decrease first; whenever the
+    least-squares solution on the passive set turns a variable non-positive,
+    the step is cut back to where the first one reaches zero and it leaves.
+    """
+    n = A.shape[1]
+    tol = 10 * np.finfo(float).eps * np.abs(A).sum(axis=0).max() * max(A.shape)
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        w = A.T @ (b - A @ x)
+        if passive.all() or w[~passive].max() <= tol:
+            break
+        passive[np.argmax(np.where(passive, -np.inf, w))] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            if (z[passive] > 0).all():
+                break
+            shrinking = np.flatnonzero(passive & (z <= 0))
+            ratios = x[shrinking] / (x[shrinking] - z[shrinking])
+            first = np.argmin(ratios)
+            x += ratios[first] * (z - x)
+            passive &= x > tol
+            passive[shrinking[first]] = False  # leaves even if rounding kept it a hair above 0
+            x[~passive] = 0.0
+        x = z
+    return x
 
 
 def blend_mixture(library: list[Workload], weights: np.ndarray, name: str = "synthetic") -> Workload:

@@ -143,6 +143,22 @@ class TestMultiOutputGP:
         err = np.abs(pred1 - np.sin(5 * Xq[:, 0])).mean()
         assert err < 0.3  # far better than the ~0.6 a 3-point model gives
 
+    @pytest.mark.parametrize("n_tasks, dims", [(2, 1), (3, 4)])
+    def test_nll_gradient_matches_central_differences(self, rng, n_tasks, dims):
+        """The analytic gradient the hyper-fit follows: input kernel, task covariance, noise."""
+        n = 12
+        X = np.repeat(rng.random((n, dims)), n_tasks, axis=0)
+        tasks = np.tile(np.arange(n_tasks), n)
+        gp = MultiOutputGP(n_tasks, seed=0).fit(X, tasks, rng.standard_normal(n * n_tasks))
+        theta = gp._theta() + 0.1 * rng.standard_normal(len(gp._theta()))
+        _, grad = gp._nll_and_grad(theta.copy())
+        h = 1e-6
+        central = [
+            (gp._nll_and_grad(theta + h * e)[0] - gp._nll_and_grad(theta - h * e)[0]) / (2 * h)
+            for e in np.eye(len(theta))
+        ]
+        np.testing.assert_allclose(grad, central, rtol=1e-5, atol=1e-5)
+
     def test_validation(self, rng):
         with pytest.raises(OptimizerError):
             MultiOutputGP(1)

@@ -63,11 +63,6 @@ def fresh(code: str, *argv: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def scipy_parts(modules) -> set[str]:
-    """Top-level scipy subpackages (``special``, ``_lib``, …) among module names."""
-    return {m.split(".")[1] for m in modules if m.startswith("scipy.")}
-
-
 # -- (a) entry points ----------------------------------------------------------
 
 ENTRY_POINTS = [
@@ -104,7 +99,7 @@ def test_listing_the_registry_imports_no_optimizer():
     assert not {m for m in loaded if m.startswith(("repro.optimizers.", "scipy"))}
 
 
-# -- (b) seven of the eight served optimizers never need scipy -----------------
+# -- (b) nothing the package runs needs scipy ----------------------------------
 
 
 @pytest.mark.parametrize("optimizer", ["random", "grid", "anneal", "cmaes", "pso", "bestconfig"])
@@ -123,15 +118,64 @@ def test_forest_family_runs_with_scipy_blocked(tmp_path):
     assert n == 30 and n_fits > 0
 
 
-def test_gp_optimizer_without_scipy_names_the_extra(tmp_path):
+def test_gp_family_runs_with_scipy_blocked(tmp_path):
+    """Past ``n_init``, so with real hyper-parameter fits, incremental updates and predictions."""
     code = BLOCK_SCIPY + DRIVER + textwrap.dedent("""
-        from repro.exceptions import ReproError
-        try:
-            create(*sys.argv[1:])
-        except ReproError as err:
-            print(json.dumps(str(err)))
+        session = create(*sys.argv[1:])
+        print(json.dumps([round_trips(session, 30), session.optimizer.surrogate_stats()]))
     """)
-    assert "repro[gp]" in fresh(code, "bo", str(tmp_path))
+    n, stats = fresh(code, "bo", str(tmp_path))
+    assert n == 30 and stats["nll_evals"] > 0 and stats["cholesky_incremental"] > 0
+
+
+def test_multitask_optimizer_runs_with_scipy_blocked():
+    """The ICM GP's hyper-fit (its own kernel and gradient) past ``n_init``."""
+    code = BLOCK_SCIPY + textwrap.dedent("""
+        import json
+        from repro.core import Objective
+        from repro.optimizers import MultiTaskOptimizer
+        from repro.space import ConfigurationSpace, FloatParameter
+
+        space = ConfigurationSpace("m", seed=0)
+        space.add(FloatParameter("x", 0.0, 1.0))
+        space.add(FloatParameter("y", 0.0, 1.0))
+        opt = MultiTaskOptimizer(space, [Objective("a"), Objective("b")], n_init=4, n_candidates=32, seed=0)
+        for _ in range(10):
+            config = opt.suggest()[0]
+            opt.observe(config, {"a": (config["x"] - 0.3) ** 2, "b": (config["y"] - 0.6) ** 2 + config["x"]})
+        print(json.dumps([len(opt.history), opt.model.task_correlation().shape[0]]))
+    """)
+    assert fresh(code) == [10, 2]
+
+
+def test_contextual_bo_tuner_steps_with_scipy_blocked():
+    code = BLOCK_SCIPY + textwrap.dedent("""
+        import json, numpy as np
+        from repro.online import ContextualBOTuner
+        from repro.space import ConfigurationSpace, FloatParameter
+
+        space = ConfigurationSpace("c", seed=0)
+        space.add(FloatParameter("x", 0.0, 1.0, default=0.5))
+        policy = ContextualBOTuner(space, n_init=4, n_candidates=16, seed=0)
+        for step in range(12):
+            observation = np.array([0.2 if step % 4 < 2 else 0.8])
+            config = policy.propose(observation)
+            policy.feedback(observation, config, -((config["x"] - 0.3) ** 2))
+        print(json.dumps(policy._model.stats.nll_evals > 0))
+    """)
+    assert fresh(code) is True
+
+
+def test_benchmark_synthesis_runs_with_scipy_blocked():
+    code = BLOCK_SCIPY + textwrap.dedent("""
+        import json
+        from repro.workload_id import synthesize_benchmark
+        from repro.workloads import tpcc, tpch, ycsb
+
+        _synthetic, weights = synthesize_benchmark(tpcc(150), [ycsb("a"), ycsb("c"), tpcc(100), tpch(10)])
+        print(json.dumps(round(float(weights.sum()), 9)))
+    """)
+    assert fresh(code) == 1.0
 
 
 def test_proactive_tuner_steps_with_scipy_blocked():
@@ -160,18 +204,12 @@ def test_staticcheck_runs_with_scipy_blocked():
     assert fresh(BLOCK_SCIPY + main + 'print(main(["--spaces", "src"]))') == 0
 
 
-# -- (c), (d) a model family loads its own scipy share, inside create ----------
-
-# What each family may import from scipy, named by the statement that loads it;
-# the allow-list is whatever that statement pulls on the installed scipy.
-FAMILY_IMPORTS = {
-    "smac": "",  # the forest family: nothing
-    "bo": "import scipy.linalg, scipy.optimize",
-}
+# -- (c), (d) a model family loads its own modules, inside create -------------
 
 
-@pytest.fixture(scope="module", params=sorted(FAMILY_IMPORTS))
+@pytest.fixture(scope="module", params=["bo", "smac"])
 def family(request, tmp_path_factory):
+    """With scipy installed and importable: nothing may import it anyway."""
     code = DRIVER + textwrap.dedent("""
         session = create(*sys.argv[1:])
         after_create = sorted(sys.modules)
@@ -183,22 +221,18 @@ def family(request, tmp_path_factory):
             "stats": session.optimizer.surrogate_stats(),
         }))
     """)
-    allowed = fresh(f"import json, sys\n{FAMILY_IMPORTS[request.param]}\nprint(json.dumps(sorted(sys.modules)))")
-    run = fresh(code, request.param, str(tmp_path_factory.mktemp(request.param)))
-    return request.param, run, scipy_parts(allowed)
+    return request.param, fresh(code, request.param, str(tmp_path_factory.mktemp(request.param)))
 
 
-def test_family_loads_only_its_scipy_subpackages(family):
-    name, run, allowed = family
-    loaded = scipy_parts(run["after_create"])
-    assert ("linalg" in loaded) == (name == "bo")  # the GP does need scipy: the list is not vacuous
-    assert loaded <= allowed, f"{name} loaded scipy.{sorted(loaded - allowed)}"
-    assert "stats" not in loaded
+def test_family_loads_no_scipy(family):
+    name, run = family
+    assert f"repro.optimizers.{'gp' if name == 'bo' else 'forest'}" in run["after_create"]
+    assert not {m for m in run["after_round_trips"] if m.split(".")[0] == "scipy"}
 
 
 def test_ask_and_tell_import_nothing(family):
     """The whole import cost sits in ``create``; none can leak into a measured ask."""
-    name, run, _allowed = family
+    name, run = family
     assert run["n"] == 30
     # Past n_init: those round trips include hyper-parameter fits / full forest regrows.
     assert run["stats"]["nll_evals" if name == "bo" else "n_fits"] > 0

@@ -203,6 +203,27 @@ class TestSynthesis:
         d_far = np.linalg.norm(tpch(10).signature() - target.signature())
         assert d_syn < d_far / 2
 
+    def test_in_tree_nnls_matches_scipy(self, monkeypatch):
+        """The least-squares problems of the two mixtures above, and random ones,
+        against ``scipy.optimize.nnls`` (the reference; the package has no scipy)."""
+        from scipy.optimize import nnls
+
+        from repro.workload_id import synthesis
+
+        problems = []
+        solve = synthesis._nnls
+        monkeypatch.setattr(synthesis, "_nnls", lambda A, b: problems.append((A, b)) or solve(A, b))
+        synthesize_benchmark(ycsb("a").blend(ycsb("c"), 0.5), [ycsb("a"), ycsb("c"), tpch(10)])
+        synthesize_benchmark(tpcc(150), [ycsb("a"), ycsb("b"), ycsb("c"), tpcc(100), tpch(10)])
+        assert len(problems) == 2
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            m, n = rng.integers(1, 30, size=2)
+            problems.append((rng.standard_normal((m, n)), rng.standard_normal(m)))
+        for A, b in problems:
+            reference = nnls(A, b)[0]
+            assert np.linalg.norm(solve(A, b) - reference) <= 1e-10 * max(np.linalg.norm(reference), 1.0)
+
     def test_validation(self):
         with pytest.raises(ReproError):
             synthesize_benchmark(ycsb("a"), [])
