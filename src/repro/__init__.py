@@ -10,105 +10,51 @@ genetic, hybrid bandits, safety), the systems substrate it all runs on
 """
 
 from ._lazy import lazy_exports
-from .core import (
-    Callback,
-    ConvergenceTracker,
-    EvaluationResult,
-    History,
-    Objective,
-    Optimizer,
-    Trial,
-    TrialStatus,
-    TuningResult,
-    TuningSession,
-    coerce_evaluation,
-)
-from .execution import (
-    ProcessExecutor,
-    RetryPolicy,
-    SerialExecutor,
-    ThreadedExecutor,
-    TrialExecution,
-    TrialExecutor,
-)
-from .telemetry import SessionTrace, TelemetryCallback
-from .exceptions import (
-    ConstraintViolationError,
-    ExhaustedError,
-    InvalidValueError,
-    NotFittedError,
-    OptimizerError,
-    ReproError,
-    SamplingError,
-    SpaceError,
-    SystemCrashError,
-    TrialAbortedError,
-)
-from .space import (
-    BooleanParameter,
-    CategoricalParameter,
-    Configuration,
-    ConfigurationSpace,
-    FloatParameter,
-    IntegerParameter,
-)
 
 __version__ = "1.0.0"
 
-# The optimizer classes resolve through repro.optimizers on first use, so
-# ``import repro`` loads no surrogate model.
-_OPTIMIZERS = dict.fromkeys(
-    (
-        "BayesianOptimizer",
-        "CMAESOptimizer",
-        "GridSearchOptimizer",
-        "MultiArmedBanditOptimizer",
-        "ParEGOOptimizer",
-        "ParticleSwarmOptimizer",
-        "RandomSearchOptimizer",
-        "SimulatedAnnealingOptimizer",
-        "SMACOptimizer",
+# Public name -> the package exporting it, imported on first use: ``import
+# repro`` loads no numpy, and a name loads only its own submodule.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "Callback", "ConvergenceTracker", "EvaluationResult", "History", "Objective", "Optimizer",
+            "Trial", "TrialStatus", "TuningResult", "TuningSession", "coerce_evaluation",
+        ),
+        ".core",
     ),
-    ".optimizers",
-)
+    **dict.fromkeys(
+        (
+            "ProcessExecutor", "RetryPolicy", "SerialExecutor", "ThreadedExecutor", "TrialExecution",
+            "TrialExecutor",
+        ),
+        ".execution",
+    ),
+    **dict.fromkeys(("SessionTrace", "TelemetryCallback"), ".telemetry"),
+    **dict.fromkeys(
+        (
+            "ConstraintViolationError", "ExhaustedError", "InvalidValueError", "NotFittedError",
+            "OptimizerError", "ReproError", "SamplingError", "SpaceError", "SystemCrashError",
+            "TrialAbortedError",
+        ),
+        ".exceptions",
+    ),
+    **dict.fromkeys(
+        (
+            "BooleanParameter", "CategoricalParameter", "Configuration", "ConfigurationSpace",
+            "FloatParameter", "IntegerParameter",
+        ),
+        ".space",
+    ),
+    **dict.fromkeys(
+        (
+            "BayesianOptimizer", "CMAESOptimizer", "GridSearchOptimizer", "MultiArmedBanditOptimizer",
+            "ParEGOOptimizer", "ParticleSwarmOptimizer", "RandomSearchOptimizer",
+            "SimulatedAnnealingOptimizer", "SMACOptimizer",
+        ),
+        ".optimizers",
+    ),
+}
 
-__all__ = [
-    "Callback",
-    "ConvergenceTracker",
-    "EvaluationResult",
-    "coerce_evaluation",
-    "ProcessExecutor",
-    "RetryPolicy",
-    "SerialExecutor",
-    "ThreadedExecutor",
-    "TrialExecution",
-    "TrialExecutor",
-    "SessionTrace",
-    "TelemetryCallback",
-    "History",
-    "Objective",
-    "Optimizer",
-    "Trial",
-    "TrialStatus",
-    "TuningResult",
-    "TuningSession",
-    "ConstraintViolationError",
-    "ExhaustedError",
-    "InvalidValueError",
-    "NotFittedError",
-    "OptimizerError",
-    "ReproError",
-    "SamplingError",
-    "SpaceError",
-    "SystemCrashError",
-    "TrialAbortedError",
-    "BooleanParameter",
-    "CategoricalParameter",
-    "Configuration",
-    "ConfigurationSpace",
-    "FloatParameter",
-    "IntegerParameter",
-    "__version__",
-    *_OPTIMIZERS,
-]
-__getattr__, __dir__ = lazy_exports(__name__, _OPTIMIZERS)
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

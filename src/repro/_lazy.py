@@ -1,4 +1,11 @@
-"""PEP 562 lazy exports for the package boundaries with heavy submodules."""
+"""PEP 562 lazy exports: every package ``__init__`` under ``repro`` is one table.
+
+A package maps each public name to the submodule that defines it and
+imports that submodule on the first use of the name, so ``import repro.x``
+loads only its parent packages, and a process loads only what it runs. A
+resolved name is cached in the package namespace: the second use is a plain
+attribute read.
+"""
 
 from __future__ import annotations
 

@@ -1,22 +1,19 @@
 """Analysis: knob importance, convergence comparison, reporting."""
 
-from .convergence import ComparisonResult, compare_optimizers
-from .importance import (
-    KnobRanking,
-    LassoImportance,
-    lasso_coordinate_descent,
-    permutation_importance,
-)
-from .reporting import format_table, format_value, print_table
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ComparisonResult",
-    "compare_optimizers",
-    "KnobRanking",
-    "LassoImportance",
-    "lasso_coordinate_descent",
-    "permutation_importance",
-    "format_table",
-    "format_value",
-    "print_table",
-]
+# Public name -> defining submodule, imported on first use (see repro._lazy).
+_EXPORTS = {
+    "ComparisonResult": ".convergence",
+    "compare_optimizers": ".convergence",
+    "KnobRanking": ".importance",
+    "LassoImportance": ".importance",
+    "lasso_coordinate_descent": ".importance",
+    "permutation_importance": ".importance",
+    "format_table": ".reporting",
+    "format_value": ".reporting",
+    "print_table": ".reporting",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

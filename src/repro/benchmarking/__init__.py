@@ -1,17 +1,18 @@
 """Benchmark execution: measurements, repeats, early abort, duet, TUNA."""
 
-from .duet import DuetBenchmarkRunner, DuetOutcome
-from .measurement import Measurement, aggregate_measurements
-from .runner import BenchmarkRunner, EarlyAbortPolicy
-from .tuna import TunaObservation, TunaRunner
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DuetBenchmarkRunner",
-    "DuetOutcome",
-    "Measurement",
-    "aggregate_measurements",
-    "BenchmarkRunner",
-    "EarlyAbortPolicy",
-    "TunaObservation",
-    "TunaRunner",
-]
+# Public name -> defining submodule, imported on first use (see repro._lazy).
+_EXPORTS = {
+    "DuetBenchmarkRunner": ".duet",
+    "DuetOutcome": ".duet",
+    "Measurement": ".measurement",
+    "aggregate_measurements": ".measurement",
+    "BenchmarkRunner": ".runner",
+    "EarlyAbortPolicy": ".runner",
+    "TunaObservation": ".tuna",
+    "TunaRunner": ".tuna",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -27,19 +27,21 @@ See ``docs/robustness.md`` for the fault model and the degradation
 matrix the rest of the stack implements against it.
 """
 
-from .plan import KINDS, FaultDecision, FaultEvent, FaultInjector, FaultPlan, FaultRule
-from .store import FaultyStore
-from .transport import ClientFaultTransport, ServerFaultHook, chaotic_evaluator
+from .._lazy import lazy_exports
 
-__all__ = [
-    "KINDS",
-    "FaultDecision",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultRule",
-    "FaultyStore",
-    "ClientFaultTransport",
-    "ServerFaultHook",
-    "chaotic_evaluator",
-]
+# Public name -> defining submodule, imported on first use (see repro._lazy).
+_EXPORTS = {
+    "KINDS": ".plan",
+    "FaultDecision": ".plan",
+    "FaultEvent": ".plan",
+    "FaultInjector": ".plan",
+    "FaultPlan": ".plan",
+    "FaultRule": ".plan",
+    "FaultyStore": ".store",
+    "ClientFaultTransport": ".transport",
+    "ServerFaultHook": ".transport",
+    "chaotic_evaluator": ".transport",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

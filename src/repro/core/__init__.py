@@ -1,58 +1,47 @@
 """Tuning core: ask/tell protocol, trials, sessions, durable stores."""
 
-from .callbacks import Callback, ConvergenceTracker, LoggingCallback, StopWhenConverged, StopWhenReached
-from .codec import (
-    SuggestRequest,
-    Suggestion,
-    TrialReport,
-    decode_trial,
-    encode_trial,
-)
-from .evaluation import EvaluationResult, coerce_evaluation, run_evaluation
-from .journal import AppendResult, SessionMeta, StorageError, TrialStore, new_session_id
-from .manager import SessionManager, make_optimizer, optimizer_names
-from .optimizer import History, Objective, Optimizer, Trial, TrialStatus, rng_digest
-from .replay import ReplayDivergence, ReplayReport, replay_session
-from .result import TuningResult
-from .stores import JsonJournalStore, MemoryTrialStore, SqliteTrialStore, open_store
-from .session import Evaluator, TuningSession
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SuggestRequest",
-    "Suggestion",
-    "TrialReport",
-    "decode_trial",
-    "encode_trial",
-    "AppendResult",
-    "SessionMeta",
-    "StorageError",
-    "TrialStore",
-    "new_session_id",
-    "SessionManager",
-    "make_optimizer",
-    "optimizer_names",
-    "JsonJournalStore",
-    "MemoryTrialStore",
-    "SqliteTrialStore",
-    "open_store",
-    "Callback",
-    "ConvergenceTracker",
-    "LoggingCallback",
-    "StopWhenConverged",
-    "StopWhenReached",
-    "EvaluationResult",
-    "coerce_evaluation",
-    "run_evaluation",
-    "History",
-    "Objective",
-    "Optimizer",
-    "Trial",
-    "TrialStatus",
-    "rng_digest",
-    "ReplayDivergence",
-    "ReplayReport",
-    "replay_session",
-    "TuningResult",
-    "Evaluator",
-    "TuningSession",
-]
+# Public name -> defining submodule, imported on first use (see repro._lazy).
+_EXPORTS = {
+    "Callback": ".callbacks",
+    "ConvergenceTracker": ".callbacks",
+    "LoggingCallback": ".callbacks",
+    "StopWhenConverged": ".callbacks",
+    "StopWhenReached": ".callbacks",
+    "SuggestRequest": ".codec",
+    "Suggestion": ".codec",
+    "TrialReport": ".codec",
+    "decode_trial": ".codec",
+    "encode_trial": ".codec",
+    "EvaluationResult": ".evaluation",
+    "coerce_evaluation": ".evaluation",
+    "run_evaluation": ".evaluation",
+    "AppendResult": ".journal",
+    "SessionMeta": ".journal",
+    "StorageError": ".journal",
+    "TrialStore": ".journal",
+    "new_session_id": ".journal",
+    "SessionManager": ".manager",
+    "make_optimizer": ".manager",
+    "optimizer_names": ".manager",
+    "History": ".optimizer",
+    "Objective": ".optimizer",
+    "Optimizer": ".optimizer",
+    "Trial": ".optimizer",
+    "TrialStatus": ".optimizer",
+    "rng_digest": ".optimizer",
+    "ReplayDivergence": ".replay",
+    "ReplayReport": ".replay",
+    "replay_session": ".replay",
+    "TuningResult": ".result",
+    "Evaluator": ".session",
+    "TuningSession": ".session",
+    "JsonJournalStore": ".stores",
+    "MemoryTrialStore": ".stores",
+    "SqliteTrialStore": ".stores",
+    "open_store": ".stores",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -33,6 +33,7 @@ from .. import optimizers
 from ..exceptions import ReproError
 from ..space import ConfigurationSpace
 from ..space.serialize import space_from_dict, space_to_dict
+from ..staticcheck import SpaceLintError, lint_space
 from .codec import decode_trial
 from .journal import SessionMeta, StorageError, TrialStore, check_session_id, new_session_id
 from .optimizer import Objective, Optimizer, TrialStatus
@@ -203,8 +204,6 @@ class SessionManager:
         """
         lint_report = None
         if lint:
-            from ..staticcheck import SpaceLintError, lint_space
-
             lint_report = lint_space(space, ignore=lint_ignore)
             if strict and not lint_report.ok:
                 raise SpaceLintError(lint_report)

@@ -9,23 +9,30 @@
 
 :func:`open_store` picks a backend from a path: ``*.sqlite``/``*.db`` (or
 an existing SQLite file) opens SQLite, anything else a journal directory.
+It resolves the backend class through this package's table, so a process
+that journals to JSON never imports ``sqlite3``.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from ..journal import StorageError, TrialStore
-from .json_journal import JsonJournalStore
-from .memory import MemoryTrialStore
-from .sqlite import SqliteTrialStore
+from ..._lazy import lazy_exports
+from ...exceptions import ReproError
 
-__all__ = [
-    "JsonJournalStore",
-    "MemoryTrialStore",
-    "SqliteTrialStore",
-    "open_store",
-]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..journal import TrialStore
+
+# Public name -> defining submodule, imported on first use (see repro._lazy).
+_EXPORTS = {
+    "JsonJournalStore": ".json_journal",
+    "MemoryTrialStore": ".memory",
+    "SqliteTrialStore": ".sqlite",
+}
+
+__all__ = [*_EXPORTS, "open_store"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 
 def open_store(path: str | Path, backend: str | None = None) -> TrialStore:
@@ -42,7 +49,7 @@ def open_store(path: str | Path, backend: str | None = None) -> TrialStore:
         else:
             backend = "json"
     if backend == "sqlite":
-        return SqliteTrialStore(path)
+        return __getattr__("SqliteTrialStore")(path)
     if backend == "json":
-        return JsonJournalStore(path)
-    raise StorageError(f"unknown store backend {backend!r}; choose 'sqlite' or 'json'")
+        return __getattr__("JsonJournalStore")(path)
+    raise ReproError(f"unknown store backend {backend!r}; choose 'sqlite' or 'json'")

@@ -24,7 +24,10 @@ Hot-path notes (the suggest loop refits this model every trial):
   ``kernel(X, eval_gradient=True)`` — one kernel-matrix construction per
   NLL evaluation, and the kernel contracts ∂K/∂θ against the weight matrix
   instead of materialising it, so an evaluation holds O(n²) beside the
-  kernel's cached distance tensor. The search is the in-tree projected
+  kernel's cached distance tensor. That cache lives for one fit: the
+  hyper-fit and the recompute after it share it, and :meth:`fit` drops it
+  before returning, so between fits the model holds X, y, α and L⁻¹ —
+  O(n²), never the (n, n, d) tensor. The search is the in-tree projected
   L-BFGS :func:`~repro.optimizers._dense.minimize_box` (memory 10,
   L-BFGS-B's stopping rules). The gradient-free ``_nll`` is what
   :meth:`log_marginal_likelihood` reports and what the tests difference
@@ -141,6 +144,7 @@ class GaussianProcessRegressor:
                 self._recompute()
             else:
                 self._update_incremental(X, n_old)
+        self._drop_kernel_caches()
         self.stats.fits += 1
         self.stats.fit_ms += (time.perf_counter() - t0) * 1e3
         return self
@@ -165,6 +169,12 @@ class GaussianProcessRegressor:
         if not np.array_equal(X[:n_old], self._X):
             return None
         return n_old
+
+    def _drop_kernel_caches(self) -> None:
+        """End of a fit: the distance tensor served its θ evaluations and its
+        recompute, and a fitted model keeps X, y, α and L⁻¹ only — O(n²)."""
+        for kernel in self.kernel.walk():
+            kernel.drop_cache()
 
     def _update_incremental(self, X: np.ndarray, n_old: int) -> None:
         """Extend the inverse Cholesky factor by the appended rows of ``X``.
@@ -301,7 +311,9 @@ class GaussianProcessRegressor:
 
     def log_marginal_likelihood(self) -> float:
         self._require_fit()
-        return -self._nll(self.kernel.theta)
+        nll = self._nll(self.kernel.theta)
+        self._drop_kernel_caches()
+        return -nll
 
     def stats_dict(self) -> dict[str, float]:
         """Counters/timings, including kernel distance-cache hit rates."""

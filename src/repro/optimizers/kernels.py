@@ -18,6 +18,8 @@ Stationary kernels additionally cache the raw (unscaled) squared-difference
 tensor of the training matrix: within one hyperparameter fit the inputs are
 the same array object across every θ evaluation, so a length-scale change
 only rescales cached differences instead of recomputing O(n²·d) distances.
+The cache lives for one fit: :meth:`Kernel.drop_cache` releases it when the
+fit ends, so a fitted model never holds the (n, n, d) tensor.
 """
 
 from __future__ import annotations
@@ -90,6 +92,9 @@ class Kernel(ABC):
     def walk(self):
         """Yield this kernel and (for composites) every nested kernel."""
         yield self
+
+    def drop_cache(self) -> None:
+        """Release what the kernel cached for one fit (see :class:`_StationaryKernel`)."""
 
     # -- composition ---------------------------------------------------------
     def __add__(self, other: "Kernel") -> "Sum":
@@ -186,7 +191,8 @@ class _StationaryKernel(Kernel):
     matrix (keyed by array identity, held via weakref): summed over
     dimensions for isotropic kernels, per-dimension for ARD. θ evaluations
     within one fit pass the same array object, so hyperparameter search
-    rescales cached differences instead of recomputing them.
+    rescales cached differences instead of recomputing them. The cache lives
+    for one fit: the regressor calls :meth:`drop_cache` when the fit ends.
     """
 
     _BOUNDS = (1e-3, 1e3)
@@ -225,6 +231,9 @@ class _StationaryKernel(Kernel):
         if raw.size <= _CACHE_MAX_ELEMENTS:
             self._diff_ref, self._diff_cache = weakref.ref(X), raw
         return raw
+
+    def drop_cache(self) -> None:
+        self._diff_ref = self._diff_cache = None
 
     def _train_D2(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(raw, D²): the cached tensor and the scaled squared distances from it."""

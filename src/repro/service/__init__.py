@@ -19,15 +19,17 @@ retries carrying a ``report_id`` are deduplicated. Run one with
 ``repro serve`` or programmatically via :func:`serve`.
 """
 
-from .client import ServiceClient
-from .handlers import ServiceHandlers
-from .server import TuningServer, serve
-from .wire import WireError
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ServiceClient",
-    "ServiceHandlers",
-    "TuningServer",
-    "WireError",
-    "serve",
-]
+# Public name -> defining submodule, imported on first use (see repro._lazy):
+# a server loads no client, a client no server.
+_EXPORTS = {
+    "ServiceClient": ".client",
+    "ServiceHandlers": ".handlers",
+    "TuningServer": ".server",
+    "serve": ".server",
+    "WireError": ".wire",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

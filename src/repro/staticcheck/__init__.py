@@ -15,19 +15,22 @@ Two prongs, one finding model (:mod:`repro.staticcheck.findings`):
 Rule catalog, severities, and suppression syntax: ``docs/static-analysis.md``.
 """
 
-from .findings import Finding, LintReport, Severity, SpaceLintError, SpaceLintReport
-from .spacelint import SPACE_RULES, lint_space
-from .astlint import AST_RULES, lint_paths, lint_source
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AST_RULES",
-    "Finding",
-    "LintReport",
-    "SPACE_RULES",
-    "Severity",
-    "SpaceLintError",
-    "SpaceLintReport",
-    "lint_paths",
-    "lint_source",
-    "lint_space",
-]
+# Public name -> defining submodule, imported on first use (see repro._lazy):
+# a session create lints its space without loading the source-tree checkers.
+_EXPORTS = {
+    "AST_RULES": ".astlint",
+    "lint_paths": ".astlint",
+    "lint_source": ".astlint",
+    "Finding": ".findings",
+    "LintReport": ".findings",
+    "Severity": ".findings",
+    "SpaceLintError": ".findings",
+    "SpaceLintReport": ".findings",
+    "SPACE_RULES": ".spacelint",
+    "lint_space": ".spacelint",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

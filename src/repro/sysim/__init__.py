@@ -1,30 +1,29 @@
 """Simulated systems substrate: DBMS, Redis, Spark, cloud noise, telemetry."""
 
-from .cloud import QUIET_CLOUD, VM_SIZES, CloudEnvironment, Machine, VMSize
-from .dbms import FLUSH_METHODS, SimulatedDBMS
-from .nginx import NginxServer, web_workload
-from .redis import RedisServer, redis_benchmark_workload
-from .spark import SparkCluster
-from .system import KnobLevel, PerfProfile, SimulatedSystem
-from .telemetry import TELEMETRY_CHANNELS, TelemetryTrace, generate_telemetry
+from .._lazy import lazy_exports
 
-__all__ = [
-    "QUIET_CLOUD",
-    "VM_SIZES",
-    "CloudEnvironment",
-    "Machine",
-    "VMSize",
-    "FLUSH_METHODS",
-    "SimulatedDBMS",
-    "NginxServer",
-    "web_workload",
-    "RedisServer",
-    "redis_benchmark_workload",
-    "SparkCluster",
-    "KnobLevel",
-    "PerfProfile",
-    "SimulatedSystem",
-    "TELEMETRY_CHANNELS",
-    "TelemetryTrace",
-    "generate_telemetry",
-]
+# Public name -> defining submodule, imported on first use (see repro._lazy):
+# a process tuning one simulator loads no other.
+_EXPORTS = {
+    "QUIET_CLOUD": ".cloud",
+    "VM_SIZES": ".cloud",
+    "CloudEnvironment": ".cloud",
+    "Machine": ".cloud",
+    "VMSize": ".cloud",
+    "FLUSH_METHODS": ".dbms",
+    "SimulatedDBMS": ".dbms",
+    "NginxServer": ".nginx",
+    "web_workload": ".nginx",
+    "RedisServer": ".redis",
+    "redis_benchmark_workload": ".redis",
+    "SparkCluster": ".spark",
+    "KnobLevel": ".system",
+    "PerfProfile": ".system",
+    "SimulatedSystem": ".system",
+    "TELEMETRY_CHANNELS": ".telemetry",
+    "TelemetryTrace": ".telemetry",
+    "generate_telemetry": ".telemetry",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

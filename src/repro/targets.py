@@ -12,19 +12,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping
 
+from . import sysim, workloads
 from .core import Objective
 from .exceptions import ReproError
 from .space import Configuration
-from .sysim import (
-    CloudEnvironment,
-    NginxServer,
-    RedisServer,
-    SimulatedDBMS,
-    SparkCluster,
-    redis_benchmark_workload,
-    web_workload,
-)
-from .workloads import tpcc, tpch, ycsb
 
 __all__ = [
     "SYSTEMS",
@@ -39,36 +30,44 @@ SYSTEMS = ("dbms", "redis", "nginx", "spark")
 
 
 def make_system(name: str, seed: int = 0, noise: float = 0.03):
-    """Instantiate a simulated target system by name."""
-    env = CloudEnvironment(seed=seed, transient_noise=noise)
+    """Instantiate a simulated target system by name.
+
+    The simulator resolves through the ``repro.sysim`` table, so building
+    one loads no other.
+    """
+    env = sysim.CloudEnvironment(seed=seed, transient_noise=noise)
     if name == "dbms":
-        return SimulatedDBMS(env=env, seed=seed)
+        return sysim.SimulatedDBMS(env=env, seed=seed)
     if name == "redis":
-        return RedisServer(env=env, seed=seed)
+        return sysim.RedisServer(env=env, seed=seed)
     if name == "nginx":
-        return NginxServer(env=env, seed=seed)
+        return sysim.NginxServer(env=env, seed=seed)
     if name == "spark":
-        return SparkCluster(n_nodes=10, env=env, seed=seed)
+        return sysim.SparkCluster(n_nodes=10, env=env, seed=seed)
     raise ReproError(f"unknown system {name!r}; choose from {SYSTEMS}")
 
 
 def make_workload(system: str, name: str):
-    """Build a workload from its string spec (``ycsb-a``, ``tpcc-100``, …)."""
+    """Build a workload from its string spec (``ycsb-a``, ``tpcc-100``, …);
+    ``default`` is the named system's own workload, and only that one is built."""
     if name.startswith("ycsb"):
-        return ycsb(name.removeprefix("ycsb-") or "a")
+        return workloads.ycsb(name.removeprefix("ycsb-") or "a")
     if name.startswith("tpcc"):
         part = name.removeprefix("tpcc").lstrip("-")
-        return tpcc(int(part) if part else 100)
+        return workloads.tpcc(int(part) if part else 100)
     if name.startswith("tpch"):
         part = name.removeprefix("tpch").lstrip("-")
-        return tpch(float(part) if part else 10.0)
+        return workloads.tpch(float(part) if part else 10.0)
     if name == "default":
-        return {
-            "dbms": tpcc(100),
-            "redis": redis_benchmark_workload(),
-            "nginx": web_workload(),
-            "spark": tpch(10.0, concurrency=4),
-        }[system]
+        if system == "dbms":
+            return workloads.tpcc(100)
+        if system == "redis":
+            return sysim.redis_benchmark_workload()
+        if system == "nginx":
+            return sysim.web_workload()
+        if system == "spark":
+            return workloads.tpch(10.0, concurrency=4)
+        raise ReproError(f"unknown system {system!r}; choose from {SYSTEMS}")
     raise ReproError(f"unknown workload {name!r}")
 
 

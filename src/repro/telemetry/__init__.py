@@ -20,49 +20,34 @@ See ``docs/observability.md`` for the span hierarchy, metric naming
 conventions, event schema, and overhead guarantees.
 """
 
-from .events import Event, EventLog
-from .metrics import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
-from .naming import EVENT_KINDS, SPAN_NAMES
-from .spans import (
-    OpSpan,
-    TraceContext,
-    TrialRef,
-    active_trace,
-    bind_trace,
-    current_op,
-    current_trace_id,
-    emit_event,
-    format_traceparent,
-    parse_traceparent,
-    span,
-    trial_scope,
-)
-from .tracing import SessionTrace
-from .export import chrome_trace, export_chrome_trace
-from .callback import TelemetryCallback
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
-    "EVENT_KINDS",
-    "Event",
-    "EventLog",
-    "SPAN_NAMES",
-    "Histogram",
-    "MetricsRegistry",
-    "OpSpan",
-    "SessionTrace",
-    "TelemetryCallback",
-    "TraceContext",
-    "TrialRef",
-    "active_trace",
-    "bind_trace",
-    "chrome_trace",
-    "current_op",
-    "current_trace_id",
-    "emit_event",
-    "export_chrome_trace",
-    "format_traceparent",
-    "parse_traceparent",
-    "span",
-    "trial_scope",
-]
+# Public name -> defining submodule, imported on first use (see repro._lazy).
+_EXPORTS = {
+    "TelemetryCallback": ".callback",
+    "Event": ".events",
+    "EventLog": ".events",
+    "chrome_trace": ".export",
+    "export_chrome_trace": ".export",
+    "DEFAULT_LATENCY_BUCKETS": ".metrics",
+    "Histogram": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "EVENT_KINDS": ".naming",
+    "SPAN_NAMES": ".naming",
+    "OpSpan": ".spans",
+    "TraceContext": ".spans",
+    "TrialRef": ".spans",
+    "active_trace": ".spans",
+    "bind_trace": ".spans",
+    "current_op": ".spans",
+    "current_trace_id": ".spans",
+    "emit_event": ".spans",
+    "format_traceparent": ".spans",
+    "parse_traceparent": ".spans",
+    "span": ".spans",
+    "trial_scope": ".spans",
+    "SessionTrace": ".tracing",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

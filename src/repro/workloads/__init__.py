@@ -1,24 +1,26 @@
 """Parametric workloads: YCSB, TPC-C, TPC-H, and time-varying traces."""
 
-from .base import Workload
-from .shifting import DiurnalTrace, DriftingTrace, PhasedTrace, WorkloadTrace
-from .tpcc import MB_PER_WAREHOUSE, TPCC_TX_MIX, tpcc
-from .tpch import TPCH_QUERIES, TpchQuery, tpch, tpch_query_mix
-from .ycsb import YCSB_MIXES, ycsb
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Workload",
-    "DiurnalTrace",
-    "DriftingTrace",
-    "PhasedTrace",
-    "WorkloadTrace",
-    "MB_PER_WAREHOUSE",
-    "TPCC_TX_MIX",
-    "tpcc",
-    "TPCH_QUERIES",
-    "TpchQuery",
-    "tpch",
-    "tpch_query_mix",
-    "YCSB_MIXES",
-    "ycsb",
-]
+# Public name -> defining submodule, imported on first use (see repro._lazy).
+# ``tpcc``, ``tpch`` and ``ycsb`` are each a submodule and the function it
+# exports; resolved through this table, the function wins.
+_EXPORTS = {
+    "Workload": ".base",
+    "DiurnalTrace": ".shifting",
+    "DriftingTrace": ".shifting",
+    "PhasedTrace": ".shifting",
+    "WorkloadTrace": ".shifting",
+    "MB_PER_WAREHOUSE": ".tpcc",
+    "TPCC_TX_MIX": ".tpcc",
+    "tpcc": ".tpcc",
+    "TPCH_QUERIES": ".tpch",
+    "TpchQuery": ".tpch",
+    "tpch": ".tpch",
+    "tpch_query_mix": ".tpch",
+    "YCSB_MIXES": ".ycsb",
+    "ycsb": ".ycsb",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

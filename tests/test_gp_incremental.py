@@ -6,6 +6,7 @@ much work each one saves is pinned by the ``counters`` block of
 ``tests/data/suggest_goldens.json``.
 """
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,12 @@ import pytest
 from scipy import optimize
 
 from repro.core import Objective
-from repro.optimizers import BayesianOptimizer, SMACOptimizer
+from repro.optimizers import (
+    BayesianOptimizer,
+    ConstrainedBayesianOptimizer,
+    SMACOptimizer,
+    StructuredBayesianOptimizer,
+)
 from repro.optimizers.gp import GaussianProcessRegressor, default_kernel
 from repro.optimizers.kernels import RBF, ConstantKernel, Matern, WhiteKernel
 from repro.space.encoding import OrdinalEncoder, TrialEncodingCache
@@ -196,6 +202,81 @@ class TestAnalyticGradients:
         finally:
             tracemalloc.stop()
         assert allocated_at_peak <= 16 * n * n * 8  # d = 21: one tensor alone is 21·n²·8
+
+
+def _kernel_arrays(gp):
+    """Every array the GP's kernel tree references, its distance cache included."""
+    return [value for kernel in gp.kernel.walk() for value in vars(kernel).values() if isinstance(value, np.ndarray)]
+
+
+def _assert_holds_o_n2(gp):
+    n = len(gp._X)
+    assert max(a.size for a in _kernel_arrays(gp)) <= n * n
+
+
+class TestFittedModelFootprint:
+    """The distance tensor lasts one fit: a fitted GP keeps X, y, α and L⁻¹ —
+    O(n²) — and no (n, n, d) array, whichever path the fit took."""
+
+    def test_every_fit_path_leaves_no_tensor(self):
+        X, y = _data(40, d=5)
+        gp = GaussianProcessRegressor(kernel=default_kernel(5), seed=0)
+        gp.fit(X[:30], y[:30])
+        assert gp.stats.nll_evals > 0  # hyper-fit, then its recompute
+        _assert_holds_o_n2(gp)
+        gp.optimize_hypers = False
+        edited = X[:35].copy()
+        edited[0, 0] += 0.1
+        gp.fit(edited, y[:35])
+        assert gp.stats.cholesky_full == 2  # an edited prefix: full recompute
+        _assert_holds_o_n2(gp)
+        gp.fit(np.vstack([edited, X[35:]]), y)
+        assert gp.stats.cholesky_incremental == 1
+        _assert_holds_o_n2(gp)
+        gp.log_marginal_likelihood()
+        _assert_holds_o_n2(gp)
+
+    def test_a_fitted_gp_retains_o_n2_bytes(self):
+        n, d = 150, 21
+        rng = np.random.default_rng(0)
+        X, y = rng.random((n, d)), rng.standard_normal(n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            gp = GaussianProcessRegressor(kernel=default_kernel(d), seed=0).fit(X, y)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert gp.stats.nll_evals > 0
+        assert retained < 4 * n * n * 8  # L⁻¹ is one n²; the (n, n, 21) tensor alone is 21
+
+    @pytest.mark.parametrize("family", ["bo", "constrained", "structured"])
+    def test_no_model_of_an_optimizer_holds_a_tensor(self, family, simple_space, conditional_space):
+        if family == "bo":
+            opt = BayesianOptimizer(simple_space, n_init=5, seed=1, n_candidates=32, objectives=SCORE)
+            models = lambda: [opt.model]
+        elif family == "constrained":
+            opt = ConstrainedBayesianOptimizer(
+                simple_space, constraint_metrics=["c1", "c2"], n_init=5, n_candidates=32, objectives=SCORE, seed=1
+            )
+            models = lambda: [opt.objective_model, *opt.constraint_models.values()]
+        else:
+            opt = StructuredBayesianOptimizer(conditional_space, n_init=8, n_candidates=32, objectives=SCORE, seed=1)
+            models = lambda: list(opt._models.values())
+        fitted = 0
+        for _ in range(20):
+            config = opt.suggest()[0]
+            for gp in models():
+                if gp.is_fitted:
+                    _assert_holds_o_n2(gp)
+                    fitted += 1
+            unit = [config.space[name].to_unit(config[name]) for name in config.active]
+            score = sum((u - 0.3) ** 2 for u in unit)
+            opt.observe(config, {"score": score, "c1": unit[0] - 0.8, "c2": 0.2 - unit[-1]})
+        assert fitted > 0
+        if family == "bo":
+            assert opt.model.stats.cholesky_incremental > 0 and opt.model.stats.nll_evals > 0
 
 
 class TestSuggestDeterminism:

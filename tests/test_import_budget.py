@@ -91,6 +91,91 @@ def test_entry_point_loads_no_scipy_and_no_surrogate(statement):
     assert not loaded & SURROGATES
 
 
+def _loaded(code: str) -> list[str]:
+    """Every ``repro`` module, and ``numpy``/``sqlite3`` if loaded, a fresh interpreter holds after ``code``."""
+    return fresh(
+        f"import json, sys\n{code}\nprint(json.dumps(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'repro' or m in ('numpy', 'sqlite3'))))"
+    )
+
+
+# -- (a') the floor: a package import is a table ------------------------------
+
+PACKAGES = [
+    "repro", "repro.analysis", "repro.benchmarking", "repro.chaos", "repro.core", "repro.core.stores",
+    "repro.execution", "repro.knowledge", "repro.online", "repro.optimizers", "repro.service", "repro.space",
+    "repro.staticcheck", "repro.sysim", "repro.telemetry", "repro.workload_id", "repro.workloads",
+]
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_importing_a_package_loads_only_its_parents(package):
+    """Every ``__init__`` is a name -> submodule table: importing one runs no submodule and loads no numpy."""
+    parents = {package.rsplit(".", k)[0] for k in range(package.count(".") + 1)}
+    assert set(_loaded(f"import {package}")) <= parents | {"repro._lazy", "repro.exceptions"}
+
+
+# The campaign's cold-import line (``benchmarks/perf/campaign.py``'s ``process_start_s``)
+# and the server's. A module joining either list is start-up cost on every process.
+CAMPAIGN_LINE = [
+    "numpy", "repro", "repro._lazy", "repro.core", "repro.core.callbacks", "repro.core.codec",
+    "repro.core.evaluation", "repro.core.journal", "repro.core.manager", "repro.core.optimizer",
+    "repro.core.result", "repro.core.session", "repro.core.stores", "repro.exceptions", "repro.optimizers",
+    "repro.space", "repro.space.conditions", "repro.space.constraints", "repro.space.params",
+    "repro.space.priors", "repro.space.serialize", "repro.space.space", "repro.staticcheck",
+    "repro.staticcheck.findings", "repro.staticcheck.spacelint", "repro.sysim", "repro.targets",
+    "repro.telemetry", "repro.telemetry.spans", "repro.workloads",
+]
+SERVER = [
+    "numpy", "repro", "repro._lazy", "repro.core", "repro.core.callbacks", "repro.core.codec",
+    "repro.core.evaluation", "repro.core.journal", "repro.core.manager", "repro.core.optimizer",
+    "repro.core.result", "repro.core.session", "repro.exceptions", "repro.optimizers", "repro.service",
+    "repro.service.handlers", "repro.service.server", "repro.service.wire", "repro.space",
+    "repro.space.conditions", "repro.space.constraints", "repro.space.params", "repro.space.priors",
+    "repro.space.serialize", "repro.space.space", "repro.staticcheck", "repro.staticcheck.findings",
+    "repro.staticcheck.spacelint", "repro.telemetry", "repro.telemetry.events", "repro.telemetry.metrics",
+    "repro.telemetry.naming", "repro.telemetry.spans", "repro.telemetry.tracing",
+]
+# What neither runs: the other store backend, the benchmark runners, replay,
+# the executors, the client-side resilience and the source-tree linter.
+NEVER_AT_START = {
+    "sqlite3", "repro.benchmarking.duet", "repro.benchmarking.runner", "repro.benchmarking.tuna",
+    "repro.core.replay", "repro.execution", "repro.resilience", "repro.staticcheck.astlint",
+}
+
+
+@pytest.mark.parametrize(
+    "statement, expected",
+    [
+        ("import repro.core.manager, repro.core.stores, repro.targets", CAMPAIGN_LINE),
+        ("import repro.service.server", SERVER),
+    ],
+    ids=["campaign", "server"],
+)
+def test_cold_import_loads_exactly_these_modules(statement, expected):
+    loaded = _loaded(statement)
+    assert not set(loaded) & (NEVER_AT_START | {"repro.service.client"})
+    assert loaded == expected
+
+
+@pytest.mark.parametrize(
+    "target, own",
+    [
+        (("dbms", "tpcc-100"), {"repro.sysim.dbms", "repro.workloads.tpcc"}),
+        (("redis", "default"), {"repro.sysim.redis"}),
+        (("spark", "default"), {"repro.sysim.spark", "repro.workloads.tpch"}),
+    ],
+    ids=["dbms", "redis", "spark"],
+)
+def test_a_target_loads_no_other_simulator_or_workload(target, own):
+    """``make_evaluator`` resolves its simulator and workload through the package tables,
+    and the ``default`` workload is the named system's only."""
+    loaded = _loaded(f"from repro.targets import make_evaluator\nmake_evaluator(*{target!r})")
+    simulators = {f"repro.sysim.{m}" for m in ("dbms", "redis", "nginx", "spark")}
+    workloads = {f"repro.workloads.{m}" for m in ("tpcc", "tpch", "ycsb", "shifting")}
+    assert set(loaded) & (simulators | workloads) == own
+
+
 def test_listing_the_registry_imports_no_optimizer():
     """The CLI calls ``optimizer_names()`` to build its parser."""
     code = "import json, sys\nfrom repro.core.manager import optimizer_names\n"
