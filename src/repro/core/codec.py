@@ -171,17 +171,21 @@ class TrialReport:
 # -- trial records (journal) --------------------------------------------------
 
 
-def encode_trial(trial: Trial, report_id: str | None = None) -> dict[str, Any]:
+def encode_trial(
+    trial: Trial, report_id: str | None = None, provenance: Mapping[str, Any] | None = None
+) -> dict[str, Any]:
     """The canonical JSON-safe record of one trial.
 
     The same shape is appended to journals, stored in prior banks, and
     returned over the wire.
 
-    ``trial.provenance`` is journaled under a ``"provenance"`` key: seed
-    lineage, optimizer state digest, space version hash, ask-batch
-    coordinates, executor attempt history, library version, and parent
-    trace id — everything ``repro replay`` needs to re-execute the session
-    bit-exactly and to pinpoint the first divergence when it cannot.
+    ``provenance`` is journaled under a ``"provenance"`` key: seed lineage,
+    optimizer state digest, space version hash, ask-batch coordinates,
+    executor attempt history, library version, and parent trace id —
+    everything ``repro replay`` needs to re-execute the session bit-exactly
+    and to pinpoint the first divergence when it cannot. It belongs to the
+    record, not to the trial: :class:`~repro.core.session.TuningSession`
+    builds it when it journals, and readers take it from the record.
     """
     record = {
         "trial_id": trial.trial_id,
@@ -194,8 +198,8 @@ def encode_trial(trial: Trial, report_id: str | None = None) -> dict[str, Any]:
     }
     if report_id is not None:
         record["report_id"] = report_id
-    if trial.provenance is not None:
-        record["provenance"] = json_safe(trial.provenance)
+    if provenance is not None:
+        record["provenance"] = json_safe(provenance)
     return record
 
 
@@ -203,7 +207,8 @@ def decode_trial(record: Mapping[str, Any], space: ConfigurationSpace) -> Trial:
     """Rebuild a trial, re-validating the configuration against ``space``.
 
     The configuration goes through :func:`config_from_values`, so
-    histories transfer across compatible spaces.
+    histories transfer across compatible spaces. The record's
+    ``"provenance"`` stays in the record.
     """
     try:
         return Trial(
@@ -214,7 +219,6 @@ def decode_trial(record: Mapping[str, Any], space: ConfigurationSpace) -> Trial:
             cost=float(record.get("cost", 1.0)),
             fidelity=record.get("fidelity"),
             context=dict(record.get("context", {})),
-            provenance=None if record.get("provenance") is None else dict(record["provenance"]),
         )
     except (KeyError, ValueError, TypeError) as err:
         raise ReproError(f"malformed trial record: {err}") from err

@@ -93,9 +93,16 @@ class Objective:
         return float(score) if self.minimize else -float(score)
 
 
-@dataclass
+@dataclass(slots=True)
 class Trial:
-    """One evaluated (or failed) configuration with its measured metrics."""
+    """One evaluated (or failed) configuration with its measured metrics.
+
+    Slotted, and holding only what the optimizer reads: a hosted session
+    keeps every trial it observed for as long as it lives. The journal-level
+    lineage of a trial (seed, state digest, space version, ask coordinates)
+    is a field of its journal *record* (:func:`repro.core.codec.encode_trial`),
+    not of the trial.
+    """
 
     trial_id: int
     config: Configuration
@@ -104,10 +111,6 @@ class Trial:
     cost: float = 0.0  # resource cost of the trial (e.g. benchmark seconds)
     fidelity: float | None = None  # multi-fidelity level, None = full fidelity
     context: dict[str, Any] = field(default_factory=dict)  # workload / machine / etc.
-    #: Journal-level lineage (seed, optimizer state digest, space version,
-    #: ask batch, trace id …) attached when the trial is journaled /
-    #: decoded; ``None`` for trials that never crossed a journal.
-    provenance: dict[str, Any] | None = None
 
     @property
     def ok(self) -> bool:

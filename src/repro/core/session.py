@@ -128,7 +128,8 @@ class TuningSession:
         self.lint_report = None
         self.last_suggest_latency_s = 0.0
         self._next_ask_id = 0
-        # ask_id -> (configuration, batch coordinates) of asks not told yet
+        # ask_id -> (configuration, batch coordinates) of asks not told yet,
+        # oldest first and never more than the budget has trials left
         self._pending_asks: dict[int, tuple[Configuration, dict[str, Any]]] = {}
         self._report_trial_ids: dict[str, int] = {}  # report_id -> trial_id (tell idempotency)
         #: Resume generation: 0 for a fresh session, bumped by
@@ -232,6 +233,12 @@ class TuningSession:
                     fidelity=request.fidelity,
                 )
             )
+        # An ask whose response never reached its client (a deadline, a
+        # dropped connection, a retried ask) is never told. Keep at most one
+        # pending ask per trial left in the budget, evicting the oldest: a late
+        # tell for an evicted ask takes :meth:`tell`'s unknown-ask path.
+        while len(self._pending_asks) > remaining:
+            del self._pending_asks[next(iter(self._pending_asks))]
         return suggestions
 
     def tell(self, report: TrialReport | Mapping[str, Any]) -> tuple[Trial, bool]:
@@ -358,9 +365,9 @@ class TuningSession:
             self._report_trial_ids[report_id] = trial.trial_id
         if self.store is None or self.session_id is None:
             return
-        trial.provenance = self._provenance(trial, ask_info)
+        record = encode_trial(trial, report_id, self._provenance(trial, ask_info))
         queued = len(self._spill) + 1
-        self._spill.append((trial.trial_id, encode_trial(trial, report_id)))
+        self._spill.append((trial.trial_id, record))
         try:
             self._flush_queue()
         except TransientStorageError as err:

@@ -36,13 +36,21 @@ class Configuration(Mapping[str, Any]):
     Inactive conditional knobs are present but pinned at their defaults so a
     configuration can always be applied verbatim to the target system.
     ``active`` records which knobs the optimizer actually controls here.
+
+    The values are a tuple aligned with the space's key index (name →
+    position), which the space builds once and every configuration shares;
+    ``active`` is the space's one interned set for that activation pattern.
+    A configuration therefore carries no per-instance dict or set, and it
+    keeps the index it was made with, so a later ``space.add()`` leaves it
+    intact.
     """
 
-    __slots__ = ("_space", "_values", "_active", "_hash")
+    __slots__ = ("_space", "_index", "_values", "_active", "_hash")
 
     def __init__(self, space: "ConfigurationSpace", values: Mapping[str, Any], active: frozenset[str]) -> None:
         self._space = space
-        self._values = dict(values)
+        self._index = space._key_index()
+        self._values = tuple(map(values.__getitem__, self._index))
         self._active = active
         self._hash: int | None = None
 
@@ -56,10 +64,17 @@ class Configuration(Mapping[str, Any]):
         return self._active
 
     def __getitem__(self, name: str) -> Any:
-        return self._values[name]
+        return self._values[self._index[name]]
+
+    def get(self, name: str, default: Any = None) -> Any:
+        position = self._index.get(name)
+        return default if position is None else self._values[position]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._index
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._values)
+        return iter(self._index)
 
     def __len__(self) -> int:
         return len(self._values)
@@ -67,19 +82,21 @@ class Configuration(Mapping[str, Any]):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Configuration):
             return NotImplemented
-        return self._values == other._values
+        if self._index is other._index:
+            return self._values == other._values
+        return self.as_dict() == other.as_dict()
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(sorted((k, repr(v)) for k, v in self._values.items())))
+            self._hash = hash(tuple(sorted((k, repr(v)) for k, v in zip(self._index, self._values))))
         return self._hash
 
     def as_dict(self) -> dict[str, Any]:
         """A mutable copy of the full value mapping."""
-        return dict(self._values)
+        return dict(zip(self._index, self._values))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        inner = ", ".join(f"{k}={self._values[k]!r}" for k in self._space.names)
+        inner = ", ".join(f"{k}={v!r}" for k, v in zip(self._index, self._values))
         return f"Configuration({inner})"
 
 
@@ -108,12 +125,17 @@ class ConfigurationSpace:
         self._conditions: dict[str, list[Condition]] = {}
         self._constraints: list[Constraint] = []
         self._rng = np.random.default_rng(seed)
+        self._index: dict[str, int] | None = None
+        # Activation pattern -> the one frozenset every configuration shares.
+        self._patterns: dict[frozenset[str], frozenset[str]] = {}
 
     # -- construction ------------------------------------------------------
     def add(self, param: Parameter) -> Parameter:
         if param.name in self._params:
             raise DuplicateParameterError(param.name)
         self._params[param.name] = param
+        self._index = None
+        self._patterns = {}
         return param
 
     def add_condition(self, condition: Condition) -> Condition:
@@ -182,13 +204,26 @@ class ConfigurationSpace:
         except KeyError:
             raise UnknownParameterError(name) from None
 
+    def _key_index(self) -> dict[str, int]:
+        """Knob name → position, built once and shared by every configuration
+        made until the next :meth:`add` (which builds a new one)."""
+        index = self._index
+        if index is None:
+            index = self._index = {name: i for i, name in enumerate(self._params)}
+        return index
+
     # -- activation ---------------------------------------------------------
+    def _interned(self, active: frozenset[str]) -> frozenset[str]:
+        return self._patterns.setdefault(active, active)
+
     def active_names(self, values: Mapping[str, Any]) -> frozenset[str]:
         """Resolve which knobs are active under conditional rules.
 
         Unconditioned knobs are always active; conditioned knobs are active
         iff all their conditions hold, evaluated against active parents only.
         Resolution iterates to a fixpoint (condition graphs are acyclic).
+        Equal activation patterns return the same ``frozenset`` object: a
+        space has few patterns and every configuration holds one of them.
         """
         active = {name for name in self._params if name not in self._conditions}
         for _ in range(len(self._conditions) + 1):
@@ -201,7 +236,7 @@ class ConfigurationSpace:
             if not newly:
                 break
             active |= newly
-        return frozenset(active)
+        return self._interned(frozenset(active))
 
     # -- construction of configurations --------------------------------------
     def make(self, values: Mapping[str, Any] | None = None, check_constraints: bool = True) -> Configuration:
@@ -264,7 +299,7 @@ class ConfigurationSpace:
             return []
         names = list(self._params)
         simple = not self._conditions and not self._constraints
-        all_active = frozenset(names)
+        all_active = self._interned(frozenset(names))
         out: list[Configuration] = []
         attempts = 0
         while len(out) < n:

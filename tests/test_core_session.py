@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import Objective, StopWhenReached, TrialStatus, TuningSession
+from repro.core import Objective, SessionManager, StopWhenReached, TrialReport, TrialStatus, TuningSession
+from repro.core.stores import MemoryTrialStore
 from repro.exceptions import OptimizerError, SystemCrashError, TrialAbortedError
 from repro.optimizers import RandomSearchOptimizer
 
@@ -35,6 +36,27 @@ class TestBudgets:
             TuningSession(opt, quadratic_evaluator(), max_trials=0)
         with pytest.raises(OptimizerError):
             TuningSession(opt, quadratic_evaluator(), max_trials=5, batch_size=0)
+
+
+class TestPendingAsks:
+    def test_untold_asks_are_bounded_by_the_remaining_budget(self, simple_space):
+        manager = SessionManager(MemoryTrialStore())
+        session = manager.create(simple_space, optimizer="random", seed=0, max_trials=10, session_id="untold")
+        # Asks whose responses never reached a client: a deadline, a dropped
+        # connection, a client that retries its ask.
+        asks = [session.ask()[0] for _ in range(500)]
+        assert len(session._pending_asks) <= 10
+        evicted, kept = asks[0], asks[-1]
+        for sugg in (evicted, kept):
+            trial, duplicate = session.tell(
+                TrialReport(config=sugg.config, metrics={"score": 1.0}, ask_id=sugg.ask_id)
+            )
+            assert not duplicate and trial.config.as_dict() == sugg.config
+        # The evicted ask was told through the unknown-ask path, from its values.
+        records = manager.store.load_trials("untold")
+        assert [r["provenance"]["ask"] for r in records] == [None, {"call": 499, "n": 1, "observed": 0, "i": 0}]
+        report = manager.replay_session("untold")
+        assert report.ok and report.divergence is None, report.format()
 
 
 class TestEvaluatorShapes:

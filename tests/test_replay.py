@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import SessionManager, TrialReport
+from repro.core.codec import decode_trial, encode_trial
 from repro.core.manager import optimizer_names
 from repro.core.stores import JsonJournalStore, MemoryTrialStore, SqliteTrialStore, open_store
 from repro.space import CategoricalParameter, ConfigurationSpace, FloatParameter, IntegerParameter
@@ -64,6 +65,22 @@ class TestProvenanceCapture:
             assert prov["ask"] == {"call": call, "n": 1, "observed": call, "i": 0}
             assert set(prov["digest"]) >= {"rng", "history"}
             assert len(prov["space"]) == 12
+
+    def test_provenance_is_a_record_field(self):
+        manager = SessionManager(MemoryTrialStore())
+        session = manager.create(make_space(), optimizer="random", seed=11, max_trials=10, session_id="p4")
+        drive(session, 2)
+        space = session.optimizer.space
+        for trial, record in zip(session.optimizer.history, manager.store.load_trials("p4")):
+            assert not hasattr(trial, "provenance")
+            with pytest.raises(AttributeError):  # slotted: nothing can hang it back on
+                trial.provenance = record["provenance"]
+            assert set(record["provenance"]) == {"version", "digest", "space", "seed", "epoch", "ask", "library"}
+            # encode_trial journals the block it is given; decode_trial leaves it in the record.
+            assert encode_trial(trial, provenance=record["provenance"]) == record
+            decoded = decode_trial(record, space)
+            assert not hasattr(decoded, "provenance")
+            assert encode_trial(decoded) == {k: v for k, v in record.items() if k != "provenance"}
 
     def test_batch_ask_coordinates(self):
         manager = SessionManager(MemoryTrialStore())

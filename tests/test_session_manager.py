@@ -3,6 +3,11 @@ journaling through TuningSession, and the space codec."""
 
 from __future__ import annotations
 
+import gc
+import tempfile
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.core import Objective, TuningSession
@@ -24,6 +29,7 @@ from repro.space import (
     RatioConstraint,
 )
 from repro.space.serialize import SpaceCodecError, space_from_dict, space_to_dict
+from repro.targets import make_system
 
 from .conftest import assert_healthy
 
@@ -353,6 +359,59 @@ class TestSpaceCodec:
         import json
 
         json.dumps(space_to_dict(self._rich_space()))  # no numpy leakage
+
+
+def _retained_bytes(work) -> tuple[int, object]:
+    """Bytes still allocated after ``work()`` returns and a full collection,
+    with the result it returns (kept alive until the measurement is taken)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = work()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, kept
+    finally:
+        tracemalloc.stop()
+
+
+def bytes_per_hosted_trial(system: str, rounds: int = 200) -> float:
+    """What a told trial of a JSON-journalled ``random`` session on ``system``'s
+    space keeps, with constant metrics and no simulator in the loop."""
+    with tempfile.TemporaryDirectory() as directory:
+        manager = SessionManager(JsonJournalStore(directory, fsync=False))
+        session = manager.create(make_system(system).space, optimizer="random", seed=0,
+                                 max_trials=rounds + 5, lint=False)
+
+        def ask_and_tell(n: int) -> None:
+            for _ in range(n):
+                (s,) = session.ask()
+                session.tell(TrialReport(config=s.config, metrics={"score": 1.0}, ask_id=s.ask_id))
+
+        ask_and_tell(5)  # the space's key index, hash and first journal line are per session
+        retained, _ = _retained_bytes(lambda: ask_and_tell(rounds))
+        return retained / rounds
+
+
+class TestHostedFootprint:
+    """What a hosted session keeps per told trial: a ratchet on the layout of
+    ``Trial`` and ``Configuration``, not on the journal or the optimizer."""
+
+    @pytest.mark.parametrize(("system", "limit"), [("redis", 1000), ("dbms", 1300)])
+    def test_bytes_per_hosted_trial(self, system, limit):
+        assert bytes_per_hosted_trial(system) < limit
+
+    def test_bytes_per_made_configuration(self):
+        space = make_system("dbms").space
+        rng = np.random.default_rng(0)
+
+        def made() -> list:
+            sampled = space.sample_many(512, rng)
+            return sampled + [space.make(dict(c)) for c in space.sample_many(512, rng)]
+
+        retained, configs = _retained_bytes(made)
+        assert len(configs) == 1024
+        assert retained < 600 * 1024
 
 
 class TestEncodeTrial:

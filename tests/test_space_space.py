@@ -1,5 +1,7 @@
 """Unit tests for ConfigurationSpace and Configuration."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -88,11 +90,22 @@ class TestMake:
         )
         assert not conditional_space.is_feasible(cfg)
 
-    def test_configuration_is_mapping(self, simple_space):
-        cfg = simple_space.default_configuration()
-        assert set(cfg) == set(simple_space.names)
-        assert len(cfg) == 4
-        assert dict(cfg) == cfg.as_dict()
+    def test_configuration_is_mapping(self, simple_space, conditional_space):
+        for space in (simple_space, conditional_space):
+            cfg = space.default_configuration()
+            reference = cfg.as_dict()
+            assert list(cfg) == list(reference) == space.names  # the space's order
+            assert len(cfg) == space.n_dims
+            assert dict(cfg) == reference
+            for key in (*space.names, "zzz"):
+                assert (key in cfg) == (key in reference)
+                assert cfg.get(key) == reference.get(key)
+                assert cfg.get(key, "fallback") == reference.get(key, "fallback")
+            with pytest.raises(KeyError):
+                cfg["zzz"]
+            mutated = cfg.as_dict()
+            mutated[space.names[0]] = "changed"
+            assert cfg.as_dict() == reference  # as_dict() hands out an independent copy
 
     def test_equality_and_hash(self, simple_space):
         a = simple_space.make({"x": 0.25})
@@ -100,6 +113,46 @@ class TestMake:
         c = simple_space.make({"x": 0.75})
         assert a == b and hash(a) == hash(b)
         assert a != c
+        # The same knobs added in another order: another key index, the same mapping.
+        reordered = ConfigurationSpace("reordered")
+        for param in reversed(simple_space.parameters):
+            reordered.add(param)
+        d = reordered.make({"x": 0.25})
+        assert list(d) == list(reversed(list(a)))
+        assert d == a and a == d and hash(d) == hash(a)
+        assert reordered.make({"x": 0.75}) != a
+
+
+class TestConfigurationLayout:
+    def test_pickle_round_trip(self, simple_space, rng):
+        # ProcessExecutor ships configurations (with their space) to workers.
+        configs = simple_space.sample_many(3, rng)
+        again = pickle.loads(pickle.dumps(configs))
+        assert again == configs
+        assert [hash(c) for c in again] == [hash(c) for c in configs]
+        assert [list(c) for c in again] == [list(c) for c in configs]
+        assert [c.active for c in again] == [c.active for c in configs]
+
+    def test_configuration_survives_a_later_add(self, simple_space):
+        before = simple_space.make({"x": 0.25})
+        simple_space.add(BooleanParameter("late", default=True))
+        after = simple_space.make({"x": 0.25})
+        assert before.as_dict() == {"x": 0.25, "y": 10.0, "n": 8, "mode": "a"}
+        assert "late" not in before and len(before) == 4
+        assert list(after) == [*before, "late"] and after["late"] is True
+        assert before != after
+
+    def test_one_frozenset_per_activation_pattern(self, conditional_space, simple_space, rng):
+        on = [conditional_space.make({"jit": True, "jit_cost": cost}) for cost in (2000, 5000)]
+        off = [conditional_space.make({"jit": False, "pool": pool}) for pool in (256, 1024)]
+        assert on[0].active is on[1].active
+        assert off[0].active is off[1].active
+        assert on[0].active != off[0].active
+        for cfg in conditional_space.sample_many(20, rng):
+            assert cfg.active is (on if cfg["jit"] else off)[0].active
+        # Unconditioned spaces: every sampled or made configuration shares one set.
+        everything = simple_space.default_configuration().active
+        assert all(cfg.active is everything for cfg in simple_space.sample_many(5, rng))
 
 
 class TestSampling:
