@@ -3,7 +3,8 @@
 Implements the kernels the tutorial's "Kernel Functions" slides cover: RBF
 (the scikit-learn default), Matérn (the "most popular kernel nowadays", with
 ν controlling smoothness and converging to RBF as ν→∞), plus Constant and
-White noise kernels, and Sum/Product composition ("kernels can be combined").
+White noise kernels, Sum/Product composition ("kernels can be combined"),
+and the multi-task kernel of slide 59 (:class:`Coregionalized`).
 
 All hyperparameters live in log-space vectors (``theta``) so the marginal-
 likelihood optimizer can do unconstrained-ish box search.
@@ -33,7 +34,7 @@ import numpy as np
 
 from ..exceptions import OptimizerError
 
-__all__ = ["Kernel", "ConstantKernel", "WhiteKernel", "RBF", "Matern", "Sum", "Product"]
+__all__ = ["Kernel", "ConstantKernel", "WhiteKernel", "RBF", "Matern", "Sum", "Product", "Coregionalized"]
 
 #: Raw squared-difference tensors larger than this many elements are
 #: recomputed on demand instead of cached. This bounds the one cached tensor
@@ -385,3 +386,88 @@ class Product(_CompositeKernel):
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         return self.k1.diag(X) * self.k2.diag(X)
+
+
+class Coregionalized(Kernel):
+    """Intrinsic coregionalisation (slide 59): K((x,i),(x',j)) = B[i,j] · K_x(x,x').
+
+    Rows are ``[x, task]`` with the integer task id in the last column, and
+    the task covariance is ``B = w wᵀ + diag(v)`` — rank one plus a diagonal,
+    enough for positive and partial correlations between a handful of tasks.
+    θ is the input kernel's θ, then log w, then log v.
+    """
+
+    def __init__(self, input_kernel: Kernel, n_tasks: int) -> None:
+        if n_tasks < 2:
+            raise OptimizerError(f"need >= 2 tasks, got {n_tasks}")
+        self.input_kernel = input_kernel
+        self.n_tasks = int(n_tasks)
+        self.w = np.ones(self.n_tasks)
+        self.v = np.full(self.n_tasks, 0.1)
+        # (X, inputs, task ids) of the last training matrix: the same X gets
+        # the same input slice, so the input kernel's distance cache hits.
+        self._train: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def task_covariance(self) -> np.ndarray:
+        return np.outer(self.w, self.w) + np.diag(self.v)
+
+    def _split(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        tasks = X[:, -1].astype(int)
+        if tasks.size and (tasks.min() < 0 or tasks.max() >= self.n_tasks):
+            raise OptimizerError(f"task ids must be in [0, {self.n_tasks})")
+        return X[:, :-1], tasks
+
+    def _train_split(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self._train is None or self._train[0] is not X:
+            self._train = (X, *self._split(X))
+        return self._train[1], self._train[2]
+
+    def __call__(self, X1: np.ndarray, X2: np.ndarray | None = None, eval_gradient: bool = False):
+        B = self.task_covariance()
+        if eval_gradient:
+            _require_no_x2(X2)
+        elif X2 is not None:
+            (x1, t1), (x2, t2) = self._split(X1), self._split(X2)
+            return B[np.ix_(t1, t2)] * self.input_kernel(x1, x2)
+        x, t = self._train_split(X1)
+        B_tt = B[np.ix_(t, t)]
+        if not eval_gradient:
+            return B_tt * self.input_kernel(x)
+        Kx, contract_x = self.input_kernel(x, eval_gradient=True)
+        E = np.eye(self.n_tasks)[t]  # one-hot task indicator
+        w, v = self.w, self.v
+
+        def contract(W: np.ndarray) -> np.ndarray:
+            # B enters through w and v only: with G = Eᵀ(W ⊙ Kx)E, W ⊙ Kx summed
+            # over each pair of tasks, ∂/∂log wᵢ = 2wᵢ(Gw)ᵢ and ∂/∂log vᵢ = vᵢGᵢᵢ.
+            G = E.T @ (W * Kx) @ E
+            return np.concatenate([contract_x(W * B_tt), 2.0 * w * (G @ w), v * np.diag(G)])
+
+        return B_tt * Kx, contract
+
+    def diag(self, X: np.ndarray) -> np.ndarray:
+        x, t = self._split(X)
+        return np.diag(self.task_covariance())[t] * self.input_kernel.diag(x)
+
+    def walk(self):
+        yield self
+        yield from self.input_kernel.walk()
+
+    def drop_cache(self) -> None:
+        self._train = None
+
+    @property
+    def theta(self) -> np.ndarray:
+        return np.concatenate([self.input_kernel.theta, np.log(self.w), np.log(self.v)])
+
+    @theta.setter
+    def theta(self, value: np.ndarray) -> None:
+        k = self.n_tasks
+        self.input_kernel.theta = value[:-2 * k]
+        self.w = np.exp(value[-2 * k:-k])
+        self.v = np.exp(value[-k:])
+
+    @property
+    def bounds(self) -> np.ndarray:
+        k = self.n_tasks
+        return np.vstack([self.input_kernel.bounds, np.tile([-3.0, 3.0], (k, 1)), np.tile([-6.0, 2.0], (k, 1))])

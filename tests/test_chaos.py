@@ -36,7 +36,6 @@ from repro.optimizers import (
     FidelityLevel,
     GaussianProcessRegressor,
     MultiFidelityBO,
-    MultiOutputGP,
     MultiTaskOptimizer,
     ParEGOOptimizer,
     RandomForestRegressor,
@@ -369,7 +368,7 @@ class TestDegradedOptimizer:
         def broken_fit(*args, **kwargs):
             raise ValueError("singular kernel matrix")
 
-        for surrogate in (GaussianProcessRegressor, MultiOutputGP, RandomForestRegressor):
+        for surrogate in (GaussianProcessRegressor, RandomForestRegressor):
             monkeypatch.setattr(surrogate, "fit", broken_fit)
         monkeypatch.setattr(RandomForestRegressor, "partial_fit", broken_fit)
         configs = opt.suggest(2)

@@ -1,4 +1,4 @@
-"""Unit tests for constrained BO (SCBO-style) and multi-task GP optimization."""
+"""Unit tests for constrained BO (SCBO-style), the ICM kernel and multi-task optimization."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,12 @@ from repro.exceptions import OptimizerError
 from repro.optimizers import (
     BayesianOptimizer,
     ConstrainedBayesianOptimizer,
-    MultiOutputGP,
+    GaussianProcessRegressor,
+    Matern,
     MultiTaskOptimizer,
+    WhiteKernel,
 )
+from repro.optimizers.kernels import Coregionalized
 from repro.space import ConfigurationSpace, FloatParameter
 
 
@@ -105,28 +108,34 @@ class TestConstrainedBO:
             opt.best_feasible_trial()
 
 
+def icm_gp(n_tasks, seed=0):
+    """The surrogate MultiTaskOptimizer builds: an ICM kernel under the one GP."""
+    return GaussianProcessRegressor(Coregionalized(Matern(0.3, nu=2.5), n_tasks) + WhiteKernel(1e-3), seed=seed)
+
+
+def rows(X, tasks):
+    return np.column_stack([X, tasks])
+
+
 class TestMultiOutputGP:
+    """A multi-output GP is the one GaussianProcessRegressor over a Coregionalized kernel."""
+
     def make_data(self, rng, correlation=1.0, n=30):
         X = rng.random((n, 1))
         f = np.sin(5 * X[:, 0])
         y0 = f + rng.normal(0, 0.02, n)
         y1 = correlation * f + (1 - abs(correlation)) * rng.normal(0, 0.5, n) + rng.normal(0, 0.02, n)
-        X_all = np.vstack([X, X])
-        tasks = np.array([0] * n + [1] * n)
-        y_all = np.concatenate([y0, y1])
-        return X_all, tasks, y_all
+        return rows(np.vstack([X, X]), [0] * n + [1] * n), np.concatenate([y0, y1])
 
     def test_fit_predict_shapes(self, rng):
-        X, tasks, y = self.make_data(rng)
-        gp = MultiOutputGP(2, seed=0).fit(X, tasks, y)
-        mean, std = gp.predict(rng.random((7, 1)), task=0, return_std=True)
+        gp = icm_gp(2).fit(*self.make_data(rng))
+        mean, std = gp.predict(rows(rng.random((7, 1)), np.zeros(7)), return_std=True)
         assert mean.shape == (7,) and std.shape == (7,)
 
     def test_learns_positive_task_correlation(self, rng):
-        X, tasks, y = self.make_data(rng, correlation=1.0)
-        gp = MultiOutputGP(2, seed=0).fit(X, tasks, y)
-        corr = gp.task_correlation()
-        assert corr[0, 1] > 0.5
+        gp = icm_gp(2).fit(*self.make_data(rng, correlation=1.0))
+        B = gp.kernel.k1.task_covariance()
+        assert B[0, 1] / np.sqrt(B[0, 0] * B[1, 1]) > 0.5
 
     def test_cross_task_transfer(self, rng):
         """Data observed only for task 0 must inform task 1 predictions."""
@@ -134,12 +143,9 @@ class TestMultiOutputGP:
         X = rng.random((n, 1))
         y = np.sin(5 * X[:, 0])
         # Task 1 gets just 3 anchor points; task 0 gets all.
-        X_all = np.vstack([X, X[:3]])
-        tasks = np.array([0] * n + [1] * 3)
-        y_all = np.concatenate([y, y[:3]])
-        gp = MultiOutputGP(2, seed=0).fit(X_all, tasks, y_all)
+        gp = icm_gp(2).fit(rows(np.vstack([X, X[:3]]), [0] * n + [1] * 3), np.concatenate([y, y[:3]]))
         Xq = rng.random((40, 1))
-        pred1 = gp.predict(Xq, task=1)
+        pred1 = gp.predict(rows(Xq, np.ones(40)))
         err = np.abs(pred1 - np.sin(5 * Xq[:, 0])).mean()
         assert err < 0.3  # far better than the ~0.6 a 3-point model gives
 
@@ -147,10 +153,9 @@ class TestMultiOutputGP:
     def test_nll_gradient_matches_central_differences(self, rng, n_tasks, dims):
         """The analytic gradient the hyper-fit follows: input kernel, task covariance, noise."""
         n = 12
-        X = np.repeat(rng.random((n, dims)), n_tasks, axis=0)
-        tasks = np.tile(np.arange(n_tasks), n)
-        gp = MultiOutputGP(n_tasks, seed=0).fit(X, tasks, rng.standard_normal(n * n_tasks))
-        theta = gp._theta() + 0.1 * rng.standard_normal(len(gp._theta()))
+        X = rows(np.repeat(rng.random((n, dims)), n_tasks, axis=0), np.tile(np.arange(n_tasks), n))
+        gp = icm_gp(n_tasks).fit(X, rng.standard_normal(n * n_tasks))
+        theta = gp.kernel.theta + 0.1 * rng.standard_normal(len(gp.kernel.theta))
         _, grad = gp._nll_and_grad(theta.copy())
         h = 1e-6
         central = [
@@ -159,14 +164,27 @@ class TestMultiOutputGP:
         ]
         np.testing.assert_allclose(grad, central, rtol=1e-5, atol=1e-5)
 
+    def test_diag_is_the_diagonal_of_the_matrix(self, rng):
+        kernel = icm_gp(3).kernel
+        kernel.theta = kernel.theta + 0.3 * rng.standard_normal(len(kernel.theta))
+        X = rows(rng.random((9, 2)), np.tile(np.arange(3), 3))
+        np.testing.assert_allclose(kernel.diag(X), np.diag(kernel(X)), rtol=1e-12)
+
+    def test_one_fit_builds_the_distance_tensor_once(self, rng):
+        """Every θ evaluation and the recompute after them see the same input slice."""
+        stats = icm_gp(2).fit(*self.make_data(rng)).stats_dict()
+        assert stats["distance_cache_misses"] == 1
+        assert stats["distance_cache_hits"] == stats["nll_evals"] > 0
+
     def test_validation(self, rng):
         with pytest.raises(OptimizerError):
-            MultiOutputGP(1)
-        gp = MultiOutputGP(2)
-        with pytest.raises(OptimizerError):
-            gp.fit(np.zeros((2, 1)), np.array([0, 5]), np.zeros(2))
-        with pytest.raises(OptimizerError):
-            gp.fit(np.zeros((2, 1)), np.array([0]), np.zeros(2))
+            Coregionalized(Matern(), 1)
+        with pytest.raises(OptimizerError):  # a training row's task id out of range
+            icm_gp(2).fit(rows(np.zeros((2, 1)), [0, 5]), np.zeros(2))
+        gp = icm_gp(2).fit(*self.make_data(rng, n=5))
+        for task in (2, -1):  # a query row's task id out of range
+            with pytest.raises(OptimizerError):
+                gp.predict(rows(np.zeros((1, 1)), [task]))
 
 
 class TestMultiTaskOptimizer:

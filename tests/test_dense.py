@@ -2,7 +2,8 @@
 
 ``repro.optimizers._dense`` replaced ``scipy.linalg.cholesky`` /
 ``cho_solve`` / ``solve_triangular`` and L-BFGS-B; scipy stays in the test
-environment to say whether the replacements compute the same things.
+environment to say whether the replacements compute the same things, one
+factorization at a time and as the fitted GP's posterior and likelihood.
 """
 
 import numpy as np
@@ -10,8 +11,8 @@ import pytest
 from scipy import linalg, optimize
 
 from repro.optimizers._dense import cholesky, minimize_box, tri_inv
-from repro.optimizers.gp import default_kernel
-from repro.optimizers.kernels import ConstantKernel, Matern
+from repro.optimizers.gp import GaussianProcessRegressor, default_kernel
+from repro.optimizers.kernels import ConstantKernel, Coregionalized, Matern, WhiteKernel
 
 from .data.make_hyperfit_corpus import compare, load
 
@@ -83,6 +84,44 @@ class TestCholeskyAlgebra:
             cholesky(K)
         with pytest.raises(np.linalg.LinAlgError):
             cholesky(-np.eye(3))
+
+
+def bo_problem(rng):
+    """BO's surrogate on a 21-knob space."""
+    return default_kernel(21), rng.random((60, 21)), rng.random((25, 21))
+
+
+def multitask_problem(rng):
+    """MultiTaskOptimizer's surrogate: rows ``[x, task]`` over three tasks."""
+    kernel = Coregionalized(Matern(0.3, nu=2.5), 3) + WhiteKernel(1e-3)
+    rows = lambda n: np.column_stack([rng.random((n, 5)), rng.integers(0, 3, n)])  # noqa: E731
+    return kernel, rows(60), rows(25)
+
+
+@pytest.mark.parametrize("problem", [bo_problem, multitask_problem])
+def test_gp_posterior_and_likelihood_match_a_dense_scipy_reference(problem):
+    """Posterior mean, posterior std and log marginal likelihood of a hyper-fitted
+    GP against ``cho_factor``/``cho_solve`` on the kernel's own K at the fitted θ."""
+    rng = np.random.default_rng(0)
+    kernel, X, Xq = problem(rng)
+    y = np.sin(X[:, :3].sum(axis=1) * 3.0) + 0.05 * rng.standard_normal(len(X))
+    gp = GaussianProcessRegressor(kernel, seed=0).fit(X, y)
+    mean, std = gp.predict(Xq, return_std=True)
+
+    y_mean, y_std = y.mean(), y.std()
+    factor = linalg.cho_factor(kernel(X) + gp.jitter * np.eye(len(X)), lower=True)
+    alpha = linalg.cho_solve(factor, (y - y_mean) / y_std)
+    Ks = kernel(X, Xq)
+    ref_mean = Ks.T @ alpha * y_std + y_mean
+    ref_std = np.sqrt(kernel.diag(Xq) - np.sum(Ks * linalg.cho_solve(factor, Ks), axis=0)) * y_std
+    ref_lml = (
+        -0.5 * (y - y_mean) / y_std @ alpha
+        - np.log(np.diag(factor[0])).sum()
+        - 0.5 * len(X) * np.log(2.0 * np.pi)
+    )
+    assert relative(mean, ref_mean) <= 1e-10
+    assert relative(std, ref_std) <= 1e-10
+    assert abs(gp.log_marginal_likelihood() - ref_lml) <= 1e-10 * abs(ref_lml)
 
 
 def rosenbrock(x):

@@ -214,7 +214,7 @@ def test_gp_family_runs_with_scipy_blocked(tmp_path):
 
 
 def test_multitask_optimizer_runs_with_scipy_blocked():
-    """The ICM GP's hyper-fit (its own kernel and gradient) past ``n_init``."""
+    """The ICM kernel's hyper-fit under the one GP past ``n_init``."""
     code = BLOCK_SCIPY + textwrap.dedent("""
         import json
         from repro.core import Objective
@@ -228,7 +228,7 @@ def test_multitask_optimizer_runs_with_scipy_blocked():
         for _ in range(10):
             config = opt.suggest()[0]
             opt.observe(config, {"a": (config["x"] - 0.3) ** 2, "b": (config["y"] - 0.6) ** 2 + config["x"]})
-        print(json.dumps([len(opt.history), opt.model.task_correlation().shape[0]]))
+        print(json.dumps([len(opt.history), opt.model.kernel.k1.task_covariance().shape[0]]))
     """)
     assert fresh(code) == [10, 2]
 

@@ -38,7 +38,7 @@ OPTIMIZERS = [
     "ConstantKernel", "ConstrainedBayesianOptimizer", "CostAwareEI", "DBMS_VM_SCALING", "EnsembleOptimizer",
     "ExpectedImprovement", "FidelityLevel", "GaussianProcessRegressor", "GridSearchOptimizer",
     "HalvingRecord", "HyperbandResult", "Kernel", "LinearScalarizationOptimizer", "LowerConfidenceBound",
-    "Matern", "ModelBasedOptimizer", "MultiArmedBanditOptimizer", "MultiFidelityBO", "MultiOutputGP",
+    "Matern", "ModelBasedOptimizer", "MultiArmedBanditOptimizer", "MultiFidelityBO",
     "MultiTaskOptimizer", "ParEGOOptimizer", "ParallelResult", "ParallelRunner", "ParticleSwarmOptimizer",
     "PriorBank", "PriorRun", "ProbabilityOfImprovement", "Product", "ProjectedOptimizer", "RBF",
     "RandomForestRegressor", "RandomSearchOptimizer", "RegressionTree", "SMACOptimizer",
@@ -205,7 +205,7 @@ TECHNIQUE = "inventory technique no experiment constructs yet (ROADMAP item 6's 
 RECORD = "record type a reached function returns: callers read it, none names it"
 UNREACHED = {
     **dict.fromkeys([
-        "ConstrainedBayesianOptimizer", "StructuredBayesianOptimizer", "MultiTaskOptimizer", "MultiOutputGP",
+        "ConstrainedBayesianOptimizer", "StructuredBayesianOptimizer",
         "EnsembleOptimizer", "hyperband", "GreedyOnlineTuner", "ProactiveForecastTuner", "PageHinkleyDetector",
         "PCAEmbedding", "RandomProjectionEmbedding", "pareto_front", "scale_config_for_vm", "DBMS_VM_SCALING",
     ], TECHNIQUE),
