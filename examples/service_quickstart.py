@@ -1,6 +1,7 @@
 """Tuning as a service, end to end: boot ``repro serve`` as a real
 subprocess, drive a full tuning session over HTTP, scrape the Prometheus
-endpoint, and shut the server down cleanly.
+endpoint, read the server's kept request trees back through ``repro trace``,
+and shut the server down cleanly.
 
 This is the service analogue of ``quickstart.py``: the client defines a
 knob space, the server hosts the optimizer and journals every trial to a
@@ -12,6 +13,7 @@ Run:  python examples/service_quickstart.py
 """
 
 import asyncio
+import json
 import signal
 import subprocess
 import sys
@@ -23,6 +25,7 @@ from repro.service import ServiceClient
 from repro.service.client import ServiceError
 from repro.space import ConfigurationSpace, FloatParameter, IntegerParameter
 from repro.space.serialize import space_to_dict
+from repro.telemetry import SessionTrace
 
 
 def evaluate(config) -> dict:
@@ -44,7 +47,9 @@ async def main() -> int:
         address = server.stdout.readline().split()[-1]
         port = int(address.rsplit(":", 1)[1])
         print(f"server up at {address}, store at {store}")
-        client = ServiceClient("127.0.0.1", port)
+        # The client-side trace holds one `service.request` span per HTTP call.
+        client_trace = SessionTrace(name="quickstart-client")
+        client = ServiceClient("127.0.0.1", port, trace=client_trace)
 
         # 2. Create a durable session over a client-defined space.
         space = ConfigurationSpace("demo", seed=0)
@@ -103,19 +108,33 @@ async def main() -> int:
             print(f"{framing.decode()!r} -> {status_line}")
 
         # 5. Scrape the per-service Prometheus endpoint. 500 means a bug, so
-        #    `repro_service_requests_crashed` above 0 fails the smoke.
+        #    `repro_service_requests_crashed` above 0 fails the smoke. The
+        #    server keeps or drops every request's span tree, and counts both.
+        sent = len(client_trace.ops)  # the raw-socket requests above never reached a route
         metrics = await client.metrics()
         wanted = [line for line in metrics.splitlines()
                   if line.startswith(("repro_service_trials_total",
                                       "repro_service_requests_total",
                                       "repro_service_requests_crashed",
-                                      "repro_service_sessions_created"))]
+                                      "repro_service_sessions_created",
+                                      "repro_service_trace_requests_"))]
         print("metrics scrape:")
         for line in wanted:
             print(f"  {line}")
         assert any(line.startswith("repro_service_trials_total 20") for line in wanted), wanted
         crashed = [line for line in wanted if line.startswith("repro_service_requests_crashed")]
         assert all(float(line.split()[-1]) == 0 for line in crashed), crashed
+        decided = sum(float(line.split()[-1]) for line in wanted
+                      if line.startswith("repro_service_trace_requests_"))
+        assert decided == sent, (decided, sent)
+
+        #    The kept trees are readable: `GET /debug/trace` is a trace file
+        #    `repro trace` analyses like any campaign's.
+        trace_path = store.parent / "service-trace.json"
+        trace_path.write_text(json.dumps(await client.request("GET", "/debug/trace")))
+        report = subprocess.run([sys.executable, "-m", "repro", "trace", str(trace_path)],
+                                capture_output=True, text=True, check=True)
+        print(f"repro trace {trace_path.name}: {report.stdout.splitlines()[0]}")
 
         # 6. Graceful shutdown: SIGINT, then verify the clean-exit banner.
         server.send_signal(signal.SIGINT)

@@ -84,7 +84,7 @@ class JsonJournalStore(TrialStore):
                 raise StorageError(f"session {meta.session_id!r} already exists")
             if not meta.created_at:
                 meta.created_at = time.time()
-            _atomic_write(path, json.dumps(meta.to_dict(), indent=2), self.fsync)
+            _atomic_write(path, json.dumps(meta.to_dict(), separators=(",", ":")), self.fsync)
             self._counts[meta.session_id] = 0
             self._report_ids[meta.session_id] = set()
 
@@ -104,7 +104,7 @@ class JsonJournalStore(TrialStore):
     def update_session(self, session_id: str, **fields: Any) -> None:
         with self._lock:
             meta = self._updated(self.get_session(session_id), session_id, fields)
-            _atomic_write(self._meta_path(session_id), json.dumps(meta.to_dict(), indent=2), self.fsync)
+            _atomic_write(self._meta_path(session_id), json.dumps(meta.to_dict(), separators=(",", ":")), self.fsync)
             if meta.status == "completed":  # a later touch recovers it from disk
                 self._counts.pop(session_id, None)
                 self._report_ids.pop(session_id, None)

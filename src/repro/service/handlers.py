@@ -18,7 +18,7 @@
   session's server-side ``/step`` evaluation (pool reuse per service, not
   per session);
 * the per-service :class:`~repro.telemetry.MetricsRegistry` behind
-  ``GET /metrics``.
+  ``GET /metrics``, and the service trace behind ``GET /debug/trace``.
 
 Blocking work (store fsyncs, SQLite commits, optimizer fits, simulated
 benchmarks) runs in worker threads via ``asyncio.to_thread`` so the event
@@ -54,9 +54,14 @@ from .wire import (
 
 __all__ = ["ServiceHandlers"]
 
-#: Spans the service-wide trace keeps (≈ 2 MB at 507 B each: the newest thousand
-#: requests and more); the library default is sized for one exported campaign.
-SERVICE_TRACE_SPANS = 4096
+#: Spans the service-wide trace keeps (≈ 0.26 MB at 507 B each); the library
+#: default is sized for one exported campaign. Only the span trees of the
+#: requests the server keeps enter it (``TuningServer._retain``).
+SERVICE_TRACE_SPANS = 512
+#: A request at or above this quantile of its route's latency so far is kept.
+TRACE_TAIL_QUANTILE = 0.99
+#: A route's first this many requests are kept, then every this-many-th.
+TRACE_SAMPLE_EVERY = 64
 
 
 @dataclass
@@ -70,10 +75,10 @@ class ServiceHandlers:
     def __init__(self, manager: SessionManager, step_workers: int = 4) -> None:
         self.manager = manager
         self.metrics = MetricsRegistry()
-        #: The service-wide trace: ``http.request`` spans and the optimizer
-        #: spans they enclose are recorded here (with the *caller's* trace
-        #: id when the request carried a ``traceparent``). Share the service
-        #: metrics registry so trace-emitted counters land on ``/metrics``.
+        #: The service-wide trace: the ``http.request`` span trees of the
+        #: requests the server keeps (with the *caller's* trace id when the
+        #: request carried a ``traceparent``) and the server's events. Share
+        #: the service metrics registry so event counters land on ``/metrics``.
         self.trace = SessionTrace(name="service", max_ops=SERVICE_TRACE_SPANS)
         self.trace.metrics = self.metrics
         self.step_workers = int(step_workers)
@@ -172,6 +177,10 @@ class ServiceHandlers:
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
         self.metrics.set_gauge("service.process.peak_rss_bytes", peak * (1 if sys.platform == "darwin" else 1024))
         return self.metrics.to_prometheus()
+
+    async def debug_trace(self) -> dict[str, Any]:
+        """The kept request trees and the events, as a schema-2 trace (``repro trace`` reads it)."""
+        return self.trace.to_dict()
 
     async def list_sessions(self) -> dict[str, Any]:
         ids = await asyncio.to_thread(self.manager.list_sessions)

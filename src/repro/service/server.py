@@ -22,16 +22,28 @@ from __future__ import annotations
 
 import asyncio
 import re
+import threading
 import time
-from contextlib import nullcontext
 from functools import partial
 from http import HTTPStatus
 from typing import Any, Awaitable, Callable, Mapping
 
 from ..core.journal import SESSION_ID_PATTERN, TransientStorageError
 from ..exceptions import ReproError
-from ..telemetry.spans import bind_trace, current_trace_id, emit_event, parse_traceparent, span
-from .handlers import ServiceHandlers
+from ..telemetry.spans import (
+    OpSpan,
+    TrialRef,
+    activate,
+    bind_trace,
+    current_trace_context,
+    current_trace_id,
+    deactivate,
+    emit_event,
+    parse_traceparent,
+    span,
+)
+from ..telemetry.tracing import SessionTrace
+from .handlers import TRACE_SAMPLE_EVERY, TRACE_TAIL_QUANTILE, ServiceHandlers
 from .wire import dump_json, error_body, error_status, parse_json_body
 
 __all__ = ["TuningServer", "serve"]
@@ -47,6 +59,7 @@ _SESSION_PATH = re.compile(rf"^/sessions/({SESSION_ID_PATTERN})(/[a-z]+)?$")
 _ROUTES: Mapping[str, tuple[str, Mapping[str, tuple[str, bool]]]] = {
     "/healthz": ("healthz", {"GET": ("health", False)}),
     "/metrics": ("metrics", {"GET": ("metrics_text", False)}),
+    "/debug/trace": ("debug.trace", {"GET": ("debug_trace", False)}),
     "/sessions": ("sessions", {"GET": ("list_sessions", False), "POST": ("create_session", True)}),
     "/sessions/ID": ("session.status", {"GET": ("status", False)}),
     "/sessions/ID/ask": ("session.ask", {"POST": ("ask", True)}),
@@ -55,7 +68,55 @@ _ROUTES: Mapping[str, tuple[str, Mapping[str, tuple[str, bool]]]] = {
     "/sessions/ID/complete": ("session.complete", {"POST": ("complete", False)}),
 }
 
-_NULL_CTX = nullcontext()
+#: Probes, scrapers and the trace reader bypass admission control: they must
+#: keep working precisely when the service is saturated.
+_EXEMPT = frozenset({"healthz", "metrics", "debug.trace"})
+
+
+class _RequestSpans:
+    """The span sink of one request. Its spans wait here until the server
+    decides (:meth:`TuningServer._retain`) whether the tree enters the
+    service trace's ring; events go straight to the service trace. A worker
+    thread of the request may record after the verdict (a deadline 503
+    leaves it running): those spans follow the verdict."""
+
+    __slots__ = ("trace", "ops", "failed", "keep", "_lock", "_token")
+
+    def __init__(self, trace: SessionTrace) -> None:
+        self.trace = trace
+        self.ops: list[OpSpan] = []
+        self.failed = False  # a span closed with status "error"
+        self.keep: bool | None = None  # the verdict, once given
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> "_RequestSpans":
+        self._token = activate(self)
+        return self
+
+    def __exit__(self, *exc_info: object) -> bool:
+        deactivate(self._token)
+        return False
+
+    def record_op(self, op: OpSpan) -> None:
+        with self._lock:
+            if self.keep is None:
+                self.ops.append(op)
+                self.failed = self.failed or op.status == "error"
+                return
+        if self.keep:
+            self.trace.record_op(op)
+
+    def record_event(
+        self, kind: str, severity: str, message: str, ref: TrialRef | None, attributes: dict
+    ) -> None:
+        self.trace.record_event(kind, severity, message, ref, attributes)
+
+    def settle(self, keep: bool) -> None:
+        with self._lock:
+            self.keep = keep
+            if keep:
+                self.trace.record_ops(self.ops)
+            self.ops = []
 
 
 class _HttpError(Exception):
@@ -150,12 +211,13 @@ class TuningServer:
         """
         if self._server is not None:
             self._draining = True
-            emit_event(
-                "service.drain",
-                message="server draining: in-flight requests finishing",
-                in_flight=self._in_flight,
-                queued=self._queued,
-            )
+            with self.handlers.trace.activated():  # outside any request
+                emit_event(
+                    "service.drain",
+                    message="server draining: in-flight requests finishing",
+                    in_flight=self._in_flight,
+                    queued=self._queued,
+                )
             self._server.close()
             await self._server.wait_closed()
             self._server = None
@@ -280,33 +342,33 @@ class TuningServer:
         metrics = self.handlers.metrics
         metrics.inc("service.requests.shed")
         metrics.inc(f"http.request.status.{route}.{status}")
-        emit_event(
-            "service.overload",
-            severity="warning",
-            message=message,
-            route=route,
-            reason=reason,
-            in_flight=self._in_flight,
-            queued=self._queued,
-        )
+        with self.handlers.trace.activated():  # a shed request has no span tree
+            emit_event(
+                "service.overload",
+                severity="warning",
+                message=message,
+                route=route,
+                reason=reason,
+                in_flight=self._in_flight,
+                queued=self._queued,
+            )
         return (*self._error(status, message), self._retry_headers())
 
     async def _serve_request(
         self, method: str, path: str, headers: dict[str, str], body: bytes
     ) -> tuple[int, bytes, str, dict[str, str]]:
         """One request: admission control, trace binding, ``http.request``
-        span, per-request deadline, route metrics.
+        span, per-request deadline, span retention, route metrics.
 
-        The inbound ``traceparent`` (if any) is bound *before* the service
-        trace activates, so every span recorded while handling — including
-        optimizer spans running in worker threads via ``asyncio.to_thread``,
-        which copies this context — carries the caller's trace id.
-
-        ``/healthz`` and ``/metrics`` bypass admission control: probes and
-        scrapers must keep working precisely when the service is saturated.
+        The inbound ``traceparent`` (if any) is bound, else the service
+        trace's id, and the request's own span sink activated, so every span
+        recorded while handling — including optimizer spans running in
+        worker threads via ``asyncio.to_thread``, which copies this context —
+        carries the caller's trace id and waits in the sink for
+        :meth:`_retain`.
         """
         route, run = self._resolve(method, path, body)
-        exempt = route in ("healthz", "metrics")
+        exempt = route in _EXEMPT
         if self._draining and not exempt:
             return self._shed(route, 503, "draining", "server is draining; retry later")
         acquired = False
@@ -333,17 +395,17 @@ class TuningServer:
         if self._idle is not None:
             self._idle.clear()
         metrics.set_gauge("http.requests.in_flight", self._in_flight)
+        spans = _RequestSpans(self.handlers.trace)
         t0 = time.perf_counter()
-        with (bind_trace(inbound) if inbound is not None else _NULL_CTX):
-            with self.handlers.trace.activated():
-                with span("http.request", route=route, method=method) as op:
-                    # A task: overdue work outlives its 503 and keeps its slot.
-                    work = asyncio.ensure_future(run())
-                    work.add_done_callback(partial(self._release, acquired))
-                    status, payload, content_type = await self._respond(work)
-                    if op is not None:
-                        op.set(status=status)
+        with bind_trace(inbound or current_trace_context() or self.handlers.trace.trace_id), spans:
+            with span("http.request", route=route, method=method) as op:
+                # A task: overdue work outlives its 503 and keeps its slot.
+                work = asyncio.ensure_future(run())
+                work.add_done_callback(partial(self._release, acquired))
+                status, payload, content_type = await self._respond(work)
+                op.set(status=status)
         elapsed = time.perf_counter() - t0
+        self._retain(spans, route, status, elapsed)
         metrics.inc("service.requests.total")
         if status >= 400:
             metrics.inc("service.requests.errors")
@@ -352,6 +414,25 @@ class TuningServer:
         metrics.inc(f"http.request.status.{route}.{status}")
         extra = self._retry_headers() if status in (429, 503) else {}
         return status, payload, content_type, extra
+
+    def _retain(self, spans: _RequestSpans, route: str, status: int, elapsed: float) -> None:
+        """Tail-based retention, decided once per request as its
+        ``http.request`` span closes: keep the tree if the request failed (a
+        5xx, or any span closed with an error), is at or above its route's
+        p99 so far, is one of the route's first ``TRACE_SAMPLE_EVERY``, or is
+        the route's every ``TRACE_SAMPLE_EVERY``-th (the healthy baseline);
+        drop the rest. Read before this request's latency is observed."""
+        latency = self.handlers.metrics.histogram(f"http.request.seconds.{route}")
+        served = latency.count if latency is not None else 0
+        keep = (
+            status >= 500
+            or spans.failed
+            or served < TRACE_SAMPLE_EVERY
+            or served % TRACE_SAMPLE_EVERY == 0
+            or elapsed >= latency.quantile(TRACE_TAIL_QUANTILE)
+        )
+        spans.settle(keep)
+        self.handlers.metrics.inc("service.trace.requests_kept" if keep else "service.trace.requests_dropped")
 
     def _release(self, acquired: bool, work: "asyncio.Future[Any]") -> None:
         """The work has ended — answered or overdue: give its slot back."""

@@ -30,7 +30,7 @@ import json
 import threading
 import time
 from collections import Counter, deque
-from typing import Any
+from typing import Any, Sequence
 
 from . import spans as _spans
 from .events import EventLog
@@ -83,7 +83,10 @@ class SessionTrace:
     histograms live on :attr:`metrics`. Operation spans and structured
     events arrive through the context-variable machinery in
     :mod:`repro.telemetry.spans` while the trace is :meth:`activated`;
-    :meth:`record_trial` closes a trial by adding its root span.
+    :meth:`record_trial` closes a trial by adding its root span. Until then
+    the trial's parent-less spans are also filed under its
+    :class:`~repro.telemetry.spans.TrialRef`, so closing a trial touches
+    its own spans and never scans the ring.
     """
 
     def __init__(
@@ -104,6 +107,10 @@ class SessionTrace:
         self.max_ops = int(max_ops)
         self.ops: deque[OpSpan] = deque(maxlen=self.max_ops)
         self.ops_recorded = 0
+        # Parent-less spans of trials not yet closed, each with its position
+        # in the recording order. At most ``max_ops`` trials: more cannot all
+        # still have a span in the ring, and the oldest-opened goes first.
+        self._unadopted: dict[TrialRef, list[tuple[int, OpSpan]]] = {}
         self._lock = threading.Lock()
 
     # -- activation ----------------------------------------------------------
@@ -119,9 +126,23 @@ class SessionTrace:
     # -- recording ----------------------------------------------------------
     def record_op(self, op: OpSpan) -> None:
         """Sink for :func:`repro.telemetry.spans.span` (newest ``max_ops`` kept)."""
+        self.record_ops((op,))
+
+    def record_ops(self, ops: Sequence[OpSpan]) -> None:
+        """Append finished spans in one locked step (a server's kept request tree)."""
         with self._lock:
-            self.ops.append(op)
-            self.ops_recorded += 1
+            seq = self.ops_recorded
+            for op in ops:
+                if op.parent_id is None and op.ref is not None:
+                    pending = self._unadopted.get(op.ref)
+                    if pending is None:
+                        if len(self._unadopted) >= self.max_ops:
+                            del self._unadopted[next(iter(self._unadopted))]
+                        pending = self._unadopted[op.ref] = []
+                    pending.append((seq, op))
+                seq += 1
+            self.ops.extend(ops)
+            self.ops_recorded = seq
 
     def record_trial(
         self,
@@ -148,10 +169,9 @@ class SessionTrace:
         now = root.t0
         root.t0 = now - duration_s
         with self._lock:
-            children = [
-                op for op in self.ops
-                if op.parent_id is None and op.trial_id == trial_id and op.name != TRIAL_SPAN
-            ]
+            in_ring = self.ops_recorded - len(self.ops)  # position of the oldest span held
+            refs = [ref for ref in self._unadopted if ref.trial_id == trial_id]
+            children = [op for ref in refs for seq, op in self._unadopted.pop(ref) if seq >= in_ring]
             if children:
                 root.t0 = min(root.t0, min(op.t0 for op in children))
                 root.t1 = max(op.t1 for op in children)

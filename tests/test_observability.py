@@ -14,6 +14,7 @@ import json
 import math
 import threading
 import time
+from collections import deque
 
 import pytest
 
@@ -259,6 +260,45 @@ class TestSpans:
         assert [r["count"] for r in phase_stats(data)] == [2]
         assert [r["dominant_phase"] for r in slowest_trials(data)] == ["-"]
         assert len([e for e in chrome_trace(data)["traceEvents"] if e["ph"] == "X"]) == 3
+
+    def test_record_trial_does_not_scan_the_ring(self):
+        # A trial's parent-less spans are filed under its TrialRef as they
+        # arrive, so closing it beside 50 000 spans touches only its own.
+        class Unscannable(deque):
+            def __iter__(self):
+                raise AssertionError("record_trial iterated the span ring")
+
+        trace = SessionTrace()
+        filler = OpSpan("filler", parent_id=None, ref=None, attributes={})
+        trace.ops = Unscannable([filler] * 50_000, maxlen=trace.max_ops)
+        trace.ops_recorded = 50_000
+        with trace.activated():
+            for trial_id in range(3):
+                with trial_scope() as ref:
+                    with span("work"):
+                        with span("inner"):
+                            pass
+                ref.trial_id = trial_id
+                root = trace.record_trial(trial_id, 0.0, {"outcome": "success"})
+                inner, work = trace.ops[-3], trace.ops[-2]
+                assert trace.ops[-1] is root and work.parent_id == root.span_id
+                assert inner.parent_id == work.span_id
+                assert root.t0 <= work.t0 and work.t1 <= root.t1
+        assert len(trace.ops) == trace.ops_recorded == 50_009
+
+    def test_record_trial_adopts_only_spans_still_in_the_ring(self):
+        trace = SessionTrace(max_ops=3)
+        with trace.activated():
+            with trial_scope() as ref:
+                with span("evicted") as evicted:
+                    pass
+            for _ in range(3):
+                with span("filler"):
+                    pass
+            ref.trial_id = 0
+            root = trace.record_trial(0, 0.5, {"outcome": "success"})
+        assert evicted not in trace.ops and evicted.parent_id is None  # as if the ring had been scanned
+        assert root.duration_s == pytest.approx(0.5)
 
     def test_ring_under_concurrent_writers_and_readers(self):
         # 8 writer threads race record_trial()/to_dict() on the main thread.

@@ -20,7 +20,8 @@ from repro.core.manager import SessionManager
 from repro.core.stores import JsonJournalStore, MemoryTrialStore
 from repro.exceptions import ReproError
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.handlers import ServiceHandlers
+import repro.service.server as server_module
+from repro.service.handlers import SERVICE_TRACE_SPANS, TRACE_SAMPLE_EVERY, ServiceHandlers
 from repro.service.server import TuningServer
 from repro.space import ConfigurationSpace, FloatParameter, IntegerParameter
 from repro.space.serialize import space_to_dict
@@ -312,28 +313,246 @@ class TestSoak:
                         ))
                     assert ack["complete"]
                 gc.collect()
+                counters = handlers.metrics.counters
                 return {
                     "objects": len(gc.get_objects()),
                     "proc": proc_self(),
                     "hosted": len(handlers._hosted),
                     "tables": len(store._counts) + len(store._report_ids),
                     "ring": len(handlers.trace.ops),
-                    "wrapped": handlers.trace.ops_dropped > 0,
+                    "decided": counters.get("service.trace.requests_kept", 0)
+                    + counters.get("service.trace.requests_dropped", 0),
+                    "served": counters["service.requests.total"],
                 }
 
             try:
                 first, second = await phase(1), await phase(2)
             finally:
                 await server.stop()
-            full = {"hosted": 0, "tables": 0, "ring": handlers.trace.max_ops, "wrapped": True}
-            assert {key: first[key] for key in full} == full
-            assert {key: second[key] for key in full} == full
+            for held in (first, second):
+                assert held["hosted"] == held["tables"] == 0, held
+                assert held["ring"] <= SERVICE_TRACE_SPANS, held
+                assert held["decided"] == held["served"], held  # every request kept or dropped
             assert second["objects"] < first["objects"] * 1.01, (first, second)
             if first["proc"] is not None:
                 (fds, rss_mb), (fds_later, rss_mb_later) = first["proc"], second["proc"]
                 assert fds_later == fds and rss_mb_later - rss_mb <= 1.0, (first, second)
 
         run(asyncio.wait_for(main(), timeout=300))
+
+
+class FixedLatency:
+    """Stands in for the server module's ``time``: every request lasts
+    ``latency`` seconds on the clock the retention rule reads."""
+
+    def __init__(self, latency: float) -> None:
+        self.latency = latency
+        self._calls = 0
+
+    def perf_counter(self) -> float:
+        self._calls += 1
+        return self.latency if self._calls % 2 == 0 else 0.0
+
+
+class TestTailRetention:
+    """The service ring keeps the requests worth explaining — failed, slow
+    for their route, a route's warm-up and a 1-in-64 baseline — and drops
+    the rest; each verdict is counted on ``/metrics``."""
+
+    FAST_S = 0.0007  # inside one histogram bucket: its p99 estimate is above it
+
+    @pytest.fixture
+    def clock(self, monkeypatch) -> FixedLatency:
+        clock = FixedLatency(self.FAST_S)
+        monkeypatch.setattr(server_module, "time", clock)
+        return clock
+
+    @staticmethod
+    def verdicts(server) -> tuple[float, float]:
+        metrics = server.handlers.metrics
+        return (metrics.counter_value("service.trace.requests_kept"),
+                metrics.counter_value("service.trace.requests_dropped"))
+
+    @staticmethod
+    async def get(server, n: int = 1, path: str = "/healthz") -> int:
+        for _ in range(n):
+            status, *_ = await server._serve_request("GET", path, {}, b"")
+        return status
+
+    def test_warm_up_then_one_baseline_request_in_64(self, clock):
+        async def main():
+            server = TuningServer(ServiceHandlers(SessionManager(MemoryTrialStore())))
+            await self.get(server, TRACE_SAMPLE_EVERY)
+            assert self.verdicts(server) == (TRACE_SAMPLE_EVERY, 0)
+            await self.get(server, 2 * TRACE_SAMPLE_EVERY)
+            assert self.verdicts(server) == (TRACE_SAMPLE_EVERY + 2, 2 * (TRACE_SAMPLE_EVERY - 1))
+            kept = [op for op in server.handlers.trace.ops if op.name == "http.request"]
+            assert len(kept) == TRACE_SAMPLE_EVERY + 2
+            assert "repro_service_trace_requests_dropped 126" in await server.handlers.metrics_text()
+
+        run(main())
+
+    def test_slow_failed_and_error_span_requests_are_kept(self, clock):
+        from contextlib import suppress
+
+        from repro.telemetry.spans import span
+
+        async def crash():
+            raise RuntimeError("a bug")
+
+        async def survives_a_failed_step():
+            with suppress(ValueError):
+                with span("optimizer.suggest"):
+                    raise ValueError("handled inside the request")
+            return {"ok": True}
+
+        async def main():
+            server = TuningServer(ServiceHandlers(SessionManager(MemoryTrialStore())))
+            handlers = server.handlers
+            await self.get(server, TRACE_SAMPLE_EVERY + 1)  # past warm-up and the 64th
+            kept, dropped = self.verdicts(server)
+            assert (kept, dropped) == (TRACE_SAMPLE_EVERY + 1, 0)
+
+            clock.latency = 0.05  # above the route's p99
+            assert await self.get(server) == 200
+            clock.latency = self.FAST_S
+            assert self.verdicts(server) == (kept + 1, dropped)
+
+            handlers.health = crash
+            assert await self.get(server) == 500
+            assert self.verdicts(server) == (kept + 2, dropped)
+
+            handlers.health = survives_a_failed_step
+            assert await self.get(server) == 200
+            assert self.verdicts(server) == (kept + 3, dropped)
+            failed_step, request = list(handlers.trace.ops)[-2:]
+            assert failed_step.status == "error" and failed_step.parent_id == request.span_id
+            assert request.attributes["status"] == 200
+
+            del handlers.health
+            await self.get(server)
+            assert self.verdicts(server) == (kept + 3, dropped + 1)
+
+        run(main())
+
+    def test_deadline_503_keeps_the_spans_its_worker_records_afterwards(self, clock):
+        import threading
+
+        from repro.telemetry.spans import span
+
+        release, finished = threading.Event(), threading.Event()
+
+        def overdue_work():
+            with span("optimizer.suggest", late=True):
+                release.wait(timeout=10)
+            finished.set()
+
+        async def wedged():
+            return await asyncio.to_thread(overdue_work)
+
+        async def main():
+            server = TuningServer(
+                ServiceHandlers(SessionManager(MemoryTrialStore())), request_timeout_s=0.05
+            )
+            await self.get(server, TRACE_SAMPLE_EVERY + 1)
+            kept, dropped = self.verdicts(server)
+            server.handlers.health = wedged
+            assert await self.get(server) == 503  # decided while the worker still runs
+            assert self.verdicts(server) == (kept + 1, dropped)
+            request = server.handlers.trace.ops[-1]
+            assert request.name == "http.request" and request.attributes["status"] == 503
+            release.set()
+            assert await asyncio.to_thread(finished.wait, 10)
+            late = server.handlers.trace.ops[-1]
+            assert late.attributes == {"late": True} and late.parent_id == request.span_id
+            assert late.trace_id == request.trace_id
+
+        run(main())
+
+    @pytest.mark.parametrize("keep", [True, False], ids=["kept", "dropped"])
+    def test_no_span_crosses_the_verdict_lost_or_misfiled(self, keep):
+        # Worker threads record while the verdict lands: every span reaches
+        # the ring if the tree is kept, none if it is dropped.
+        import sys
+        import threading
+
+        from repro.telemetry import SessionTrace
+        from repro.telemetry.spans import OpSpan
+
+        trace = SessionTrace()
+        spans = server_module._RequestSpans(trace)
+        n_writers, per_writer = 8, 500
+        start = threading.Barrier(n_writers + 1)
+
+        def writer():
+            start.wait(timeout=10)
+            for _ in range(per_writer):
+                spans.record_op(OpSpan("optimizer.suggest", None, None, {}))
+
+        threads = [threading.Thread(target=writer) for _ in range(n_writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            start.wait(timeout=10)
+            while len(spans.ops) < per_writer:
+                pass
+            spans.settle(keep)
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert trace.ops_recorded == (n_writers * per_writer if keep else 0)
+
+
+class TestServerEvents:
+    def test_overload_and_drain_are_recorded_on_the_service_trace(self):
+        """Both fire outside any request's span sink: shed before admission,
+        drain on stop."""
+
+        async def main():
+            server, _ = await start_server(MemoryTrialStore())
+            server._shed("sessions", 429, "queue_full", "server at capacity")
+            await server.stop()
+            events = server.handlers.trace.events.snapshot()
+            assert [(e.kind, e.attributes.get("reason")) for e in events] == [
+                ("service.overload", "queue_full"), ("service.drain", None),
+            ]
+            counters = server.handlers.metrics.counters
+            assert counters["events.service.overload"] == counters["events.service.drain"] == 1
+            assert counters["service.requests.shed"] == 1
+
+        run(main())
+
+
+class TestDebugTrace:
+    def test_failed_request_tree_is_served_as_a_loadable_trace(self, tmp_path):
+        from repro.telemetry.analyzer import load_trace
+
+        async def crash():
+            raise RuntimeError("a bug")
+
+        async def main():
+            server, client = await start_server(MemoryTrialStore())
+            server.handlers.list_sessions = crash
+            try:
+                with pytest.raises(ServiceError) as err:
+                    await client.list_sessions()
+                assert err.value.status == 500
+                server._draining = True  # exempt from admission, like /metrics
+                body = await client.request("GET", "/debug/trace")
+            finally:
+                server._draining = False
+                await server.stop()
+            (failed,) = [s for s in body["spans"] if s["attributes"].get("status") == 500]
+            assert failed["name"] == "http.request" and failed["attributes"]["route"] == "sessions"
+            path = tmp_path / "service-trace.json"
+            path.write_text(json.dumps(body))
+            assert load_trace(str(path))["schema"] == 2
+
+        run(main())
 
 
 class TestServerSideStep:
