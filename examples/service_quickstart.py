@@ -33,6 +33,27 @@ def evaluate(config) -> dict:
     return {"loss": (config["x"] - 0.3) ** 2 + 0.05 * config["threads"]}
 
 
+def check_exposition(text: str) -> int:
+    """What a Prometheus scraper checks before it ingests a scrape: each
+    family has exactly one ``# TYPE`` line, every sample line belongs to the
+    family declared last above it, and every value is a number. Returns the
+    number of families."""
+    kinds: dict[str, str] = {}
+    family = None
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, family, kind = line.split(" ")
+            assert family not in kinds, f"family {family} has two # TYPE lines"
+            kinds[family] = kind
+            continue
+        name, value = line.rsplit(" ", 1)
+        name = name.split("{", 1)[0]
+        suffixes = ("_bucket", "_sum", "_count") if kinds.get(family) == "histogram" else ()
+        assert name in {family, *(f"{family}{s}" for s in suffixes)}, f"{line!r} is outside family {family}"
+        float(value)
+    return len(kinds)
+
+
 async def main() -> int:
     store = Path(tempfile.mkdtemp(prefix="repro-service-")) / "campaigns"
 
@@ -118,7 +139,7 @@ async def main() -> int:
                                       "repro_service_requests_crashed",
                                       "repro_service_sessions_created",
                                       "repro_service_trace_requests_"))]
-        print("metrics scrape:")
+        print(f"metrics scrape: {check_exposition(metrics)} families, each declared once")
         for line in wanted:
             print(f"  {line}")
         assert any(line.startswith("repro_service_trials_total 20") for line in wanted), wanted

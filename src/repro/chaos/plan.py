@@ -201,7 +201,7 @@ class FaultInjector:
         """Advance the (site, key) counter and return the fault, if any.
 
         ``record=False`` still advances counters but keeps the decision out
-        of the event log (used by :meth:`FaultPlan.schedule`).
+        of the fault log and the trace (used by :meth:`FaultPlan.schedule`).
         """
         with self._lock:
             counter_key = (site, key)

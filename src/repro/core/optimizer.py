@@ -300,10 +300,11 @@ class Optimizer(ABC):
 
         A numerically broken fit (singular kernel, NaN scores) or a failing
         model must not kill a long campaign — the tuner falls back to the
-        behaviour it had before the model took over, announces it on the
-        event log, and keeps going. The draw comes from ``self.rng``, the
-        same stream random sampling uses, so the degraded suggestion is
-        exactly as deterministic as a healthy one given the same failure.
+        behaviour it had before the model took over, announces it with an
+        ``optimizer.degraded`` event, and keeps going. The draw comes from
+        ``self.rng``, the same stream random sampling uses, so the degraded
+        suggestion is exactly as deterministic as a healthy one given the
+        same failure.
         """
         from ..telemetry.spans import emit_event  # deferred: optimizer is telemetry-light
 

@@ -29,8 +29,8 @@ store and verifies it bit-exactly against the journal:
 
 The first mismatch stops the replay: a :class:`ReplayDivergence` names
 the trial, the kind of mismatch, the recorded and replayed values, and
-the per-component digest delta, and is emitted through the event log as
-a ``replay.divergence`` event. Records without provenance (journals
+the per-component digest delta, and is emitted into the trace as a
+``replay.divergence`` event. Records without provenance (journals
 written before provenance capture) are replayed observe-only and counted
 as unverified rather than failing.
 """
@@ -215,7 +215,7 @@ def replay_session(
     session and :class:`ReproError` for a journal that cannot be decoded
     at all. Pass ``trace`` to collect the ``session.replay`` span and any
     ``replay.divergence`` event; by default a private trace is used so
-    the event log is always populated.
+    the event is always recorded.
     """
     meta = SessionManager(store).meta(session_id)
     optimizer_name = meta.optimizer.get("name", "random")

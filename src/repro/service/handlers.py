@@ -77,8 +77,9 @@ class ServiceHandlers:
         self.metrics = MetricsRegistry()
         #: The service-wide trace: the ``http.request`` span trees of the
         #: requests the server keeps (with the *caller's* trace id when the
-        #: request carried a ``traceparent``) and the server's events. Share
-        #: the service metrics registry so event counters land on ``/metrics``.
+        #: request carried a ``traceparent``) and the events the server emits
+        #: outside any request (shed, drain). Share the service metrics
+        #: registry so event counters land on ``/metrics``.
         self.trace = SessionTrace(name="service", max_ops=SERVICE_TRACE_SPANS)
         self.trace.metrics = self.metrics
         self.step_workers = int(step_workers)
@@ -179,7 +180,7 @@ class ServiceHandlers:
         return self.metrics.to_prometheus()
 
     async def debug_trace(self) -> dict[str, Any]:
-        """The kept request trees and the events, as a schema-2 trace (``repro trace`` reads it)."""
+        """The kept request trees and the server's events, as a schema-3 trace (``repro trace`` reads it)."""
         return self.trace.to_dict()
 
     async def list_sessions(self) -> dict[str, Any]:

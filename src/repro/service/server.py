@@ -31,8 +31,8 @@ from typing import Any, Awaitable, Callable, Mapping
 from ..core.journal import SESSION_ID_PATTERN, TransientStorageError
 from ..exceptions import ReproError
 from ..telemetry.spans import (
+    EVENT_MARK,
     OpSpan,
-    TrialRef,
     activate,
     bind_trace,
     current_trace_context,
@@ -74,18 +74,18 @@ _EXEMPT = frozenset({"healthz", "metrics", "debug.trace"})
 
 
 class _RequestSpans:
-    """The span sink of one request. Its spans wait here until the server
-    decides (:meth:`TuningServer._retain`) whether the tree enters the
-    service trace's ring; events go straight to the service trace. A worker
-    thread of the request may record after the verdict (a deadline 503
-    leaves it running): those spans follow the verdict."""
+    """The span sink of one request. Its spans and events wait here until the
+    server decides (:meth:`TuningServer._retain`) whether the tree enters the
+    service trace's ring; an event is counted when it is emitted, kept or
+    not. A worker thread of the request may record after the verdict (a
+    deadline 503 leaves it running): those spans follow the verdict."""
 
-    __slots__ = ("trace", "ops", "failed", "keep", "_lock", "_token")
+    __slots__ = ("trace", "ops", "flagged", "keep", "_lock", "_token")
 
     def __init__(self, trace: SessionTrace) -> None:
         self.trace = trace
         self.ops: list[OpSpan] = []
-        self.failed = False  # a span closed with status "error"
+        self.flagged = False  # a span closed with status "error", or a warning/error event
         self.keep: bool | None = None  # the verdict, once given
         self._lock = threading.Lock()
 
@@ -98,18 +98,16 @@ class _RequestSpans:
         return False
 
     def record_op(self, op: OpSpan) -> None:
+        severity = op.attributes.get(EVENT_MARK)
+        if severity is not None:
+            self.trace.metrics.inc(f"events.{op.name}")
         with self._lock:
             if self.keep is None:
                 self.ops.append(op)
-                self.failed = self.failed or op.status == "error"
+                self.flagged = self.flagged or op.status == "error" or severity in ("warning", "error")
                 return
         if self.keep:
-            self.trace.record_op(op)
-
-    def record_event(
-        self, kind: str, severity: str, message: str, ref: TrialRef | None, attributes: dict
-    ) -> None:
-        self.trace.record_event(kind, severity, message, ref, attributes)
+            self.trace.record_ops((op,))
 
     def settle(self, keep: bool) -> None:
         with self._lock:
@@ -418,7 +416,8 @@ class TuningServer:
     def _retain(self, spans: _RequestSpans, route: str, status: int, elapsed: float) -> None:
         """Tail-based retention, decided once per request as its
         ``http.request`` span closes: keep the tree if the request failed (a
-        5xx, or any span closed with an error), is at or above its route's
+        5xx, or any span closed with an error) or warned (a warning or error
+        event; info events follow the verdict), is at or above its route's
         p99 so far, is one of the route's first ``TRACE_SAMPLE_EVERY``, or is
         the route's every ``TRACE_SAMPLE_EVERY``-th (the healthy baseline);
         drop the rest. Read before this request's latency is observed."""
@@ -426,7 +425,7 @@ class TuningServer:
         served = latency.count if latency is not None else 0
         keep = (
             status >= 500
-            or spans.failed
+            or spans.flagged
             or served < TRACE_SAMPLE_EVERY
             or served % TRACE_SAMPLE_EVERY == 0
             or elapsed >= latency.quantile(TRACE_TAIL_QUANTILE)

@@ -27,7 +27,7 @@ replay work depend on but nothing previously enforced:
   column vectorized.
 * **AST301 — swallowed exceptions in service, executor, optimizer, online
   and core code.** A bare ``except:`` (or a handler for ``Exception``) that
-  neither re-raises nor leaves a trace in the event log / metrics turns
+  neither re-raises nor leaves an event or a metric behind turns
   crash-recovery bugs invisible and programming errors into fallbacks.
 * **AST401 — span/event names outside the telemetry registry.** Names are
   a closed vocabulary (:mod:`repro.telemetry.naming`); a typo creates a
@@ -99,7 +99,7 @@ _STDLIB_RANDOM_FNS = {
 }
 #: Handler calls that count as "the failure left a trace".
 _EVIDENCE_CALLS = {"emit_event", "inc", "observe", "warn", "warning", "error",
-                   "exception", "log", "record_event", "set_gauge"}
+                   "exception", "log", "set_gauge"}
 #: Packages where AST301 applies: a fallback there must name the failure it is for.
 _SWALLOW_SCOPE = ("repro/service", "repro/execution", "repro/optimizers", "repro/online", "repro/core")
 

@@ -4,13 +4,13 @@ Layers:
 
 * :mod:`~repro.telemetry.spans` — :class:`OpSpan`, the one span class,
   opened through contextvar-backed ``span`` / ``trial_scope`` /
-  ``emit_event`` with a strict no-op fast path when no trace is active;
+  ``emit_event`` (an event is a zero-length span) with a strict no-op
+  fast path when no trace is active;
 * :mod:`~repro.telemetry.metrics` — counters/gauges/latency histograms
   with JSON and Prometheus exposition;
-* :mod:`~repro.telemetry.events` — bounded structured event log;
 * :mod:`~repro.telemetry.tracing` — :class:`SessionTrace`: the span ring
-  (a trial is a root span named ``session.trial``), metrics, events, and
-  the schema-2 JSON export;
+  (a trial is a root span named ``session.trial``), metrics, and the
+  schema-3 JSON export;
 * :mod:`~repro.telemetry.export` — Chrome trace-event conversion (open in
   Perfetto);
 * :mod:`~repro.telemetry.analyzer` — offline analysis for ``repro trace``;
@@ -25,8 +25,6 @@ from .._lazy import lazy_exports
 # Public name -> defining submodule, imported on first use (see repro._lazy).
 _EXPORTS = {
     "TelemetryCallback": ".callback",
-    "Event": ".events",
-    "EventLog": ".events",
     "chrome_trace": ".export",
     "export_chrome_trace": ".export",
     "DEFAULT_LATENCY_BUCKETS": ".metrics",

@@ -10,12 +10,13 @@ operator actually asks of a finished run:
 * **Which trials hurt?** The slowest trials (``session.trial`` roots) with
   their outcome, retries, and dominant phase (longest direct child).
 * **How did trials end?** Outcome × count table with example errors, plus
-  the structured event log rolled up by kind/severity.
+  the structured events rolled up by kind/severity.
 
 Everything here works on plain dicts (the exported JSON: one flat
-``spans`` list linked by ``parent_id``), so the analyzer never needs the
-process that produced the trace. A span whose parent fell off the trace's
-ring simply has no parent in the file and is read as a root.
+``spans`` list linked by ``parent_id``; an event is a zero-length span
+with a ``severity`` attribute, and is no phase), so the analyzer never
+needs the process that produced the trace. A span whose parent fell off
+the trace's ring simply has no parent in the file and is read as a root.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Any, Iterable, Mapping
 
 from ..exceptions import ReproError
 from .naming import TRIAL_SPAN
+from .spans import EVENT_MARK, SEVERITIES
 from .tracing import TRACE_SCHEMA
 
 __all__ = [
@@ -69,6 +71,14 @@ def _trial_roots(trace: Mapping[str, Any]) -> list[Mapping[str, Any]]:
     return [sp for sp in trace.get("spans", ()) if sp["name"] == TRIAL_SPAN]
 
 
+def _is_event(sp: Mapping[str, Any]) -> bool:
+    return EVENT_MARK in (sp.get("attributes") or {})
+
+
+def _events(trace: Mapping[str, Any]) -> list[Mapping[str, Any]]:
+    return [sp for sp in trace.get("spans", ()) if _is_event(sp)]
+
+
 def _percentile(values: list[float], q: float) -> float:
     if not values:
         return 0.0
@@ -80,12 +90,12 @@ def _percentile(values: list[float], q: float) -> float:
 def phase_stats(trace: Mapping[str, Any]) -> list[dict[str, Any]]:
     """Aggregate operation spans by name; sorted by total time, descending.
 
-    Trial roots (``session.trial``) are not a phase and are left out.
+    Trial roots (``session.trial``) and events are not phases and are left out.
     """
     groups: dict[str, list[float]] = {}
     errors: dict[str, int] = {}
     for op in trace.get("spans", ()):
-        if op["name"] == TRIAL_SPAN:
+        if op["name"] == TRIAL_SPAN or _is_event(op):
             continue
         groups.setdefault(op["name"], []).append(float(op.get("duration_s", 0.0)))
         if op.get("status") == "error":
@@ -112,7 +122,7 @@ def slowest_trials(trace: Mapping[str, Any], n: int = 5) -> list[dict[str, Any]]
     """The ``n`` slowest trials with their dominant phase."""
     children: dict[int, list[Mapping[str, Any]]] = {}
     for sp in trace.get("spans", ()):
-        if sp.get("parent_id") is not None:
+        if sp.get("parent_id") is not None and not _is_event(sp):
             children.setdefault(sp["parent_id"], []).append(sp)
     rows = []
     for root in _trial_roots(trace):
@@ -149,14 +159,13 @@ def outcome_table(trace: Mapping[str, Any]) -> list[dict[str, Any]]:
 
 def event_summary(trace: Mapping[str, Any]) -> list[dict[str, Any]]:
     """Event kind → count and worst severity."""
-    order = {"debug": 0, "info": 1, "warning": 2, "error": 3}
     groups: dict[str, dict[str, Any]] = {}
-    for event in trace.get("events", ()):
-        kind = event.get("kind", "event")
+    for event in _events(trace):
+        kind, severity = event["name"], event["attributes"][EVENT_MARK]
         row = groups.setdefault(kind, {"kind": kind, "count": 0, "severity": "debug"})
         row["count"] += 1
-        if order.get(event.get("severity", "info"), 1) > order[row["severity"]]:
-            row["severity"] = event["severity"]
+        if SEVERITIES.index(severity) > SEVERITIES.index(row["severity"]):
+            row["severity"] = severity
     return sorted(groups.values(), key=lambda r: r["count"], reverse=True)
 
 
@@ -178,9 +187,10 @@ def format_report(data: Mapping[str, Any], top: int = 5, show_events: bool = Fal
     """Human-readable report for one trace or a compare bundle."""
     sections: list[str] = []
     for label, trace in trace_runs(data):
+        events = _events(trace)
         header = (
             f"trace {label!r}: {trace['n_trials']} trials, "
-            f"{trace['n_spans']} spans, {len(trace.get('events', ()))} events, "
+            f"{trace['n_spans']} spans, {len(events)} events, "
             f"elapsed {float(trace.get('elapsed_s', 0.0)):.3f}s"
         )
         sections.append(header)
@@ -217,18 +227,20 @@ def format_report(data: Mapping[str, Any], top: int = 5, show_events: bool = Fal
                 title="trial outcomes",
             ))
 
-        events = event_summary(trace)
-        if events:
+        kinds = event_summary(trace)
+        if kinds:
             sections.append(_table(
                 ["event kind", "count", "worst severity"],
-                [(r["kind"], r["count"], r["severity"]) for r in events],
+                [(r["kind"], r["count"], r["severity"]) for r in kinds],
                 title="structured events",
             ))
-        if show_events and trace.get("events"):
+        if show_events and events:
             lines = ["event log:"]
-            for e in trace["events"]:
-                attrs = " ".join(f"{k}={v}" for k, v in (e.get("attributes") or {}).items())
+            for e in sorted(events, key=lambda e: e["t0_s"]):
+                attrs = dict(e["attributes"])
+                severity, message = attrs.pop(EVENT_MARK), attrs.pop("message", "")
+                fields = " ".join(f"{k}={v}" for k, v in attrs.items())
                 trial = f" trial={e['trial_id']}" if e.get("trial_id") is not None else ""
-                lines.append(f"  [{e.get('severity', 'info'):7s}] {e.get('kind')}{trial} {e.get('message', '')} {attrs}".rstrip())
+                lines.append(f"  [{severity:7s}] {e['name']}{trial} {message} {fields}".rstrip())
             sections.append("\n".join(lines))
     return "\n\n".join(sections)

@@ -126,8 +126,6 @@ class TelemetryCallback(Callback):
         metrics.inc(f"trials.{trial.status.value}")
         if retries:
             metrics.inc("trials.retries", retries)
-        metrics.inc("suggest.seconds", suggest_s)
-        metrics.inc("evaluate.seconds", evaluate_s)
         metrics.inc("cost.total", trial.cost)
         # Latency distributions: the p50/p95/p99 the CLI summary reports.
         metrics.observe("trial.seconds", root.duration_s)

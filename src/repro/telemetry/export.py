@@ -3,12 +3,12 @@
 Converts a :class:`~repro.telemetry.tracing.SessionTrace` (or its exported
 JSON dict — the converter works offline on saved traces) into the Chrome
 trace-event format: one complete (``ph="X"``) event per span (trial roots
-in category ``trial``, everything else ``op``), instant (``ph="i"``)
-events for the structured event log, and metadata records naming the
-tracks. Each trial gets its own track (``tid`` = trial id + 1; spans with
-no trial share the session track), so concurrent trials from a
-thread-pool executor render as parallel lanes with their nested
-operations stacked inside. The viewer nests by time containment, so a
+in category ``trial``, everything else ``op``), an instant (``ph="i"``)
+marker per structured event (a zero-length span with a ``severity``
+attribute), and metadata records naming the tracks. Each trial gets its
+own track (``tid`` = trial id + 1; spans with no trial share the session
+track), so concurrent trials from a thread-pool executor render as
+parallel lanes with their nested operations stacked inside. The viewer nests by time containment, so a
 span whose parent fell off the trace's ring still renders — as a
 top-level bar on its track.
 
@@ -22,6 +22,7 @@ import json
 from typing import Any, Mapping
 
 from .naming import TRIAL_SPAN
+from .spans import EVENT_MARK
 
 __all__ = ["chrome_trace", "export_chrome_trace"]
 
@@ -56,6 +57,10 @@ def chrome_trace(trace: Any) -> dict[str, Any]:
             events.append({"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
                            "args": {"name": f"trial {trial_id}"}})
         attrs = sp.get("attributes") or {}
+        if EVENT_MARK in attrs:  # an event: an instant marker drawn across all tracks
+            events.append({"name": sp["name"], "cat": "event", "ph": "i", "s": "g",
+                           "pid": 1, "tid": tid, "ts": us(sp["started_at"]), "args": dict(attrs)})
+            continue
         is_trial = sp["name"] == TRIAL_SPAN
         events.append({
             "name": f"trial[{trial_id}] {attrs.get('outcome', '')}".strip() if is_trial else sp["name"],
@@ -70,23 +75,6 @@ def chrome_trace(trace: Any) -> dict[str, Any]:
                 "thread": sp.get("thread"),
                 "error": sp.get("error"),
                 **attrs,
-            },
-        })
-
-    for event in data.get("events", ()):
-        tid = _SESSION_TID if event.get("trial_id") is None else int(event["trial_id"]) + 1
-        events.append({
-            "name": event.get("kind", "event"),
-            "cat": "event",
-            "ph": "i",
-            "s": "g",  # global scope: draw the marker across all tracks
-            "pid": 1,
-            "tid": tid,
-            "ts": us(event["ts"]),
-            "args": {
-                "severity": event.get("severity"),
-                "message": event.get("message"),
-                **(event.get("attributes") or {}),
             },
         })
 

@@ -46,6 +46,17 @@ def _prom_name(name: str) -> str:
     return "repro_" + sanitized if not sanitized.startswith("repro_") else sanitized
 
 
+def _prom_value(value: float) -> str:
+    """A sample value that parses back to ``value`` exactly: a whole number
+    in digits, any other float as ``repr``, infinities and NaN spelled the
+    Prometheus way."""
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    return str(int(value)) if value.is_integer() and abs(value) < 2**53 else repr(value)
+
+
 class Histogram:
     """Fixed-bucket histogram with quantile estimation.
 
@@ -216,11 +227,11 @@ class MetricsRegistry:
             for name in sorted(self._counters):
                 metric = _prom_name(name)
                 lines.append(f"# TYPE {metric} counter")
-                lines.append(f"{metric} {self._counters[name]:g}")
+                lines.append(f"{metric} {_prom_value(self._counters[name])}")
             for name in sorted(self._gauges):
                 metric = _prom_name(name)
                 lines.append(f"# TYPE {metric} gauge")
-                lines.append(f"{metric} {self._gauges[name]:g}")
+                lines.append(f"{metric} {_prom_value(self._gauges[name])}")
             for name in sorted(self._histograms):
                 hist = self._histograms[name]
                 metric = _prom_name(name)
@@ -230,7 +241,7 @@ class MetricsRegistry:
                     cumulative += count
                     lines.append(f'{metric}_bucket{{le="{bound:g}"}} {cumulative}')
                 lines.append(f'{metric}_bucket{{le="+Inf"}} {hist.count}')
-                lines.append(f"{metric}_sum {hist.sum:g}")
+                lines.append(f"{metric}_sum {_prom_value(hist.sum)}")
                 lines.append(f"{metric}_count {hist.count}")
             return "\n".join(lines) + "\n"
 

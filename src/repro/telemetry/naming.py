@@ -51,8 +51,9 @@ SPAN_NAMES: frozenset[str] = frozenset(
     }
 )
 
-#: Structured event kinds (``emit_event(kind, ...)``) — the vocabulary of
-#: the bounded event log.
+#: Structured event kinds (``emit_event(kind, ...)``): the names of the
+#: zero-length spans that carry a ``severity`` attribute, each counted as
+#: ``events.<kind>``.
 EVENT_KINDS: frozenset[str] = frozenset(
     {
         "executor.timeout",

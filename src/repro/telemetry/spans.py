@@ -26,8 +26,11 @@ state:
 * the **trial reference** — a tiny mutable cell opened by
   :func:`trial_scope` around everything belonging to one trial. Its
   ``trial_id`` starts unknown (executors run before the optimizer assigns
-  ids) and is bound once the trial is observed; every span and event
-  recorded inside the scope resolves through it at export time.
+  ids) and is bound once the trial is observed; every span recorded inside
+  the scope resolves through it at export time.
+
+A structured event (:func:`emit_event`) is one more span: zero-length,
+named by its kind, marked by a ``severity`` attribute.
 
 Thread-safety: :class:`~repro.execution.ThreadedExecutor` copies the
 submitting context into each worker task (``contextvars.copy_context``),
@@ -55,6 +58,8 @@ __all__ = [
     "span",
     "trial_scope",
     "emit_event",
+    "EVENT_MARK",
+    "SEVERITIES",
     "activate",
     "deactivate",
     "active_trace",
@@ -72,12 +77,17 @@ __all__ = [
 _ids = itertools.count(1)
 
 
+#: Event severities, least to most severe.
+SEVERITIES = ("debug", "info", "warning", "error")
+
+#: The attribute that makes a span an event: :func:`emit_event` alone sets it.
+EVENT_MARK = "severity"
+
+
 class SpanSink(Protocol):  # pragma: no cover - typing only
     """What :func:`span`/:func:`emit_event` need from an active trace."""
 
     def record_op(self, op: "OpSpan") -> None: ...
-
-    def record_event(self, kind: str, severity: str, message: str, ref: "TrialRef | None", attributes: dict) -> None: ...
 
 
 _ACTIVE: ContextVar[SpanSink | None] = ContextVar("repro_active_trace", default=None)
@@ -367,15 +377,22 @@ def trial_scope():
 
 
 def emit_event(kind: str, severity: str = "info", message: str = "", **attributes: Any) -> None:
-    """Record a structured event into the active trace's event log.
+    """Record a structured event: a zero-length span named ``kind``.
 
-    Strict no-op when no trace is active. The event inherits the current
-    trial reference, so per-trial error tables resolve automatically.
+    Strict no-op when no trace is active. Like any span, the event's
+    parent is the innermost open span, and it carries the current trial
+    reference and the bound trace id. Its attributes are ``severity`` (the
+    :data:`EVENT_MARK` readers tell events by), ``message`` and the
+    caller's own; the sink counts it as ``events.<kind>``.
     """
     sink = _ACTIVE.get()
     if sink is None:
         return
-    sink.record_event(kind, severity, message, _TRIAL.get(), attributes)
+    if severity not in SEVERITIES:
+        raise ValueError(f"severity must be one of {SEVERITIES}, got {severity!r}")
+    parent = _PARENT.get()
+    attributes = {EVENT_MARK: severity, "message": message, **attributes}
+    sink.record_op(OpSpan(kind, parent.span_id if parent is not None else None, _TRIAL.get(), attributes))
 
 
 # -- activation ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tuning-run observability: spans, metrics, events, JSON export.
+"""Tuning-run observability: spans, metrics, JSON export.
 
 Taming noisy cloud trials (TUNA) and tuning the tuner itself both start
 from the same prerequisite: *knowing what happened inside every trial*.
@@ -11,11 +11,12 @@ in the OpenTelemetry spirit:
   where the time went; a trial (or online step) is the *root* of its
   spans — an ``OpSpan`` named ``session.trial`` whose attributes carry how
   it ended (``success`` / ``crash`` / ``abort`` / ``censored`` /
-  ``timeout``), its retries, cost, and suggest/evaluate/queue seconds;
+  ``timeout``), its retries, cost, and suggest/evaluate/queue seconds; a
+  structured event (``executor.retry``, ``store.spill`` …) is a zero-length
+  span marked by a ``severity`` attribute, in the same tree;
 * :class:`SessionTrace` — a bounded ring of those spans + a
   :class:`~repro.telemetry.metrics.MetricsRegistry` (counters, gauges,
-  latency histograms with p50/p95/p99) + a bounded
-  :class:`~repro.telemetry.events.EventLog`, exportable as JSON for the
+  latency histograms with p50/p95/p99), exportable as JSON for the
   ``repro trace`` analyzer or as Chrome trace-event JSON
   (:mod:`repro.telemetry.export`) for Perfetto.
 
@@ -33,17 +34,17 @@ from collections import Counter, deque
 from typing import Any, Sequence
 
 from . import spans as _spans
-from .events import EventLog
 from .metrics import MetricsRegistry
 from .naming import TRIAL_SPAN
-from .spans import OpSpan, TrialRef
+from .spans import EVENT_MARK, OpSpan, TrialRef
 
 __all__ = ["SessionTrace", "TRACE_SCHEMA"]
 
 #: Layout version of :meth:`SessionTrace.to_dict`; ``load_trace`` refuses
-#: files that carry another (or none). 2 = one flat ``spans`` list linked
-#: by ``parent_id``, trials being the spans named ``session.trial``.
-TRACE_SCHEMA = 2
+#: files that carry another (or none). 3 = one flat ``spans`` list linked
+#: by ``parent_id``, trials being the spans named ``session.trial`` and
+#: events the spans with a ``severity`` attribute (2 had an ``events`` list).
+TRACE_SCHEMA = 3
 
 
 def _outcome_counts(roots: list[OpSpan]) -> dict[str, int]:
@@ -75,18 +76,18 @@ class _Activation:
 
 
 class SessionTrace:
-    """Spans + metrics + events for one tuning run.
+    """Spans + metrics for one tuning run.
 
     Spans of every kind land in :attr:`ops`, a ring that keeps the newest
     ``max_ops`` (a long-lived server keeps recording; what fell off is
     counted in :attr:`ops_dropped`). Counters, gauges and latency
     histograms live on :attr:`metrics`. Operation spans and structured
-    events arrive through the context-variable machinery in
-    :mod:`repro.telemetry.spans` while the trace is :meth:`activated`;
-    :meth:`record_trial` closes a trial by adding its root span. Until then
-    the trial's parent-less spans are also filed under its
-    :class:`~repro.telemetry.spans.TrialRef`, so closing a trial touches
-    its own spans and never scans the ring.
+    events (zero-length spans) arrive through the context-variable
+    machinery in :mod:`repro.telemetry.spans` while the trace is
+    :meth:`activated`; :meth:`record_trial` closes a trial by adding its
+    root span. Until then the trial's parent-less spans are also filed
+    under its :class:`~repro.telemetry.spans.TrialRef`, so closing a trial
+    touches its own spans and never scans the ring.
     """
 
     def __init__(
@@ -103,7 +104,6 @@ class SessionTrace:
         #: cross-process spans stitch under the *caller's* id.
         self.trace_id = _spans.new_trace_id()
         self.metrics = MetricsRegistry()
-        self.events = EventLog()
         self.max_ops = int(max_ops)
         self.ops: deque[OpSpan] = deque(maxlen=self.max_ops)
         self.ops_recorded = 0
@@ -125,7 +125,11 @@ class SessionTrace:
 
     # -- recording ----------------------------------------------------------
     def record_op(self, op: OpSpan) -> None:
-        """Sink for :func:`repro.telemetry.spans.span` (newest ``max_ops`` kept)."""
+        """Sink for :func:`~repro.telemetry.spans.span` and
+        :func:`~repro.telemetry.spans.emit_event` (newest ``max_ops`` kept);
+        an event is counted as ``events.<kind>``."""
+        if EVENT_MARK in op.attributes:
+            self.metrics.inc(f"events.{op.name}")
         self.record_ops((op,))
 
     def record_ops(self, ops: Sequence[OpSpan]) -> None:
@@ -182,13 +186,6 @@ class SessionTrace:
             self.ops_recorded += 1
         return root
 
-    def record_event(
-        self, kind: str, severity: str, message: str, ref: TrialRef | None, attributes: dict
-    ) -> None:
-        """Sink for :func:`repro.telemetry.spans.emit_event`."""
-        self.events.emit(kind, severity=severity, message=message, ref=ref, **attributes)
-        self.metrics.inc(f"events.{kind}")
-
     # -- reading ------------------------------------------------------------
     @property
     def ops_dropped(self) -> int:
@@ -204,14 +201,16 @@ class SessionTrace:
 
     def summary(self) -> dict[str, Any]:
         """One-line-able digest: trial count, best value, tail latencies."""
-        roots = self.trial_spans()
+        with self._lock:
+            ops = list(self.ops)
+        roots = [op for op in ops if op.name == TRIAL_SPAN]
         return {
             "trials": len(roots),
             "best_value": self.metrics.gauges.get("best.value"),
             "p95_trial_s": self.metrics.quantile("trial.seconds", 0.95),
             "p95_suggest_s": self.metrics.quantile("suggest.seconds", 0.95),
             "outcomes": _outcome_counts(roots),
-            "events": len(self.events),
+            "events": sum(EVENT_MARK in op.attributes for op in ops),
         }
 
     # -- export -------------------------------------------------------------
@@ -234,7 +233,6 @@ class SessionTrace:
             "gauges": self.metrics.gauges,
             "metrics": self.metrics.to_dict(),
             "spans": [op.to_dict() for op in ops],
-            "events": self.events.to_dicts(),
         }
 
     def to_json(self, indent: int | None = None) -> str:

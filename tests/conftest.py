@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,47 @@ def assert_healthy(optimizer) -> None:
     stats = getattr(optimizer, "surrogate_stats", None)
     if stats is not None:
         assert stats()["degraded_total"] == 0, f"{type(optimizer).__name__} degraded: {stats()}"
+
+
+_SAMPLE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (\S+)$")
+
+
+def assert_exposition_round_trips(text: str, registry=None) -> None:
+    """Parse Prometheus text exposition as a scraper would: each family has
+    exactly one ``# TYPE`` line, every sample line belongs to the family
+    declared last above it, and (given the registry it came from) every
+    counter, gauge and histogram ``_sum``/``_count`` parses back to the
+    registry's float exactly."""
+    from repro.telemetry.metrics import _prom_name
+
+    types: dict[str, str] = {}
+    samples: dict[str, float] = {}
+    family = None
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, family, kind = line.split(" ")
+            assert family not in types, f"family {family} has two # TYPE lines"
+            types[family] = kind
+            continue
+        match = _SAMPLE.match(line)
+        assert match is not None, f"not a sample line: {line!r}"
+        name, labels, value = match.groups()
+        suffixes = ("_bucket", "_sum", "_count") if types.get(family) == "histogram" else ()
+        assert family is not None and name in {family, *(family + s for s in suffixes)}, (
+            f"{line!r} is outside its family {family}"
+        )
+        samples[name + (labels or "")] = float(value)
+    if registry is None:
+        return
+    data = registry.to_dict()
+    expected = {_prom_name(name): v for name, v in {**data["counters"], **data["gauges"]}.items()}
+    for name, hist in data["histograms"].items():
+        expected[_prom_name(name) + "_sum"] = hist["sum"]
+        expected[_prom_name(name) + "_count"] = hist["count"]
+    for name, value in expected.items():
+        got = samples[name]
+        assert got == value or (math.isnan(got) and math.isnan(value)), f"{name}: wrote {got!r}, holds {value!r}"
+    assert {name for name in samples if "{" not in name} == set(expected)
 
 
 @pytest.fixture

@@ -133,7 +133,7 @@ SERVER = [
     "repro.service.handlers", "repro.service.server", "repro.service.wire", "repro.space",
     "repro.space.conditions", "repro.space.constraints", "repro.space.params", "repro.space.priors",
     "repro.space.serialize", "repro.space.space", "repro.staticcheck", "repro.staticcheck.findings",
-    "repro.staticcheck.spacelint", "repro.telemetry", "repro.telemetry.events", "repro.telemetry.metrics",
+    "repro.staticcheck.spacelint", "repro.telemetry", "repro.telemetry.metrics",
     "repro.telemetry.naming", "repro.telemetry.spans", "repro.telemetry.tracing",
 ]
 # What neither runs: the other store backend, the benchmark runners, replay,

@@ -4,8 +4,9 @@ Covers the guarantees ``docs/observability.md`` documents: spans attach to
 the right trial across thread-pool workers, every trial — however it ran —
 is one ``session.trial`` root whose tree holds its spans, exceptions close
 spans instead of orphaning them, histogram quantiles are exact at bucket
-boundaries, the span and event rings keep the newest entries, and the
-``--trace-out`` → ``repro trace`` → Chrome-trace pipeline round-trips.
+boundaries, the span ring keeps the newest entries (events being
+zero-length spans in it), and the ``--trace-out`` → ``repro trace`` →
+Chrome-trace pipeline round-trips.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.execution import (
 from repro.optimizers import BayesianOptimizer, RandomSearchOptimizer
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
-    EventLog,
     Histogram,
     MetricsRegistry,
     SessionTrace,
@@ -40,10 +40,12 @@ from repro.telemetry import (
     span,
     trial_scope,
 )
-from repro.telemetry.analyzer import load_trace, outcome_table, phase_stats, slowest_trials
+from repro.telemetry.analyzer import event_summary, load_trace, outcome_table, phase_stats, slowest_trials
 from repro.telemetry.naming import TRIAL_SPAN
 from repro.telemetry.spans import OpSpan, active_trace, current_op, current_trial_ref
 from repro.space import ConfigurationSpace, FloatParameter
+
+from .conftest import assert_exposition_round_trips
 
 
 def _space():
@@ -167,6 +169,23 @@ class TestMetricsRegistry:
         reg.write(str(js))
         assert json.loads(js.read_text())["counters"]["trials.total"] == 3.0
 
+    def test_session_exposition_parses_back_exactly(self):
+        # One # TYPE line per family (suggest/evaluate seconds are histograms
+        # only), and values a scraper reads back unrounded: a counter past
+        # 1e6, fractional histogram sums, and the special floats.
+        callback = TelemetryCallback()
+        opt = RandomSearchOptimizer(_space(), Objective("lat"), seed=0)
+        TuningSession(
+            opt, lambda c: ({"lat": float(c["x"])}, 411_522.25), max_trials=3, callbacks=[callback]
+        ).run()
+        metrics = callback.trace.metrics
+        for name, value in (("edge.nan", math.nan), ("edge.inf", math.inf), ("edge.neg_inf", -math.inf)):
+            metrics.set_gauge(name, value)
+        text = metrics.to_prometheus()
+        assert "repro_cost_total 1234566.75" in text and "repro_trials_total 3\n" in text
+        assert "repro_edge_nan NaN" in text and "repro_edge_neg_inf -Inf" in text
+        assert_exposition_round_trips(text, metrics)
+
     def test_merge_and_absorb(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.inc("c")
@@ -179,19 +198,31 @@ class TestMetricsRegistry:
         assert a.gauges["surrogate.nll_evals"] == 12.0
 
 
-class TestEventLog:
-    def test_ring_buffer_bounds_and_dropped(self):
-        log = EventLog(maxlen=4)
-        for i in range(10):
-            log.emit("k", message=str(i))
-        assert len(log.snapshot()) == 4
-        assert log.emitted - len(log) == 6
-        assert [e.message for e in log.snapshot()] == ["6", "7", "8", "9"]
+class TestEvents:
+    def test_events_share_the_span_ring_and_are_counted_at_emit(self):
+        trace = SessionTrace(max_ops=4)
+        with trace.activated():
+            for i in range(10):
+                emit_event("k", message=str(i))
+        assert [op.attributes["message"] for op in trace.ops] == ["6", "7", "8", "9"]
+        assert trace.ops_dropped == 6
+        assert trace.metrics.counter_value("events.k") == 10  # exact, though 6 left the ring
+
+    def test_an_event_is_a_zero_length_span_under_the_open_span(self):
+        trace = SessionTrace()
+        with trace.activated():
+            with trial_scope() as ref:
+                with span("outer") as outer:
+                    emit_event("k", severity="warning", message="m", extra=1)
+        event, _ = trace.ops
+        assert (event.name, event.parent_id, event.ref, event.duration_s) == ("k", outer.span_id, ref, 0.0)
+        assert event.attributes == {"severity": "warning", "message": "m", "extra": 1}
+        assert event.trace_id == trace.trace_id
 
     def test_invalid_severity_rejected(self):
-        log = EventLog()
-        with pytest.raises(Exception):
-            log.emit("k", severity="fatal")
+        with SessionTrace().activated():
+            with pytest.raises(ValueError):
+                emit_event("k", severity="fatal")
 
 
 # -- span primitives ----------------------------------------------------------
@@ -382,10 +413,41 @@ class TestExecutorInstrumentation:
         assert retried.attributes["retries"] == 1
         assert retried.attributes["attempts"] == ["crash", "success"]
         assert len(retried.attributes["attempt_s"]) == 2
-        events = [e for e in trace.events.snapshot() if e.kind == "executor.retry"]
+        events = [op for op in trace.ops if op.name == "executor.retry"]
         assert len(events) == 1
-        assert events[0].trial_id == 0
+        assert events[0].trial_id == 0 and events[0].attributes["severity"] == "warning"
         assert trace.metrics.counter_value("events.executor.retry") == 1
+
+    def test_retry_event_is_exported_under_its_trial_root(self, simple_space):
+        # The event is a zero-length span in its trial's tree: an
+        # operator reading the export finds which trial retried, and why.
+        calls = {"n": 0}
+
+        def flaky(config):
+            calls["n"] += 1
+            if calls["n"] == 2:  # trial 1's first attempt
+                raise SystemCrashError("second call crashes")
+            return {"lat": 1.0}
+
+        callback = TelemetryCallback()
+        opt = RandomSearchOptimizer(simple_space, Objective("lat"), seed=0)
+        TuningSession(
+            opt, flaky, max_trials=3, callbacks=[callback],
+            executor=SerialExecutor(retry=RetryPolicy(max_retries=2)),
+        ).run()
+        data = json.loads(callback.trace.to_json())
+        by_id = {s["span_id"]: s for s in data["spans"]}
+        (retry,) = [s for s in data["spans"] if s["name"] == "executor.retry"]
+        top = retry
+        while top["parent_id"] is not None:
+            top = by_id[top["parent_id"]]
+        assert by_id[retry["parent_id"]]["name"] == "executor.run"
+        assert top["name"] == TRIAL_SPAN and top["trial_id"] == retry["trial_id"] == 1
+        assert retry["trace_id"] == top["trace_id"] == data["trace_id"]
+        assert retry["duration_s"] == 0.0
+        assert retry["attributes"]["severity"] == "warning" and retry["attributes"]["outcome"] == "crash"
+        assert event_summary(data) == [{"kind": "executor.retry", "count": 1, "severity": "warning"}]
+        assert "executor.retry" not in {r["phase"] for r in phase_stats(data)}
 
     def test_timeout_emits_event(self):
         def hang(config):
@@ -396,7 +458,7 @@ class TestExecutorInstrumentation:
         with trace.activated():
             execution = execute_trial(hang, _space().default_configuration(), timeout_s=0.05)
         assert execution.result.outcome == "timeout"
-        assert [e for e in trace.events.snapshot() if e.kind == "executor.timeout"]
+        assert [op for op in trace.ops if op.name == "executor.timeout"]
 
     def test_evaluator_spans_cross_worker_threads_to_right_trial(self, simple_space):
         # The acceptance property: under a thread pool, spans opened inside
@@ -500,7 +562,7 @@ class TestSessionTracing:
         opt = RandomSearchOptimizer(_space(), Objective("lat"), seed=0)
         TuningSession(opt, lambda c: {"lat": 1.0}, max_trials=3, callbacks=[callback]).run()
         data = json.loads(path.read_text())
-        assert data["schema"] == 2 and data["n_trials"] == 3
+        assert data["schema"] == 3 and data["n_trials"] == 3
         assert data["n_spans"] == len(data["spans"])
         assert "ops" not in data
         for root in (s for s in data["spans"] if s["name"] == TRIAL_SPAN):
@@ -511,7 +573,7 @@ class TestSessionTracing:
             assert sum(s["trial_id"] == root["trial_id"] for s in data["spans"]) >= 4
         assert "metrics" in data and "histograms" in data["metrics"]
         assert "trial.seconds" in data["metrics"]["histograms"]
-        assert isinstance(data["events"], list)
+        assert "events" not in data  # an event is a span
 
 
 # -- one span model, every way a trial can run --------------------------------
@@ -583,7 +645,7 @@ class TestTrialTree:
 
         # Export -> json -> every reader.
         data = json.loads(trace.to_json())
-        assert (data["schema"], data["n_trials"], data["n_spans"]) == (2, n, len(trace.ops))
+        assert (data["schema"], data["n_trials"], data["n_spans"]) == (3, n, len(trace.ops))
         phases = {r["phase"]: r for r in phase_stats(data)}
         assert TRIAL_SPAN not in phases
         assert sum(r["count"] for r in phases.values()) == len(trace.ops) - n
@@ -632,8 +694,9 @@ class TestTraceTools:
         events = doc["traceEvents"]
         complete = [e for e in events if e["ph"] == "X"]
         assert len([e for e in complete if e["cat"] == "trial"]) == 4
-        assert len([e for e in complete if e["cat"] == "op"]) == len(trace.ops) - 4
-        assert [e for e in events if e["ph"] == "i"]  # instant markers
+        assert len([e for e in complete if e["cat"] == "op"]) == len(trace.ops) - 4 - 4
+        markers = [e for e in events if e["ph"] == "i"]  # one instant marker per event span
+        assert [(e["name"], e["cat"], e["args"]["severity"]) for e in markers] == [("custom.marker", "event", "info")] * 4
         tids = {e["tid"] for e in complete if e["cat"] == "trial"}
         assert tids == {1, 2, 3, 4}  # one track per trial
         assert all(e["ts"] >= 0 and e.get("dur", 1) >= 1 for e in complete)

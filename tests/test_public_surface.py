@@ -106,7 +106,7 @@ TABLES = {
         "VMSize", "VM_SIZES", "generate_telemetry", "redis_benchmark_workload", "web_workload",
     ],
     "repro.telemetry": [
-        "DEFAULT_LATENCY_BUCKETS", "EVENT_KINDS", "Event", "EventLog", "Histogram", "MetricsRegistry", "OpSpan",
+        "DEFAULT_LATENCY_BUCKETS", "EVENT_KINDS", "Histogram", "MetricsRegistry", "OpSpan",
         "SPAN_NAMES", "SessionTrace", "TelemetryCallback", "TraceContext", "TrialRef", "active_trace", "bind_trace",
         "chrome_trace", "current_op", "current_trace_id", "emit_event", "export_chrome_trace", "format_traceparent",
         "parse_traceparent", "span", "trial_scope",
@@ -294,7 +294,7 @@ OPTIONS_KEPT = {
         "repro.optimizers.gp.GaussianProcessRegressor.jitter", "repro.optimizers.smac.SMACOptimizer.interleave",
         "repro.optimizers.structured.StructuredBayesianOptimizer.min_group_size",
         "repro.optimizers.transfer.warm_start_from_history.top_fraction", "repro.space.adapters.LlamaTuneAdapter.special_values",
-        "repro.space.priors.HistogramPrior.from_samples.n_bins", "repro.telemetry.events.EventLog.maxlen",
+        "repro.space.priors.HistogramPrior.from_samples.n_bins",
         "repro.workload_id.embedding.RandomProjectionEmbedding.n_components", "repro.workload_id.features.synthetic_query_log.n_queries",
         "repro.workload_id.shift_detection.PageHinkleyDetector.",
     ], TEST_BUDGET),

@@ -200,10 +200,11 @@ class TestDivergenceDetection:
         assert "history" in report.divergence.digest_delta
         delta = report.divergence.digest_delta["history"]
         assert delta["recorded"] != delta["replayed"]
-        # The divergence travels through the event log too.
-        events = [e for e in trace.events.to_dicts() if e["kind"] == "replay.divergence"]
+        # The divergence travels through the trace too, as an event span.
+        events = [op for op in trace.ops if op.name == "replay.divergence"]
         assert len(events) == 1
-        assert events[0]["attributes"]["trial_id"] == 5
+        assert events[0].attributes["trial_id"] == 5
+        assert events[0].attributes["severity"] == "error"
 
     def test_corrupted_config_is_a_config_divergence(self, tmp_path):
         journal = self._session_with_journal(tmp_path)

@@ -26,6 +26,8 @@ from repro.service.server import TuningServer
 from repro.space import ConfigurationSpace, FloatParameter, IntegerParameter
 from repro.space.serialize import space_to_dict
 
+from .conftest import assert_exposition_round_trips
+
 
 def small_space_spec() -> dict:
     space = ConfigurationSpace("svc", seed=0)
@@ -226,7 +228,10 @@ class TestWireContract:
                 assert "service_trials_total" in text
                 assert "service_sessions_created" in text
                 (peak,) = re.findall(r"^repro_service_process_peak_rss_bytes (\S+)$", text, re.M)
-                assert float(peak) > 0
+                assert float(peak) > 0 and peak.isdecimal()  # every byte, not 4.1e+07
+                assert_exposition_round_trips(text)
+                # The scrape itself moved the registry; read it again beside it.
+                assert_exposition_round_trips(await server.handlers.metrics_text(), server.handlers.metrics)
             finally:
                 await server.stop()
 
@@ -435,6 +440,94 @@ class TestTailRetention:
 
         run(main())
 
+    def test_events_are_counted_at_emit_and_follow_their_tree(self, clock):
+        """An info event rides its request's verdict; its count does not."""
+        from repro.telemetry.spans import emit_event
+
+        async def marked():
+            emit_event("store.spill_flush", message="inside the request")
+            return {"ok": True}
+
+        async def main():
+            server = TuningServer(ServiceHandlers(SessionManager(MemoryTrialStore())))
+            server.handlers.health = marked
+            n = 3 * TRACE_SAMPLE_EVERY
+            await self.get(server, n)
+            kept, dropped = self.verdicts(server)
+            assert (kept, dropped) == (TRACE_SAMPLE_EVERY + 2, n - TRACE_SAMPLE_EVERY - 2)
+            events = [op for op in server.handlers.trace.ops if op.name == "store.spill_flush"]
+            assert len(events) == kept
+            assert server.handlers.metrics.counter_value("events.store.spill_flush") == n
+
+        run(main())
+
+    def test_a_request_event_sits_in_its_request_tree_under_its_trace_id(self, clock):
+        from repro.telemetry.spans import emit_event, format_traceparent, span
+
+        async def marked():
+            with span("optimizer.suggest"):
+                emit_event("store.spill_flush", message="deep inside the request")
+            return {"ok": True}
+
+        async def main():
+            server = TuningServer(ServiceHandlers(SessionManager(MemoryTrialStore())))
+            server.handlers.health = marked
+            trace_id = "ab" * 16
+            await server._serve_request("GET", "/healthz", {"traceparent": format_traceparent(trace_id)}, b"")
+            event, suggest, request = (await server.handlers.debug_trace())["spans"]
+            assert (event["name"], event["duration_s"], event["attributes"]["severity"]) == (
+                "store.spill_flush", 0.0, "info",
+            )
+            assert event["parent_id"] == suggest["span_id"] and suggest["parent_id"] == request["span_id"]
+            assert request["name"] == "http.request" and request["parent_id"] is None
+            assert event["trace_id"] == suggest["trace_id"] == request["trace_id"] == trace_id
+
+        run(main())
+
+    def test_a_warning_event_keeps_a_request_the_sample_would_drop(self, clock):
+        """A transient append failure spills the told trial and emits
+        ``store.spill``: that tell's tree is kept though it is neither in its
+        route's warm-up, nor a 64th, nor slow."""
+        from repro.chaos import FaultPlan, FaultRule, FaultyStore
+        from repro.core.codec import Suggestion
+
+        n_tells = TRACE_SAMPLE_EVERY + 6
+        plan = FaultPlan(seed=0, rules=[
+            FaultRule(site="store.append", kind="error", start=n_tells - 1, stop=n_tells),
+        ])
+
+        async def post(server, path: str, body: dict) -> dict:
+            status, payload, *_ = await server._serve_request("POST", path, {}, json.dumps(body).encode())
+            assert status == 200, payload
+            return json.loads(payload)
+
+        async def main():
+            store = FaultyStore(MemoryTrialStore(), plan.injector())
+            server = TuningServer(ServiceHandlers(SessionManager(store)))
+            await post(server, "/sessions", {
+                "space": small_space_spec(), "optimizer": "random", "seed": 0, "max_trials": 1000,
+                "session_id": "spill", "objectives": [{"name": "loss", "minimize": True}],
+            })
+            for _ in range(n_tells):
+                (sugg,) = (await post(server, "/sessions/spill/ask", {"n": 1}))["suggestions"]
+                sugg = Suggestion.from_dict(sugg)
+                report = TrialReport(config=sugg.config, metrics=evaluate(sugg.config), ask_id=sugg.ask_id)
+                await post(server, "/sessions/spill/tell", report.to_dict())
+            spans = (await server.handlers.debug_trace())["spans"]
+            by_id = {s["span_id"]: s for s in spans}
+            (spill,) = [s for s in spans if s["name"] == "store.spill"]
+            request = by_id[spill["parent_id"]]
+            assert request["name"] == "http.request" and request["attributes"]["route"] == "session.tell"
+            tells = [s for s in spans if s["name"] == "http.request" and s["attributes"]["route"] == "session.tell"]
+            assert len(tells) == TRACE_SAMPLE_EVERY + 2  # warm-up, the 64th, and the one that spilled
+            assert tells[-1] is request
+            counters = server.handlers.metrics.counters
+            assert counters["events.store.spill"] == 1
+            kept, dropped = self.verdicts(server)
+            assert kept + dropped == counters["service.requests.total"] == 1 + 2 * n_tells
+
+        run(main())
+
     def test_deadline_503_keeps_the_spans_its_worker_records_afterwards(self, clock):
         import threading
 
@@ -510,15 +603,16 @@ class TestTailRetention:
 class TestServerEvents:
     def test_overload_and_drain_are_recorded_on_the_service_trace(self):
         """Both fire outside any request's span sink: shed before admission,
-        drain on stop."""
+        drain on stop. Each is an event span on ``/debug/trace``."""
 
         async def main():
             server, _ = await start_server(MemoryTrialStore())
             server._shed("sessions", 429, "queue_full", "server at capacity")
             await server.stop()
-            events = server.handlers.trace.events.snapshot()
-            assert [(e.kind, e.attributes.get("reason")) for e in events] == [
-                ("service.overload", "queue_full"), ("service.drain", None),
+            spans = (await server.handlers.debug_trace())["spans"]
+            assert [(s["name"], s["attributes"]["severity"], s["attributes"].get("reason"), s["duration_s"])
+                    for s in spans] == [
+                ("service.overload", "warning", "queue_full", 0.0), ("service.drain", "info", None, 0.0),
             ]
             counters = server.handlers.metrics.counters
             assert counters["events.service.overload"] == counters["events.service.drain"] == 1
@@ -550,7 +644,7 @@ class TestDebugTrace:
             assert failed["name"] == "http.request" and failed["attributes"]["route"] == "sessions"
             path = tmp_path / "service-trace.json"
             path.write_text(json.dumps(body))
-            assert load_trace(str(path))["schema"] == 2
+            assert load_trace(str(path))["schema"] == 3
 
         run(main())
 

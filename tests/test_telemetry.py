@@ -42,7 +42,7 @@ class TestSessionTrace:
         trace.export(str(path))
         loaded = json.loads(path.read_text())
         assert loaded["name"] == "roundtrip"
-        assert loaded["schema"] == 2
+        assert loaded["schema"] == 3
         assert loaded["n_trials"] == loaded["n_spans"] == 1
         (root,) = loaded["spans"]
         assert root["name"] == "session.trial" and root["parent_id"] is None
