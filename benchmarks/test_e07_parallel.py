@@ -6,11 +6,17 @@ up to k in-progress." Shape on a fixed trial budget: parallel modes cut
 wall-clock roughly by the worker count; async beats sync when trial
 durations vary; sample efficiency degrades only mildly (constant-liar
 batches stay diverse).
+
+Every mode is a journaled ``TuningSession`` on a ``SimulatedClockExecutor``
+(k simulated machines, each trial lasting its measured cost): serial is one
+machine, sync is ``batch_size=k``, async is ``batch_size=1`` with k trials
+in flight.
 """
 
 import numpy as np
 
-from repro.optimizers import BayesianOptimizer, ParallelRunner
+from repro.core import SessionManager
+from repro.execution import SimulatedClockExecutor
 from repro.sysim import CloudEnvironment, SimulatedDBMS
 from repro.workloads import tpcc
 
@@ -19,24 +25,31 @@ from benchmarks.conftest import THROUGHPUT
 BUDGET = 32
 WORKERS = 4
 WORKLOAD = tpcc(100)
+MODES = {"serial": (1, 1), "sync": (WORKERS, WORKERS), "async": (WORKERS, 1)}  # mode -> (machines, batch)
 
 
-def _runner(mode, seed):
+def _campaign(manager, mode, seed):
+    machines, batch = MODES[mode]
     db = SimulatedDBMS(env=CloudEnvironment(seed=seed, transient_noise=0.02), seed=seed)
-    opt = BayesianOptimizer(db.space, n_init=8, objectives=THROUGHPUT, seed=seed, n_candidates=128)
-    # Trial duration varies with the measured elapsed time (restarts!).
-    return ParallelRunner(opt, db.evaluator(WORKLOAD, "throughput"), n_workers=WORKERS, mode=mode)
+    executor = SimulatedClockExecutor(machines)
+    session = manager.create(
+        db.space, optimizer="bo", objectives=THROUGHPUT, max_trials=BUDGET, batch_size=batch, seed=seed,
+        optimizer_options={"n_init": 8, "n_candidates": 128}, session_id=f"e07-{mode}-{seed}",
+        # Trial duration varies with the measured elapsed time (restarts!).
+        evaluator=db.evaluator(WORKLOAD, "throughput"), executor=executor, lint=False,
+    )
+    result = session.run()
+    return executor.wall_clock_s, result.best_value
 
 
 def test_e07_parallel_modes(table):
+    manager = SessionManager()
+
     def experiment():
         out = {}
-        for mode in ("serial", "sync", "async"):
-            runs = [_runner(mode, seed).run(BUDGET) for seed in range(2)]
-            out[mode] = (
-                float(np.mean([r.wall_clock_s for r in runs])),
-                float(np.mean([r.result.best_value for r in runs])),
-            )
+        for mode in MODES:
+            runs = [_campaign(manager, mode, seed) for seed in range(2)]
+            out[mode] = (float(np.mean([wall for wall, _ in runs])), float(np.mean([best for _, best in runs])))
         return out
 
     results = experiment()

@@ -1,12 +1,13 @@
-"""Replay smoke: record a short SMAC campaign, then replay it bit-exactly.
+"""Replay smoke: record short campaigns, then replay them bit-exactly.
 
 The CI `replay-smoke` job runs this end to end on **both** durable
 backends (JSON journal and SQLite): a seeded SMAC session with a batch
-ask, a crash, and a simulated process kill + resume is journaled, then
-`repro replay` (the CLI, in-process) re-executes it from the store alone
-and must report a bit-exact match. As a negative control the journal is
-then corrupted (one score tampered with) and the replay must diverge at
-exactly that trial with a `history` digest delta.
+ask, a crash, and a simulated process kill + resume is journaled, and so
+is a closed-loop BO campaign with four trials in flight on a simulated
+clock and one crash; `repro replay` (the CLI, in-process) re-executes each
+from the store alone and must report a bit-exact match. As a negative
+control the journal is then corrupted (one score tampered with) and the
+replay must diverge at exactly that trial with a `history` digest delta.
 
 Run: PYTHONPATH=src python examples/replay_smoke.py
 """
@@ -21,9 +22,12 @@ from pathlib import Path
 from repro.cli import main as repro_main
 from repro.core import SessionManager, TrialReport
 from repro.core.stores import JsonJournalStore, SqliteTrialStore
+from repro.exceptions import SystemCrashError
+from repro.execution import SimulatedClockExecutor
 from repro.space import CategoricalParameter, ConfigurationSpace, FloatParameter, IntegerParameter
 
 SESSION_ID = "replay-smoke"
+IN_FLIGHT_ID = "replay-smoke-in-flight"
 N_TRIALS = 14
 CORRUPT_TRIAL = 6
 
@@ -68,8 +72,28 @@ def record_campaign(store) -> None:
         session.tell(TrialReport(config=sugg.config, metrics=metric(sugg.config), ask_id=sugg.ask_id))
 
 
-def replay_cli(store_path: str, expect_exit: int) -> None:
-    code = repro_main(["replay", SESSION_ID, "--store", store_path])
+def record_in_flight_campaign(store) -> None:
+    """BO with four trials in flight on a simulated clock; the fifth evaluation crashes."""
+    evaluations = {"n": 0}
+
+    def benchmark(config):
+        evaluations["n"] += 1
+        if evaluations["n"] == 5:
+            raise SystemCrashError("refused configuration")
+        return metric(config), 1.0 + 4.0 * config["x"]  # varied durations: completions reorder
+
+    executor = SimulatedClockExecutor(4)
+    SessionManager(store).create(
+        make_space(), optimizer="bo", seed=3, max_trials=N_TRIALS,
+        optimizer_options={"n_init": 6, "n_candidates": 24}, session_id=IN_FLIGHT_ID,
+        evaluator=benchmark, executor=executor,
+    ).run()
+    serial_s = sum(record["cost"] for record in store.load_trials(IN_FLIGHT_ID))
+    assert 0 < executor.wall_clock_s < serial_s / 2, "four machines should more than halve the wall time"
+
+
+def replay_cli(store_path: str, expect_exit: int, session_id: str = SESSION_ID) -> None:
+    code = repro_main(["replay", session_id, "--store", store_path])
     assert code == expect_exit, f"repro replay exited {code}, expected {expect_exit}"
 
 
@@ -89,17 +113,21 @@ def main() -> int:
         json_path = str(Path(tmp) / "store-json")
         store = JsonJournalStore(json_path)
         record_campaign(store)
+        record_in_flight_campaign(store)
         store.close()
-        print(f"[json] recorded {N_TRIALS} trials; replaying ...")
+        print(f"[json] recorded {N_TRIALS} trials twice (ask/tell; 4 in flight); replaying ...")
         replay_cli(json_path, expect_exit=0)
+        replay_cli(json_path, expect_exit=0, session_id=IN_FLIGHT_ID)
 
         # -- SQLite backend ------------------------------------------------
         sqlite_path = str(Path(tmp) / "store.sqlite")
         store = SqliteTrialStore(sqlite_path)
         record_campaign(store)
+        record_in_flight_campaign(store)
         store.close()
-        print(f"[sqlite] recorded {N_TRIALS} trials; replaying ...")
+        print(f"[sqlite] recorded {N_TRIALS} trials twice (ask/tell; 4 in flight); replaying ...")
         replay_cli(sqlite_path, expect_exit=0)
+        replay_cli(sqlite_path, expect_exit=0, session_id=IN_FLIGHT_ID)
 
         # -- negative control: tampered journal must diverge ---------------
         corrupt_json_journal(Path(json_path) / f"{SESSION_ID}.journal.jsonl")
@@ -113,7 +141,7 @@ def main() -> int:
         assert "history" in report.divergence.digest_delta, report.divergence
         manager.close()
 
-    print("replay smoke: OK (json + sqlite bit-exact, corruption detected)")
+    print("replay smoke: OK (json + sqlite bit-exact, in-flight included; corruption detected)")
     return 0
 
 

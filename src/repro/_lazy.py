@@ -23,8 +23,8 @@ def lazy_exports(package: str, table: Mapping[str, str]) -> tuple[Callable[[str]
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
         module = import_module(table[name], package)
         namespace[name] = getattr(module, name)
-        # Importing ``.hyperband`` just bound the package attribute ``hyperband``
-        # to the submodule; the export of that name (the function) must win.
+        # Importing ``.tpcc`` just bound the package attribute ``tpcc`` to the
+        # submodule; the export of that name (the function) must win.
         shadowed = table[name].rpartition(".")[2]
         if table.get(shadowed) == table[name]:
             namespace[shadowed] = getattr(module, shadowed)

@@ -4,7 +4,7 @@ Evaluators return an :class:`EvaluationResult`, a ``(metrics, cost)`` tuple, or
 a bare metric mapping or float, and signal crashes and aborts by raising.
 This module is the one place where raw evaluator output becomes an
 :class:`EvaluationResult` and where a result reaches an optimizer; the
-executors, ``TuningSession``, ``ParallelRunner`` and replay all call it:
+executors, ``TuningSession`` and replay all call it:
 
 * :func:`coerce_evaluation` normalizes the three return shapes;
 * :func:`run_evaluation` additionally folds the exception protocol
@@ -137,4 +137,6 @@ def observe_evaluation(
         return optimizer.observe(
             config, result.metrics, cost=result.cost, status=result.status, fidelity=fidelity, context=context
         )
-    return optimizer.observe_failure(config, cost=result.cost, status=result.status, context=context)
+    return optimizer.observe_failure(
+        config, cost=result.cost, status=result.status, fidelity=fidelity, context=context
+    )

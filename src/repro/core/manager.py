@@ -37,7 +37,7 @@ from ..staticcheck import SpaceLintError, lint_space
 from .codec import decode_trial
 from .journal import SessionMeta, StorageError, TrialStore, check_session_id, new_session_id
 from .optimizer import Objective, Optimizer, TrialStatus
-from .session import Evaluator, TuningSession
+from .session import Evaluator, TuningSession, budget_spent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..execution import TrialExecutor
@@ -58,6 +58,7 @@ _REGISTRY = {
     "cmaes": "CMAESOptimizer",
     "pso": "ParticleSwarmOptimizer",
     "bestconfig": "BestConfigOptimizer",
+    "hyperband": "HyperbandOptimizer",
 }
 
 
@@ -310,7 +311,9 @@ class SessionManager:
             "status": meta.status,
             "n_trials": len(records),
             "max_trials": meta.max_trials,
-            "complete": len(records) >= meta.max_trials,
+            "complete": budget_spent(
+                len(records), sum(float(r.get("cost", 0.0)) for r in records), meta.max_trials, meta.max_cost
+            ),
             "objective": {"name": objective.name, "minimize": objective.minimize},
             "best_value": best_value,
             "best_config": best_config,

@@ -295,6 +295,15 @@ class Optimizer(ABC):
         """
         return None
 
+    def suggested_fidelity(self, config: Configuration) -> float | None:
+        """The fidelity this optimizer means ``config``, one of its latest
+        suggestions, to be evaluated at; ``None`` leaves it to the caller.
+
+        A session hands it out with the suggestion and journals it with the
+        trial when the report names none.
+        """
+        return None
+
     def _degraded_suggest(self, stage: str, err: Exception) -> Configuration:
         """Graceful degradation: the surrogate path failed, sample randomly.
 
@@ -346,6 +355,7 @@ class Optimizer(ABC):
         config: Configuration,
         cost: float = 1.0,
         status: TrialStatus = TrialStatus.FAILED,
+        fidelity: float | None = None,
         context: Mapping[str, Any] | None = None,
     ) -> Trial:
         """Record a crashed/aborted trial under a pessimistic imputed score
@@ -356,7 +366,7 @@ class Optimizer(ABC):
             scores = self.history.scores(obj)
             imputed = History.crash_score(scores) if len(scores) else 1e9
             metrics[obj.name] = obj.unscore(imputed)
-        return self._ingest(config, metrics, cost, status, fidelity=None, context=context)
+        return self._ingest(config, metrics, cost, status, fidelity, context)
 
     def _ingest(
         self,

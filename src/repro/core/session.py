@@ -5,9 +5,11 @@
 and runs the suggest → dispatch → observe-as-completed loop under trial and
 cost budgets. Trial execution is delegated to a
 :class:`~repro.execution.TrialExecutor`: the default serial executor keeps
-the historic in-process semantics, while a thread- or process-pool executor
-makes ``batch_size > 1`` run trials genuinely concurrently (asynchronous
-parallel tuning). Crashes (:class:`~repro.exceptions.SystemCrashError`) and
+the historic in-process semantics. On a wider executor the loop runs the
+tutorial's two parallel modes: ``batch_size > 1`` waits for each batch
+(synchronous), ``batch_size == 1`` keeps the executor's width of trials in
+flight (asynchronous); :class:`~repro.execution.SimulatedClockExecutor`
+runs either on a virtual clock. Crashes (:class:`~repro.exceptions.SystemCrashError`) and
 early aborts (:class:`~repro.exceptions.TrialAbortedError`) become failed
 trials with imputed scores rather than terminating the run; that folding
 lives in :func:`repro.core.evaluation.run_evaluation`, shared by every
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import time
 from contextlib import closing, nullcontext
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..exceptions import OptimizerError
 from ..space import Configuration
@@ -59,6 +61,13 @@ __all__ = ["TuningSession", "Evaluator"]
 Evaluator = Callable[[Configuration], Any]
 
 
+def budget_spent(n_trials: int, cost: float, max_trials: int, max_cost: float | None) -> bool:
+    """The one budget rule: a session is complete once it holds ``max_trials``
+    trials or its trials cost ``max_cost`` in total. ``ask``, ``is_complete``,
+    ``run`` and :meth:`SessionManager.status` all apply it."""
+    return n_trials >= max_trials or (max_cost is not None and cost >= max_cost)
+
+
 class TuningSession:
     """Drives one offline tuning run.
 
@@ -77,7 +86,8 @@ class TuningSession:
         Optional cumulative-cost budget (e.g. total benchmark seconds).
     batch_size:
         Suggestions requested per iteration. With a parallel executor the
-        batch runs concurrently and is observed in completion order.
+        batch runs concurrently and is observed in completion order; at 1,
+        a parallel executor keeps its width of trials in flight instead.
     callbacks:
         Observers; see :mod:`repro.core.callbacks` for the hook ordering.
     executor:
@@ -128,9 +138,9 @@ class TuningSession:
         self.lint_report = None
         self.last_suggest_latency_s = 0.0
         self._next_ask_id = 0
-        # ask_id -> (configuration, batch coordinates) of asks not told yet,
-        # oldest first and never more than the budget has trials left
-        self._pending_asks: dict[int, tuple[Configuration, dict[str, Any]]] = {}
+        # ask_id -> (configuration, batch coordinates, fidelity) of asks not
+        # told yet, oldest first and never more than the budget has trials left
+        self._pending_asks: dict[int, tuple[Configuration, dict[str, Any], float | None]] = {}
         self._report_trial_ids: dict[str, int] = {}  # report_id -> trial_id (tell idempotency)
         #: Resume generation: 0 for a fresh session, bumped by
         #: :meth:`SessionManager.resume` past the highest journaled epoch.
@@ -145,12 +155,18 @@ class TuningSession:
         self._spill: list[tuple[int, dict[str, Any]]] = []
 
     # -- internals ---------------------------------------------------------
-    def _budget_left(self, n_done: int) -> bool:
-        if n_done >= self.max_trials:
-            return False
-        if self.max_cost is not None and self.optimizer.history.total_cost() >= self.max_cost:
-            return False
-        return any(cb.should_stop(self) for cb in self.callbacks) is False
+    def _trials_left(self, outstanding: int = 0) -> int:
+        """Trials the budget allows beyond those observed and ``outstanding``
+        (started, not yet observed); 0 once :func:`budget_spent`."""
+        history = self.optimizer.history
+        n_trials = len(history) + outstanding
+        cost = history.total_cost() if self.max_cost is not None else 0.0
+        if budget_spent(n_trials, cost, self.max_trials, self.max_cost):
+            return 0
+        return self.max_trials - n_trials
+
+    def _budget_left(self, outstanding: int = 0) -> bool:
+        return self._trials_left(outstanding) > 0 and not any(cb.should_stop(self) for cb in self.callbacks)
 
     def _make_executor(self) -> "TrialExecutor":
         if self.executor is not None:
@@ -184,8 +200,8 @@ class TuningSession:
     # -- ask/tell (open loop) ------------------------------------------------
     @property
     def is_complete(self) -> bool:
-        """Whether the trial budget has been exhausted."""
-        return len(self.optimizer.history) >= self.max_trials
+        """Whether the trial or cost budget has been exhausted."""
+        return self._trials_left() == 0
 
     def ask(
         self,
@@ -213,24 +229,25 @@ class TuningSession:
             request = SuggestRequest()
         elif isinstance(request, int):
             request = SuggestRequest(n=request)
-        remaining = self.max_trials - len(self.optimizer.history)
+        remaining = self._trials_left()
         if remaining <= 0:
+            budget = f"{self.max_trials} trials" + (f", cost {self.max_cost:g}" if self.max_cost is not None else "")
             raise OptimizerError(
-                f"session{f' {self.session_id!r}' if self.session_id else ''} is complete "
-                f"({self.max_trials} trials)"
+                f"session{f' {self.session_id!r}' if self.session_id else ''} is complete ({budget})"
             )
         configs, ask_info = self._suggest_tracked(min(request.n, remaining))
         suggestions = []
         for i, config in enumerate(configs):
             ask_id = self._next_ask_id
             self._next_ask_id += 1
-            self._pending_asks[ask_id] = (config, {**ask_info, "i": i})
+            fidelity = request.fidelity if request.fidelity is not None else self.optimizer.suggested_fidelity(config)
+            self._pending_asks[ask_id] = (config, {**ask_info, "i": i}, fidelity)
             suggestions.append(
                 Suggestion(
                     config=json_safe(config.as_dict()),
                     ask_id=ask_id,
                     session_id=self.session_id,
-                    fidelity=request.fidelity,
+                    fidelity=fidelity,
                 )
             )
         # An ask whose response never reached its client (a deadline, a
@@ -268,7 +285,7 @@ class TuningSession:
                         spilled=len(self._spill),
                     )
             return self.optimizer.history[trial_id], True
-        config, ask_info = self._pending_asks.pop(report.ask_id, (None, None))
+        config, ask_info, fidelity = self._pending_asks.pop(report.ask_id, (None, None, None))
         if config is None:
             # Unknown or pre-restart ask: the report carries the full
             # configuration values, so rebuild (and re-validate) from them.
@@ -278,7 +295,7 @@ class TuningSession:
             config,
             result,
             dict(report.context),
-            fidelity=report.fidelity,
+            fidelity=report.fidelity if report.fidelity is not None else fidelity,
             report_id=report.report_id,
             ask_info=ask_info,
         )
@@ -444,37 +461,71 @@ class TuningSession:
 
     # -- main loop ----------------------------------------------------------
     def run(self) -> TuningResult:
-        """Run to budget exhaustion and return the result."""
+        """Run to budget exhaustion and return the result.
+
+        With ``batch_size == 1`` on an executor wider than one trial, each
+        completion is observed and the next trial suggested while the others
+        still run; otherwise the loop runs barrier batches of ``batch_size``.
+        """
         if self.evaluator is None:
             raise OptimizerError(
                 "session has no evaluator: drive it via ask()/tell(), or construct "
                 "it with an evaluator to use run()"
             )
+        self._refuse_fidelity_proposals()
         executor = self._make_executor()
         for cb in self.callbacks:
             cb.on_session_start(self)
-        n_done = len(self.optimizer.history)
-        while self._budget_left(n_done):
-            want = min(self.batch_size, self.max_trials - n_done)
-            # For single-trial batches the whole iteration (suggest +
-            # execute) belongs to one trial: open a trial scope so optimizer
-            # spans (surrogate.fit, acquisition.optimize) attach to it. With
-            # want > 1 the suggest serves several trials and stays at the
-            # session level; each executor task opens its own scope.
-            batch: list[Trial] = []
-            with (trial_scope() if want == 1 else nullcontext()), closing(
-                self.run_batch(executor, self.evaluator, want)
-            ) as trials:
+        if self.batch_size == 1 and executor.width > 1:
+            infos: list[tuple[dict[str, Any], float]] = []
+            with closing(self._execute(executor, self.evaluator, self._asks_in_flight(infos), infos)) as trials:
                 for trial in trials:
-                    n_done += 1
-                    batch.append(trial)
-                    if not self._budget_left(n_done):
-                        break  # closing() lets lazy executors skip the unevaluated remainder
-            for cb in self.callbacks:
-                cb.on_batch_end(self, batch)
+                    for cb in self.callbacks:
+                        cb.on_batch_end(self, [trial])
+        else:
+            while self._budget_left():
+                want = min(self.batch_size, self._trials_left())
+                # For single-trial batches the whole iteration (suggest +
+                # execute) belongs to one trial: open a trial scope so optimizer
+                # spans (surrogate.fit, acquisition.optimize) attach to it. With
+                # want > 1 the suggest serves several trials and stays at the
+                # session level; each executor task opens its own scope.
+                batch: list[Trial] = []
+                with (trial_scope() if want == 1 else nullcontext()), closing(
+                    self.run_batch(executor, self.evaluator, want)
+                ) as trials:
+                    for trial in trials:
+                        batch.append(trial)
+                        if not self._budget_left():
+                            break  # closing() skips the configurations not yet started
+                for cb in self.callbacks:
+                    cb.on_batch_end(self, batch)
         for cb in self.callbacks:
             cb.on_session_end(self)
         return self.result()
+
+    def _refuse_fidelity_proposals(self) -> None:
+        """An evaluator takes a configuration, not a fidelity: an optimizer
+        that proposes one per trial runs only through ask()/tell()."""
+        if type(self.optimizer).suggested_fidelity is not Optimizer.suggested_fidelity:
+            raise OptimizerError(
+                f"{type(self.optimizer).__name__} proposes the fidelity of each trial, which an "
+                "evaluator cannot take: drive this session through ask()/tell()"
+            )
+
+    def _asks_in_flight(self, infos: list[tuple[dict[str, Any], float]]) -> Iterator[Configuration]:
+        """One suggestion at a time for as long as the budget, counting the
+        trials still in flight, allows another; each is its own suggest call,
+        its coordinates appended to ``infos``."""
+        n_start = len(self.optimizer.history)
+        started = 0
+        while self._budget_left(outstanding=started - (len(self.optimizer.history) - n_start)):
+            (config,), ask_info = self._suggest_tracked(1)
+            for cb in self.callbacks:
+                cb.on_trial_start(self, n_start + started)
+            started += 1
+            infos.append(({**ask_info, "i": 0}, self.last_suggest_latency_s))
+            yield config
 
     def run_batch(
         self, executor: "TrialExecutor", evaluator: Evaluator, want: int
@@ -488,21 +539,36 @@ class TuningSession:
         this method in a loop. A generator: a caller that stops early must
         ``close()`` it, which closes the executor's result iterator.
         """
+        self._refuse_fidelity_proposals()
         configs, ask_info = self._suggest_tracked(want)
-        per_trial_suggest_s = self.last_suggest_latency_s / max(1, len(configs))
         n_done = len(self.optimizer.history)
         for i in range(len(configs)):
             for cb in self.callbacks:
                 cb.on_trial_start(self, n_done + i)
+        share = self.last_suggest_latency_s / max(1, len(configs))
+        infos = [({**ask_info, "i": i}, share) for i in range(len(configs))]
+        yield from self._execute(executor, evaluator, configs, infos)
+
+    def _execute(
+        self,
+        executor: "TrialExecutor",
+        evaluator: Evaluator,
+        configs: Iterable[Configuration],
+        infos: list[tuple[dict[str, Any], float]],
+    ) -> Iterator[Trial]:
+        """Run ``configs`` on ``executor`` and enter each result as it
+        completes. ``infos[k]`` holds the ask coordinates and suggest-latency
+        share of the ``k``-th configuration, by the time it is drawn."""
         results = executor.map(evaluator, configs)
         try:
             for execution in results:
                 # Execution-side instrumentation travels in ``Trial.context``.
+                ask_info, suggest_s = infos[execution.index]
                 result = execution.result
                 context = dict(result.metadata)
                 context["retries"] = execution.retries
                 context["evaluate_s"] = execution.wall_clock_s
-                context["suggest_latency_s"] = per_trial_suggest_s
+                context["suggest_latency_s"] = suggest_s
                 context.setdefault("outcome", result.outcome)
                 if execution.queue_s:
                     context["queue_s"] = execution.queue_s
@@ -514,7 +580,7 @@ class TuningSession:
                     execution.config,
                     result,
                     context,
-                    ask_info={**ask_info, "i": execution.index},
+                    ask_info=ask_info,
                     span_ref=execution.span_ref,
                 )
         finally:

@@ -1,4 +1,4 @@
-"""Trial execution: serial/thread/process backends, timeouts, retries."""
+"""Trial execution: serial/thread/process/simulated-clock backends, timeouts, retries."""
 
 from .._lazy import lazy_exports
 
@@ -7,6 +7,7 @@ _EXPORTS = {
     "ProcessExecutor": ".executor",
     "RetryPolicy": ".executor",
     "SerialExecutor": ".executor",
+    "SimulatedClockExecutor": ".executor",
     "ThreadedExecutor": ".executor",
     "TrialExecution": ".executor",
     "TrialExecutor": ".executor",

@@ -18,6 +18,14 @@ Backends:
   (i.e. real benchmarks).
 * :class:`ProcessExecutor` — a ``ProcessPoolExecutor`` pool for CPU-bound
   evaluators; the evaluator and configurations must be picklable.
+* :class:`SimulatedClockExecutor` — ``k`` simulated workers on a virtual
+  clock: each trial is evaluated when it starts and completes ``cost``
+  seconds later, so a campaign's wall time with ``k`` benchmark machines is
+  measured without any real concurrency (the tutorial's parallel slide).
+
+Every backend consumes its configurations lazily and keeps at most
+:attr:`TrialExecutor.width` trials in flight, so a session can hand it a
+generator that suggests each configuration only when a worker frees up.
 
 Timeouts run the evaluation on a daemon thread and abandon it at the
 deadline — the trial is recorded as ``FAILED`` with ``outcome="timeout"``
@@ -42,13 +50,14 @@ via :class:`TrialExecution`).
 from __future__ import annotations
 
 import contextvars
+import heapq
 import threading
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent import futures as _futures
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..core.evaluation import EvaluationResult, run_evaluation
 from ..core.optimizer import TrialStatus
@@ -64,6 +73,7 @@ __all__ = [
     "SerialExecutor",
     "ThreadedExecutor",
     "ProcessExecutor",
+    "SimulatedClockExecutor",
     "execute_trial",
 ]
 
@@ -212,7 +222,7 @@ def execute_trial(
 
 
 class TrialExecutor(ABC):
-    """Executes batches of trials; yields results as they complete.
+    """Executes trials; yields results as they complete.
 
     Parameters
     ----------
@@ -224,10 +234,10 @@ class TrialExecutor(ABC):
         the historic in-session behavior.
     """
 
-    #: Lazy executors evaluate on demand as the caller iterates; breaking
-    #: out of ``map`` mid-batch skips the unevaluated remainder (the
-    #: historic serial-loop semantics). Pool executors dispatch eagerly.
-    lazy = False
+    #: Trials in flight at once. ``map`` draws the next configuration only
+    #: when one of its ``width`` slots is free, so breaking out of it skips
+    #: the configurations not yet drawn.
+    width = 1
 
     def __init__(self, timeout_s: float | None = None, retry: RetryPolicy | None = None) -> None:
         if timeout_s is not None and timeout_s <= 0:
@@ -236,8 +246,9 @@ class TrialExecutor(ABC):
         self.retry = retry
 
     @abstractmethod
-    def map(self, evaluator: Evaluator, configs: Sequence[Configuration]) -> Iterator[TrialExecution]:
-        """Yield a :class:`TrialExecution` per config, in completion order."""
+    def map(self, evaluator: Evaluator, configs: Iterable[Configuration]) -> Iterator[TrialExecution]:
+        """Yield a :class:`TrialExecution` per config, in completion order;
+        ``index`` is the config's position in ``configs``."""
 
     def shutdown(self) -> None:
         """Release pooled resources (no-op for serial)."""
@@ -250,15 +261,50 @@ class TrialExecutor(ABC):
 
 
 class SerialExecutor(TrialExecutor):
-    """Evaluate trials one at a time in the caller's thread, lazily."""
+    """Evaluate trials one at a time in the caller's thread."""
 
-    lazy = True
-
-    def map(self, evaluator: Evaluator, configs: Sequence[Configuration]) -> Iterator[TrialExecution]:
+    def map(self, evaluator: Evaluator, configs: Iterable[Configuration]) -> Iterator[TrialExecution]:
         for i, config in enumerate(configs):
             yield execute_trial(
                 evaluator, config, i, self.timeout_s, self.retry, submitted_s=time.monotonic()
             )
+
+
+class SimulatedClockExecutor(TrialExecutor):
+    """``workers`` simulated benchmark machines on a virtual clock.
+
+    Each trial is evaluated in the caller's thread the moment it starts (at
+    the current virtual time) and completes ``result.cost`` virtual seconds
+    later; completions are yielded in finish order, ties broken by start
+    order. :attr:`wall_clock_s` is the virtual time of the last completion
+    and runs on across ``map`` calls, so one executor per campaign measures
+    its whole wall time: a barrier batch takes as long as its slowest trial,
+    and trials kept in flight refill each machine as it frees up.
+    """
+
+    def __init__(self, workers: int = 4) -> None:
+        super().__init__()
+        if workers < 1:
+            raise ReproError(f"workers must be >= 1, got {workers}")
+        self.width = int(workers)
+        self.wall_clock_s = 0.0
+
+    def map(self, evaluator: Evaluator, configs: Iterable[Configuration]) -> Iterator[TrialExecution]:
+        pending = iter(configs)
+        running: list[tuple[float, int, TrialExecution]] = []  # (finish, start order, execution)
+        index = 0
+        while True:
+            while len(running) < self.width:
+                config = next(pending, None)
+                if config is None:
+                    break
+                execution = execute_trial(evaluator, config, index)
+                heapq.heappush(running, (self.wall_clock_s + execution.result.cost, index, execution))
+                index += 1
+            if not running:
+                return
+            self.wall_clock_s, _, execution = heapq.heappop(running)
+            yield execution
 
 
 class _PoolExecutor(TrialExecutor):
@@ -273,7 +319,7 @@ class _PoolExecutor(TrialExecutor):
         super().__init__(timeout_s=timeout_s, retry=retry)
         if max_workers < 1:
             raise ReproError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = int(max_workers)
+        self.width = int(max_workers)
         self._pool: _futures.Executor | None = None
 
     @abstractmethod
@@ -285,24 +331,33 @@ class _PoolExecutor(TrialExecutor):
             self._pool = self._make_pool()
         return self._pool
 
-    def _submit(self, pool: _futures.Executor, evaluator: Evaluator, config: Configuration, index: int) -> Future:
-        return pool.submit(
-            execute_trial, evaluator, config, index, self.timeout_s, self.retry,
-            time.sleep, time.monotonic, time.monotonic(),
-        )
+    def _submit(self, pool: _futures.Executor, *args: Any) -> Future:
+        return pool.submit(execute_trial, *args)
 
-    def map(self, evaluator: Evaluator, configs: Sequence[Configuration]) -> Iterator[TrialExecution]:
+    def map(self, evaluator: Evaluator, configs: Iterable[Configuration]) -> Iterator[TrialExecution]:
         pool = self._ensure_pool()
-        pending: set[Future] = {
-            self._submit(pool, evaluator, config, i) for i, config in enumerate(configs)
-        }
+        # A batch handed over whole has queued since the call; a generator's
+        # configuration only since it was drawn.
+        handed_s = time.monotonic() if isinstance(configs, Sequence) else None
+        pending_configs = enumerate(configs)
+        running: set[Future] = set()
         try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            while True:
+                while len(running) < self.width:
+                    i, config = next(pending_configs, (None, None))
+                    if config is None:
+                        break
+                    submitted_s = handed_s if handed_s is not None else time.monotonic()
+                    running.add(self._submit(
+                        pool, evaluator, config, i, self.timeout_s, self.retry, time.sleep, time.monotonic, submitted_s
+                    ))
+                if not running:
+                    return
+                done, running = wait(running, return_when=FIRST_COMPLETED)
                 for future in done:
                     yield future.result()
         finally:
-            for future in pending:
+            for future in running:
                 future.cancel()
 
     def shutdown(self) -> None:
@@ -319,19 +374,15 @@ class ThreadedExecutor(_PoolExecutor):
     which is exactly what system benchmarks do.
     """
 
-    def _submit(self, pool: _futures.Executor, evaluator: Evaluator, config: Configuration, index: int) -> Future:
+    def _submit(self, pool: _futures.Executor, *args: Any) -> Future:
         # Propagate the submitter's context (active telemetry trace, trial
         # scope) into the reused worker thread, so nested spans opened while
         # evaluating attach to the right trial.
-        ctx = contextvars.copy_context()
-        return pool.submit(
-            ctx.run, execute_trial, evaluator, config, index, self.timeout_s, self.retry,
-            time.sleep, time.monotonic, time.monotonic(),
-        )
+        return pool.submit(contextvars.copy_context().run, execute_trial, *args)
 
     def _make_pool(self) -> _futures.Executor:
         return _futures.ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="repro-trial"
+            max_workers=self.width, thread_name_prefix="repro-trial"
         )
 
 
@@ -345,4 +396,4 @@ class ProcessExecutor(_PoolExecutor):
     """
 
     def _make_pool(self) -> _futures.Executor:
-        return _futures.ProcessPoolExecutor(max_workers=self.max_workers)
+        return _futures.ProcessPoolExecutor(max_workers=self.width)

@@ -12,25 +12,28 @@ Two tools:
   space; each suggestion picks the (config, fidelity) pair maximising EI at
   the target fidelity per unit cost, with a guaranteed share of trials at
   full fidelity.
-* :func:`successive_halving` — rung-based elimination (also the engine
-  inside TUNA's noise handling, slide 71).
+* :class:`HyperbandOptimizer` — rung-based elimination (successive halving,
+  also the idea behind TUNA's budget allocation) across Hyperband's
+  brackets, ask/tell: each suggestion carries its rung's budget as its
+  fidelity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..core import Objective, rng_digest
+from ..core import Objective, Optimizer, Trial, rng_digest
 from ..exceptions import OptimizerError
 from ..space import Configuration, ConfigurationSpace
 from ..space.encoding import OrdinalEncoder
 from .gp import GaussianProcessRegressor, default_kernel
 from .model_based import ModelBasedOptimizer
 
-__all__ = ["FidelityLevel", "MultiFidelityBO", "successive_halving", "HalvingRecord"]
+__all__ = ["FidelityLevel", "MultiFidelityBO", "HyperbandOptimizer"]
 
 
 @dataclass(frozen=True)
@@ -141,47 +144,96 @@ class MultiFidelityBO(ModelBasedOptimizer):
         }
 
 
-@dataclass
-class HalvingRecord:
-    """Trace of one successive-halving rung."""
-
-    rung: int
-    budget: float
-    survivors: list[Configuration]
-    scores: list[float]
+#: Hyperband's halving rate: each rung keeps the best third at three times the budget (Li et al.).
+ETA = 3
 
 
-def successive_halving(
-    candidates: Sequence[Configuration],
-    evaluate: Callable[[Configuration, float], float],
-    budgets: Sequence[float],
-    eta: float = 3.0,
-    minimize: bool = True,
-) -> tuple[Configuration, list[HalvingRecord]]:
-    """Classic successive halving over explicit budget rungs.
+class _Bracket:
+    """One successive-halving run and where its current rung stands."""
 
-    ``evaluate(config, budget)`` returns a (canonical minimize) score at the
-    given budget. Each rung keeps the best ``1/eta`` fraction and re-runs
-    them at the next, larger budget.
+    def __init__(self, budgets: list[float], queue: list[Configuration]) -> None:
+        self.budgets = budgets
+        self.queue = queue  # to suggest at the current rung
+        self.rung = 0
+        self.out = 0  # suggested at the current rung, not yet told
+        self.results: list[tuple[float, Configuration]] = []  # (score, config) told at the current rung
+
+
+class HyperbandOptimizer(Optimizer):
+    """Hyperband (Li et al. 2018) as an ask/tell optimizer.
+
+    Bracket ``s`` is one successive-halving run: ``n_s`` random
+    configurations at budget ``max_budget / ETA**s``; once a rung is told,
+    its best ``1/ETA`` are suggested again at ``ETA`` times the budget, up to
+    ``max_budget``. Brackets cycle from ``s_max`` down to plain random search
+    at full budget (``s = 0``); while every open bracket waits on trials, the
+    next one opens. A suggestion's budget is its :meth:`suggested_fidelity`,
+    and a told trial joins its rung by configuration and fidelity; one it did
+    not suggest (foreign, or re-observed on resume) joins no rung. The
+    incumbent is the best trial at ``max_budget``.
     """
-    if not candidates:
-        raise OptimizerError("need at least one candidate")
-    if not budgets:
-        raise OptimizerError("need at least one budget rung")
-    if eta <= 1.0:
-        raise OptimizerError(f"eta must be > 1, got {eta}")
-    alive = list(candidates)
-    records: list[HalvingRecord] = []
-    sign = 1.0 if minimize else -1.0
-    for rung, budget in enumerate(budgets):
-        scores = [sign * evaluate(c, budget) for c in alive]
-        order = np.argsort(scores)
-        keep = max(1, int(np.ceil(len(alive) / eta))) if rung < len(budgets) - 1 else 1
-        alive = [alive[i] for i in order[:keep]]
-        records.append(
-            HalvingRecord(rung, float(budget), list(alive), [float(sign * s) for s in sorted(scores)])
-        )
-        if len(alive) == 1 and rung < len(budgets) - 1:
-            # Re-confirm the single survivor at the final budget.
-            continue
-    return alive[0], records
+
+    def __init__(
+        self,
+        space: ConfigurationSpace,
+        objectives: Objective | list[Objective] | None = None,
+        seed: int | None = None,
+        max_budget: float = 27.0,
+        min_budget: float = 1.0,
+    ) -> None:
+        super().__init__(space, objectives, seed)
+        if not 0 < min_budget < max_budget:
+            raise OptimizerError(f"need 0 < min_budget < max_budget, got {min_budget} and {max_budget}")
+        self.max_budget = float(max_budget)
+        self.s_max = int(math.floor(math.log(max_budget / min_budget, ETA) + 1e-9))
+        self._brackets: list[_Bracket] = []
+        self._n_opened = 0
+        # configuration -> (budget, bracket) of each of its suggestions not told yet
+        self._slots: dict[Configuration, list[tuple[float, _Bracket]]] = {}
+
+    def _open_bracket(self) -> _Bracket:
+        s = self.s_max - self._n_opened % (self.s_max + 1)
+        self._n_opened += 1
+        n = int(math.ceil((self.s_max + 1) / (s + 1) * ETA**s))
+        budgets = [self.max_budget / ETA ** (s - i) for i in range(s + 1)]
+        bracket = _Bracket(budgets, self.space.sample_many(n, self.rng))
+        self._brackets.append(bracket)
+        return bracket
+
+    def _suggest(self) -> Configuration:
+        bracket = next((b for b in self._brackets if b.queue), None) or self._open_bracket()
+        config = bracket.queue.pop(0)
+        bracket.out += 1
+        self._slots.setdefault(config, []).append((bracket.budgets[bracket.rung], bracket))
+        return config
+
+    def suggested_fidelity(self, config: Configuration) -> float | None:
+        slots = self._slots.get(config)
+        return slots[-1][0] if slots else None
+
+    def _on_observe(self, trial: Trial) -> None:
+        slots = self._slots.get(trial.config, [])
+        match = next((k for k, (budget, _) in enumerate(slots) if budget == trial.fidelity), None)
+        if match is None:
+            return
+        _, bracket = slots.pop(match)
+        if not slots:
+            del self._slots[trial.config]
+        bracket.out -= 1
+        score = self.objective.score(trial.metrics[self.objective.name]) if trial.ok else math.inf
+        bracket.results.append((score, trial.config))  # a failure ranks last, whatever its imputation
+        if bracket.queue or bracket.out:
+            return
+        if bracket.rung + 1 == len(bracket.budgets):
+            self._brackets.remove(bracket)
+            return
+        ranked = sorted(bracket.results, key=lambda result: result[0])  # stable: ties keep tell order
+        bracket.queue = [config for _, config in ranked[: max(1, len(ranked) // ETA)]]
+        bracket.results = []
+        bracket.rung += 1
+
+    def best_config(self) -> Configuration:
+        top = [t for t in self.history.completed() if t.fidelity == self.max_budget]
+        if not top:
+            raise OptimizerError(f"no completed trial at the top budget {self.max_budget:g} yet")
+        return min(top, key=lambda t: self.objective.score(t.metric(self.objective.name))).config

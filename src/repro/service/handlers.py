@@ -295,9 +295,9 @@ class ServiceHandlers:
                     f"session {session_id!r} has no server-side evaluator (created "
                     "without a 'target' spec); drive it via /ask and /tell"
                 )
-            want = min(n, session.max_trials - len(session.optimizer.history))
-            if want <= 0:
+            if session.is_complete:
                 raise OptimizerError(f"session {session_id!r} is complete")
+            want = min(n, session.max_trials - len(session.optimizer.history))
             return [t.trial_id for t in session.run_batch(executor, entry.evaluator, want)]
 
         entry, trial_ids, complete = await self._in_session(session_id, _run_steps)

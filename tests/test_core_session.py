@@ -25,6 +25,35 @@ class TestBudgets:
         res = TuningSession(opt, pricey, max_trials=100, max_cost=35.0).run()
         assert res.n_trials == 4  # stops once >= 35 spent
 
+    def test_cost_budget_ends_an_ask_tell_session(self, simple_space):
+        """One budget rule for ask, is_complete, run and the stored status:
+        eight tells of cost 4 used to run past ``max_cost=10`` unnoticed."""
+        manager = SessionManager(MemoryTrialStore())
+        session = manager.create(simple_space, optimizer="random", seed=0, max_trials=50, max_cost=10.0,
+                                 session_id="pricey")
+        for _ in range(3):
+            assert not session.is_complete and not manager.status("pricey")["complete"]
+            (sugg,) = session.ask()
+            session.tell(TrialReport(config=sugg.config, metrics={"score": 1.0}, cost=4.0, ask_id=sugg.ask_id))
+        assert session.is_complete and manager.status("pricey")["complete"]
+        with pytest.raises(OptimizerError, match=r"is complete \(50 trials, cost 10\)"):
+            session.ask()
+        session.evaluator = lambda config: (1.0, 4.0)
+        assert session.run().n_trials == 3  # run() applies the same rule
+
+    def test_in_flight_budget_counts_outstanding_trials(self, simple_space):
+        from repro.execution import SimulatedClockExecutor
+
+        calls = {"n": 0}
+
+        def pricey(config):
+            calls["n"] += 1
+            return 1.0, 10.0
+
+        opt = RandomSearchOptimizer(simple_space, seed=0)
+        res = TuningSession(opt, pricey, max_trials=6, executor=SimulatedClockExecutor(4)).run()
+        assert res.n_trials == calls["n"] == 6
+
     def test_batch_size(self, simple_space):
         opt = RandomSearchOptimizer(simple_space, seed=0)
         res = TuningSession(opt, quadratic_evaluator(), max_trials=10, batch_size=4).run()

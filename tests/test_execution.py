@@ -1,9 +1,11 @@
-"""Executor paths: timeouts, retry/backoff, imputation parity, hook order."""
+"""Executor paths: timeouts, retry/backoff, imputation parity, hook order,
+lazy width-bounded dispatch, the simulated clock and the in-flight session mode."""
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import EvaluationResult, Objective, TrialStatus, coerce_evaluation, run_evaluation
@@ -13,6 +15,7 @@ from repro.execution import (
     ProcessExecutor,
     RetryPolicy,
     SerialExecutor,
+    SimulatedClockExecutor,
     ThreadedExecutor,
     execute_trial,
 )
@@ -241,6 +244,101 @@ class TestSessionParallel:
         opt = RandomSearchOptimizer(simple_space, seed=0)
         res = TuningSession(opt, quadratic_evaluator(), max_trials=10, batch_size=4).run()
         assert res.n_trials == 10
+
+
+class TestLazyDispatch:
+    """``map`` draws the next configuration only when one of its ``width``
+    slots is free, so a generator can suggest each one at that moment."""
+
+    @pytest.mark.parametrize("make", [SerialExecutor, lambda: SimulatedClockExecutor(3),
+                                      lambda: ThreadedExecutor(max_workers=3)])
+    def test_never_more_than_width_drawn_ahead(self, simple_space, make):
+        drawn, done = [], []
+
+        def configs():
+            for i in range(7):
+                assert len(drawn) - len(done) < executor.width  # a slot is free whenever one is drawn
+                drawn.append(i)
+                yield simple_space.sample(np.random.default_rng(i))
+
+        with make() as executor:
+            for execution in executor.map(lambda c: {"lat": 1.0}, configs()):
+                done.append(execution.index)
+        assert sorted(done) == list(range(7))
+
+    def test_closing_early_skips_the_rest(self, simple_space):
+        drawn = []
+
+        def configs():
+            for i in range(10):
+                drawn.append(i)
+                yield simple_space.sample(np.random.default_rng(i))
+
+        results = SimulatedClockExecutor(2).map(lambda c: {"lat": 1.0}, configs())
+        next(results)
+        results.close()
+        assert drawn == [0, 1]
+
+
+class TestSimulatedClock:
+    def test_completions_in_finish_order_ties_by_start(self, simple_space):
+        durations = iter([4.0, 1.0, 4.0, 2.0])
+        executor = SimulatedClockExecutor(2)
+        configs = [simple_space.sample(np.random.default_rng(i)) for i in range(4)]
+        out = [(e.index, executor.wall_clock_s) for e in executor.map(lambda c: (1.0, next(durations)), configs)]
+        # 0 (4 s) and 1 (1 s) start at 0; 2 starts at 1, ends at 5; 3 starts at 4, ends at 6.
+        assert out == [(1, 1.0), (0, 4.0), (2, 5.0), (3, 6.0)]
+        ties = SimulatedClockExecutor(3)
+        assert [e.index for e in ties.map(lambda c: (1.0, 2.0), configs)] == [0, 1, 2, 3]
+
+    def test_wall_clock_runs_on_across_batches(self, simple_space):
+        executor = SimulatedClockExecutor(4)
+        opt = RandomSearchOptimizer(simple_space, Objective("lat"), seed=0)
+        TuningSession(opt, lambda c: (1.0, 5.0), max_trials=10, batch_size=4, executor=executor).run()
+        assert executor.wall_clock_s == pytest.approx(15.0)  # batches of 4, 4, 2
+
+    def test_in_flight_session_observes_in_completion_order(self, simple_space):
+        from repro.core import Callback
+
+        events: list[tuple] = []
+
+        class Recorder(Callback):
+            def on_trial_start(self, session, trial_index):
+                events.append(("start", trial_index))
+
+            def on_trial_end(self, session, trial):
+                events.append(("end", trial.trial_id))
+
+            def on_batch_end(self, session, trials):
+                events.append(("batch", len(trials)))
+
+        calls = {"n": 0}
+
+        def vary(config):
+            calls["n"] += 1
+            return {"lat": float(config["x"])}, [3.0, 1.0, 2.0][calls["n"] % 3]
+
+        opt = RandomSearchOptimizer(simple_space, Objective("lat"), seed=0)
+        session = TuningSession(opt, vary, max_trials=7, executor=SimulatedClockExecutor(3), callbacks=[Recorder()])
+        session.run()
+        assert calls["n"] == 7  # the outstanding trials count: never launched past the budget
+        kinds = [e[0] for e in events]
+        assert kinds[:3] == ["start"] * 3  # three in flight before the first completes
+        assert kinds.count("start") == kinds.count("end") == kinds.count("batch") == 7
+        # Each completion is told before the next suggestion goes out.
+        assert kinds[3:6] == ["end", "batch", "start"]
+
+    def test_in_flight_needs_a_wider_executor_and_batch_one(self, simple_space):
+        calls = {"n": 0}
+
+        def count(config):
+            calls["n"] += 1
+            return 1.0, 1.0
+
+        opt = RandomSearchOptimizer(simple_space, seed=0)
+        executor = SimulatedClockExecutor(1)
+        TuningSession(opt, count, max_trials=5, executor=executor).run()
+        assert executor.wall_clock_s == pytest.approx(5.0) and calls["n"] == 5
 
 
 class TestProcessExecutor:

@@ -4,13 +4,13 @@ and VM-size config scaling."""
 import numpy as np
 import pytest
 
-from repro.core import Objective, TuningSession
+from repro.core import Objective, TrialReport, TuningSession
 from repro.exceptions import OptimizerError
 from repro.online import GreedyOnlineTuner
 from repro.optimizers import (
     BestConfigOptimizer,
     DBMS_VM_SCALING,
-    hyperband,
+    HyperbandOptimizer,
     scale_config_for_vm,
 )
 from repro.space import ConfigurationSpace, FloatParameter
@@ -35,43 +35,54 @@ class TestHyperband:
 
         return evaluate
 
+    @staticmethod
+    def drive(space, evaluate, n_trials, minimize=True, **options):
+        """Ask/tell ``n_trials`` through a session, each at its suggested budget."""
+        opt = HyperbandOptimizer(space, Objective("score", minimize=minimize), seed=0, **options)
+        session = TuningSession(opt, None, max_trials=n_trials)
+        while not session.is_complete:
+            (sugg,) = session.ask()
+            config = space.make(sugg.config)
+            session.tell(
+                TrialReport(config=sugg.config, metrics={"score": evaluate(config, sugg.fidelity)},
+                            cost=sugg.fidelity, ask_id=sugg.ask_id)
+            )
+        return opt
+
     def test_finds_good_point(self, rng):
-        result = hyperband(
-            bowl_space(2), self.noisy_objective(rng), max_budget=27.0,
-            rng=np.random.default_rng(0),
-        )
-        assert result.best_score < 0.25
-        assert result.total_cost > 0
+        opt = self.drive(bowl_space(2), self.noisy_objective(rng), 69, max_budget=27.0)
+        best = opt.best_config()
+        assert sum((best[k] - 0.3) ** 2 for k in best) < 0.25
+        assert opt.history.total_cost() > 0
 
     def test_bracket_count(self, rng):
-        result = hyperband(
-            bowl_space(1), self.noisy_objective(rng), max_budget=27.0,
-            rng=np.random.default_rng(0),
-        )
-        # s_max = log3(27) = 3 -> brackets s=3..0 -> 4 brackets.
-        assert len(result.brackets) == 4
+        opt = self.drive(bowl_space(1), self.noisy_objective(rng), 69, max_budget=27.0)
+        budgets = [t.fidelity for t in opt.history]
+        # s_max = log3(27) = 3 -> brackets s=3..0 -> 4 brackets, 69 trials in all.
+        starts = [0] + [k for k in range(1, len(budgets)) if budgets[k] < budgets[k - 1]]
+        assert [budgets[k] for k in starts] == [1.0, 3.0, 9.0]  # s = 0 starts at 27 without a drop
+        assert budgets[-4:] == [27.0] * 4 and budgets[-5] == 27.0
+        assert opt.suggested_fidelity(opt.suggest(1)[0]) == 1.0  # then the cycle repeats
 
     def test_early_brackets_try_more_configs(self, rng):
-        result = hyperband(
-            bowl_space(1), self.noisy_objective(rng), max_budget=27.0,
-            rng=np.random.default_rng(0),
-        )
-        first_round_sizes = [len(b[0].scores) for b in result.brackets]
-        assert first_round_sizes[0] > first_round_sizes[-1]
+        opt = self.drive(bowl_space(1), self.noisy_objective(rng), 69, max_budget=27.0)
+        budgets = [t.fidelity for t in opt.history]
+        # First rungs: 27 configs at budget 1 (s=3), 4 at budget 27 (s=0).
+        assert budgets[:27] == [1.0] * 27 and budgets[27] == 3.0
+        assert budgets[-4:] == [27.0] * 4
 
     def test_maximize_mode(self, rng):
-        result = hyperband(
-            bowl_space(1),
-            lambda c, b: c["x0"],
-            max_budget=9.0,
-            rng=np.random.default_rng(0),
-            minimize=False,
-        )
-        assert result.best_config["x0"] > 0.7
+        opt = self.drive(bowl_space(1), lambda c, b: c["x0"], 13, minimize=False, max_budget=9.0)
+        assert opt.best_config()["x0"] > 0.7
 
     def test_validation(self, rng):
         with pytest.raises(OptimizerError):
-            hyperband(bowl_space(1), lambda c, b: 0.0, max_budget=1.0)
+            HyperbandOptimizer(bowl_space(1), max_budget=1.0)
+        # An evaluator takes no fidelity: run() refuses an optimizer that proposes one.
+        session = TuningSession(HyperbandOptimizer(bowl_space(1)), lambda c: 0.0, max_trials=4)
+        with pytest.raises(OptimizerError, match="ask\\(\\)/tell\\(\\)"):
+            session.run()
+        assert len(session.optimizer.history) == 0
 
 
 class TestBestConfig:

@@ -180,7 +180,7 @@ def test_listing_the_registry_imports_no_optimizer():
     """The CLI calls ``optimizer_names()`` to build its parser."""
     code = "import json, sys\nfrom repro.core.manager import optimizer_names\n"
     names, loaded = fresh(code + "print(json.dumps([optimizer_names(), sorted(sys.modules)]))")
-    assert names == ["anneal", "bestconfig", "bo", "cmaes", "grid", "pso", "random", "smac"]
+    assert names == ["anneal", "bestconfig", "bo", "cmaes", "grid", "hyperband", "pso", "random", "smac"]
     assert not {m for m in loaded if m.startswith(("repro.optimizers.", "scipy"))}
 
 

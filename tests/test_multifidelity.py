@@ -1,11 +1,11 @@
-"""Unit tests for multi-fidelity BO and successive halving."""
+"""Unit tests for multi-fidelity BO and Hyperband's successive halving."""
 
 import numpy as np
 import pytest
 
 from repro.core import Objective
 from repro.exceptions import OptimizerError
-from repro.optimizers import FidelityLevel, MultiFidelityBO, successive_halving
+from repro.optimizers import FidelityLevel, HyperbandOptimizer, MultiFidelityBO
 from repro.space import ConfigurationSpace, FloatParameter
 
 
@@ -77,49 +77,71 @@ class TestMultiFidelityBO:
             FidelityLevel(1.0, cost=0.0)
 
 
+def halving(evaluate, max_budget=9.0, minimize=True):
+    """Drive a Hyperband optimizer through its first bracket (one successive-
+    halving run); returns the optimizer and the told ``(config, budget)`` pairs."""
+    opt = HyperbandOptimizer(space_1d(), Objective("score", minimize=minimize), seed=0, max_budget=max_budget)
+    told = []
+    while True:
+        config = opt.suggest(1)[0]
+        budget = opt.suggested_fidelity(config)
+        if told and budget < told[-1][1]:  # the next bracket began
+            return opt, told
+        opt.observe(config, evaluate(config, budget), cost=budget, fidelity=budget)
+        told.append((config, budget))
+
+
+def rung_sizes(told):
+    budgets = [budget for _, budget in told]
+    return [budgets.count(b) for b in sorted(set(budgets))]
+
+
 class TestSuccessiveHalving:
+    """Rung promotion inside :class:`HyperbandOptimizer`: a finished rung's best
+    third is suggested again at three times the budget."""
+
     def test_survivor_is_best(self):
-        space = space_1d()
-        candidates = [space.make({"x": v}) for v in np.linspace(0, 1, 9)]
-
-        def evaluate(cfg, budget):
-            return (cfg["x"] - 0.7) ** 2  # noise-free
-
-        winner, records = successive_halving(candidates, evaluate, budgets=[1, 3, 9])
-        assert abs(winner["x"] - 0.7) < 0.1
+        opt, told = halving(lambda c, b: (c["x"] - 0.7) ** 2)  # noise-free
+        first_rung = [c for c, b in told if b == 1.0]
+        assert opt.best_config() == min(first_rung, key=lambda c: (c["x"] - 0.7) ** 2)
+        assert abs(opt.best_config()["x"] - 0.7) < 0.1
 
     def test_rungs_shrink_by_eta(self):
-        space = space_1d()
-        candidates = [space.make({"x": v}) for v in np.linspace(0, 1, 9)]
-        _, records = successive_halving(
-            candidates, lambda c, b: c["x"], budgets=[1, 2, 4], eta=3.0
-        )
-        assert [len(r.survivors) for r in records] == [3, 1, 1]
+        _, told = halving(lambda c, b: c["x"], max_budget=9.0)
+        assert rung_sizes(told) == [9, 3, 1]
+        _, told = halving(lambda c, b: c["x"], max_budget=81.0)
+        assert rung_sizes(told) == [81, 27, 9, 3, 1]
+        assert sorted({b for _, b in told}) == [1.0, 3.0, 9.0, 27.0, 81.0]
 
     def test_noisy_small_budgets_filtered_by_later_rungs(self, rng):
-        space = space_1d()
-        candidates = [space.make({"x": v}) for v in np.linspace(0, 1, 12)]
-
         def noisy_eval(cfg, budget):
             noise = rng.normal(0, 0.3 / budget)  # bigger budget = less noise
             return (cfg["x"] - 0.7) ** 2 + noise
 
-        winner, _ = successive_halving(candidates, noisy_eval, budgets=[1, 4, 16], eta=2.0)
-        assert abs(winner["x"] - 0.7) < 0.35
+        opt, _ = halving(noisy_eval, max_budget=27.0)
+        assert abs(opt.best_config()["x"] - 0.7) < 0.35
 
     def test_maximize_mode(self):
-        space = space_1d()
-        candidates = [space.make({"x": v}) for v in np.linspace(0, 1, 5)]
-        winner, _ = successive_halving(
-            candidates, lambda c, b: c["x"], budgets=[1, 2], minimize=False
-        )
-        assert winner["x"] == 1.0
+        opt, told = halving(lambda c, b: c["x"], minimize=False)
+        assert opt.best_config()["x"] == max(c["x"] for c, b in told if b == 1.0)
 
     def test_validation(self):
-        space = space_1d()
         with pytest.raises(OptimizerError):
-            successive_halving([], lambda c, b: 0.0, budgets=[1])
+            HyperbandOptimizer(space_1d(), min_budget=0.0)
         with pytest.raises(OptimizerError):
-            successive_halving([space.make({})], lambda c, b: 0.0, budgets=[])
-        with pytest.raises(OptimizerError):
-            successive_halving([space.make({})], lambda c, b: 0.0, budgets=[1], eta=1.0)
+            HyperbandOptimizer(space_1d(), max_budget=1.0)
+
+    def test_failures_rank_last_and_foreign_trials_enter_no_rung(self):
+        opt = HyperbandOptimizer(space_1d(), Objective("score"), seed=0, max_budget=9.0)
+        opt.observe(space_1d().make({"x": 0.7}), 0.0, fidelity=9.0)  # not suggested: history only
+        first = opt.suggest(9)
+        assert {opt.suggested_fidelity(c) for c in first} == {1.0}
+        for k, config in enumerate(first):
+            if k == 0:
+                opt.observe_failure(config, fidelity=1.0)
+            else:
+                opt.observe(config, (config["x"] - 0.7) ** 2, fidelity=1.0)
+        promoted = opt.suggest(3)
+        assert first[0] not in promoted
+        assert {opt.suggested_fidelity(c) for c in promoted} == {3.0}
+        assert opt.best_config()["x"] == 0.7  # the best trial at the top budget, whoever ran it

@@ -37,15 +37,15 @@ OPTIMIZERS = [
     "AcquisitionFunction", "BanditArmStats", "BayesianOptimizer", "BestConfigOptimizer", "CMAESOptimizer",
     "ConstantKernel", "ConstrainedBayesianOptimizer", "CostAwareEI", "DBMS_VM_SCALING", "EnsembleOptimizer",
     "ExpectedImprovement", "FidelityLevel", "GaussianProcessRegressor", "GridSearchOptimizer",
-    "HalvingRecord", "HyperbandResult", "Kernel", "LinearScalarizationOptimizer", "LowerConfidenceBound",
+    "HyperbandOptimizer", "Kernel", "LinearScalarizationOptimizer", "LowerConfidenceBound",
     "Matern", "ModelBasedOptimizer", "MultiArmedBanditOptimizer", "MultiFidelityBO",
-    "MultiTaskOptimizer", "ParEGOOptimizer", "ParallelResult", "ParallelRunner", "ParticleSwarmOptimizer",
+    "MultiTaskOptimizer", "ParEGOOptimizer", "ParticleSwarmOptimizer",
     "PriorBank", "PriorRun", "ProbabilityOfImprovement", "Product", "ProjectedOptimizer", "RBF",
     "RandomForestRegressor", "RandomSearchOptimizer", "RegressionTree", "SMACOptimizer",
     "SimulatedAnnealingOptimizer", "StructuredBayesianOptimizer", "Sum", "SurrogateStats",
-    "ThompsonSampling", "WhiteKernel", "default_kernel", "dominates", "hyperband",
+    "ThompsonSampling", "WhiteKernel", "default_kernel", "dominates",
     "hypervolume_2d", "pareto_front", "pareto_front_mask", "scale_config_for_vm",
-    "space_with_priors", "successive_halving", "warm_start_from_history",
+    "space_with_priors", "warm_start_from_history",
 ]
 ONLINE = [
     "ActorCriticTuner", "ContextualBOTuner", "GeneticAlgorithmOptimizer", "GeneticOnlineTuner",
@@ -85,8 +85,8 @@ TABLES = {
     ],
     "repro.core.stores": ["JsonJournalStore", "MemoryTrialStore", "SqliteTrialStore", "open_store"],
     "repro.execution": [
-        "ProcessExecutor", "RetryPolicy", "SerialExecutor", "ThreadedExecutor", "TrialExecution", "TrialExecutor",
-        "execute_trial",
+        "ProcessExecutor", "RetryPolicy", "SerialExecutor", "SimulatedClockExecutor", "ThreadedExecutor",
+        "TrialExecution", "TrialExecutor", "execute_trial",
     ],
     "repro.knowledge": ["DBMS_MANUAL", "DiscoveredKnob", "ManualEntry", "ManualKnowledgeExtractor"],
     "repro.service": ["ServiceClient", "ServiceHandlers", "TuningServer", "WireError", "serve"],
@@ -150,17 +150,16 @@ def test_star_import_binds_every_name(name):
 
 
 def test_export_named_like_its_submodule_is_the_export():
-    """``hyperband`` is a function in ``optimizers/hyperband.py`` (and ``tpcc``,
-    ``tpch``, ``ycsb`` in ``workloads/``): importing the submodule binds the
-    package attribute to the module, and the function must win."""
+    """``tpcc``, ``tpch`` and ``ycsb`` are functions in ``workloads/`` modules of
+    the same names: importing the submodule binds the package attribute to
+    the module, and the function must win."""
     code = (
         "import repro.workloads\n"
-        "from repro.optimizers import HyperbandResult, hyperband\n"
         "from repro.workloads import TPCC_TX_MIX, TPCH_QUERIES, YCSB_MIXES\n"
         "w = repro.workloads\n"
-        "print(sum(map(callable, (hyperband, w.tpcc, w.tpch, w.ycsb))))"
+        "print(sum(map(callable, (w.tpcc, w.tpch, w.ycsb))))"
     )
-    assert fresh(code) == 4
+    assert fresh(code) == 3
 
 
 def test_concurrent_first_use_is_safe():
@@ -206,12 +205,12 @@ RECORD = "record type a reached function returns: callers read it, none names it
 UNREACHED = {
     **dict.fromkeys([
         "ConstrainedBayesianOptimizer", "StructuredBayesianOptimizer",
-        "EnsembleOptimizer", "hyperband", "GreedyOnlineTuner", "ProactiveForecastTuner", "PageHinkleyDetector",
+        "EnsembleOptimizer", "GreedyOnlineTuner", "ProactiveForecastTuner", "PageHinkleyDetector",
         "PCAEmbedding", "RandomProjectionEmbedding", "pareto_front", "scale_config_for_vm", "DBMS_VM_SCALING",
     ], TECHNIQUE),
     **dict.fromkeys([
-        "BanditArmStats", "GuardrailVerdict", "HyperbandResult", "OnlineResult", "OnlineStepRecord",
-        "ParallelResult", "QueryRecord", "TrialExecution",
+        "BanditArmStats", "GuardrailVerdict", "OnlineResult", "OnlineStepRecord",
+        "QueryRecord", "TrialExecution",
     ], RECORD),
     "ConvergenceTracker": "stock callback of the inventory's Tuning-core row, like LoggingCallback and StopWhen*",
     "RegressionTree": "reference for `_grow_tree_arrays` parity (tests/test_forest.py)",
@@ -254,11 +253,11 @@ WIRE = "documented wire or stored-spec field (docs/service.md, space spec): a re
 TEST_BUDGET = "test budget: tests pass a small value to reach in seconds a behaviour production also reaches"
 SECOND_TIER = "only tests set it and one of them is a test of the knob itself: goes with that test, past this PR's removal budget"
 OPTIONS_KEPT = {
-    **dict.fromkeys(["*.seed", "*.objectives", "*.objective", "*.name", "*.knobs", "repro.optimizers.hyperband.hyperband.minimize"], WHAT),
+    **dict.fromkeys(["*.seed", "*.objectives", "*.objective", "*.name", "*.knobs"], WHAT),
     **dict.fromkeys(["*.rng", "*.clock", "*.sleep", "*.trace", "*.fault_hook", "*.transport_faults",
                      "repro.service.client.ServiceClient.backoff", "repro.service.client.ServiceClient.backoff_seed",
                      "repro.service.client.ServiceClient.breaker",
-                     "repro.core.manager.SessionManager.create.callbacks", "repro.core.manager.SessionManager.create.executor"], SEAM),
+                     "repro.core.manager.SessionManager.create.callbacks"], SEAM),
     **dict.fromkeys(["repro.sysim.", "repro.workloads.", "repro.benchmarking.duet.DuetBenchmarkRunner.duration_s",
                      "repro.online.agent.OnlineTuningAgent.duration_s", "repro.optimizers.transfer.scale_config_for_vm.scaling"], SCENARIO),
     **dict.fromkeys([
@@ -268,7 +267,7 @@ OPTIONS_KEPT = {
         "repro.optimizers.gp.SurrogateStats.", "repro.optimizers.transfer.PriorRun.context", "repro.service.handlers._Hosted.lock",
         "repro.service.wire.CreateSessionRequest.", "repro.staticcheck.findings.LintReport.findings",
     ], RECORD_FIELD),
-    **dict.fromkeys(["repro.core.manager.SessionManager.create.batch_size", "repro.space.constraints.RatioConstraint.divisor"], WIRE),
+    **dict.fromkeys(["repro.space.constraints.RatioConstraint.divisor"], WIRE),
     **dict.fromkeys([
         "repro.online.safety.Guardrail.", "repro.online.safety.SafeBayesianOptimizer.kappa", "repro.resilience.BackoffPolicy.multiplier",
         "repro.resilience.CircuitBreaker.failure_threshold", "repro.resilience.CircuitBreaker.recovery_s",

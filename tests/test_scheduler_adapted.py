@@ -1,13 +1,13 @@
-"""Unit tests for the parallel runner and projected (LlamaTune) optimizer."""
+"""Unit tests for simulated parallel runs and the projected (LlamaTune) optimizer."""
 
 import numpy as np
 import pytest
 
-from repro.core import Objective
-from repro.exceptions import OptimizerError, SystemCrashError, TrialAbortedError
+from repro.core import Objective, TuningSession
+from repro.exceptions import OptimizerError, ReproError, SystemCrashError, TrialAbortedError
+from repro.execution import SimulatedClockExecutor
 from repro.optimizers import (
     BayesianOptimizer,
-    ParallelRunner,
     ProjectedOptimizer,
     RandomSearchOptimizer,
 )
@@ -30,19 +30,33 @@ def timed_evaluator(duration=5.0):
     return evaluate
 
 
+def simulated_run(evaluate, workers, batch_size, max_trials, seed=0, space=None):
+    """A session on ``workers`` simulated machines: ``(result, wall clock)``."""
+    opt = RandomSearchOptimizer(space or space_nd(2), seed=seed)
+    executor = SimulatedClockExecutor(workers)
+    result = TuningSession(opt, evaluate, max_trials=max_trials, batch_size=batch_size, executor=executor).run()
+    return result, executor.wall_clock_s
+
+
 class TestParallelRunner:
+    """Parallel runs are ``TuningSession`` runs on a :class:`SimulatedClockExecutor`:
+    one machine is serial, ``batch_size=k`` synchronous, ``batch_size=1`` on k
+    machines asynchronous (k trials in flight)."""
+
     def test_serial_wall_clock_is_sum(self):
-        opt = RandomSearchOptimizer(space_nd(2), seed=0)
-        runner = ParallelRunner(opt, timed_evaluator(5.0), n_workers=4, mode="serial")
-        out = runner.run(max_trials=10)
-        assert out.wall_clock_s == pytest.approx(50.0)
-        assert out.n_workers == 1
+        result, wall = simulated_run(timed_evaluator(5.0), workers=1, batch_size=1, max_trials=10)
+        assert wall == pytest.approx(50.0)
+        assert result.n_trials == 10
 
     def test_sync_wall_clock_is_batch_max(self):
-        opt = RandomSearchOptimizer(space_nd(2), seed=0)
-        runner = ParallelRunner(opt, timed_evaluator(5.0), n_workers=4, mode="sync")
-        out = runner.run(max_trials=12)
-        assert out.wall_clock_s == pytest.approx(15.0)  # 3 batches x 5s
+        calls = {"n": 0}
+
+        def vary(config):
+            calls["n"] += 1
+            return 1.0, float(calls["n"] % 4 + 1)  # 2, 3, 4, 1 s within each batch
+
+        _, wall = simulated_run(vary, workers=4, batch_size=4, max_trials=12)
+        assert wall == pytest.approx(12.0)  # 3 batches x their 4 s maximum
 
     def test_async_faster_with_heterogeneous_durations(self):
         calls = {"n": 0}
@@ -51,17 +65,14 @@ class TestParallelRunner:
             calls["n"] += 1
             return 1.0, 2.0 if calls["n"] % 2 else 10.0
 
-        opt_async = RandomSearchOptimizer(space_nd(2), seed=0)
-        out_async = ParallelRunner(opt_async, vary, n_workers=2, mode="async").run(8)
+        _, async_wall = simulated_run(vary, workers=2, batch_size=1, max_trials=8)
         calls["n"] = 0
-        opt_sync = RandomSearchOptimizer(space_nd(2), seed=0)
-        out_sync = ParallelRunner(opt_sync, vary, n_workers=2, mode="sync").run(8)
-        assert out_async.wall_clock_s <= out_sync.wall_clock_s
+        _, sync_wall = simulated_run(vary, workers=2, batch_size=2, max_trials=8)
+        assert async_wall < sync_wall
 
     def test_all_trials_recorded(self):
-        opt = RandomSearchOptimizer(space_nd(2), seed=0)
-        out = ParallelRunner(opt, timed_evaluator(), n_workers=3, mode="async").run(11)
-        assert out.result.n_trials == 11
+        result, _ = simulated_run(timed_evaluator(), workers=3, batch_size=1, max_trials=11)
+        assert result.n_trials == 11
 
     def test_crashes_recorded_as_failures(self):
         calls = {"n": 0}
@@ -72,15 +83,14 @@ class TestParallelRunner:
                 raise SystemCrashError("boom")
             return 1.0, 1.0
 
-        opt = RandomSearchOptimizer(space_nd(2), seed=0)
-        out = ParallelRunner(opt, crashy, n_workers=2, mode="sync").run(8)
-        assert len(out.result.history.failed()) == 4
+        result, _ = simulated_run(crashy, workers=2, batch_size=2, max_trials=8)
+        assert len(result.history.failed()) == 4
 
     @pytest.mark.parametrize("mode", ["sync", "async"])
     def test_censored_abort_is_a_succeeded_trial_at_the_bound(self, mode):
         """Early aborts fold through ``run_evaluation`` like in every other
         loop: a censored bound is information (succeeded, at the cost the
-        abort reports), a bare abort an imputed failure holding its worker 1 s."""
+        abort reports), a bare abort an imputed failure holding its machine 1 s."""
         calls = {"n": 0}
 
         def aborting(config):
@@ -94,30 +104,28 @@ class TestParallelRunner:
                 raise TrialAbortedError("no bound")
             return 1.0, 5.0
 
-        opt = RandomSearchOptimizer(space_nd(2), seed=0)
-        out = ParallelRunner(opt, aborting, n_workers=2, mode=mode).run(4)
-        by_outcome = {t.metrics["score"]: t for t in out.result.history if t.ok}
+        result, _ = simulated_run(aborting, workers=2, batch_size=2 if mode == "sync" else 1, max_trials=4)
+        by_outcome = {t.metrics["score"]: t for t in result.history if t.ok}
         assert by_outcome[20.0].cost == 3.0
-        (aborted,) = out.result.history.failed()
+        (aborted,) = result.history.failed()
         assert (aborted.status.value, aborted.cost) == ("aborted", 1.0)
-        assert out.result.best_value == 1.0
+        assert result.best_value == 1.0
 
     def test_all_failed_run_still_reports(self):
         def crashy(config):
             raise SystemCrashError("boom")
 
-        opt = RandomSearchOptimizer(space_nd(2), seed=0)
-        out = ParallelRunner(opt, crashy, n_workers=2, mode="sync").run(4)
-        assert out.result.n_trials == 4 and not out.result.history.completed()
+        result, wall = simulated_run(crashy, workers=2, batch_size=1, max_trials=4)
+        assert result.n_trials == 4 and not result.history.completed()
+        assert wall == pytest.approx(2.0)  # four 1 s crashes on two machines
 
     def test_validation(self):
-        opt = RandomSearchOptimizer(space_nd(1), seed=0)
+        with pytest.raises(ReproError):
+            SimulatedClockExecutor(0)
         with pytest.raises(OptimizerError):
-            ParallelRunner(opt, timed_evaluator(), n_workers=0)
+            simulated_run(timed_evaluator(), workers=2, batch_size=0, max_trials=4)
         with pytest.raises(OptimizerError):
-            ParallelRunner(opt, timed_evaluator(), mode="warp")
-        with pytest.raises(OptimizerError):
-            ParallelRunner(opt, timed_evaluator()).run(0)
+            simulated_run(timed_evaluator(), workers=2, batch_size=1, max_trials=0)
 
 
 class TestProjectedOptimizer:

@@ -290,6 +290,83 @@ class TestEvictionOnCompletion:
         run(main())
 
 
+    def test_a_session_over_its_cost_budget_is_complete(self):
+        """``max_cost`` ends an ask/tell session as ``max_trials`` does: the
+        tell that spends it answers complete and the session leaves ``_hosted``."""
+
+        async def main():
+            server, client = await start_server(MemoryTrialStore())
+            try:
+                await client.create_session(
+                    space=small_space_spec(), optimizer="random", seed=1, max_trials=50, max_cost=10.0,
+                    session_id="pricey", objectives=[{"name": "loss", "minimize": True}],
+                )
+                acks = []
+                for _ in range(3):  # 4 + 4 + 4 >= 10
+                    (sugg,) = await client.ask("pricey")
+                    acks.append(await client.tell("pricey", TrialReport(
+                        config=sugg.config, metrics=evaluate(sugg.config), cost=4.0, ask_id=sugg.ask_id,
+                    )))
+                assert [ack["complete"] for ack in acks] == [False, False, True]
+                assert "pricey" not in server.handlers._hosted
+                status = await client.status("pricey")
+                assert status["complete"] and status["status"] == "completed" and status["n_trials"] == 3
+                with pytest.raises(ServiceError) as refused:
+                    await client.ask("pricey")
+                assert refused.value.status == 400 and "cost 10" in str(refused.value)
+            finally:
+                await server.stop()
+
+        run(main())
+
+
+class TestHyperbandSession:
+    def test_asks_carry_the_rung_budget_as_fidelity(self):
+        """create -> ask (the answer carries ``fidelity``) -> tell -> complete,
+        for the rung-based optimizer; the journal holds each told fidelity."""
+
+        async def main():
+            store = MemoryTrialStore()
+            server, client = await start_server(store)
+            try:
+                await client.create_session(
+                    space=small_space_spec(), optimizer="hyperband", seed=3, max_trials=12,
+                    optimizer_options={"max_budget": 9.0}, session_id="hb",
+                    objectives=[{"name": "loss", "minimize": True}],
+                )
+                fidelities, ack = [], {"complete": False}
+                while not ack["complete"]:
+                    (sugg,) = await client.ask("hb")
+                    fidelities.append(sugg.fidelity)
+                    ack = await client.tell("hb", TrialReport(
+                        config=sugg.config, metrics=evaluate(sugg.config), cost=sugg.fidelity, ask_id=sugg.ask_id,
+                    ))
+                # Bracket s=2 of max_budget 9: nine at 1, the best three at 3.
+                assert fidelities == [1.0] * 9 + [3.0] * 3
+                assert (await client.status("hb"))["status"] == "completed"
+                assert [r["fidelity"] for r in store.load_trials("hb")] == fidelities
+            finally:
+                await server.stop()
+
+        run(main())
+
+    def test_step_refuses_a_session_whose_optimizer_proposes_fidelities(self):
+        async def main():
+            server, client = await start_server(MemoryTrialStore())
+            try:
+                await client.create_session(
+                    target={"system": "redis", "workload": "default", "metric": "latency_p95"},
+                    optimizer="hyperband", seed=0, max_trials=5, session_id="hb-step",
+                )
+                with pytest.raises(ServiceError) as refused:
+                    await client.step("hb-step")
+                assert refused.value.status == 400 and "ask()/tell()" in str(refused.value)
+            finally:
+                await server.stop()
+
+        run(main())
+
+
 class TestSoak:
     """ROADMAP 6(e): what a server holds is its live sessions, not its past."""
 

@@ -49,7 +49,7 @@ class TestOptimizerRegistry:
         assert len(opt.suggest(2)) == 2
 
     def test_unknown_name_and_bad_options(self, simple_space):
-        names = "['anneal', 'bestconfig', 'bo', 'cmaes', 'grid', 'pso', 'random', 'smac']"
+        names = "['anneal', 'bestconfig', 'bo', 'cmaes', 'grid', 'hyperband', 'pso', 'random', 'smac']"
         with pytest.raises(ReproError) as unknown:
             make_optimizer("nope", simple_space, Objective("score"))
         assert str(unknown.value) == f"unknown optimizer 'nope'; choose from {names}"
