@@ -10,7 +10,9 @@ batches stay diverse).
 Every mode is a journaled ``TuningSession`` on a ``SimulatedClockExecutor``
 (k simulated machines, each trial lasting its measured cost): serial is one
 machine, sync is ``batch_size=k``, async is ``batch_size=1`` with k trials
-in flight.
+in flight. Each campaign's journal then replays bit-exactly: the DBMS
+space's ``wal_fits_bp`` constraint is part of the stored space, so the
+replayed sampler draws what the live one drew.
 """
 
 import numpy as np
@@ -39,20 +41,22 @@ def _campaign(manager, mode, seed):
         evaluator=db.evaluator(WORKLOAD, "throughput"), executor=executor, lint=False,
     )
     result = session.run()
-    return executor.wall_clock_s, result.best_value
+    replay = manager.replay_session(session.session_id)
+    return executor.wall_clock_s, result.best_value, replay.divergence is not None
 
 
 def test_e07_parallel_modes(table):
     manager = SessionManager()
 
     def experiment():
-        out = {}
+        out, diverged = {}, 0
         for mode in MODES:
             runs = [_campaign(manager, mode, seed) for seed in range(2)]
-            out[mode] = (float(np.mean([wall for wall, _ in runs])), float(np.mean([best for _, best in runs])))
-        return out
+            out[mode] = (float(np.mean([wall for wall, _, _ in runs])), float(np.mean([best for _, best, _ in runs])))
+            diverged += sum(d for _, _, d in runs)
+        return out, diverged
 
-    results = experiment()
+    results, diverged = experiment()
     rows = [
         (mode, wall, best, results["serial"][0] / wall)
         for mode, (wall, best) in results.items()
@@ -72,3 +76,5 @@ def test_e07_parallel_modes(table):
     assert async_wall <= sync_wall * 1.05
     # ...and batched suggestion keeps most of the sample efficiency.
     assert min(sync_best, async_best) > serial_best * 0.6
+    # Every campaign's journal replays with zero divergences.
+    assert diverged == 0

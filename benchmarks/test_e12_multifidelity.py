@@ -33,6 +33,7 @@ COST_BUDGET = 160.0  # cheap-trial units; one full trial costs 8
 POWERED_BUDGET = 96.0  # 12 full trials: the powered comparison runs POWERED_SEEDS campaigns per method
 TARGET = 16_000.0  # full-scale throughput requiring genuine tuning
 FIDS = [FidelityLevel(float(CHEAP_W), cost=1.0), FidelityLevel(float(FULL_W), cost=8.0)]
+LEVELS = {level.value: level for level in FIDS}
 KNOBS = ["buffer_pool_mb", "worker_threads", "flush_method", "work_mem_mb", "io_concurrency"]
 N_SEEDS = 2
 
@@ -50,7 +51,7 @@ def _run_multifidelity(seed, budget=COST_BUDGET):
     spent, best_full, cost_to_target = 0.0, -np.inf, None
     while spent < budget:
         cfg = opt.suggest(1)[0]
-        level = opt.next_fidelity
+        level = LEVELS[opt.suggested_fidelity(cfg)]
         try:
             m = db.run(tpcc(int(level.value)), config=cfg)
             opt.observe(cfg, m.metrics(), cost=level.cost, fidelity=level.value)

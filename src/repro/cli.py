@@ -14,6 +14,8 @@ need a Python file:
 * ``lint``       — static analysis: ``lint code`` (AST invariants over
   source trees) and ``lint space`` (configuration-space lint of
   registered target systems); see ``docs/static-analysis.md``
+* ``bench``      — run the performance benchmark of a source checkout
+  (``python -m benchmarks.perf``; see ``benchmarks/perf/README.md``)
 
 ``tune`` and ``compare`` accept ``--trace-out FILE`` (full session trace:
 trial spans with nested operation spans, events, metrics — feed it to
@@ -272,6 +274,19 @@ def _cmd_lint_space(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """``python -m benchmarks.perf ARGS`` in the checkout at the current directory."""
+    import os
+    import subprocess
+
+    if not os.path.isfile(os.path.join("benchmarks", "perf", "__main__.py")):
+        print(f"error: no benchmarks/perf in {os.getcwd()}; run 'repro bench' from the root of a source checkout",
+              file=sys.stderr)
+        return 2
+    path = os.pathsep.join(filter(None, [os.path.abspath("src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.call([sys.executable, "-m", "benchmarks.perf", *args.bench_args], env={**os.environ, "PYTHONPATH": path})
+
+
 def _cmd_game(args: argparse.Namespace) -> int:
     spark = SparkCluster(n_nodes=10, env=CloudEnvironment(seed=args.seed, transient_noise=args.noise), seed=args.seed)
     evaluate = spark.q1_game_evaluator(scale_factor=args.scale_factor)
@@ -375,6 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--strict-warnings", action="store_true",
                     help="exit nonzero on warnings too, not only errors")
     ps.set_defaults(func=_cmd_lint_space)
+
+    p = sub.add_parser("bench", help="run the benchmark of a source checkout (python -m benchmarks.perf)")
+    p.add_argument("bench_args", nargs=argparse.REMAINDER, metavar="ARGS",
+                   help="passed on, e.g. run --workload bo_dbms --seed 1 --out FILE")
+    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("game", help="play the Spark tuning game")
     p.add_argument("--optimizer", choices=optimizer_names(), default="bo")

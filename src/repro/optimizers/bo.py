@@ -9,18 +9,24 @@ The surrogate is a GP over encoded configurations; acquisition optimization
 uses a candidate set (global random samples + local perturbations of the
 incumbent) because the encoded space is a mixed discrete/continuous box.
 Batch suggestions use the constant-liar trick for diversity (slide 57).
+
+A technique whose trials fall into a few groups (activation patterns,
+fidelity levels) is this optimizer plus one integer column on every model row,
+read by ``Coregionalized(Matern(ARD), k) + WhiteKernel``; without one, nothing
+changes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core import Objective, rng_digest
+from ..core import Objective, Trial, rng_digest
 from ..exceptions import OptimizerError
 from ..space import Configuration, ConfigurationSpace
 from ..space.encoding import OneHotEncoder, OrdinalEncoder, SpaceEncoder
 from .acquisition import AcquisitionFunction
 from .gp import GaussianProcessRegressor, default_kernel
+from .kernels import Coregionalized, Matern, WhiteKernel
 from .model_based import ModelBasedOptimizer
 
 __all__ = ["BayesianOptimizer"]
@@ -74,8 +80,8 @@ class BayesianOptimizer(ModelBasedOptimizer):
             seed=seed,
         )
         self._fit_count = 0
-        # Constant-liar state for batch suggestions.
-        self._lies: list[np.ndarray] = []
+        # Constant-liar state for batch suggestions: the batch's picks so far.
+        self._lies: list[Configuration] = []
         self._fantasies_total = 0
 
     @staticmethod
@@ -86,20 +92,45 @@ class BayesianOptimizer(ModelBasedOptimizer):
             return OneHotEncoder(space)
         raise OptimizerError(f"encoding must be 'ordinal' or 'onehot', got {encoding!r}")
 
+    # -- the column ------------------------------------------------------------
+    def _trial_column(self, trials: list[Trial]) -> np.ndarray | None:
+        """Hook: the integer column value of each training trial; ``None`` (the
+        default) is no column, else the constructor calls :meth:`_use_column`."""
+        return None
+
+    def _candidate_column(self, cands: list[Configuration]) -> np.ndarray | None:
+        """Hook: the column value each candidate is scored at, and a
+        constant-liar fantasy of it fitted at."""
+        return None
+
+    def _use_column(self, k: int) -> None:
+        """Read a column of ``k`` ≥ 2 values through a coregionalised kernel."""
+        ard = Matern(np.full(self.encoder.n_features, 0.3), nu=2.5)
+        self.model.kernel = Coregionalized(ard, k) + WhiteKernel(1e-3)
+
+    @staticmethod
+    def _with_column(X: np.ndarray, column: np.ndarray | None) -> np.ndarray:
+        return X if column is None else np.column_stack([X, column])
+
     def _fit(self) -> bool:
-        _, X, y = self._training_set()
+        trials, X, y = self._training_set()
+        X = self._with_column(X, self._trial_column(trials))
         # Lie fits (mid-batch refits on fantasized rows) never re-optimize
         # hyperparameters and don't advance the refit cadence — a batch of k
         # must not burn k cadence slots.
         fantasizing = bool(self._lies)
         if fantasizing:
-            X = np.vstack([X, np.stack(self._lies)])
+            lies = np.stack([self.encoder.encode(config) for config in self._lies])
+            X = np.vstack([X, self._with_column(lies, self._candidate_column(self._lies))])
             y = np.concatenate([y, np.full(len(self._lies), y.min())])
         self.model.optimize_hypers = not fantasizing and self._fit_count % REFIT_EVERY == 0
         self.model.fit(X, y)
         if not fantasizing:
             self._fit_count += 1
         return True
+
+    def _features(self, configs: list[Configuration]) -> np.ndarray:
+        return self._with_column(self.encoder.encode_many(configs), self._candidate_column(configs))
 
     def _suggest_batch(self, n: int) -> list[Configuration]:
         """Batch suggestion with constant-liar fantasies for diversity.
@@ -115,7 +146,7 @@ class BayesianOptimizer(ModelBasedOptimizer):
             for _ in range(n):
                 config = self._suggest()
                 out.append(config)
-                self._lies.append(self.encoder.encode(config))
+                self._lies.append(config)
                 self._fantasies_total += 1
                 self._model_stale = True
         finally:

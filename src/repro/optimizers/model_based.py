@@ -5,10 +5,10 @@
 3. pick x_{i+1} = argmax AF(M, x);
 4. repeat.
 
-GP-BO, SMAC, constrained, multi-objective, structured, multi-fidelity and
-multi-task BO are this loop with one step swapped out, so the loop is written
-once — :meth:`ModelBasedOptimizer._suggest` — and a technique overrides only
-the step that is its own:
+GP-BO, SMAC, constrained, multi-objective and multi-task BO are this loop
+with one step swapped out, so the loop is written once —
+:meth:`ModelBasedOptimizer._suggest` — and a technique overrides only the
+step that is its own:
 
 ==================  ==========================================================
 hook                what it decides
@@ -19,7 +19,13 @@ hook                what it decides
 ``_fit``            how the surrogate(s) are trained from the history
 ``_candidates``     the pool the acquisition is maximised over
 ``_pick``           which candidate wins (posterior → acquisition → argmax)
+``_features``       the model's input rows for candidates (default: their
+                    encodings)
 ==================  ==========================================================
+
+Structured BO (the activation pattern) and multi-fidelity BO (the fidelity
+level) are :class:`~repro.optimizers.bo.BayesianOptimizer` plus its two column
+hooks, ``_trial_column`` and ``_candidate_column``.
 
 **RNG-order contract.** A suggestion draws from ``self.rng`` in hook order —
 ``_before_model``, then ``_candidates``, then ``_pick`` — and ``_fit`` never
@@ -145,9 +151,13 @@ class ModelBasedOptimizer(Optimizer):
     def _pick(self, cands: list[Configuration]) -> Configuration:
         """Hook 4: choose among ``cands``. Default: maximise the acquisition
         of the model's posterior against the best observed score."""
-        mean, std = self.model.predict(self.encoder.encode_many(cands), return_std=True)
+        mean, std = self.model.predict(self._features(cands), return_std=True)
         scores = self.acquisition(mean, std, float(self.history.scores().min()))
         return cands[int(np.argmax(scores))]
+
+    def _features(self, configs: list[Configuration]) -> np.ndarray:
+        """The model's input rows for ``configs``. Default: their encodings."""
+        return self.encoder.encode_many(configs)
 
     # -- shared helpers ------------------------------------------------------
     def _training_set(self) -> tuple[list[Trial], np.ndarray, np.ndarray]:

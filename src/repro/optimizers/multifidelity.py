@@ -8,10 +8,11 @@ change), so the fidelity dimension must be *modelled*, not just scaled.
 
 Two tools:
 
-* :class:`MultiFidelityBO` — a GP over the joint (configuration, fidelity)
-  space; each suggestion picks the (config, fidelity) pair maximising EI at
-  the target fidelity per unit cost, with a guaranteed share of trials at
-  full fidelity.
+* :class:`MultiFidelityBO` — BO whose model rows carry the index of their
+  fidelity level, read by a coregionalised kernel that learns how well each
+  level correlates with the target; each suggestion picks the (config,
+  level) pair maximising correlation-weighted EI per unit cost, with a
+  guaranteed share of trials at full fidelity.
 * :class:`HyperbandOptimizer` — rung-based elimination (successive halving,
   also the idea behind TUNA's budget allocation) across Hyperband's
   brackets, ask/tell: each suggestion carries its rung's budget as its
@@ -22,16 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..core import Objective, Optimizer, Trial, rng_digest
+from ..core import Objective, Optimizer, Trial, TrialStatus
 from ..exceptions import OptimizerError
 from ..space import Configuration, ConfigurationSpace
-from ..space.encoding import OrdinalEncoder
-from .gp import GaussianProcessRegressor, default_kernel
-from .model_based import ModelBasedOptimizer
+from .bo import BayesianOptimizer
 
 __all__ = ["FidelityLevel", "MultiFidelityBO", "HyperbandOptimizer"]
 
@@ -53,14 +52,17 @@ class FidelityLevel:
             raise OptimizerError(f"fidelity cost must be positive, got {self.cost}")
 
 
-class MultiFidelityBO(ModelBasedOptimizer):
-    """Joint-space GP: inputs are (encoded config, normalised fidelity).
+class MultiFidelityBO(BayesianOptimizer):
+    """BO with the fidelity level as a coregionalised column.
 
-    Observations carry their fidelity (``observe(..., fidelity=...)``). The
-    acquisition is EI at the *target* fidelity divided by the candidate
-    fidelity's cost; every ``full_every``-th suggestion is forced to the
-    target fidelity so the incumbent is always backed by a real
-    high-fidelity measurement.
+    Observations carry their fidelity (``observe(..., fidelity=...)``), a
+    value on the ladder or ``None`` for the target. A level's score is EI at
+    (x, level) against the target-level incumbent, times the kernel's learned
+    correlation between that level and the target, divided by the level's
+    cost; every ``full_every``-th suggestion is at the target level so the
+    incumbent is always backed by a real high-fidelity measurement, and the
+    initial design runs at the cheapest. :meth:`suggested_fidelity` reports
+    the level of each suggestion.
     """
 
     def __init__(
@@ -73,75 +75,62 @@ class MultiFidelityBO(ModelBasedOptimizer):
         objectives: Objective | list[Objective] | None = None,
         seed: int | None = None,
     ) -> None:
-        if len(fidelities) < 2:
-            raise OptimizerError("need at least two fidelity levels")
-        encoder = OrdinalEncoder(space)
-        super().__init__(
-            space,
-            encoder=encoder,
-            model=GaussianProcessRegressor(kernel=default_kernel(encoder.n_features + 1), seed=seed),
-            n_init=n_init,
-            n_candidates=n_candidates,
-            objectives=objectives,
-            seed=seed,
-        )
-        self.fidelities = sorted(fidelities, key=lambda f: f.value)
-        self.target_fidelity = self.fidelities[-1]
+        ladder = sorted(fidelities, key=lambda f: f.value)
+        if len({f.value for f in ladder}) < max(2, len(ladder)):
+            raise OptimizerError("need at least two fidelity levels, of distinct values")
+        super().__init__(space, n_init=n_init, n_candidates=n_candidates, objectives=objectives, seed=seed)
+        self.fidelities = ladder
+        self._level = {f.value: i for i, f in enumerate(ladder)}
         self.full_every = max(1, int(full_every))
-        self.next_fidelity: FidelityLevel = self.fidelities[0]
+        self._use_column(len(self.fidelities))
         self._n_suggested = 0
-        self._best_at_target = np.inf  # incumbent score of the last fit
+        self._suggested: dict[Configuration, int] = {}  # untold suggestion -> its level
 
-    def _fid_unit(self, value: float) -> float:
-        lo = self.fidelities[0].value
-        hi = self.target_fidelity.value
-        return (value - lo) / (hi - lo) if hi > lo else 1.0
+    def _ingest(self, config: Configuration, metrics: dict[str, float], cost: float, status: TrialStatus,
+                fidelity: float | None, context: Mapping[str, Any] | None) -> Trial:
+        if fidelity is not None and fidelity not in self._level:
+            raise OptimizerError(f"fidelity {fidelity!r} is not on the ladder {sorted(self._level)}")
+        return super()._ingest(config, metrics, cost, status, fidelity, context)
+
+    def _on_observe(self, trial: Trial) -> None:
+        self._suggested.pop(trial.config, None)
+        super()._on_observe(trial)
+
+    def suggested_fidelity(self, config: Configuration) -> float | None:
+        level = self._suggested.get(config)
+        return None if level is None else self.fidelities[level].value
 
     def _before_model(self) -> Configuration | None:
         self._n_suggested += 1
-        self._model_stale = True  # the joint model refits on every suggestion
         config = super()._before_model()
         if config is not None:
-            # Initial design at the cheapest fidelity.
-            self.next_fidelity = self.fidelities[0]
+            self._suggested[config] = 0
         return config
 
-    def _fit(self) -> bool:
-        trials, X, y = self._training_set()
-        target = self.target_fidelity.value
-        fid = np.array([self._fid_unit(target if t.fidelity is None else t.fidelity) for t in trials])
-        self.model.fit(np.column_stack([X, fid]), y)
-        at_target = fid >= 0.999
-        self._best_at_target = float(y[at_target].min() if at_target.any() else y.min())
-        return True
+    def _trial_column(self, trials: list[Trial]) -> np.ndarray:
+        top = len(self.fidelities) - 1
+        return np.array([top if t.fidelity is None else self._level[t.fidelity] for t in trials])
 
-    def _candidates(self) -> list[Configuration]:
-        return self.space.sample_many(self.n_candidates, self.rng)
+    def _candidate_column(self, cands: list[Configuration]) -> np.ndarray:
+        return np.array([self._suggested.get(config, len(self.fidelities) - 1) for config in cands])
 
     def _pick(self, cands: list[Configuration]) -> Configuration:
-        force_full = self._n_suggested % self.full_every == 0
+        top = len(self.fidelities) - 1
+        scores, at_top = self.history.scores(), self._trial_column(self.history.completed()) == top
+        best = float(scores[at_top].min() if at_top.any() else scores.min())
+        B = self.model.kernel.k1.task_covariance()
         X = self.encoder.encode_many(cands)
-        best_pair: tuple[float, Configuration, FidelityLevel] | None = None
-        for level in [self.target_fidelity] if force_full else self.fidelities:
-            joint = np.column_stack([X, np.full(len(X), self._fid_unit(level.value))])
-            mean, std = self.model.predict(joint, return_std=True)
-            ei = self.acquisition(mean, std, self._best_at_target)
-            # Low-fidelity probes are discounted by their transferability:
-            # correlation decays as fidelity departs from the target.
-            afinity = 0.3 + 0.7 * self._fid_unit(level.value)
-            utility = ei * afinity / level.cost
-            i = int(np.argmax(utility))
-            if best_pair is None or utility[i] > best_pair[0]:
-                best_pair = (float(utility[i]), cands[i], level)
-        _, config, self.next_fidelity = best_pair
-        return config
+        utility = np.full((top + 1, len(cands)), -np.inf)
+        for level in [top] if self._n_suggested % self.full_every == 0 else range(top + 1):
+            mean, std = self.model.predict(np.column_stack([X, np.full(len(X), level)]), return_std=True)
+            correlation = B[level, top] / math.sqrt(B[level, level] * B[top, top])
+            utility[level] = self.acquisition(mean, std, best) * correlation / self.fidelities[level].cost
+        level, i = np.unravel_index(np.argmax(utility), utility.shape)
+        self._suggested[cands[i]] = int(level)
+        return cands[i]
 
     def _digest_state(self) -> dict[str, object]:
-        return {
-            "n_suggested": self._n_suggested,
-            "next_fidelity": float(self.next_fidelity.value),
-            "model_rng": rng_digest(self.model.rng),
-        }
+        return {**super()._digest_state(), "n_suggested": self._n_suggested}
 
 
 #: Hyperband's halving rate: each rung keeps the best third at three times the budget (Li et al.).

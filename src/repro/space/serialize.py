@@ -6,17 +6,20 @@ from storage alone, and an HTTP client must be able to *define* a space in
 a request body. This module provides both directions:
 
 * :func:`space_to_dict` — JSON-safe description of parameters, conditions,
-  and (declarative) priors;
+  closed-form constraints and (declarative) priors;
 * :func:`space_from_dict` — rebuild the space, validating every field.
 
 What round-trips: Float/Integer/Categorical/Boolean parameters (bounds,
 defaults, log scale, quantization, weights), Uniform/Normal/Beta/Histogram
-priors, and Equals/In/GreaterThan/LessThan conditions. What cannot:
-``CallableCondition``, ``CallableConstraint``, and friends hold arbitrary
-Python callables — with ``strict=True`` (the default) serialising a space
-containing one raises :class:`SpaceCodecError`; with ``strict=False`` they
-are dropped and listed under ``"dropped"`` in the output so the caller can
-surface the loss.
+priors, Equals/In/GreaterThan/LessThan conditions and Linear/Ratio
+constraints. What cannot: ``CallableCondition``, ``CallableConstraint``, and
+friends hold arbitrary Python callables — with ``strict=True`` (the default)
+serialising a space containing one raises :class:`SpaceCodecError`; with
+``strict=False`` they are dropped and listed under ``"dropped"`` in the
+output so the caller can surface the loss.
+
+A space with a constraint is format 2 (a ``"constraints"`` list); one without
+stays format 1, so its :func:`space_version_hash` is stable. Both formats read.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .conditions import (
     InCondition,
     LessThanCondition,
 )
+from .constraints import Constraint, LinearConstraint, RatioConstraint
 from .params import (
     BooleanParameter,
     CategoricalParameter,
@@ -45,7 +49,7 @@ from .space import ConfigurationSpace
 
 __all__ = ["SpaceCodecError", "space_to_dict", "space_from_dict", "space_version_hash"]
 
-SPACE_FORMAT_VERSION = 1
+SPACE_FORMAT_VERSION = 2  # format 1 is format 2 without constraints
 
 
 class SpaceCodecError(SpaceError):
@@ -118,29 +122,11 @@ def _param_to_dict(param: Parameter) -> dict[str, Any]:
         if len(set(weights)) > 1:
             out["weights"] = weights
         return out
-    if isinstance(param, IntegerParameter):
-        out = {
-            "type": "int",
-            "name": param.name,
-            "lower": int(param.lower),
-            "upper": int(param.upper),
-            "default": int(param.default),
-            "log": bool(param.log),
-        }
-        prior = _prior_to_dict(param.prior)
-        if prior is not None:
-            out["prior"] = prior
-        return out
-    if isinstance(param, FloatParameter):
-        out = {
-            "type": "float",
-            "name": param.name,
-            "lower": float(param.lower),
-            "upper": float(param.upper),
-            "default": float(param.default),
-            "log": bool(param.log),
-        }
-        if param.quantization is not None:
+    if isinstance(param, (IntegerParameter, FloatParameter)):
+        kind, cast = ("int", int) if isinstance(param, IntegerParameter) else ("float", float)
+        out = {"type": kind, "name": param.name, "lower": cast(param.lower), "upper": cast(param.upper),
+               "default": cast(param.default), "log": bool(param.log)}
+        if getattr(param, "quantization", None) is not None:
             out["quantization"] = float(param.quantization)
         prior = _prior_to_dict(param.prior)
         if prior is not None:
@@ -162,25 +148,15 @@ def _param_from_dict(data: Mapping[str, Any]) -> Parameter:
                 default=data.get("default"),
                 weights=data.get("weights"),
             )
-        if kind == "int":
-            return IntegerParameter(
-                name,
-                int(data["lower"]),
-                int(data["upper"]),
-                default=None if data.get("default") is None else int(data["default"]),
-                log=bool(data.get("log", False)),
-                prior=_prior_from_dict(data.get("prior")),
-            )
-        if kind == "float":
-            return FloatParameter(
-                name,
-                float(data["lower"]),
-                float(data["upper"]),
-                default=None if data.get("default") is None else float(data["default"]),
-                log=bool(data.get("log", False)),
-                quantization=None if data.get("quantization") is None else float(data["quantization"]),
-                prior=_prior_from_dict(data.get("prior")),
-            )
+        if kind in ("int", "float"):
+            cast = int if kind == "int" else float
+            bounds = (name, cast(data["lower"]), cast(data["upper"]))
+            default = None if data.get("default") is None else cast(data["default"])
+            log, prior = bool(data.get("log", False)), _prior_from_dict(data.get("prior"))
+            if kind == "int":
+                return IntegerParameter(*bounds, default=default, log=log, prior=prior)
+            quantization = None if data.get("quantization") is None else float(data["quantization"])
+            return FloatParameter(*bounds, default=default, log=log, quantization=quantization, prior=prior)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise SpaceCodecError(f"malformed parameter {data!r}: {err}") from err
     raise SpaceCodecError(f"unknown parameter type {kind!r} in {data!r}")
@@ -227,14 +203,39 @@ def _condition_from_dict(data: Mapping[str, Any]) -> Condition:
     raise SpaceCodecError(f"unknown condition kind {kind!r} in {data!r}")
 
 
+# -- constraints -------------------------------------------------------------
+
+def _constraint_to_dict(con: Constraint) -> dict[str, Any] | None:
+    if type(con) is LinearConstraint:
+        return {"kind": "linear", "name": con.name, "coefficients": dict(con.coefficients), "bound": con.bound}
+    if type(con) is RatioConstraint:
+        return {"kind": "ratio", "name": con.name, "numerator": con.numerator,
+                "denominator": con.denominator, "divisor": con.divisor}
+    return None
+
+
+def _constraint_from_dict(data: Mapping[str, Any]) -> Constraint:
+    kind, name = _expect(data, Mapping, "a constraint").get("kind"), str(data.get("name", ""))
+    try:
+        if kind == "linear":
+            coefficients = _expect(data["coefficients"], Mapping, "'coefficients'")
+            return LinearConstraint({str(k): float(v) for k, v in coefficients.items()}, float(data["bound"]), name)
+        if kind == "ratio":
+            divisor = data.get("divisor")
+            return RatioConstraint(str(data["numerator"]), str(data["denominator"]), divisor and str(divisor), name)
+    except (KeyError, TypeError, ValueError) as err:
+        raise SpaceCodecError(f"malformed constraint {data!r}: {err}") from err
+    raise SpaceCodecError(f"unknown constraint kind {kind!r} in {data!r}")
+
+
 # -- the space ---------------------------------------------------------------
 
 def space_to_dict(space: ConfigurationSpace, strict: bool = True) -> dict[str, Any]:
     """JSON-safe description of ``space``.
 
-    With ``strict=True`` an unserialisable member (callable condition or
-    any hard constraint) raises; with ``strict=False`` it is skipped and
-    named in the ``"dropped"`` list of the result.
+    With ``strict=True`` an unserialisable member (a callable condition or
+    constraint) raises; with ``strict=False`` it is skipped and named in the
+    ``"dropped"`` list of the result.
     """
     dropped: list[str] = []
     params = [_param_to_dict(p) for p in space.parameters]
@@ -253,22 +254,29 @@ def space_to_dict(space: ConfigurationSpace, strict: bool = True) -> dict[str, A
             dropped.append(repr(cond))
         else:
             conditions.append(encoded)
+    constraints = []
     for constraint in space.constraints:
+        encoded = _constraint_to_dict(constraint)
+        if encoded is not None:
+            constraints.append(encoded)
+            continue
         if strict:
             raise SpaceCodecError(
                 f"[SP402] constraint {constraint.name!r} ({constraint!r}) cannot be "
-                "serialised; enforce it inside the evaluator too, or use "
-                "strict=False to drop it",
+                "serialised; express it as a Linear/Ratio constraint, enforce it inside "
+                "the evaluator too, or use strict=False to drop it",
                 subject=constraint.name,
                 rule="SP402",
             )
         dropped.append(repr(constraint))
     out: dict[str, Any] = {
-        "version": SPACE_FORMAT_VERSION,
+        "version": SPACE_FORMAT_VERSION if constraints else 1,
         "name": str(space.name),
         "parameters": params,
         "conditions": conditions,
     }
+    if constraints:
+        out["constraints"] = constraints
     if dropped:
         out["dropped"] = dropped
     return out
@@ -291,7 +299,7 @@ def space_version_hash(space: ConfigurationSpace | Mapping[str, Any]) -> str:
 def space_from_dict(data: Mapping[str, Any]) -> ConfigurationSpace:
     """Rebuild a configuration space written by :func:`space_to_dict`."""
     version = _expect(data, Mapping, "a space description").get("version", SPACE_FORMAT_VERSION)
-    if version != SPACE_FORMAT_VERSION:
+    if version not in (1, SPACE_FORMAT_VERSION):
         raise SpaceCodecError(f"unsupported space-format version {version!r}")
     params = _expect(data.get("parameters", []), list, "'parameters'")
     if not params:
@@ -301,4 +309,6 @@ def space_from_dict(data: Mapping[str, Any]) -> ConfigurationSpace:
         space.add(_param_from_dict(p))
     for c in _expect(data.get("conditions", []), list, "'conditions'"):
         space.add_condition(_condition_from_dict(c))
+    for c in _expect(data.get("constraints", []), list, "'constraints'"):
+        space.add_constraint(_constraint_from_dict(c))  # an unknown knob in it is lint rule SP303's
     return space

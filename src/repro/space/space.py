@@ -238,6 +238,19 @@ class ConfigurationSpace:
             active |= newly
         return self._interned(frozenset(active))
 
+    def activation_patterns(self) -> list[frozenset[str]]:
+        """Every activation pattern a configuration can hold, fewest knobs first. Each
+        distinct condition (kind, parent, operand) is taken as free to hold or not,
+        so the list may hold a pattern no values produce, never miss one they do."""
+        key = lambda c: (type(c).__name__, c.parent, repr({k: v for k, v in vars(c).items() if k != "child"}))  # noqa: E731
+        keys, patterns = list(dict.fromkeys(map(key, self.conditions))), set()
+        for outcome in itertools.product((False, True), repeat=len(keys)):
+            holds, active = dict(zip(keys, outcome)), {n for n in self._params if n not in self._conditions}
+            for _ in self._conditions:
+                active |= {n for n, conds in self._conditions.items() if all(c.parent in active and holds[key(c)] for c in conds)}
+            patterns.add(frozenset(active))
+        return sorted(patterns, key=lambda p: (len(p), sorted(p)))
+
     # -- construction of configurations --------------------------------------
     def make(self, values: Mapping[str, Any] | None = None, check_constraints: bool = True) -> Configuration:
         """Build a configuration, filling gaps with defaults and validating.

@@ -333,13 +333,14 @@ def _lint_constraints(space: ConfigurationSpace, report: SpaceLintReport) -> Non
     linears: list[LinearConstraint] = []
     for con in space.constraints:
         subject = con.name
-        # Serializability: today *no* constraint crosses the wire.
-        report.add(_finding(
-            "SP402", subject,
-            f"constraint {con!r} cannot be serialised; sessions resumed from storage "
-            "(and every service session) run without it",
-            "enforce it inside the evaluator too, or accept the strict=False drop",
-        ))
+        # Serializability: Linear and Ratio constraints cross the wire (space format 2).
+        if type(con) not in (LinearConstraint, RatioConstraint):
+            report.add(_finding(
+                "SP402", subject,
+                f"constraint {con!r} cannot be serialised; sessions resumed from storage "
+                "(and every service session) run without it",
+                "express it as a Linear/Ratio constraint, or enforce it inside the evaluator too",
+            ))
         refs = constraint_params(con)
         if refs is None:
             continue  # black-box callable: nothing more to say statically

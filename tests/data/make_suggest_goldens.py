@@ -90,7 +90,7 @@ def build_optimizers() -> dict[str, object]:
         "ConstrainedBayesianOptimizer": ConstrainedBayesianOptimizer(space(), ["overrun"], **small),
         "ParEGOOptimizer": ParEGOOptimizer(space(), TWO_OBJECTIVES, **small),
         "LinearScalarizationOptimizer": LinearScalarizationOptimizer(space(), TWO_OBJECTIVES, **small),
-        "StructuredBayesianOptimizer": StructuredBayesianOptimizer(space(), min_group_size=2, **small),
+        "StructuredBayesianOptimizer": StructuredBayesianOptimizer(space(), **small),
         "MultiFidelityBO": MultiFidelityBO(space(), FIDELITIES, full_every=3, **small),
         "MultiTaskOptimizer": MultiTaskOptimizer(space(), TWO_OBJECTIVES, **small),
     }
@@ -103,11 +103,12 @@ def run_script(opt) -> dict[str, object]:
 
     def observe(config) -> None:
         metrics = {k: v for k, v in metrics_of(config).items() if k in wanted}
-        level = getattr(opt, "next_fidelity", None)
-        if level is None:
+        fidelity = opt.suggested_fidelity(config)
+        if fidelity is None:
             opt.observe(config, metrics)
         else:
-            opt.observe(config, metrics, cost=level.cost, fidelity=level.value)
+            level = next(f for f in FIDELITIES if f.value == fidelity)
+            opt.observe(config, metrics, cost=level.cost, fidelity=fidelity)
 
     for step in SCRIPT:
         configs = opt.suggest(3 if step == "b" else 1)

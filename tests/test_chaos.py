@@ -346,7 +346,7 @@ MODEL_BASED = {
     "SMACOptimizer": lambda: SMACOptimizer(small_space(), n_init=2, seed=5),
     "ConstrainedBayesianOptimizer": lambda: ConstrainedBayesianOptimizer(small_space(), ["c"], n_init=2, seed=5),
     "ParEGOOptimizer": lambda: ParEGOOptimizer(small_space(), TWO_OBJECTIVES, n_init=2, seed=5),
-    "StructuredBayesianOptimizer": lambda: StructuredBayesianOptimizer(small_space(), n_init=2, min_group_size=1, seed=5),
+    "StructuredBayesianOptimizer": lambda: StructuredBayesianOptimizer(small_space(), n_init=2, seed=5),
     "MultiFidelityBO": lambda: MultiFidelityBO(
         small_space(), [FidelityLevel(1.0, 1.0), FidelityLevel(4.0, 3.0)], n_init=2, seed=5
     ),

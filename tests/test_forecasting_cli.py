@@ -1,5 +1,8 @@
 """Unit tests for the workload forecaster and the command-line interface."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -129,3 +132,13 @@ class TestCLI:
         ])
         assert rc == 0
         assert "tpcc-30w" in capsys.readouterr().out
+
+    def test_bench_runs_the_checkout_benchmark(self, capfd, monkeypatch):
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        assert main(["bench", "manifest"]) == 0
+        assert json.loads(capfd.readouterr().out)["paths"] == ["benchmarks/perf"]
+
+    def test_bench_outside_a_checkout_is_a_clear_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "run", "--smoke"]) == 2
+        assert "no benchmarks/perf" in capsys.readouterr().err

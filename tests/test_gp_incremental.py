@@ -263,7 +263,7 @@ class TestFittedModelFootprint:
             models = lambda: [opt.objective_model, *opt.constraint_models.values()]
         else:
             opt = StructuredBayesianOptimizer(conditional_space, n_init=8, n_candidates=32, objectives=SCORE, seed=1)
-            models = lambda: list(opt._models.values())
+            models = lambda: [opt.model]
         fitted = 0
         for _ in range(20):
             config = opt.suggest()[0]

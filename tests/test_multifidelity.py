@@ -23,6 +23,7 @@ def fidelity_function(x, fid):
 
 
 FIDS = [FidelityLevel(0.1, cost=1.0), FidelityLevel(1.0, cost=10.0)]
+LEVELS = {level.value: level for level in FIDS}
 
 
 class TestMultiFidelityBO:
@@ -30,7 +31,7 @@ class TestMultiFidelityBO:
         rng = np.random.default_rng(seed)
         for _ in range(n):
             cfg = opt.suggest(1)[0]
-            fid = opt.next_fidelity
+            fid = LEVELS[opt.suggested_fidelity(cfg)]
             y = fidelity_function(cfg["x"], fid.value) + rng.normal(0, 0.002)
             opt.observe(cfg, y, cost=fid.cost, fidelity=fid.value)
 
@@ -59,9 +60,10 @@ class TestMultiFidelityBO:
     def test_initial_design_at_cheapest(self):
         opt = MultiFidelityBO(space_1d(), FIDS, n_init=4, n_candidates=64, seed=0)
         for _ in range(4):
-            opt.suggest(1)
-            assert opt.next_fidelity.value == 0.1
-            opt.observe(opt.space.sample(), 1.0, fidelity=0.1)
+            (cfg,) = opt.suggest(1)
+            assert opt.suggested_fidelity(cfg) == 0.1
+            opt.observe(cfg, 1.0, fidelity=0.1)
+            assert opt.suggested_fidelity(cfg) is None  # told: no longer a pending suggestion
 
     def test_full_every_forces_target(self):
         opt = MultiFidelityBO(space_1d(), FIDS, n_init=2, full_every=1, n_candidates=32, seed=0)
@@ -70,9 +72,31 @@ class TestMultiFidelityBO:
         post_init = [t.fidelity for t in opt.history.trials[2:]]
         assert all(f == 1.0 for f in post_init)
 
+    def test_learns_how_the_levels_correlate(self):
+        """The discount of a cheap level is the kernel's learned level correlation,
+        not a constant: the fit moves it off its prior."""
+        opt = MultiFidelityBO(space_1d(), FIDS, n_init=5, n_candidates=64, seed=0)
+        prior = opt.model.kernel.k1.task_covariance()
+        self.run_loop(opt, n=30)
+        B = opt.model.kernel.k1.task_covariance()
+        assert B.shape == (2, 2) and not np.allclose(B, prior)
+        assert 0.0 < B[0, 1] / np.sqrt(B[0, 0] * B[1, 1]) <= 1.0
+
+    def test_observe_refuses_a_fidelity_off_the_ladder(self):
+        opt = MultiFidelityBO(space_1d(), FIDS, n_init=2, n_candidates=16, seed=0)
+        with pytest.raises(OptimizerError, match="not on the ladder"):
+            opt.observe(opt.space.sample(), 1.0, fidelity=0.5)
+        with pytest.raises(OptimizerError, match="not on the ladder"):
+            opt.observe_failure(opt.space.sample(), fidelity=2.0)
+        assert len(opt.history) == 0
+        opt.observe(opt.space.sample(), 1.0)  # no fidelity: the target level
+        assert len(opt.history) == 1
+
     def test_validation(self):
         with pytest.raises(OptimizerError):
             MultiFidelityBO(space_1d(), [FidelityLevel(1.0, 1.0)])
+        with pytest.raises(OptimizerError):
+            MultiFidelityBO(space_1d(), [FidelityLevel(1.0, 1.0), FidelityLevel(1.0, 2.0)])
         with pytest.raises(OptimizerError):
             FidelityLevel(1.0, cost=0.0)
 

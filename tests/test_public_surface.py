@@ -204,7 +204,7 @@ TECHNIQUE = "inventory technique no experiment constructs yet (ROADMAP item 6's 
 RECORD = "record type a reached function returns: callers read it, none names it"
 UNREACHED = {
     **dict.fromkeys([
-        "ConstrainedBayesianOptimizer", "StructuredBayesianOptimizer",
+        "ConstrainedBayesianOptimizer",
         "EnsembleOptimizer", "GreedyOnlineTuner", "ProactiveForecastTuner", "PageHinkleyDetector",
         "PCAEmbedding", "RandomProjectionEmbedding", "pareto_front", "scale_config_for_vm", "DBMS_VM_SCALING",
     ], TECHNIQUE),
@@ -249,7 +249,6 @@ SEAM = "seam through which a test substitutes a fake (clock, sleep, rng, trace, 
 SAFETY = "safety threshold or deadline (CircuitBreaker, Guardrail, RetryPolicy, timeouts, RegressionTree parity arms)"
 DEPLOYMENT = "deployment setting: address, port, path, backend, capacity and deadlines of server and client"
 SCENARIO = "scenario input of a simulated substrate: it describes the world, it does not switch behaviour"
-WIRE = "documented wire or stored-spec field (docs/service.md, space spec): a remote caller or a journal may carry it"
 TEST_BUDGET = "test budget: tests pass a small value to reach in seconds a behaviour production also reaches"
 SECOND_TIER = "only tests set it and one of them is a test of the knob itself: goes with that test, past this PR's removal budget"
 OPTIONS_KEPT = {
@@ -267,7 +266,6 @@ OPTIONS_KEPT = {
         "repro.optimizers.gp.SurrogateStats.", "repro.optimizers.transfer.PriorRun.context", "repro.service.handlers._Hosted.lock",
         "repro.service.wire.CreateSessionRequest.", "repro.staticcheck.findings.LintReport.findings",
     ], RECORD_FIELD),
-    **dict.fromkeys(["repro.space.constraints.RatioConstraint.divisor"], WIRE),
     **dict.fromkeys([
         "repro.online.safety.Guardrail.", "repro.online.safety.SafeBayesianOptimizer.kappa", "repro.resilience.BackoffPolicy.multiplier",
         "repro.resilience.CircuitBreaker.failure_threshold", "repro.resilience.CircuitBreaker.recovery_s",
@@ -291,7 +289,6 @@ OPTIONS_KEPT = {
         "repro.optimizers.annealing.SimulatedAnnealingOptimizer.initial_temperature",
         "repro.optimizers.bandits.MultiArmedBanditOptimizer.arms", "repro.optimizers.bestconfig.BestConfigOptimizer.round_size",
         "repro.optimizers.gp.GaussianProcessRegressor.jitter", "repro.optimizers.smac.SMACOptimizer.interleave",
-        "repro.optimizers.structured.StructuredBayesianOptimizer.min_group_size",
         "repro.optimizers.transfer.warm_start_from_history.top_fraction", "repro.space.adapters.LlamaTuneAdapter.special_values",
         "repro.space.priors.HistogramPrior.from_samples.n_bins",
         "repro.workload_id.embedding.RandomProjectionEmbedding.n_components", "repro.workload_id.features.synthetic_query_log.n_queries",

@@ -4,6 +4,7 @@ journaling through TuningSession, and the space codec."""
 from __future__ import annotations
 
 import gc
+import json
 import tempfile
 import tracemalloc
 
@@ -18,6 +19,7 @@ from repro.core.stores import JsonJournalStore, MemoryTrialStore, SqliteTrialSto
 from repro.exceptions import OptimizerError, ReproError
 from repro.space import (
     BetaPrior,
+    CallableConstraint,
     CategoricalParameter,
     ConfigurationSpace,
     EqualsCondition,
@@ -25,6 +27,7 @@ from repro.space import (
     GreaterThanCondition,
     InCondition,
     IntegerParameter,
+    LinearConstraint,
     NormalPrior,
     RatioConstraint,
 )
@@ -193,6 +196,24 @@ class TestDurability:
         again = manager.resume("s1")
         assert [s.config for _ in range(4) for s in again.ask()] == second
 
+    def test_resumed_dbms_session_keeps_its_constraint(self, tmp_path):
+        """The DBMS space's ``wal_fits_bp`` is stored with the session, so a
+        resumed incarnation samples inside it as the live one did."""
+        space = make_system("dbms", seed=0).space
+        (constraint,) = space.constraints
+        manager = SessionManager(JsonJournalStore(tmp_path, fsync=False))
+        session = manager.create(space, optimizer="random", seed=3, max_trials=210, session_id="wal")
+        for sugg in session.ask(count=5):
+            session.tell(TrialReport(config=sugg.config, metrics={"score": 1.0}, ask_id=sugg.ask_id))
+        manager.close()
+        manager = SessionManager(JsonJournalStore(tmp_path, fsync=False))
+        resumed = manager.resume("wal")
+        assert [c.name for c in resumed.optimizer.space.constraints] == ["wal_fits_bp"]
+        suggestions = resumed.ask(count=200)
+        assert len(suggestions) == 200
+        assert all(constraint.is_satisfied(s.config) for s in suggestions)
+        manager.close()
+
     def test_batch_ask_replays_deterministically(self, simple_space, tmp_path):
         """ask(count=k) through SMAC's constant-liar batch path is a pure
         function of (seed, journal): two fresh resumes must produce
@@ -344,12 +365,38 @@ class TestSpaceCodec:
         assert rebuilt.default_configuration()["head"] == "mlp"
 
     def test_strict_rejects_constraints(self, conditional_space):
+        conditional_space.add_constraint(CallableConstraint(lambda v: v["pool"] > 100, name="opaque"))
         with pytest.raises(SpaceCodecError):
             space_to_dict(conditional_space, strict=True)
         spec = space_to_dict(conditional_space, strict=False)
         assert spec["dropped"]  # named, not silently lost
         rebuilt = space_from_dict(spec)
         assert rebuilt.names == conditional_space.names
+        assert [c.name for c in rebuilt.constraints] == ["chunk_fits"]  # the ratio one serialises
+
+    def test_linear_and_ratio_constraints_round_trip(self, conditional_space):
+        conditional_space.add_constraint(LinearConstraint({"chunk": 2.0, "pool": -0.5}, 8.0, name="lin"))
+        spec = space_to_dict(conditional_space)
+        assert spec["version"] == 2 and "dropped" not in spec
+        rebuilt = space_from_dict(json.loads(json.dumps(spec)))
+        assert space_to_dict(rebuilt) == spec
+        ratio, linear = rebuilt.constraints
+        assert (ratio.numerator, ratio.denominator, ratio.divisor) == ("chunk", "pool", "instances")
+        assert linear.coefficients == {"chunk": 2.0, "pool": -0.5} and linear.bound == 8.0
+        for config in rebuilt.sample_many(50, np.random.default_rng(0)):
+            assert all(c.is_satisfied(config.as_dict()) for c in conditional_space.constraints)
+
+    def test_format_1_still_reads_and_unconstrained_spaces_stay_format_1(self):
+        spec = space_to_dict(self._rich_space())
+        assert spec["version"] == 1 and "constraints" not in spec
+        assert space_to_dict(space_from_dict(spec)) == spec
+
+    def test_malformed_constraints_are_codec_errors(self, conditional_space):
+        spec = space_to_dict(conditional_space)
+        for bad in ({"kind": "linear", "coefficients": [1], "bound": 1.0}, {"kind": "linear", "coefficients": {}},
+                    {"kind": "ratio", "numerator": "chunk"}, {"kind": "nope"}, "linear"):
+            with pytest.raises(SpaceCodecError):
+                space_from_dict({**spec, "constraints": [bad]})
 
     def test_unsupported_version(self):
         with pytest.raises(SpaceCodecError):

@@ -257,9 +257,11 @@ class TestConstraintRules:
     def test_sp402_every_constraint_warned_nonserializable(self):
         space = self.base()
         space.add_constraint(CallableConstraint(lambda v: v["x"] < v["y"], name="cb"))
+        space.add_constraint(LinearConstraint({"x": 1.0, "y": -1.0}, 0.0, name="lin"))
+        space.add_constraint(RatioConstraint("x", "y", name="ratio"))
         report = lint_space(space)
         findings = [f for f in report.active if f.rule == "SP402"]
-        assert len(findings) == 1 and findings[0].subject == "cb"
+        assert len(findings) == 1 and findings[0].subject == "cb"  # Linear and Ratio serialise
 
 
 class TestNameAndPriorRules:
@@ -316,6 +318,7 @@ class TestReportMechanics:
         space = ConfigurationSpace("s")
         space.add(FloatParameter("x", 0.0, 10.0, default=1.0))
         space.add_constraint(LinearConstraint({"x": 1.0}, bound=100.0, name="loose"))
+        space.add_constraint(CallableConstraint(lambda v: v["x"] < 50.0, name="opaque"))
         report = lint_space(space, ignore=["SP302", "sp402"])
         assert report.clean and report.ok
         assert {f.rule for f in report.suppressed} == {"SP302", "SP402"}
@@ -359,6 +362,7 @@ class TestReportMechanics:
         space.add_constraint(LinearConstraint({"y": 1.0}, 1000.0, name="loose2"))  # SP305
         space.add_constraint(LinearConstraint({"x": 1.0}, 1.0, name="hi"))
         space.add_constraint(LinearConstraint({"x": -1.0}, -3.0, name="lo"))  # SP306 + SP307
+        space.add_constraint(CallableConstraint(lambda v: True, name="opaque"))  # SP402
         report = lint_space(space)
         assert rules_of(report) == [
             "SP102", "SP201", "SP202", "SP203", "SP301", "SP302", "SP303",

@@ -141,10 +141,15 @@ class TestStructuredBO:
             base += 0.5 * (config["jit_cost"] - 0.2) ** 2 - 0.05
         return base, 1.0
 
-    def test_builds_one_model_per_activation_pattern(self):
+    def test_learns_the_pattern_covariance(self):
+        """One GP over both activation patterns: the coregionalised kernel's
+        2 × 2 pattern covariance is fitted, and the patterns share strength."""
         opt = StructuredBayesianOptimizer(self.jit_space(), n_init=10, seed=0, n_candidates=96)
+        prior = opt.model.kernel.k1.task_covariance()
         TuningSession(opt, self.evaluator, max_trials=30).run()
-        assert opt.n_groups == 2  # {jit on} and {jit off} manifolds
+        B = opt.model.kernel.k1.task_covariance()  # {jit off} is pattern 0, {jit on} pattern 1
+        assert B.shape == (2, 2) and not np.allclose(B, prior)
+        assert 0.0 < B[0, 1] / np.sqrt(B[0, 0] * B[1, 1]) <= 1.0
 
     def test_finds_the_conditional_optimum(self):
         opt = StructuredBayesianOptimizer(self.jit_space(), n_init=10, seed=0, n_candidates=128)
@@ -167,11 +172,15 @@ class TestStructuredBO:
         assert np.mean(bests["structured"]) <= np.mean(bests["flat"]) + 0.02
 
     def test_degrades_to_single_group_without_conditions(self, simple_space):
-        opt = StructuredBayesianOptimizer(simple_space, n_init=5, seed=0, n_candidates=64)
-        for _ in range(8):
-            cfg = opt.suggest(1)[0]
-            opt.observe(cfg, float(np.sum(simple_space.to_unit_array(cfg))))
-        assert opt.n_groups == 1
+        """One activation pattern means no column: exactly BO's suggestions."""
+        runs = []
+        for cls in (StructuredBayesianOptimizer, BayesianOptimizer):
+            opt = cls(simple_space, n_init=5, n_candidates=64, seed=3)
+            for _ in range(10):
+                cfg = opt.suggest(1)[0]
+                opt.observe(cfg, float(np.sum(simple_space.to_unit_array(cfg))))
+            runs.append([t.config for t in opt.history] + opt.suggest(3) + opt.suggest(1))
+        assert runs[0] == runs[1]
 
     def test_validation(self, simple_space):
         with pytest.raises(OptimizerError):
