@@ -106,7 +106,7 @@ def test_e21c_safety_tolerance(table):
             for seed in range(3):
                 opt = SafeBayesianOptimizer(
                     space, n_init=5, seed=seed, n_candidates=96,
-                    safety_tolerance=tol, trust_radius=0.15,
+                    safety_tolerance=tol,
                 )
                 res = TuningSession(opt, cliff, max_trials=30).run()
                 visits.append(sum(t.config["x"] > 0.7 for t in res.history.trials))

@@ -2,8 +2,10 @@
 
 Production starts on read-mostly YCSB-B, then the tenant's behaviour
 flips to write-heavy TPC-C. A static configuration goes stale; an
-OPPerTune-style hybrid-bandit agent keeps adapting. A guardrail rolls
-back any step that regresses more than 30 % against the recent baseline.
+OPPerTune-style hybrid-bandit agent and an OnlineTune-style contextual-BO
+agent (BO over configuration ⊕ observation) keep adapting. A guardrail
+rolls back any step that regresses more than 30 % against the recent
+baseline.
 
 Run:  python examples/online_agent_shifting.py
 """
@@ -12,7 +14,7 @@ import numpy as np
 
 from repro import Objective
 from repro.analysis import print_table
-from repro.online import Guardrail, HybridBanditTuner, OnlineTuningAgent, StaticConfigPolicy
+from repro.online import ContextualBOTuner, Guardrail, HybridBanditTuner, OnlineTuningAgent, StaticConfigPolicy
 from repro.sysim import CloudEnvironment, SimulatedDBMS
 from repro.workloads import PhasedTrace, tpcc, ycsb
 
@@ -26,13 +28,15 @@ def run(policy_name: str):
     space = db.space.subspace(KNOBS)
     if policy_name == "static default":
         policy = StaticConfigPolicy(space.default_configuration())
+    elif policy_name == "contextual BO agent":
+        policy = ContextualBOTuner(space, seed=0, n_candidates=64)
     else:
         policy = HybridBanditTuner(space, seed=0)
     agent = OnlineTuningAgent(db, policy, THROUGHPUT, guardrail=Guardrail(tolerance=0.3))
     return agent.run(trace)
 
 
-results = {name: run(name) for name in ("static default", "hybrid bandit agent")}
+results = {name: run(name) for name in ("static default", "hybrid bandit agent", "contextual BO agent")}
 
 rows = []
 for name, res in results.items():
@@ -53,7 +57,8 @@ print_table(
     title=f"online tuning across a workload shift at t=60 ({len(trace)} steps)",
 )
 
-adaptive = results["hybrid bandit agent"].values()
 static = results["static default"].values()
-print(f"\nadaptive vs static, overall: {adaptive.mean() / static.mean():.2f}x")
-print("last 10 steps, adaptive:", np.round(adaptive[-10:]).astype(int).tolist())
+for name in ("hybrid bandit agent", "contextual BO agent"):
+    adaptive = results[name].values()
+    print(f"\n{name} vs static, overall: {adaptive.mean() / static.mean():.2f}x")
+    print("last 10 steps:", np.round(adaptive[-10:]).astype(int).tolist())

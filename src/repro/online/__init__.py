@@ -12,6 +12,7 @@ _EXPORTS = {
     "OnlineStepRecord": ".agent",
     "OnlineTuningAgent": ".agent",
     "ContextualBOTuner": ".contextual",
+    "ContextualBayesianOptimizer": ".contextual",
     "StaticConfigPolicy": ".contextual",
     "GeneticAlgorithmOptimizer": ".genetic",
     "GeneticOnlineTuner": ".genetic",

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import OptimizerError
+from ..optimizers.acquisition import trust_region
 from ..optimizers.bo import BayesianOptimizer
 from ..telemetry.spans import current_op, emit_event
 from ..space import Configuration
@@ -96,7 +97,6 @@ class SafeBayesianOptimizer(BayesianOptimizer):
         *args,
         safety_tolerance: float = 0.25,
         kappa: float = 1.5,
-        trust_radius: float = 0.15,
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
@@ -106,7 +106,6 @@ class SafeBayesianOptimizer(BayesianOptimizer):
             raise OptimizerError(f"kappa must be >= 0, got {kappa}")
         self.safety_tolerance = float(safety_tolerance)
         self.kappa = float(kappa)
-        self.trust_radius = float(trust_radius)
 
     def _before_model(self) -> Configuration | None:
         n_done = len(self.history.completed())
@@ -118,13 +117,7 @@ class SafeBayesianOptimizer(BayesianOptimizer):
         return None
 
     def _candidates(self) -> list[Configuration]:
-        best = self.history.best().config
-        # Trust region: perturbations of the incumbent at graded radii.
-        cands = [best]
-        for _ in range(self.n_candidates - 1):
-            scale = float(self.rng.uniform(0.01, self.trust_radius))
-            cands.append(self.space.neighbor(best, self.rng, scale=scale))
-        return cands
+        return trust_region(self.space, self.rng, self.history.best().config, self.n_candidates)
 
     def _pick(self, cands: list[Configuration]) -> Configuration:
         X = self.encoder.encode_many(cands)

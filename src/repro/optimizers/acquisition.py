@@ -31,6 +31,7 @@ __all__ = [
     "CostAwareEI",
     "ThompsonSampling",
     "generate_candidates",
+    "trust_region",
 ]
 
 
@@ -65,6 +66,28 @@ def generate_candidates(
     if incumbent is not None and n > n_global:
         scales = rng.choice(LOCAL_SCALES, size=n - n_global)
         cands.extend(space.neighbor_many(incumbent, n - n_global, rng, scales=scales))
+    return cands
+
+
+#: Largest step (unit-cube fraction) of a trust-region neighbour.
+TRUST_RADIUS = 0.15
+
+
+def trust_region(
+    space: "ConfigurationSpace",
+    rng: np.random.Generator,
+    centre: "Configuration",
+    n: int,
+) -> "list[Configuration]":
+    """Safe-exploration pool: ``centre`` plus ``n − 1`` single-knob neighbours
+    of it, each at a step size drawn from ``uniform(0.01, TRUST_RADIUS)``.
+
+    The generator of the online tuners (safe BO, contextual BO), which must
+    not stray from a configuration known to run well.
+    """
+    cands = [centre]
+    for _ in range(int(n) - 1):
+        cands.append(space.neighbor(centre, rng, scale=float(rng.uniform(0.01, TRUST_RADIUS))))
     return cands
 
 

@@ -12,8 +12,10 @@ Batch suggestions use the constant-liar trick for diversity (slide 57).
 
 A technique whose trials fall into a few groups (activation patterns,
 fidelity levels) is this optimizer plus one integer column on every model row,
-read by ``Coregionalized(Matern(ARD), k) + WhiteKernel``; without one, nothing
-changes.
+read by ``Coregionalized(Matern(ARD), k) + WhiteKernel``; one whose trials
+carry a continuous context (OnlineTune's observation vector) is this optimizer
+plus those context columns, read by a wider stationary kernel. Without a
+column, nothing changes.
 """
 
 from __future__ import annotations
@@ -94,13 +96,16 @@ class BayesianOptimizer(ModelBasedOptimizer):
 
     # -- the column ------------------------------------------------------------
     def _trial_column(self, trials: list[Trial]) -> np.ndarray | None:
-        """Hook: the integer column value of each training trial; ``None`` (the
-        default) is no column, else the constructor calls :meth:`_use_column`."""
+        """Hook: the column value(s) of each training trial, appended to its
+        model row; ``None`` (the default) is no column. Either an integer group
+        (n,), read by ``Coregionalized`` once the constructor calls
+        :meth:`_use_column`, or a continuous context (n, c), read by a
+        stationary kernel c dimensions wider."""
         return None
 
     def _candidate_column(self, cands: list[Configuration]) -> np.ndarray | None:
-        """Hook: the column value each candidate is scored at, and a
-        constant-liar fantasy of it fitted at."""
+        """Hook: the column value(s) each candidate is scored at, and a
+        constant-liar fantasy of it fitted at (its group, or the live context)."""
         return None
 
     def _use_column(self, k: int) -> None:

@@ -17,15 +17,18 @@ hook                what it decides
                     interleaving) and per-suggestion bookkeeping that must
                     precede the fit (focus rotation, scalarisation weights)
 ``_fit``            how the surrogate(s) are trained from the history
-``_candidates``     the pool the acquisition is maximised over
+``_candidates``     the pool the acquisition is maximised over (default: the
+                    global + local mix; the online safe and contextual BOs
+                    use a trust region, ``acquisition.trust_region``)
 ``_pick``           which candidate wins (posterior → acquisition → argmax)
 ``_features``       the model's input rows for candidates (default: their
-                    encodings)
+                    encodings; BO appends its column)
 ==================  ==========================================================
 
-Structured BO (the activation pattern) and multi-fidelity BO (the fidelity
-level) are :class:`~repro.optimizers.bo.BayesianOptimizer` plus its two column
-hooks, ``_trial_column`` and ``_candidate_column``.
+Structured BO (the activation pattern), multi-fidelity BO (the fidelity
+level) and OnlineTune's contextual BO (the observation vector) are
+:class:`~repro.optimizers.bo.BayesianOptimizer` plus its two column hooks,
+``_trial_column`` and ``_candidate_column``.
 
 **RNG-order contract.** A suggestion draws from ``self.rng`` in hook order —
 ``_before_model``, then ``_candidates``, then ``_pick`` — and ``_fit`` never

@@ -7,7 +7,12 @@ step crashed or was rolled back. ``tests/test_online_agent.py`` re-runs the
 same script and demands exact equality, so a refactor of the agent loop can
 move neither an RNG draw of a policy or the simulator, nor a reward, a crash
 imputation or a guardrail decision, unnoticed. Recorded at the commit before
-``OnlineTuningAgent.run`` became a ``TuningSession``.
+``OnlineTuningAgent.run`` became a ``TuningSession``; the two ``contextual-bo``
+cases were re-recorded, alone, when ``ContextualBOTuner`` became a policy over
+``ContextualBayesianOptimizer``: it now conditions on every feedback, re-fits
+hyperparameters on BO's cadence with a seeded GP, and draws its trust region at
+``uniform(0.01, TRUST_RADIUS)``, so its proposals moved from the second or
+third model step on. The other ten cases are byte-identical.
 
 Regenerate (only when a behaviour change is intended and explained)::
 
@@ -28,6 +33,7 @@ from repro.online import (
     GeneticOnlineTuner,
     Guardrail,
     HybridBanditTuner,
+    OnlineResult,
     OnlineTuningAgent,
     QLearningTuner,
     StaticConfigPolicy,
@@ -58,8 +64,8 @@ POLICIES = {
 COLUMNS = [*KNOBS, "value", "reward", "crashed", "rolled_back"]
 
 
-def run_case(policy: str, guardrail: bool) -> list[list[object]]:
-    """One 40-step run; one JSON-safe row (see :data:`COLUMNS`) per step."""
+def run_agent(policy: str, guardrail: bool) -> tuple[OnlineTuningAgent, OnlineResult]:
+    """One 40-step run, and the agent that ran it (its ``policy`` is kept)."""
     db = SimulatedDBMS(env=CloudEnvironment(seed=SEED, transient_noise=0.03), seed=SEED)
     agent = OnlineTuningAgent(
         db,
@@ -67,7 +73,12 @@ def run_case(policy: str, guardrail: bool) -> list[list[object]]:
         THROUGHPUT,
         guardrail=Guardrail(tolerance=0.3, grace=3) if guardrail else None,
     )
-    result = agent.run(PhasedTrace([(ycsb("b"), PHASE), (tpcc(80), PHASE)]))
+    return agent, agent.run(PhasedTrace([(ycsb("b"), PHASE), (tpcc(80), PHASE)]))
+
+
+def run_case(policy: str, guardrail: bool) -> list[list[object]]:
+    """One 40-step run; one JSON-safe row (see :data:`COLUMNS`) per step."""
+    _, result = run_agent(policy, guardrail)
     return [
         [*(json_safe(r.config[k]) for k in KNOBS), r.value, r.reward, r.crashed, r.rolled_back]
         for r in result.records

@@ -246,7 +246,7 @@ def test_contextual_bo_tuner_steps_with_scipy_blocked():
             observation = np.array([0.2 if step % 4 < 2 else 0.8])
             config = policy.propose(observation)
             policy.feedback(observation, config, -((config["x"] - 0.3) ** 2))
-        print(json.dumps(policy._model.stats.nll_evals > 0))
+        print(json.dumps(policy.optimizer.model.stats.nll_evals > 0))
     """)
     assert fresh(code) is True
 

@@ -21,6 +21,8 @@ from repro.space import BooleanParameter, ConfigurationSpace, FloatParameter
 from repro.sysim import QUIET_CLOUD, SimulatedDBMS
 from repro.workloads import DiurnalTrace, ycsb
 
+from .data.make_online_goldens import run_agent
+
 
 def toy_space():
     space = ConfigurationSpace("toy", seed=0)
@@ -132,6 +134,42 @@ class TestContextualBO:
     def test_n_init_validation(self):
         with pytest.raises(OptimizerError):
             ContextualBOTuner(toy_space(), n_init=0)
+
+    @staticmethod
+    def fitted_shapes(policy):
+        """Record the shape of every training matrix the policy's GP is fitted on."""
+        shapes, fit = [], policy.optimizer.model.fit
+
+        def spy(X, y):
+            shapes.append(X.shape)
+            return fit(X, y)
+
+        policy.optimizer.model.fit = spy
+        return shapes
+
+    def test_model_rows_are_config_plus_observation(self):
+        policy = ContextualBOTuner(toy_space(), n_init=4, n_candidates=32, seed=0)
+        shapes = self.fitted_shapes(policy)
+        drive(policy, bowl_reward, steps=10)
+        width = policy.optimizer.encoder.n_features + len(OBS)
+        assert shapes and {cols for _, cols in shapes} == {width}
+
+    def test_every_feedback_reaches_the_next_proposal(self):
+        """Past the initial design, each proposal is scored on a model fitted on all feedbacks so far."""
+        policy = ContextualBOTuner(toy_space(), n_init=4, n_candidates=32, seed=0)
+        shapes = self.fitted_shapes(policy)
+        for n_fed in range(20):
+            cfg = policy.propose(OBS)
+            assert len(shapes) == max(0, n_fed - 3)
+            if n_fed >= 4:
+                assert shapes[-1][0] == n_fed
+            policy.feedback(OBS, cfg, bowl_reward(cfg))
+
+    @pytest.mark.parametrize("guardrail", [True, False], ids=["guardrail-on", "guardrail-off"])
+    def test_golden_runs_never_degrade(self, guardrail):
+        """No suggestion of the recorded online runs fell back to random sampling."""
+        agent, _ = run_agent("contextual-bo", guardrail)
+        assert agent.policy.optimizer.surrogate_stats()["degraded_total"] == 0
 
 
 class TestGeneticOnline:

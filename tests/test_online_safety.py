@@ -28,7 +28,7 @@ class TestSafeBO:
     def test_avoids_the_cliff(self):
         opt = SafeBayesianOptimizer(
             cliff_space(), n_init=5, seed=0, n_candidates=96,
-            safety_tolerance=0.5, trust_radius=0.12,
+            safety_tolerance=0.5,
         )
         res = TuningSession(opt, cliff_evaluator, max_trials=30).run()
         cliff_visits = sum(t.config["x"] > 0.7 for t in res.history.trials)
@@ -44,7 +44,7 @@ class TestSafeBO:
     def test_still_improves_within_safe_region(self):
         opt = SafeBayesianOptimizer(
             cliff_space(), n_init=5, seed=0, n_candidates=96,
-            safety_tolerance=0.5, trust_radius=0.12,
+            safety_tolerance=0.5,
         )
         res = TuningSession(opt, cliff_evaluator, max_trials=40).run()
         assert res.best_value < 0.02  # found ~0.45 from the default 0.2

@@ -48,8 +48,8 @@ OPTIMIZERS = [
     "space_with_priors", "warm_start_from_history",
 ]
 ONLINE = [
-    "ActorCriticTuner", "ContextualBOTuner", "GeneticAlgorithmOptimizer", "GeneticOnlineTuner",
-    "GreedyOnlineTuner", "Guardrail", "GuardrailVerdict", "HybridBanditTuner", "OnlinePolicy",
+    "ActorCriticTuner", "ContextualBOTuner", "ContextualBayesianOptimizer", "GeneticAlgorithmOptimizer",
+    "GeneticOnlineTuner", "GreedyOnlineTuner", "Guardrail", "GuardrailVerdict", "HybridBanditTuner", "OnlinePolicy",
     "OnlinePolicyOptimizer", "OnlineResult", "OnlineStepRecord", "OnlineTuningAgent", "OptimizerPolicy",
     "ProactiveForecastTuner", "QLearningTuner", "SafeBayesianOptimizer", "StaticConfigPolicy",
 ]
