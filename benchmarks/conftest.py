@@ -1,4 +1,4 @@
-"""Shared helpers for the shape experiments (E1–E23, E26–E28).
+"""Shared helpers for the shape experiments (E1–E23, E26–E29).
 
 Each experiment reproduces one slide's table/figure: it runs once, prints
 the rows/series the slide reports (through captured-output bypass so they

@@ -10,12 +10,19 @@ uses a candidate set (global random samples + local perturbations of the
 incumbent) because the encoded space is a mixed discrete/continuous box.
 Batch suggestions use the constant-liar trick for diversity (slide 57).
 
-A technique whose trials fall into a few groups (activation patterns,
-fidelity levels) is this optimizer plus one integer column on every model row,
-read by ``Coregionalized(Matern(ARD), k) + WhiteKernel``; one whose trials
-carry a continuous context (OnlineTune's observation vector) is this optimizer
-plus those context columns, read by a wider stationary kernel. Without a
-column, nothing changes.
+Every GP technique is this optimizer plus a column, a target or a score, so
+all of them share its candidate generator, hyper-fit cadence, incremental
+Cholesky and constant-liar batches:
+
+* a **column** — trials that fall into a few groups (activation patterns,
+  fidelity levels, tasks) get one integer column on every model row, read by
+  ``Coregionalized(Matern(ARD), k) + WhiteKernel``; trials that carry a
+  continuous context (OnlineTune's observation vector) get those context
+  columns, read by a wider stationary kernel. Without a column, nothing
+  changes;
+* a **target** — ParEGO's ``_training_set`` returns the scalarised scores;
+* a **score** — ``_scores`` reweights or rescales the acquisition (constrained
+  BO's probability of feasibility, multi-task's raw-unit EI).
 """
 
 from __future__ import annotations

@@ -18,13 +18,13 @@ black-box constraints are learnable.
 from __future__ import annotations
 
 import numpy as np
+
 from ..core import Objective, Trial
 from ..exceptions import OptimizerError
 from ..space import Configuration, ConfigurationSpace
-from ..space.encoding import OrdinalEncoder
 from .acquisition import _norm_cdf
+from .bo import BayesianOptimizer
 from .gp import GaussianProcessRegressor, default_kernel
-from .model_based import ModelBasedOptimizer
 
 __all__ = ["ConstrainedBayesianOptimizer"]
 
@@ -34,8 +34,12 @@ CRASH_CONSTRAINT_VALUE = 1.0
 FEASIBILITY_FLOOR = 1e-6
 
 
-class ConstrainedBayesianOptimizer(ModelBasedOptimizer):
-    """GP-EI weighted by the modelled probability of feasibility.
+class ConstrainedBayesianOptimizer(BayesianOptimizer):
+    """BO whose EI is weighted by the modelled probability of feasibility.
+
+    Each constraint has its own GP, fitted on the objective model's rows and
+    on BO's hyperparameter cadence; BO's local candidates perturb the best
+    feasible trial.
 
     Parameters
     ----------
@@ -55,23 +59,12 @@ class ConstrainedBayesianOptimizer(ModelBasedOptimizer):
     ) -> None:
         if not constraint_metrics:
             raise OptimizerError("need at least one constraint metric")
-        encoder = OrdinalEncoder(space)
-
-        def new_gp() -> GaussianProcessRegressor:
-            return GaussianProcessRegressor(kernel=default_kernel(encoder.n_features), seed=seed)
-
-        super().__init__(
-            space,
-            encoder=encoder,
-            model=new_gp(),
-            n_init=n_init,
-            n_candidates=n_candidates,
-            objectives=objectives,
-            seed=seed,
-        )
+        super().__init__(space, n_init=n_init, n_candidates=n_candidates, objectives=objectives, seed=seed)
         self.constraint_metrics = list(constraint_metrics)
-        self.objective_model = self.model
-        self.constraint_models = {name: new_gp() for name in self.constraint_metrics}
+        self.constraint_models = {
+            name: GaussianProcessRegressor(kernel=default_kernel(self.encoder.n_features), seed=seed)
+            for name in self.constraint_metrics
+        }
 
     # -- data -----------------------------------------------------------------
     def feasible_trials(self) -> list[Trial]:
@@ -89,40 +82,34 @@ class ConstrainedBayesianOptimizer(ModelBasedOptimizer):
         return CRASH_CONSTRAINT_VALUE
 
     def _fit(self) -> bool:
-        # One encode per new trial; objective and constraint GPs share rows.
-        trials, X, y = self._training_set()
-        self.objective_model.fit(X, y)
-        for name, model in self.constraint_models.items():
-            cv = np.array([self._constraint_value(t, name) for t in trials])
-            model.fit(X, cv)
+        super()._fit()
+        if not self._lies:  # a constant-liar refit brings no constraint data
+            trials, X, _ = self._training_set()
+            for name, model in self.constraint_models.items():
+                model.optimize_hypers = self.model.optimize_hypers
+                model.fit(X, np.array([self._constraint_value(t, name) for t in trials]))
         return True
 
     # -- suggest --------------------------------------------------------------
-    def _candidates(self) -> list[Configuration]:
-        return self.space.sample_many(self.n_candidates, self.rng)
+    def _incumbent(self) -> Configuration:
+        # As SCBO centres its trust region: BO's local candidates circle the best feasible point.
+        return self.best_feasible_trial().config if self.feasible_trials() else super()._incumbent()
 
-    def _pick(self, cands: list[Configuration]) -> Configuration:
-        X = self.encoder.encode_many(cands)
-        mean, std = self.objective_model.predict(X, return_std=True)
-        feasible = self.feasible_trials()
-        if feasible:
-            best = min(
-                self.objective.score(t.metric(self.objective.name)) for t in feasible
-            )
-            ei = self.acquisition(mean, std, best)
-        else:
-            # No feasible point yet: chase feasibility alone.
-            ei = np.ones(len(cands))
+    def _scores(self, cands: list[Configuration]) -> np.ndarray:
+        X = self._features(cands)
         weight = np.ones(len(cands))
         for model in self.constraint_models.values():
             c_mean, c_std = model.predict(X, return_std=True)
             weight *= _norm_cdf(-c_mean / np.maximum(c_std, 1e-12))
-        scores = ei * weight
-        if scores.max() <= FEASIBILITY_FLOOR:
-            # Nothing both promising and plausibly feasible: chase the most
-            # plausibly feasible point instead of a confident violation.
-            return cands[int(np.argmax(weight))]
-        return cands[int(np.argmax(scores))]
+        feasible = self.feasible_trials()
+        if not feasible:  # no feasible point yet: chase feasibility alone
+            return weight
+        mean, std = self.model.predict(X, return_std=True)
+        best = min(self.objective.score(t.metric(self.objective.name)) for t in feasible)
+        scores = self.acquisition(mean, std, best) * weight
+        # Nothing both promising and plausibly feasible: chase the most
+        # plausibly feasible point instead of a confident violation.
+        return weight if scores.max() <= FEASIBILITY_FLOOR else scores
 
     def best_feasible_trial(self) -> Trial:
         """Best trial among those satisfying every constraint."""

@@ -5,10 +5,9 @@
 3. pick x_{i+1} = argmax AF(M, x);
 4. repeat.
 
-GP-BO, SMAC, constrained, multi-objective and multi-task BO are this loop
-with one step swapped out, so the loop is written once —
-:meth:`ModelBasedOptimizer._suggest` — and a technique overrides only the
-step that is its own:
+GP-BO, SMAC and every GP technique built on BO are this loop with one step
+swapped out, so the loop is written once — :meth:`ModelBasedOptimizer._suggest`
+— and a technique overrides only the step that is its own:
 
 ==================  ==========================================================
 hook                what it decides
@@ -18,17 +17,26 @@ hook                what it decides
                     precede the fit (focus rotation, scalarisation weights)
 ``_fit``            how the surrogate(s) are trained from the history
 ``_candidates``     the pool the acquisition is maximised over (default: the
-                    global + local mix; the online safe and contextual BOs
-                    use a trust region, ``acquisition.trust_region``)
-``_pick``           which candidate wins (posterior → acquisition → argmax)
+                    global + local mix around ``_incumbent()``, which
+                    constrained BO makes the best feasible trial; the online
+                    safe and contextual BOs use a trust region,
+                    ``acquisition.trust_region``)
+``_scores``         each candidate's acquisition value (default: EI of the
+                    model's posterior against the best observed score)
 ``_features``       the model's input rows for candidates (default: their
                     encodings; BO appends its column)
 ==================  ==========================================================
 
+``_pick`` takes the candidate with the highest score. Only multi-fidelity BO
+(a level × candidate utility) and the online safe BO ("nothing safe: stay on
+the incumbent") override it.
+
 Structured BO (the activation pattern), multi-fidelity BO (the fidelity
-level) and OnlineTune's contextual BO (the observation vector) are
-:class:`~repro.optimizers.bo.BayesianOptimizer` plus its two column hooks,
-``_trial_column`` and ``_candidate_column``.
+level), multi-task BO (the task) and OnlineTune's contextual BO (the
+observation vector) are :class:`~repro.optimizers.bo.BayesianOptimizer` plus
+its two column hooks, ``_trial_column`` and ``_candidate_column``; ParEGO is BO
+plus a scalarised target, constrained BO is BO plus a feasibility weight in
+``_scores``.
 
 **RNG-order contract.** A suggestion draws from ``self.rng`` in hook order —
 ``_before_model``, then ``_candidates``, then ``_pick`` — and ``_fit`` never
@@ -71,9 +79,9 @@ class ModelBasedOptimizer(Optimizer):
     """Base of every surrogate-driven optimizer; owns the suggest loop.
 
     ``model`` is anything with ``fit(X, y)`` and
-    ``predict(X, return_std=True)`` (and optionally ``stats_dict()``);
-    subclasses that keep several surrogates override :meth:`_fit` and
-    :meth:`_pick` and may leave it ``None``.
+    ``predict(X, return_std=True)`` (and optionally ``stats_dict()``); a
+    subclass with further surrogates (constrained BO's constraint GPs) fits
+    them in :meth:`_fit` and reads them in :meth:`_scores`.
     """
 
     def __init__(
@@ -146,17 +154,24 @@ class ModelBasedOptimizer(Optimizer):
 
     def _candidates(self) -> list[Configuration]:
         """Hook 3: the acquisition's candidate pool. Default: global samples
-        plus local perturbations of the incumbent (past the initial design
-        there always is one)."""
-        incumbent = self.history.best().config
-        return generate_candidates(self.space, self.rng, self.n_candidates, incumbent=incumbent)
+        plus local perturbations of :meth:`_incumbent`."""
+        return generate_candidates(self.space, self.rng, self.n_candidates, incumbent=self._incumbent())
+
+    def _incumbent(self) -> Configuration:
+        """The configuration the default pool perturbs: the best completed
+        trial's (past the initial design there always is one)."""
+        return self.history.best().config
+
+    def _scores(self, cands: list[Configuration]) -> np.ndarray:
+        """Hook 4: each candidate's acquisition value, higher is better.
+        Default: the acquisition of the model's posterior against the best
+        observed score."""
+        mean, std = self.model.predict(self._features(cands), return_std=True)
+        return self.acquisition(mean, std, float(self.history.scores().min()))
 
     def _pick(self, cands: list[Configuration]) -> Configuration:
-        """Hook 4: choose among ``cands``. Default: maximise the acquisition
-        of the model's posterior against the best observed score."""
-        mean, std = self.model.predict(self._features(cands), return_std=True)
-        scores = self.acquisition(mean, std, float(self.history.scores().min()))
-        return cands[int(np.argmax(scores))]
+        """The candidate with the highest :meth:`_scores`."""
+        return cands[int(np.argmax(self._scores(cands)))]
 
     def _features(self, configs: list[Configuration]) -> np.ndarray:
         """The model's input rows for ``configs``. Default: their encodings."""

@@ -17,16 +17,14 @@ import numpy as np
 from ..core import Objective, Trial
 from ..exceptions import OptimizerError
 from ..space import Configuration, ConfigurationSpace
-from ..space.encoding import OrdinalEncoder
-from .gp import GaussianProcessRegressor, default_kernel
-from .model_based import ModelBasedOptimizer
+from .bo import BayesianOptimizer
 from .pareto import pareto_front_mask
 
 __all__ = ["ParEGOOptimizer", "LinearScalarizationOptimizer"]
 
 
-class _ScalarizingBO(ModelBasedOptimizer):
-    """Shared machinery: GP-EI over a scalarisation recomputed per suggest."""
+class _ScalarizingBO(BayesianOptimizer):
+    """BO whose target is a scalarisation recomputed per suggest."""
 
     supports_multi_objective = True
 
@@ -40,16 +38,7 @@ class _ScalarizingBO(ModelBasedOptimizer):
     ) -> None:
         if len(objectives) < 2:
             raise OptimizerError("multi-objective optimizers need >= 2 objectives")
-        encoder = OrdinalEncoder(space)
-        super().__init__(
-            space,
-            encoder=encoder,
-            model=GaussianProcessRegressor(kernel=default_kernel(encoder.n_features), seed=seed),
-            n_init=n_init,
-            n_candidates=n_candidates,
-            objectives=objectives,
-            seed=seed,
-        )
+        super().__init__(space, n_init=n_init, n_candidates=n_candidates, objectives=objectives, seed=seed)
         self._weights = np.empty(0)  # this suggestion's scalarisation weights
         self._y = np.empty(0)  # the scalarised scores the model was fitted on
 
@@ -73,17 +62,15 @@ class _ScalarizingBO(ModelBasedOptimizer):
             self._model_stale = True
         return config
 
-    def _fit(self) -> bool:
+    def _training_set(self) -> tuple[list[Trial], np.ndarray, np.ndarray]:
+        """Completed trials and their scalarised scores under this suggestion's weights."""
+        trials = self.history.completed()
         self._y = self._scalarize(self._normalize(self.objective_values()), self._weights)
-        self.model.fit(self._encoding_cache.encode_trials(self.history.completed()), self._y)
-        return True
+        return trials, self._encoding_cache.encode_trials(trials), self._y
 
-    def _candidates(self) -> list[Configuration]:
-        return self.space.sample_many(self.n_candidates, self.rng)
-
-    def _pick(self, cands: list[Configuration]) -> Configuration:
-        mean, std = self.model.predict(self.encoder.encode_many(cands), return_std=True)
-        return cands[int(np.argmax(self.acquisition(mean, std, float(self._y.min()))))]
+    def _scores(self, cands: list[Configuration]) -> np.ndarray:
+        mean, std = self.model.predict(self._features(cands), return_std=True)
+        return self.acquisition(mean, std, float(self._y.min()))
 
     # -- results ------------------------------------------------------------------
     def pareto_trials(self) -> list[Trial]:

@@ -10,6 +10,13 @@ suggest loop can neither move a single RNG draw nor make the surrogate do
 more work (an extra kernel construction, a lost incremental Cholesky)
 unnoticed.
 
+Last re-recorded when ParEGO, linear scalarisation, constrained and
+multi-task BO became :class:`~repro.optimizers.BayesianOptimizer` subclasses:
+those four entries moved (BO's candidate generator, hyper-fit cadence and
+incremental Cholesky, so every NLL and full-factorisation count went down);
+the BO, SMAC, multi-fidelity and structured entries and both journals are
+byte-identical to the previous recording.
+
 Regenerate (only when a behaviour change is intended and explained)::
 
     PYTHONPATH=src python tests/data/make_suggest_goldens.py

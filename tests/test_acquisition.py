@@ -201,7 +201,7 @@ class TestNormalHelpersAreScipyStatsNorm:
                 return self.mean, self.std
 
         # No feasible trial yet, so the pick is the largest feasibility weight.
-        opt.objective_model = Recorded(self.MEAN, self.STD)
+        opt.model = Recorded(self.MEAN, self.STD)
         opt.constraint_models = {"c": Recorded(self.MEAN - 0.3, self.STD)}
         weight = stats.norm.cdf(-(self.MEAN - 0.3) / np.maximum(self.STD, 1e-12))
         assert opt._pick(cands) is cands[int(np.argmax(weight))]

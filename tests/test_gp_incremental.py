@@ -260,7 +260,7 @@ class TestFittedModelFootprint:
             opt = ConstrainedBayesianOptimizer(
                 simple_space, constraint_metrics=["c1", "c2"], n_init=5, n_candidates=32, objectives=SCORE, seed=1
             )
-            models = lambda: [opt.objective_model, *opt.constraint_models.values()]
+            models = lambda: [opt.model, *opt.constraint_models.values()]
         else:
             opt = StructuredBayesianOptimizer(conditional_space, n_init=8, n_candidates=32, objectives=SCORE, seed=1)
             models = lambda: [opt.model]

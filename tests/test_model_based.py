@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import SessionManager
 from repro.core.stores import JsonJournalStore
-from repro.optimizers import ModelBasedOptimizer
+from repro.optimizers import BayesianOptimizer, ModelBasedOptimizer, MultiFidelityBO
 from repro.optimizers.parego import _ScalarizingBO
 from repro.telemetry import SessionTrace
 
@@ -78,6 +78,24 @@ class TestSharedMachinery:
             owners = [c for c in type(opt).__mro__ if "_suggest" in vars(c) and c is not object]
             assert owners[0] is ModelBasedOptimizer, type(opt).__name__
         assert "_suggest" not in vars(_ScalarizingBO)
+
+    def test_one_pick(self):
+        """Techniques override ``_scores``; only multi-fidelity picks a (level, candidate) pair itself."""
+        for opt in build_optimizers().values():
+            owner = next(c for c in type(opt).__mro__ if "_pick" in vars(c))
+            assert owner is (MultiFidelityBO if isinstance(opt, MultiFidelityBO) else ModelBasedOptimizer)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["ConstrainedBayesianOptimizer", "LinearScalarizationOptimizer", "MultiTaskOptimizer", "ParEGOOptimizer"],
+    )
+    def test_the_gp_family_gets_bo_fit(self, name):
+        """ParEGO, linear, constrained and multi-task BO are BO, so they condition
+        between hyper-fits through the incremental Cholesky."""
+        opt = build_optimizers()[name]
+        assert isinstance(opt, BayesianOptimizer)
+        run_script(opt)
+        assert opt.surrogate_stats()["cholesky_incremental"] > 0
 
     def test_the_loop_branches_on_no_technique(self):
         source = inspect.getsource(ModelBasedOptimizer._suggest)

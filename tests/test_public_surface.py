@@ -204,7 +204,6 @@ TECHNIQUE = "inventory technique no experiment constructs yet (ROADMAP item 6's 
 RECORD = "record type a reached function returns: callers read it, none names it"
 UNREACHED = {
     **dict.fromkeys([
-        "ConstrainedBayesianOptimizer",
         "EnsembleOptimizer", "GreedyOnlineTuner", "ProactiveForecastTuner", "PageHinkleyDetector",
         "PCAEmbedding", "RandomProjectionEmbedding", "pareto_front", "scale_config_for_vm", "DBMS_VM_SCALING",
     ], TECHNIQUE),
