@@ -80,9 +80,10 @@ class Suggestion:
 
     ``ask_id`` is a per-session monotonic token; a client echoes it back in
     the matching :class:`TrialReport` so the server can pair tell with ask.
-    The token is advisory — a report for an unknown ask (e.g. issued before
-    a server restart) is still accepted, because the report carries the
-    full configuration values.
+    The token is advisory — the pairing holds only when the report's
+    configuration values are the ask's. A report for an unknown ask, or for
+    an id that now names another ask (ids restart when a session resumes),
+    is still accepted and recorded under its own values.
     """
 
     config: dict[str, Any]

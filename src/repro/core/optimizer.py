@@ -221,22 +221,28 @@ class History:
         return float(sum(t.cost for t in self._trials))
 
 
+#: What :meth:`Optimizer._suggest` returns: a configuration, or one with its memo.
+Suggested = Configuration | tuple[Configuration, Any]
+
+
 class Optimizer(ABC):
     """Base class for all tuning algorithms (ask/tell protocol).
 
     Subclasses implement :meth:`_suggest` (and optionally :meth:`_on_observe`)
     — everything else, including trial bookkeeping and failure imputation, is
     handled here.
+
+    A suggestion may carry a *memo* — the state that produced it (a sample
+    vector, a particle index, a member name, a rung). The base class keeps
+    it under the configuration and hands it back with that configuration's
+    tell, oldest first among equal configurations, so tells pair with their
+    own suggestions in whatever order they arrive. Memos live in memory
+    only: a trial told after a restart, or one this optimizer never
+    suggested, arrives with none.
     """
 
     #: Set by subclasses that natively handle >1 objective (e.g. ParEGO).
     supports_multi_objective: bool = False
-
-    #: Whether observations for configurations this optimizer did not
-    #: suggest improve its model (surrogate methods) or would corrupt its
-    #: internal bookkeeping (generation-based methods match observations to
-    #: suggestions by queue order). Ensembles consult this before sharing.
-    accepts_foreign_observations: bool = True
 
     def __init__(
         self,
@@ -266,6 +272,8 @@ class Optimizer(ABC):
         #: nonzero, so healthy runs keep their historic digests) and into
         #: ``surrogate_stats`` where available.
         self._degraded_total = 0
+        #: Configuration -> memos of its untold suggestions, oldest first.
+        self._memos: dict[Configuration, list[Any]] = {}
 
     @property
     def objective(self) -> Objective:
@@ -279,25 +287,46 @@ class Optimizer(ABC):
         if n > 1:
             batch = self._suggest_batch(n)
             if batch is not None:
-                return batch
-        return [self._suggest() for _ in range(n)]
+                return [self._remember(suggestion) for suggestion in batch]
+        return [self._remember(self._suggest()) for _ in range(n)]
 
     @abstractmethod
-    def _suggest(self) -> Configuration:
-        """Produce a single suggestion."""
+    def _suggest(self) -> Suggested:
+        """Produce a single suggestion: a configuration, or ``(configuration,
+        memo)`` to have the memo handed back to :meth:`_on_observe` with the
+        configuration's tell."""
 
-    def _suggest_batch(self, n: int) -> list[Configuration] | None:
+    def _suggest_batch(self, n: int) -> list[Suggested] | None:
         """Optional batched path for ``suggest(n > 1)``.
 
         Surrogate optimizers override this with constant-liar fantasization
         so a batch of ``n`` costs one model fit instead of ``n``. Returning
-        ``None`` falls back to ``n`` independent :meth:`_suggest` calls.
+        ``None`` falls back to ``n`` independent :meth:`_suggest` calls; the
+        items are what :meth:`_suggest` returns.
         """
         return None
 
+    def _remember(self, suggestion: Suggested) -> Configuration:
+        """Keep a suggestion's memo, if it has one, under its configuration."""
+        if not isinstance(suggestion, tuple):
+            return suggestion
+        config, memo = suggestion
+        self._memos.setdefault(config, []).append(memo)
+        return config
+
+    def _memo(self, config: Configuration) -> Any:
+        """The memo the next tell of ``config`` will receive (``None``: foreign)."""
+        memos = self._memos.get(config)
+        return memos[0] if memos else None
+
+    def _untold_memos(self) -> list[Any]:
+        """Memos of every suggestion not told yet, in first-suggested order."""
+        return [memo for memos in self._memos.values() for memo in memos]
+
     def suggested_fidelity(self, config: Configuration) -> float | None:
-        """The fidelity this optimizer means ``config``, one of its latest
-        suggestions, to be evaluated at; ``None`` leaves it to the caller.
+        """The fidelity this optimizer means ``config``, one of its untold
+        suggestions, to be evaluated at (an override reads it from
+        :meth:`_memo`); ``None`` leaves it to the caller.
 
         A session hands it out with the suggestion and journals it with the
         trial when the report names none.
@@ -377,7 +406,12 @@ class Optimizer(ABC):
         fidelity: float | None,
         context: Mapping[str, Any] | None,
     ) -> Trial:
-        """The one way a trial enters: id, history, running digest, model hook."""
+        """The one way a trial enters: id, history, running digest, model hook
+        (with the memo of the configuration's oldest untold suggestion)."""
+        memos = self._memos.get(config)
+        memo = memos.pop(0) if memos else None
+        if memos == []:
+            del self._memos[config]
         trial = Trial(
             trial_id=self._next_trial_id,
             config=config,
@@ -390,11 +424,13 @@ class Optimizer(ABC):
         self._next_trial_id += 1
         self.history.add(trial)
         self._update_history_sha(trial)
-        self._on_observe(trial)
+        self._on_observe(trial, memo)
         return trial
 
-    def _on_observe(self, trial: Trial) -> None:
-        """Hook: update the model after any trial; failures arrive with imputed metrics."""
+    def _on_observe(self, trial: Trial, memo: Any) -> None:
+        """Hook: update the model after any trial; failures arrive with imputed
+        metrics, and ``memo`` is what :meth:`_suggest` paired with the trial's
+        configuration (``None`` when it is foreign)."""
 
     # -- provenance ---------------------------------------------------------------
     def _update_history_sha(self, trial: Trial) -> None:

@@ -285,11 +285,14 @@ class TuningSession:
                         spilled=len(self._spill),
                     )
             return self.optimizer.history[trial_id], True
-        config, ask_info, fidelity = self._pending_asks.pop(report.ask_id, (None, None, None))
-        if config is None:
-            # Unknown or pre-restart ask: the report carries the full
+        config, ask_info, fidelity = self._pending_asks.get(report.ask_id, (None, None, None))
+        if config is not None and config.as_dict() == report.config:
+            del self._pending_asks[report.ask_id]
+        else:
+            # Unknown ask, or an ask id reused since the report's ask (ids
+            # restart with every epoch): the report carries the full
             # configuration values, so rebuild (and re-validate) from them.
-            config = config_from_values(report.config, self.optimizer.space)
+            config, ask_info, fidelity = config_from_values(report.config, self.optimizer.space), None, None
         result = EvaluationResult(report.metrics, cost=report.cost, status=TrialStatus(report.status))
         trial = self._enter(
             config,

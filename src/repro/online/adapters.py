@@ -98,8 +98,6 @@ class OnlinePolicyOptimizer(Optimizer):
       this adapter re-anchors the policy's reward scale.
     """
 
-    accepts_foreign_observations = False
-
     def __init__(
         self,
         space: ConfigurationSpace,
@@ -111,27 +109,18 @@ class OnlinePolicyOptimizer(Optimizer):
         super().__init__(space, objectives, seed=seed)
         self.policy = policy
         self._observation_fn = observation_fn or (lambda: np.zeros(_DEFAULT_OBS_DIM))
-        self._pending: list[tuple[Configuration, np.ndarray]] = []
         self._reward = DeltaReward(self.objective)
 
     # -- ask ----------------------------------------------------------------
-    def _suggest(self) -> Configuration:
+    def _suggest(self) -> tuple[Configuration, np.ndarray]:
         observation = np.asarray(self._observation_fn(), dtype=float)
         with span("policy.propose"):
-            config = self.policy.propose(observation)
-        self._pending.append((config, observation))
-        return config
+            return self.policy.propose(observation), observation
 
     # -- tell ---------------------------------------------------------------
-    def _pop_observation(self, config: Configuration) -> np.ndarray:
-        for i, (pending_config, observation) in enumerate(self._pending):
-            if pending_config == config:
-                del self._pending[i]
-                return observation
-        return np.zeros(_DEFAULT_OBS_DIM)
-
-    def _on_observe(self, trial: Trial) -> None:
-        observation = self._pop_observation(trial.config)
+    def _on_observe(self, trial: Trial, observation: np.ndarray | None) -> None:
+        if observation is None:  # not proposed here (warm start): no observation came with it
+            observation = np.zeros(_DEFAULT_OBS_DIM)
         if trial.ok:
             reward = self._reward(trial.metric(self.objective.name)) - trial.context.get("reward_penalty", 0.0)
         else:

@@ -39,10 +39,6 @@ class GeneticAlgorithmOptimizer(Optimizer):
         Top fraction copied unchanged into the next generation.
     """
 
-    #: Observations are matched to suggestions by queue order, so
-    #: foreign observations would corrupt the population state.
-    accepts_foreign_observations = False
-
     def __init__(
         self,
         space: ConfigurationSpace,
@@ -61,7 +57,6 @@ class GeneticAlgorithmOptimizer(Optimizer):
         self._population: list[Configuration] = [space.sample(self.rng) for _ in range(self.population_size)]
         self._scores: list[float | None] = [None] * self.population_size
         self._cursor = 0
-        self._pending: list[int] = []
         self.generation = 0
 
     # -- genetic operators -----------------------------------------------------
@@ -81,7 +76,7 @@ class GeneticAlgorithmOptimizer(Optimizer):
 
     def _tournament_pick(self, scored: list[tuple[float, Configuration]]) -> Configuration:
         contenders = [scored[int(self.rng.integers(len(scored)))] for _ in range(TOURNAMENT)]
-        return min(contenders)[1]
+        return min(contenders, key=lambda pair: pair[0])[1]  # a tie keeps the first drawn
 
     def _evolve(self) -> None:
         scored = sorted(
@@ -101,20 +96,18 @@ class GeneticAlgorithmOptimizer(Optimizer):
         self.generation += 1
 
     # -- ask/tell -----------------------------------------------------------------
-    def _suggest(self) -> Configuration:
+    def _suggest(self) -> tuple[Configuration, tuple[int, int]]:
         if self._cursor >= self.population_size:
             self._evolve()
         idx = self._cursor
         self._cursor += 1
-        self._pending.append(idx)
-        return self._population[idx]
+        return self._population[idx], (self.generation, idx)
 
-    def _on_observe(self, trial: Trial) -> None:
-        if not self._pending:
-            return
-        idx = self._pending.pop(0)
+    def _on_observe(self, trial: Trial, memo: tuple[int, int] | None) -> None:
+        if memo is None or memo[0] != self.generation:
+            return  # foreign, or scores an individual of a generation already replaced
         obj = self.objective
-        self._scores[idx] = obj.score(trial.metric(obj.name))
+        self._scores[memo[1]] = obj.score(trial.metric(obj.name))
 
 
 class GeneticOnlineTuner(OptimizerPolicy):

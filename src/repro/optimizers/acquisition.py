@@ -85,10 +85,8 @@ def trust_region(
     The generator of the online tuners (safe BO, contextual BO), which must
     not stray from a configuration known to run well.
     """
-    cands = [centre]
-    for _ in range(int(n) - 1):
-        cands.append(space.neighbor(centre, rng, scale=float(rng.uniform(0.01, TRUST_RADIUS))))
-    return cands
+    scales = rng.uniform(0.01, TRUST_RADIUS, size=int(n) - 1)
+    return [centre, *space.neighbor_many(centre, int(n) - 1, rng, scales=scales)]
 
 
 # The standard normal's CDF and density, written out: ``scipy.special.ndtr``

@@ -2,9 +2,9 @@
 
 :class:`ProjectedOptimizer` exposes the *target* space to the tuning
 session while internally driving any optimizer over the adapter's smaller
-*adapted* space. Observations are routed back through the pending-
-suggestion queue so the inner model trains on the latent points it
-actually proposed.
+*adapted* space. Each suggestion's latent point is its memo, so the inner
+model trains on the latent point it actually proposed even when a
+bucketised projection maps two latent points onto one target.
 """
 
 from __future__ import annotations
@@ -42,24 +42,12 @@ class ProjectedOptimizer(Optimizer):
         super().__init__(adapter.target_space, objectives, seed=seed)
         self.adapter = adapter
         self.inner = inner_factory(adapter.adapted_space)
-        # FIFO of latent points whose projections are awaiting observation.
-        self._pending: list[tuple[Configuration, Configuration]] = []
 
-    def _suggest(self) -> Configuration:
+    def _suggest(self) -> tuple[Configuration, Configuration]:
         latent = self.inner.suggest(1)[0]
-        target = self.adapter.project(latent)
-        self._pending.append((latent, target))
-        return target
+        return self.adapter.project(latent), latent
 
-    def _match_latent(self, target: Configuration) -> Configuration | None:
-        for i, (latent, projected) in enumerate(self._pending):
-            if projected == target:
-                del self._pending[i]
-                return latent
-        return None
-
-    def _on_observe(self, trial: Trial) -> None:
-        latent = self._match_latent(trial.config)
+    def _on_observe(self, trial: Trial, latent: Configuration | None) -> None:
         if latent is None:
             # Observation for a config we did not project (e.g. warm start):
             # the latent optimizer cannot learn from it.

@@ -53,16 +53,13 @@ class SimulatedAnnealingOptimizer(Optimizer):
         self._temperature = initial_temperature
         self._current: Configuration | None = None
         self._current_score = math.inf
-        self._pending: Configuration | None = None
 
     def _suggest(self) -> Configuration:
         if len(self.history) < self.n_init or self._current is None:
-            self._pending = self.space.sample(self.rng)
-        else:
-            self._pending = self.space.neighbor(self._current, self.rng, scale=STEP_SCALE)
-        return self._pending
+            return self.space.sample(self.rng)
+        return self.space.neighbor(self._current, self.rng, scale=STEP_SCALE)
 
-    def _on_observe(self, trial: Trial) -> None:
+    def _on_observe(self, trial: Trial, memo: object) -> None:
         obj = self.objective
         score = obj.score(trial.metric(obj.name))
         if self._temperature is None and len(self.history) >= self.n_init:

@@ -114,7 +114,7 @@ class MultiArmedBanditOptimizer(Optimizer):
     def _suggest(self) -> Configuration:
         return self.arms[self._select_arm()]
 
-    def _on_observe(self, trial: Trial) -> None:
+    def _on_observe(self, trial: Trial, memo: object) -> None:
         idx = self._arm_of.get(trial.config)
         if idx is None:
             return  # observation for a non-arm config (e.g. warm start)

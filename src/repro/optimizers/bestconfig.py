@@ -91,5 +91,5 @@ class BestConfigOptimizer(Optimizer):
             self._refill()
         return self._queue.pop(0)
 
-    def _on_observe(self, trial: Trial) -> None:
+    def _on_observe(self, trial: Trial, memo: object) -> None:
         pass  # sampling plan is refreshed lazily per round

@@ -151,12 +151,13 @@ class BayesianOptimizer(ModelBasedOptimizer):
         the chosen point) and reconditions the GP on it — without touching
         hyperparameters, so the batch costs one hyperparameter fit plus
         ``n−1`` cheap reconditionings. Fantasies are discarded before
-        returning.
+        returning. Each pick's memo is kept as it is made, so the next
+        fantasy fit can read it (multi-fidelity BO's level column).
         """
         out: list[Configuration] = []
         try:
             for _ in range(n):
-                config = self._suggest()
+                config = self._remember(self._suggest())
                 out.append(config)
                 self._lies.append(config)
                 self._fantasies_total += 1

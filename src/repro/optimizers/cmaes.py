@@ -7,7 +7,9 @@ evolution path, and adapt C with rank-1 + rank-μ updates.
 
 The ask/tell adaptation buffers one population at a time, so it plugs into
 the same sessions as every other optimizer (and parallelises naturally —
-see the "Parallel Optimization" slide, which points at CMA-ES).
+see the "Parallel Optimization" slide, which points at CMA-ES): each
+suggestion's sample is its memo, so a score told out of order still ranks
+the point that earned it.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ class CMAESOptimizer(Optimizer):
     λ is Hansen's 4 + ⌊3 ln n⌋, the search starts at the space default with
     step size :data:`SIGMA0` in unit-cube units.
     """
-
-    #: Observations are matched to suggestions by queue order, so
-    #: foreign observations would corrupt the population state.
-    accepts_foreign_observations = False
 
     def __init__(
         self,
@@ -72,9 +70,7 @@ class CMAESOptimizer(Optimizer):
         self._D = np.ones(n)
         self.generation = 0
 
-        self._pending_z: list[np.ndarray] = []
         self._results: list[tuple[np.ndarray, float]] = []
-        self._awaiting = 0
 
     # -- sampling ----------------------------------------------------------
     def _update_eigen(self) -> None:
@@ -92,18 +88,14 @@ class CMAESOptimizer(Optimizer):
         y = self._B @ (self._D * z)
         return self.mean + self.sigma * y
 
-    def _suggest(self) -> Configuration:
+    def _suggest(self) -> tuple[Configuration, np.ndarray]:
         x = np.clip(self._sample_point(), 0.0, 1.0)
-        self._pending_z.append(x)
-        self._awaiting += 1
-        return self.space.from_unit_array(x)
+        return self.space.from_unit_array(x), x
 
     # -- updates -------------------------------------------------------------
-    def _on_observe(self, trial: Trial) -> None:
-        if self._awaiting <= 0:
-            return  # warm-start data: not part of any population
-        self._awaiting -= 1
-        x = self._pending_z.pop(0)
+    def _on_observe(self, trial: Trial, x: np.ndarray | None) -> None:
+        if x is None:
+            return  # not sampled here (warm start, an ensemble sibling's): not part of any population
         obj = self.objective
         self._results.append((x, obj.score(trial.metric(obj.name))))
         if len(self._results) >= self.lam:
@@ -114,7 +106,7 @@ class CMAESOptimizer(Optimizer):
             "generation": self.generation,
             "sigma": round(float(self.sigma), 12),
             "mean": [round(float(v), 12) for v in self.mean],
-            "awaiting": self._awaiting,
+            "awaiting": len(self._untold_memos()),
             "buffered": len(self._results),
         }
 

@@ -6,8 +6,11 @@ same result bank and let a bandit shift trials toward whichever is
 currently producing improvements (credit assignment by area-under-curve).
 
 :class:`EnsembleOptimizer` wraps any set of ask/tell optimizers. Each
-suggestion is drawn from one member (UCB1 over improvement credit); every
-observation is shared with *all* members, so no one starves for data.
+suggestion is drawn from one member (UCB1 over improvement credit), whose
+name is the suggestion's memo; every observation is shared with *all*
+members, so no one starves for data. A member learns its own suggestions
+through its own memos, and a sibling's trial reaches it as a foreign one,
+which population methods keep out of their populations.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ class EnsembleOptimizer(Optimizer):
             self.members[name] = member
         self._credit = {name: 0.0 for name in self.members}
         self._pulls = {name: 0 for name in self.members}
-        self._pending: list[str] = []  # member that produced each suggestion
         self._best_score = math.inf
 
     # -- allocation ----------------------------------------------------------
@@ -78,14 +80,12 @@ class EnsembleOptimizer(Optimizer):
         return dict(self._pulls)
 
     # -- ask/tell ------------------------------------------------------------------
-    def _suggest(self) -> Configuration:
+    def _suggest(self) -> tuple[Configuration, str]:
         name = self._pick_member()
         self._pulls[name] += 1
-        self._pending.append(name)
-        return self.members[name].suggest(1)[0]
+        return self.members[name].suggest(1)[0], name
 
-    def _on_observe(self, trial: Trial) -> None:
-        producer = self._pending.pop(0) if self._pending else None
+    def _on_observe(self, trial: Trial, producer: str | None) -> None:
         obj = self.objective
         score = obj.score(trial.metric(obj.name)) if obj.name in trial.metrics else math.inf
         # Credit: normalised improvement over the incumbent (0 if none).
@@ -101,10 +101,6 @@ class EnsembleOptimizer(Optimizer):
             self._credit[name] *= CREDIT_DECAY
         if producer is not None:
             self._credit[producer] += min(1.0, improvement)
-        # Shared result bank: the producer always learns from its own
-        # suggestion; other members only when foreign data cannot corrupt
-        # their suggestion↔observation bookkeeping.
-        for name, member in self.members.items():
-            if name != producer and not member.accepts_foreign_observations:
-                continue
+        # Shared result bank: every member sees every trial.
+        for member in self.members.values():
             member.observe(trial.config, trial.metrics, cost=trial.cost, status=trial.status)

@@ -29,7 +29,9 @@ hook                what it decides
 
 ``_pick`` takes the candidate with the highest score. Only multi-fidelity BO
 (a level × candidate utility) and the online safe BO ("nothing safe: stay on
-the incumbent") override it.
+the incumbent") override it. ``_before_model`` and ``_pick`` may return
+``(configuration, memo)`` like :meth:`Optimizer._suggest` (multi-fidelity BO's
+memo is the level).
 
 Structured BO (the activation pattern), multi-fidelity BO (the fidelity
 level), multi-task BO (the task) and OnlineTune's contextual BO (the
@@ -59,6 +61,7 @@ from typing import Any
 import numpy as np
 
 from ..core import Objective, Optimizer, Trial
+from ..core.optimizer import Suggested
 from ..exceptions import OptimizerError
 from ..space import Configuration, ConfigurationSpace
 from ..space.encoding import SpaceEncoder, TrialEncodingCache
@@ -110,7 +113,7 @@ class ModelBasedOptimizer(Optimizer):
         self._model_ready = False  # the last fit produced something to ask
 
     # -- the loop ------------------------------------------------------------
-    def _suggest(self) -> Configuration:
+    def _suggest(self) -> Suggested:
         config = self._before_model()
         if config is not None:
             return config
@@ -133,7 +136,7 @@ class ModelBasedOptimizer(Optimizer):
                 self._model_ready = self._fit()
             self._model_stale = False
 
-    def _on_observe(self, trial: Trial) -> None:
+    def _on_observe(self, trial: Trial, memo: object) -> None:
         self._model_stale = True
 
     # -- hooks ---------------------------------------------------------------

@@ -61,8 +61,8 @@ class MultiFidelityBO(BayesianOptimizer):
     correlation between that level and the target, divided by the level's
     cost; every ``full_every``-th suggestion is at the target level so the
     incumbent is always backed by a real high-fidelity measurement, and the
-    initial design runs at the cheapest. :meth:`suggested_fidelity` reports
-    the level of each suggestion.
+    initial design runs at the cheapest. Each suggestion's level is its
+    memo, which :meth:`suggested_fidelity` reports.
     """
 
     def __init__(
@@ -84,7 +84,6 @@ class MultiFidelityBO(BayesianOptimizer):
         self.full_every = max(1, int(full_every))
         self._use_column(len(self.fidelities))
         self._n_suggested = 0
-        self._suggested: dict[Configuration, int] = {}  # untold suggestion -> its level
 
     def _ingest(self, config: Configuration, metrics: dict[str, float], cost: float, status: TrialStatus,
                 fidelity: float | None, context: Mapping[str, Any] | None) -> Trial:
@@ -92,29 +91,24 @@ class MultiFidelityBO(BayesianOptimizer):
             raise OptimizerError(f"fidelity {fidelity!r} is not on the ladder {sorted(self._level)}")
         return super()._ingest(config, metrics, cost, status, fidelity, context)
 
-    def _on_observe(self, trial: Trial) -> None:
-        self._suggested.pop(trial.config, None)
-        super()._on_observe(trial)
-
     def suggested_fidelity(self, config: Configuration) -> float | None:
-        level = self._suggested.get(config)
+        level = self._memo(config)
         return None if level is None else self.fidelities[level].value
 
-    def _before_model(self) -> Configuration | None:
+    def _before_model(self) -> tuple[Configuration, int] | None:
         self._n_suggested += 1
         config = super()._before_model()
-        if config is not None:
-            self._suggested[config] = 0
-        return config
+        return None if config is None else (config, 0)
 
     def _trial_column(self, trials: list[Trial]) -> np.ndarray:
         top = len(self.fidelities) - 1
         return np.array([top if t.fidelity is None else self._level[t.fidelity] for t in trials])
 
     def _candidate_column(self, cands: list[Configuration]) -> np.ndarray:
-        return np.array([self._suggested.get(config, len(self.fidelities) - 1) for config in cands])
+        levels = [self._memo(config) for config in cands]  # a constant-liar fantasy sits at its suggestion's level
+        return np.array([len(self.fidelities) - 1 if level is None else level for level in levels])
 
-    def _pick(self, cands: list[Configuration]) -> Configuration:
+    def _pick(self, cands: list[Configuration]) -> tuple[Configuration, int]:
         top = len(self.fidelities) - 1
         scores, at_top = self.history.scores(), self._trial_column(self.history.completed()) == top
         best = float(scores[at_top].min() if at_top.any() else scores.min())
@@ -126,8 +120,7 @@ class MultiFidelityBO(BayesianOptimizer):
             correlation = B[level, top] / math.sqrt(B[level, level] * B[top, top])
             utility[level] = self.acquisition(mean, std, best) * correlation / self.fidelities[level].cost
         level, i = np.unravel_index(np.argmax(utility), utility.shape)
-        self._suggested[cands[i]] = int(level)
-        return cands[i]
+        return cands[i], int(level)
 
     def _digest_state(self) -> dict[str, object]:
         return {**super()._digest_state(), "n_suggested": self._n_suggested}
@@ -156,10 +149,11 @@ class HyperbandOptimizer(Optimizer):
     its best ``1/ETA`` are suggested again at ``ETA`` times the budget, up to
     ``max_budget``. Brackets cycle from ``s_max`` down to plain random search
     at full budget (``s = 0``); while every open bracket waits on trials, the
-    next one opens. A suggestion's budget is its :meth:`suggested_fidelity`,
-    and a told trial joins its rung by configuration and fidelity; one it did
-    not suggest (foreign, or re-observed on resume) joins no rung. The
-    incumbent is the best trial at ``max_budget``.
+    next one opens. A suggestion's memo is its rung's budget and bracket: the
+    budget is its :meth:`suggested_fidelity`, and its tell joins that rung
+    (ranked last if it failed or ran at another budget); a trial it did not
+    suggest (foreign, or re-observed on resume) joins no rung. The incumbent
+    is the best trial at ``max_budget``.
     """
 
     def __init__(
@@ -177,8 +171,6 @@ class HyperbandOptimizer(Optimizer):
         self.s_max = int(math.floor(math.log(max_budget / min_budget, ETA) + 1e-9))
         self._brackets: list[_Bracket] = []
         self._n_opened = 0
-        # configuration -> (budget, bracket) of each of its suggestions not told yet
-        self._slots: dict[Configuration, list[tuple[float, _Bracket]]] = {}
 
     def _open_bracket(self) -> _Bracket:
         s = self.s_max - self._n_opened % (self.s_max + 1)
@@ -189,28 +181,23 @@ class HyperbandOptimizer(Optimizer):
         self._brackets.append(bracket)
         return bracket
 
-    def _suggest(self) -> Configuration:
+    def _suggest(self) -> tuple[Configuration, tuple[float, _Bracket]]:
         bracket = next((b for b in self._brackets if b.queue), None) or self._open_bracket()
-        config = bracket.queue.pop(0)
         bracket.out += 1
-        self._slots.setdefault(config, []).append((bracket.budgets[bracket.rung], bracket))
-        return config
+        return bracket.queue.pop(0), (bracket.budgets[bracket.rung], bracket)
 
     def suggested_fidelity(self, config: Configuration) -> float | None:
-        slots = self._slots.get(config)
-        return slots[-1][0] if slots else None
+        memo = self._memo(config)
+        return None if memo is None else memo[0]
 
-    def _on_observe(self, trial: Trial) -> None:
-        slots = self._slots.get(trial.config, [])
-        match = next((k for k, (budget, _) in enumerate(slots) if budget == trial.fidelity), None)
-        if match is None:
+    def _on_observe(self, trial: Trial, memo: tuple[float, _Bracket] | None) -> None:
+        if memo is None:
             return
-        _, bracket = slots.pop(match)
-        if not slots:
-            del self._slots[trial.config]
+        budget, bracket = memo
         bracket.out -= 1
-        score = self.objective.score(trial.metrics[self.objective.name]) if trial.ok else math.inf
-        bracket.results.append((score, trial.config))  # a failure ranks last, whatever its imputation
+        ranked = trial.ok and trial.fidelity == budget  # a failure ranks last, whatever its imputation
+        score = self.objective.score(trial.metrics[self.objective.name]) if ranked else math.inf
+        bracket.results.append((score, trial.config))
         if bracket.queue or bracket.out:
             return
         if bracket.rung + 1 == len(bracket.budgets):

@@ -33,10 +33,6 @@ class ParticleSwarmOptimizer(Optimizer):
         Swarm size.
     """
 
-    #: Observations are matched to suggestions by queue order, so
-    #: foreign observations would corrupt the population state.
-    accepts_foreign_observations = False
-
     def __init__(
         self,
         space: ConfigurationSpace,
@@ -58,15 +54,15 @@ class ParticleSwarmOptimizer(Optimizer):
         self.gbest_score = np.inf
 
         self._cursor = 0  # particle to evaluate next
-        self._pending: list[int] = []
+        self._told = 0  # tells of this swarm's own suggestions
 
-    def _suggest(self) -> Configuration:
+    def _suggest(self) -> tuple[Configuration, tuple[int, np.ndarray]]:
         idx = self._cursor
         self._cursor = (self._cursor + 1) % self.n_particles
-        if idx == 0 and len(self.history) >= self.n_particles:
+        if idx == 0 and self._told >= self.n_particles:
             self._advance_swarm()
-        self._pending.append(idx)
-        return self.space.from_unit_array(np.clip(self.positions[idx], 0.0, 1.0))
+        position = self.positions[idx].copy()
+        return self.space.from_unit_array(np.clip(position, 0.0, 1.0)), (idx, position)
 
     def _advance_swarm(self) -> None:
         r1 = self.rng.random(self.positions.shape)
@@ -79,22 +75,23 @@ class ParticleSwarmOptimizer(Optimizer):
         np.clip(self.velocities, -V_MAX, V_MAX, out=self.velocities)
         self.positions = np.clip(self.positions + self.velocities, 0.0, 1.0)
 
-    def _on_observe(self, trial: Trial) -> None:
-        if not self._pending:
-            return  # warm-start data: no particle attached
-        idx = self._pending.pop(0)
+    def _on_observe(self, trial: Trial, memo: tuple[int, np.ndarray] | None) -> None:
+        if memo is None:
+            return  # not suggested by this swarm (warm start, an ensemble sibling's): no particle attached
+        self._told += 1
+        idx, position = memo
         obj = self.objective
         score = obj.score(trial.metric(obj.name))
         if score < self.pbest_score[idx]:
             self.pbest_score[idx] = score
-            self.pbest_pos[idx] = self.positions[idx].copy()
+            self.pbest_pos[idx] = position
         if score < self.gbest_score:
             self.gbest_score = score
-            self.gbest_pos = self.positions[idx].copy()
+            self.gbest_pos = position
 
     def _digest_state(self) -> dict[str, object]:
         return {
             "cursor": self._cursor,
-            "pending": list(self._pending),
+            "pending": [idx for idx, _ in self._untold_memos()],
             "gbest_score": None if self.gbest_score == np.inf else round(float(self.gbest_score), 12),
         }

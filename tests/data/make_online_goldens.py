@@ -12,7 +12,14 @@ cases were re-recorded, alone, when ``ContextualBOTuner`` became a policy over
 ``ContextualBayesianOptimizer``: it now conditions on every feedback, re-fits
 hyperparameters on BO's cadence with a seeded GP, and draws its trust region at
 ``uniform(0.01, TRUST_RADIUS)``, so its proposals moved from the second or
-third model step on. The other ten cases are byte-identical.
+third model step on. The other ten cases are byte-identical. The two
+``contextual-bo`` cases were re-recorded once more, alone, when
+``acquisition.trust_region`` began drawing its neighbours in one
+``space.neighbor_many`` call (all step sizes first, then the knobs, in
+place of one ``space.neighbor`` per neighbour): the RNG draws come in a
+different order, and a neighbour that violates a constraint falls back to
+the centre instead of being redrawn. The other ten cases stayed
+byte-identical.
 
 Regenerate (only when a behaviour change is intended and explained)::
 

@@ -52,12 +52,16 @@ class TestEnsemble:
         assert len(opt.members["random"].history) == 20
 
     def test_generation_members_only_see_their_own(self):
+        """A CMA-ES member sees every trial, but its populations are built
+        only from its own suggestions: a sibling's trial carries no sample."""
         members = dict(MEMBERS)
         members["cmaes"] = lambda s: CMAESOptimizer(s, seed=0)
         opt = EnsembleOptimizer(bowl_space(), members, seed=0)
         TuningSession(opt, quadratic_evaluator(), max_trials=40).run()
         cmaes = opt.members["cmaes"]
-        assert len(cmaes.history) == opt.allocation()["cmaes"]
+        assert len(cmaes.history) == 40
+        assert cmaes.generation >= 1
+        assert cmaes.generation * cmaes.lam + len(cmaes._results) == opt.allocation()["cmaes"]
 
     def test_credit_shifts_allocation(self):
         """A member that only produces terrible points should be starved."""

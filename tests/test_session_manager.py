@@ -196,6 +196,27 @@ class TestDurability:
         again = manager.resume("s1")
         assert [s.config for _ in range(4) for s in again.ask()] == second
 
+    def test_a_tell_from_before_a_resume_keeps_its_own_config(self, simple_space):
+        """Ask ids restart with every epoch, so a report for an ask made
+        before a resume can carry the id of a new ask for another
+        configuration. It is recorded under its own values, and the new ask
+        still pairs with its own report."""
+        store = MemoryTrialStore()
+        manager = SessionManager(store)
+        session = manager.create(simple_space, optimizer="random", seed=7, max_trials=10, session_id="s1")
+        told, before = session.ask(count=2)
+        session.tell(TrialReport(config=told.config, metrics=evaluate(told.config), ask_id=told.ask_id))
+        resumed = manager.resume("s1")
+        _, after = resumed.ask(count=2)
+        assert before.ask_id == after.ask_id and before.config != after.config
+        for s in (before, after):
+            trial, _ = resumed.tell(TrialReport(config=s.config, metrics=evaluate(s.config), ask_id=s.ask_id))
+            assert trial.config.as_dict() == s.config
+        _, first, second = store.load_trials("s1")
+        assert first["config"] == before.config and first["metrics"] == evaluate(before.config)
+        assert first["provenance"]["ask"] is None  # the unknown-ask path: no suggest call to point at
+        assert second["config"] == after.config and second["provenance"]["ask"]["i"] == 1
+
     def test_resumed_dbms_session_keeps_its_constraint(self, tmp_path):
         """The DBMS space's ``wal_fits_bp`` is stored with the session, so a
         resumed incarnation samples inside it as the live one did."""

@@ -214,6 +214,22 @@ class TestGeneticAlgorithm:
         res = TuningSession(opt, cat_evaluator, max_trials=100).run()
         assert res.best_config["mode"] == "good"
 
+    def test_score_ties_are_no_error(self):
+        opt = GeneticAlgorithmOptimizer(bowl_space(2), population_size=4, seed=0)
+        TuningSession(opt, lambda config: (1.0, 1.0), max_trials=16).run()
+        assert opt.generation >= 3
+
+    def test_a_tell_from_a_replaced_generation_scores_nobody(self):
+        opt = GeneticAlgorithmOptimizer(bowl_space(2), population_size=4, seed=0)
+        for score, config in enumerate(opt.suggest(3)):
+            opt.observe(config, float(score))
+        straggler, first_child = opt.suggest(2)  # the last of generation 0, then generation 1 opens
+        assert opt.generation == 1
+        opt.observe(straggler, 0.0)
+        assert opt._scores == [None] * 4
+        opt.observe(first_child, 2.0)
+        assert opt._scores == [2.0, None, None, None]
+
     def test_validation(self):
         with pytest.raises(OptimizerError):
             GeneticAlgorithmOptimizer(bowl_space(1), population_size=2)
