@@ -17,7 +17,7 @@ the table decide nothing.
 import numpy as np
 
 from repro.core import TuningSession
-from repro.online import ContextualBayesianOptimizer, ContextualBOTuner, OnlineTuningAgent, StaticConfigPolicy
+from repro.online import ContextualBayesianOptimizer, OnlineTuningAgent, StaticConfigPolicy
 from repro.optimizers import BayesianOptimizer
 from repro.sysim import CloudEnvironment, SimulatedDBMS
 from repro.workloads import PhasedTrace, tpcc, ycsb
@@ -51,16 +51,9 @@ class _WarmStartBO(ContextualBayesianOptimizer):
         self._start = start
 
     def _before_model(self):
-        if len(self.history) < self.n_init:
+        if len(self.history.completed()) < self.n_init:
             return self.space.neighbor(self._start, self.rng, scale=0.05)
         return None
-
-
-def _warm_contextual_bo(space, start, seed, n_candidates):
-    """Offline+online: the contextual-BO policy over :class:`_WarmStartBO`."""
-    policy = ContextualBOTuner(space, seed=seed, n_candidates=n_candidates)
-    policy.optimizer = _WarmStartBO(space, start, seed=seed, n_candidates=n_candidates)
-    return policy
 
 
 def _run(policy_factory, seed, phases=(PHASE1, PHASE2)):
@@ -76,7 +69,7 @@ def _run(policy_factory, seed, phases=(PHASE1, PHASE2)):
 def _post_shift_pair(seed):
     """Post-shift throughput of offline+online and of offline-static, same seed, powered phases."""
     offline = _offline_best(seed)
-    combined = _run(lambda sub, s: _warm_contextual_bo(sub, offline, s, 32), seed, POWERED_PHASES)
+    combined = _run(lambda sub, s: _WarmStartBO(sub, offline, seed=s, n_candidates=32), seed, POWERED_PHASES)
     static = _run(lambda sub, s: StaticConfigPolicy(offline), seed, POWERED_PHASES)
     return combined[1], static[1]
 
@@ -87,8 +80,8 @@ def test_e18_online_vs_offline(table):
         strategies = {
             "default (untuned)": lambda sub, s: StaticConfigPolicy(sub.default_configuration()),
             "offline-static": lambda sub, s: StaticConfigPolicy(_offline_best(s)),
-            "online (ctx-BO)": lambda sub, s: ContextualBOTuner(sub, seed=s, n_candidates=64),
-            "offline+online": lambda sub, s: _warm_contextual_bo(sub, _offline_best(s), s, 64),
+            "online (ctx-BO)": lambda sub, s: ContextualBayesianOptimizer(sub, seed=s, n_candidates=64),
+            "offline+online": lambda sub, s: _WarmStartBO(sub, _offline_best(s), seed=s, n_candidates=64),
         }
         for name, factory in strategies.items():
             runs = [_run(factory, seed) for seed in range(2)]

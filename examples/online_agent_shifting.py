@@ -14,7 +14,13 @@ import numpy as np
 
 from repro import Objective
 from repro.analysis import print_table
-from repro.online import ContextualBOTuner, Guardrail, HybridBanditTuner, OnlineTuningAgent, StaticConfigPolicy
+from repro.online import (
+    ContextualBayesianOptimizer,
+    Guardrail,
+    HybridBanditTuner,
+    OnlineTuningAgent,
+    StaticConfigPolicy,
+)
 from repro.sysim import CloudEnvironment, SimulatedDBMS
 from repro.workloads import PhasedTrace, tpcc, ycsb
 
@@ -29,7 +35,7 @@ def run(policy_name: str):
     if policy_name == "static default":
         policy = StaticConfigPolicy(space.default_configuration())
     elif policy_name == "contextual BO agent":
-        policy = ContextualBOTuner(space, seed=0, n_candidates=64)
+        policy = ContextualBayesianOptimizer(space, seed=0, n_candidates=64)
     else:
         policy = HybridBanditTuner(space, seed=0)
     agent = OnlineTuningAgent(db, policy, THROUGHPUT, guardrail=Guardrail(tolerance=0.3))

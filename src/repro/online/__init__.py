@@ -5,17 +5,14 @@ from .._lazy import lazy_exports
 # Public name -> defining submodule, imported on first use (see repro.optimizers).
 _EXPORTS = {
     "ActorCriticTuner": ".actor_critic",
-    "OnlinePolicyOptimizer": ".adapters",
-    "OptimizerPolicy": ".adapters",
     "OnlinePolicy": ".agent",
     "OnlineResult": ".agent",
     "OnlineStepRecord": ".agent",
     "OnlineTuningAgent": ".agent",
-    "ContextualBOTuner": ".contextual",
+    "REWARD": ".agent",
+    "StaticConfigPolicy": ".agent",
     "ContextualBayesianOptimizer": ".contextual",
-    "StaticConfigPolicy": ".contextual",
     "GeneticAlgorithmOptimizer": ".genetic",
-    "GeneticOnlineTuner": ".genetic",
     "GreedyOnlineTuner": ".greedy",
     "HybridBanditTuner": ".hybrid",
     "ProactiveForecastTuner": ".proactive",

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..exceptions import OptimizerError, SpaceError
 from ..space import Configuration, ConfigurationSpace
+from ..core.optimizer import Trial
 from ..space.params import CategoricalParameter
 from .agent import OnlinePolicy
 
@@ -48,7 +49,7 @@ class ActorCriticTuner(OnlinePolicy):
         sigma_min: float = 0.02,
         seed: int | None = None,
     ) -> None:
-        self.space = space
+        super().__init__(space, seed=seed)
         names = list(knobs) if knobs is not None else list(space.names)
         self.knobs = [
             n for n in names if not isinstance(space[n], CategoricalParameter)
@@ -60,13 +61,11 @@ class ActorCriticTuner(OnlinePolicy):
         self.sigma = float(sigma)
         self.sigma_decay = float(sigma_decay)
         self.sigma_min = float(sigma_min)
-        self.rng = np.random.default_rng(seed)
 
         self._n_actions = len(self.knobs)
         self._W: np.ndarray | None = None  # actor weights (actions × features)
         self._b: np.ndarray | None = None  # actor bias = initial knob positions
         self._v: np.ndarray | None = None  # critic weights
-        self._last: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # (features, action, mean)
 
     def _features(self, observation: np.ndarray) -> np.ndarray:
         obs = np.asarray(observation, dtype=float).ravel()
@@ -84,32 +83,29 @@ class ActorCriticTuner(OnlinePolicy):
         return np.clip(self._W @ phi + self._b, 0.0, 1.0)
 
     # -- OnlinePolicy --------------------------------------------------------
-    def propose(self, observation: np.ndarray) -> Configuration:
+    def propose(self, observation: np.ndarray) -> tuple[Configuration, tuple[np.ndarray, ...]]:
         phi = self._features(observation)
         self._lazy_init(phi)
         mean = self._mean_action(phi)
         action = np.clip(mean + self.rng.normal(0.0, self.sigma, self._n_actions), 0.0, 1.0)
-        self._last = (phi, action, mean)
+        memo = (phi, action, mean)
         values = self.space.default_configuration().as_dict()
         for k, u in zip(self.knobs, action):
             values[k] = self.space[k].from_unit(float(u))
         try:
-            return self.space.make(values)
+            return self.space.make(values), memo
         except SpaceError:
             # Infeasible joint move: fall back to the mean action.
             for k, u in zip(self.knobs, mean):
                 values[k] = self.space[k].from_unit(float(u))
-            return self.space.make(values, check_constraints=False)
+            return self.space.make(values, check_constraints=False), memo
 
-    def feedback(self, observation: np.ndarray, config: Configuration, reward: float) -> None:
-        if self._last is None:
-            return
-        phi, action, mean = self._last
-        next_phi = self._features(observation)
-        # TD(0) critic update.
+    def feedback(self, trial: Trial, memo: tuple[np.ndarray, ...], reward: float) -> None:
+        phi, action, mean = memo
+        # TD(0) critic update, bootstrapping from the proposal's own features, not the
+        # next ones: the next observation is not known at tell (a known fault, ROADMAP item 21).
         v_s = float(self._v @ phi)
-        v_next = float(self._v @ next_phi)
-        delta = float(np.clip(reward + GAMMA * v_next - v_s, -2.0, 2.0))
+        delta = float(np.clip(reward + GAMMA * v_s - v_s, -2.0, 2.0))
         self._v += CRITIC_LR * delta * phi
         # Policy gradient for a Gaussian policy: ∇ log π ∝ (a − μ)/σ².
         # Normalised by σ (not σ²) — a natural-gradient-style step that keeps

@@ -17,51 +17,48 @@ from ..optimizers.acquisition import trust_region
 from ..optimizers.bo import BayesianOptimizer
 from ..optimizers.gp import default_kernel
 from ..space import Configuration, ConfigurationSpace
-from .adapters import OptimizerPolicy
-from .agent import OnlinePolicy
+from .agent import REWARD, no_observation
 
-__all__ = ["ContextualBOTuner", "ContextualBayesianOptimizer", "StaticConfigPolicy"]
+__all__ = ["ContextualBayesianOptimizer"]
 
 #: Probability of scoring a global random candidate set instead of the trust region.
 EXPLORE_PROB = 0.10
 
 
-class StaticConfigPolicy(OnlinePolicy):
-    """Baseline: always apply one fixed configuration (offline-tuned or default)."""
-
-    def __init__(self, config: Configuration) -> None:
-        self.config = config
-
-    def propose(self, observation: np.ndarray) -> Configuration:
-        return self.config
-
-    def feedback(self, observation: np.ndarray, config: Configuration, reward: float) -> None:
-        pass  # nothing to learn
-
-
 class ContextualBayesianOptimizer(BayesianOptimizer):
-    """BO over (config ⊕ context), scored at the live context.
+    """BO over (config ⊕ context), scored at the live context; it learns the
+    step's :data:`~repro.online.agent.REWARD`.
 
-    A trial's context is its ``context["observation"]``; :meth:`set_observation`
-    gives the live one before each suggestion. Safety comes from the candidates:
-    the initial design circles the space default, then a trust region around
-    the best configuration of similar contexts, with :data:`EXPLORE_PROB` of
-    global draws. (Under BO's 70 %-global pool, E18 (d)'s powered lower end
-    falls to 0.54–0.58.)
+    Each suggestion reads the live context from ``observation_fn`` (an agent
+    sets its own; the first one fixes the context width) and keeps it as its
+    memo, which the tell writes to the trial's ``context["observation"]`` —
+    crashed steps included. Safety comes from the candidates: the initial
+    design circles the space default, then a trust region around the best
+    configuration of similar contexts, with :data:`EXPLORE_PROB` of global
+    draws. (Under BO's 70 %-global pool, E18 (d)'s powered lower end falls
+    to 0.54–0.58.)
     """
+
+    #: The live observation; an agent sets its own.
+    observation_fn = staticmethod(no_observation)
 
     def __init__(
         self, space: ConfigurationSpace, n_init: int = 6, n_candidates: int = 128, seed: int | None = None
     ) -> None:
-        super().__init__(space, n_init=n_init, n_candidates=n_candidates, seed=seed)
+        super().__init__(space, n_init=n_init, n_candidates=n_candidates, objectives=REWARD, seed=seed)
         self.observation: np.ndarray | None = None
 
-    def set_observation(self, observation: np.ndarray) -> None:
-        """Score the next suggestions at ``observation``; the first one fixes the context width."""
-        observation = np.asarray(observation, dtype=float).ravel()
+    def _suggest(self) -> tuple[Configuration, np.ndarray]:
+        observation = np.asarray(self.observation_fn(), dtype=float).ravel()
         if self.observation is None:
             self.model.kernel = default_kernel(self.encoder.n_features + len(observation))
         self.observation = observation
+        return super()._suggest(), observation
+
+    def _on_observe(self, trial: Trial, memo: np.ndarray | None) -> None:
+        if memo is not None:
+            trial.context["observation"] = [float(x) for x in memo]
+        super()._on_observe(trial, memo)
 
     def _trial_column(self, trials: list[Trial]) -> np.ndarray:
         return np.array([t.context["observation"] for t in trials], dtype=float)
@@ -70,7 +67,7 @@ class ContextualBayesianOptimizer(BayesianOptimizer):
         return np.tile(self.observation, (len(cands), 1))
 
     def _before_model(self) -> Configuration | None:
-        if len(self.history) < self.n_init:
+        if len(self.history.completed()) < self.n_init:  # crash scores are imputed from the real ones
             return self.space.neighbor(self.space.default_configuration(), self.rng, scale=0.1)
         return None
 
@@ -84,16 +81,3 @@ class ContextualBayesianOptimizer(BayesianOptimizer):
         near = np.flatnonzero(dists <= np.quantile(dists, 0.3))
         anchor = trials[near[np.argmin(self.history.scores()[near])]].config
         return trust_region(self.space, self.rng, anchor, self.n_candidates)
-
-
-class ContextualBOTuner(OptimizerPolicy):
-    """The online policy over :class:`ContextualBayesianOptimizer` (``n_init`` steps near the default first)."""
-
-    def __init__(
-        self, space: ConfigurationSpace, n_init: int = 6, n_candidates: int = 128, seed: int | None = None
-    ) -> None:
-        super().__init__(ContextualBayesianOptimizer(space, n_init=n_init, n_candidates=n_candidates, seed=seed))
-
-    def propose(self, observation: np.ndarray) -> Configuration:
-        self.optimizer.set_observation(observation)
-        return super().propose(observation)

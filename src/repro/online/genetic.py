@@ -1,14 +1,11 @@
 """Genetic-algorithm tuning (HUNTER's engine, slide 81).
 
 A steady population of configurations evolves by tournament selection,
-uniform crossover, and neighbourhood mutation. Usable two ways:
-
-* as a plain ask/tell :class:`GeneticAlgorithmOptimizer` (offline), and
-* as an :class:`OnlinePolicy` (:class:`GeneticOnlineTuner`, the GA behind
-  :class:`~repro.online.adapters.OptimizerPolicy`) that evaluates one
-  individual per production step — HUNTER's hybrid pattern of trying
-  candidates on cloned instances maps to evaluating them on successive
-  steps here.
+uniform crossover, and neighbourhood mutation. Offline it is a plain ask/tell
+optimizer; online (``objectives=REWARD``) the agent drives it directly, one
+individual per production step — HUNTER's hybrid pattern of trying
+candidates on cloned instances maps to evaluating them on successive steps
+here.
 """
 
 from __future__ import annotations
@@ -16,9 +13,8 @@ from __future__ import annotations
 from ..core import Objective, Optimizer, Trial
 from ..exceptions import OptimizerError, SpaceError
 from ..space import Configuration, ConfigurationSpace
-from .adapters import OptimizerPolicy
 
-__all__ = ["GeneticAlgorithmOptimizer", "GeneticOnlineTuner"]
+__all__ = ["GeneticAlgorithmOptimizer"]
 
 #: Per-individual probability of a mutation after crossover.
 MUTATION_RATE = 0.3
@@ -109,6 +105,3 @@ class GeneticAlgorithmOptimizer(Optimizer):
         obj = self.objective
         self._scores[memo[1]] = obj.score(trial.metric(obj.name))
 
-
-class GeneticOnlineTuner(OptimizerPolicy):
-    """Online wrapper: one individual evaluated per production step."""

@@ -2,8 +2,9 @@
 
 "AutoSteer: applies greedy search to incrementally improve configurations,
 balancing exploration & exploitation." The policy holds a current
-configuration, proposes single-knob moves, adopts a move when its measured
-reward beats the incumbent's running estimate, and reverts otherwise —
+configuration, measures it until it has a reward estimate, then proposes
+single-knob moves, adopts a move when its own measured reward beats the
+incumbent's estimate, and reverts otherwise —
 cautious, explainable ("we changed exactly one knob and it helped"), and
 inherently regression-limited.
 """
@@ -14,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.optimizer import Trial
 from ..exceptions import OptimizerError, SpaceError
 from ..space import Configuration, ConfigurationSpace
 from .agent import OnlinePolicy
@@ -26,6 +28,8 @@ EMA = 0.5
 
 class GreedyOnlineTuner(OnlinePolicy):
     """Hill climbing with single-knob moves and revert-on-regression.
+
+    A proposal's memo says whether it is a move or an incumbent measurement.
 
     Parameters
     ----------
@@ -48,7 +52,7 @@ class GreedyOnlineTuner(OnlinePolicy):
             raise OptimizerError(f"step must be in (0, 0.5], got {step}")
         if patience < 1:
             raise OptimizerError(f"patience must be >= 1, got {patience}")
-        self.space = space
+        super().__init__(space, seed=seed)
         self.knobs = list(knobs) if knobs is not None else list(space.names)
         for k in self.knobs:
             if k not in space:
@@ -56,10 +60,8 @@ class GreedyOnlineTuner(OnlinePolicy):
         self.step = float(step)
         self.base_step = float(step)
         self.patience = int(patience)
-        self.rng = np.random.default_rng(seed)
         self.current = space.default_configuration()
         self._current_reward: float | None = None
-        self._pending: Configuration | None = None
         self._fails = 0
         self.moves_adopted = 0
         self.moves_reverted = 0
@@ -78,16 +80,13 @@ class GreedyOnlineTuner(OnlinePolicy):
         except SpaceError:
             return self.current
 
-    def propose(self, observation: np.ndarray) -> Configuration:
-        # Alternate: re-measure the incumbent, then try one move.
-        if self._current_reward is None or self._pending is not None:
-            self._pending = None
-            return self.current
-        self._pending = self._propose_move()
-        return self._pending
+    def propose(self, observation: np.ndarray) -> tuple[Configuration, bool]:
+        if self._current_reward is None:
+            return self.current, False
+        return self._propose_move(), True
 
-    def feedback(self, observation: np.ndarray, config: Configuration, reward: float) -> None:
-        if self._pending is None or config != self._pending:
+    def feedback(self, trial: Trial, is_move: bool, reward: float) -> None:
+        if not is_move:
             # Incumbent measurement: update its running estimate.
             if self._current_reward is None:
                 self._current_reward = reward
@@ -96,7 +95,7 @@ class GreedyOnlineTuner(OnlinePolicy):
             return
         # Verdict on the attempted move.
         if reward > self._current_reward:
-            self.current = self._pending
+            self.current = trial.config
             self._current_reward = reward
             self._fails = 0
             self.step = self.base_step
@@ -107,4 +106,3 @@ class GreedyOnlineTuner(OnlinePolicy):
             if self._fails >= self.patience:
                 self.step = min(0.5, self.step * 2.0)  # widen the search
                 self._fails = 0
-        self._pending = None

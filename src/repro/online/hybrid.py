@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.optimizer import Trial
 from ..exceptions import SpaceError
 from ..space import Configuration, ConfigurationSpace
 from ..space.params import CategoricalParameter
@@ -41,7 +42,6 @@ class _Exp3Bandit:
         self.weights = np.zeros(n_arms)
         self.lr = lr
         self.rng = rng
-        self.last_arm = 0
 
     def probabilities(self) -> np.ndarray:
         z = self.weights - self.weights.max()
@@ -49,26 +49,27 @@ class _Exp3Bandit:
         return p / p.sum()
 
     def pull(self) -> int:
-        self.last_arm = int(self.rng.choice(len(self.weights), p=self.probabilities()))
-        return self.last_arm
+        return int(self.rng.choice(len(self.weights), p=self.probabilities()))
 
-    def update(self, reward: float) -> None:
-        p = self.probabilities()[self.last_arm]
+    def update(self, arm: int, reward: float) -> None:
+        p = self.probabilities()[arm]
         # Importance-weighted gain estimate.
-        self.weights[self.last_arm] += self.lr * reward / max(p, 1e-6)
+        self.weights[arm] += self.lr * reward / max(p, 1e-6)
         self.weights -= self.weights.max()  # keep numerically tame
 
 
 class HybridBanditTuner(OnlinePolicy):
-    """Discrete knobs via Exp3, numeric knobs via one-point SPSA."""
+    """Discrete knobs via Exp3, numeric knobs via one-point SPSA.
+
+    A proposal's memo is its perturbation and the arm it pulled per discrete knob.
+    """
 
     def __init__(
         self,
         space: ConfigurationSpace,
         seed: int | None = None,
     ) -> None:
-        self.space = space
-        self.rng = np.random.default_rng(seed)
+        super().__init__(space, seed=seed)
 
         self.numeric_knobs = [p.name for p in space.parameters if not isinstance(p, CategoricalParameter)]
         self.discrete_knobs = [p.name for p in space.parameters if isinstance(p, CategoricalParameter)]
@@ -78,41 +79,35 @@ class HybridBanditTuner(OnlinePolicy):
             k: _Exp3Bandit(space[k].n_choices, BANDIT_LR, self.rng) for k in self.discrete_knobs
         }
         self._baseline: float | None = None
-        self._last_delta: np.ndarray | None = None
 
-    def propose(self, observation: np.ndarray) -> Configuration:
+    def propose(self, observation: np.ndarray) -> tuple[Configuration, tuple[np.ndarray, dict[str, int]]]:
         values = {}
         delta = self.rng.choice([-1.0, 1.0], size=len(self.numeric_knobs))
         probe = np.clip(self.center + PERTURBATION * delta, 0.0, 1.0)
-        self._last_delta = delta
         for k, u in zip(self.numeric_knobs, probe):
             values[k] = self.space[k].from_unit(float(u))
-        for k, bandit in self.bandits.items():
-            values[k] = self.space[k].choices[bandit.pull()]
+        arms = {k: bandit.pull() for k, bandit in self.bandits.items()}
+        for k, arm in arms.items():
+            values[k] = self.space[k].choices[arm]
         try:
-            return self.space.make(values)
+            return self.space.make(values), (delta, arms)
         except SpaceError:
             # Infeasible probe: propose the unperturbed centre instead.
             for k, u in zip(self.numeric_knobs, self.center):
                 values[k] = self.space[k].from_unit(float(u))
-            return self.space.make(values, check_constraints=False)
+            return self.space.make(values, check_constraints=False), (delta, arms)
 
-    def feedback(self, observation: np.ndarray, config: Configuration, reward: float) -> None:
+    def feedback(self, trial: Trial, memo: tuple[np.ndarray, dict[str, int]], reward: float) -> None:
+        delta, arms = memo
         if self._baseline is None:
             self._baseline = reward
         advantage = reward - self._baseline
         self._baseline = BASELINE_DECAY * self._baseline + (1 - BASELINE_DECAY) * reward
-        if self._last_delta is not None:
-            # One-point gradient estimate: move toward perturbations that
-            # beat the baseline, away from the ones that lost to it.
-            self.center = np.clip(
-                self.center + NUMERIC_LR * advantage * self._last_delta * PERTURBATION,
-                0.0,
-                1.0,
-            )
-            self._last_delta = None
-        for bandit in self.bandits.values():
-            bandit.update(advantage)
+        # One-point gradient estimate: move toward perturbations that
+        # beat the baseline, away from the ones that lost to it.
+        self.center = np.clip(self.center + NUMERIC_LR * advantage * delta * PERTURBATION, 0.0, 1.0)
+        for k, bandit in self.bandits.items():
+            bandit.update(arms[k], advantage)
 
     def center_config(self) -> Configuration:
         """The current exploitation configuration (centre + greedy arms)."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.optimizer import Trial
 from ..exceptions import ReproError
 from ..space import Configuration, ConfigurationSpace
 from ..workload_id.forecasting import SeasonalForecaster
@@ -31,6 +32,8 @@ LOAD_INDEX = 0
 
 class ProactiveForecastTuner(OnlinePolicy):
     """Per-load-band incumbents, selected by a seasonal forecast.
+
+    A proposal's memo is the band it was proposed for.
 
     Parameters
     ----------
@@ -55,16 +58,14 @@ class ProactiveForecastTuner(OnlinePolicy):
             raise ReproError(f"need >= 2 load bands, got {n_bands}")
         if not 0.0 <= explore_prob <= 1.0:
             raise ReproError(f"explore_prob must be in [0, 1], got {explore_prob}")
-        self.space = space
+        super().__init__(space, seed=seed)
         self.n_bands = int(n_bands)
         self.explore_prob = float(explore_prob)
-        self.rng = np.random.default_rng(seed)
         self.forecaster = SeasonalForecaster(period=period)
         self._loads: list[float] = []
         default = space.default_configuration()
         self._incumbent = [default for _ in range(self.n_bands)]
         self._incumbent_reward = [-np.inf] * self.n_bands
-        self._last: tuple[int, Configuration] | None = None
 
     # -- load banding -----------------------------------------------------------
     def _band_of(self, load: float) -> int:
@@ -82,7 +83,7 @@ class ProactiveForecastTuner(OnlinePolicy):
         return current
 
     # -- OnlinePolicy ------------------------------------------------------------
-    def propose(self, observation: np.ndarray) -> Configuration:
+    def propose(self, observation: np.ndarray) -> tuple[Configuration, int]:
         load = float(np.asarray(observation).ravel()[LOAD_INDEX])
         self._loads.append(load)
         self.forecaster.update(load)
@@ -92,20 +93,15 @@ class ProactiveForecastTuner(OnlinePolicy):
             candidate = self.space.neighbor(incumbent, self.rng, scale=0.15)
         else:
             candidate = incumbent
-        self._last = (band, candidate)
-        return candidate
+        return candidate, band
 
-    def feedback(self, observation: np.ndarray, config: Configuration, reward: float) -> None:
-        if self._last is None:
-            return
-        band, candidate = self._last
+    def feedback(self, trial: Trial, band: int, reward: float) -> None:
         if reward > self._incumbent_reward[band]:
-            self._incumbent[band] = candidate
+            self._incumbent[band] = trial.config
             self._incumbent_reward[band] = reward
         else:
             # Incumbent estimates decay slowly so stale bests get re-earned.
             self._incumbent_reward[band] *= 0.995 if self._incumbent_reward[band] > 0 else 1.005
-        self._last = None
 
     @property
     def band_incumbents(self) -> list[Configuration]:

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..exceptions import OptimizerError, SpaceError
 from ..space import Configuration, ConfigurationSpace
+from ..core.optimizer import Trial
 from ..space.params import CategoricalParameter
 from .agent import OnlinePolicy
 
@@ -52,7 +53,7 @@ class QLearningTuner(OnlinePolicy):
         epsilon_decay: float = 0.995,
         seed: int | None = None,
     ) -> None:
-        self.space = space
+        super().__init__(space, seed=seed)
         self.knobs = list(knobs) if knobs is not None else list(space.names)
         for k in self.knobs:
             if k not in space:
@@ -62,14 +63,12 @@ class QLearningTuner(OnlinePolicy):
         self.step = float(step)
         self.epsilon = float(epsilon)
         self.epsilon_decay = float(epsilon_decay)
-        self.rng = np.random.default_rng(seed)
         # Actions: (knob_index, direction) plus a no-op.
         self._actions: list[tuple[int, int]] = [(-1, 0)]
         for i, _ in enumerate(self.knobs):
             self._actions.extend([(i, +1), (i, -1)])
         self.q: dict[tuple, np.ndarray] = defaultdict(lambda: np.zeros(len(self._actions)))
         self._config = space.default_configuration()
-        self._last: tuple[tuple, int] | None = None
 
     # -- state/action plumbing ----------------------------------------------
     def _state_key(self, observation: np.ndarray) -> tuple:
@@ -94,22 +93,20 @@ class QLearningTuner(OnlinePolicy):
             return self._config  # infeasible move: hold position
 
     # -- OnlinePolicy -----------------------------------------------------------
-    def propose(self, observation: np.ndarray) -> Configuration:
+    def propose(self, observation: np.ndarray) -> tuple[Configuration, tuple[tuple, int]]:
         state = self._state_key(observation)
         if self.rng.random() < self.epsilon:
             action = int(self.rng.integers(len(self._actions)))
         else:
             qvals = self.q[state]
             action = int(self.rng.choice(np.flatnonzero(qvals == qvals.max())))
-        self._last = (state, action)
         self._config = self._apply_action(action)
-        return self._config
+        return self._config, (state, action)
 
-    def feedback(self, observation: np.ndarray, config: Configuration, reward: float) -> None:
-        if self._last is None:
-            return
-        state, action = self._last
-        next_state = self._state_key(observation)
-        td_target = reward + GAMMA * float(self.q[next_state].max())
+    def feedback(self, trial: Trial, memo: tuple[tuple, int], reward: float) -> None:
+        state, action = memo
+        # Bootstraps from the proposal's own state, not the next one: the next observation
+        # is not known at tell (a known fault, ROADMAP item 21).
+        td_target = reward + GAMMA * float(self.q[state].max())
         self.q[state][action] += ALPHA * (td_target - self.q[state][action])
         self.epsilon *= self.epsilon_decay

@@ -104,8 +104,10 @@ class TelemetryCallback(Callback):
             attributes["attempt_s"] = list(ctx["attempt_s"])
         if ctx.get("attempts"):
             attributes["attempts"] = list(ctx["attempts"])
-        # An online step says what it ran under and what the policy learned.
-        attributes.update((key, ctx[key]) for key in ("workload", "value", "reward") if key in ctx)
+        # An online step says what it ran under and the reward it measured.
+        attributes.update((key, ctx[key]) for key in ("workload", "value") if key in ctx)
+        if trial.ok and "reward" in trial.metrics:
+            attributes["reward"] = trial.metrics["reward"]
         attributes.update(self.span_attributes)
         # Surrogate hot-path counters (cholesky_ms, nll_evals, cache hits …):
         # optimizers exposing `surrogate_stats()` get a cumulative snapshot on

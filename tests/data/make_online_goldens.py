@@ -19,7 +19,10 @@ third model step on. The other ten cases are byte-identical. The two
 place of one ``space.neighbor`` per neighbour): the RNG draws come in a
 different order, and a neighbour that violates a constraint falls back to
 the centre instead of being redrawn. The other ten cases stayed
-byte-identical.
+byte-identical. All twelve stayed byte-identical when the agent began to
+drive each technique directly (no adapter): the GA learns the ``REWARD``
+metric in place of ``unscore(-reward)`` under a ``score`` objective, and
+contextual BO is ``ContextualBayesianOptimizer`` in place of its wrapper.
 
 Regenerate (only when a behaviour change is intended and explained)::
 
@@ -34,10 +37,10 @@ from pathlib import Path
 from repro.core import Objective
 from repro.core.codec import json_safe
 from repro.online import (
+    REWARD,
     ActorCriticTuner,
-    ContextualBOTuner,
+    ContextualBayesianOptimizer,
     GeneticAlgorithmOptimizer,
-    GeneticOnlineTuner,
     Guardrail,
     HybridBanditTuner,
     OnlineResult,
@@ -59,11 +62,9 @@ POLICIES = {
     "static": lambda s: StaticConfigPolicy(s.default_configuration()),
     "q-learning": lambda s: QLearningTuner(s, seed=0),
     "actor-critic": lambda s: ActorCriticTuner(s, seed=0),
-    "genetic": lambda s: GeneticOnlineTuner(
-        GeneticAlgorithmOptimizer(s, population_size=8, objectives=Objective("score"), seed=0)
-    ),
+    "genetic": lambda s: GeneticAlgorithmOptimizer(s, population_size=8, objectives=REWARD, seed=0),
     "hybrid-bandit": lambda s: HybridBanditTuner(s, seed=0),
-    "contextual-bo": lambda s: ContextualBOTuner(s, seed=0, n_candidates=64),
+    "contextual-bo": lambda s: ContextualBayesianOptimizer(s, seed=0, n_candidates=64),
 }
 
 

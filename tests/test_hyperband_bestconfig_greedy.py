@@ -119,11 +119,9 @@ class TestGreedyOnlineTuner:
     def test_climbs_a_hill(self):
         space = bowl_space(2)
         policy = GreedyOnlineTuner(space, seed=0, step=0.15)
-        obs = np.zeros(3)
         for _ in range(200):
-            cfg = policy.propose(obs)
-            reward = -sum((cfg[k] - 0.3) ** 2 for k in space.names)
-            policy.feedback(obs, cfg, reward)
+            cfg = policy.suggest()[0]
+            policy.observe(cfg, {"reward": -sum((cfg[k] - 0.3) ** 2 for k in space.names)})
         final = policy.current
         assert sum((final[k] - 0.3) ** 2 for k in space.names) < 0.1
         assert policy.moves_adopted > 0
@@ -131,22 +129,19 @@ class TestGreedyOnlineTuner:
     def test_reverts_bad_moves(self):
         space = bowl_space(1)
         policy = GreedyOnlineTuner(space, seed=0)
-        obs = np.zeros(1)
         # Reward a single sharp optimum at the default (0.5): every move is bad.
         for _ in range(60):
-            cfg = policy.propose(obs)
-            reward = 1.0 if abs(cfg["x0"] - 0.5) < 1e-9 else -1.0
-            policy.feedback(obs, cfg, reward)
+            cfg = policy.suggest()[0]
+            policy.observe(cfg, {"reward": 1.0 if abs(cfg["x0"] - 0.5) < 1e-9 else -1.0})
         assert policy.current["x0"] == 0.5
         assert policy.moves_reverted > policy.moves_adopted
 
     def test_step_grows_on_plateau(self):
         space = bowl_space(1)
         policy = GreedyOnlineTuner(space, seed=0, step=0.05, patience=3)
-        obs = np.zeros(1)
         for _ in range(40):
-            cfg = policy.propose(obs)
-            policy.feedback(obs, cfg, 0.0 if cfg == policy.current else -1.0)
+            cfg = policy.suggest()[0]
+            policy.observe(cfg, {"reward": 0.0 if cfg == policy.current else -1.0})
         assert policy.step > 0.05
 
     def test_validation(self):

@@ -236,17 +236,17 @@ def test_multitask_optimizer_runs_with_scipy_blocked():
 def test_contextual_bo_tuner_steps_with_scipy_blocked():
     code = BLOCK_SCIPY + textwrap.dedent("""
         import json, numpy as np
-        from repro.online import ContextualBOTuner
+        from repro.online import ContextualBayesianOptimizer
         from repro.space import ConfigurationSpace, FloatParameter
 
         space = ConfigurationSpace("c", seed=0)
         space.add(FloatParameter("x", 0.0, 1.0, default=0.5))
-        policy = ContextualBOTuner(space, n_init=4, n_candidates=16, seed=0)
+        policy = ContextualBayesianOptimizer(space, n_init=4, n_candidates=16, seed=0)
         for step in range(12):
-            observation = np.array([0.2 if step % 4 < 2 else 0.8])
-            config = policy.propose(observation)
-            policy.feedback(observation, config, -((config["x"] - 0.3) ** 2))
-        print(json.dumps(policy.optimizer.model.stats.nll_evals > 0))
+            policy.observation_fn = lambda: np.array([0.2 if step % 4 < 2 else 0.8])
+            config = policy.suggest()[0]
+            policy.observe(config, {"reward": -((config["x"] - 0.3) ** 2)})
+        print(json.dumps(policy.model.stats.nll_evals > 0))
     """)
     assert fresh(code) is True
 
@@ -276,9 +276,9 @@ def test_proactive_tuner_steps_with_scipy_blocked():
         space.add(FloatParameter("x", 0.0, 1.0, default=0.5))
         policy = ProactiveForecastTuner(space, period=4, n_bands=2, seed=0)
         for step in range(12):
-            observation = np.array([0.2 if step % 4 < 2 else 0.8])
-            config = policy.propose(observation)
-            policy.feedback(observation, config, -((config["x"] - 0.3) ** 2))
+            policy.observation_fn = lambda: np.array([0.2 if step % 4 < 2 else 0.8])
+            config = policy.suggest()[0]
+            policy.observe(config, {"reward": -((config["x"] - 0.3) ** 2)})
         print(json.dumps([WindowShiftDetector.__name__, step + 1]))
     """)
     assert fresh(code) == ["WindowShiftDetector", 12]

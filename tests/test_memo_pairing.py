@@ -1,11 +1,11 @@
 """Every tell reaches the state that asked for it.
 
 A suggestion's memo (a CMA-ES sample, a particle, an ensemble member, a
-latent point, a rung, an observation) is kept by the ``Optimizer`` base
-class under the suggested configuration and handed back with that
-configuration's tell. These tests drive every registered optimizer, plus the
-ensemble, the genetic algorithm, ``ProjectedOptimizer`` and
-``OnlinePolicyOptimizer``, the two ways tells arrive out of order: trials
+latent point, a rung, an online technique's proposal state) is kept by the
+``Optimizer`` base class under the suggested configuration and handed back
+with that configuration's tell. These tests drive every registered
+optimizer, plus the ensemble, the genetic algorithm, ``ProjectedOptimizer``
+and every online technique, the two ways tells arrive out of order: trials
 kept in flight on simulated machines whose run time grows with the
 configuration, and batch asks told back shuffled, as service clients do.
 """
@@ -18,7 +18,15 @@ import pytest
 from repro.core import Objective, TrialReport, TuningSession
 from repro.core.manager import make_optimizer, optimizer_names
 from repro.execution import SimulatedClockExecutor
-from repro.online import GeneticAlgorithmOptimizer, GreedyOnlineTuner, OnlinePolicyOptimizer
+from repro.online import (
+    ActorCriticTuner,
+    ContextualBayesianOptimizer,
+    GeneticAlgorithmOptimizer,
+    GreedyOnlineTuner,
+    HybridBanditTuner,
+    ProactiveForecastTuner,
+    QLearningTuner,
+)
 from repro.optimizers import (
     CMAESOptimizer,
     EnsembleOptimizer,
@@ -49,8 +57,21 @@ def evaluate(config):
     return score(config), 1.0 + 10.0 * config["x0"]
 
 
+#: Every online technique, driven directly: each learns the ``reward`` metric.
+ONLINE = {
+    "qlearning": lambda s: QLearningTuner(s, seed=0),
+    "actor-critic": lambda s: ActorCriticTuner(s, seed=0),
+    "hybrid": lambda s: HybridBanditTuner(s, seed=0),
+    "greedy": lambda s: GreedyOnlineTuner(s, seed=0),
+    "proactive": lambda s: ProactiveForecastTuner(s, period=4, explore_prob=0.5, seed=0),
+    "contextual-bo": lambda s: ContextualBayesianOptimizer(s, n_init=4, n_candidates=32, seed=0),
+}
+
+
 def build(name):
     space, objective = plane(), Objective("score")
+    if name in ONLINE:
+        return ONLINE[name](space)
     if name == "ensemble":
         members = {
             "cmaes": lambda s: CMAESOptimizer(s, seed=1),
@@ -63,16 +84,14 @@ def build(name):
         return ProjectedOptimizer(adapter, lambda s: CMAESOptimizer(s, seed=0), objectives=objective, seed=0)
     if name == "ga":
         return GeneticAlgorithmOptimizer(space, population_size=6, objectives=objective, seed=0)
-    if name == "online":
-        return OnlinePolicyOptimizer(space, GreedyOnlineTuner(space, seed=0), objectives=objective, seed=0)
     options = {"bo": {"n_init": 4, "n_candidates": 64}, "smac": {"n_init": 4, "n_candidates": 64},
                "grid": {"points_per_dim": 6}}.get(name, {})
     return make_optimizer(name, space, objective, seed=0, options=options)
 
 
 #: The optimizers whose suggestions carry a memo.
-MEMOS = {"cmaes", "pso", "hyperband", "ensemble", "ga", "projected", "online"}
-NAMES = [*optimizer_names(), "ensemble", "ga", "projected", "online"]
+MEMOS = {"cmaes", "pso", "hyperband", "ensemble", "ga", "projected", *ONLINE}
+NAMES = [*optimizer_names(), "ensemble", "ga", "projected", *ONLINE]
 
 
 def spy(opt):
@@ -104,7 +123,7 @@ def shuffled_service(opt):
         suggestions = session.ask(count=WIDTH)
         for k in rng.permutation(len(suggestions)):
             s = suggestions[k]
-            session.tell(TrialReport(config=s.config, metrics={"score": score(s.config)}, ask_id=s.ask_id))
+            session.tell(TrialReport(config=s.config, metrics={opt.objective.name: score(s.config)}, ask_id=s.ask_id))
 
 
 DRIVES = {"in-flight": in_flight, "shuffled-service": shuffled_service}
@@ -164,6 +183,50 @@ def test_population_state_pairs_each_sample_with_its_own_score(name, check, driv
     def checked_observe(*args, **kwargs):
         trial = observe(*args, **kwargs)
         check(opt)
+        return trial
+
+    opt.observe = checked_observe
+    DRIVES[drive](opt)
+    assert len(opt.history) == TRIALS
+
+
+def check_proactive(opt, config):
+    """A band adopts an incumbent only with the reward told for that same configuration."""
+    before = list(opt._incumbent_reward)
+
+    def after(trial):
+        for band, reward in enumerate(opt._incumbent_reward):
+            if reward > before[band]:
+                assert (opt._incumbent[band], reward) == (trial.config, trial.metric("reward"))
+
+    return after
+
+
+def check_greedy(opt, config):
+    """A move is judged on its own tell, once, and adopted with its own reward."""
+    is_move = opt._memo(config)  # what this tell will receive: a move, or an incumbent measurement
+    verdicts, adopted = opt.moves_adopted + opt.moves_reverted, opt.moves_adopted
+
+    def after(trial):
+        assert opt.moves_adopted + opt.moves_reverted == verdicts + is_move
+        if opt.moves_adopted > adopted:
+            assert (opt.current, opt._current_reward) == (trial.config, trial.metric("reward"))
+
+    return after
+
+
+@pytest.mark.parametrize("drive", sorted(DRIVES))
+@pytest.mark.parametrize("name, check", [("proactive", check_proactive), ("greedy", check_greedy)])
+def test_online_state_pairs_each_proposal_with_its_own_reward(name, check, drive):
+    """The state-level consequence for the online techniques that keep an
+    incumbent, checked around every tell."""
+    opt = build(name)
+    observe = opt.observe
+
+    def checked_observe(config, *args, **kwargs):
+        after = check(opt, config)
+        trial = observe(config, *args, **kwargs)
+        after(trial)
         return trial
 
     opt.observe = checked_observe

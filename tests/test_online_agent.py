@@ -1,19 +1,27 @@
-"""Unit tests for the online tuning agent loop and guardrail."""
+"""Unit tests for the online tuning agent loop, the ``OnlinePolicy`` base and the guardrail."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.core import Objective
-from repro.exceptions import OptimizerError
+from repro.core import Objective, TrialStatus, TuningSession
+from repro.exceptions import OptimizerError, ReproError, SystemCrashError
+from repro.execution import ThreadedExecutor
 from repro.online import (
+    REWARD,
+    ContextualBayesianOptimizer,
+    GeneticAlgorithmOptimizer,
+    GreedyOnlineTuner,
     Guardrail,
+    OnlinePolicy,
     OnlineTuningAgent,
     StaticConfigPolicy,
 )
-from repro.online.agent import OnlinePolicy
-from repro.sysim import QUIET_CLOUD, SimulatedDBMS
+from repro.online.agent import CRASH_REWARD
+from repro.optimizers import RandomSearchOptimizer
+from repro.sysim import QUIET_CLOUD, RedisServer, SimulatedDBMS, redis_benchmark_workload
+from repro.telemetry import TelemetryCallback
 from repro.workloads import DiurnalTrace, PhasedTrace, tpcc, ycsb
 
 from .data.make_online_goldens import GOLDEN_PATH, run_case
@@ -23,15 +31,16 @@ class RecordingPolicy(OnlinePolicy):
     """Plays a fixed config and records every callback."""
 
     def __init__(self, config):
+        super().__init__(config.space)
         self.config = config
         self.rewards = []
         self.observations = []
 
     def propose(self, observation):
         self.observations.append(observation)
-        return self.config
+        return self.config, len(self.observations)
 
-    def feedback(self, observation, config, reward):
+    def feedback(self, trial, memo, reward):
         self.rewards.append(reward)
 
 
@@ -73,15 +82,16 @@ class TestAgentLoop:
 
         class ImprovingPolicy(OnlinePolicy):
             def __init__(self):
+                super().__init__(sub)
                 self.step = 0
                 self.rewards = []
 
             def propose(self, obs):
                 self.step += 1
                 bp = min(8192, 128 * self.step)
-                return sub.make({"buffer_pool_mb": bp, "worker_threads": 8})
+                return sub.make({"buffer_pool_mb": bp, "worker_threads": 8}), self.step
 
-            def feedback(self, obs, config, reward):
+            def feedback(self, trial, memo, reward):
                 self.rewards.append(reward)
 
         policy = ImprovingPolicy()
@@ -145,13 +155,14 @@ class TestGuardrail:
 
         class DegradingPolicy(OnlinePolicy):
             def __init__(self):
+                super().__init__(sub)
                 self.step = 0
 
             def propose(self, obs):
                 self.step += 1
-                return good if self.step < 10 else bad
+                return (good if self.step < 10 else bad), self.step
 
-            def feedback(self, obs, config, reward):
+            def feedback(self, trial, memo, reward):
                 pass
 
         agent = OnlineTuningAgent(
@@ -172,6 +183,106 @@ class TestOnlineResult:
         result = agent.run(DiurnalTrace(ycsb("b"), length=5, amplitude=0.0))
         base = result.values()
         assert result.regression_steps(base, tolerance=0.1, minimize=False) == 0
+
+
+# -- the OnlinePolicy base, driven by a plain session --------------------------
+
+
+class TestOnlinePolicyBase:
+    def test_policy_drives_a_session(self, simple_space):
+        policy = GreedyOnlineTuner(simple_space, seed=0)
+        res = TuningSession(policy, lambda c: {"reward": -float(c["x"])}, max_trials=12).run()
+        assert res.n_trials == 12 and len(policy.history) == 12
+        # The policy learned from every tell: one incumbent measurement, then a verdict per move.
+        assert policy.moves_adopted + policy.moves_reverted == 11
+
+    def test_observation_reaches_the_technique(self, simple_space):
+        policy = RecordingPolicy(simple_space.default_configuration())
+        policy.suggest()
+        assert np.array_equal(policy.observations[0], np.zeros(6))  # no agent: zeros
+        observation = np.arange(6, dtype=float)
+        policy.observation_fn = lambda: observation
+        TuningSession(policy, lambda c: {"reward": 1.0}, max_trials=3).run()
+        assert len(policy.observations) == 4
+        assert all(np.array_equal(o, observation) for o in policy.observations[1:])
+
+    def test_crash_yields_the_crash_reward(self, simple_space):
+        calls = []
+
+        def crash_every_other(config):
+            calls.append(config)
+            if len(calls) % 2 == 0:
+                raise SystemCrashError("every other step crashes")
+            return {"reward": 1.0}
+
+        policy = RecordingPolicy(simple_space.default_configuration())
+        res = TuningSession(policy, crash_every_other, max_trials=6).run()
+        assert len(res.history.failed()) == 3
+        assert policy.rewards == [1.0, CRASH_REWARD] * 3
+
+    def test_foreign_trial_teaches_nothing(self, simple_space):
+        policy = RecordingPolicy(simple_space.default_configuration())
+        policy.observe(simple_space.default_configuration(), {"reward": 5.0})
+        assert len(policy.history) == 1 and policy.rewards == []
+
+    def test_works_with_executor_and_telemetry(self, simple_space):
+        policy = GreedyOnlineTuner(simple_space, seed=0)
+        callback = TelemetryCallback()
+        with ThreadedExecutor(max_workers=2) as executor:
+            res = TuningSession(
+                policy, lambda c: {"reward": -float(c["x"])}, max_trials=8, batch_size=2,
+                callbacks=[callback], executor=executor,
+            ).run()
+        assert res.n_trials == 8
+        roots = callback.trace.trial_spans()
+        assert len(roots) == 8 and all("reward" in root.attributes for root in roots)
+
+    def test_offline_optimizer_as_the_agents_policy(self):
+        server = RedisServer(env=QUIET_CLOUD(seed=0), seed=0)
+        optimizer = RandomSearchOptimizer(server.space, REWARD, seed=0)
+        agent = OnlineTuningAgent(server, optimizer, Objective("latency_p95"), duration_s=5.0)
+        result = agent.run(PhasedTrace([(redis_benchmark_workload(), 5)]))
+        assert len(result.records) == 5
+        assert len(optimizer.history) == 5  # every step told to the optimizer itself
+        assert [r.reward for r in result.records] == [t.metric("reward") for t in optimizer.history]
+
+    def test_agent_refuses_a_used_technique(self, agent_setup):
+        db, sub = agent_setup
+        policy = StaticConfigPolicy(sub.default_configuration())
+        agent = OnlineTuningAgent(db, policy, Objective("throughput", minimize=False))
+        agent.run(DiurnalTrace(ycsb("b"), length=2))
+        with pytest.raises(ReproError):
+            agent.run(DiurnalTrace(ycsb("b"), length=2))
+
+
+@pytest.mark.parametrize("technique", ["policy", "genetic", "contextual-bo"])
+def test_a_crash_reaches_each_technique_its_own_way(agent_setup, technique):
+    """Under the agent, a crashed step reaches a policy as ``CRASH_REWARD`` and a
+    ``REWARD``-objective optimizer as a failed trial, which keeps its observation."""
+    db, sub = agent_setup
+    run, calls = db.run, []
+
+    def crash_twice(workload, duration_s, config):
+        calls.append(config)
+        if len(calls) <= 2:
+            raise SystemCrashError("injected crash")
+        return run(workload, duration_s=duration_s, config=config)
+
+    db.run = crash_twice
+    make = {
+        "policy": lambda: RecordingPolicy(sub.default_configuration()),
+        "genetic": lambda: GeneticAlgorithmOptimizer(sub, population_size=4, objectives=REWARD, seed=0),
+        "contextual-bo": lambda: ContextualBayesianOptimizer(sub, n_init=2, n_candidates=16, seed=0),
+    }[technique]()
+    trace = DiurnalTrace(ycsb("b"), length=4)
+    result = OnlineTuningAgent(db, make, Objective("throughput", minimize=False)).run(trace)
+    assert [(r.crashed, r.reward == CRASH_REWARD) for r in result.records] == [(True, True)] * 2 + [(False, False)] * 2
+    assert [t.status for t in make.history] == [TrialStatus.FAILED] * 2 + [TrialStatus.SUCCEEDED] * 2
+    if technique == "policy":
+        assert make.rewards[:2] == [CRASH_REWARD] * 2
+    if technique == "contextual-bo":
+        # Each step's trial holds the observation the agent built for it (its read fraction, say).
+        assert [t.context["observation"][1] for t in make.history] == [trace.at(k).read_fraction for k in range(4)]
 
 
 # -- recorded step sequences ---------------------------------------------------

@@ -7,13 +7,12 @@ import pytest
 from repro.core import Objective
 from repro.exceptions import OptimizerError
 from repro.online import (
+    REWARD,
     ActorCriticTuner,
-    ContextualBOTuner,
+    ContextualBayesianOptimizer,
     GeneticAlgorithmOptimizer,
-    GeneticOnlineTuner,
     HybridBanditTuner,
     OnlineTuningAgent,
-    OptimizerPolicy,
     QLearningTuner,
     StaticConfigPolicy,
 )
@@ -36,14 +35,29 @@ OBS = np.array([0.5, 0.5, 0.0, 0.2, 0.2, 0.2])
 
 
 def drive(policy, reward_fn, steps=150):
-    """Run propose/feedback against a synthetic reward function."""
+    """Run suggest/observe at the observation :data:`OBS` against a synthetic reward function."""
+    policy.observation_fn = lambda: OBS
     values = []
     for _ in range(steps):
-        cfg = policy.propose(OBS)
+        cfg = policy.suggest()[0]
         r = reward_fn(cfg)
-        policy.feedback(OBS, cfg, r)
+        policy.observe(cfg, {"reward": r})
         values.append(r)
     return np.array(values)
+
+
+def alternate(policy, steps):
+    """Drive at a context alternating 0, 1, 0, …, under which the best ``a``
+    is 0.2 or 0.8; return each step's distance from it."""
+    errors = []
+    for step in range(steps):
+        context = float(step % 2)
+        policy.observation_fn = lambda: np.array([context])
+        cfg = policy.suggest()[0]
+        target = 0.8 if context > 0.5 else 0.2
+        policy.observe(cfg, {"reward": -((cfg["a"] - target) ** 2)})
+        errors.append(abs(cfg["a"] - target))
+    return errors
 
 
 def bowl_reward(cfg):
@@ -115,70 +129,57 @@ class TestHybridBandit:
 class TestContextualBO:
     def test_adapts_to_context(self):
         """Reward optimum depends on the context: the GP must learn both."""
-        policy = ContextualBOTuner(toy_space(), n_init=5, n_candidates=48, seed=0)
-        for step in range(60):
-            ctx = np.array([step % 2], dtype=float)  # alternating context
-            cfg = policy.propose(ctx)
-            target = 0.8 if ctx[0] > 0.5 else 0.2
-            policy.feedback(ctx, cfg, -((cfg["a"] - target) ** 2))
-        # After training, proposals must track the context-dependent optimum.
-        errors = []
-        for step in range(8):
-            ctx = np.array([step % 2], dtype=float)
-            cfg = policy.propose(ctx)
-            target = 0.8 if ctx[0] > 0.5 else 0.2
-            errors.append(abs(cfg["a"] - target))
-            policy.feedback(ctx, cfg, -((cfg["a"] - target) ** 2))
+        policy = ContextualBayesianOptimizer(toy_space(), n_init=5, n_candidates=48, seed=0)
+        # After 60 training steps, proposals must track the context-dependent optimum.
+        errors = alternate(policy, 68)[60:]
         assert np.median(errors) < 0.2
 
     def test_n_init_validation(self):
         with pytest.raises(OptimizerError):
-            ContextualBOTuner(toy_space(), n_init=0)
+            ContextualBayesianOptimizer(toy_space(), n_init=0)
 
     @staticmethod
     def fitted_shapes(policy):
         """Record the shape of every training matrix the policy's GP is fitted on."""
-        shapes, fit = [], policy.optimizer.model.fit
+        shapes, fit = [], policy.model.fit
 
         def spy(X, y):
             shapes.append(X.shape)
             return fit(X, y)
 
-        policy.optimizer.model.fit = spy
+        policy.model.fit = spy
         return shapes
 
     def test_model_rows_are_config_plus_observation(self):
-        policy = ContextualBOTuner(toy_space(), n_init=4, n_candidates=32, seed=0)
+        policy = ContextualBayesianOptimizer(toy_space(), n_init=4, n_candidates=32, seed=0)
         shapes = self.fitted_shapes(policy)
         drive(policy, bowl_reward, steps=10)
-        width = policy.optimizer.encoder.n_features + len(OBS)
+        width = policy.encoder.n_features + len(OBS)
         assert shapes and {cols for _, cols in shapes} == {width}
 
     def test_every_feedback_reaches_the_next_proposal(self):
         """Past the initial design, each proposal is scored on a model fitted on all feedbacks so far."""
-        policy = ContextualBOTuner(toy_space(), n_init=4, n_candidates=32, seed=0)
+        policy = ContextualBayesianOptimizer(toy_space(), n_init=4, n_candidates=32, seed=0)
+        policy.observation_fn = lambda: OBS
         shapes = self.fitted_shapes(policy)
         for n_fed in range(20):
-            cfg = policy.propose(OBS)
+            cfg = policy.suggest()[0]
             assert len(shapes) == max(0, n_fed - 3)
             if n_fed >= 4:
                 assert shapes[-1][0] == n_fed
-            policy.feedback(OBS, cfg, bowl_reward(cfg))
+            policy.observe(cfg, {"reward": bowl_reward(cfg)})
 
     @pytest.mark.parametrize("guardrail", [True, False], ids=["guardrail-on", "guardrail-off"])
     def test_golden_runs_never_degrade(self, guardrail):
         """No suggestion of the recorded online runs fell back to random sampling."""
         agent, _ = run_agent("contextual-bo", guardrail)
-        assert agent.policy.optimizer.surrogate_stats()["degraded_total"] == 0
+        assert agent.policy.surrogate_stats()["degraded_total"] == 0
 
 
 class TestGeneticOnline:
     def test_improves(self):
-        ga = GeneticAlgorithmOptimizer(toy_space(), population_size=8, seed=0,
-                                       objectives=Objective("score"))
-        policy = GeneticOnlineTuner(ga)
-        assert isinstance(policy, OptimizerPolicy) and policy.optimizer is ga
-        rewards = drive(policy, bowl_reward, steps=200)
+        ga = GeneticAlgorithmOptimizer(toy_space(), population_size=8, seed=0, objectives=REWARD)
+        rewards = drive(ga, bowl_reward, steps=200)
         assert rewards[-40:].mean() > rewards[:40].mean()
 
 

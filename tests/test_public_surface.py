@@ -48,10 +48,9 @@ OPTIMIZERS = [
     "space_with_priors", "warm_start_from_history",
 ]
 ONLINE = [
-    "ActorCriticTuner", "ContextualBOTuner", "ContextualBayesianOptimizer", "GeneticAlgorithmOptimizer",
-    "GeneticOnlineTuner", "GreedyOnlineTuner", "Guardrail", "GuardrailVerdict", "HybridBanditTuner", "OnlinePolicy",
-    "OnlinePolicyOptimizer", "OnlineResult", "OnlineStepRecord", "OnlineTuningAgent", "OptimizerPolicy",
-    "ProactiveForecastTuner", "QLearningTuner", "SafeBayesianOptimizer", "StaticConfigPolicy",
+    "ActorCriticTuner", "ContextualBayesianOptimizer", "GeneticAlgorithmOptimizer", "GreedyOnlineTuner", "Guardrail",
+    "GuardrailVerdict", "HybridBanditTuner", "OnlinePolicy", "OnlineResult", "OnlineStepRecord", "OnlineTuningAgent",
+    "ProactiveForecastTuner", "QLearningTuner", "REWARD", "SafeBayesianOptimizer", "StaticConfigPolicy",
 ]
 WORKLOAD_ID = [
     "PCAEmbedding", "PageHinkleyDetector", "QueryRecord", "RandomProjectionEmbedding", "SeasonalForecaster",
@@ -204,7 +203,7 @@ TECHNIQUE = "inventory technique no experiment constructs yet (ROADMAP item 6's 
 RECORD = "record type a reached function returns: callers read it, none names it"
 UNREACHED = {
     **dict.fromkeys([
-        "EnsembleOptimizer", "GreedyOnlineTuner", "ProactiveForecastTuner", "PageHinkleyDetector",
+        "EnsembleOptimizer", "PageHinkleyDetector",
         "PCAEmbedding", "RandomProjectionEmbedding", "pareto_front", "scale_config_for_vm", "DBMS_VM_SCALING",
     ], TECHNIQUE),
     **dict.fromkeys([
@@ -280,7 +279,7 @@ OPTIONS_KEPT = {
     **dict.fromkeys([
         "repro.core.callbacks.StopWhenConverged.", "repro.online.actor_critic.ActorCriticTuner.sigma",
         "repro.online.actor_critic.ActorCriticTuner.sigma_decay", "repro.online.actor_critic.ActorCriticTuner.sigma_min",
-        "repro.online.contextual.ContextualBOTuner.n_init", "repro.online.genetic.GeneticAlgorithmOptimizer.elite_fraction",
+        "repro.online.genetic.GeneticAlgorithmOptimizer.elite_fraction",
         "repro.online.greedy.GreedyOnlineTuner.patience", "repro.online.greedy.GreedyOnlineTuner.step",
         "repro.online.proactive.ProactiveForecastTuner.explore_prob", "repro.online.proactive.ProactiveForecastTuner.n_bands",
         "repro.online.qlearning.QLearningTuner.epsilon", "repro.online.qlearning.QLearningTuner.epsilon_decay",

@@ -107,10 +107,10 @@ class TestProactiveForecastTuner:
         rng = np.random.default_rng(0)
         for step in range(400):
             load = 0.2 if (step % 8) < 4 else 0.8  # square-wave load
-            obs = np.array([load])
-            cfg = policy.propose(obs)
+            policy.observation_fn = lambda: np.array([load])
+            cfg = policy.suggest()[0]
             target = 0.2 if load < 0.5 else 0.8  # optimum follows load
-            policy.feedback(obs, cfg, -((cfg["x"] - target) ** 2))
+            policy.observe(cfg, {"reward": -((cfg["x"] - target) ** 2)})
         xs = [c["x"] for c in policy.band_incumbents]
         assert min(xs) < 0.45 and max(xs) > 0.55  # bands diverged
 
