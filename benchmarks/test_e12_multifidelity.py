@@ -51,7 +51,7 @@ def _run_multifidelity(seed, budget=COST_BUDGET):
     spent, best_full, cost_to_target = 0.0, -np.inf, None
     while spent < budget:
         cfg = opt.suggest(1)[0]
-        level = LEVELS[opt.suggested_fidelity(cfg)]
+        level = LEVELS[opt.suggested_fidelity(opt.n_suggested - 1)]
         try:
             m = db.run(tpcc(int(level.value)), config=cfg)
             opt.observe(cfg, m.metrics(), cost=level.cost, fidelity=level.value)

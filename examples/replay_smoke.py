@@ -4,8 +4,10 @@ The CI `replay-smoke` job runs this end to end on **both** durable
 backends (JSON journal and SQLite): a seeded SMAC session with a batch
 ask, a crash, and a simulated process kill + resume is journaled, and so
 is a closed-loop BO campaign with four trials in flight on a simulated
-clock and one crash; `repro replay` (the CLI, in-process) re-executes each
-from the store alone and must report a bit-exact match. As a negative
+clock and one crash, and a Hyperband campaign on four configurations whose
+first batch ask, holding equal configurations, is told back shuffled, each
+at its own rung's budget; `repro replay` (the CLI, in-process) re-executes
+each from the store alone and must report a bit-exact match. As a negative
 control the journal is then corrupted (one score tampered with) and the
 replay must diverge at exactly that trial with a `history` digest delta.
 
@@ -28,6 +30,7 @@ from repro.space import CategoricalParameter, ConfigurationSpace, FloatParameter
 
 SESSION_ID = "replay-smoke"
 IN_FLIGHT_ID = "replay-smoke-in-flight"
+HYPERBAND_ID = "replay-smoke-hyperband"
 N_TRIALS = 14
 CORRUPT_TRIAL = 6
 
@@ -92,6 +95,30 @@ def record_in_flight_campaign(store) -> None:
     assert 0 < executor.wall_clock_s < serial_s / 2, "four machines should more than halve the wall time"
 
 
+def record_hyperband_campaign(store) -> None:
+    """Hyperband on four configurations: equal ones pending together, told
+    back out of order, each tell naming its own suggestion by ask id."""
+    space = ConfigurationSpace("corners", seed=0)
+    space.add(IntegerParameter("n", 1, 2, default=1))
+    space.add(CategoricalParameter("mode", ["a", "b"], default="a"))
+    session = SessionManager(store).create(
+        space, optimizer="hyperband", seed=5, max_trials=N_TRIALS,
+        optimizer_options={"max_budget": 9, "min_budget": 1}, session_id=HYPERBAND_ID,
+    )
+
+    def tell(sugg) -> None:
+        score = sugg.config["n"] + (0.5 if sugg.config["mode"] == "b" else 0.0) + 1.0 / sugg.fidelity
+        session.tell(TrialReport(config=sugg.config, metrics={"score": score}, fidelity=sugg.fidelity,
+                                 ask_id=sugg.ask_id))
+
+    batch = session.ask(count=6)
+    assert len({json.dumps(sugg.config, sort_keys=True) for sugg in batch}) < len(batch), "no equal configurations"
+    for k in (3, 0, 5, 1, 4, 2):
+        tell(batch[k])
+    while not session.is_complete:
+        tell(session.ask()[0])
+
+
 def replay_cli(store_path: str, expect_exit: int, session_id: str = SESSION_ID) -> None:
     code = repro_main(["replay", session_id, "--store", store_path])
     assert code == expect_exit, f"repro replay exited {code}, expected {expect_exit}"
@@ -114,20 +141,22 @@ def main() -> int:
         store = JsonJournalStore(json_path)
         record_campaign(store)
         record_in_flight_campaign(store)
+        record_hyperband_campaign(store)
         store.close()
-        print(f"[json] recorded {N_TRIALS} trials twice (ask/tell; 4 in flight); replaying ...")
-        replay_cli(json_path, expect_exit=0)
-        replay_cli(json_path, expect_exit=0, session_id=IN_FLIGHT_ID)
+        print(f"[json] recorded {N_TRIALS} trials thrice (ask/tell; 4 in flight; Hyperband); replaying ...")
+        for session_id in (SESSION_ID, IN_FLIGHT_ID, HYPERBAND_ID):
+            replay_cli(json_path, expect_exit=0, session_id=session_id)
 
         # -- SQLite backend ------------------------------------------------
         sqlite_path = str(Path(tmp) / "store.sqlite")
         store = SqliteTrialStore(sqlite_path)
         record_campaign(store)
         record_in_flight_campaign(store)
+        record_hyperband_campaign(store)
         store.close()
-        print(f"[sqlite] recorded {N_TRIALS} trials twice (ask/tell; 4 in flight); replaying ...")
-        replay_cli(sqlite_path, expect_exit=0)
-        replay_cli(sqlite_path, expect_exit=0, session_id=IN_FLIGHT_ID)
+        print(f"[sqlite] recorded {N_TRIALS} trials thrice (ask/tell; 4 in flight; Hyperband); replaying ...")
+        for session_id in (SESSION_ID, IN_FLIGHT_ID, HYPERBAND_ID):
+            replay_cli(sqlite_path, expect_exit=0, session_id=session_id)
 
         # -- negative control: tampered journal must diverge ---------------
         corrupt_json_journal(Path(json_path) / f"{SESSION_ID}.journal.jsonl")
@@ -141,7 +170,7 @@ def main() -> int:
         assert "history" in report.divergence.digest_delta, report.divergence
         manager.close()
 
-    print("replay smoke: OK (json + sqlite bit-exact, in-flight included; corruption detected)")
+    print("replay smoke: OK (json + sqlite bit-exact, in-flight and Hyperband included; corruption detected)")
     return 0
 
 

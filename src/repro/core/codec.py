@@ -78,12 +78,12 @@ class SuggestRequest:
 class Suggestion:
     """One proposed configuration, tagged with the ask that produced it.
 
-    ``ask_id`` is a per-session monotonic token; a client echoes it back in
-    the matching :class:`TrialReport` so the server can pair tell with ask.
-    The token is advisory — the pairing holds only when the report's
-    configuration values are the ask's. A report for an unknown ask, or for
-    an id that now names another ask (ids restart when a session resumes),
-    is still accepted and recorded under its own values.
+    ``ask_id`` is the optimizer's number for the suggestion, increasing in
+    suggest order; a client echoes it back in the matching :class:`TrialReport`
+    so the tell pairs with this very suggestion, when the report's values are
+    the ask's. A report for an unknown ask, or for an id that now names
+    another ask (numbers restart when a session resumes), is still accepted
+    and recorded under its own values, as a foreign trial.
     """
 
     config: dict[str, Any]

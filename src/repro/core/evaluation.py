@@ -130,13 +130,12 @@ def observe_evaluation(
     result: EvaluationResult,
     fidelity: float | None = None,
     context: Mapping[str, Any] | None = None,
+    suggestion: int | None = None,
 ) -> Trial:
-    """Record ``result`` with ``optimizer``: a success (censored bounds
-    included) with its metrics, a crash or abort under an imputed score."""
+    """Record ``result`` with ``optimizer`` as the answer to ``suggestion``
+    (see :meth:`Optimizer.observe`): a success (censored bounds included)
+    with its metrics, a crash or abort under an imputed score."""
+    entry = dict(cost=result.cost, status=result.status, fidelity=fidelity, context=context, suggestion=suggestion)
     if result.ok:
-        return optimizer.observe(
-            config, result.metrics, cost=result.cost, status=result.status, fidelity=fidelity, context=context
-        )
-    return optimizer.observe_failure(
-        config, cost=result.cost, status=result.status, fidelity=fidelity, context=context
-    )
+        return optimizer.observe(config, result.metrics, **entry)
+    return optimizer.observe_failure(config, **entry)

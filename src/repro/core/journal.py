@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 import uuid
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
 
 from ..exceptions import ReproError
@@ -120,19 +120,7 @@ class SessionMeta:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "version": META_FORMAT_VERSION,
-            "session_id": self.session_id,
-            "space": self.space,
-            "optimizer": self.optimizer,
-            "objectives": self.objectives,
-            "max_trials": self.max_trials,
-            "max_cost": self.max_cost,
-            "batch_size": self.batch_size,
-            "status": self.status,
-            "created_at": self.created_at,
-            "extra": self.extra,
-        }
+        return {"version": META_FORMAT_VERSION, **asdict(self)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SessionMeta":

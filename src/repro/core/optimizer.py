@@ -232,13 +232,13 @@ class Optimizer(ABC):
     — everything else, including trial bookkeeping and failure imputation, is
     handled here.
 
-    A suggestion may carry a *memo* — the state that produced it (a sample
-    vector, a particle index, a member name, a rung). The base class keeps
-    it under the configuration and hands it back with that configuration's
-    tell, oldest first among equal configurations, so tells pair with their
-    own suggestions in whatever order they arrive. Memos live in memory
-    only: a trial told after a restart, or one this optimizer never
-    suggested, arrives with none.
+    The k-th configuration an instance suggests (from 0, batch picks
+    included) is suggestion k. It may carry a *memo*: the state that produced
+    it (a sample vector, a particle, a rung). The base class keeps untold
+    suggestions as ``number: (configuration, memo)`` and hands the memo to the
+    tell naming that number, so tells pair with their own suggestions in any
+    order, equal configurations included. Memos live in memory only: a trial
+    told after a restart, or never suggested here, arrives with none.
     """
 
     #: Set by subclasses that natively handle >1 objective (e.g. ParEGO).
@@ -272,8 +272,8 @@ class Optimizer(ABC):
         #: nonzero, so healthy runs keep their historic digests) and into
         #: ``surrogate_stats`` where available.
         self._degraded_total = 0
-        #: Configuration -> memos of its untold suggestions, oldest first.
-        self._memos: dict[Configuration, list[Any]] = {}
+        self.n_suggested = 0  # suggestions made so far: the next one's number
+        self._untold: dict[int, tuple[Configuration, Any]] = {}  # number -> (configuration, memo), oldest first
 
     @property
     def objective(self) -> Objective:
@@ -307,26 +307,31 @@ class Optimizer(ABC):
         return None
 
     def _remember(self, suggestion: Suggested) -> Configuration:
-        """Keep a suggestion's memo, if it has one, under its configuration."""
-        if not isinstance(suggestion, tuple):
-            return suggestion
-        config, memo = suggestion
-        self._memos.setdefault(config, []).append(memo)
+        """Number a suggestion and keep it, with its memo, until it is told."""
+        config, memo = suggestion if isinstance(suggestion, tuple) else (suggestion, None)
+        self._untold[self.n_suggested] = (config, memo)
+        self.n_suggested += 1
         return config
 
-    def _memo(self, config: Configuration) -> Any:
-        """The memo the next tell of ``config`` will receive (``None``: foreign)."""
-        memos = self._memos.get(config)
-        return memos[0] if memos else None
+    def untold(self, number: int) -> tuple[Configuration | None, Any]:
+        """``(configuration, memo)`` of untold suggestion ``number``, else ``(None, None)``."""
+        return self._untold.get(number, (None, None))
 
-    def _untold_memos(self) -> list[Any]:
-        """Memos of every suggestion not told yet, in first-suggested order."""
-        return [memo for memos in self._memos.values() for memo in memos]
+    def forget(self, number: int) -> Any:
+        """Drop untold suggestion ``number``, which will never be told; returns its memo."""
+        return self._untold.pop(number, (None, None))[1]
 
-    def suggested_fidelity(self, config: Configuration) -> float | None:
-        """The fidelity this optimizer means ``config``, one of its untold
-        suggestions, to be evaluated at (an override reads it from
-        :meth:`_memo`); ``None`` leaves it to the caller.
+    def evict(self, keep: int) -> list[int]:
+        """Forget the oldest untold suggestions beyond ``keep``; returns their numbers."""
+        evicted = list(self._untold)[: max(0, len(self._untold) - keep)]
+        for number in evicted:
+            self.forget(number)
+        return evicted
+
+    def suggested_fidelity(self, number: int) -> float | None:
+        """The fidelity this optimizer means untold suggestion ``number`` to
+        be evaluated at (an override reads it from its memo); ``None``
+        leaves it to the caller.
 
         A session hands it out with the suggestion and journals it with the
         trial when the report names none.
@@ -366,8 +371,11 @@ class Optimizer(ABC):
         status: TrialStatus = TrialStatus.SUCCEEDED,
         fidelity: float | None = None,
         context: Mapping[str, Any] | None = None,
+        suggestion: int | None = None,
     ) -> Trial:
-        """Record a trial result and update the internal model."""
+        """Record a trial result and update the internal model. The trial
+        answers untold suggestion ``suggestion`` (another number: foreign), or,
+        without one, the oldest untold suggestion of an equal configuration."""
         if isinstance(metrics, (int, float, np.floating, np.integer)):
             metrics = {self.objective.name: float(metrics)}
         metrics = {k: float(v) for k, v in metrics.items()}
@@ -377,7 +385,7 @@ class Optimizer(ABC):
                     raise OptimizerError(
                         f"completed trial is missing objective metric {obj.name!r}; got {sorted(metrics)}"
                     )
-        return self._ingest(config, metrics, cost, status, fidelity, context)
+        return self._ingest(config, metrics, cost, status, fidelity, context, suggestion)
 
     def observe_failure(
         self,
@@ -386,16 +394,18 @@ class Optimizer(ABC):
         status: TrialStatus = TrialStatus.FAILED,
         fidelity: float | None = None,
         context: Mapping[str, Any] | None = None,
+        suggestion: int | None = None,
     ) -> Trial:
         """Record a crashed/aborted trial under a pessimistic imputed score
         (:meth:`History.crash_score`), which steers the model away from the
-        crash region without poisoning the scale too badly."""
+        crash region without poisoning the scale too badly; ``suggestion``
+        as for :meth:`observe`."""
         metrics: dict[str, float] = {}
         for obj in self.objectives:
             scores = self.history.scores(obj)
             imputed = History.crash_score(scores) if len(scores) else 1e9
             metrics[obj.name] = obj.unscore(imputed)
-        return self._ingest(config, metrics, cost, status, fidelity, context)
+        return self._ingest(config, metrics, cost, status, fidelity, context, suggestion)
 
     def _ingest(
         self,
@@ -405,13 +415,13 @@ class Optimizer(ABC):
         status: TrialStatus,
         fidelity: float | None,
         context: Mapping[str, Any] | None,
+        suggestion: int | None,
     ) -> Trial:
         """The one way a trial enters: id, history, running digest, model hook
-        (with the memo of the configuration's oldest untold suggestion)."""
-        memos = self._memos.get(config)
-        memo = memos.pop(0) if memos else None
-        if memos == []:
-            del self._memos[config]
+        (with the memo of the suggestion it answers, see :meth:`observe`)."""
+        if suggestion is None:
+            suggestion = next((k for k, (untold, _) in self._untold.items() if untold == config), -1)
+        _, memo = self._untold.pop(suggestion, (None, None))
         trial = Trial(
             trial_id=self._next_trial_id,
             config=config,

@@ -20,7 +20,8 @@ store and verifies it bit-exactly against the journal:
   call ``k`` with batch width ``n`` runs exactly when the optimizer has
   observed ``observed`` trials, reproducing the original RNG stream even
   when asks and tells interleaved — and each journaled configuration is
-  compared against position ``i`` of its re-executed batch;
+  compared against position ``i`` of its re-executed batch, then observed
+  as the answer to that suggestion's number, as the live tell was;
 * failed trials re-run crash-score imputation
   (:meth:`Optimizer.observe_failure`) and the re-imputed metrics are
   compared against the journaled ones;
@@ -37,7 +38,7 @@ as unverified rather than failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import groupby
 from typing import Any, Mapping
 
@@ -72,13 +73,7 @@ class ReplayDivergence:
     digest_delta: dict[str, dict[str, str]] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "trial_id": self.trial_id,
-            "kind": self.kind,
-            "recorded": self.recorded,
-            "replayed": self.replayed,
-            "digest_delta": self.digest_delta,
-        }
+        return asdict(self)
 
     def format(self) -> str:
         lines = [f"first divergence at trial {self.trial_id} ({self.kind}):"]
@@ -113,18 +108,8 @@ class ReplayReport:
         return self.divergence is None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "session_id": self.session_id,
-            "optimizer": self.optimizer,
-            "ok": self.ok,
-            "n_records": self.n_records,
-            "n_epochs": self.n_epochs,
-            "n_suggest_calls": self.n_suggest_calls,
-            "n_verified": self.n_verified,
-            "n_unverified": self.n_unverified,
-            "n_failures_verified": self.n_failures_verified,
-            "divergence": None if self.divergence is None else self.divergence.to_dict(),
-        }
+        head = {"session_id": self.session_id, "optimizer": self.optimizer, "ok": self.ok}
+        return {**head, **asdict(self)}  # the divergence as its own to_dict()
 
     def format(self) -> str:
         head = (
@@ -158,8 +143,9 @@ class _EpochReplayer:
     re-seeded with the session seed itself — a derivation that is gone.
     """
 
-    def __init__(self, optimizer: Optimizer, records: list[Mapping[str, Any]]) -> None:
+    def __init__(self, optimizer: Optimizer, records: list[Mapping[str, Any]], max_trials: int) -> None:
         self.optimizer = optimizer
+        self.max_trials = max_trials
         calls: dict[int, tuple[int, int]] = {}  # call -> (n, observed)
         for record in records:
             ask = _record_ask(record)
@@ -172,7 +158,7 @@ class _EpochReplayer:
             [call for call, _ in self.schedule] == list(range(len(self.schedule)))
         )
         self._cursor = 0
-        self._suggested: dict[int, list[Any]] = {}
+        self._suggested: dict[int, list[tuple[Any, int]]] = {}  # call -> [(configuration, number)]
         self.n_suggest_calls = 0
 
     def run_due_suggests(self) -> str | None:
@@ -190,15 +176,15 @@ class _EpochReplayer:
                     f"suggest call {call} recorded at history position {observed}, "
                     f"but replay already observed {observed_now} trials"
                 )
-            self._suggested[call] = self.optimizer.suggest(n)
+            first = self.optimizer.n_suggested
+            self._suggested[call] = [(config, first + i) for i, config in enumerate(self.optimizer.suggest(n))]
+            self.optimizer.evict(self.max_trials - observed)  # as the live session did after this call
             self.n_suggest_calls += 1
             self._cursor += 1
         return None
 
-    def replayed_config(self, ask: Mapping[str, Any]) -> Any | None:
-        batch = self._suggested.get(int(ask["call"]))
-        if batch is None:
-            return None
+    def replayed_config(self, ask: Mapping[str, Any]) -> tuple[Any, int] | None:  # (configuration, number)
+        batch = self._suggested.get(int(ask["call"]), [])
         i = int(ask["i"])
         return batch[i] if 0 <= i < len(batch) else None
 
@@ -265,7 +251,7 @@ def _replay(
         # A fresh process incarnation, exactly as SessionManager.resume
         # built it. The prefix is re-observed without verification: every
         # prefix record was verified when its own epoch was replayed.
-        replayer = _EpochReplayer(rebuild_optimizer(meta, records[:done], epoch), slice_records)
+        replayer = _EpochReplayer(rebuild_optimizer(meta, records[:done], epoch), slice_records, meta.max_trials)
         try:
             divergence = _replay_epoch(meta, slice_records, replayer, report)
         finally:
@@ -314,10 +300,9 @@ def _replay_epoch(
             )
 
         ask = _record_ask(record)
-        config = None
-        if ask is not None and replayer.verifiable:
-            config = replayer.replayed_config(ask)
-        if config is not None:
+        replayed = replayer.replayed_config(ask) if ask is not None and replayer.verifiable else None
+        if replayed is not None:
+            config, suggestion = replayed
             replayed_values = json_safe(config.as_dict())
             if replayed_values != record["config"]:
                 return ReplayDivergence(
@@ -328,9 +313,9 @@ def _replay_epoch(
                 )
             report.n_verified += 1
         else:
-            # No provenance (legacy journal) or unverifiable schedule:
-            # rebuild the configuration from the journaled values.
-            config = config_from_values(record["config"], space)
+            # No provenance (legacy journal), a foreign tell or an unverifiable
+            # schedule: rebuild the configuration from the journaled values.
+            config, suggestion = config_from_values(record["config"], space), -1
             report.n_unverified += 1
 
         recorded_metrics = {str(k): float(v) for k, v in record.get("metrics", {}).items()}
@@ -341,7 +326,7 @@ def _replay_epoch(
         # imputation from the replayed history, which must land on exactly
         # the journaled values.
         trial = observe_evaluation(
-            optimizer, config, result, fidelity=record.get("fidelity"), context=dict(record.get("context", {}))
+            optimizer, config, result, record.get("fidelity"), dict(record.get("context", {})), suggestion
         )
         if not trial.ok:
             if trial.metrics != recorded_metrics:

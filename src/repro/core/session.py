@@ -76,7 +76,8 @@ class TuningSession:
     optimizer:
         Any ask/tell optimizer.
     evaluator:
-        Callable evaluating one configuration. May return a float, a metric
+        Callable evaluating one configuration, or ``None`` for an ask/tell-only
+        session (:meth:`run` then raises). May return a float, a metric
         mapping, a ``(metrics, cost)`` tuple, or an
         :class:`~repro.core.evaluation.EvaluationResult`; may raise
         :class:`SystemCrashError` or :class:`TrialAbortedError`.
@@ -99,8 +100,9 @@ class TuningSession:
         Optional durable :class:`~repro.core.journal.TrialStore` to journal
         every observed trial into (under ``session_id``). Normally wired by
         a :class:`~repro.core.manager.SessionManager` rather than directly.
-    evaluator:
-        May be ``None`` for ask/tell-only sessions; :meth:`run` then raises.
+
+    An ask's ``ask_id`` is the optimizer's number for its suggestion: each
+    tell, in-flight completion and replayed record names its suggestion by number.
     """
 
     #: Spilled records beyond which a store failure propagates: a backpressure
@@ -137,10 +139,9 @@ class TuningSession:
         #: (``None`` for sessions built directly or with ``lint=False``).
         self.lint_report = None
         self.last_suggest_latency_s = 0.0
-        self._next_ask_id = 0
-        # ask_id -> (configuration, batch coordinates, fidelity) of asks not
-        # told yet, oldest first and never more than the budget has trials left
-        self._pending_asks: dict[int, tuple[Configuration, dict[str, Any], float | None]] = {}
+        # ask_id (the optimizer's suggestion number) -> (batch coordinates,
+        # fidelity) of asks not told yet; the optimizer holds their configurations
+        self._pending_asks: dict[int, tuple[dict[str, Any], float | None]] = {}
         self._report_trial_ids: dict[str, int] = {}  # report_id -> trial_id (tell idempotency)
         #: Resume generation: 0 for a fresh session, bumped by
         #: :meth:`SessionManager.resume` past the highest journaled epoch.
@@ -175,8 +176,9 @@ class TuningSession:
 
         return SerialExecutor()
 
-    def _suggest_tracked(self, n: int) -> tuple[list[Configuration], dict[str, Any]]:
-        """One optimizer ``suggest(n)`` call, with provenance coordinates.
+    def _suggest_tracked(self, n: int) -> tuple[list[Configuration], range, dict[str, Any]]:
+        """One optimizer ``suggest(n)`` call: its configurations, their
+        suggestion numbers and its provenance coordinates.
 
         Every suggest — closed loop, open loop, or the service's ``/step``
         — funnels through here so the journal can record, for each trial,
@@ -184,6 +186,11 @@ class TuningSession:
         batch was (``n``), and how many trials the optimizer had observed
         at that moment (``observed``). Replay re-executes suggest calls
         from these coordinates.
+
+        An ask whose response never reached its client (a deadline, a dropped
+        connection, a retried ask) is never told. So the optimizer keeps at
+        most one untold suggestion per trial left, forgetting the oldest with
+        their memos (replay too): a late tell takes :meth:`tell`'s unknown-ask path.
         """
         ask_info = {
             "call": self._suggest_calls,
@@ -191,11 +198,14 @@ class TuningSession:
             "observed": len(self.optimizer.history),
         }
         self._suggest_calls += 1
+        first = self.optimizer.n_suggested
         t0 = time.perf_counter()
         with span("optimizer.suggest", n=n):
             configs = self.optimizer.suggest(n)
         self.last_suggest_latency_s = time.perf_counter() - t0
-        return configs, ask_info
+        for number in self.optimizer.evict(self._trials_left()):
+            self._pending_asks.pop(number, None)
+        return configs, range(first, first + len(configs)), ask_info
 
     # -- ask/tell (open loop) ------------------------------------------------
     @property
@@ -214,8 +224,9 @@ class TuningSession:
         The open-loop half of the unified ask/tell surface: the caller (a
         library user, or the HTTP service on behalf of a remote client)
         evaluates the returned configurations and reports results via
-        :meth:`tell`. Each suggestion carries a per-session ``ask_id``
-        token to echo back in the matching report.
+        :meth:`tell`. Each suggestion's ``ask_id`` is its number in the
+        optimizer (see :class:`~repro.core.optimizer.Optimizer`); echoed
+        back in the report, it pairs the tell with that very suggestion.
 
         ``count`` is keyword-only sugar for a batch ask (``ask(count=8)``);
         batch asks reach the optimizer as one ``suggest(n)`` call so
@@ -235,27 +246,13 @@ class TuningSession:
             raise OptimizerError(
                 f"session{f' {self.session_id!r}' if self.session_id else ''} is complete ({budget})"
             )
-        configs, ask_info = self._suggest_tracked(min(request.n, remaining))
+        configs, numbers, ask_info = self._suggest_tracked(min(request.n, remaining))
         suggestions = []
-        for i, config in enumerate(configs):
-            ask_id = self._next_ask_id
-            self._next_ask_id += 1
-            fidelity = request.fidelity if request.fidelity is not None else self.optimizer.suggested_fidelity(config)
-            self._pending_asks[ask_id] = (config, {**ask_info, "i": i}, fidelity)
-            suggestions.append(
-                Suggestion(
-                    config=json_safe(config.as_dict()),
-                    ask_id=ask_id,
-                    session_id=self.session_id,
-                    fidelity=fidelity,
-                )
-            )
-        # An ask whose response never reached its client (a deadline, a
-        # dropped connection, a retried ask) is never told. Keep at most one
-        # pending ask per trial left in the budget, evicting the oldest: a late
-        # tell for an evicted ask takes :meth:`tell`'s unknown-ask path.
-        while len(self._pending_asks) > remaining:
-            del self._pending_asks[next(iter(self._pending_asks))]
+        for i, (ask_id, config) in enumerate(zip(numbers, configs)):
+            fidelity = request.fidelity if request.fidelity is not None else self.optimizer.suggested_fidelity(ask_id)
+            self._pending_asks[ask_id] = ({**ask_info, "i": i}, fidelity)
+            values = json_safe(config.as_dict())
+            suggestions.append(Suggestion(config=values, ask_id=ask_id, session_id=self.session_id, fidelity=fidelity))
         return suggestions
 
     def tell(self, report: TrialReport | Mapping[str, Any]) -> tuple[Trial, bool]:
@@ -285,17 +282,18 @@ class TuningSession:
                         spilled=len(self._spill),
                     )
             return self.optimizer.history[trial_id], True
-        config, ask_info, fidelity = self._pending_asks.get(report.ask_id, (None, None, None))
+        config = self.optimizer.untold(report.ask_id)[0] if report.ask_id in self._pending_asks else None
         if config is not None and config.as_dict() == report.config:
-            del self._pending_asks[report.ask_id]
+            suggestion, (ask_info, fidelity) = report.ask_id, self._pending_asks.pop(report.ask_id)
         else:
-            # Unknown ask, or an ask id reused since the report's ask (ids
-            # restart with every epoch): the report carries the full
-            # configuration values, so rebuild (and re-validate) from them.
-            config, ask_info, fidelity = config_from_values(report.config, self.optimizer.space), None, None
+            # Foreign: no ask id, an evicted ask, or one reused since (numbers restart
+            # every epoch). Rebuild (and re-validate) the configuration from its values.
+            config = config_from_values(report.config, self.optimizer.space)
+            suggestion, ask_info, fidelity = -1, None, None
         result = EvaluationResult(report.metrics, cost=report.cost, status=TrialStatus(report.status))
         trial = self._enter(
             config,
+            suggestion,
             result,
             dict(report.context),
             fidelity=report.fidelity if report.fidelity is not None else fidelity,
@@ -307,6 +305,7 @@ class TuningSession:
     def _enter(
         self,
         config: Configuration,
+        suggestion: int,
         result: EvaluationResult,
         context: dict[str, Any],
         fidelity: float | None = None,
@@ -316,13 +315,14 @@ class TuningSession:
     ) -> Trial:
         """The one way a trial enters a session, whichever loop produced it.
 
-        The optimizer observes it (a crash or abort under an imputed
-        score), the journal records it, then the per-trial callbacks fire.
+        The optimizer observes it as the answer to suggestion ``suggestion``
+        (a crash or abort under an imputed score), the journal records it,
+        then the per-trial callbacks fire.
         ``span_ref`` is the telemetry ref the executor's spans were recorded
         against (``None`` when told, or when they stayed in a process pool);
         the trial id exists only after the observe, so it is bound here.
         """
-        trial = observe_evaluation(self.optimizer, config, result, fidelity=fidelity, context=context)
+        trial = observe_evaluation(self.optimizer, config, result, fidelity, context, suggestion)
         if span_ref is not None:
             span_ref.trial_id = trial.trial_id
         self._record(trial, report_id=report_id, ask_info=ask_info)
@@ -480,7 +480,7 @@ class TuningSession:
         for cb in self.callbacks:
             cb.on_session_start(self)
         if self.batch_size == 1 and executor.width > 1:
-            infos: list[tuple[dict[str, Any], float]] = []
+            infos: list[tuple[int, dict[str, Any], float]] = []
             with closing(self._execute(executor, self.evaluator, self._asks_in_flight(infos), infos)) as trials:
                 for trial in trials:
                     for cb in self.callbacks:
@@ -516,18 +516,18 @@ class TuningSession:
                 "evaluator cannot take: drive this session through ask()/tell()"
             )
 
-    def _asks_in_flight(self, infos: list[tuple[dict[str, Any], float]]) -> Iterator[Configuration]:
+    def _asks_in_flight(self, infos: list[tuple[int, dict[str, Any], float]]) -> Iterator[Configuration]:
         """One suggestion at a time for as long as the budget, counting the
         trials still in flight, allows another; each is its own suggest call,
-        its coordinates appended to ``infos``."""
+        its number and coordinates appended to ``infos``."""
         n_start = len(self.optimizer.history)
         started = 0
         while self._budget_left(outstanding=started - (len(self.optimizer.history) - n_start)):
-            (config,), ask_info = self._suggest_tracked(1)
+            (config,), (number,), ask_info = self._suggest_tracked(1)
             for cb in self.callbacks:
                 cb.on_trial_start(self, n_start + started)
             started += 1
-            infos.append(({**ask_info, "i": 0}, self.last_suggest_latency_s))
+            infos.append((number, {**ask_info, "i": 0}, self.last_suggest_latency_s))
             yield config
 
     def run_batch(
@@ -543,13 +543,13 @@ class TuningSession:
         ``close()`` it, which closes the executor's result iterator.
         """
         self._refuse_fidelity_proposals()
-        configs, ask_info = self._suggest_tracked(want)
+        configs, numbers, ask_info = self._suggest_tracked(want)
         n_done = len(self.optimizer.history)
         for i in range(len(configs)):
             for cb in self.callbacks:
                 cb.on_trial_start(self, n_done + i)
         share = self.last_suggest_latency_s / max(1, len(configs))
-        infos = [({**ask_info, "i": i}, share) for i in range(len(configs))]
+        infos = [(number, {**ask_info, "i": i}, share) for i, number in enumerate(numbers)]
         yield from self._execute(executor, evaluator, configs, infos)
 
     def _execute(
@@ -557,16 +557,16 @@ class TuningSession:
         executor: "TrialExecutor",
         evaluator: Evaluator,
         configs: Iterable[Configuration],
-        infos: list[tuple[dict[str, Any], float]],
+        infos: list[tuple[int, dict[str, Any], float]],
     ) -> Iterator[Trial]:
         """Run ``configs`` on ``executor`` and enter each result as it
-        completes. ``infos[k]`` holds the ask coordinates and suggest-latency
-        share of the ``k``-th configuration, by the time it is drawn."""
+        completes. ``infos[k]`` holds the number, ask coordinates and
+        suggest-latency share of the ``k``-th configuration, once drawn."""
         results = executor.map(evaluator, configs)
         try:
             for execution in results:
                 # Execution-side instrumentation travels in ``Trial.context``.
-                ask_info, suggest_s = infos[execution.index]
+                number, ask_info, suggest_s = infos[execution.index]
                 result = execution.result
                 context = dict(result.metadata)
                 context["retries"] = execution.retries
@@ -581,6 +581,7 @@ class TuningSession:
                     context["attempt_s"] = [round(a, 6) for a in execution.attempt_s]
                 yield self._enter(
                     execution.config,
+                    number,
                     result,
                     context,
                     ask_info=ask_info,

@@ -2,9 +2,9 @@
 
 :class:`ProjectedOptimizer` exposes the *target* space to the tuning
 session while internally driving any optimizer over the adapter's smaller
-*adapted* space. Each suggestion's latent point is its memo, so the inner
-model trains on the latent point it actually proposed even when a
-bucketised projection maps two latent points onto one target.
+*adapted* space. Each suggestion's memo is its latent point and that
+point's number in the inner optimizer, so the inner model trains on the
+point it proposed even when a bucketised projection merges two of them.
 """
 
 from __future__ import annotations
@@ -43,13 +43,20 @@ class ProjectedOptimizer(Optimizer):
         self.adapter = adapter
         self.inner = inner_factory(adapter.adapted_space)
 
-    def _suggest(self) -> tuple[Configuration, Configuration]:
+    def _suggest(self) -> tuple[Configuration, tuple[Configuration, int]]:
         latent = self.inner.suggest(1)[0]
-        return self.adapter.project(latent), latent
+        return self.adapter.project(latent), (latent, self.inner.n_suggested - 1)
 
-    def _on_observe(self, trial: Trial, latent: Configuration | None) -> None:
-        if latent is None:
+    def forget(self, number: int) -> tuple[Configuration, int] | None:
+        memo = super().forget(number)
+        if memo is not None:
+            self.inner.forget(memo[1])
+        return memo
+
+    def _on_observe(self, trial: Trial, memo: tuple[Configuration, int] | None) -> None:
+        if memo is None:
             # Observation for a config we did not project (e.g. warm start):
             # the latent optimizer cannot learn from it.
             return
-        self.inner.observe(latent, trial.metrics, cost=trial.cost, status=trial.status)
+        latent, number = memo
+        self.inner.observe(latent, trial.metrics, cost=trial.cost, status=trial.status, suggestion=number)

@@ -27,9 +27,12 @@ Cholesky and constant-liar batches:
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from ..core import Objective, Trial, rng_digest
+from ..core.optimizer import Suggested
 from ..exceptions import OptimizerError
 from ..space import Configuration, ConfigurationSpace
 from ..space.encoding import OneHotEncoder, OrdinalEncoder, SpaceEncoder
@@ -89,8 +92,8 @@ class BayesianOptimizer(ModelBasedOptimizer):
             seed=seed,
         )
         self._fit_count = 0
-        # Constant-liar state for batch suggestions: the batch's picks so far.
-        self._lies: list[Configuration] = []
+        # Constant-liar state for batch suggestions: the batch's picks so far, with their memos.
+        self._lies: list[tuple[Configuration, Any]] = []
         self._fantasies_total = 0
 
     @staticmethod
@@ -115,6 +118,10 @@ class BayesianOptimizer(ModelBasedOptimizer):
         constant-liar fantasy of it fitted at (its group, or the live context)."""
         return None
 
+    def _lie_column(self, lies: list[tuple[Configuration, Any]]) -> np.ndarray | None:
+        """Hook: the column each (pick, memo) of a constant-liar batch is fitted at (default: where scored)."""
+        return self._candidate_column([config for config, _ in lies])
+
     def _use_column(self, k: int) -> None:
         """Read a column of ``k`` ≥ 2 values through a coregionalised kernel."""
         ard = Matern(np.full(self.encoder.n_features, 0.3), nu=2.5)
@@ -132,8 +139,8 @@ class BayesianOptimizer(ModelBasedOptimizer):
         # must not burn k cadence slots.
         fantasizing = bool(self._lies)
         if fantasizing:
-            lies = np.stack([self.encoder.encode(config) for config in self._lies])
-            X = np.vstack([X, self._with_column(lies, self._candidate_column(self._lies))])
+            lies = np.stack([self.encoder.encode(config) for config, _ in self._lies])
+            X = np.vstack([X, self._with_column(lies, self._lie_column(self._lies))])
             y = np.concatenate([y, np.full(len(self._lies), y.min())])
         self.model.optimize_hypers = not fantasizing and self._fit_count % REFIT_EVERY == 0
         self.model.fit(X, y)
@@ -144,22 +151,22 @@ class BayesianOptimizer(ModelBasedOptimizer):
     def _features(self, configs: list[Configuration]) -> np.ndarray:
         return self._with_column(self.encoder.encode_many(configs), self._candidate_column(configs))
 
-    def _suggest_batch(self, n: int) -> list[Configuration]:
+    def _suggest_batch(self, n: int) -> list[Suggested]:
         """Batch suggestion with constant-liar fantasies for diversity.
 
         Each pick appends a fantasized row (the incumbent's score imputed at
         the chosen point) and reconditions the GP on it — without touching
         hyperparameters, so the batch costs one hyperparameter fit plus
         ``n−1`` cheap reconditionings. Fantasies are discarded before
-        returning. Each pick's memo is kept as it is made, so the next
-        fantasy fit can read it (multi-fidelity BO's level column).
+        returning. Each pick is a lie with its memo, so the next fantasy fit
+        can read it (multi-fidelity BO's level column).
         """
-        out: list[Configuration] = []
+        out: list[Suggested] = []
         try:
             for _ in range(n):
-                config = self._remember(self._suggest())
-                out.append(config)
-                self._lies.append(config)
+                suggestion = self._suggest()
+                out.append(suggestion)
+                self._lies.append(suggestion if isinstance(suggestion, tuple) else (suggestion, None))
                 self._fantasies_total += 1
                 self._model_stale = True
         finally:

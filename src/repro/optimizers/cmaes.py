@@ -106,7 +106,7 @@ class CMAESOptimizer(Optimizer):
             "generation": self.generation,
             "sigma": round(float(self.sigma), 12),
             "mean": [round(float(v), 12) for v in self.mean],
-            "awaiting": len(self._untold_memos()),
+            "awaiting": len(self._untold),
             "buffered": len(self._results),
         }
 

@@ -7,10 +7,9 @@ currently producing improvements (credit assignment by area-under-curve).
 
 :class:`EnsembleOptimizer` wraps any set of ask/tell optimizers. Each
 suggestion is drawn from one member (UCB1 over improvement credit), whose
-name is the suggestion's memo; every observation is shared with *all*
-members, so no one starves for data. A member learns its own suggestions
-through its own memos, and a sibling's trial reaches it as a foreign one,
-which population methods keep out of their populations.
+name and number for it are the memo; every observation is shared with *all*
+members, so no one starves for data. A member learns its own suggestions by
+number; a sibling's trial reaches it as a foreign one.
 """
 
 from __future__ import annotations
@@ -59,33 +58,40 @@ class EnsembleOptimizer(Optimizer):
             member.history.objectives = [self.objective]
             self.members[name] = member
         self._credit = {name: 0.0 for name in self.members}
-        self._pulls = {name: 0 for name in self.members}
         self._best_score = math.inf
 
     # -- allocation ----------------------------------------------------------
     def _pick_member(self) -> str:
-        for name, pulls in self._pulls.items():
-            if pulls == 0:
+        pulls = self.allocation()
+        for name, n in pulls.items():
+            if n == 0:
                 return name
-        total = sum(self._pulls.values())
+        total = sum(pulls.values())
         scores = {
-            name: self._credit[name] / self._pulls[name]
-            + UCB_C * math.sqrt(math.log(total) / self._pulls[name])
+            name: self._credit[name] / pulls[name]
+            + UCB_C * math.sqrt(math.log(total) / pulls[name])
             for name in self.members
         }
         return max(scores, key=scores.get)
 
     def allocation(self) -> dict[str, int]:
         """How many suggestions each technique has produced so far."""
-        return dict(self._pulls)
+        return {name: member.n_suggested for name, member in self.members.items()}
 
     # -- ask/tell ------------------------------------------------------------------
-    def _suggest(self) -> tuple[Configuration, str]:
+    def _suggest(self) -> tuple[Configuration, tuple[str, int]]:
         name = self._pick_member()
-        self._pulls[name] += 1
-        return self.members[name].suggest(1)[0], name
+        member = self.members[name]
+        return member.suggest(1)[0], (name, member.n_suggested - 1)
 
-    def _on_observe(self, trial: Trial, producer: str | None) -> None:
+    def forget(self, number: int) -> tuple[str, int] | None:
+        memo = super().forget(number)
+        if memo is not None:
+            self.members[memo[0]].forget(memo[1])
+        return memo
+
+    def _on_observe(self, trial: Trial, memo: tuple[str, int] | None) -> None:
+        producer, number = memo if memo is not None else (None, -1)
         obj = self.objective
         score = obj.score(trial.metric(obj.name)) if obj.name in trial.metrics else math.inf
         # Credit: normalised improvement over the incumbent (0 if none).
@@ -101,6 +107,7 @@ class EnsembleOptimizer(Optimizer):
             self._credit[name] *= CREDIT_DECAY
         if producer is not None:
             self._credit[producer] += min(1.0, improvement)
-        # Shared result bank: every member sees every trial.
-        for member in self.members.values():
-            member.observe(trial.config, trial.metrics, cost=trial.cost, status=trial.status)
+        # Shared result bank: every member sees every trial, as its own suggestion's or as a foreign one.
+        for name, member in self.members.items():
+            own = number if name == producer else -1
+            member.observe(trial.config, trial.metrics, cost=trial.cost, status=trial.status, suggestion=own)

@@ -86,13 +86,13 @@ class MultiFidelityBO(BayesianOptimizer):
         self._n_suggested = 0
 
     def _ingest(self, config: Configuration, metrics: dict[str, float], cost: float, status: TrialStatus,
-                fidelity: float | None, context: Mapping[str, Any] | None) -> Trial:
+                fidelity: float | None, context: Mapping[str, Any] | None, suggestion: int | None) -> Trial:
         if fidelity is not None and fidelity not in self._level:
             raise OptimizerError(f"fidelity {fidelity!r} is not on the ladder {sorted(self._level)}")
-        return super()._ingest(config, metrics, cost, status, fidelity, context)
+        return super()._ingest(config, metrics, cost, status, fidelity, context, suggestion)
 
-    def suggested_fidelity(self, config: Configuration) -> float | None:
-        level = self._memo(config)
+    def suggested_fidelity(self, number: int) -> float | None:
+        _, level = self.untold(number)
         return None if level is None else self.fidelities[level].value
 
     def _before_model(self) -> tuple[Configuration, int] | None:
@@ -105,8 +105,10 @@ class MultiFidelityBO(BayesianOptimizer):
         return np.array([top if t.fidelity is None else self._level[t.fidelity] for t in trials])
 
     def _candidate_column(self, cands: list[Configuration]) -> np.ndarray:
-        levels = [self._memo(config) for config in cands]  # a constant-liar fantasy sits at its suggestion's level
-        return np.array([len(self.fidelities) - 1 if level is None else level for level in levels])
+        return np.full(len(cands), len(self.fidelities) - 1)
+
+    def _lie_column(self, lies: list[tuple[Configuration, int | None]]) -> np.ndarray:  # each pick's level
+        return np.array([len(self.fidelities) - 1 if level is None else level for _, level in lies])
 
     def _pick(self, cands: list[Configuration]) -> tuple[Configuration, int]:
         top = len(self.fidelities) - 1
@@ -137,7 +139,6 @@ class _Bracket:
         self.budgets = budgets
         self.queue = queue  # to suggest at the current rung
         self.rung = 0
-        self.out = 0  # suggested at the current rung, not yet told
         self.results: list[tuple[float, Configuration]] = []  # (score, config) told at the current rung
 
 
@@ -182,23 +183,27 @@ class HyperbandOptimizer(Optimizer):
         return bracket
 
     def _suggest(self) -> tuple[Configuration, tuple[float, _Bracket]]:
+        for bracket in list(self._brackets):  # a rung whose last untold suggestions were forgotten
+            self._advance(bracket)
         bracket = next((b for b in self._brackets if b.queue), None) or self._open_bracket()
-        bracket.out += 1
         return bracket.queue.pop(0), (bracket.budgets[bracket.rung], bracket)
 
-    def suggested_fidelity(self, config: Configuration) -> float | None:
-        memo = self._memo(config)
+    def suggested_fidelity(self, number: int) -> float | None:
+        _, memo = self.untold(number)
         return None if memo is None else memo[0]
 
     def _on_observe(self, trial: Trial, memo: tuple[float, _Bracket] | None) -> None:
         if memo is None:
             return
         budget, bracket = memo
-        bracket.out -= 1
         ranked = trial.ok and trial.fidelity == budget  # a failure ranks last, whatever its imputation
         score = self.objective.score(trial.metrics[self.objective.name]) if ranked else math.inf
         bracket.results.append((score, trial.config))
-        if bracket.queue or bracket.out:
+        self._advance(bracket)
+
+    def _advance(self, bracket: _Bracket) -> None:
+        """Close a rung with nothing left to suggest or tell: promote its best third, or end the bracket."""
+        if bracket.queue or any(memo[1] is bracket for _, memo in self._untold.values()):
             return
         if bracket.rung + 1 == len(bracket.budgets):
             self._brackets.remove(bracket)

@@ -92,6 +92,6 @@ class ParticleSwarmOptimizer(Optimizer):
     def _digest_state(self) -> dict[str, object]:
         return {
             "cursor": self._cursor,
-            "pending": [idx for idx, _ in self._untold_memos()],
+            "pending": [memo[0] for _, memo in self._untold.values()],
             "gbest_score": None if self.gbest_score == np.inf else round(float(self.gbest_score), 12),
         }

@@ -108,23 +108,23 @@ def run_script(opt) -> dict[str, object]:
     wanted = {obj.name for obj in opt.objectives} | set(getattr(opt, "constraint_metrics", ()))
     suggested: list[dict] = []
 
-    def observe(config) -> None:
+    def observe(config, number) -> None:
         metrics = {k: v for k, v in metrics_of(config).items() if k in wanted}
-        fidelity = opt.suggested_fidelity(config)
+        fidelity = opt.suggested_fidelity(number)
         if fidelity is None:
-            opt.observe(config, metrics)
+            opt.observe(config, metrics, suggestion=number)
         else:
             level = next(f for f in FIDELITIES if f.value == fidelity)
-            opt.observe(config, metrics, cost=level.cost, fidelity=fidelity)
+            opt.observe(config, metrics, cost=level.cost, fidelity=fidelity, suggestion=number)
 
     for step in SCRIPT:
         configs = opt.suggest(3 if step == "b" else 1)
         suggested.extend(json_safe(c.as_dict()) for c in configs)
-        for config in configs:
+        for number, config in enumerate(configs, opt.n_suggested - len(configs)):
             if step == "f":
-                opt.observe_failure(config)
+                opt.observe_failure(config, suggestion=number)
             else:
-                observe(config)
+                observe(config, number)
     return {
         "suggestions": suggested,
         "digest": opt.state_digest_parts(),

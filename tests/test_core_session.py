@@ -5,7 +5,7 @@ import pytest
 from repro.core import Objective, SessionManager, StopWhenReached, TrialReport, TrialStatus, TuningSession
 from repro.core.stores import MemoryTrialStore
 from repro.exceptions import OptimizerError, SystemCrashError, TrialAbortedError
-from repro.optimizers import RandomSearchOptimizer
+from repro.optimizers import CMAESOptimizer, RandomSearchOptimizer
 
 from .conftest import quadratic_evaluator
 
@@ -86,6 +86,13 @@ class TestPendingAsks:
         assert [r["provenance"]["ask"] for r in records] == [None, {"call": 499, "n": 1, "observed": 0, "i": 0}]
         report = manager.replay_session("untold")
         assert report.ok and report.divergence is None, report.format()
+
+    def test_the_optimizer_forgets_what_the_session_evicts(self, simple_space):
+        """CMA-ES keeps a sample per untold suggestion: an abandoned ask takes its sample with it."""
+        session = TuningSession(CMAESOptimizer(simple_space, seed=0), None, max_trials=8)
+        for _ in range(50):
+            session.ask(count=4)
+        assert len(session.optimizer._untold) <= len(session._pending_asks) == 8
 
 
 class TestEvaluatorShapes:

@@ -62,7 +62,8 @@ class TestHyperband:
         starts = [0] + [k for k in range(1, len(budgets)) if budgets[k] < budgets[k - 1]]
         assert [budgets[k] for k in starts] == [1.0, 3.0, 9.0]  # s = 0 starts at 27 without a drop
         assert budgets[-4:] == [27.0] * 4 and budgets[-5] == 27.0
-        assert opt.suggested_fidelity(opt.suggest(1)[0]) == 1.0  # then the cycle repeats
+        opt.suggest(1)
+        assert opt.suggested_fidelity(opt.n_suggested - 1) == 1.0  # then the cycle repeats
 
     def test_early_brackets_try_more_configs(self, rng):
         opt = self.drive(bowl_space(1), self.noisy_objective(rng), 69, max_budget=27.0)

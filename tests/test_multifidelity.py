@@ -31,7 +31,7 @@ class TestMultiFidelityBO:
         rng = np.random.default_rng(seed)
         for _ in range(n):
             cfg = opt.suggest(1)[0]
-            fid = LEVELS[opt.suggested_fidelity(cfg)]
+            fid = LEVELS[opt.suggested_fidelity(opt.n_suggested - 1)]
             y = fidelity_function(cfg["x"], fid.value) + rng.normal(0, 0.002)
             opt.observe(cfg, y, cost=fid.cost, fidelity=fid.value)
 
@@ -61,9 +61,10 @@ class TestMultiFidelityBO:
         opt = MultiFidelityBO(space_1d(), FIDS, n_init=4, n_candidates=64, seed=0)
         for _ in range(4):
             (cfg,) = opt.suggest(1)
-            assert opt.suggested_fidelity(cfg) == 0.1
+            number = opt.n_suggested - 1
+            assert opt.suggested_fidelity(number) == 0.1
             opt.observe(cfg, 1.0, fidelity=0.1)
-            assert opt.suggested_fidelity(cfg) is None  # told: no longer a pending suggestion
+            assert opt.suggested_fidelity(number) is None  # told: no longer a pending suggestion
 
     def test_full_every_forces_target(self):
         opt = MultiFidelityBO(space_1d(), FIDS, n_init=2, full_every=1, n_candidates=32, seed=0)
@@ -108,7 +109,7 @@ def halving(evaluate, max_budget=9.0, minimize=True):
     told = []
     while True:
         config = opt.suggest(1)[0]
-        budget = opt.suggested_fidelity(config)
+        budget = opt.suggested_fidelity(opt.n_suggested - 1)
         if told and budget < told[-1][1]:  # the next bracket began
             return opt, told
         opt.observe(config, evaluate(config, budget), cost=budget, fidelity=budget)
@@ -149,6 +150,18 @@ class TestSuccessiveHalving:
         opt, told = halving(lambda c, b: c["x"], minimize=False)
         assert opt.best_config()["x"] == max(c["x"] for c, b in told if b == 1.0)
 
+    def test_a_forgotten_suggestion_does_not_hold_its_rung_open(self):
+        """An ask evicted untold: its rung closes on the other eight at the next suggest."""
+        opt = HyperbandOptimizer(space_1d(), Objective("score"), seed=0, max_budget=9.0)
+        first = opt.suggest(9)
+        for number, config in enumerate(first[:8]):
+            opt.observe(config, (config["x"] - 0.7) ** 2, fidelity=1.0, suggestion=number)
+        opt.forget(8)
+        opt.suggest(1)
+        config, (budget, bracket) = opt.untold(9)
+        assert (budget, bracket) == (3.0, opt._brackets[0])  # the first bracket's second rung, not a new bracket
+        assert config == min(first[:8], key=lambda c: (c["x"] - 0.7) ** 2)
+
     def test_validation(self):
         with pytest.raises(OptimizerError):
             HyperbandOptimizer(space_1d(), min_budget=0.0)
@@ -159,7 +172,7 @@ class TestSuccessiveHalving:
         opt = HyperbandOptimizer(space_1d(), Objective("score"), seed=0, max_budget=9.0)
         opt.observe(space_1d().make({"x": 0.7}), 0.0, fidelity=9.0)  # not suggested: history only
         first = opt.suggest(9)
-        assert {opt.suggested_fidelity(c) for c in first} == {1.0}
+        assert {opt.suggested_fidelity(k) for k in range(9)} == {1.0}
         for k, config in enumerate(first):
             if k == 0:
                 opt.observe_failure(config, fidelity=1.0)
@@ -167,5 +180,5 @@ class TestSuccessiveHalving:
                 opt.observe(config, (config["x"] - 0.7) ** 2, fidelity=1.0)
         promoted = opt.suggest(3)
         assert first[0] not in promoted
-        assert {opt.suggested_fidelity(c) for c in promoted} == {3.0}
+        assert {opt.suggested_fidelity(k) for k in range(9, 12)} == {3.0}
         assert opt.best_config()["x"] == 0.7  # the best trial at the top budget, whoever ran it
