@@ -18,6 +18,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import uuid
 from pathlib import Path
 
 from repro.core.codec import TrialReport
@@ -85,16 +86,18 @@ async def main() -> int:
             objectives=[{"name": "loss", "minimize": True}],
         )
 
-        # 3. The ask/evaluate/tell loop. Deterministic report_ids make
-        #    retries safe: the journal deduplicates, so even a crashing
-        #    server records each trial exactly once.
+        # 3. The ask/evaluate/tell loop. One report_id per evaluation,
+        #    reused by every retry of its tell, makes retries safe: the
+        #    journal deduplicates, so even a crashing server records each
+        #    trial exactly once. (Not the ask id: ask ids restart at 0
+        #    when a restarted server resumes the session.)
         for _ in range(20):
             (suggestion,) = await client.ask("quickstart", n=1)
             await client.tell_reliably("quickstart", TrialReport(
                 config=suggestion.config,
                 metrics=evaluate(suggestion.config),
                 ask_id=suggestion.ask_id,
-                report_id=f"quickstart-{suggestion.ask_id}",
+                report_id=uuid.uuid4().hex,
             ))
 
         status = await client.status("quickstart")

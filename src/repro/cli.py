@@ -245,16 +245,24 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _print_lint(reports, strict_warnings: bool) -> int:
+    """Print each report (its findings unless it is clean) and return the
+    exit code: 1 on an active error, or a warning under ``--strict-warnings``."""
+    failed = False
+    for report in reports:
+        if report.clean and not report.suppressed:
+            print(f"lint {report.target}: {report.summary()}")
+        else:
+            print(report.format(show_suppressed=True))
+        failed = failed or bool(report.errors) or (strict_warnings and bool(report.warnings))
+    return 1 if failed else 0
+
+
 def _cmd_lint_code(args: argparse.Namespace) -> int:
     """AST-lint source paths with the repro invariant checkers."""
     from .staticcheck import lint_paths
 
-    report = lint_paths(args.paths)
-    if report.clean and not report.suppressed:
-        print(f"lint {report.target}: {report.summary()}")
-    else:
-        print(report.format(show_suppressed=True))
-    return 1 if report.errors or (args.strict_warnings and report.warnings) else 0
+    return _print_lint([lint_paths(args.paths)], args.strict_warnings)
 
 
 def _cmd_lint_space(args: argparse.Namespace) -> int:
@@ -262,16 +270,8 @@ def _cmd_lint_space(args: argparse.Namespace) -> int:
     from .staticcheck import lint_space
 
     names = [args.system] if args.system else list(_SYSTEMS)
-    failed = False
-    for name in names:
-        system = make_system(name, seed=0, noise=0.0)
-        report = lint_space(system.space, ignore=args.ignore)
-        if report.clean and not report.suppressed:
-            print(f"lint {report.target}: {report.summary()}")
-        else:
-            print(report.format(show_suppressed=True))
-        failed = failed or bool(report.errors) or (args.strict_warnings and bool(report.warnings))
-    return 1 if failed else 0
+    reports = (lint_space(make_system(name, seed=0, noise=0.0).space, ignore=args.ignore) for name in names)
+    return _print_lint(reports, args.strict_warnings)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

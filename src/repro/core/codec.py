@@ -182,7 +182,7 @@ def encode_trial(
 
     ``provenance`` is journaled under a ``"provenance"`` key: seed lineage,
     optimizer state digest, space version hash, ask-batch coordinates,
-    executor attempt history, library version, and parent trace id —
+    library version, and parent trace id —
     everything ``repro replay`` needs to re-execute the session bit-exactly
     and to pinpoint the first divergence when it cannot. It belongs to the
     record, not to the trial: :class:`~repro.core.session.TuningSession`

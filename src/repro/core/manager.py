@@ -336,7 +336,9 @@ class SessionManager:
         return replay_session(self.store, session_id, trace=trace)
 
     def complete(self, session_id: str) -> None:
-        """Mark a session finished (it can still be resumed read-only)."""
+        """Mark a session finished. Its journal stays: a later touch (a
+        resume, or over the service any request naming it) re-hosts it, and
+        it carries on from where it stopped."""
         self.store.update_session(session_id, status="completed")
 
     def close(self) -> None:

@@ -340,7 +340,7 @@ class TuningSession:
             self._space_hash = space_version_hash(self.optimizer.space)
         return self._space_hash
 
-    def _provenance(self, trial: Trial, ask_info: Mapping[str, Any] | None) -> dict[str, Any]:
+    def _provenance(self, ask_info: Mapping[str, Any] | None) -> dict[str, Any]:
         """The lineage block journaled alongside one trial.
 
         Captured *after* the observe, so the digests describe the optimizer
@@ -361,13 +361,6 @@ class TuningSession:
         trace_id = current_trace_id()
         if trace_id is not None:
             provenance["trace_id"] = trace_id
-        executor = {
-            key: trial.context[key]
-            for key in ("queue_s", "attempt_s", "attempts", "retries")
-            if key in trial.context
-        }
-        if executor:
-            provenance["executor"] = executor
         return provenance
 
     def _record(self, trial: Trial, report_id: str | None = None, ask_info: Mapping[str, Any] | None = None) -> None:
@@ -385,7 +378,7 @@ class TuningSession:
             self._report_trial_ids[report_id] = trial.trial_id
         if self.store is None or self.session_id is None:
             return
-        record = encode_trial(trial, report_id, self._provenance(trial, ask_info))
+        record = encode_trial(trial, report_id, self._provenance(ask_info))
         queued = len(self._spill) + 1
         self._spill.append((trial.trial_id, record))
         try:

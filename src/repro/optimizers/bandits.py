@@ -53,7 +53,10 @@ class MultiArmedBanditOptimizer(Optimizer):
 
     Rewards are the *negated canonical scores* (so better metric = higher
     reward) normalised by a running scale, making policies robust to the
-    objective's units.
+    objective's units. A suggestion's memo is its arm's index, so each tell
+    credits the arm that was pulled: equal arms (a sampled arm set on a
+    small discrete space holds some) are credited apart, and a trial not
+    pulled here credits none.
 
     Parameters
     ----------
@@ -81,7 +84,6 @@ class MultiArmedBanditOptimizer(Optimizer):
             raise OptimizerError("need at least 2 arms")
         self.policy = policy
         self.stats = [BanditArmStats() for _ in self.arms]
-        self._arm_of: dict[Configuration, int] = {a: i for i, a in enumerate(self.arms)}
         self._scale = 1.0
 
     @property
@@ -111,17 +113,17 @@ class MultiArmedBanditOptimizer(Optimizer):
         ]
         return int(np.argmax(draws))
 
-    def _suggest(self) -> Configuration:
-        return self.arms[self._select_arm()]
+    def _suggest(self) -> tuple[Configuration, int]:
+        idx = self._select_arm()
+        return self.arms[idx], idx
 
-    def _on_observe(self, trial: Trial, memo: object) -> None:
-        idx = self._arm_of.get(trial.config)
-        if idx is None:
-            return  # observation for a non-arm config (e.g. warm start)
+    def _on_observe(self, trial: Trial, memo: int | None) -> None:
+        if memo is None:
+            return  # not pulled here (warm start, resume): credits no arm, even an equal one
         obj = self.objective
         score = obj.score(trial.metric(obj.name))
         self._scale = max(self._scale * 0.99, abs(score), 1e-9)
-        self.stats[idx].update(-score / self._scale)
+        self.stats[memo].update(-score / self._scale)
 
     def _digest_state(self) -> dict[str, object]:
         return {

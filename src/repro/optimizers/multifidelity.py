@@ -213,6 +213,24 @@ class HyperbandOptimizer(Optimizer):
         bracket.results = []
         bracket.rung += 1
 
+    def _digest_state(self) -> dict[str, object]:
+        """Per open bracket: its size, its rung's budget, the suggestions it
+        has queued and untold, and its rung's results as ranked — so a tell
+        that joins the wrong rung diverges at its own record."""
+        return {"brackets": [
+            {
+                "s": len(bracket.budgets) - 1,
+                "budget": bracket.budgets[bracket.rung],
+                "queued": len(bracket.queue),
+                "untold": sum(memo[1] is bracket for _, memo in self._untold.values()),
+                "ranked": [
+                    [round(score, 12), config.as_dict()]
+                    for score, config in sorted(bracket.results, key=lambda result: result[0])
+                ],
+            }
+            for bracket in self._brackets
+        ]}
+
     def best_config(self) -> Configuration:
         top = [t for t in self.history.completed() if t.fidelity == self.max_budget]
         if not top:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import uuid
 from typing import Any, Mapping, Sequence
 
 from ..core.codec import Suggestion, TrialReport
@@ -262,9 +263,12 @@ class ServiceClient:
     async def run_session(self, session_id: str, evaluate) -> dict[str, Any]:
         """Drive one session's full ask/evaluate/tell loop from the client.
 
-        ``evaluate(config_dict) -> metrics dict`` runs locally. Reports use
-        deterministic ids (``{session_id}-{ask_id}``) so the loop survives
-        server restarts mid-campaign without duplicating trials.
+        ``evaluate(config_dict) -> metrics dict`` runs locally. Each
+        evaluation's report gets a fresh ``report_id``, minted once and
+        kept across ``tell_reliably``'s retries, so the loop survives server
+        restarts mid-campaign without duplicating or dropping trials. An
+        ask id cannot name a report: ask ids restart at 0 with each server
+        incarnation, so after a restart they repeat ids already journaled.
         """
         outage = 0  # consecutive failed polls; resets once the server answers
         while True:
@@ -290,6 +294,6 @@ class ServiceClient:
                     config=suggestion.config,
                     metrics=metrics,
                     ask_id=suggestion.ask_id,
-                    report_id=f"{session_id}-{suggestion.ask_id}",
+                    report_id=uuid.uuid4().hex,
                 )
                 await self.tell_reliably(session_id, report)

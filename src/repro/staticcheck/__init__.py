@@ -3,14 +3,18 @@
 Two prongs, one finding model (:mod:`repro.staticcheck.findings`):
 
 * :func:`lint_space` (:mod:`~repro.staticcheck.spacelint`) — rule engine
-  over :class:`~repro.space.ConfigurationSpace` objects or their wire
-  descriptions. Wired into :meth:`SessionManager.create
-  <repro.core.manager.SessionManager.create>` (warn by default,
-  ``strict=True`` rejects) and the service's session-create handler.
+  over :class:`~repro.space.ConfigurationSpace` objects. A wire
+  description is built first (:func:`~repro.space.serialize.space_from_dict`
+  refuses what a space cannot be), then linted. Wired into
+  :meth:`SessionManager.create <repro.core.manager.SessionManager.create>`
+  (warn by default, ``strict=True`` rejects), so the service's
+  session-create handler lints every space it hosts.
 * :func:`lint_paths` / :func:`lint_source`
   (:mod:`~repro.staticcheck.astlint`) — stdlib-``ast`` checkers enforcing
-  repro-specific invariants over the source tree; runs as
-  ``python -m repro.staticcheck src`` and as a blocking CI job.
+  repro-specific invariants over the source tree.
+
+Both run from the command line as ``repro lint code`` / ``repro lint
+space`` (:mod:`repro.cli`), which the blocking CI job calls.
 
 Rule catalog, severities, and suppression syntax: ``docs/static-analysis.md``.
 """
@@ -27,7 +31,6 @@ _EXPORTS = {
     "LintReport": ".findings",
     "Severity": ".findings",
     "SpaceLintError": ".findings",
-    "SpaceLintReport": ".findings",
     "SPACE_RULES": ".spacelint",
     "lint_space": ".spacelint",
 }

@@ -4,9 +4,9 @@ A :class:`Finding` is one diagnostic: a stable rule id (``SPxxx`` for
 space-lint rules, ``ASTxxx`` for codebase rules), a :class:`Severity`, the
 *subject* it is about (a parameter/condition name or a ``file:line``
 location), a human message, and a concrete fix hint. Findings aggregate
-into a :class:`LintReport` (``SpaceLintReport`` is its space-prong alias)
-that knows how to render itself for terminals and how to serialise for
-the service wire.
+into a :class:`LintReport` — the one report type of both prongs — that
+knows how to render itself for terminals and how to serialise for the
+service wire.
 
 Severity semantics, used uniformly by the CLI exit code, the CI job, and
 ``SessionManager.create(strict=True)``:
@@ -31,7 +31,6 @@ __all__ = [
     "Severity",
     "Finding",
     "LintReport",
-    "SpaceLintReport",
     "SpaceLintError",
 ]
 
@@ -156,18 +155,14 @@ class LintReport:
         }
 
 
-class SpaceLintReport(LintReport):
-    """The space-prong report (same shape; the alias keeps call sites clear)."""
-
-
 class SpaceLintError(SpaceError):
     """A strict lint pass rejected a configuration space.
 
-    Carries the offending :class:`SpaceLintReport` so callers (the service,
+    Carries the offending :class:`LintReport` so callers (the service,
     tests) can surface the individual rule ids; ``str()`` lists them.
     """
 
-    def __init__(self, report: SpaceLintReport) -> None:
+    def __init__(self, report: LintReport) -> None:
         self.report = report
         rules = sorted({f.rule for f in report.errors})
         super().__init__(

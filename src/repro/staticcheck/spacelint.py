@@ -1,15 +1,21 @@
 """Prong 1: the ConfigurationSpace linter.
 
-A rule engine over :class:`~repro.space.ConfigurationSpace` objects (or
-their :func:`~repro.space.serialize.space_to_dict` wire descriptions) that
+A rule engine over :class:`~repro.space.ConfigurationSpace` objects that
 finds the defects the paper's challenge list says tuners silently pay for
-at runtime: unsatisfiable or cyclic condition graphs, dead parameters the
-optimizer wastes dimensions on, contradictory or vacuous constraints that
-turn rejection sampling into an infinite loop, priors with no mass inside
-the parameter's range, and non-serialisable members that a service session
-will silently lose across a process boundary.
+at runtime: unsatisfiable conditions, dead parameters the optimizer wastes
+dimensions on, contradictory or vacuous constraints that turn rejection
+sampling into an infinite loop, priors with no mass inside the parameter's
+range, non-serialisable members that a service session will silently lose
+across a process boundary, and lookalike names.
 
-Entry point: :func:`lint_space` → :class:`SpaceLintReport`. Severity
+It judges legal spaces only. What a space cannot be (duplicate names,
+inverted or log-over-non-positive bounds, self, unknown-parent or cyclic
+conditions, malformed wire descriptions) is refused where the space is
+built: by the parameter constructors, :meth:`ConfigurationSpace.add` /
+:meth:`~ConfigurationSpace.add_condition`, and
+:func:`~repro.space.serialize.space_from_dict`.
+
+Entry point: :func:`lint_space` → :class:`LintReport`. Severity
 semantics and the rule catalog live in ``docs/static-analysis.md``;
 ``SessionManager.create(strict=True)`` rejects any space whose report
 carries an ERROR finding.
@@ -24,7 +30,7 @@ propagates through the activation DAG to a fixpoint.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -37,7 +43,7 @@ from ..space.conditions import (
     InCondition,
     LessThanCondition,
 )
-from ..space.constraints import Constraint, LinearConstraint, RatioConstraint
+from ..space.constraints import LinearConstraint, RatioConstraint
 from ..space.params import (
     CategoricalParameter,
     FloatParameter,
@@ -45,26 +51,21 @@ from ..space.params import (
     Parameter,
     _NumericParameter,
 )
-from ..space.priors import BetaPrior, HistogramPrior, NormalPrior, UniformPrior
+from ..space.priors import UniformPrior
 from ..space.space import constraint_params
 from ..exceptions import ConstraintViolationError, SpaceError
-from .findings import Finding, Severity, SpaceLintReport
+from .findings import Finding, LintReport, Severity
 
 __all__ = ["lint_space", "SPACE_RULES"]
 
-#: The rule catalog: id -> (severity, one-line description). Kept here so the
-#: docs table, the CLI ``--explain`` output, and the tests share one source.
+#: The rule catalog: id -> (severity, one-line description), the one source
+#: of a rule's severity; ``docs/static-analysis.md`` tabulates the same ids.
 SPACE_RULES: dict[str, tuple[Severity, str]] = {
-    "SP101": (Severity.ERROR, "duplicate parameter name"),
     "SP102": (Severity.WARNING, "parameter names differ only by case/word separators"),
     "SP103": (Severity.ERROR, "space has no parameters"),
-    "SP104": (Severity.ERROR, "malformed space description"),
     "SP201": (Severity.ERROR, "condition can never hold for any parent value"),
     "SP202": (Severity.WARNING, "condition holds for every parent value (redundant)"),
     "SP203": (Severity.ERROR, "parameter can never become active (dead region)"),
-    "SP204": (Severity.ERROR, "cycle in the condition graph"),
-    "SP205": (Severity.ERROR, "condition references an unknown parameter"),
-    "SP206": (Severity.ERROR, "parameter conditioned on itself"),
     "SP301": (Severity.ERROR, "constraint excludes every point in the space"),
     "SP302": (Severity.WARNING, "constraint holds everywhere (redundant)"),
     "SP303": (Severity.WARNING, "constraint references an unknown parameter (never applies)"),
@@ -76,8 +77,6 @@ SPACE_RULES: dict[str, tuple[Severity, str]] = {
     "SP402": (Severity.WARNING, "constraint cannot be serialised (dropped in service sessions)"),
     "SP501": (Severity.ERROR, "prior has no mass inside the parameter's range"),
     "SP502": (Severity.WARNING, "prior collapses onto a single achievable value"),
-    "SP503": (Severity.ERROR, "log-scale parameter with non-positive lower bound"),
-    "SP504": (Severity.ERROR, "lower bound is not below upper bound"),
 }
 
 
@@ -193,7 +192,7 @@ def _describe_condition(cond: Condition) -> str:
 
 # -- rule groups ---------------------------------------------------------------
 
-def _lint_names(space: ConfigurationSpace, report: SpaceLintReport) -> None:
+def _lint_names(space: ConfigurationSpace, report: LintReport) -> None:
     if not space.names:
         report.add(_finding("SP103", space.name, "space has no parameters", "add at least one Parameter"))
         return
@@ -210,36 +209,11 @@ def _lint_names(space: ConfigurationSpace, report: SpaceLintReport) -> None:
             canon.setdefault(key, name)
 
 
-def _lint_conditions(space: ConfigurationSpace, report: SpaceLintReport) -> set[str]:
-    """Condition-graph rules. Returns the set of dead parameter names."""
+def _lint_conditions(space: ConfigurationSpace, report: LintReport) -> None:
+    """Condition-graph rules: unsatisfiable, redundant and dead."""
     by_child: dict[str, list[Condition]] = {}
     for cond in space.conditions:
         by_child.setdefault(cond.child, []).append(cond)
-
-    # Cycles (defensive: add_condition refuses them, but dict-built or
-    # hand-mutated spaces can carry one).
-    state: dict[str, int] = {}
-    cyclic: set[str] = set()
-
-    def visit(node: str, stack: tuple[str, ...]) -> None:
-        if state.get(node) == 1:
-            cyclic.update(stack[stack.index(node):])
-            return
-        if state.get(node) == 2:
-            return
-        state[node] = 1
-        for c in by_child.get(node, ()):
-            visit(c.parent, stack + (node,))
-        state[node] = 2
-
-    for child in by_child:
-        visit(child, ())
-    for name in sorted(cyclic):
-        report.add(_finding(
-            "SP204", name,
-            f"parameter {name!r} participates in a condition cycle",
-            "break the cycle; activation is only well-defined on a DAG",
-        ))
 
     dead: set[str] = set()
     undecidable: set[str] = set()
@@ -274,7 +248,7 @@ def _lint_conditions(space: ConfigurationSpace, report: SpaceLintReport) -> set[
                 ))
         # Joint (AND) analysis per parent: chained thresholds/pins that are
         # individually fine can jointly exclude every value.
-        if not child_dead and child not in undecidable and child not in cyclic:
+        if not child_dead and child not in undecidable:
             by_parent: dict[str, list[Condition]] = {}
             for cond in conds:
                 by_parent.setdefault(cond.parent, []).append(cond)
@@ -301,7 +275,7 @@ def _lint_conditions(space: ConfigurationSpace, report: SpaceLintReport) -> set[
     while changed:
         changed = False
         for child, conds in by_child.items():
-            if child in dead or child in cyclic:
+            if child in dead:
                 continue
             killers = sorted({c.parent for c in conds if c.parent in dead})
             if killers:
@@ -313,7 +287,6 @@ def _lint_conditions(space: ConfigurationSpace, report: SpaceLintReport) -> set[
                 ))
                 dead.add(child)
                 changed = True
-    return dead
 
 
 def _linear_range(con: LinearConstraint, space: ConfigurationSpace) -> tuple[float, float] | None:
@@ -328,7 +301,7 @@ def _linear_range(con: LinearConstraint, space: ConfigurationSpace) -> tuple[flo
     return lo_total, hi_total
 
 
-def _lint_constraints(space: ConfigurationSpace, report: SpaceLintReport) -> None:
+def _lint_constraints(space: ConfigurationSpace, report: LintReport) -> None:
     seen_linear: dict[tuple, str] = {}
     linears: list[LinearConstraint] = []
     for con in space.constraints:
@@ -464,7 +437,7 @@ def _anti_scale(a: LinearConstraint, b: LinearConstraint) -> float | None:
     return k
 
 
-def _lint_priors(space: ConfigurationSpace, report: SpaceLintReport) -> None:
+def _lint_priors(space: ConfigurationSpace, report: LintReport) -> None:
     grid = np.linspace(0.0, 1.0, 513)
     for param in space.parameters:
         if not isinstance(param, _NumericParameter) or isinstance(param.prior, UniformPrior):
@@ -519,137 +492,24 @@ def _n_achievable(param: _NumericParameter) -> int:
     return 1 << 30  # effectively continuous
 
 
-# -- dict (wire-form) prong ----------------------------------------------------
-
-def _lint_space_dict(data: Mapping[str, Any], report: SpaceLintReport) -> ConfigurationSpace | None:
-    """Structural rules over a wire description, then build + object rules.
-
-    The wire form can carry defects the Python constructors make
-    unrepresentable (duplicate names, self/unknown/cyclic conditions,
-    log-scale over non-positive bounds), so those are checked *before*
-    attempting construction.
-    """
-    params = data.get("parameters") or []
-    names: list[str] = []
-    for p in params:
-        if not isinstance(p, Mapping) or "name" not in p:
-            report.add(_finding("SP104", report.target, f"malformed parameter entry {p!r}",
-                                "each parameter needs at least 'type' and 'name'"))
-            continue
-        name = str(p["name"])
-        if name in names:
-            report.add(_finding(
-                "SP101", name, f"parameter {name!r} defined twice",
-                "the later definition would shadow the earlier one; rename or remove it",
-            ))
-        names.append(name)
-        lower, upper = p.get("lower"), p.get("upper")
-        if lower is not None and upper is not None and float(lower) >= float(upper):
-            report.add(_finding(
-                "SP504", name, f"bounds [{lower}, {upper}] are empty or inverted",
-                "lower must be strictly below upper",
-            ))
-        if p.get("log") and lower is not None and float(lower) <= 0:
-            report.add(_finding(
-                "SP503", name,
-                f"log-scale parameter with lower bound {lower} <= 0",
-                "log transforms need strictly positive bounds",
-            ))
-        prior = p.get("prior")
-        if isinstance(prior, Mapping) and prior.get("kind") == "normal":
-            mean = prior.get("mean")
-            std = prior.get("std")
-            if mean is not None and not (0.0 <= float(mean) <= 1.0):
-                report.add(_finding(
-                    "SP501", name,
-                    f"normal prior mean {mean} lies outside the unit-encoded range "
-                    "[0, 1]; its support misses the parameter's bounds",
-                    "move the mean inside [0, 1] (unit-interval coordinates)",
-                ))
-            if std is not None and float(std) <= 0:
-                report.add(_finding(
-                    "SP501", name, f"normal prior std {std} is not positive",
-                    "use std > 0",
-                ))
-    if not params:
-        report.add(_finding("SP103", report.target, "space description has no parameters",
-                            "add at least one parameter"))
-    known = set(names)
-    edges: dict[str, list[str]] = {}
-    for c in data.get("conditions", ()) or ():
-        if not isinstance(c, Mapping) or "child" not in c or "parent" not in c:
-            report.add(_finding("SP104", report.target, f"malformed condition entry {c!r}",
-                                "each condition needs 'kind', 'child', and 'parent'"))
-            continue
-        child, parent = str(c["child"]), str(c["parent"])
-        if child == parent:
-            report.add(_finding("SP206", child, f"parameter {child!r} conditioned on itself",
-                                "a knob cannot gate its own activation"))
-            continue
-        for ref in (child, parent):
-            if ref not in known:
-                report.add(_finding(
-                    "SP205", ref, f"condition references unknown parameter {ref!r}",
-                    "fix the name or add the missing parameter",
-                ))
-        edges.setdefault(child, []).append(parent)
-    # Cycle detection on the raw edges (space_from_dict would raise opaquely).
-    state: dict[str, int] = {}
-    cyclic: set[str] = set()
-
-    def visit(node: str, stack: tuple[str, ...]) -> None:
-        if state.get(node) == 1:
-            cyclic.update(stack[stack.index(node):])
-            return
-        if state.get(node) == 2:
-            return
-        state[node] = 1
-        for parent in edges.get(node, ()):
-            visit(parent, stack + (node,))
-        state[node] = 2
-
-    for child in edges:
-        visit(child, ())
-    for name in sorted(cyclic):
-        report.add(_finding("SP204", name, f"parameter {name!r} participates in a condition cycle",
-                            "break the cycle; activation is only well-defined on a DAG"))
-    if not report.ok:
-        return None  # structurally broken: object-level rules would crash
-    try:
-        from ..space.serialize import space_from_dict
-
-        return space_from_dict(data)
-    except SpaceError as err:
-        report.add(_finding("SP104", report.target, f"space description does not build: {err}",
-                            "fix the description; see the codec error above"))
-        return None
-
-
 # -- entry point ---------------------------------------------------------------
 
-def lint_space(
-    space: ConfigurationSpace | Mapping[str, Any],
-    ignore: Iterable[str] = (),
-) -> SpaceLintReport:
+def lint_space(space: ConfigurationSpace, ignore: Iterable[str] = ()) -> LintReport:
     """Run every space rule and return the report.
 
-    Accepts a live :class:`ConfigurationSpace` or a wire-form dict
-    (:func:`~repro.space.serialize.space_to_dict` output / service create
-    bodies). ``ignore`` suppresses rule ids; suppressed findings stay in
-    the report (counted, marked) but do not affect ``ok``.
+    ``ignore`` suppresses rule ids; suppressed findings stay in the report
+    (counted, marked) but do not affect ``ok``.
     """
     ignored = {r.strip().upper() for r in ignore if r and r.strip()}
     unknown = ignored - set(SPACE_RULES)
     if unknown:
         raise SpaceError(f"unknown space-lint rule id(s) in ignore list: {sorted(unknown)}")
-    if isinstance(space, Mapping):
-        report = SpaceLintReport(target=str(space.get("name", "space")))
-        built = _lint_space_dict(space, report)
-        if built is not None:
-            _run_object_rules(built, report)
-    else:
-        report = SpaceLintReport(target=space.name)
-        _run_object_rules(space, report)
+    report = LintReport(target=space.name)
+    _lint_names(space, report)
+    if space.names:
+        _lint_conditions(space, report)
+        _lint_constraints(space, report)
+        _lint_priors(space, report)
     if ignored:
         report.findings = [
             Finding(**{**f.__dict__, "suppressed": True}) if f.rule in ignored else f
@@ -657,11 +517,3 @@ def lint_space(
         ]
     return report
 
-
-def _run_object_rules(space: ConfigurationSpace, report: SpaceLintReport) -> None:
-    _lint_names(space, report)
-    if not space.names:
-        return
-    _lint_conditions(space, report)
-    _lint_constraints(space, report)
-    _lint_priors(space, report)

@@ -76,6 +76,24 @@ class TestHyperband:
         opt = self.drive(bowl_space(1), lambda c, b: c["x0"], 13, minimize=False, max_budget=9.0)
         assert opt.best_config()["x0"] > 0.7
 
+    def test_state_digest_covers_the_rungs(self):
+        """Replay checks a Hyperband session through its brackets too: the
+        digest's ``model`` part moves when a rung result is recorded, and a
+        trial that joins no rung (here: told as foreign) diverges from one
+        that joins it although their histories are equal."""
+
+        def told(suggestion):
+            opt = HyperbandOptimizer(bowl_space(1), Objective("score"), seed=0, max_budget=9.0)
+            (config,) = opt.suggest()
+            before = opt.state_digest_parts()
+            opt.observe(config, 0.5, fidelity=1.0, suggestion=suggestion)
+            return before, opt.state_digest_parts()
+
+        before, joined = told(0)
+        _, foreign = told(-1)
+        assert joined["model"] != before["model"]
+        assert joined["history"] == foreign["history"] and joined["model"] != foreign["model"]
+
     def test_validation(self, rng):
         with pytest.raises(OptimizerError):
             HyperbandOptimizer(bowl_space(1), max_budget=1.0)

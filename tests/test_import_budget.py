@@ -285,8 +285,8 @@ def test_proactive_tuner_steps_with_scipy_blocked():
 
 
 def test_staticcheck_runs_with_scipy_blocked():
-    main = "from repro.staticcheck.__main__ import main\n"
-    assert fresh(BLOCK_SCIPY + main + 'print(main(["--spaces", "src"]))') == 0
+    main = "from repro.cli import main\n"
+    assert fresh(BLOCK_SCIPY + main + 'print([main(["lint", "code", "src"]), main(["lint", "space"])])') == [0, 0]
 
 
 # -- (c), (d) a model family loads its own modules, inside create -------------

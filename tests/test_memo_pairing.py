@@ -1,12 +1,12 @@
 """Every tell reaches the state that asked for it.
 
 A suggestion's memo (a CMA-ES sample, a particle, an ensemble member, a
-latent point, a rung, an online technique's proposal state) is kept by the
+latent point, a rung, a bandit arm, an online technique's proposal state) is kept by the
 ``Optimizer`` base class under the suggestion's number and handed back with
 the tell that names that number: a session's ask id, an in-flight trial's
 or a replayed record's suggestion. These tests drive every registered
-optimizer, plus the ensemble, the genetic algorithm, ``ProjectedOptimizer``
-and every online technique, the two ways tells arrive out of order: trials
+optimizer, plus the ensemble, the genetic algorithm, ``ProjectedOptimizer``,
+the multi-armed bandit and every online technique, the two ways tells arrive out of order: trials
 kept in flight on simulated machines whose run time grows with the
 configuration, and batch asks told back shuffled, as service clients do.
 On a space of four configurations, where equal ones are pending together,
@@ -34,6 +34,7 @@ from repro.online import (
 from repro.optimizers import (
     CMAESOptimizer,
     EnsembleOptimizer,
+    MultiArmedBanditOptimizer,
     ParticleSwarmOptimizer,
     ProjectedOptimizer,
     RandomSearchOptimizer,
@@ -96,14 +97,16 @@ def build(name, space=None):
         return ProjectedOptimizer(adapter, lambda s: CMAESOptimizer(s, seed=0), objectives=objective, seed=0)
     if name == "ga":
         return GeneticAlgorithmOptimizer(space, population_size=6, objectives=objective, seed=0)
+    if name == "bandit":
+        return MultiArmedBanditOptimizer(space, n_arms=6, objectives=objective, seed=0)
     options = {"bo": {"n_init": 4, "n_candidates": 64}, "smac": {"n_init": 4, "n_candidates": 64},
                "grid": {"points_per_dim": 6}}.get(name, {})
     return make_optimizer(name, space, objective, seed=0, options=options)
 
 
 #: The optimizers whose suggestions carry a memo.
-MEMOS = {"cmaes", "pso", "hyperband", "ensemble", "ga", "projected", *ONLINE}
-NAMES = [*optimizer_names(), "ensemble", "ga", "projected", *ONLINE]
+MEMOS = {"cmaes", "pso", "hyperband", "ensemble", "ga", "projected", "bandit", *ONLINE}
+NAMES = [*optimizer_names(), "ensemble", "ga", "projected", "bandit", *ONLINE]
 
 
 def spy(opt):
@@ -184,7 +187,7 @@ def spy_numbers(opt):
 
 
 @pytest.mark.parametrize("drive", sorted(DRIVES))
-@pytest.mark.parametrize("name", ["ga", "pso", "hyperband"])
+@pytest.mark.parametrize("name", ["ga", "pso", "hyperband", "bandit"])
 def test_equal_configurations_pending_together_keep_their_own_memos(name, drive):
     if name == "hyperband" and drive == "in-flight":
         pytest.skip("run() refuses an optimizer that proposes fidelities; it is driven by ask/tell")
@@ -215,6 +218,23 @@ def test_each_ask_hands_out_its_own_rungs_budget():
     second = opt._brackets[1]  # its budget-3 rung waits on two more suggestions
     assert second.rung == 0 and len(second.results) == 3
     assert all(np.isfinite(score) for score, _ in second.results)
+
+
+def test_each_bandit_pull_credits_the_arm_pulled():
+    """Six arms sampled from a three-valued knob hold equal ones. Each tell
+    credits the arm its suggestion pulled: every arm is pulled, so ``c`` is
+    tried, and the best choice ``b`` ends best, not the worst, ``a``."""
+    space = ConfigurationSpace("knob", seed=0)
+    space.add(CategoricalParameter("k", ["a", "b", "c"]))
+    opt = MultiArmedBanditOptimizer(space, n_arms=6, objectives=Objective("loss"), seed=0)
+    assert [arm["k"] for arm in opt.arms] == ["b", "a", "a", "a", "c", "c"]
+    loss = {"a": 3.0, "b": 1.0, "c": 2.0}
+    for _ in range(60):
+        (config,) = opt.suggest()
+        opt.observe(config, {"loss": loss[config["k"]]})
+    pulls = [s.pulls for s in opt.stats]
+    assert min(pulls) >= 1 and pulls[0] == max(pulls)
+    assert opt.best_arm()["k"] == "b"
 
 
 def told_pairs(opt):

@@ -96,8 +96,8 @@ TABLES = {
         "LinearConstraint", "NormalPrior", "Parameter", "Prior", "RatioConstraint", "UniformPrior",
     ],
     "repro.staticcheck": [
-        "AST_RULES", "Finding", "LintReport", "SPACE_RULES", "Severity", "SpaceLintError", "SpaceLintReport",
-        "lint_paths", "lint_source", "lint_space",
+        "AST_RULES", "Finding", "LintReport", "SPACE_RULES", "Severity", "SpaceLintError", "lint_paths",
+        "lint_source", "lint_space",
     ],
     "repro.sysim": [
         "CloudEnvironment", "FLUSH_METHODS", "KnobLevel", "Machine", "NginxServer", "PerfProfile", "QUIET_CLOUD",
@@ -330,3 +330,12 @@ def test_service_doc_lists_the_options_each_optimizer_accepts():
         for name, cls in _REGISTRY.items()
     }
     assert documented == accepted
+
+
+def test_static_analysis_doc_catalogs_exactly_the_rules():
+    from repro.staticcheck import AST_RULES, SPACE_RULES
+
+    rows = re.findall(r"^\| ((?:SP|AST)\d+) \| (\w+) \|", (ROOT / "docs" / "static-analysis.md").read_text(), re.M)
+    catalog = {rule: severity.name for rule, (severity, _) in {**SPACE_RULES, **AST_RULES}.items()}
+    assert len(rows) == len(dict(rows)), "a rule is documented twice"
+    assert dict(rows) == catalog

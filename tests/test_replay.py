@@ -67,6 +67,21 @@ class TestProvenanceCapture:
             assert set(prov["digest"]) >= {"rng", "history"}
             assert len(prov["space"]) == 12
 
+    def test_executor_timings_are_journaled_once_in_the_context(self):
+        from repro.execution import ThreadedExecutor
+
+        manager = SessionManager(MemoryTrialStore())
+        with ThreadedExecutor(max_workers=2) as executor:
+            manager.create(
+                make_space(), optimizer="random", seed=11, max_trials=4, session_id="p5",
+                evaluator=lambda config: {"score": float(config["x"])}, executor=executor,
+            ).run()
+        records = manager.store.load_trials("p5")
+        assert len(records) == 4
+        for record in records:
+            assert {"queue_s", "attempt_s", "attempts", "retries"} <= set(record["context"])
+            assert "executor" not in record["provenance"]
+
     def test_provenance_is_a_record_field(self):
         manager = SessionManager(MemoryTrialStore())
         session = manager.create(make_space(), optimizer="random", seed=11, max_trials=10, session_id="p4")

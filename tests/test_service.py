@@ -897,6 +897,51 @@ class TestConcurrentCampaign:
 
         run(asyncio.wait_for(main(), timeout=300))
 
+    def test_run_session_journals_every_evaluation_across_a_restart(self, tmp_path):
+        """Ask ids restart at 0 when the restarted server resumes the
+        session, so a report named after its ask id repeats one already
+        journaled and its evaluation is dropped as a duplicate. Each
+        evaluation's report id is its own: all of them are journaled."""
+        acks, evaluations = [], []
+
+        class AckRecordingClient(ServiceClient):
+            async def tell(self, session_id, report, retry=0):
+                ack = await super().tell(session_id, report, retry=retry)
+                acks.append(ack)
+                return ack
+
+        def counted(config):
+            evaluations.append(config)
+            return evaluate(config)
+
+        async def main():
+            store = JsonJournalStore(tmp_path, fsync=False)
+            port = free_port()
+            server = TuningServer(ServiceHandlers(SessionManager(store)), port=port)
+            await server.start()
+            client = AckRecordingClient(server.host, port, timeout_s=10)
+            await client.create_session(
+                space=small_space_spec(), optimizer="random", seed=0, max_trials=20,
+                session_id="r", objectives=[{"name": "loss", "minimize": True}],
+            )
+            campaign = asyncio.create_task(client.run_session("r", counted))
+            while len(store.load_trials("r")) < 4:
+                await asyncio.sleep(0.001)
+            await server.stop(close_handlers=False)  # drains: the tell in flight is answered
+            assert len(store.load_trials("r")) < 20
+            server2 = TuningServer(ServiceHandlers(SessionManager(store)), port=port)
+            await server2.start()
+            try:
+                status = await campaign
+            finally:
+                await server2.stop(close_handlers=False)
+            assert status["complete"]
+            assert len(evaluations) == len(store.load_trials("r")) == 20
+            assert [ack["duplicate"] for ack in acks] == [False] * 20
+            store.close()
+
+        run(asyncio.wait_for(main(), timeout=120))
+
     def test_interleaved_ask_tell_on_shared_session(self):
         """Many clients hammering one session: trial ids stay unique."""
 
@@ -1082,6 +1127,16 @@ STATUS_RULE = [
     ("create-duplicate-parameter", "POST", "/sessions",
      create_body(space=space_with(parameters=[param(), param()])), 400),
     ("create-conditions-not-a-list", "POST", "/sessions", create_body(space=space_with(conditions=5)), 400),
+    ("create-condition-cycle", "POST", "/sessions", create_body(space=space_with(
+        parameters=[param(), param(name="y")],
+        conditions=[{"kind": "gt", "child": "x", "parent": "y", "threshold": 0.0},
+                    {"kind": "gt", "child": "y", "parent": "x", "threshold": 0.0}])), 400),
+    ("create-self-condition", "POST", "/sessions", create_body(space=space_with(
+        parameters=[param()], conditions=[{"kind": "gt", "child": "x", "parent": "x", "threshold": 0.0}])), 400),
+    ("create-condition-unknown-parent", "POST", "/sessions", create_body(space=space_with(
+        parameters=[param()], conditions=[{"kind": "gt", "child": "x", "parent": "ghost", "threshold": 0.0}])), 400),
+    ("create-log-over-non-positive-lower", "POST", "/sessions",
+     create_body(space=space_with(parameters=[param(lower=0.0, log=True)])), 400),
     ("create-prior-not-an-object", "POST", "/sessions",
      create_body(space=space_with(parameters=[param(prior=5)])), 400),
     ("create-objective-without-name", "POST", "/sessions", create_body(objectives=[{"minimize": True}]), 400),

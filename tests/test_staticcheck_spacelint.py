@@ -1,5 +1,7 @@
 """Space-linter tests: condition-graph edge cases, constraint analysis,
-priors, serializability, and the all-rules golden report."""
+priors, serializability, and the all-rules golden report. What a space
+cannot be is refused where it is built, not linted: the wire cases below
+check that ``space_from_dict`` refuses each such description."""
 
 from __future__ import annotations
 
@@ -21,12 +23,66 @@ from repro.space.conditions import (
 from repro.space.constraints import CallableConstraint, LinearConstraint, RatioConstraint
 from repro.space.priors import NormalPrior
 from repro.exceptions import SpaceError
+from repro.space.serialize import space_from_dict, space_to_dict
 from repro.staticcheck import SPACE_RULES, Severity, lint_space
 
 
 def rules_of(report, *, active_only: bool = True):
     findings = report.active if active_only else list(report)
     return sorted({f.rule for f in findings})
+
+
+def wire(*params, conditions=()):
+    return {"parameters": list(params), "conditions": list(conditions)}
+
+
+def unit(name, **extra):
+    return {"type": "float", "name": name, "lower": 0.0, "upper": 1.0, **extra}
+
+
+#: Wire descriptions of what a space cannot be, each with the defect the
+#: codec's SpaceError names: refused before there is a space to lint.
+WIRE_DEFECTS = {
+    "duplicate name": (wire(unit("x"), unit("x", upper=2.0)), "x"),
+    "malformed parameter": (wire({"type": "float"}), "malformed parameter"),
+    "malformed condition": (wire(unit("x"), conditions=["nonsense"]), "condition must be a JSON mapping"),
+    "condition cycle": (
+        wire(unit("a"), unit("b"), conditions=[
+            {"kind": "gt", "child": "a", "parent": "b", "threshold": 0.5},
+            {"kind": "gt", "child": "b", "parent": "a", "threshold": 0.5},
+        ]),
+        "condition cycle",
+    ),
+    "unknown child": (
+        wire(unit("a"), conditions=[{"kind": "equals", "child": "ghost", "parent": "a", "value": 0.5}]),
+        "ghost",
+    ),
+    "unknown parent": (
+        wire(unit("a"), conditions=[{"kind": "equals", "child": "a", "parent": "ghost", "value": 0.5}]),
+        "ghost",
+    ),
+    "self-condition": (
+        wire(unit("a"), conditions=[{"kind": "equals", "child": "a", "parent": "a", "value": 0.5}]),
+        "cannot condition itself",
+    ),
+    "log over a non-positive bound": (wire(unit("lg", lower=-1.0, log=True)), "log-scale"),
+    "log over a zero bound": (wire(unit("lg", log=True)), "log-scale"),
+    "inverted bounds": (wire(unit("inv", lower=5.0)), "must be <"),
+    "normal prior mean outside [0, 1]": (
+        wire(unit("x", prior={"kind": "normal", "mean": 5.0, "std": 0.1})), "prior mean",
+    ),
+    "normal prior std not positive": (
+        wire(unit("x", prior={"kind": "normal", "mean": 0.5, "std": -1.0})), "prior std",
+    ),
+    "no parameters": (wire(), "no parameters"),
+}
+
+
+def refused(*defects: str) -> None:
+    for defect in defects:
+        data, message = WIRE_DEFECTS[defect]
+        with pytest.raises(SpaceError, match=message):
+            space_from_dict(data)
 
 
 def clean_space() -> ConfigurationSpace:
@@ -60,9 +116,7 @@ class TestHealthySpaces:
         assert report.clean, report.format()
 
     def test_wire_dict_of_clean_space_is_clean(self):
-        from repro.space.serialize import space_to_dict
-
-        report = lint_space(space_to_dict(clean_space()))
+        report = lint_space(space_from_dict(space_to_dict(clean_space())))
         assert report.clean, report.format()
 
 
@@ -164,31 +218,10 @@ class TestConditionRules:
         assert report.ok  # undecidable, so no false deadness claim
 
     def test_sp204_cycle_via_wire_dict(self):
-        # add_condition refuses cycles, but a wire description can carry one.
-        data = {
-            "parameters": [
-                {"type": "float", "name": "a", "lower": 0.0, "upper": 1.0},
-                {"type": "float", "name": "b", "lower": 0.0, "upper": 1.0},
-            ],
-            "conditions": [
-                {"kind": "gt", "child": "a", "parent": "b", "threshold": 0.5},
-                {"kind": "gt", "child": "b", "parent": "a", "threshold": 0.5},
-            ],
-        }
-        report = lint_space(data)
-        assert rules_of(report) == ["SP204"]
-        assert {f.subject for f in report.active} == {"a", "b"}
+        refused("condition cycle")
 
     def test_sp205_and_sp206_via_wire_dict(self):
-        data = {
-            "parameters": [{"type": "float", "name": "a", "lower": 0.0, "upper": 1.0}],
-            "conditions": [
-                {"kind": "equals", "child": "a", "parent": "a", "value": 0.5},
-                {"kind": "equals", "child": "ghost", "parent": "a", "value": 0.5},
-            ],
-        }
-        rules = rules_of(lint_space(data))
-        assert "SP206" in rules and "SP205" in rules
+        refused("unknown child", "unknown parent", "self-condition")
 
 
 class TestConstraintRules:
@@ -275,32 +308,13 @@ class TestNameAndPriorRules:
         assert rules_of(lint_space(ConfigurationSpace("empty"))) == ["SP103"]
 
     def test_sp101_duplicate_name_via_dict(self):
-        data = {
-            "parameters": [
-                {"type": "float", "name": "x", "lower": 0.0, "upper": 1.0},
-                {"type": "float", "name": "x", "lower": 0.0, "upper": 2.0},
-            ]
-        }
-        assert "SP101" in rules_of(lint_space(data))
+        refused("duplicate name")
 
     def test_sp503_and_sp504_via_dict(self):
-        data = {
-            "parameters": [
-                {"type": "float", "name": "inv", "lower": 5.0, "upper": 1.0},
-                {"type": "float", "name": "logneg", "lower": -1.0, "upper": 1.0, "log": True},
-            ]
-        }
-        rules = rules_of(lint_space(data))
-        assert "SP504" in rules and "SP503" in rules
+        refused("log over a non-positive bound", "log over a zero bound", "inverted bounds")
 
     def test_sp501_normal_prior_outside_unit_range_via_dict(self):
-        data = {
-            "parameters": [
-                {"type": "float", "name": "x", "lower": 0.0, "upper": 1.0,
-                 "prior": {"kind": "normal", "mean": 5.0, "std": 0.1}},
-            ]
-        }
-        assert "SP501" in rules_of(lint_space(data))
+        refused("normal prior mean outside [0, 1]", "normal prior std not positive")
 
     def test_sp502_prior_pins_an_integer_knob(self):
         space = ConfigurationSpace("s")
@@ -309,8 +323,7 @@ class TestNameAndPriorRules:
         assert "SP502" in rules_of(lint_space(space))
 
     def test_sp104_malformed_dict_entries(self):
-        data = {"parameters": [{"type": "float"}], "conditions": ["nonsense"]}
-        assert rules_of(lint_space(data)) == ["SP104"]
+        refused("malformed parameter", "malformed condition", "no parameters")
 
 
 class TestReportMechanics:
@@ -373,30 +386,13 @@ class TestReportMechanics:
             assert f.severity is SPACE_RULES[f.rule][0]
 
     def test_golden_all_structural_rules_via_dict(self):
-        data = {
-            "name": "monster-wire",
-            "parameters": [
-                {"type": "float", "name": "a", "lower": 0.0, "upper": 1.0},
-                {"type": "float", "name": "a", "lower": 0.0, "upper": 2.0},  # SP101
-                {"type": "float", "name": "inv", "lower": 3.0, "upper": 1.0},  # SP504
-                {"type": "float", "name": "lg", "lower": 0.0, "upper": 1.0, "log": True},  # SP503
-                {"type": "float", "name": "pri", "lower": 0.0, "upper": 1.0,
-                 "prior": {"kind": "normal", "mean": 7.0, "std": -1.0}},  # SP501 x2
-                {"type": "float"},  # SP104
-                {"type": "float", "name": "u", "lower": 0.0, "upper": 1.0},
-                {"type": "float", "name": "v", "lower": 0.0, "upper": 1.0},
-            ],
-            "conditions": [
-                {"kind": "equals", "child": "u", "parent": "u", "value": 1.0},  # SP206
-                {"kind": "equals", "child": "ghost", "parent": "u", "value": 1.0},  # SP205
-                {"kind": "gt", "child": "u", "parent": "v", "threshold": 0.5},  # SP204 (pair)
-                {"kind": "gt", "child": "v", "parent": "u", "threshold": 0.5},  # SP204
-            ],
-        }
-        report = lint_space(data)
-        assert rules_of(report) == [
-            "SP101", "SP104", "SP204", "SP205", "SP206", "SP501", "SP503", "SP504",
-        ]
+        """Every wire description of what a space cannot be is refused by
+        the codec, each defect alone and all of them at once."""
+        refused(*WIRE_DEFECTS)
+        monster = wire(*(p for data, _ in WIRE_DEFECTS.values() for p in data["parameters"]),
+                       conditions=[c for data, _ in WIRE_DEFECTS.values() for c in data["conditions"]])
+        with pytest.raises(SpaceError):
+            space_from_dict(monster)
 
     def test_every_rule_id_documented_in_catalog(self):
         for rule, (severity, desc) in SPACE_RULES.items():

@@ -197,8 +197,3 @@ class TestLintCli:
         assert cli_main(["lint", "space", "--system", "dbms", "--ignore", "SP402"]) == 0
         # Nothing left to suppress: the DBMS space's linear constraint serialises.
         assert capsys.readouterr().out == "lint dbms: 0 error(s), 0 warning(s)\n"
-
-    def test_module_entry_point_on_clean_tree(self):
-        from repro.staticcheck.__main__ import main as staticcheck_main
-
-        assert staticcheck_main(["src/repro/staticcheck", "--quiet"]) == 0
