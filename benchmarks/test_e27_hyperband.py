@@ -7,9 +7,9 @@ search pays full price for every configuration it tries. The fidelity
 ladder is E12's: TPC-C scale is the budget (11, 33 and 100 warehouses; E12's
 cheap and full rungs are 10 and 100), and a run costs in proportion to its
 scale, 8 units at full scale as in E12. Both arms tune E12's five knobs
-through a journaled ``SessionManager`` session with ``max_cost`` as the
-budget: Hyperband is asked and told (each suggestion carries its rung's
-scale as its fidelity), random search runs closed-loop at full scale.
+through a journaled ``SessionManager`` session driven by ``run()``, with
+``max_cost`` as the budget: Hyperband's evaluator runs each trial at the
+scale its rung proposes as the fidelity, random search's at full scale.
 
 The claim is a paired comparison over :data:`POWERED_SEEDS`: the mean of the
 per-seed ratio of best full-scale throughput, Hyperband / random search,
@@ -19,8 +19,7 @@ arms, as the evaluator protocol charges it.
 
 import numpy as np
 
-from repro.core import SessionManager, TrialReport
-from repro.exceptions import SystemCrashError
+from repro.core import SessionManager
 from repro.sysim import CloudEnvironment, SimulatedDBMS
 from repro.workloads import tpcc
 
@@ -43,21 +42,17 @@ def _cost(warehouses):
 def _hyperband(manager, seed):
     """Best full-scale throughput of a Hyperband campaign, and its trial count."""
     db = _db(seed)
+
+    def evaluate(config, fidelity):
+        warehouses = round(fidelity)
+        return db.run(tpcc(warehouses), config=config).metrics(), _cost(warehouses)
+
     session = manager.create(
         db.space.subspace(KNOBS), optimizer="hyperband", objectives=THROUGHPUT, max_trials=10_000,
-        max_cost=COST_BUDGET, seed=seed, session_id=f"e27-hyperband-{seed}", lint=False,
+        max_cost=COST_BUDGET, seed=seed, session_id=f"e27-hyperband-{seed}", lint=False, evaluator=evaluate,
         optimizer_options={"max_budget": float(FULL_W), "min_budget": FULL_W / 9},  # rungs of 11, 33, 100 W
     )
-    while not session.is_complete:
-        (sugg,) = session.ask()
-        warehouses = round(sugg.fidelity)
-        try:
-            run = db.run(tpcc(warehouses), config=db.space.make(sugg.config))
-            report = TrialReport(config=sugg.config, metrics=run.metrics(), cost=_cost(warehouses), ask_id=sugg.ask_id)
-        except SystemCrashError:
-            # A refused configuration costs 1 unit, as the evaluator protocol charges random search's.
-            report = TrialReport(config=sugg.config, status="failed", ask_id=sugg.ask_id)
-        session.tell(report)
+    session.run()
     best = session.optimizer.best_config()
     top = [t for t in session.optimizer.history if t.fidelity == FULL_W and t.config == best]
     return top[0].metric("throughput"), len(session.optimizer.history)

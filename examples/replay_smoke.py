@@ -6,7 +6,8 @@ ask, a crash, and a simulated process kill + resume is journaled, and so
 is a closed-loop BO campaign with four trials in flight on a simulated
 clock and one crash, and a Hyperband campaign on four configurations whose
 first batch ask, holding equal configurations, is told back shuffled, each
-at its own rung's budget; `repro replay` (the CLI, in-process) re-executes
+at its own rung's budget, and one driven by `run()` with four trials in
+flight on a simulated clock, each evaluated at its rung's budget; `repro replay` (the CLI, in-process) re-executes
 each from the store alone and must report a bit-exact match. As a negative
 control the journal is then corrupted (one score tampered with) and the
 replay must diverge at exactly that trial with a `history` digest delta.
@@ -31,6 +32,8 @@ from repro.space import CategoricalParameter, ConfigurationSpace, FloatParameter
 SESSION_ID = "replay-smoke"
 IN_FLIGHT_ID = "replay-smoke-in-flight"
 HYPERBAND_ID = "replay-smoke-hyperband"
+HYPERBAND_RUN_ID = "replay-smoke-hyperband-run"
+SESSIONS = (SESSION_ID, IN_FLIGHT_ID, HYPERBAND_ID, HYPERBAND_RUN_ID)
 N_TRIALS = 14
 CORRUPT_TRIAL = 6
 
@@ -95,19 +98,27 @@ def record_in_flight_campaign(store) -> None:
     assert 0 < executor.wall_clock_s < serial_s / 2, "four machines should more than halve the wall time"
 
 
-def record_hyperband_campaign(store) -> None:
-    """Hyperband on four configurations: equal ones pending together, told
-    back out of order, each tell naming its own suggestion by ask id."""
+def corners() -> ConfigurationSpace:
     space = ConfigurationSpace("corners", seed=0)
     space.add(IntegerParameter("n", 1, 2, default=1))
     space.add(CategoricalParameter("mode", ["a", "b"], default="a"))
+    return space
+
+
+def corner_score(config, fidelity: float) -> float:
+    return config["n"] + (0.5 if config["mode"] == "b" else 0.0) + 1.0 / fidelity
+
+
+def record_hyperband_campaign(store) -> None:
+    """Hyperband on four configurations: equal ones pending together, told
+    back out of order, each tell naming its own suggestion by ask id."""
     session = SessionManager(store).create(
-        space, optimizer="hyperband", seed=5, max_trials=N_TRIALS,
+        corners(), optimizer="hyperband", seed=5, max_trials=N_TRIALS,
         optimizer_options={"max_budget": 9, "min_budget": 1}, session_id=HYPERBAND_ID,
     )
 
     def tell(sugg) -> None:
-        score = sugg.config["n"] + (0.5 if sugg.config["mode"] == "b" else 0.0) + 1.0 / sugg.fidelity
+        score = corner_score(sugg.config, sugg.fidelity)
         session.tell(TrialReport(config=sugg.config, metrics={"score": score}, fidelity=sugg.fidelity,
                                  ask_id=sugg.ask_id))
 
@@ -117,6 +128,23 @@ def record_hyperband_campaign(store) -> None:
         tell(batch[k])
     while not session.is_complete:
         tell(session.ask()[0])
+
+
+def record_hyperband_run(store) -> None:
+    """The same Hyperband driven by ``run()``, four trials in flight on a
+    simulated clock; each evaluation runs as long as its rung's budget."""
+    budgets = []
+
+    def benchmark(config, fidelity):
+        budgets.append(fidelity)
+        return {"score": corner_score(config, fidelity)}, fidelity
+
+    SessionManager(store).create(
+        corners(), optimizer="hyperband", seed=5, max_trials=N_TRIALS, session_id=HYPERBAND_RUN_ID,
+        optimizer_options={"max_budget": 9, "min_budget": 1}, evaluator=benchmark, executor=SimulatedClockExecutor(4),
+    ).run()
+    journaled = sorted(record["fidelity"] for record in store.load_trials(HYPERBAND_RUN_ID))
+    assert journaled == sorted(budgets) and len(set(budgets)) > 1, "each trial is journaled at its rung's budget"
 
 
 def replay_cli(store_path: str, expect_exit: int, session_id: str = SESSION_ID) -> None:
@@ -142,9 +170,11 @@ def main() -> int:
         record_campaign(store)
         record_in_flight_campaign(store)
         record_hyperband_campaign(store)
+        record_hyperband_run(store)
         store.close()
-        print(f"[json] recorded {N_TRIALS} trials thrice (ask/tell; 4 in flight; Hyperband); replaying ...")
-        for session_id in (SESSION_ID, IN_FLIGHT_ID, HYPERBAND_ID):
+        print(f"[json] recorded {N_TRIALS} trials four times (ask/tell; 4 in flight; Hyperband told; "
+              "Hyperband run); replaying ...")
+        for session_id in SESSIONS:
             replay_cli(json_path, expect_exit=0, session_id=session_id)
 
         # -- SQLite backend ------------------------------------------------
@@ -153,9 +183,11 @@ def main() -> int:
         record_campaign(store)
         record_in_flight_campaign(store)
         record_hyperband_campaign(store)
+        record_hyperband_run(store)
         store.close()
-        print(f"[sqlite] recorded {N_TRIALS} trials thrice (ask/tell; 4 in flight; Hyperband); replaying ...")
-        for session_id in (SESSION_ID, IN_FLIGHT_ID, HYPERBAND_ID):
+        print(f"[sqlite] recorded {N_TRIALS} trials four times (ask/tell; 4 in flight; Hyperband told; "
+              "Hyperband run); replaying ...")
+        for session_id in SESSIONS:
             replay_cli(sqlite_path, expect_exit=0, session_id=session_id)
 
         # -- negative control: tampered journal must diverge ---------------
@@ -170,7 +202,8 @@ def main() -> int:
         assert "history" in report.divergence.digest_delta, report.divergence
         manager.close()
 
-    print("replay smoke: OK (json + sqlite bit-exact, in-flight and Hyperband included; corruption detected)")
+    print("replay smoke: OK (json + sqlite bit-exact, in-flight and both Hyperband drives included; "
+          "corruption detected)")
     return 0
 
 

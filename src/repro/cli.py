@@ -35,7 +35,7 @@ from .core import Objective, TuningSession
 from .core.manager import make_optimizer, optimizer_names
 from .exceptions import ReproError
 from .targets import SYSTEMS as _SYSTEMS
-from .targets import make_system, objective_for
+from .targets import make_system, objective_for, refuse_fidelity_optimizer
 from .targets import make_workload as _make_workload
 from .telemetry import SessionTrace, TelemetryCallback, export_chrome_trace
 from .telemetry.analyzer import format_report, load_trace
@@ -52,7 +52,9 @@ _OPTIMIZER_OPTIONS = {
 
 
 def _make_optimizer(name: str, space, seed: int, objective: Objective):
-    return make_optimizer(name, space, objective, seed=seed, options=_OPTIMIZER_OPTIONS.get(name))
+    optimizer = make_optimizer(name, space, objective, seed=seed, options=_OPTIMIZER_OPTIONS.get(name))
+    refuse_fidelity_optimizer(optimizer)
+    return optimizer
 
 
 # -- commands -----------------------------------------------------------------

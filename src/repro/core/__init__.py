@@ -35,7 +35,7 @@ _EXPORTS = {
     "ReplayReport": ".replay",
     "replay_session": ".replay",
     "TuningResult": ".result",
-    "Evaluator": ".session",
+    "Evaluator": ".evaluation",
     "TuningSession": ".session",
     "JsonJournalStore": ".stores",
     "MemoryTrialStore": ".stores",

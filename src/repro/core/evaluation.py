@@ -1,7 +1,10 @@
 """The evaluation contract: one normalized result type for every evaluator.
 
-Evaluators return an :class:`EvaluationResult`, a ``(metrics, cost)`` tuple, or
-a bare metric mapping or float, and signal crashes and aborts by raising.
+An evaluator is called as ``evaluator(config)``, or ``evaluator(config,
+fidelity=f)`` when the optimizer proposes fidelity ``f`` for the trial
+(:meth:`~repro.core.optimizer.Optimizer.suggested_fidelity`). Evaluators
+return an :class:`EvaluationResult`, a ``(metrics, cost)`` tuple, or a bare
+metric mapping or float, and signal crashes and aborts by raising.
 This module is the one place where raw evaluator output becomes an
 :class:`EvaluationResult` and where a result reaches an optimizer; the
 executors, ``TuningSession`` and replay all call it:
@@ -24,7 +27,10 @@ from ..exceptions import SystemCrashError, TrialAbortedError
 from ..space import Configuration
 from .optimizer import Optimizer, Trial, TrialStatus
 
-__all__ = ["EvaluationResult", "coerce_evaluation", "run_evaluation", "observe_evaluation"]
+__all__ = ["Evaluator", "EvaluationResult", "coerce_evaluation", "run_evaluation", "observe_evaluation"]
+
+#: ``evaluator(config)`` or ``evaluator(config, fidelity=f)``, returning any shape below.
+Evaluator = Callable[..., Any]
 
 
 @dataclass
@@ -83,10 +89,11 @@ def coerce_evaluation(raw: Any) -> EvaluationResult:
 
 
 def run_evaluation(
-    evaluator: Callable[[Configuration], Any],
+    evaluator: Evaluator,
     config: Configuration,
+    fidelity: float | None = None,
 ) -> EvaluationResult:
-    """Evaluate ``config``, folding the exception protocol into statuses.
+    """Evaluate ``config`` at ``fidelity`` (if any), folding the exception protocol into statuses.
 
     * :class:`SystemCrashError` → ``FAILED`` (``outcome="crash"``);
     * :class:`TrialAbortedError` with ``censored_metrics`` → ``SUCCEEDED``
@@ -98,7 +105,7 @@ def run_evaluation(
     :meth:`Optimizer.observe_failure` and :meth:`History.training_data`).
     """
     try:
-        return coerce_evaluation(evaluator(config))
+        return coerce_evaluation(evaluator(config) if fidelity is None else evaluator(config, fidelity=fidelity))
     except SystemCrashError as crash:
         return EvaluationResult(
             metrics=None,

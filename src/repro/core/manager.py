@@ -37,7 +37,8 @@ from ..staticcheck import SpaceLintError, lint_space
 from .codec import decode_trial
 from .journal import SessionMeta, StorageError, TrialStore, check_session_id, new_session_id
 from .optimizer import Objective, Optimizer, TrialStatus
-from .session import Evaluator, TuningSession, budget_spent
+from .evaluation import Evaluator
+from .session import TuningSession, budget_spent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..execution import TrialExecutor
@@ -234,6 +235,7 @@ class SessionManager:
         # Everything that can reject the request has run once the session is
         # built; only then is it persisted, so a failed create leaves nothing.
         session = self._open(meta, space=space, evaluator=evaluator, executor=executor, callbacks=callbacks)
+        meta.max_trials = session.max_trials  # a grid's budget is its size
         self.store.create_session(meta)
         session.lint_report = lint_report
         return session

@@ -243,6 +243,8 @@ class Optimizer(ABC):
 
     #: Set by subclasses that natively handle >1 objective (e.g. ParEGO).
     supports_multi_objective: bool = False
+    #: How many configurations it can suggest at all (``None``: no end); caps a session's budget.
+    max_suggestions: int | None = None
 
     def __init__(
         self,

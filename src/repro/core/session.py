@@ -1,9 +1,10 @@
 """The offline tuning loop (scheduler of the tutorial's architecture slide).
 
 ``TuningSession`` wires an :class:`~repro.core.optimizer.Optimizer` to an
-*evaluator* — any callable taking a configuration and returning metrics —
-and runs the suggest → dispatch → observe-as-completed loop under trial and
-cost budgets. Trial execution is delegated to a
+*evaluator* — any callable taking a configuration and returning metrics,
+called with a ``fidelity=`` keyword too when the optimizer proposes one
+for the trial — and runs the suggest → dispatch → observe-as-completed
+loop under trial and cost budgets. Trial execution is delegated to a
 :class:`~repro.execution.TrialExecutor`: the default serial executor keeps
 the historic in-process semantics. On a wider executor the loop runs the
 tutorial's two parallel modes: ``batch_size > 1`` waits for each batch
@@ -37,14 +38,14 @@ from __future__ import annotations
 
 import time
 from contextlib import closing, nullcontext
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 from ..exceptions import OptimizerError
 from ..space import Configuration
 from ..telemetry.spans import current_trace_id, emit_event, span, trial_scope
 from .callbacks import Callback
 from .codec import SuggestRequest, Suggestion, TrialReport, config_from_values, encode_trial, json_safe
-from .evaluation import EvaluationResult, observe_evaluation
+from .evaluation import EvaluationResult, Evaluator, observe_evaluation
 from .journal import StorageError, TransientStorageError
 from .optimizer import Optimizer, Trial, TrialStatus
 from .result import TuningResult
@@ -53,12 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular import)
     from ..execution import TrialExecutor
     from .journal import TrialStore
 
-__all__ = ["TuningSession", "Evaluator"]
-
-#: An evaluator maps a configuration to a metric value or metric mapping.
-#: It may also return ``(metrics, cost)`` or an
-#: :class:`~repro.core.evaluation.EvaluationResult` to report more.
-Evaluator = Callable[[Configuration], Any]
+__all__ = ["TuningSession"]
 
 
 def budget_spent(n_trials: int, cost: float, max_trials: int, max_cost: float | None) -> bool:
@@ -76,13 +72,12 @@ class TuningSession:
     optimizer:
         Any ask/tell optimizer.
     evaluator:
-        Callable evaluating one configuration, or ``None`` for an ask/tell-only
-        session (:meth:`run` then raises). May return a float, a metric
-        mapping, a ``(metrics, cost)`` tuple, or an
-        :class:`~repro.core.evaluation.EvaluationResult`; may raise
-        :class:`SystemCrashError` or :class:`TrialAbortedError`.
+        An :data:`~repro.core.evaluation.Evaluator` (the contract is
+        :mod:`repro.core.evaluation`'s), or ``None`` for an ask/tell-only
+        session (:meth:`run` then raises).
     max_trials:
-        Trial budget.
+        Trial budget, at most the optimizer's
+        :attr:`~repro.core.optimizer.Optimizer.max_suggestions`.
     max_cost:
         Optional cumulative-cost budget (e.g. total benchmark seconds).
     batch_size:
@@ -129,6 +124,8 @@ class TuningSession:
         self.optimizer = optimizer
         self.evaluator = evaluator
         self.max_trials = int(max_trials)
+        if optimizer.max_suggestions is not None:
+            self.max_trials = min(self.max_trials, optimizer.max_suggestions)
         self.max_cost = max_cost
         self.batch_size = int(batch_size)
         self.callbacks = list(callbacks)
@@ -176,9 +173,9 @@ class TuningSession:
 
         return SerialExecutor()
 
-    def _suggest_tracked(self, n: int) -> tuple[list[Configuration], range, dict[str, Any]]:
-        """One optimizer ``suggest(n)`` call: its configurations, their
-        suggestion numbers and its provenance coordinates.
+    def _suggest_tracked(self, n: int) -> tuple[list[tuple[Configuration, float | None]], range, dict[str, Any]]:
+        """One optimizer ``suggest(n)`` call: its (configuration, proposed
+        fidelity) pairs, their suggestion numbers and its provenance coordinates.
 
         Every suggest — closed loop, open loop, or the service's ``/step``
         — funnels through here so the journal can record, for each trial,
@@ -203,9 +200,11 @@ class TuningSession:
         with span("optimizer.suggest", n=n):
             configs = self.optimizer.suggest(n)
         self.last_suggest_latency_s = time.perf_counter() - t0
+        numbers = range(first, first + len(configs))
+        trials = [(config, self.optimizer.suggested_fidelity(number)) for config, number in zip(configs, numbers)]
         for number in self.optimizer.evict(self._trials_left()):
             self._pending_asks.pop(number, None)
-        return configs, range(first, first + len(configs)), ask_info
+        return trials, numbers, ask_info
 
     # -- ask/tell (open loop) ------------------------------------------------
     @property
@@ -246,10 +245,10 @@ class TuningSession:
             raise OptimizerError(
                 f"session{f' {self.session_id!r}' if self.session_id else ''} is complete ({budget})"
             )
-        configs, numbers, ask_info = self._suggest_tracked(min(request.n, remaining))
+        trials, numbers, ask_info = self._suggest_tracked(min(request.n, remaining))
         suggestions = []
-        for i, (ask_id, config) in enumerate(zip(numbers, configs)):
-            fidelity = request.fidelity if request.fidelity is not None else self.optimizer.suggested_fidelity(ask_id)
+        for i, (ask_id, (config, proposed)) in enumerate(zip(numbers, trials)):
+            fidelity = request.fidelity if request.fidelity is not None else proposed
             self._pending_asks[ask_id] = ({**ask_info, "i": i}, fidelity)
             values = json_safe(config.as_dict())
             suggestions.append(Suggestion(config=values, ask_id=ask_id, session_id=self.session_id, fidelity=fidelity))
@@ -468,7 +467,6 @@ class TuningSession:
                 "session has no evaluator: drive it via ask()/tell(), or construct "
                 "it with an evaluator to use run()"
             )
-        self._refuse_fidelity_proposals()
         executor = self._make_executor()
         for cb in self.callbacks:
             cb.on_session_start(self)
@@ -500,28 +498,21 @@ class TuningSession:
             cb.on_session_end(self)
         return self.result()
 
-    def _refuse_fidelity_proposals(self) -> None:
-        """An evaluator takes a configuration, not a fidelity: an optimizer
-        that proposes one per trial runs only through ask()/tell()."""
-        if type(self.optimizer).suggested_fidelity is not Optimizer.suggested_fidelity:
-            raise OptimizerError(
-                f"{type(self.optimizer).__name__} proposes the fidelity of each trial, which an "
-                "evaluator cannot take: drive this session through ask()/tell()"
-            )
-
-    def _asks_in_flight(self, infos: list[tuple[int, dict[str, Any], float]]) -> Iterator[Configuration]:
-        """One suggestion at a time for as long as the budget, counting the
-        trials still in flight, allows another; each is its own suggest call,
-        its number and coordinates appended to ``infos``."""
+    def _asks_in_flight(
+        self, infos: list[tuple[int, dict[str, Any], float]]
+    ) -> Iterator[tuple[Configuration, float | None]]:
+        """One suggestion at a time, with its fidelity, for as long as the
+        budget, counting the trials still in flight, allows another; each is
+        its own suggest call, its number and coordinates appended to ``infos``."""
         n_start = len(self.optimizer.history)
         started = 0
         while self._budget_left(outstanding=started - (len(self.optimizer.history) - n_start)):
-            (config,), (number,), ask_info = self._suggest_tracked(1)
+            (trial,), (number,), ask_info = self._suggest_tracked(1)
             for cb in self.callbacks:
                 cb.on_trial_start(self, n_start + started)
             started += 1
             infos.append((number, {**ask_info, "i": 0}, self.last_suggest_latency_s))
-            yield config
+            yield trial
 
     def run_batch(
         self, executor: "TrialExecutor", evaluator: Evaluator, want: int
@@ -535,27 +526,27 @@ class TuningSession:
         this method in a loop. A generator: a caller that stops early must
         ``close()`` it, which closes the executor's result iterator.
         """
-        self._refuse_fidelity_proposals()
-        configs, numbers, ask_info = self._suggest_tracked(want)
+        trials, numbers, ask_info = self._suggest_tracked(want)
         n_done = len(self.optimizer.history)
-        for i in range(len(configs)):
+        for i in range(len(trials)):
             for cb in self.callbacks:
                 cb.on_trial_start(self, n_done + i)
-        share = self.last_suggest_latency_s / max(1, len(configs))
+        share = self.last_suggest_latency_s / max(1, len(trials))
         infos = [(number, {**ask_info, "i": i}, share) for i, number in enumerate(numbers)]
-        yield from self._execute(executor, evaluator, configs, infos)
+        yield from self._execute(executor, evaluator, trials, infos)
 
     def _execute(
         self,
         executor: "TrialExecutor",
         evaluator: Evaluator,
-        configs: Iterable[Configuration],
+        trials: Iterable[tuple[Configuration, float | None]],
         infos: list[tuple[int, dict[str, Any], float]],
     ) -> Iterator[Trial]:
-        """Run ``configs`` on ``executor`` and enter each result as it
-        completes. ``infos[k]`` holds the number, ask coordinates and
-        suggest-latency share of the ``k``-th configuration, once drawn."""
-        results = executor.map(evaluator, configs)
+        """Run ``trials`` (each a configuration and the fidelity its
+        suggestion proposes) on ``executor`` and enter each result, at its
+        fidelity, as it completes. ``infos[k]`` holds the number, ask
+        coordinates and suggest-latency share of the ``k``-th trial, once drawn."""
+        results = executor.map(evaluator, trials)
         try:
             for execution in results:
                 # Execution-side instrumentation travels in ``Trial.context``.
@@ -577,6 +568,7 @@ class TuningSession:
                     number,
                     result,
                     context,
+                    fidelity=execution.fidelity,
                     ask_info=ask_info,
                     span_ref=execution.span_ref,
                 )

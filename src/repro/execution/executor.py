@@ -3,11 +3,12 @@
 The tutorial's scheduler slide describes *parallel suggestion* — "suggest k
 points, batch execute trials" — and TUNA-style noisy-cloud tuning demands
 running many instrumented trials concurrently. This module is the execution
-substrate: a :class:`TrialExecutor` takes a batch of configurations plus an
-evaluator and yields :class:`TrialExecution` records **as trials complete**,
-handling per-trial timeouts, bounded retry with jittered backoff, and the
-crash/abort → status folding (via :func:`repro.core.evaluation.run_evaluation`)
-that previously lived inline in ``TuningSession``.
+substrate: a :class:`TrialExecutor` takes a batch of configurations (each
+with its fidelity) plus an evaluator and yields :class:`TrialExecution`
+records **as trials complete**, handling per-trial timeouts, bounded retry
+with jittered backoff, and the crash/abort → status folding (via
+:func:`repro.core.evaluation.run_evaluation`) that previously lived inline
+in ``TuningSession``.
 
 Backends:
 
@@ -23,7 +24,7 @@ Backends:
   seconds later, so a campaign's wall time with ``k`` benchmark machines is
   measured without any real concurrency (the tutorial's parallel slide).
 
-Every backend consumes its configurations lazily and keeps at most
+Every backend consumes its trials lazily and keeps at most
 :attr:`TrialExecutor.width` trials in flight, so a session can hand it a
 generator that suggests each configuration only when a worker frees up.
 
@@ -59,7 +60,7 @@ from concurrent import futures as _futures
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from ..core.evaluation import EvaluationResult, run_evaluation
+from ..core.evaluation import EvaluationResult, Evaluator, run_evaluation
 from ..core.optimizer import TrialStatus
 from ..exceptions import ReproError, SystemCrashError
 from ..resilience import BackoffPolicy
@@ -77,7 +78,8 @@ __all__ = [
     "execute_trial",
 ]
 
-Evaluator = Callable[[Configuration], Any]
+#: One trial to run: its configuration and the fidelity to evaluate it at.
+Pending = tuple[Configuration, float | None]
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,7 @@ class TrialExecution:
 
     index: int  # position within the dispatched batch
     config: Configuration
+    fidelity: float | None
     result: EvaluationResult
     retries: int = 0
     wall_clock_s: float = 0.0
@@ -127,17 +130,18 @@ class TrialExecution:
     span_ref: Any = None  # telemetry TrialRef; bound to the trial id on observe
 
 
-def _call_with_timeout(evaluator: Evaluator, config: Configuration, timeout_s: float | None) -> EvaluationResult:
+def _call_with_timeout(evaluator: Evaluator, config: Configuration, fidelity: float | None,
+                       timeout_s: float | None) -> EvaluationResult:
     """One evaluation attempt, abandoned at ``timeout_s`` if it overruns."""
     if timeout_s is None:
-        return run_evaluation(evaluator, config)
+        return run_evaluation(evaluator, config, fidelity)
     box: dict[str, EvaluationResult] = {}
     # The watchdog thread would otherwise start from a bare context: copy
     # ours so evaluator-side spans still attach to the active trace/trial.
     ctx = contextvars.copy_context()
 
     def target() -> None:
-        box["result"] = ctx.run(run_evaluation, evaluator, config)
+        box["result"] = ctx.run(run_evaluation, evaluator, config, fidelity)
 
     worker = threading.Thread(target=target, daemon=True, name="repro-trial-eval")
     worker.start()
@@ -156,6 +160,7 @@ def _call_with_timeout(evaluator: Evaluator, config: Configuration, timeout_s: f
 def execute_trial(
     evaluator: Evaluator,
     config: Configuration,
+    fidelity: float | None = None,
     index: int = 0,
     timeout_s: float | None = None,
     retry: RetryPolicy | None = None,
@@ -163,7 +168,7 @@ def execute_trial(
     clock: Callable[[], float] = time.monotonic,
     submitted_s: float | None = None,
 ) -> TrialExecution:
-    """Run one trial to completion: attempt, retry with backoff, instrument.
+    """Run one trial to completion at ``fidelity``: attempt, retry with backoff, instrument.
 
     ``submitted_s`` (same clock) marks when the trial was handed to the
     executor; the gap to execution start is reported as ``queue_s``.
@@ -182,7 +187,7 @@ def execute_trial(
             while True:
                 t_attempt = clock()
                 with span("executor.attempt", attempt=len(attempts)) as attempt_op:
-                    result = _call_with_timeout(evaluator, config, timeout_s)
+                    result = _call_with_timeout(evaluator, config, fidelity, timeout_s)
                     if attempt_op is not None:
                         attempt_op.set(outcome=result.outcome)
                 attempt_s.append(clock() - t_attempt)
@@ -210,6 +215,7 @@ def execute_trial(
     return TrialExecution(
         index=index,
         config=config,
+        fidelity=fidelity,
         result=result,
         retries=retries,
         wall_clock_s=clock() - start,
@@ -234,9 +240,9 @@ class TrialExecutor(ABC):
         the historic in-session behavior.
     """
 
-    #: Trials in flight at once. ``map`` draws the next configuration only
-    #: when one of its ``width`` slots is free, so breaking out of it skips
-    #: the configurations not yet drawn.
+    #: Trials in flight at once. ``map`` draws the next trial only when one
+    #: of its ``width`` slots is free, so breaking out of it skips the trials
+    #: not yet drawn.
     width = 1
 
     def __init__(self, timeout_s: float | None = None, retry: RetryPolicy | None = None) -> None:
@@ -246,9 +252,9 @@ class TrialExecutor(ABC):
         self.retry = retry
 
     @abstractmethod
-    def map(self, evaluator: Evaluator, configs: Iterable[Configuration]) -> Iterator[TrialExecution]:
-        """Yield a :class:`TrialExecution` per config, in completion order;
-        ``index`` is the config's position in ``configs``."""
+    def map(self, evaluator: Evaluator, trials: Iterable[Pending]) -> Iterator[TrialExecution]:
+        """Yield a :class:`TrialExecution` per ``(configuration, fidelity)``
+        pair, in completion order; ``index`` is the pair's position in ``trials``."""
 
     def shutdown(self) -> None:
         """Release pooled resources (no-op for serial)."""
@@ -263,10 +269,10 @@ class TrialExecutor(ABC):
 class SerialExecutor(TrialExecutor):
     """Evaluate trials one at a time in the caller's thread."""
 
-    def map(self, evaluator: Evaluator, configs: Iterable[Configuration]) -> Iterator[TrialExecution]:
-        for i, config in enumerate(configs):
+    def map(self, evaluator: Evaluator, trials: Iterable[Pending]) -> Iterator[TrialExecution]:
+        for i, (config, fidelity) in enumerate(trials):
             yield execute_trial(
-                evaluator, config, i, self.timeout_s, self.retry, submitted_s=time.monotonic()
+                evaluator, config, fidelity, i, self.timeout_s, self.retry, submitted_s=time.monotonic()
             )
 
 
@@ -289,16 +295,16 @@ class SimulatedClockExecutor(TrialExecutor):
         self.width = int(workers)
         self.wall_clock_s = 0.0
 
-    def map(self, evaluator: Evaluator, configs: Iterable[Configuration]) -> Iterator[TrialExecution]:
-        pending = iter(configs)
+    def map(self, evaluator: Evaluator, trials: Iterable[Pending]) -> Iterator[TrialExecution]:
+        pending = iter(trials)
         running: list[tuple[float, int, TrialExecution]] = []  # (finish, start order, execution)
         index = 0
         while True:
             while len(running) < self.width:
-                config = next(pending, None)
+                config, fidelity = next(pending, (None, None))
                 if config is None:
                     break
-                execution = execute_trial(evaluator, config, index)
+                execution = execute_trial(evaluator, config, fidelity, index)
                 heapq.heappush(running, (self.wall_clock_s + execution.result.cost, index, execution))
                 index += 1
             if not running:
@@ -334,22 +340,23 @@ class _PoolExecutor(TrialExecutor):
     def _submit(self, pool: _futures.Executor, *args: Any) -> Future:
         return pool.submit(execute_trial, *args)
 
-    def map(self, evaluator: Evaluator, configs: Iterable[Configuration]) -> Iterator[TrialExecution]:
+    def map(self, evaluator: Evaluator, trials: Iterable[Pending]) -> Iterator[TrialExecution]:
         pool = self._ensure_pool()
         # A batch handed over whole has queued since the call; a generator's
-        # configuration only since it was drawn.
-        handed_s = time.monotonic() if isinstance(configs, Sequence) else None
-        pending_configs = enumerate(configs)
+        # trial only since it was drawn.
+        handed_s = time.monotonic() if isinstance(trials, Sequence) else None
+        pending = enumerate(trials)
         running: set[Future] = set()
         try:
             while True:
                 while len(running) < self.width:
-                    i, config = next(pending_configs, (None, None))
+                    i, (config, fidelity) = next(pending, (None, (None, None)))
                     if config is None:
                         break
                     submitted_s = handed_s if handed_s is not None else time.monotonic()
                     running.add(self._submit(
-                        pool, evaluator, config, i, self.timeout_s, self.retry, time.sleep, time.monotonic, submitted_s
+                        pool, evaluator, config, fidelity, i, self.timeout_s, self.retry, time.sleep, time.monotonic,
+                        submitted_s,
                     ))
                 if not running:
                     return

@@ -40,6 +40,7 @@ class GridSearchOptimizer(Optimizer):
         if shuffle:
             self.rng.shuffle(self._grid)
         self._cursor = 0
+        self.max_suggestions = len(self._grid)
 
     def _suggest(self) -> Configuration:
         if self._cursor >= len(self._grid):

@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Callable, Mapping
 
 from ..core.manager import SessionManager
-from ..core.session import Evaluator, TuningSession
+from ..core.evaluation import Evaluator
+from ..core.session import TuningSession
 from ..exceptions import OptimizerError
 from ..space.serialize import space_from_dict
 from ..staticcheck import SpaceLintError
@@ -295,6 +296,9 @@ class ServiceHandlers:
                     f"session {session_id!r} has no server-side evaluator (created "
                     "without a 'target' spec); drive it via /ask and /tell"
                 )
+            from ..targets import refuse_fidelity_optimizer  # deferred: service core stays sysim-free
+
+            refuse_fidelity_optimizer(session.optimizer)
             if session.is_complete:
                 raise OptimizerError(f"session {session_id!r} is complete")
             want = min(n, session.max_trials - len(session.optimizer.history))

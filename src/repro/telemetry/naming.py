@@ -41,8 +41,6 @@ SPAN_NAMES: frozenset[str] = frozenset(
         "benchmark.measure",      # one benchmark measurement (incl. warmup)
         "policy.propose",         # online policy proposing a config
         "system.run",             # simulated system executing a workload
-        # static analysis
-        "staticcheck.run",        # one lint pass (space or AST prong)
         # service wire (distributed tracing)
         "service.request",        # client-side HTTP call (route, status, retry)
         "http.request",           # server-side request handling (route, status)
@@ -63,7 +61,6 @@ EVENT_KINDS: frozenset[str] = frozenset(
         "agent.rollback",
         "surrogate.jitter_escalation",
         "workload.shift",
-        "staticcheck.finding",    # a lint finding surfaced at session create
         "replay.divergence",      # first point where a replayed session departs the journal
         # robustness / chaos engineering
         "chaos.fault",            # an injected fault fired (site, key, index, kind)

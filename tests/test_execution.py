@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import EvaluationResult, Objective, TrialStatus, coerce_evaluation, run_evaluation
+from repro.core import EvaluationResult, Objective, SessionManager, TrialStatus, coerce_evaluation, run_evaluation
 from repro.core.session import TuningSession
 from repro.exceptions import ReproError, SystemCrashError, TrialAbortedError
 from repro.execution import (
@@ -30,6 +30,12 @@ def _crash_on_even(config):
     if int(config["n"]) % 2 == 0:
         raise SystemCrashError("even n crashes")
     return {"lat": float(config["x"])}, 0.5
+
+
+def _echo_fidelity(config, fidelity=None):
+    """Reports the fidelity it was called at as a metric, and runs for as
+    long as that budget (picklable: the process pool calls it)."""
+    return {"lat": float(config["x"]), "seen": fidelity}, fidelity
 
 
 class TestEvaluationContract:
@@ -247,8 +253,9 @@ class TestSessionParallel:
 
 
 class TestLazyDispatch:
-    """``map`` draws the next configuration only when one of its ``width``
-    slots is free, so a generator can suggest each one at that moment."""
+    """``map`` draws the next trial (a configuration and its fidelity) only
+    when one of its ``width`` slots is free, so a generator can suggest each
+    one at that moment."""
 
     @pytest.mark.parametrize("make", [SerialExecutor, lambda: SimulatedClockExecutor(3),
                                       lambda: ThreadedExecutor(max_workers=3)])
@@ -259,7 +266,7 @@ class TestLazyDispatch:
             for i in range(7):
                 assert len(drawn) - len(done) < executor.width  # a slot is free whenever one is drawn
                 drawn.append(i)
-                yield simple_space.sample(np.random.default_rng(i))
+                yield simple_space.sample(np.random.default_rng(i)), None
 
         with make() as executor:
             for execution in executor.map(lambda c: {"lat": 1.0}, configs()):
@@ -272,7 +279,7 @@ class TestLazyDispatch:
         def configs():
             for i in range(10):
                 drawn.append(i)
-                yield simple_space.sample(np.random.default_rng(i))
+                yield simple_space.sample(np.random.default_rng(i)), None
 
         results = SimulatedClockExecutor(2).map(lambda c: {"lat": 1.0}, configs())
         next(results)
@@ -284,7 +291,7 @@ class TestSimulatedClock:
     def test_completions_in_finish_order_ties_by_start(self, simple_space):
         durations = iter([4.0, 1.0, 4.0, 2.0])
         executor = SimulatedClockExecutor(2)
-        configs = [simple_space.sample(np.random.default_rng(i)) for i in range(4)]
+        configs = [(simple_space.sample(np.random.default_rng(i)), None) for i in range(4)]
         out = [(e.index, executor.wall_clock_s) for e in executor.map(lambda c: (1.0, next(durations)), configs)]
         # 0 (4 s) and 1 (1 s) start at 0; 2 starts at 1, ends at 5; 3 starts at 4, ends at 6.
         assert out == [(1, 1.0), (0, 4.0), (2, 5.0), (3, 6.0)]
@@ -348,3 +355,32 @@ class TestProcessExecutor:
             res = TuningSession(opt, _crash_on_even, max_trials=4, batch_size=2, executor=executor).run()
         assert res.n_trials == 4
         assert res.history.completed() and all("lat" in t.metrics for t in res.history)
+
+
+@pytest.mark.parametrize("make", [SerialExecutor, lambda: SimulatedClockExecutor(4),
+                                  lambda: ThreadedExecutor(max_workers=2), lambda: ProcessExecutor(max_workers=2)],
+                         ids=["serial", "simulated-clock", "threaded", "process"])
+def test_each_evaluation_receives_its_own_suggestions_fidelity(simple_space, make):
+    """Hyperband proposes a rung budget per suggestion; on every executor the
+    evaluation of a suggestion is called at that budget, whatever order the
+    trials complete in, and the journal records the trial at it."""
+    manager = SessionManager()
+    with make() as executor:
+        session = manager.create(
+            simple_space, optimizer="hyperband", objectives=Objective("lat"), max_trials=24, seed=0,
+            evaluator=_echo_fidelity, executor=executor, lint=False,
+            optimizer_options={"max_budget": 9.0, "min_budget": 1.0},
+        )
+        rungs, on_observe = [], session.optimizer._on_observe
+
+        def spy(trial, memo):
+            rungs.append(memo[0])
+            on_observe(trial, memo)
+
+        session.optimizer._on_observe = spy
+        session.run()
+    history = session.optimizer.history
+    assert len(history) == 24 and {1.0, 3.0} <= set(rungs)
+    assert [t.metrics["seen"] for t in history] == rungs == [t.fidelity for t in history]
+    records = manager.store.load_trials(session.session_id)
+    assert [r["fidelity"] for r in records] == rungs

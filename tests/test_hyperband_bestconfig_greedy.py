@@ -4,6 +4,7 @@ and VM-size config scaling."""
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import Objective, TrialReport, TuningSession
 from repro.exceptions import OptimizerError
 from repro.online import GreedyOnlineTuner
@@ -97,11 +98,35 @@ class TestHyperband:
     def test_validation(self, rng):
         with pytest.raises(OptimizerError):
             HyperbandOptimizer(bowl_space(1), max_budget=1.0)
-        # An evaluator takes no fidelity: run() refuses an optimizer that proposes one.
-        session = TuningSession(HyperbandOptimizer(bowl_space(1)), lambda c: 0.0, max_trials=4)
-        with pytest.raises(OptimizerError, match="ask\\(\\)/tell\\(\\)"):
-            session.run()
-        assert len(session.optimizer.history) == 0
+        # run() drives Hyperband to budget: each evaluation receives its
+        # rung's budget (the memo of the suggestion it answers) as its fidelity.
+        opt = HyperbandOptimizer(bowl_space(1), max_budget=9.0, seed=0)
+        received, rungs, on_observe = [], [], opt._on_observe
+
+        def evaluate(config, fidelity=None):
+            received.append(fidelity)
+            return (config["x0"] - 0.3) ** 2
+
+        def spy(trial, memo):
+            rungs.append(memo[0])
+            on_observe(trial, memo)
+
+        opt._on_observe = spy
+        result = TuningSession(opt, evaluate, max_trials=30).run()
+        assert result.n_trials == 30
+        assert received == rungs == [t.fidelity for t in opt.history]
+        assert set(received) == {1.0, 3.0, 9.0}
+
+
+    def test_cli_refuses_hyperband_on_a_target(self, capsys):
+        """A built-in target's evaluator takes no fidelity: ``tune`` and
+        ``compare`` refuse Hyperband with a one-line error, not a traceback."""
+        for argv in (["tune", "--system", "redis", "--optimizer", "hyperband", "--trials", "5"],
+                     ["compare", "--system", "redis", "--optimizers", "hyperband", "--trials", "5", "--seeds", "1"]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert not out and err.count("\n") == 1
+            assert err.startswith("error: HyperbandOptimizer proposes the fidelity") and "ask()/tell()" in err
 
 
 class TestBestConfig:

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import Objective, TuningSession
+from repro.core import Objective, SessionManager, TuningSession
 from repro.exceptions import ExhaustedError, OptimizerError
 from repro.optimizers import (
     GridSearchOptimizer,
     RandomSearchOptimizer,
     SimulatedAnnealingOptimizer,
 )
-from repro.space import ConfigurationSpace, FloatParameter
+from repro.space import CategoricalParameter, ConfigurationSpace, FloatParameter
 
 from .conftest import quadratic_evaluator
 
@@ -50,6 +50,18 @@ class TestGridSearch:
         assert xs == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
         with pytest.raises(ExhaustedError):
             opt.suggest(1)
+
+    def test_a_session_completes_at_the_last_lattice_point(self):
+        """A budget above the grid's size ends with the grid, not with an
+        ExhaustedError out of run()."""
+        space = ConfigurationSpace("grid", seed=0)
+        space.add(CategoricalParameter("k", ["a", "b", "c"]))
+        session = SessionManager().create(
+            space, optimizer="grid", max_trials=10, seed=0, evaluator=lambda c: "abc".index(c["k"]),
+        )
+        result = session.run()
+        assert session.is_complete and result.n_trials == 3
+        assert sorted(t.config["k"] for t in result.history) == ["a", "b", "c"]
 
     def test_shuffle_changes_order(self):
         a = GridSearchOptimizer(bowl_space(2), points_per_dim=4, shuffle=True, seed=0)

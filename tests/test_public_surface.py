@@ -9,6 +9,7 @@ an export nobody names needs its reason written down here.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pickle
 import re
@@ -330,6 +331,27 @@ def test_service_doc_lists_the_options_each_optimizer_accepts():
         for name, cls in _REGISTRY.items()
     }
     assert documented == accepted
+
+
+def test_every_registered_telemetry_name_is_opened_or_emitted():
+    """The converse of AST401: a span name is opened with ``span(...)`` and an
+    event kind emitted with ``emit_event(...)`` somewhere in the package (the
+    trial span by ``SessionTrace.record_trial``, through ``TRIAL_SPAN``), so
+    the registry names no series that never appears in a trace."""
+    from repro.telemetry.naming import EVENT_KINDS, SPAN_NAMES, TRIAL_SPAN
+
+    used: dict[str, set[str]] = {"span": set(), "emit_event": set()}
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and node.id == "TRIAL_SPAN" and path.name != "naming.py":
+                used["span"].add(TRIAL_SPAN)
+            if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in used:
+                    used[called].add(node.args[0].value)
+    assert sorted(SPAN_NAMES - used["span"]) == []
+    assert sorted(EVENT_KINDS - used["emit_event"]) == []
 
 
 def test_static_analysis_doc_catalogs_exactly_the_rules():

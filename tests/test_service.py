@@ -23,7 +23,7 @@ from repro.service.client import ServiceClient, ServiceError
 import repro.service.server as server_module
 from repro.service.handlers import SERVICE_TRACE_SPANS, TRACE_SAMPLE_EVERY, ServiceHandlers
 from repro.service.server import TuningServer
-from repro.space import ConfigurationSpace, FloatParameter, IntegerParameter
+from repro.space import CategoricalParameter, ConfigurationSpace, FloatParameter, IntegerParameter
 from repro.space.serialize import space_to_dict
 
 from .conftest import assert_exposition_round_trips
@@ -320,6 +320,41 @@ class TestEvictionOnCompletion:
         run(main())
 
 
+class TestGridSession:
+    def test_a_grid_session_completes_at_its_last_point(self):
+        """A grid of three points under a budget of ten: the third tell answers
+        complete, the status reads completed, and a later ask is refused as
+        for any completed session (the parent raised ExhaustedError at the
+        fourth ask instead)."""
+
+        async def main():
+            server, client = await start_server(MemoryTrialStore())
+            space = ConfigurationSpace("grid", seed=0)
+            space.add(CategoricalParameter("k", ["a", "b", "c"]))
+            try:
+                await client.create_session(
+                    space=space_to_dict(space), optimizer="grid", seed=0, max_trials=10, session_id="grid",
+                )
+                acks, seen = [], []
+                for _ in range(3):
+                    (sugg,) = await client.ask("grid")
+                    seen.append(sugg.config["k"])
+                    acks.append(await client.tell("grid", TrialReport(
+                        config=sugg.config, metrics={"score": "abc".index(sugg.config["k"])}, ask_id=sugg.ask_id,
+                    )))
+                assert sorted(seen) == ["a", "b", "c"]
+                assert [ack["complete"] for ack in acks] == [False, False, True]
+                status = await client.status("grid")
+                assert status["status"] == "completed" and status["complete"] and status["n_trials"] == 3
+                with pytest.raises(ServiceError) as refused:
+                    await client.ask("grid")
+                assert refused.value.status == 400 and "is complete" in str(refused.value)
+            finally:
+                await server.stop()
+
+        run(main())
+
+
 class TestHyperbandSession:
     def test_asks_carry_the_rung_budget_as_fidelity(self):
         """create -> ask (the answer carries ``fidelity``) -> tell -> complete,
@@ -361,6 +396,8 @@ class TestHyperbandSession:
                 with pytest.raises(ServiceError) as refused:
                     await client.step("hb-step")
                 assert refused.value.status == 400 and "ask()/tell()" in str(refused.value)
+                # Refused before a suggestion was drawn: no suggestion number is spent.
+                assert server.handlers._hosted["hb-step"].session.optimizer.n_suggested == 0
             finally:
                 await server.stop()
 
