@@ -14,6 +14,8 @@ Run:  python examples/service_quickstart.py
 
 import asyncio
 import json
+import os
+import re
 import signal
 import subprocess
 import sys
@@ -151,6 +153,13 @@ async def main() -> int:
         decided = sum(float(line.split()[-1]) for line in wanted
                       if line.startswith("repro_service_trace_requests_"))
         assert decided == sent, (decided, sent)
+        #    Every blocking step ran on the server's one worker pool, sized to
+        #    its CPUs (at least 2); the wait for a worker is its own histogram.
+        families = re.findall(r"^# TYPE (\S+) (\S+)$", metrics, re.M)
+        assert ("repro_service_pool_wait_seconds", "histogram") in families, families
+        (workers,) = re.findall(r"^repro_service_pool_workers (\S+)$", metrics, re.M)
+        assert 2 <= float(workers) <= max(2, os.cpu_count() or 1), workers
+        print(f"  worker pool: {float(workers):g} threads")
 
         #    The kept trees are readable: `GET /debug/trace` is a trace file
         #    `repro trace` analyses like any campaign's.

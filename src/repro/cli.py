@@ -215,7 +215,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 host=args.host,
                 port=args.port,
                 backend=args.backend,
-                step_workers=args.step_workers,
                 ready=_ready,
             )
         )
@@ -361,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="store path: directory (JSON journal) or *.sqlite file")
     p.add_argument("--backend", choices=("json", "sqlite"), default=None,
                    help="force a backend (default: inferred from --store path)")
-    p.add_argument("--step-workers", type=int, default=4,
-                   help="thread pool size for server-side /step evaluation")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("replay", help="re-execute a journaled session and verify it bit-exactly")

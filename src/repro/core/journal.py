@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 import uuid
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 from ..exceptions import ReproError
@@ -120,7 +120,10 @@ class SessionMeta:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {"version": META_FORMAT_VERSION, **asdict(self)}
+        """The stored form. Shallow — it shares the space dict and the other
+        containers with ``self`` — because every caller serialises it at
+        once; ``dataclasses.asdict`` would deep-copy the space each time."""
+        return {"version": META_FORMAT_VERSION, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SessionMeta":

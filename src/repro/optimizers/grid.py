@@ -7,7 +7,7 @@ dimensionality — which is precisely the lesson of slides 29–31.
 
 from __future__ import annotations
 
-from ..core import Objective, Optimizer
+from ..core import Objective, Optimizer, Trial
 from ..exceptions import ExhaustedError
 from ..space import Configuration, ConfigurationSpace
 
@@ -25,6 +25,10 @@ class GridSearchOptimizer(Optimizer):
     shuffle:
         Visit lattice points in random order — improves anytime behaviour
         when the budget is smaller than the grid.
+
+    A lattice point already in the history is passed over, so a resumed
+    session (warm-started on its journal, cursor back at 0) tries the
+    points it has not tried yet.
     """
 
     def __init__(
@@ -40,9 +44,12 @@ class GridSearchOptimizer(Optimizer):
         if shuffle:
             self.rng.shuffle(self._grid)
         self._cursor = 0
+        self._tried: set[Configuration] = set()
         self.max_suggestions = len(self._grid)
 
     def _suggest(self) -> Configuration:
+        while self._cursor < len(self._grid) and self._grid[self._cursor] in self._tried:
+            self._cursor += 1
         if self._cursor >= len(self._grid):
             raise ExhaustedError(
                 f"grid of {len(self._grid)} points exhausted; increase points_per_dim"
@@ -50,6 +57,9 @@ class GridSearchOptimizer(Optimizer):
         config = self._grid[self._cursor]
         self._cursor += 1
         return config
+
+    def _on_observe(self, trial: Trial, memo: object) -> None:
+        self._tried.add(trial.config)
 
     def _digest_state(self) -> dict[str, object]:
         return {"cursor": self._cursor, "grid_size": len(self._grid)}

@@ -14,29 +14,36 @@
 * **eviction on completion**: a session that spends its budget or is
   completed explicitly leaves the hosted table (histories and models are
   most of a server's memory); a later touch re-hosts it by lazy resume;
-* one shared :class:`~repro.execution.ThreadedExecutor` reused by every
-  session's server-side ``/step`` evaluation (pool reuse per service, not
-  per session);
+* the service's one worker pool, sized to the CPUs the process may run on
+  (``_pool_size``), and one shared :class:`~repro.execution.ThreadedExecutor`
+  of the same size reused by every session's server-side ``/step``
+  evaluation (pool reuse per service, not per session);
 * the per-service :class:`~repro.telemetry.MetricsRegistry` behind
   ``GET /metrics``, and the service trace behind ``GET /debug/trace``.
 
 Blocking work (store fsyncs, SQLite commits, optimizer fits, simulated
-benchmarks) runs in worker threads via ``asyncio.to_thread`` so the event
-loop keeps serving other sessions. ``ask``/``tell``/``step`` enter their
+benchmarks) runs on the worker pool through one hop,
+:meth:`ServiceHandlers._offload`, so the event loop keeps serving other
+sessions; never on asyncio's default executor, whose threads (and their
+malloc arenas) grow with the load. ``ask``/``tell``/``step`` enter their
 session through one helper (``_in_session``: hosted entry under its lock →
-worker thread → finish if complete). Handlers raise and never choose a
+worker pool → finish if complete). Handlers raise and never choose a
 status: :func:`repro.service.wire.error_status` decides that, once.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextvars
+import os
 import resource
 import sys
+import time
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
-from typing import Any, AsyncIterator, Callable, Mapping
+from typing import Any, AsyncIterator, Callable, Mapping, TypeVar
 
 from ..core.manager import SessionManager
 from ..core.evaluation import Evaluator
@@ -55,6 +62,8 @@ from .wire import (
 
 __all__ = ["ServiceHandlers"]
 
+_T = TypeVar("_T")
+
 #: Spans the service-wide trace keeps (≈ 0.26 MB at 507 B each); the library
 #: default is sized for one exported campaign. Only the span trees of the
 #: requests the server keeps enter it (``TuningServer._retain``).
@@ -65,6 +74,17 @@ TRACE_TAIL_QUANTILE = 0.99
 TRACE_SAMPLE_EVERY = 64
 
 
+def _pool_size() -> int:
+    """Workers of the service pool: the CPUs this process may run on (its
+    affinity mask where the platform has one), at least 2 so that one long
+    model fit cannot stall every other session's requests."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform (macOS, Windows)
+        cores = os.cpu_count() or 1
+    return max(2, cores)
+
+
 @dataclass
 class _Hosted:
     session: TuningSession
@@ -73,7 +93,7 @@ class _Hosted:
 
 
 class ServiceHandlers:
-    def __init__(self, manager: SessionManager, step_workers: int = 4) -> None:
+    def __init__(self, manager: SessionManager) -> None:
         self.manager = manager
         self.metrics = MetricsRegistry()
         #: The service-wide trace: the ``http.request`` span trees of the
@@ -83,10 +103,33 @@ class ServiceHandlers:
         #: registry so event counters land on ``/metrics``.
         self.trace = SessionTrace(name="service", max_ops=SERVICE_TRACE_SPANS)
         self.trace.metrics = self.metrics
-        self.step_workers = int(step_workers)
         self._hosted: dict[str, _Hosted] = {}
         self._admission = asyncio.Lock()  # guards the hosted table, not sessions
+        self.workers = _pool_size()
+        self.metrics.set_gauge("service.pool.workers", self.workers)
+        self._pool: ThreadPoolExecutor | None = None  # built on the first hop
+        self._running: set[Future] = set()  # submitted to the pool, not yet returned
         self._executor = None  # shared ThreadedExecutor, built on first /step
+
+    # -- the worker pool ----------------------------------------------------
+    async def _offload(self, fn: Callable[..., _T], *args: Any) -> _T:
+        """Run ``fn(*args)`` on the service's worker pool, in a copy of the
+        caller's context as ``asyncio.to_thread`` would: the request's span
+        sink and trace id reach the spans the worker records. The time the
+        call waits for a worker is observed as ``service.pool.wait.seconds``."""
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(self.workers, thread_name_prefix="repro-service")
+        context = contextvars.copy_context()
+        submitted = time.perf_counter()
+
+        def run() -> _T:
+            self.metrics.observe("service.pool.wait.seconds", time.perf_counter() - submitted)
+            return context.run(fn, *args)
+
+        future = self._pool.submit(run)
+        self._running.add(future)
+        future.add_done_callback(self._running.discard)
+        return await asyncio.wrap_future(future)
 
     # -- hosting ------------------------------------------------------------
     async def _host(self, session_id: str) -> _Hosted:
@@ -98,8 +141,8 @@ class ServiceHandlers:
             entry = self._hosted.get(session_id)
             if entry is not None:
                 return entry
-            session = await asyncio.to_thread(self.manager.resume, session_id)
-            meta = await asyncio.to_thread(self.manager.meta, session_id)
+            session = await self._offload(self.manager.resume, session_id)
+            meta = await self._offload(self.manager.meta, session_id)
             entry = self._hosted[session_id] = _Hosted(session, self._target_evaluator(meta.extra))
             self.metrics.inc("service.sessions.resumed")
             self.metrics.set_gauge("service.sessions.hosted", len(self._hosted))
@@ -121,13 +164,13 @@ class ServiceHandlers:
     async def _in_session(
         self, session_id: str, work: Callable[[_Hosted], Any]
     ) -> tuple[_Hosted, Any, bool]:
-        """Run ``work(entry)`` on a worker thread under the session's lock,
+        """Run ``work(entry)`` on the worker pool under the session's lock,
         then stop hosting the session if that spent its budget; returns
         ``(entry, result, complete)``. The lock bounds the *session*: a
         request cancelled (deadline) while the thread runs keeps it until the
         thread has returned, so a retry never enters the optimizer beside it."""
         async with self._locked(session_id) as entry:
-            thread = asyncio.ensure_future(asyncio.to_thread(work, entry))
+            thread = asyncio.ensure_future(self._offload(work, entry))
             try:
                 result = await asyncio.shield(thread)
             except asyncio.CancelledError:
@@ -148,8 +191,8 @@ class ServiceHandlers:
         retry of the final tell safely re-hosts and re-runs all of it.
         """
         if entry.session.spilled_count:
-            await asyncio.to_thread(entry.session.flush_spill)
-        await asyncio.to_thread(self.manager.complete, session_id)
+            await self._offload(entry.session.flush_spill)
+        await self._offload(self.manager.complete, session_id)
         async with self._admission:
             self._hosted.pop(session_id, None)
             self.metrics.set_gauge("service.sessions.hosted", len(self._hosted))
@@ -165,10 +208,13 @@ class ServiceHandlers:
         return evaluator
 
     def _shared_executor(self):
+        # Not the service pool: a /step holds a service worker while it waits
+        # on its evaluations, so two concurrent /steps in one bounded pool
+        # could each wait on evaluations queued behind the other.
         if self._executor is None:
             from ..execution import ThreadedExecutor
 
-            self._executor = ThreadedExecutor(max_workers=self.step_workers)
+            self._executor = ThreadedExecutor(max_workers=self.workers)
         return self._executor
 
     # -- endpoints ----------------------------------------------------------
@@ -185,12 +231,12 @@ class ServiceHandlers:
         return self.trace.to_dict()
 
     async def list_sessions(self) -> dict[str, Any]:
-        ids = await asyncio.to_thread(self.manager.list_sessions)
+        ids = await self._offload(self.manager.list_sessions)
         return {"sessions": ids}
 
     async def create_session(self, body: Mapping[str, Any]) -> dict[str, Any]:
         req = CreateSessionRequest.from_dict(body)
-        if req.session_id and req.resume and await asyncio.to_thread(self.manager.exists, req.session_id):
+        if req.session_id and req.resume and await self._offload(self.manager.exists, req.session_id):
             entry = await self._host(req.session_id)
             return {
                 "session_id": req.session_id,
@@ -228,7 +274,7 @@ class ServiceHandlers:
                 )
 
         try:
-            session = await asyncio.to_thread(_create)
+            session = await self._offload(_create)
         except SpaceLintError:
             self.metrics.inc("service.sessions.lint_rejected")
             raise
@@ -243,7 +289,7 @@ class ServiceHandlers:
         return out
 
     async def status(self, session_id: str) -> dict[str, Any]:
-        return await asyncio.to_thread(self.manager.status, session_id)
+        return await self._offload(self.manager.status, session_id)
 
     def _absorb_surrogate_stats(self, session: TuningSession) -> None:
         """Register the optimizer's surrogate counters as gauges (GP fit
@@ -315,14 +361,21 @@ class ServiceHandlers:
             async with self._locked(session_id) as entry:
                 await self._finish(entry, session_id)
         else:  # nothing of it in memory: no need to resume it first
-            await asyncio.to_thread(self.manager.complete, session_id)
+            await self._offload(self.manager.complete, session_id)
         return {"session_id": session_id, "status": "completed"}
 
     # -- lifecycle ----------------------------------------------------------
     async def close(self) -> None:
-        """Release the evaluation pool and the store."""
+        """Release the evaluation pool, the store and the worker pool, once the
+        work still on the pool has returned (a request past its deadline
+        leaves its worker running); the loop serves on while it waits.
+        Closing again is harmless: its hops find a fresh pool, release it."""
+        # Their failures were the overdue requests' to report; none is left to answer.
+        await asyncio.gather(*map(asyncio.wrap_future, list(self._running)), return_exceptions=True)
         if self._executor is not None:
-            await asyncio.to_thread(self._executor.shutdown)
+            await self._offload(self._executor.shutdown)
             self._executor = None
         self._hosted.clear()
-        await asyncio.to_thread(self.manager.close)
+        await self._offload(self.manager.close)
+        self._pool.shutdown(wait=False)  # idle: everything submitted has returned
+        self._pool = None

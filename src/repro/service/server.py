@@ -3,7 +3,7 @@
 No web framework: ``asyncio.start_server`` plus a small, strict HTTP/1.1
 request parser (request line, headers, ``Content-Length`` bodies,
 keep-alive) — no new dependency, hundreds of concurrent connections, each
-one asyncio task; blocking work is delegated to threads by
+one asyncio task; blocking work is delegated to the worker pool of
 :class:`~repro.service.handlers.ServiceHandlers`.
 
 A request is one pipeline, each decision written once: *frame* (read it;
@@ -204,8 +204,11 @@ class TuningServer:
         While draining, new requests on surviving keep-alive connections
         get 503 + ``Retry-After`` and ``/healthz?ready`` flips unready, so
         load balancers and clients move on before the listener vanishes.
-        ``close_handlers=False`` leaves the store open — used by tests that
-        restart a server over the same live store object.
+        Then the handlers close: once the work a request past its deadline
+        left on the worker pool has returned, the store and the pool are
+        released (stopping twice is harmless). ``close_handlers=False``
+        leaves both open — used by tests that restart a server over the same
+        live store object.
         """
         if self._server is not None:
             self._draining = True
@@ -360,10 +363,10 @@ class TuningServer:
 
         The inbound ``traceparent`` (if any) is bound, else the service
         trace's id, and the request's own span sink activated, so every span
-        recorded while handling — including optimizer spans running in
-        worker threads via ``asyncio.to_thread``, which copies this context —
-        carries the caller's trace id and waits in the sink for
-        :meth:`_retain`.
+        recorded while handling — including optimizer spans running on the
+        handlers' worker pool, whose hop (``ServiceHandlers._offload``) copies
+        this context — carries the caller's trace id and waits in the sink
+        for :meth:`_retain`.
         """
         route, run = self._resolve(method, path, body)
         exempt = route in _EXEMPT
@@ -515,7 +518,6 @@ async def serve(
     host: str = "127.0.0.1",
     port: int = 8765,
     backend: str | None = None,
-    step_workers: int = 4,
     ready: Callable[["TuningServer"], None] | None = None,
 ) -> None:
     """Open the store, start a :class:`TuningServer`, and serve until cancelled.
@@ -528,7 +530,7 @@ async def serve(
     from ..core.stores import open_store
 
     manager = SessionManager(open_store(store_path, backend=backend))
-    handlers = ServiceHandlers(manager, step_workers=step_workers)
+    handlers = ServiceHandlers(manager)
     server = TuningServer(handlers, host=host, port=port)
     await server.start()
     if ready is not None:

@@ -7,8 +7,11 @@ replay work depend on but nothing previously enforced:
   event loop; a single ``time.sleep``/sync ``open``/``socket`` call inside
   an ``async def`` under ``repro/service/`` stalls every session it hosts.
   Storage-backed :class:`~repro.core.manager.SessionManager` methods count
-  as blocking too (they fsync or hit SQLite) unless dispatched through
-  ``asyncio.to_thread``/``run_in_executor``.
+  as blocking too (they fsync or hit SQLite) unless dispatched through the
+  service's hop onto its worker pool (``ServiceHandlers._offload``). A bare
+  ``asyncio.to_thread(...)`` or ``run_in_executor(None, ...)`` is reported
+  as well: either puts asyncio's default pool back, whose threads grow
+  with the load.
 * **AST105 — hand-rolled retry sleeps in service code.** Every retry/poll
   delay under ``repro/service/`` must come from
   :meth:`repro.resilience.BackoffPolicy.delay` (full jitter, cap,
@@ -85,6 +88,9 @@ _BLOCKING_SUFFIXES = {
 #: In service code, direct calls on these objects are storage-backed and
 #: blocking unless shipped to a worker thread.
 _BLOCKING_OBJECTS = {"manager", "store"}
+#: Calls whose arguments run on a worker thread, not on the event loop.
+_DISPATCHES = {"to_thread", "run_in_executor", "_offload"}
+_HOP_HINT = "dispatch it via await self._offload(...), the service's worker pool"
 
 _NUMPY_GLOBAL_FNS = {
     "seed", "rand", "randn", "randint", "random", "random_sample", "ranf",
@@ -218,11 +224,12 @@ class _FileChecker(ast.NodeVisitor):
         self._check_span_names(node, dotted, tail)
         self._check_loop_sampling(node, dotted, tail)
         self._check_retry_sleep(node, dotted, tail)
+        self._check_default_pool(node, tail)
         if self._async_depth > 0 and self._to_thread_depth == 0:
             self._check_blocking(node, dotted, tail)
-        # Arguments of asyncio.to_thread / loop.run_in_executor execute on a
-        # worker thread: blocking calls inside them are the *fix*, not a bug.
-        if tail in {"to_thread", "run_in_executor"}:
+        # Arguments of a dispatch execute on a worker thread: blocking calls
+        # inside them are not event-loop hazards.
+        if tail in _DISPATCHES:
             self._to_thread_depth += 1
             self.generic_visit(node)
             self._to_thread_depth -= 1
@@ -250,7 +257,21 @@ class _FileChecker(ast.NodeVisitor):
             self._report(
                 "AST101", node,
                 f"{reason} inside an async function blocks the service event loop",
-                "dispatch it via await asyncio.to_thread(...)",
+                _HOP_HINT,
+            )
+
+    def _check_default_pool(self, node: ast.Call, tail: str) -> None:
+        if not self.in_service:
+            return
+        executor = node.args[0] if node.args else None
+        if tail == "to_thread" or (
+            tail == "run_in_executor" and isinstance(executor, ast.Constant) and executor.value is None
+        ):
+            self._report(
+                "AST101", node,
+                f"{tail}(...) runs on asyncio's default pool, whose threads grow with "
+                "the load, beside the service's bounded one",
+                _HOP_HINT,
             )
 
     def _check_rng(self, node: ast.Call, dotted: str, tail: str) -> None:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,56 @@ def store(request, tmp_path):
     s = make_store(request.param, tmp_path)
     yield s
     s.close()
+
+
+#: The meta bytes each durable backend wrote for :func:`stored_meta` when
+#: ``SessionMeta.to_dict`` deep-copied through ``dataclasses.asdict``.
+STORED_META_BYTES = {
+    "json": '{"version":1,"session_id":"m1","space":{"version":1,"name":"t","parameters":[{"type":"categorical",'
+            '"name":"mode","choices":["a","b"],"default":"a"},{"type":"float","name":"x","lower":0.0,"upper":1.0,'
+            '"default":0.5,"log":false}],"conditions":[{"child":"x","parent":"mode","values":["b"]}]},"optimizer":'
+            '{"name":"smac","seed":3,"options":{"n_trees":8}},"objectives":[{"name":"score","minimize":true}],'
+            '"max_trials":10,"max_cost":2.5,"batch_size":1,"status":"completed","created_at":1.25,"extra":'
+            '{"target":{"system":"redis","workload":"w"}}}',
+    "sqlite": '{"version": 1, "session_id": "m1", "space": {"version": 1, "name": "t", "parameters": [{"type": '
+              '"categorical", "name": "mode", "choices": ["a", "b"], "default": "a"}, {"type": "float", "name": "x", '
+              '"lower": 0.0, "upper": 1.0, "default": 0.5, "log": false}], "conditions": [{"child": "x", "parent": '
+              '"mode", "values": ["b"]}]}, "optimizer": {"name": "smac", "seed": 3, "options": {"n_trees": 8}}, '
+              '"objectives": [{"name": "score", "minimize": true}], "max_trials": 10, "max_cost": 2.5, '
+              '"batch_size": 1, "status": "completed", "created_at": 1.25, "extra": {"target": {"system": "redis", '
+              '"workload": "w"}}}',
+}
+
+
+def stored_meta() -> SessionMeta:
+    return simple_meta(
+        "m1",
+        space={"version": 1, "name": "t", "parameters": [
+            {"type": "categorical", "name": "mode", "choices": ["a", "b"], "default": "a"},
+            {"type": "float", "name": "x", "lower": 0.0, "upper": 1.0, "default": 0.5, "log": False}],
+            "conditions": [{"child": "x", "parent": "mode", "values": ["b"]}]},
+        optimizer={"name": "smac", "seed": 3, "options": {"n_trees": 8}},
+        max_cost=2.5,
+        created_at=1.25,
+        extra={"target": {"system": "redis", "workload": "w"}},
+    )
+
+
+@pytest.mark.parametrize("backend", ["json", "sqlite"])
+def test_stored_meta_bytes_are_unchanged(backend, tmp_path):
+    """Written at create and rewritten by an update, byte for byte."""
+    store = make_store(backend, tmp_path)
+    meta = stored_meta()
+    store.create_session(meta)
+    store.update_session("m1", status="completed")
+    store.close()
+    if backend == "json":
+        raw = (tmp_path / "journal" / "m1.meta.json").read_text()
+    else:
+        with closing(sqlite3.connect(tmp_path / "trials.sqlite")) as db:
+            (raw,) = db.execute("SELECT meta FROM sessions WHERE session_id = 'm1'").fetchone()
+    assert raw == STORED_META_BYTES[backend]
+    assert meta == stored_meta()  # serialising did not touch the caller's meta
 
 
 class TestContract:

@@ -163,8 +163,8 @@ def test_export_named_like_its_submodule_is_the_export():
 
 
 def test_concurrent_first_use_is_safe():
-    """Concurrent ``POST /sessions`` reach ``make_optimizer`` on ``to_thread``
-    workers, so first touches of one family, and of two that share submodules, race."""
+    """Concurrent ``POST /sessions`` reach ``make_optimizer`` on the service's
+    pool workers, so first touches of one family, and of two that share submodules, race."""
     code = """
 import json, sys, threading
 from repro.core.manager import make_optimizer

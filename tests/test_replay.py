@@ -178,6 +178,37 @@ class TestReplayAllOptimizers:
         assert report.n_verified == 12
         assert report.n_failures_verified == 4
 
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
+    def test_a_resumed_grid_tries_the_points_it_has_not(self, tmp_path, shuffle):
+        """Four lattice points under a budget of ten, two told before the kill:
+        the resumed epoch passes over the warm-started points, so the session
+        tries each point once (the parent journaled a, b, a, b), and the
+        two-epoch journal replays."""
+        space = ConfigurationSpace("grid", seed=0)
+        space.add(CategoricalParameter("k", ["a", "b", "c", "d"]))
+        manager = SessionManager(JsonJournalStore(tmp_path / "store"))
+        session = manager.create(
+            space, optimizer="grid", seed=5, max_trials=10, session_id="grid",
+            optimizer_options={"shuffle": shuffle},
+        )
+
+        def tell_next(session) -> None:
+            (sugg,) = session.ask()
+            session.tell(TrialReport(config=sugg.config, metrics={"score": "abcd".index(sugg.config["k"])},
+                                     ask_id=sugg.ask_id))
+
+        for _ in range(2):
+            tell_next(session)
+        resumed = SessionManager(JsonJournalStore(tmp_path / "store")).resume("grid")
+        assert resumed.epoch == 1
+        while not resumed.is_complete:
+            tell_next(resumed)
+        tried = [record["config"]["k"] for record in manager.store.load_trials("grid")]
+        assert (sorted(tried) if shuffle else tried) == ["a", "b", "c", "d"]
+        report = manager.replay_session("grid")
+        assert report.ok, report.format()
+        assert report.n_epochs == 2 and report.n_verified == 4
+
 
 class TestDivergenceDetection:
     def _session_with_journal(self, tmp_path, n=8):

@@ -1124,6 +1124,114 @@ class TestTracePropagation:
 
         run(asyncio.wait_for(main(), timeout=60))
 
+class TestWorkerPool:
+    def test_more_sessions_than_workers_share_one_bounded_pool(self):
+        """More concurrent sessions than the pool has workers: at most
+        ``workers`` hops run at once, on the service's own threads, never on
+        asyncio's default pool; each worker's spans carry its caller's trace
+        id; and a restart over the same handlers, then two closes, all work."""
+        import threading
+        import time
+
+        from repro.telemetry import SessionTrace
+
+        async def main():
+            handlers = ServiceHandlers(SessionManager(MemoryTrialStore()))
+            workers = handlers.workers
+            assert workers >= 2
+            server = TuningServer(handlers, port=0)
+            await server.start()
+            lock, running, peak, names = threading.Lock(), [0], [0], set()
+
+            def slow(suggest):
+                def suggest_slowly(n):
+                    with lock:
+                        running[0] += 1
+                        peak[0] = max(peak[0], running[0])
+                        names.update(t.name for t in threading.enumerate())
+                    try:
+                        time.sleep(0.03)
+                        return suggest(n)
+                    finally:
+                        with lock:
+                            running[0] -= 1
+                return suggest_slowly
+
+            async def drive(sid: str, trace: SessionTrace, rounds: int) -> None:
+                client = ServiceClient(server.host, server.port, timeout_s=10, trace=trace)
+                for _ in range(rounds):
+                    (s,) = await client.ask(sid)
+                    await client.tell(sid, TrialReport(config=s.config, metrics=evaluate(s.config), ask_id=s.ask_id))
+
+            sessions = [f"p{i}" for i in range(workers + 3)]
+            traces = [SessionTrace(name=sid) for sid in sessions]
+            try:
+                client = ServiceClient(server.host, server.port, timeout_s=10)
+                for sid in sessions:
+                    await client.create_session(
+                        space=small_space_spec(), optimizer="random", seed=0, max_trials=20,
+                        session_id=sid, objectives=OBJECTIVES,
+                    )
+                    optimizer = handlers._hosted[sid].session.optimizer
+                    optimizer.suggest = slow(optimizer.suggest)
+                await asyncio.gather(*(drive(sid, trace, 3) for sid, trace in zip(sessions, traces)))
+                assert peak[0] == workers  # saturated, and bounded by the pool
+                service_threads = {name for name in names if name.startswith("repro-service")}
+                assert 0 < len(service_threads) <= workers
+                assert not any(name.startswith("asyncio") for name in names), names  # no default pool
+                suggests = [op for op in handlers.trace.ops if op.name == "optimizer.suggest"]
+                assert len(suggests) == 3 * len(sessions)
+                assert {op.trace_id for op in suggests} == {trace.trace_id for trace in traces}
+                text = await client.metrics()
+                assert f"repro_service_pool_workers {workers}" in text
+                (waited,) = re.findall(r"^repro_service_pool_wait_seconds_count (\S+)$", text, re.M)
+                assert float(waited) >= 3 * 2 * len(sessions)  # every ask and tell hopped
+
+                # A restart over the same handlers keeps the pool; closing twice is harmless.
+                await server.stop(close_handlers=False)
+                server = TuningServer(handlers, port=0)
+                await server.start()
+                await drive(sessions[0], traces[0], 1)
+            finally:
+                await server.stop()
+                await server.stop()
+            assert handlers._pool is None and not handlers._running
+
+        run(asyncio.wait_for(main(), timeout=60))
+
+    def test_close_waits_for_work_a_deadline_left_on_the_pool(self):
+        """A request answered 503 at its deadline leaves its worker running;
+        the drain no longer counts it, but close releases the store only once
+        it has returned, and its failure is nobody's to log."""
+        import time
+
+        async def main():
+            handlers = ServiceHandlers(SessionManager(MemoryTrialStore()))
+            server = TuningServer(handlers, port=0, request_timeout_s=0.05)
+            await server.start()
+            unretrieved, order = [], []
+            asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: unretrieved.append(ctx))
+            close = handlers.manager.close
+
+            def overdue_status(session_id):
+                time.sleep(0.3)
+                order.append("work")
+                raise ZeroDivisionError
+
+            handlers.manager.status = overdue_status
+            handlers.manager.close = lambda: order.append("close") or close()
+            client = ServiceClient(server.host, server.port, timeout_s=10)
+            with pytest.raises(ServiceError) as err:
+                await client.status("s1")
+            assert err.value.status == 503 and order == []
+            await server.stop(drain_timeout_s=0.01)
+            assert order == ["work", "close"]
+            gc.collect()
+            assert unretrieved == []
+
+        run(asyncio.wait_for(main(), timeout=60))
+
+
 # ---------------------------------------------------------------------------
 # The status rule: whose fault a failure is, decided once
 # ---------------------------------------------------------------------------

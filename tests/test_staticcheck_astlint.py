@@ -37,13 +37,45 @@ class TestBlockingInAsync:
         """)
         assert rules_of(findings) == ["AST101"]
 
-    def test_to_thread_dispatch_is_the_fix(self):
+    def test_service_hop_dispatch_is_the_fix(self):
+        findings = lint("""
+            class H:
+                async def host(self, sid):
+                    return await self._offload(self.manager.meta, sid)
+        """)
+        assert findings == []
+
+    @pytest.mark.parametrize("dispatch", [
+        "asyncio.to_thread(self.manager.meta, sid)",
+        "asyncio.get_running_loop().run_in_executor(None, self.manager.meta, sid)",
+    ], ids=["to_thread", "run_in_executor_none"])
+    def test_default_pool_dispatch_is_reported_once(self, dispatch):
+        # The blocking call inside is off the loop; the finding is the pool.
+        findings = lint(f"""
+            import asyncio
+            class H:
+                async def host(self, sid):
+                    return await {dispatch}
+        """)
+        assert [f.rule for f in findings] == ["AST101"]
+        assert "default pool" in findings[0].message and "self._offload" in findings[0].hint
+
+    def test_run_in_executor_on_an_owned_pool_is_clean(self):
         findings = lint("""
             import asyncio
             class H:
                 async def host(self, sid):
-                    return await asyncio.to_thread(self.manager.meta, sid)
+                    loop = asyncio.get_running_loop()
+                    return await loop.run_in_executor(self._pool, self.manager.meta, sid)
         """)
+        assert findings == []
+
+    def test_default_pool_outside_service_code_is_clean(self):
+        findings = lint("""
+            import asyncio
+            async def handler(fn):
+                return await asyncio.to_thread(fn)
+        """, path="src/repro/execution/mod.py")
         assert findings == []
 
     def test_open_and_read_text_block(self):
