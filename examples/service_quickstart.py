@@ -58,8 +58,12 @@ def check_exposition(text: str) -> int:
 
 
 async def main() -> int:
-    store = Path(tempfile.mkdtemp(prefix="repro-service-")) / "campaigns"
+    # The store lives as long as the server: removed once it has stopped.
+    with tempfile.TemporaryDirectory(prefix="repro-service-") as tmp:
+        return await run(Path(tmp) / "campaigns")
 
+
+async def run(store: Path) -> int:
     # 1. Boot the service exactly as an operator would.
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0", "--store", str(store)],
@@ -185,6 +189,7 @@ async def main() -> int:
     finally:
         if server.poll() is None:
             server.kill()
+            server.wait()
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..exceptions import OptimizerError
+from ..space.space import ConfigurationPool
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..space import Configuration, ConfigurationSpace
@@ -47,7 +48,7 @@ def generate_candidates(
     rng: np.random.Generator,
     n: int,
     incumbent: "Configuration | None" = None,
-) -> "list[Configuration]":
+) -> "ConfigurationPool":
     """Candidate pool for acquisition maximisation, drawn in two batched calls.
 
     The standard mix used by the surrogate optimizers:
@@ -56,7 +57,8 @@ def generate_candidates(
     size from :data:`LOCAL_SCALES`. Everything is vectorized —
     :meth:`ConfigurationSpace.sample_many` draws all parameter columns at
     once and :meth:`ConfigurationSpace.neighbor_many` groups rows per moved
-    knob.
+    knob — and the pool stays in columns: only the configuration an
+    optimizer picks is ever built.
     """
     n = int(n)
     n_global = int(n * GLOBAL_FRACTION)
@@ -65,7 +67,7 @@ def generate_candidates(
     cands = space.sample_many(n_global, rng)
     if incumbent is not None and n > n_global:
         scales = rng.choice(LOCAL_SCALES, size=n - n_global)
-        cands.extend(space.neighbor_many(incumbent, n - n_global, rng, scales=scales))
+        cands = cands + space.neighbor_many(incumbent, n - n_global, rng, scales=scales)
     return cands
 
 
@@ -78,7 +80,7 @@ def trust_region(
     rng: np.random.Generator,
     centre: "Configuration",
     n: int,
-) -> "list[Configuration]":
+) -> "ConfigurationPool":
     """Safe-exploration pool: ``centre`` plus ``n − 1`` single-knob neighbours
     of it, each at a step size drawn from ``uniform(0.01, TRUST_RADIUS)``.
 
@@ -86,7 +88,7 @@ def trust_region(
     not stray from a configuration known to run well.
     """
     scales = rng.uniform(0.01, TRUST_RADIUS, size=int(n) - 1)
-    return [centre, *space.neighbor_many(centre, int(n) - 1, rng, scales=scales)]
+    return ConfigurationPool.of(space, [centre]) + space.neighbor_many(centre, int(n) - 1, rng, scales=scales)
 
 
 # The standard normal's CDF and density, written out: ``scipy.special.ndtr``

@@ -79,7 +79,7 @@ class MultiArmedBanditOptimizer(Optimizer):
         super().__init__(space, objectives, seed=seed)
         if policy not in ("epsilon", "ucb1", "thompson"):
             raise OptimizerError(f"unknown policy {policy!r}")
-        self.arms = list(arms) if arms is not None else space.sample_many(n_arms, self.rng)
+        self.arms = list(arms if arms is not None else space.sample_many(n_arms, self.rng))
         if len(self.arms) < 2:
             raise OptimizerError("need at least 2 arms")
         self.policy = policy

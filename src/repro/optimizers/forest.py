@@ -24,6 +24,12 @@ multiplicity; leaf statistics absorb them immediately and only stale trees
 regrow) and constant-liar *fantasies* for batch suggestion
 (:meth:`~RandomForestRegressor.add_fantasy` /
 :meth:`~RandomForestRegressor.clear_fantasies`).
+
+Prediction routes and scores candidates in blocks of :data:`ROW_BLOCK` rows:
+all trees advance one block's rows together, so the routing state alive at
+once is (trees × block), not (trees × pool). A block's leaf statistics reduce
+over the tree axis of a (trees × rows) array, as the whole pool's did, so the
+means and deviations are the same to the last bit.
 """
 
 from __future__ import annotations
@@ -463,6 +469,19 @@ class ForestStats:
 STALE_FRACTION = 0.25
 #: Share of the features each split of a forest tree considers.
 MAX_FEATURES = 0.8
+#: Rows routed and scored together by :meth:`RandomForestRegressor.predict`.
+ROW_BLOCK = 64
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of at most :data:`ROW_BLOCK` rows covering ``range(n)``. A
+    one-row tail joins the block before it: numpy reduces a (trees × 1)
+    array pairwise, not tree by tree, which can move the last bit of a
+    row's mean away from what the same row reads inside a wider block."""
+    edges = [*range(0, n, ROW_BLOCK), n]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 class RandomForestRegressor:
@@ -608,7 +627,16 @@ class RandomForestRegressor:
         self.stats.n_nodes = len(self._features)
 
     def _route_compiled(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index in the concatenated arrays for every (tree, row) pair."""
+        """Leaf index in the concatenated arrays for every (tree, row) pair,
+        tree-major (``t·n + i``), routed one row block at a time."""
+        leaves = np.empty((self.n_trees, len(X)), dtype=np.intp)
+        for rows in _row_blocks(len(X)):
+            leaves[:, rows] = self._route_block(X[rows]).reshape(self.n_trees, -1)
+        return leaves.reshape(-1)
+
+    def _route_block(self, X: np.ndarray) -> np.ndarray:
+        """Leaf indices of ``X``'s rows in every tree (tree-major), all
+        (tree, row) states advancing one vectorized step per tree level."""
         n = len(X)
         idx = np.repeat(self._roots, n)
         col = np.tile(np.arange(n), self.n_trees)
@@ -620,6 +648,15 @@ class RandomForestRegressor:
             cur = idx[active]
             go_left = X[col[active], self._features[cur]] <= self._thresholds[cur]
             idx[active] = np.where(go_left, self._lefts[cur], self._rights[cur])
+
+    def _moments(self, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean/std of one row block from its tree-major leaf indices."""
+        n = len(leaves) // self.n_trees
+        means = self._values[leaves].reshape(self.n_trees, n)
+        # Law of total variance across the ensemble.
+        variances = self._variances[leaves].reshape(self.n_trees, n)
+        var = means.var(axis=0) + variances.mean(axis=0)
+        return means.mean(axis=0), np.sqrt(np.maximum(var, 1e-12))
 
     # -- constant-liar fantasies ---------------------------------------------
     def add_fantasy(self, x: np.ndarray, y_lie: float) -> None:
@@ -669,39 +706,37 @@ class RandomForestRegressor:
         Routing depends only on split structure, never on leaf statistics,
         so a cached result stays valid across :meth:`add_fantasy` /
         :meth:`clear_fantasies`. Batch suggestion routes its candidate pool
-        once and rescores each pick from the cached leaves.
+        once and rescores each pick from the cached leaves. Its time counts
+        in ``stats.predict_ms``.
         """
         if not self._trees:
             raise NotFittedError("forest is not fitted")
-        return self._route_compiled(np.atleast_2d(np.asarray(X, dtype=float)))
+        t0 = time.perf_counter()
+        leaves = self._route_compiled(np.atleast_2d(np.asarray(X, dtype=float)))
+        self.stats.predict_ms += (time.perf_counter() - t0) * 1e3
+        return leaves
 
     def predict_from_leaves(self, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean/std from cached :meth:`route_leaves` output (current leaf
-        statistics, including any pending fantasies)."""
-        n = len(leaves) // self.n_trees
-        means = self._values[leaves].reshape(self.n_trees, n)
-        mean = means.mean(axis=0)
-        # Law of total variance across the ensemble.
-        variances = self._variances[leaves].reshape(self.n_trees, n)
-        var = means.var(axis=0) + variances.mean(axis=0)
-        return mean, np.sqrt(np.maximum(var, 1e-12))
+        statistics, including any pending fantasies); one predict in
+        ``stats``."""
+        t0 = time.perf_counter()
+        by_tree = leaves.reshape(self.n_trees, -1)
+        mean, std = np.empty(by_tree.shape[1]), np.empty(by_tree.shape[1])
+        for rows in _row_blocks(by_tree.shape[1]):
+            mean[rows], std[rows] = self._moments(by_tree[:, rows].reshape(-1))
+        self.stats.n_predicts += 1
+        self.stats.predict_ms += (time.perf_counter() - t0) * 1e3
+        return mean, std
 
     def predict(self, X: np.ndarray, return_std: bool = False):
         if not self._trees:
             raise NotFittedError("forest is not fitted")
         t0 = time.perf_counter()
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        n = len(X)
-        idx = self._route_compiled(X)
-        means = self._values[idx].reshape(self.n_trees, n)
-        mean = means.mean(axis=0)
-        if not return_std:
-            self.stats.n_predicts += 1
-            self.stats.predict_ms += (time.perf_counter() - t0) * 1e3
-            return mean
-        # Law of total variance across the ensemble.
-        variances = self._variances[idx].reshape(self.n_trees, n)
-        var = means.var(axis=0) + variances.mean(axis=0)
+        mean, std = np.empty(len(X)), np.empty(len(X))
+        for rows in _row_blocks(len(X)):
+            mean[rows], std[rows] = self._moments(self._route_block(X[rows]))
         self.stats.n_predicts += 1
         self.stats.predict_ms += (time.perf_counter() - t0) * 1e3
-        return mean, np.sqrt(np.maximum(var, 1e-12))
+        return (mean, std) if return_std else mean

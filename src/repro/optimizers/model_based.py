@@ -56,7 +56,7 @@ and ``surrogate_stats()``.
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -155,7 +155,7 @@ class ModelBasedOptimizer(Optimizer):
         """Hook 2: train the surrogate(s) on the history. Return ``False``
         when there is still nothing to ask (the suggestion is then random)."""
 
-    def _candidates(self) -> list[Configuration]:
+    def _candidates(self) -> Sequence[Configuration]:
         """Hook 3: the acquisition's candidate pool. Default: global samples
         plus local perturbations of :meth:`_incumbent`."""
         return generate_candidates(self.space, self.rng, self.n_candidates, incumbent=self._incumbent())
@@ -165,18 +165,18 @@ class ModelBasedOptimizer(Optimizer):
         trial's (past the initial design there always is one)."""
         return self.history.best().config
 
-    def _scores(self, cands: list[Configuration]) -> np.ndarray:
+    def _scores(self, cands: Sequence[Configuration]) -> np.ndarray:
         """Hook 4: each candidate's acquisition value, higher is better.
         Default: the acquisition of the model's posterior against the best
         observed score."""
         mean, std = self.model.predict(self._features(cands), return_std=True)
         return self.acquisition(mean, std, float(self.history.scores().min()))
 
-    def _pick(self, cands: list[Configuration]) -> Configuration:
+    def _pick(self, cands: Sequence[Configuration]) -> Configuration:
         """The candidate with the highest :meth:`_scores`."""
         return cands[int(np.argmax(self._scores(cands)))]
 
-    def _features(self, configs: list[Configuration]) -> np.ndarray:
+    def _features(self, configs: Sequence[Configuration]) -> np.ndarray:
         """The model's input rows for ``configs``. Default: their encodings."""
         return self.encoder.encode_many(configs)
 

@@ -178,7 +178,7 @@ class HyperbandOptimizer(Optimizer):
         self._n_opened += 1
         n = int(math.ceil((self.s_max + 1) / (s + 1) * ETA**s))
         budgets = [self.max_budget / ETA ** (s - i) for i in range(s + 1)]
-        bracket = _Bracket(budgets, self.space.sample_many(n, self.rng))
+        bracket = _Bracket(budgets, list(self.space.sample_many(n, self.rng)))
         self._brackets.append(bracket)
         return bracket
 

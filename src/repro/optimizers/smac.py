@@ -16,6 +16,8 @@ candidate pool.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..core import Objective, rng_digest
@@ -144,7 +146,7 @@ class SMACOptimizer(ModelBasedOptimizer):
             return None  # retries the fit and emits optimizer.degraded
         best_score = float(self.history.scores().min())
         out: list[Configuration] = []
-        pool: list[Configuration] | None = None
+        pool: Sequence[Configuration] | None = None
         try:
             for _ in range(n):
                 if self._interleave_due():

@@ -12,6 +12,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Mapping, Sequence
 
+import numpy as np
+
 __all__ = [
     "Constraint",
     "LinearConstraint",
@@ -33,6 +35,18 @@ class Constraint(ABC):
         A constraint referencing an inactive/absent parameter is treated as
         satisfied — it simply does not apply.
         """
+
+    def satisfied_many(self, columns: Mapping[str, Sequence[Any]], where: np.ndarray) -> np.ndarray:
+        """:meth:`is_satisfied` of each row of ``columns`` (knob → one value
+        per row) that the boolean mask ``where`` marks; unmarked rows read
+        False. This generic form builds each marked row's mapping, so a
+        predicate never sees a row an earlier constraint rejected; the
+        closed forms override it with the same arithmetic on whole columns."""
+        out = np.zeros(len(where), dtype=bool)
+        names = list(columns)
+        for i in np.flatnonzero(where).tolist():
+            out[i] = self.is_satisfied({name: columns[name][i] for name in names})
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name!r})"
@@ -60,6 +74,14 @@ class LinearConstraint(Constraint):
                 return True
             total += coef * float(values[param])
         return total <= self.bound + 1e-12
+
+    def satisfied_many(self, columns: Mapping[str, Sequence[Any]], where: np.ndarray) -> np.ndarray:
+        if any(param not in columns for param in self.coefficients):
+            return where.copy()
+        total = np.zeros(len(where))
+        for param, coef in self.coefficients.items():
+            total += coef * np.asarray(columns[param], dtype=float)
+        return where & (total <= self.bound + 1e-12)
 
 
 class RatioConstraint(Constraint):
@@ -92,6 +114,20 @@ class RatioConstraint(Constraint):
                 return False
             rhs /= div
         return float(values[self.numerator]) <= rhs + 1e-12
+
+    def satisfied_many(self, columns: Mapping[str, Sequence[Any]], where: np.ndarray) -> np.ndarray:
+        needed = [self.numerator, self.denominator] + ([self.divisor] if self.divisor else [])
+        if any(p not in columns for p in needed):
+            return where.copy()
+        rhs = np.asarray(columns[self.denominator], dtype=float)
+        ok = where.copy()
+        if self.divisor is not None:
+            div = np.asarray(columns[self.divisor], dtype=float)
+            ok &= div != 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rhs = rhs / div
+        with np.errstate(invalid="ignore"):
+            return ok & (np.asarray(columns[self.numerator], dtype=float) <= rhs + 1e-12)
 
 
 class CallableConstraint(Constraint):

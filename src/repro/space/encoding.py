@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..exceptions import SpaceError
-from .params import CategoricalParameter
-from .space import Configuration, ConfigurationSpace
+from .params import CategoricalParameter, Parameter
+from .space import Configuration, ConfigurationPool, ConfigurationSpace
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.optimizer import Trial
@@ -47,6 +47,14 @@ class SpaceEncoder(ABC):
         """Configurations → an ``(n, n_features)`` matrix in one pass."""
 
 
+def _column(configs: Sequence[Configuration], p: Parameter) -> list:
+    """Knob ``p``'s value in every configuration: a pool's own column, else
+    gathered row by row (the default for a configuration without the knob)."""
+    if isinstance(configs, ConfigurationPool) and p.name in configs.space:
+        return configs.column(p.name)
+    return [c.get(p.name, p.default) for c in configs]
+
+
 class OrdinalEncoder(SpaceEncoder):
     """One dimension per knob; categoricals mapped to bin midpoints.
 
@@ -67,8 +75,7 @@ class OrdinalEncoder(SpaceEncoder):
             return np.empty((0, self.n_features))
         X = np.empty((len(configs), self.n_features))
         for j, p in enumerate(self.space.parameters):
-            values = [c.get(p.name, p.default) for c in configs]
-            X[:, j] = p.to_unit_many(values)
+            X[:, j] = p.to_unit_many(_column(configs, p))
         return X
 
     def decode(self, x: Sequence[float]) -> Configuration:
@@ -114,7 +121,7 @@ class OneHotEncoder(SpaceEncoder):
         rows = np.arange(len(configs))
         for name, start, width in self._blocks:
             p = self.space[name]
-            values = [c.get(name, p.default) for c in configs]
+            values = _column(configs, p)
             if isinstance(p, CategoricalParameter):
                 idx = np.array([p.index_of(v) for v in values])
                 X[rows, start + idx] = 1.0

@@ -27,7 +27,7 @@ from .constraints import Constraint, all_satisfied
 from .params import CategoricalParameter, Parameter
 from .priors import Prior
 
-__all__ = ["Configuration", "ConfigurationSpace"]
+__all__ = ["Configuration", "ConfigurationPool", "ConfigurationSpace"]
 
 
 class Configuration(Mapping[str, Any]):
@@ -38,7 +38,8 @@ class Configuration(Mapping[str, Any]):
     ``active`` records which knobs the optimizer actually controls here.
 
     The values are a tuple aligned with the space's key index (name →
-    position), which the space builds once and every configuration shares;
+    position, in the order knobs were added), which the space builds once
+    and every configuration shares;
     ``active`` is the space's one interned set for that activation pattern.
     A configuration therefore carries no per-instance dict or set, and it
     keeps the index it was made with, so a later ``space.add()`` leaves it
@@ -47,10 +48,10 @@ class Configuration(Mapping[str, Any]):
 
     __slots__ = ("_space", "_index", "_values", "_active", "_hash")
 
-    def __init__(self, space: "ConfigurationSpace", values: Mapping[str, Any], active: frozenset[str]) -> None:
+    def __init__(self, space: "ConfigurationSpace", values: tuple[Any, ...], active: frozenset[str]) -> None:
         self._space = space
         self._index = space._key_index()
-        self._values = tuple(map(values.__getitem__, self._index))
+        self._values = values
         self._active = active
         self._hash: int | None = None
 
@@ -98,6 +99,73 @@ class Configuration(Mapping[str, Any]):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(f"{k}={v!r}" for k, v in zip(self._index, self._values))
         return f"Configuration({inner})"
+
+
+class ConfigurationPool(Sequence[Configuration]):
+    """Configurations of one space held as per-knob columns of resolved values.
+
+    What :meth:`ConfigurationSpace.sample_many` and
+    :meth:`~ConfigurationSpace.neighbor_many` return: a read-only sequence
+    whose row ``k`` becomes a :class:`Configuration` when first indexed (and
+    is the same object after), so a candidate pool is drawn, encoded and
+    scored without building one per row (an encoder reads :meth:`column`).
+    Pools of the same space concatenate with ``+``; take ``list(pool)`` for
+    a mutable copy.
+    """
+
+    __slots__ = ("space", "_columns", "_active", "_built")
+
+    def __init__(
+        self,
+        space: "ConfigurationSpace",
+        columns: list[list[Any]],
+        active: list[frozenset[str]],
+        built: dict[int, Configuration] | None = None,
+    ) -> None:
+        self.space = space
+        self._columns = columns  # one list per knob, in space order
+        self._active = active  # each row's activation pattern
+        self._built = built if built is not None else {}  # row -> its configuration, once indexed
+
+    @classmethod
+    def of(cls, space: "ConfigurationSpace", configs: Sequence[Configuration]) -> "ConfigurationPool":
+        """A pool of existing configurations of ``space``; indexing returns them."""
+        columns = [[c[name] for c in configs] for name in space.names]
+        return cls(space, columns, [c.active for c in configs], dict(enumerate(configs)))
+
+    def __len__(self) -> int:
+        return len(self._active)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        k = range(len(self._active))[k]  # IndexError past the end, as a list
+        config = self._built.get(k)
+        if config is None:
+            values = tuple(column[k] for column in self._columns)
+            config = self._built[k] = Configuration(self.space, values, self._active[k])
+        return config
+
+    def column(self, name: str) -> list[Any]:
+        """Knob ``name``'s value in every row (not to be mutated)."""
+        return self._columns[self.space._key_index()[name]]
+
+    def __add__(self, other: object) -> "ConfigurationPool":
+        if not isinstance(other, ConfigurationPool) or other.space is not self.space:
+            return NotImplemented
+        columns = [a + b for a, b in zip(self._columns, other._columns)]
+        built = {**self._built, **{k + len(self): c for k, c in other._built.items()}}
+        return ConfigurationPool(self.space, columns, self._active + other._active, built)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]  # equal to a list, so unhashable like one
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"ConfigurationPool({self.space.name!r}, n={len(self)})"
 
 
 class ConfigurationSpace:
@@ -271,7 +339,7 @@ class ConfigurationSpace:
             self._params[name].check(resolved[name])
         if check_constraints and not all_satisfied(self._constraints, resolved):
             raise ConstraintViolationError(f"configuration violates constraints: {resolved}")
-        return Configuration(self, resolved, active)
+        return Configuration(self, tuple(resolved.values()), active)
 
     def default_configuration(self) -> Configuration:
         return self.make({})
@@ -295,28 +363,22 @@ class ConfigurationSpace:
             f"{self._MAX_SAMPLE_ATTEMPTS} attempts; constraints may be unsatisfiable"
         )
 
-    def sample_many(self, n: int, rng: np.random.Generator | None = None) -> list[Configuration]:
+    def sample_many(self, n: int, rng: np.random.Generator | None = None) -> ConfigurationPool:
         """Draw ``n`` feasible configurations with one vectorized pass per knob.
 
         Every parameter column is drawn in a single batched call
-        (:meth:`Parameter.sample_many`), then rows are materialized once.
-        Spaces without conditions or constraints skip per-row validation
-        entirely — column draws are in-domain by construction; otherwise
-        rows go through :meth:`make` and constraint-violating rows are
-        redrawn in vectorized rounds (same rejection semantics and attempt
-        budget as :meth:`sample`).
+        (:meth:`Parameter.sample_many`, knobs in space order) and resolved
+        column by column (:meth:`_resolve`); rows that violate a constraint
+        are redrawn in rounds of the missing count, within the attempt budget
+        of :meth:`sample`. The rows stay columns: see :class:`ConfigurationPool`.
         """
         rng = rng if rng is not None else self._rng
         n = int(n)
-        if n <= 0:
-            return []
-        names = list(self._params)
-        simple = not self._conditions and not self._constraints
-        all_active = self._interned(frozenset(names))
-        out: list[Configuration] = []
+        columns: list[list[Any]] = [[] for _ in self._params]
+        active: list[frozenset[str]] = []
         attempts = 0
-        while len(out) < n:
-            batch = n - len(out)
+        while len(active) < n:
+            batch = n - len(active)
             if attempts + batch > self._MAX_SAMPLE_ATTEMPTS:
                 raise SamplingError(
                     f"could not sample {n} feasible configurations from "
@@ -324,17 +386,61 @@ class ConfigurationSpace:
                     "constraints may be unsatisfiable"
                 )
             attempts += batch
-            cols = [p.sample_many(rng, batch) for p in self._params.values()]
-            for row in zip(*cols):
-                values = dict(zip(names, row))
-                if simple:
-                    out.append(Configuration(self, values, all_active))
-                    continue
-                try:
-                    out.append(self.make(values))
-                except ConstraintViolationError:
-                    continue
-        return out
+            drawn = [p.sample_many(rng, batch) for p in self._params.values()]
+            resolved, patterns, ok = self._resolve(drawn, batch)
+            keep = np.flatnonzero(ok).tolist()
+            for column, values in zip(columns, resolved):
+                column.extend(values if len(keep) == batch else [values[i] for i in keep])
+            active.extend(patterns if len(keep) == batch else [patterns[i] for i in keep])
+        return ConfigurationPool(self, columns, active)
+
+    def _resolve(
+        self, columns: list[list[Any]], n: int
+    ) -> tuple[list[list[Any]], list[frozenset[str]], np.ndarray]:
+        """Resolve ``n`` rows held as columns (one value list per knob, in
+        space order) the way :meth:`make` resolves one row: activation comes
+        from the rows' values, an inactive knob is reset to its default, and
+        the constraints are checked on the resolved values
+        (:meth:`Constraint.satisfied_many`). Returns the resolved columns,
+        each row's interned activation pattern and the feasibility mask.
+        Drawn values are in-domain by construction, so none is re-validated.
+        """
+        position = self._key_index()
+        # Conditioned knob -> rows where it is active, parents first: a child
+        # is active iff every condition's parent is and the condition holds,
+        # and a condition sees only the rows the earlier ones kept (``all``).
+        held: dict[str, np.ndarray] = {}
+        pending = list(self._conditions)
+        while pending:
+            child = next(c for c in pending if all(cond.parent not in pending for cond in self._conditions[c]))
+            rows = np.ones(n, dtype=bool)
+            for cond in self._conditions[child]:
+                if cond.parent in held:
+                    rows &= held[cond.parent]
+                values, marked = columns[position[cond.parent]], np.flatnonzero(rows)
+                rows = np.zeros(n, dtype=bool)
+                rows[marked] = [bool(cond.evaluate(values[i])) for i in marked.tolist()]
+            held[child] = rows
+            pending.remove(child)
+        resolved = list(columns)
+        for child, rows in held.items():
+            if not rows.all():
+                j, default = position[child], self._params[child].default
+                resolved[j] = [v if on else default for v, on in zip(columns[j], rows.tolist())]
+        if held:
+            names = list(held)
+            codes, inverse = np.unique(np.stack(list(held.values()), axis=1), axis=0, return_inverse=True)
+            always = frozenset(self._params).difference(self._conditions)
+            table = [self._interned(always.union(itertools.compress(names, code))) for code in codes.tolist()]
+            patterns = [table[i] for i in inverse.reshape(-1).tolist()]
+        else:
+            patterns = [self._interned(frozenset(self._params))] * n
+        ok = np.ones(n, dtype=bool)
+        if self._constraints:
+            named = dict(zip(self._params, resolved))
+            for constraint in self._constraints:
+                ok = constraint.satisfied_many(named, ok)
+        return resolved, patterns, ok
 
     # -- encodings --------------------------------------------------------------
     def to_unit_array(self, config: Mapping[str, Any]) -> np.ndarray:
@@ -385,49 +491,42 @@ class ConfigurationSpace:
         n: int,
         rng: np.random.Generator | None = None,
         scales: float | Sequence[float] = 0.1,
-    ) -> list[Configuration]:
+    ) -> ConfigurationPool:
         """Draw ``n`` single-knob perturbations of ``config`` in one pass.
 
         Each row moves one uniformly chosen active knob; ``scales`` may be a
         scalar or one step size per row (candidate generators mix tight and
         loose local moves this way). Knob draws are grouped so every
-        parameter perturbs its rows with a single vectorized call. Rows that
-        violate a constraint fall back to ``config`` itself, mirroring
-        :meth:`neighbor`'s give-up behaviour without per-row retry loops.
+        parameter perturbs its rows with a single vectorized call, in sorted
+        knob order, and the rows are resolved column by column
+        (:meth:`_resolve`). A row that violates a constraint is ``config``
+        itself, mirroring :meth:`neighbor`'s give-up behaviour without
+        per-row retry loops.
         """
         rng = rng if rng is not None else self._rng
-        n = int(n)
-        if n <= 0:
-            return []
+        n = max(int(n), 0)
+        base = [config[name] for name in self._params]
+        columns = [[value] * n for value in base]
         active = sorted(config.active)
-        if not active:
-            return [config] * n
+        if not n or not active:
+            return ConfigurationPool(self, columns, [config.active] * n)
         scale_rows = np.broadcast_to(np.asarray(scales, dtype=float), (n,))
         moved = rng.integers(len(active), size=n)
-        new_vals: dict[int, list[Any]] = {}
+        position = self._key_index()
         for k, name in enumerate(active):
             rows = np.nonzero(moved == k)[0]
             if len(rows) == 0:
                 continue
-            vals = self._params[name].neighbor_many(
-                config[name], rng, len(rows), scale_rows[rows]
-            )
-            new_vals.update(zip(rows.tolist(), vals))
-        base = config.as_dict()
-        simple = not self._conditions and not self._constraints
-        out: list[Configuration] = []
-        for i in range(n):
-            name = active[int(moved[i])]
-            values = dict(base)
-            values[name] = new_vals[i]
-            if simple:
-                out.append(Configuration(self, values, config.active))
-                continue
-            try:
-                out.append(self.make(values))
-            except ConstraintViolationError:
-                out.append(config)
-        return out
+            column = columns[position[name]]
+            values = self._params[name].neighbor_many(config[name], rng, len(rows), scale_rows[rows])
+            for i, value in zip(rows.tolist(), values):
+                column[i] = value
+        resolved, patterns, ok = self._resolve(columns, n)
+        for i in np.flatnonzero(~ok).tolist():
+            for column, value in zip(resolved, base):
+                column[i] = value
+            patterns[i] = config.active
+        return ConfigurationPool(self, resolved, patterns)
 
     # -- grids ----------------------------------------------------------------------
     def grid(self, points_per_dim: int = 5, max_points: int = 100_000) -> list[Configuration]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import NotFittedError, OptimizerError
-from repro.optimizers.forest import RandomForestRegressor, RegressionTree, _grow_tree_arrays
+from repro.optimizers.forest import ROW_BLOCK, RandomForestRegressor, RegressionTree, _grow_tree_arrays
 
 
 def step_function(X):
@@ -230,3 +230,46 @@ class TestFantasies:
             RandomForestRegressor().add_fantasy(np.zeros(2), 0.0)
         with pytest.raises(NotFittedError):
             RandomForestRegressor().route_leaves(np.zeros((1, 2)))
+
+
+class TestRowBlocks:
+    """Scoring in blocks of ``ROW_BLOCK`` rows is the whole-pool sweep, bit for bit."""
+
+    @pytest.fixture
+    def forest(self, rng):
+        X = rng.random((80, 5))
+        return RandomForestRegressor(n_trees=24, seed=3).fit(X, np.sin(6 * X[:, 0]) + X[:, 1] * X[:, 2]), rng
+
+    @staticmethod
+    def _whole(rf, Q):
+        """The unblocked computation: every (tree, row) pair of the pool in one sweep."""
+        leaves = rf._route_block(Q)
+        mean, std = rf._moments(leaves)
+        return leaves, mean, std
+
+    @pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 512])
+    @pytest.mark.parametrize("fantasies", [0, 3])
+    def test_blocked_scoring_is_bit_identical(self, forest, n, fantasies):
+        rf, rng = forest
+        for x in rng.random((fantasies, 5)):
+            rf.add_fantasy(x, -1.0)
+        # Several pools: a last bit that differs shows up in about half of them.
+        for Q in rng.random((8, n, 5)):
+            leaves, mean, std = self._whole(rf, Q)
+            blocked_mean, blocked_std = rf.predict(Q, return_std=True)
+            assert np.array_equal(rf.route_leaves(Q), leaves)
+            assert np.array_equal(blocked_mean, mean) and np.array_equal(blocked_std, std)
+            assert np.array_equal(rf.predict(Q), mean)
+            cached_mean, cached_std = rf.predict_from_leaves(leaves)
+            assert np.array_equal(cached_mean, mean) and np.array_equal(cached_std, std)
+
+    def test_batch_path_counts_in_stats(self, forest):
+        rf, rng = forest
+        Q = rng.random((ROW_BLOCK + 1, 5))
+        before = rf.stats.n_predicts
+        leaves = rf.route_leaves(Q)
+        assert rf.stats.n_predicts == before and rf.stats.predict_ms > 0
+        ms = rf.stats.predict_ms
+        rf.predict_from_leaves(leaves)
+        rf.predict_from_leaves(leaves)
+        assert rf.stats.n_predicts == before + 2 and rf.stats.predict_ms > ms

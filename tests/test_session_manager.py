@@ -474,7 +474,7 @@ class TestHostedFootprint:
         rng = np.random.default_rng(0)
 
         def made() -> list:
-            sampled = space.sample_many(512, rng)
+            sampled = list(space.sample_many(512, rng))  # a pool holds columns: build every row
             return sampled + [space.make(dict(c)) for c in space.sample_many(512, rng)]
 
         retained, configs = _retained_bytes(made)

@@ -103,6 +103,17 @@ class TestSMAC:
         assert stats["n_fits"] >= 1
         assert stats["n_trees"] == 6
 
+    def test_batch_ask_counts_each_pick_as_a_predict(self):
+        opt = SMACOptimizer(bowl_space(2), n_init=3, interleave=0, n_candidates=32, n_trees=6, seed=0)
+        for _ in range(4):
+            c = opt.suggest(1)[0]
+            opt.observe(c, quadratic_evaluator()(c)[0])
+        before = opt.surrogate_stats()
+        assert len(opt.suggest(3)) == 3
+        after = opt.surrogate_stats()
+        assert after["n_predicts"] == before["n_predicts"] + 3
+        assert after["predict_ms"] > before["predict_ms"]
+
     def test_refit_cadence_uses_partial_fit(self):
         opt = SMACOptimizer(bowl_space(2), n_init=4, interleave=0,
                             n_candidates=32, n_trees=6, seed=0)
