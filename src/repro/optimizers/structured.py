@@ -11,10 +11,13 @@ own pattern.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..core import Objective, Trial
 from ..space import Configuration, ConfigurationSpace
+from ..space.space import ConfigurationPool
 from .bo import BayesianOptimizer
 
 __all__ = ["StructuredBayesianOptimizer"]
@@ -43,7 +46,9 @@ class StructuredBayesianOptimizer(BayesianOptimizer):
     def _trial_column(self, trials: list[Trial]) -> np.ndarray | None:
         return self._candidate_column([t.config for t in trials])
 
-    def _candidate_column(self, cands: list[Configuration]) -> np.ndarray | None:
+    def _candidate_column(self, cands: Sequence[Configuration]) -> np.ndarray | None:
         if len(self._pattern) < 2:
             return None
-        return np.array([self._pattern[config.active] for config in cands])
+        # A pool's patterns are read without building its rows.
+        patterns = cands.patterns() if isinstance(cands, ConfigurationPool) else [c.active for c in cands]
+        return np.array([self._pattern[active] for active in patterns])

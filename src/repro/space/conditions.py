@@ -5,12 +5,18 @@ Optimization" slide: *if PostgreSQL ``jit=off``, ignore ``jit_above_cost``,
 ``jit_expressions``, etc.* A :class:`Condition` makes a child parameter
 active only when a predicate over its parent's value holds; inactive
 parameters are pinned to their defaults and excluded from search.
+
+A condition only answers :meth:`Condition.evaluate` for one parent value.
+Where it applies — the parent must itself be active, and a child with several
+conditions needs them all — is the one activation rule of
+:class:`~repro.space.space.ConfigurationSpace`, which every configuration,
+pool and grid of the space is resolved through.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Hashable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 __all__ = [
     "Condition",
@@ -32,15 +38,6 @@ class Condition(ABC):
     @abstractmethod
     def evaluate(self, parent_value: Any) -> bool:
         """True iff the child is active given the parent's value."""
-
-    def is_active(self, values: Mapping[str, Any]) -> bool:
-        """Evaluate against a full configuration mapping.
-
-        A child whose parent is absent (itself deactivated) is inactive.
-        """
-        if self.parent not in values:
-            return False
-        return self.evaluate(values[self.parent])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(child={self.child!r}, parent={self.parent!r})"

@@ -5,6 +5,11 @@ The tutorial's "Constrained Optimization" slide gives the canonical example:
 innodb_buffer_pool_instances``. Constraints may be known closed forms
 (:class:`LinearConstraint`, :class:`RatioConstraint`) or opaque
 (:class:`CallableConstraint` — the black-box constraints SCBO targets).
+
+A constraint answers for rows held as columns (:meth:`Constraint.satisfied_many`):
+a closed form evaluates its arithmetic on whole columns, a callable asks its
+predicate row by row. :class:`~repro.space.space.ConfigurationSpace` checks
+one configuration (``make``, ``is_feasible``) and a pool of them through it.
 """
 
 from __future__ import annotations
@@ -29,24 +34,12 @@ class Constraint(ABC):
         self.name = name or type(self).__name__
 
     @abstractmethod
-    def is_satisfied(self, values: Mapping[str, Any]) -> bool:
-        """True iff the (full, active-resolved) configuration is feasible.
-
-        A constraint referencing an inactive/absent parameter is treated as
-        satisfied — it simply does not apply.
-        """
-
     def satisfied_many(self, columns: Mapping[str, Sequence[Any]], where: np.ndarray) -> np.ndarray:
-        """:meth:`is_satisfied` of each row of ``columns`` (knob → one value
-        per row) that the boolean mask ``where`` marks; unmarked rows read
-        False. This generic form builds each marked row's mapping, so a
-        predicate never sees a row an earlier constraint rejected; the
-        closed forms override it with the same arithmetic on whole columns."""
-        out = np.zeros(len(where), dtype=bool)
-        names = list(columns)
-        for i in np.flatnonzero(where).tolist():
-            out[i] = self.is_satisfied({name: columns[name][i] for name in names})
-        return out
+        """Whether each row of ``columns`` (knob → one active-resolved value
+        per row) that the boolean mask ``where`` marks is feasible; unmarked
+        rows read False. A constraint that reads a knob ``columns`` lacks
+        does not apply: its rows read as ``where`` marks them.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name!r})"
@@ -67,19 +60,11 @@ class LinearConstraint(Constraint):
         self.coefficients = dict(coefficients)
         self.bound = float(bound)
 
-    def is_satisfied(self, values: Mapping[str, Any]) -> bool:
-        total = 0.0
-        for param, coef in self.coefficients.items():
-            if param not in values:
-                return True
-            total += coef * float(values[param])
-        return total <= self.bound + 1e-12
-
     def satisfied_many(self, columns: Mapping[str, Sequence[Any]], where: np.ndarray) -> np.ndarray:
-        if any(param not in columns for param in self.coefficients):
-            return where.copy()
         total = np.zeros(len(where))
         for param, coef in self.coefficients.items():
+            if param not in columns:
+                return where.copy()
             total += coef * np.asarray(columns[param], dtype=float)
         return where & (total <= self.bound + 1e-12)
 
@@ -103,18 +88,6 @@ class RatioConstraint(Constraint):
         self.denominator = denominator
         self.divisor = divisor
 
-    def is_satisfied(self, values: Mapping[str, Any]) -> bool:
-        needed = [self.numerator, self.denominator] + ([self.divisor] if self.divisor else [])
-        if any(p not in values for p in needed):
-            return True
-        rhs = float(values[self.denominator])
-        if self.divisor is not None:
-            div = float(values[self.divisor])
-            if div == 0:
-                return False
-            rhs /= div
-        return float(values[self.numerator]) <= rhs + 1e-12
-
     def satisfied_many(self, columns: Mapping[str, Sequence[Any]], where: np.ndarray) -> np.ndarray:
         needed = [self.numerator, self.denominator] + ([self.divisor] if self.divisor else [])
         if any(p not in columns for p in needed):
@@ -137,10 +110,11 @@ class CallableConstraint(Constraint):
         super().__init__(name or "callable")
         self.predicate = predicate
 
-    def is_satisfied(self, values: Mapping[str, Any]) -> bool:
-        return bool(self.predicate(values))
-
-
-def all_satisfied(constraints: Sequence[Constraint], values: Mapping[str, Any]) -> bool:
-    """Convenience: True iff every constraint in the list holds."""
-    return all(c.is_satisfied(values) for c in constraints)
+    def satisfied_many(self, columns: Mapping[str, Sequence[Any]], where: np.ndarray) -> np.ndarray:
+        """The predicate of each marked row's mapping, built row by row, so it
+        never sees a row an earlier constraint rejected."""
+        out = np.zeros(len(where), dtype=bool)
+        names = list(columns)
+        for i in np.flatnonzero(where).tolist():
+            out[i] = bool(self.predicate({name: columns[name][i] for name in names}))
+        return out

@@ -3,7 +3,7 @@
 The tutorial's "Discrete / Hybrid Optimization" slide lists the common
 approaches for knobs like ``innodb_flush_method``: *impose order, one-hot,*
 or use surrogates that split on categories natively (random forests).
-Encoders turn configurations into fixed-width real vectors and back.
+Encoders turn configurations into fixed-width real vectors.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..exceptions import SpaceError
 from .params import CategoricalParameter, Parameter
 from .space import Configuration, ConfigurationPool, ConfigurationSpace
 
@@ -24,7 +23,7 @@ __all__ = ["SpaceEncoder", "OrdinalEncoder", "OneHotEncoder", "TrialEncodingCach
 
 
 class SpaceEncoder(ABC):
-    """Bijective-ish map between configurations and ``[0, 1]^n`` vectors."""
+    """Map from configurations to ``[0, 1]^n`` feature vectors."""
 
     def __init__(self, space: ConfigurationSpace) -> None:
         self.space = space
@@ -37,10 +36,6 @@ class SpaceEncoder(ABC):
     @abstractmethod
     def encode(self, config: Configuration) -> np.ndarray:
         """Configuration → feature vector in ``[0, 1]^n_features``."""
-
-    @abstractmethod
-    def decode(self, x: Sequence[float]) -> Configuration:
-        """Feature vector → configuration (lossy for rounded values)."""
 
     @abstractmethod
     def encode_many(self, configs: Sequence[Configuration]) -> np.ndarray:
@@ -78,16 +73,9 @@ class OrdinalEncoder(SpaceEncoder):
             X[:, j] = p.to_unit_many(_column(configs, p))
         return X
 
-    def decode(self, x: Sequence[float]) -> Configuration:
-        return self.space.from_unit_array(np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
-
 
 class OneHotEncoder(SpaceEncoder):
-    """Numeric knobs get one unit dim; categoricals get one dim per choice.
-
-    Decoding picks the argmax choice per categorical block, so any real
-    vector decodes to a valid configuration.
-    """
+    """Numeric knobs get one unit dim; categoricals get one dim per choice."""
 
     def __init__(self, space: ConfigurationSpace) -> None:
         super().__init__(space)
@@ -128,19 +116,6 @@ class OneHotEncoder(SpaceEncoder):
             else:
                 X[:, start] = p.to_unit_many(values)
         return X
-
-    def decode(self, x: Sequence[float]) -> Configuration:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self._width,):
-            raise SpaceError(f"expected vector of length {self._width}, got shape {x.shape}")
-        values = {}
-        for name, start, width in self._blocks:
-            p = self.space[name]
-            if isinstance(p, CategoricalParameter):
-                values[name] = p.choices[int(np.argmax(x[start:start + width]))]
-            else:
-                values[name] = p.from_unit(float(np.clip(x[start], 0.0, 1.0)))
-        return self.space.make(values, check_constraints=False)
 
 
 class TrialEncodingCache:

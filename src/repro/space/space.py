@@ -11,7 +11,7 @@ knob name to value, with inactive conditional knobs pinned to their defaults.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from ..exceptions import (
     UnknownParameterError,
 )
 from .conditions import Condition
-from .constraints import Constraint, all_satisfied
+from .constraints import Constraint
 from .params import CategoricalParameter, Parameter
 from .priors import Prior
 
@@ -150,6 +150,11 @@ class ConfigurationPool(Sequence[Configuration]):
         """Knob ``name``'s value in every row (not to be mutated)."""
         return self._columns[self.space._key_index()[name]]
 
+    def patterns(self) -> list[frozenset[str]]:
+        """Every row's activation pattern, the interned set its configuration's
+        ``active`` is (not to be mutated)."""
+        return self._active
+
     def __add__(self, other: object) -> "ConfigurationPool":
         if not isinstance(other, ConfigurationPool) or other.space is not self.space:
             return NotImplemented
@@ -191,11 +196,13 @@ class ConfigurationSpace:
         self.name = name
         self._params: dict[str, Parameter] = {}
         self._conditions: dict[str, list[Condition]] = {}
+        self._order: list[str] = []  # the conditioned knobs, parents first
         self._constraints: list[Constraint] = []
         self._rng = np.random.default_rng(seed)
         self._index: dict[str, int] | None = None
-        # Activation pattern -> the one frozenset every configuration shares.
-        self._patterns: dict[frozenset[str], frozenset[str]] = {}
+        # Outcomes of the conditioned knobs (in ``_order``) -> the one
+        # activation pattern every configuration with them shares.
+        self._patterns: dict[tuple[bool, ...], frozenset[str]] = {}
 
     # -- construction ------------------------------------------------------
     def add(self, param: Parameter) -> Parameter:
@@ -212,32 +219,27 @@ class ConfigurationSpace:
                 raise UnknownParameterError(ref)
         if condition.child == condition.parent:
             raise SpaceError(f"parameter {condition.child!r} cannot condition itself")
-        self._conditions.setdefault(condition.child, []).append(condition)
-        self._check_acyclic()
+        conditions = {**self._conditions, condition.child: [*self._conditions.get(condition.child, ()), condition]}
+        self._order = self._parents_first(conditions)  # a refused condition leaves the space as it was
+        self._conditions, self._patterns = conditions, {}
         return condition
 
     def add_constraint(self, constraint: Constraint) -> Constraint:
         self._constraints.append(constraint)
         return constraint
 
-    def _check_acyclic(self) -> None:
-        # DFS over child -> parent edges; a cycle would make activation
-        # resolution ill-defined.
-        edges = {child: [c.parent for c in conds] for child, conds in self._conditions.items()}
-        state: dict[str, int] = {}
-
-        def visit(node: str) -> None:
-            if state.get(node) == 1:
-                raise SpaceError(f"condition cycle involving parameter {node!r}")
-            if state.get(node) == 2:
-                return
-            state[node] = 1
-            for parent in edges.get(node, ()):
-                visit(parent)
-            state[node] = 2
-
-        for child in edges:
-            visit(child)
+    @staticmethod
+    def _parents_first(conditions: dict[str, list[Condition]]) -> list[str]:
+        """The conditioned knobs, each after its conditioned parents; a cycle
+        would leave activation ill-defined."""
+        order, pending = [], list(conditions)
+        while pending:
+            child = next((c for c in pending if all(k.parent not in pending for k in conditions[c])), None)
+            if child is None:
+                raise SpaceError(f"condition cycle involving parameter {pending[0]!r}")
+            order.append(child)
+            pending.remove(child)
+        return order
 
     # -- introspection -------------------------------------------------------
     @property
@@ -281,72 +283,107 @@ class ConfigurationSpace:
         return index
 
     # -- activation ---------------------------------------------------------
-    def _interned(self, active: frozenset[str]) -> frozenset[str]:
-        return self._patterns.setdefault(active, active)
-
-    def active_names(self, values: Mapping[str, Any]) -> frozenset[str]:
-        """Resolve which knobs are active under conditional rules.
-
-        Unconditioned knobs are always active; conditioned knobs are active
-        iff all their conditions hold, evaluated against active parents only.
-        Resolution iterates to a fixpoint (condition graphs are acyclic).
-        Equal activation patterns return the same ``frozenset`` object: a
-        space has few patterns and every configuration holds one of them.
+    def _activation(self, n: int, holds: Callable[[Condition, list[int]], list[Any]]) -> dict[str, list[bool]]:
+        """The one activation rule: conditioned knob → whether it is active in
+        each of ``n`` rows. Unconditioned knobs are always active; a
+        conditioned knob is active in a row iff, for each of its conditions in
+        turn, the parent is active there and ``holds(condition, rows)`` is true
+        for the row. It is asked only about the rows still standing, parents
+        first, so no condition sees a row whose parent is inactive or that an
+        earlier condition of the same knob settled.
         """
-        active = {name for name in self._params if name not in self._conditions}
-        for _ in range(len(self._conditions) + 1):
-            visible = {n: values.get(n, self._params[n].default) for n in active}
-            newly = {
-                child
-                for child, conds in self._conditions.items()
-                if child not in active and all(c.parent in active and c.is_active(visible) for c in conds)
-            }
-            if not newly:
+        held: dict[str, list[bool]] = {}
+        for child in self._order:
+            rows: list[int] | range = range(n)
+            for cond in self._conditions[child]:
+                parent = held.get(cond.parent)
+                if parent is not None:
+                    rows = [i for i in rows if parent[i]]
+                rows = list(itertools.compress(rows, holds(cond, rows)))
+            on = [False] * n
+            for i in rows:
+                on[i] = True
+            held[child] = on
+        return held
+
+    def _patterns_of(self, held: dict[str, list[bool]], n: int) -> list[frozenset[str]]:
+        """Each row's activation pattern, looked up by its conditioned knobs'
+        outcomes: a space has few patterns, and every configuration with one
+        holds the same frozenset."""
+        keys = list(zip(*held.values())) if held else [()] * n
+        for key in set(keys).difference(self._patterns):
+            self._patterns[key] = frozenset(self._params).difference(itertools.compress(held, [not on for on in key]))
+        return [self._patterns[key] for key in keys]
+
+    def _activate(self, columns: list[list[Any]], n: int) -> tuple[list[list[Any]], list[frozenset[str]]]:
+        """Resolve ``n`` rows held as columns (one value list per knob, in
+        space order): activation comes from the rows' values, and an inactive
+        knob is reset to its default. Returns the resolved columns and each
+        row's interned activation pattern. No value is checked here: drawn
+        and lattice values are in-domain by construction, and :meth:`make`
+        checks its own."""
+        position = self._key_index()
+        held = self._activation(
+            n, lambda cond, rows: [cond.evaluate(columns[position[cond.parent]][i]) for i in rows]
+        )
+        resolved = list(columns)
+        for child, on in held.items():
+            if not all(on):
+                j, default = position[child], self._params[child].default
+                resolved[j] = [v if active else default for v, active in zip(columns[j], on)]
+        return resolved, self._patterns_of(held, n)
+
+    def _feasible(self, columns: Mapping[str, Sequence[Any]], n: int) -> np.ndarray:
+        """Which of ``n`` rows (knob → one value per row) every constraint
+        admits (:meth:`Constraint.satisfied_many`); each constraint sees only
+        the rows the earlier ones kept, and none is asked once no row is left."""
+        ok = np.ones(n, dtype=bool)
+        for constraint in self._constraints:
+            if not ok.any():
                 break
-            active |= newly
-        return self._interned(frozenset(active))
+            ok = constraint.satisfied_many(columns, ok)
+        return ok
 
     def activation_patterns(self) -> list[frozenset[str]]:
-        """Every activation pattern a configuration can hold, fewest knobs first. Each
-        distinct condition (kind, parent, operand) is taken as free to hold or not,
-        so the list may hold a pattern no values produce, never miss one they do."""
+        """Every activation pattern a configuration can hold, fewest knobs first:
+        the activation rule run on one row per outcome of the distinct
+        conditions (kind, parent, operand), each taken as free to hold or not.
+        So the list may hold a pattern no values produce, never miss one they do."""
         key = lambda c: (type(c).__name__, c.parent, repr({k: v for k, v in vars(c).items() if k != "child"}))  # noqa: E731
-        keys, patterns = list(dict.fromkeys(map(key, self.conditions))), set()
-        for outcome in itertools.product((False, True), repeat=len(keys)):
-            holds, active = dict(zip(keys, outcome)), {n for n in self._params if n not in self._conditions}
-            for _ in self._conditions:
-                active |= {n for n, conds in self._conditions.items() if all(c.parent in active and holds[key(c)] for c in conds)}
-            patterns.add(frozenset(active))
-        return sorted(patterns, key=lambda p: (len(p), sorted(p)))
+        keys = list(dict.fromkeys(map(key, self.conditions)))
+        outcomes = dict(zip(keys, zip(*itertools.product((False, True), repeat=len(keys)))))
+        n = 2 ** len(keys)
+        held = self._activation(n, lambda cond, rows: [outcomes[key(cond)][i] for i in rows])
+        return sorted(set(self._patterns_of(held, n)), key=lambda p: (len(p), sorted(p)))
 
     # -- construction of configurations --------------------------------------
     def make(self, values: Mapping[str, Any] | None = None, check_constraints: bool = True) -> Configuration:
         """Build a configuration, filling gaps with defaults and validating.
 
         Inactive conditional knobs are silently reset to their defaults;
-        active knobs must carry valid values.
+        active knobs must carry valid values. Outside input is checked in
+        this order: unknown names, activation, each active value, then the
+        constraints (when asked), so no constraint reads an invalid value.
         """
-        values = dict(values or {})
+        values = values or {}
         for extra in set(values) - set(self._params):
             raise UnknownParameterError(extra)
-        full = {name: values.get(name, p.default) for name, p in self._params.items()}
-        active = self.active_names(full)
-        resolved = {
-            name: (full[name] if name in active else self._params[name].default)
-            for name in self._params
-        }
-        for name in active:
-            self._params[name].check(resolved[name])
-        if check_constraints and not all_satisfied(self._constraints, resolved):
-            raise ConstraintViolationError(f"configuration violates constraints: {resolved}")
-        return Configuration(self, tuple(resolved.values()), active)
+        columns, (active,) = self._activate([[values.get(name, p.default)] for name, p in self._params.items()], 1)
+        row = tuple(column[0] for column in columns)
+        for (name, p), value in zip(self._params.items(), row):
+            if name in active:
+                p.check(value)
+        if check_constraints and not self._feasible(dict(zip(self._params, columns)), 1)[0]:
+            raise ConstraintViolationError(f"configuration violates constraints: {dict(zip(self._params, row))}")
+        return Configuration(self, row, active)
 
     def default_configuration(self) -> Configuration:
         return self.make({})
 
     def is_feasible(self, values: Mapping[str, Any]) -> bool:
-        """True iff the value mapping satisfies every hard constraint."""
-        return all_satisfied(self._constraints, values)
+        """True iff the value mapping satisfies every hard constraint (one
+        that reads a knob the mapping lacks does not apply)."""
+        return bool(self._feasible({name: [value] for name, value in values.items()}, 1)[0])
 
     # -- sampling -------------------------------------------------------------
     def sample(self, rng: np.random.Generator | None = None) -> Configuration:
@@ -368,7 +405,7 @@ class ConfigurationSpace:
 
         Every parameter column is drawn in a single batched call
         (:meth:`Parameter.sample_many`, knobs in space order) and resolved
-        column by column (:meth:`_resolve`); rows that violate a constraint
+        column by column (:meth:`_activate`, :meth:`_feasible`); rows that violate a constraint
         are redrawn in rounds of the missing count, within the attempt budget
         of :meth:`sample`. The rows stay columns: see :class:`ConfigurationPool`.
         """
@@ -387,60 +424,13 @@ class ConfigurationSpace:
                 )
             attempts += batch
             drawn = [p.sample_many(rng, batch) for p in self._params.values()]
-            resolved, patterns, ok = self._resolve(drawn, batch)
+            resolved, patterns = self._activate(drawn, batch)
+            ok = self._feasible(dict(zip(self._params, resolved)), batch)
             keep = np.flatnonzero(ok).tolist()
             for column, values in zip(columns, resolved):
                 column.extend(values if len(keep) == batch else [values[i] for i in keep])
             active.extend(patterns if len(keep) == batch else [patterns[i] for i in keep])
         return ConfigurationPool(self, columns, active)
-
-    def _resolve(
-        self, columns: list[list[Any]], n: int
-    ) -> tuple[list[list[Any]], list[frozenset[str]], np.ndarray]:
-        """Resolve ``n`` rows held as columns (one value list per knob, in
-        space order) the way :meth:`make` resolves one row: activation comes
-        from the rows' values, an inactive knob is reset to its default, and
-        the constraints are checked on the resolved values
-        (:meth:`Constraint.satisfied_many`). Returns the resolved columns,
-        each row's interned activation pattern and the feasibility mask.
-        Drawn values are in-domain by construction, so none is re-validated.
-        """
-        position = self._key_index()
-        # Conditioned knob -> rows where it is active, parents first: a child
-        # is active iff every condition's parent is and the condition holds,
-        # and a condition sees only the rows the earlier ones kept (``all``).
-        held: dict[str, np.ndarray] = {}
-        pending = list(self._conditions)
-        while pending:
-            child = next(c for c in pending if all(cond.parent not in pending for cond in self._conditions[c]))
-            rows = np.ones(n, dtype=bool)
-            for cond in self._conditions[child]:
-                if cond.parent in held:
-                    rows &= held[cond.parent]
-                values, marked = columns[position[cond.parent]], np.flatnonzero(rows)
-                rows = np.zeros(n, dtype=bool)
-                rows[marked] = [bool(cond.evaluate(values[i])) for i in marked.tolist()]
-            held[child] = rows
-            pending.remove(child)
-        resolved = list(columns)
-        for child, rows in held.items():
-            if not rows.all():
-                j, default = position[child], self._params[child].default
-                resolved[j] = [v if on else default for v, on in zip(columns[j], rows.tolist())]
-        if held:
-            names = list(held)
-            codes, inverse = np.unique(np.stack(list(held.values()), axis=1), axis=0, return_inverse=True)
-            always = frozenset(self._params).difference(self._conditions)
-            table = [self._interned(always.union(itertools.compress(names, code))) for code in codes.tolist()]
-            patterns = [table[i] for i in inverse.reshape(-1).tolist()]
-        else:
-            patterns = [self._interned(frozenset(self._params))] * n
-        ok = np.ones(n, dtype=bool)
-        if self._constraints:
-            named = dict(zip(self._params, resolved))
-            for constraint in self._constraints:
-                ok = constraint.satisfied_many(named, ok)
-        return resolved, patterns, ok
 
     # -- encodings --------------------------------------------------------------
     def to_unit_array(self, config: Mapping[str, Any]) -> np.ndarray:
@@ -499,7 +489,7 @@ class ConfigurationSpace:
         loose local moves this way). Knob draws are grouped so every
         parameter perturbs its rows with a single vectorized call, in sorted
         knob order, and the rows are resolved column by column
-        (:meth:`_resolve`). A row that violates a constraint is ``config``
+        (:meth:`_activate`, :meth:`_feasible`). A row that violates a constraint is ``config``
         itself, mirroring :meth:`neighbor`'s give-up behaviour without
         per-row retry loops.
         """
@@ -521,7 +511,8 @@ class ConfigurationSpace:
             values = self._params[name].neighbor_many(config[name], rng, len(rows), scale_rows[rows])
             for i, value in zip(rows.tolist(), values):
                 column[i] = value
-        resolved, patterns, ok = self._resolve(columns, n)
+        resolved, patterns = self._activate(columns, n)
+        ok = self._feasible(dict(zip(self._params, resolved)), n)
         for i in np.flatnonzero(~ok).tolist():
             for column, value in zip(resolved, base):
                 column[i] = value
@@ -555,16 +546,13 @@ class ConfigurationSpace:
                     f"grid would have more than {max_points} points; "
                     "reduce points_per_dim or tune fewer knobs"
                 )
-        configs = []
-        for combo in itertools.product(*axes):
-            try:
-                configs.append(self.make(dict(zip(self.names, combo))))
-            except ConstraintViolationError:
-                continue
+        # The lattice is resolved as one batch of columns, as a drawn pool is.
+        columns, patterns = self._activate([list(c) for c in zip(*itertools.product(*axes))], total)
+        pool = ConfigurationPool(self, columns, patterns)
+        feasible = np.flatnonzero(self._feasible(dict(zip(self._params, columns)), total)).tolist()
         # Conditional knobs collapse distinct combos onto the same resolved
         # configuration; deduplicate while preserving order.
-        unique: dict[Configuration, None] = dict.fromkeys(configs)
-        return list(unique)
+        return list(dict.fromkeys(pool[k] for k in feasible))
 
     # -- derived spaces -------------------------------------------------------------
     def subspace(self, names: Sequence[str], name: str | None = None) -> "ConfigurationSpace":

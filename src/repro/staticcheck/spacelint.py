@@ -23,8 +23,9 @@ carries an ERROR finding.
 The analysis is purely static — no sampling, no evaluator calls. Condition
 satisfiability is decided analytically per condition type (thresholds vs
 bounds, pins vs domains) and jointly per (child, parent) group under the
-AND semantics of :meth:`ConfigurationSpace.active_names`; deadness then
-propagates through the activation DAG to a fixpoint.
+space's activation rule (``ConfigurationSpace._activation``: a child is
+active iff its parent is and every one of its conditions holds); deadness
+then propagates through the activation DAG to a fixpoint.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.optimizers import BayesianOptimizer, SMACOptimizer
+from repro.optimizers import BayesianOptimizer, SMACOptimizer, StructuredBayesianOptimizer
 from repro.space.encoding import OneHotEncoder, OrdinalEncoder
 from repro.space.space import Configuration, ConfigurationPool
 from repro.targets import make_system
@@ -97,12 +97,14 @@ def _count_constructions(monkeypatch) -> list[int]:
     ("system", "make", "batch"),
     [
         ("dbms", lambda space: BayesianOptimizer(space, n_init=4, seed=0), 1),
+        pytest.param("dbms", lambda space: StructuredBayesianOptimizer(space, n_init=4, seed=0), 1, id="dbms-structured-1"),
         ("redis", lambda space: SMACOptimizer(space, n_init=4, interleave=0, seed=0), 1),
         ("redis", lambda space: SMACOptimizer(space, n_init=4, interleave=0, seed=0), 3),
     ],
 )
 def test_a_model_ask_builds_only_what_it_returns(system, make, batch, monkeypatch):
-    """Before the pool was held as columns a model ask built every candidate (510–512 of 512)."""
+    """Before the pool was held as columns a model ask built every candidate (510–512 of 512);
+    a structured ask built them all until it read the pool's activation patterns."""
     opt = make(make_system(system).space)
     rng = np.random.default_rng(0)
     for _ in range(opt.n_init):

@@ -23,7 +23,7 @@ from repro.service.client import ServiceClient, ServiceError
 import repro.service.server as server_module
 from repro.service.handlers import SERVICE_TRACE_SPANS, TRACE_SAMPLE_EVERY, ServiceHandlers
 from repro.service.server import TuningServer
-from repro.space import CategoricalParameter, ConfigurationSpace, FloatParameter, IntegerParameter
+from repro.space import CategoricalParameter, ConfigurationSpace, FloatParameter, IntegerParameter, LinearConstraint
 from repro.space.serialize import space_to_dict
 
 from .conftest import assert_exposition_round_trips
@@ -1238,6 +1238,16 @@ class TestWorkerPool:
 OBJECTIVES = [{"name": "loss", "minimize": True}]
 
 
+def constrained_space_spec() -> dict:
+    """A numeric pair a ``LinearConstraint`` reads, and a categorical knob."""
+    space = ConfigurationSpace("svc-constrained", seed=0)
+    space.add(FloatParameter("x", -2.0, 2.0, default=0.0))
+    space.add(IntegerParameter("n", 1, 8, default=2))
+    space.add(CategoricalParameter("mode", ["a", "b"], default="a"))
+    space.add_constraint(LinearConstraint({"x": 1.0, "n": -1.0}, 0.0, name="x_below_n"))
+    return space_to_dict(space)
+
+
 def create_body(**overrides) -> dict:
     return {"space": small_space_spec(), "optimizer": "random", "seed": 1, "max_trials": 3,
             "objectives": OBJECTIVES, **overrides}
@@ -1253,7 +1263,8 @@ def param(**overrides) -> dict:
 
 #: One row per client mistake: (id, method, path, body, expected status).
 #: Sessions on the probed server: "s1" (open, one ask pending), "done"
-#: (budget spent) and "t1" (target session, can /step).
+#: (budget spent), "t1" (target session, can /step) and "c1" (a space with a
+#: linear constraint and a categorical knob).
 STATUS_RULE = [
     # -- POST /sessions: a malformed body or an impossible spec is a 400 --------
     ("create-empty-body", "POST", "/sessions", {}, 400),
@@ -1317,6 +1328,11 @@ STATUS_RULE = [
     ("tell-value-out-of-range", "POST", "/sessions/s1/tell",
      {"config": {"x": 99.0, "n": 2}, "metrics": {"loss": 1.0}}, 400),
     ("step-n-text", "POST", "/sessions/t1/step", {"n": "abc"}, 400),
+    # a value is checked before any constraint reads it
+    ("tell-text-for-a-constrained-knob", "POST", "/sessions/c1/tell",
+     {"config": {"x": "abc", "n": 2, "mode": "a"}, "metrics": {"loss": 1.0}}, 400),
+    ("tell-categorical-not-a-choice", "POST", "/sessions/c1/tell",
+     {"config": {"x": 0.0, "n": 2, "mode": "c"}, "metrics": {"loss": 1.0}}, 400),
 ]
 
 
@@ -1346,6 +1362,7 @@ async def start_probed_server() -> tuple[TuningServer, ServiceClient]:
         target={"system": "redis", "workload": "ycsb-b"}, optimizer="random", seed=2,
         max_trials=4, session_id="t1",
     )
+    await client.create_session(**create_body(space=constrained_space_spec(), session_id="c1"))
     return server, client
 
 

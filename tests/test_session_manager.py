@@ -232,7 +232,7 @@ class TestDurability:
         assert [c.name for c in resumed.optimizer.space.constraints] == ["wal_fits_bp"]
         suggestions = resumed.ask(count=200)
         assert len(suggestions) == 200
-        assert all(constraint.is_satisfied(s.config) for s in suggestions)
+        assert all(resumed.optimizer.space.is_feasible(s.config) for s in suggestions)
         manager.close()
 
     def test_batch_ask_replays_deterministically(self, simple_space, tmp_path):
@@ -405,7 +405,7 @@ class TestSpaceCodec:
         assert (ratio.numerator, ratio.denominator, ratio.divisor) == ("chunk", "pool", "instances")
         assert linear.coefficients == {"chunk": 2.0, "pool": -0.5} and linear.bound == 8.0
         for config in rebuilt.sample_many(50, np.random.default_rng(0)):
-            assert all(c.is_satisfied(config.as_dict()) for c in conditional_space.constraints)
+            assert conditional_space.is_feasible(config)
 
     def test_format_1_still_reads_and_unconstrained_spaces_stay_format_1(self):
         spec = space_to_dict(self._rich_space())

@@ -39,8 +39,14 @@ class TestConditionPredicates:
         assert not c.evaluate(3)
 
     def test_missing_parent_inactive(self):
-        c = EqualsCondition("child", "parent", 1)
-        assert not c.is_active({})
+        """A parent that is itself inactive activates nothing, whatever it holds."""
+        space = ConfigurationSpace("missing")
+        space.add(BooleanParameter("gate", default=False))
+        space.add(CategoricalParameter("parent", [0, 1], default=1))
+        space.add(FloatParameter("child", 0, 1))
+        space.add_condition(EqualsCondition("child", "parent", 1))
+        space.add_condition(EqualsCondition("parent", "gate", True))
+        assert space.make({"gate": False, "parent": 1}).active == {"gate"}
 
 
 class TestActivationResolution:
@@ -56,17 +62,17 @@ class TestActivationResolution:
 
     def test_chain_all_off(self):
         space = self.build_chain()
-        active = space.active_names({"a": False, "b": True, "c": 0.5})
+        active = space.make({"a": False, "b": True, "c": 0.5}).active
         assert active == {"a"}
 
     def test_chain_partial(self):
         space = self.build_chain()
-        active = space.active_names({"a": True, "b": False, "c": 0.5})
+        active = space.make({"a": True, "b": False, "c": 0.5}).active
         assert active == {"a", "b"}
 
     def test_chain_full(self):
         space = self.build_chain()
-        active = space.active_names({"a": True, "b": True, "c": 0.5})
+        active = space.make({"a": True, "b": True, "c": 0.5}).active
         assert active == {"a", "b", "c"}
 
     def test_grandchild_inactive_when_parent_inactive(self):
@@ -83,9 +89,9 @@ class TestActivationResolution:
         space.add(FloatParameter("tuning", 0, 1))
         space.add_condition(EqualsCondition("tuning", "engine", "x"))
         space.add_condition(GreaterThanCondition("tuning", "level", 3))
-        assert "tuning" in space.active_names({"engine": "x", "level": 5.0})
-        assert "tuning" not in space.active_names({"engine": "x", "level": 1.0})
-        assert "tuning" not in space.active_names({"engine": "y", "level": 5.0})
+        assert "tuning" in space.make({"engine": "x", "level": 5.0}).active
+        assert "tuning" not in space.make({"engine": "x", "level": 1.0}).active
+        assert "tuning" not in space.make({"engine": "y", "level": 5.0}).active
 
     def test_sampling_respects_activation(self):
         space = self.build_chain()

@@ -43,6 +43,10 @@ class TestConstruction:
         space.add_condition(EqualsCondition("a", "b", True))
         with pytest.raises(SpaceError):
             space.add_condition(EqualsCondition("b", "a", True))
+        # The refused condition is not kept: activation is as before it.
+        assert len(space.conditions) == 1
+        assert space.make({"a": True, "b": True}).active == {"a", "b"}
+        assert space.make({"a": True, "b": False}).active == {"b"}
 
     def test_introspection(self, simple_space):
         assert simple_space.n_dims == 4
