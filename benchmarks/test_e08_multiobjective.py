@@ -32,7 +32,7 @@ def _run(opt_cls, seed):
     db = SimulatedDBMS(env=QUIET_CLOUD(seed=seed), seed=seed)
     space = db.space.subspace(["buffer_pool_mb", "worker_threads", "work_mem_mb", "io_concurrency"])
     opt = opt_cls(space, OBJECTIVES, n_init=10, n_candidates=128, seed=seed)
-    TuningSession(opt, db.multi_metric_evaluator(WORKLOAD), max_trials=BUDGET).run()
+    TuningSession(opt, db.evaluator(WORKLOAD), max_trials=BUDGET).run()
     return opt
 
 

@@ -27,7 +27,7 @@ space = db.space.subspace(["buffer_pool_mb", "worker_threads", "work_mem_mb", "i
 workload = ycsb("b")
 
 optimizer = ParEGOOptimizer(space, objectives, n_init=10, seed=0)
-TuningSession(optimizer, db.multi_metric_evaluator(workload), max_trials=40).run()
+TuningSession(optimizer, db.evaluator(workload), max_trials=40).run()
 
 front = sorted(optimizer.pareto_trials(), key=lambda t: t.metric("mem_util"))
 print_table(

@@ -40,7 +40,7 @@ print_table(
 informed_space = extractor.informed_space(db.space, k=5)
 
 # --- step 2: Bayesian optimization --------------------------------------------
-runner = BenchmarkRunner(db, workload, THROUGHPUT, duration_s=60.0)
+runner = BenchmarkRunner(db, workload, THROUGHPUT)
 optimizer = BayesianOptimizer(informed_space, n_init=8, objectives=THROUGHPUT, seed=0)
 result = TuningSession(optimizer, runner, max_trials=40).run()
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..core import Objective
-from ..exceptions import ReproError
+from ..exceptions import ReproError, SystemCrashError
 from ..space import Configuration
 from ..workloads import Workload
-from .measurement import Measurement
+from .measurement import REFERENCE_S, Measurement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular import)
     from ..sysim.system import SimulatedSystem
@@ -46,10 +46,12 @@ class DuetOutcome:
 class DuetBenchmarkRunner:
     """Paired-run evaluator reporting noise-cancelled relative scores.
 
-    The evaluator returns ``relative × calibration`` where ``calibration``
-    is the baseline's quiet-environment metric value — so scores stay on
-    the metric's natural scale while inheriting the duet's variance
-    reduction.
+    ``runner(candidate, fidelity=None)`` runs the baseline and the candidate
+    side by side for ``fidelity`` seconds (:data:`~.measurement.REFERENCE_S`
+    when the trial has no fidelity) and returns ``relative × calibration``,
+    where ``calibration`` is the baseline's quiet-environment metric value —
+    so scores stay on the metric's natural scale while inheriting the duet's
+    variance reduction.
     """
 
     def __init__(
@@ -57,29 +59,25 @@ class DuetBenchmarkRunner:
         system: SimulatedSystem,
         workload: Workload,
         objective: Objective,
-        duration_s: float = 60.0,
     ) -> None:
         self.system = system
         self.workload = workload
         self.objective = objective
         self.baseline = system.space.default_configuration()
-        self.duration_s = duration_s
         self._calibration: float | None = None
 
-    def run_pair(self, candidate: Configuration) -> DuetOutcome:
-        """One duet: both configs measured under one shared transient draw."""
+    def run_pair(self, candidate: Configuration, duration_s: float = REFERENCE_S) -> DuetOutcome:
+        """One duet of ``duration_s`` seconds: both configs measured under one shared transient draw."""
         system = self.system
         if not system.space.is_feasible(candidate):
-            from ..exceptions import SystemCrashError
-
             raise SystemCrashError(f"infeasible configuration: {candidate}")
         machine = system._home_machine
         system.env.advance(machine)
-        shared = system.env.transient_draw()
+        shared = system.env.transient_draw(duration_s)
         profile_b = system.performance(self.baseline, self.workload)
         profile_c = system.performance(candidate, self.workload)
-        m_b = system._measure(profile_b, self.workload, self.duration_s, machine, shared_draw=shared)
-        m_c = system._measure(profile_c, self.workload, self.duration_s, machine, shared_draw=shared)
+        m_b = system._measure(profile_b, self.workload, duration_s, machine, shared_draw=shared)
+        m_c = system._measure(profile_c, self.workload, duration_s, machine, shared_draw=shared)
         return DuetOutcome(m_b, m_c, self.objective.name)
 
     def _calibrate(self) -> float:
@@ -88,16 +86,17 @@ class DuetBenchmarkRunner:
             from ..sysim.cloud import Machine
 
             quiet = Machine("calib", self.system.env.vm, speed_factor=1.0)
-            m = self.system._measure(profile, self.workload, self.duration_s, quiet, shared_draw=1.0)
+            m = self.system._measure(profile, self.workload, REFERENCE_S, quiet, shared_draw=1.0)
             self._calibration = m.metric(self.objective.name)
         return self._calibration
 
-    def __call__(self, candidate: Configuration):
+    def __call__(self, candidate: Configuration, fidelity: float | None = None):
         """Evaluator: duet-normalised metric on the baseline's scale.
 
-        Cost is 2× duration — the duet's price is running the baseline
+        Cost is 2× the run length — the duet's price is running the baseline
         alongside every candidate.
         """
-        outcome = self.run_pair(candidate)
+        duration_s = REFERENCE_S if fidelity is None else fidelity
+        outcome = self.run_pair(candidate, duration_s)
         value = outcome.relative * self._calibrate()
-        return {self.objective.name: value}, 2.0 * self.duration_s
+        return {self.objective.name: value}, 2.0 * duration_s

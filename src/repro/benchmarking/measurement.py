@@ -16,7 +16,11 @@ import numpy as np
 
 from ..exceptions import ReproError
 
-__all__ = ["Measurement", "aggregate_measurements"]
+__all__ = ["REFERENCE_S", "Measurement", "aggregate_measurements"]
+
+#: A run's length in seconds when it is given none (a trial without a fidelity);
+#: a run this long carries the cloud's transient noise unscaled.
+REFERENCE_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -35,7 +39,7 @@ class Measurement:
     cpu_util: float = 0.0
     mem_util: float = 0.0
     io_util: float = 0.0
-    elapsed_s: float = 60.0
+    elapsed_s: float = REFERENCE_S
     machine_id: str = "local"
     extra: dict[str, float] = field(default_factory=dict)
 

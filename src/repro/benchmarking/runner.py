@@ -16,7 +16,7 @@ from ..exceptions import ReproError, TrialAbortedError
 from ..telemetry.spans import span
 from ..space import Configuration
 from ..workloads import Workload
-from .measurement import Measurement, aggregate_measurements
+from .measurement import REFERENCE_S, aggregate_measurements
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular import)
     from ..sysim.system import SimulatedSystem
@@ -65,7 +65,11 @@ class EarlyAbortPolicy:
 
 
 class BenchmarkRunner:
-    """Evaluator factory over a simulated system with noise strategies.
+    """Evaluator over a simulated system with noise strategies.
+
+    ``runner(config, fidelity=None)`` runs ``config`` ``repeats`` times, each
+    run ``fidelity`` seconds long (:data:`~.measurement.REFERENCE_S` when the
+    trial has no fidelity), and returns the aggregated metrics and their cost.
 
     Parameters
     ----------
@@ -73,14 +77,12 @@ class BenchmarkRunner:
         What to benchmark.
     objective:
         The metric being optimized.
-    duration_s:
-        Benchmark length per run.
     repeats:
         Naive noise strategy: run N times and aggregate (slide 70's
         "costly" baseline).
     runtime_metric:
         When True, trial cost is the measured metric value itself (TPC-H
-        style) rather than the fixed duration.
+        style) rather than the run's elapsed seconds.
     trace:
         Optional :class:`~repro.telemetry.SessionTrace`; when given, the
         runner counts benchmark runs/seconds/aborts into it, so the JSON
@@ -92,7 +94,6 @@ class BenchmarkRunner:
         system: SimulatedSystem,
         workload: Workload,
         objective: Objective,
-        duration_s: float = 60.0,
         repeats: int = 1,
         runtime_metric: bool = False,
         trace=None,
@@ -102,7 +103,6 @@ class BenchmarkRunner:
         self.system = system
         self.workload = workload
         self.objective = objective
-        self.duration_s = duration_s
         self.repeats = int(repeats)
         self.runtime_metric = runtime_metric
         self.total_benchmark_seconds = 0.0
@@ -112,17 +112,13 @@ class BenchmarkRunner:
         if self.trace is not None:
             self.trace.metrics.inc(f"benchmark.{name}", value)
 
-    def measure(self, config: Configuration) -> Measurement:
-        with span("benchmark.measure", repeats=self.repeats, workload=self.workload.name):
-            runs = [
-                self.system.run(self.workload, duration_s=self.duration_s, config=config)
-                for _ in range(self.repeats)
-            ]
-            return aggregate_measurements(runs)
-
-    def __call__(self, config: Configuration):
+    def __call__(self, config: Configuration, fidelity: float | None = None):
         """Evaluator: returns (metrics dict, cost)."""
-        m = self.measure(config)
+        duration_s = REFERENCE_S if fidelity is None else fidelity
+        with span("benchmark.measure", repeats=self.repeats, workload=self.workload.name):
+            m = aggregate_measurements(
+                self.system.run(self.workload, duration_s=duration_s, config=config) for _ in range(self.repeats)
+            )
         value = m.metric(self.objective.name)
         cost = value * self.repeats if self.runtime_metric else m.elapsed_s
         self._count("runs", self.repeats)

@@ -26,6 +26,7 @@ from ..core import Objective
 from ..exceptions import ReproError
 from ..space import Configuration
 from ..workloads import Workload
+from .measurement import REFERENCE_S
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular import)
     from ..sysim.cloud import Machine
@@ -38,8 +39,6 @@ PROMOTE_TOLERANCE = 1.15
 #: Measurements more than this many MADs from the rung median are discarded
 #: before aggregation.
 OUTLIER_Z = 3.0
-#: Benchmark length per run, in simulated seconds.
-DURATION_S = 60.0
 
 
 @dataclass
@@ -127,7 +126,7 @@ class TunaRunner:
         self.observations: list[TunaObservation] = []
 
     def _run_on(self, config: Configuration, machine: Machine) -> TunaObservation:
-        m = self.system.run(self.workload, duration_s=DURATION_S, machine=machine, config=config)
+        m = self.system.run(self.workload, machine=machine, config=config)
         load = self.system.env.sideband_signal(machine)
         value = m.metric(self.objective.name)
         obs = TunaObservation(machine.machine_id, load, value)
@@ -158,7 +157,7 @@ class TunaRunner:
             need = n_machines - len(collected)
             for machine in pool[:max(0, need)]:
                 collected.append(self._run_on(config, machine))
-                cost += DURATION_S
+                cost += REFERENCE_S
             value = self._aggregate(collected)
             score = obj.score(value)
             if self.best_score is None or score < self.best_score:

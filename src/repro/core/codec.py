@@ -231,9 +231,4 @@ def config_from_values(values: Mapping[str, Any], space: ConfigurationSpace) -> 
     Unknown knobs are dropped and missing ones take defaults, so recorded
     values transfer across compatible spaces.
     """
-    try:
-        return space.make({k: v for k, v in values.items() if k in space}, check_constraints=False)
-    except ReproError:
-        raise
-    except (TypeError, ValueError) as err:  # pragma: no cover - defensive
-        raise CodecError(f"malformed configuration values: {err}") from err
+    return space.make({k: v for k, v in values.items() if k in space}, check_constraints=False)

@@ -36,7 +36,7 @@ from ..space.serialize import space_from_dict, space_to_dict
 from ..staticcheck import SpaceLintError, lint_space
 from .codec import decode_trial
 from .journal import SessionMeta, StorageError, TrialStore, check_session_id, new_session_id
-from .optimizer import Objective, Optimizer, TrialStatus
+from .optimizer import Objective, Optimizer, TrialStatus, best_at_top_fidelity
 from .evaluation import Evaluator
 from .session import TuningSession, budget_spent
 
@@ -297,17 +297,11 @@ class SessionManager:
         meta = self.meta(session_id)
         records = self.store.load_trials(session_id)
         objective = _normalise_objectives(meta.objectives)[0]
-        best_value = None
-        best_config = None
-        for record in records:
-            if record.get("status") != TrialStatus.SUCCEEDED.value:
-                continue
-            value = record.get("metrics", {}).get(objective.name)
-            if value is None:
-                continue
-            if best_value is None or objective.score(value) < objective.score(best_value):
-                best_value = float(value)
-                best_config = record.get("config")
+        ranked = [r for r in records if r.get("status") == TrialStatus.SUCCEEDED.value
+                  and r.get("metrics", {}).get(objective.name) is not None]
+        best = ranked and best_at_top_fidelity(
+            ranked, lambda r: objective.score(r["metrics"][objective.name]), lambda r: r.get("fidelity")
+        )
         return {
             "session_id": session_id,
             "status": meta.status,
@@ -317,8 +311,8 @@ class SessionManager:
                 len(records), sum(float(r.get("cost", 0.0)) for r in records), meta.max_trials, meta.max_cost
             ),
             "objective": {"name": objective.name, "minimize": objective.minimize},
-            "best_value": best_value,
-            "best_config": best_config,
+            "best_value": float(best["metrics"][objective.name]) if best else None,
+            "best_config": best.get("config") if best else None,
             "optimizer": meta.optimizer.get("name"),
         }
 

@@ -15,7 +15,7 @@ import hashlib
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -219,6 +219,18 @@ class History:
 
     def total_cost(self) -> float:
         return float(sum(t.cost for t in self._trials))
+
+
+def best_at_top_fidelity(trials: Sequence[Any], score: Callable[[Any], float],
+                         fidelity: Callable[[Any], float | None] = lambda trial: trial.fidelity) -> Any:
+    """The trial of lowest ``score`` (the first on a tie) among those at the top
+    fidelity present, where no fidelity is a full run and the top: a cheaper run
+    (a Hyperband rung, a short benchmark) does not compete with a full one."""
+    levels = [fidelity(t) for t in trials]
+    if not levels:
+        raise OptimizerError("no completed trials yet")
+    top = None if None in levels else max(levels)
+    return min((t for t, level in zip(trials, levels) if level == top), key=score)
 
 
 #: What :meth:`Optimizer._suggest` returns: a configuration, or one with its memo.
@@ -511,7 +523,8 @@ class Optimizer(ABC):
 
     # -- results -----------------------------------------------------------------
     def best_config(self) -> Configuration:
-        return self.history.best().config
+        obj = self.objective
+        return best_at_top_fidelity(self.history.completed(), lambda t: obj.score(t.metric(obj.name))).config
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(space={self.space.name!r}, n_trials={len(self.history)})"

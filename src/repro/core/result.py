@@ -6,9 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import OptimizerError
 from ..space import Configuration
-from .optimizer import History, Objective
+from .optimizer import History, Objective, best_at_top_fidelity
 
 __all__ = ["TuningResult"]
 
@@ -26,17 +25,13 @@ class TuningResult:
 
     @classmethod
     def from_history(cls, history: History) -> "TuningResult":
-        """The result of whatever ``history`` holds so far (valid mid-run)."""
+        """The result of whatever ``history`` holds so far (valid mid-run):
+        its best trial at the top fidelity run (:func:`~.optimizer.best_at_top_fidelity`)."""
         obj = history.primary
-        try:
-            best = history.best(obj)
-        except OptimizerError:
-            # Every trial failed: fall back to the least-bad imputed trial so
-            # callers still get a full report of the (disastrous) run.
-            trials = [t for t in history if obj.name in t.metrics]
-            if not trials:
-                raise
-            best = min(trials, key=lambda t: obj.score(t.metric(obj.name)))
+        # If every trial failed, rank their imputed values so callers still
+        # get a full report of the (disastrous) run.
+        ranked = history.completed() or [t for t in history if obj.name in t.metrics]
+        best = best_at_top_fidelity(ranked, lambda t: obj.score(t.metric(obj.name)))
         return cls(
             best_config=best.config,
             best_value=best.metric(obj.name),

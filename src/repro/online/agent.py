@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ..benchmarking.measurement import REFERENCE_S
 from ..core import Objective
 from ..core.evaluation import EvaluationResult
 from ..core.optimizer import History, Optimizer, Trial
@@ -219,7 +220,7 @@ class OnlineTuningAgent:
         policy: Optimizer,
         objective: Objective,
         guardrail: Guardrail | None = None,
-        duration_s: float = 60.0,
+        duration_s: float = REFERENCE_S,
         trace=None,
     ) -> None:
         self.system = system

@@ -230,9 +230,3 @@ class HyperbandOptimizer(Optimizer):
             }
             for bracket in self._brackets
         ]}
-
-    def best_config(self) -> Configuration:
-        top = [t for t in self.history.completed() if t.fidelity == self.max_budget]
-        if not top:
-            raise OptimizerError(f"no completed trial at the top budget {self.max_budget:g} yet")
-        return min(top, key=lambda t: self.objective.score(t.metric(self.objective.name))).config

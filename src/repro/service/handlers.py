@@ -330,7 +330,9 @@ class ServiceHandlers:
 
         Only sessions created with a ``target`` spec (registered simulated
         system) can step — client-defined spaces have no server-side
-        evaluator. Evaluations share the service-wide thread pool.
+        evaluator. Each trial runs at the fidelity its optimizer proposes
+        (run seconds on a target), and evaluations share the service-wide
+        thread pool.
         """
         n = parse_suggest_request(body).n
         executor = self._shared_executor()
@@ -342,9 +344,6 @@ class ServiceHandlers:
                     f"session {session_id!r} has no server-side evaluator (created "
                     "without a 'target' spec); drive it via /ask and /tell"
                 )
-            from ..targets import refuse_fidelity_optimizer  # deferred: service core stays sysim-free
-
-            refuse_fidelity_optimizer(session.optimizer)
             if session.is_complete:
                 raise OptimizerError(f"session {session_id!r} is complete")
             want = min(n, session.max_trials - len(session.optimizer.history))

@@ -233,7 +233,10 @@ class FloatParameter(_NumericParameter):
     def validate(self, value: Any) -> bool:
         if isinstance(value, bool) or not isinstance(value, (int, float, np.floating, np.integer)):
             return False
-        v = float(value)
+        try:
+            v = float(value)
+        except OverflowError:  # an int past the float range lies past any bound
+            return False
         if not (self.lower <= v <= self.upper) or not math.isfinite(v):
             return False
         if self.quantization is not None:

@@ -320,8 +320,8 @@ class ConfigurationSpace:
         space order): activation comes from the rows' values, and an inactive
         knob is reset to its default. Returns the resolved columns and each
         row's interned activation pattern. No value is checked here: drawn
-        and lattice values are in-domain by construction, and :meth:`make`
-        checks its own."""
+        and lattice values are in-domain by construction (outside input goes
+        through :meth:`make`)."""
         position = self._key_index()
         held = self._activation(
             n, lambda cond, rows: [cond.evaluate(columns[position[cond.parent]][i]) for i in rows]
@@ -362,18 +362,22 @@ class ConfigurationSpace:
 
         Inactive conditional knobs are silently reset to their defaults;
         active knobs must carry valid values. Outside input is checked in
-        this order: unknown names, activation, each active value, then the
-        constraints (when asked), so no constraint reads an invalid value.
+        this order: unknown names, activation (a parent's value before any
+        condition reads it), each active value, then the constraints (when
+        asked), so no condition or constraint reads an invalid value.
         """
         values = values or {}
         for extra in set(values) - set(self._params):
             raise UnknownParameterError(extra)
-        columns, (active,) = self._activate([[values.get(name, p.default)] for name, p in self._params.items()], 1)
-        row = tuple(column[0] for column in columns)
+        position, raw = self._key_index(), [values.get(name, p.default) for name, p in self._params.items()]
+        held = self._activation(1, lambda cond, rows: [cond.evaluate(self[cond.parent].check(raw[position[cond.parent]]))
+                                                       for _ in rows])
+        (active,) = self._patterns_of(held, 1)
+        row = tuple(value if name in active else p.default for (name, p), value in zip(self._params.items(), raw))
         for (name, p), value in zip(self._params.items(), row):
             if name in active:
                 p.check(value)
-        if check_constraints and not self._feasible(dict(zip(self._params, columns)), 1)[0]:
+        if check_constraints and not self._feasible({name: [value] for name, value in zip(self._params, row)}, 1)[0]:
             raise ConstraintViolationError(f"configuration violates constraints: {dict(zip(self._params, row))}")
         return Configuration(self, row, active)
 

@@ -10,17 +10,20 @@ work:
 * **outlier machines** — a small fraction are persistently slow;
 * **transient noise** — co-tenant interference varies within a machine over
   time, *correlated for measurements taken at the same moment on the same
-  machine* (which is what duet benchmarking leans into);
+  machine* (which is what duet benchmarking leans into); unlike the two
+  above and the load walk, it averages out over a longer run;
 * **sideband telemetry** — a noisy observable load signal per machine (what
   TUNA feeds its stability model).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..benchmarking.measurement import REFERENCE_S
 from ..exceptions import ReproError
 
 __all__ = ["VMSize", "Machine", "CloudEnvironment", "QUIET_CLOUD", "VM_SIZES"]
@@ -79,7 +82,8 @@ class CloudEnvironment:
     outlier_slowdown:
         Speed factor multiplier applied to outliers (e.g. 0.7 = 30 % slower).
     transient_noise:
-        Std-dev of the per-measurement log-normal noise.
+        Std-dev of the per-measurement log-normal noise of a run of
+        :data:`~repro.benchmarking.measurement.REFERENCE_S` seconds.
     load_volatility:
         How fast a machine's co-tenant load random-walks per run.
     """
@@ -146,9 +150,10 @@ class CloudEnvironment:
         load_penalty = 1.0 + 0.8 * machine.load**2
         return load_penalty * transient / machine.speed_factor
 
-    def transient_draw(self) -> float:
-        """One log-normal transient noise multiplier (≥ 0)."""
-        return float(np.exp(self.rng.normal(0.0, self.transient_noise)))
+    def transient_draw(self, duration_s: float = REFERENCE_S) -> float:
+        """One log-normal transient noise multiplier (≥ 0) for a run of ``duration_s``
+        seconds, of log-sd ``transient_noise × sqrt(REFERENCE_S / duration_s)``."""
+        return float(np.exp(self.rng.normal(0.0, self.transient_noise * math.sqrt(REFERENCE_S / duration_s))))
 
     def sideband_signal(self, machine: Machine) -> float:
         """Noisy observation of the machine's current load (TUNA sideband)."""

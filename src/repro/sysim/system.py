@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..benchmarking.measurement import Measurement
+from ..benchmarking.measurement import REFERENCE_S, Measurement
 from ..exceptions import ReproError, SystemCrashError
 from ..space import Configuration, ConfigurationSpace
 from ..workloads import Workload
@@ -132,14 +132,15 @@ class SimulatedSystem(ABC):
     def run(
         self,
         workload: Workload,
-        duration_s: float = 60.0,
+        duration_s: float = REFERENCE_S,
         machine: Machine | None = None,
         config: Configuration | None = None,
     ) -> Measurement:
-        """Benchmark the current (or given) configuration under a workload.
+        """Benchmark the current (or given) configuration under a workload for ``duration_s`` seconds.
 
         The analytical profile is perturbed by the environment's machine and
-        transient noise; restart penalties extend elapsed time.
+        transient noise, the latter the less the longer the run
+        (:meth:`CloudEnvironment.transient_draw`); restart penalties extend elapsed time.
         """
         if duration_s <= 0:
             raise ReproError(f"duration_s must be positive, got {duration_s}")
@@ -162,7 +163,8 @@ class SimulatedSystem(ABC):
         machine: Machine,
         shared_draw: float | None = None,
     ) -> Measurement:
-        slowdown = self.env.slowdown(machine, shared_draw=shared_draw)
+        transient = shared_draw if shared_draw is not None else self.env.transient_draw(duration_s)
+        slowdown = self.env.slowdown(machine, shared_draw=transient)
         lat_avg = profile.latency_avg_ms * slowdown
         spread = profile.latency_spread * (1.0 + 0.5 * machine.load)
         # Log-normalish latency distribution summarised by its percentiles.
@@ -188,24 +190,16 @@ class SimulatedSystem(ABC):
             extra={"machine_load": machine.load, "slowdown": slowdown},
         )
 
-    # -- convenience evaluators -------------------------------------------------
-    def evaluator(self, workload: Workload, metric: str = "latency_p95", duration_s: float = 60.0):
-        """An evaluator closure for :class:`~repro.core.session.TuningSession`.
-
-        Returns ``(value, cost)`` tuples where cost is benchmark seconds.
+    def evaluator(self, workload: Workload, metric: str | None = None):
+        """An evaluator for :class:`~repro.core.session.TuningSession`:
+        ``evaluate(config, fidelity=None)`` runs ``config`` for ``fidelity``
+        seconds (:data:`~repro.benchmarking.measurement.REFERENCE_S` when the
+        trial has none) and returns ``(value, cost)``: ``metric``'s value, or
+        every metric when ``metric`` is None, and the run's elapsed seconds.
         """
 
-        def evaluate(config: Configuration):
-            m = self.run(workload, duration_s=duration_s, config=config)
-            return m.metric(metric), m.elapsed_s
-
-        return evaluate
-
-    def multi_metric_evaluator(self, workload: Workload, duration_s: float = 60.0):
-        """Evaluator returning the full metric mapping (multi-objective use)."""
-
-        def evaluate(config: Configuration):
-            m = self.run(workload, duration_s=duration_s, config=config)
-            return m.metrics(), m.elapsed_s
+        def evaluate(config: Configuration, fidelity: float | None = None):
+            m = self.run(workload, duration_s=REFERENCE_S if fidelity is None else fidelity, config=config)
+            return (m.metrics() if metric is None else m.metric(metric)), m.elapsed_s
 
         return evaluate

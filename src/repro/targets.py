@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping
 
 from . import sysim, workloads
-from .core import Objective, Optimizer
-from .exceptions import OptimizerError, ReproError
+from .core import Objective
+from .exceptions import ReproError
 from .space import Configuration
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "objective_for",
     "make_evaluator",
     "target_spec",
-    "refuse_fidelity_optimizer",
 ]
 
 SYSTEMS = ("dbms", "redis", "nginx", "spark")
@@ -117,9 +116,3 @@ def target_spec(spec: Mapping[str, Any]):
         noise=noise,
     )
 
-
-def refuse_fidelity_optimizer(optimizer: Optimizer) -> None:
-    """A target's evaluator takes no fidelity: refuse an optimizer that proposes one per trial."""
-    if type(optimizer).suggested_fidelity is not Optimizer.suggested_fidelity:
-        raise OptimizerError(f"{type(optimizer).__name__} proposes the fidelity of each trial, which a target's "
-                             "evaluator cannot take: drive this session through ask()/tell()")

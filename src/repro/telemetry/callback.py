@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..core.callbacks import Callback
-from ..core.optimizer import Trial
+from ..core.optimizer import Trial, best_at_top_fidelity
 from ..exceptions import OptimizerError
 from .tracing import SessionTrace
 
@@ -143,7 +143,8 @@ class TelemetryCallback(Callback):
     def on_session_end(self, session: "TuningSession") -> None:
         obj = session.optimizer.objective
         try:
-            self.trace.metrics.set_gauge("best.value", float(session.optimizer.history.best_value(obj)))
+            best = best_at_top_fidelity(session.optimizer.history.completed(), lambda t: obj.score(t.metric(obj.name)))
+            self.trace.metrics.set_gauge("best.value", float(best.metric(obj.name)))
         except OptimizerError:
             pass  # every trial failed — there is no incumbent to report
         self.trace.metrics.set_gauge("trials.history", float(len(session.optimizer.history)))

@@ -139,6 +139,22 @@ class TestBenchmarkRunner:
         _, cost = runner(db.space.default_configuration())
         assert cost == pytest.approx(180.0)  # 3 x 60s
 
+    def test_a_fidelity_is_the_run_length(self):
+        """``runner(config, fidelity=s)`` runs each repeat for ``s`` seconds:
+        it bills ``repeats × s`` and a longer run is steadier."""
+        def spread_and_cost(seconds):
+            env = CloudEnvironment(seed=1, transient_noise=0.15, load_volatility=0.0, machine_spread=0.0)
+            db = SimulatedDBMS(env=env, seed=1)
+            runner = BenchmarkRunner(db, tpcc(50), Objective("throughput", minimize=False), repeats=3)
+            cfg = db.space.default_configuration()
+            runs = [runner(cfg, fidelity=seconds) for _ in range(12)]
+            values = [metrics["throughput"] for metrics, _ in runs]
+            return np.std(values) / np.mean(values), {cost for _, cost in runs}
+
+        (short, short_cost), (long, long_cost) = spread_and_cost(6.0), spread_and_cost(600.0)
+        assert (short_cost, long_cost) == ({18.0}, {1800.0})
+        assert long < short / 5
+
     def test_runtime_metric_cost(self):
         db = SimulatedDBMS(env=QUIET_CLOUD(seed=0), seed=0)
         runner = BenchmarkRunner(

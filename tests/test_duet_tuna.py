@@ -47,9 +47,9 @@ class TestDuet:
 
     def test_evaluator_costs_double(self):
         db = noisy_db()
-        runner = DuetBenchmarkRunner(db, tpcc(50), OBJ, duration_s=30.0)
-        _, cost = runner(db.space.default_configuration())
-        assert cost == 60.0
+        runner = DuetBenchmarkRunner(db, tpcc(50), OBJ)
+        assert runner(db.space.default_configuration())[1] == 120.0  # two runs of REFERENCE_S
+        assert runner(db.space.default_configuration(), fidelity=30.0)[1] == 60.0
 
     def test_infeasible_candidate_crashes(self):
         db = noisy_db()

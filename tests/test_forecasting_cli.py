@@ -95,6 +95,17 @@ class TestCLI:
         assert rc == 0
         assert "random" in out and "anneal" in out
 
+    def test_compare_honours_seed(self, capsys):
+        """``--seed s --seeds k`` races on seeds s … s+k−1, trace labels included."""
+        argv = ["compare", "--system", "redis", "--optimizers", "random,anneal", "--trials", "8", "--seeds", "2"]
+        tables = {}
+        for seed in (0, 5):
+            assert main([*argv, "--seed", str(seed)]) == 0
+            out = capsys.readouterr().out
+            tables[seed] = out.split("\n  ", 1)[0]  # the table, above the per-leg lines
+            assert f"random/seed{seed}:" in out and f"anneal/seed{seed + 1}:" in out
+        assert tables[0] != tables[5]
+
     def test_importance_runs(self, capsys):
         rc = main([
             "importance", "--system", "nginx", "--trials", "15", "--top", "3", "--noise", "0.0",
@@ -108,6 +119,12 @@ class TestCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "Q1 runtime" in out
+
+    def test_game_offers_no_fidelity_optimizer(self, capsys):
+        """A try times one Q1 run to its end, so the game has no run length to hand Hyperband."""
+        with pytest.raises(SystemExit):
+            main(["game", "--optimizer", "hyperband"])
+        assert "invalid choice: 'hyperband'" in capsys.readouterr().err
 
     def test_workload_spec_parsing(self, capsys):
         rc = main([

@@ -118,15 +118,27 @@ class TestHyperband:
         assert set(received) == {1.0, 3.0, 9.0}
 
 
-    def test_cli_refuses_hyperband_on_a_target(self, capsys):
-        """A built-in target's evaluator takes no fidelity: ``tune`` and
-        ``compare`` refuse Hyperband with a one-line error, not a traceback."""
-        for argv in (["tune", "--system", "redis", "--optimizer", "hyperband", "--trials", "5"],
-                     ["compare", "--system", "redis", "--optimizers", "hyperband", "--trials", "5", "--seeds", "1"]):
-            assert main(argv) == 2
-            out, err = capsys.readouterr()
-            assert not out and err.count("\n") == 1
-            assert err.startswith("error: HyperbandOptimizer proposes the fidelity") and "ask()/tell()" in err
+    def test_the_result_is_read_at_the_top_budget(self):
+        """A short run flatters: scores shrink with the budget's inverse, so
+        the luckiest trial is at budget 1. The result, ``best_config`` and
+        ``History.best`` (which the model-based incumbent reads) answer apart."""
+        opt = HyperbandOptimizer(bowl_space(1), Objective("score"), seed=0, max_budget=9.0)
+        result = TuningSession(opt, lambda config, fidelity: config["x0"] - 1.0 / fidelity, max_trials=30).run()
+        best = min((t for t in opt.history if t.fidelity == 9.0), key=lambda t: t.metric("score"))
+        assert (result.best_value, result.best_config) == (best.metric("score"), best.config)
+        assert opt.best_config() == best.config
+        assert opt.history.best().fidelity == 1.0
+
+    def test_cli_runs_hyperband_on_a_target(self, capsys):
+        """A built-in target's evaluator takes a fidelity (the run length), so
+        ``tune`` and ``compare`` run Hyperband like any other optimizer."""
+        assert main(["tune", "--system", "redis", "--optimizer", "hyperband", "--trials", "12"]) == 0
+        out, _ = capsys.readouterr()
+        assert "tune redis/" in out and "best configuration:" in out
+        assert main(["compare", "--system", "redis", "--optimizers", "random,hyperband", "--trials", "6",
+                     "--seeds", "1"]) == 0
+        out, _ = capsys.readouterr()
+        assert "hyperband/seed0" in out and "random/seed0" in out
 
 
 class TestBestConfig:

@@ -256,8 +256,8 @@ OPTIONS_KEPT = {
                      "repro.service.client.ServiceClient.backoff", "repro.service.client.ServiceClient.backoff_seed",
                      "repro.service.client.ServiceClient.breaker",
                      "repro.core.manager.SessionManager.create.callbacks"], SEAM),
-    **dict.fromkeys(["repro.sysim.", "repro.workloads.", "repro.benchmarking.duet.DuetBenchmarkRunner.duration_s",
-                     "repro.online.agent.OnlineTuningAgent.duration_s", "repro.optimizers.transfer.scale_config_for_vm.scaling"], SCENARIO),
+    **dict.fromkeys(["repro.sysim.", "repro.workloads.", "repro.online.agent.OnlineTuningAgent.duration_s",
+                     "repro.optimizers.transfer.scale_config_for_vm.scaling"], SCENARIO),
     **dict.fromkeys([
         "repro.analysis.convergence.ComparisonResult.", "repro.benchmarking.tuna._LoadModel.", "repro.chaos.plan.FaultRule.",
         "repro.core.codec.SuggestRequest.", "repro.core.codec.TrialReport.", "repro.core.journal.SessionMeta.status",

@@ -385,23 +385,39 @@ class TestHyperbandSession:
 
         run(main())
 
-    def test_step_refuses_a_session_whose_optimizer_proposes_fidelities(self):
-        async def main():
-            server, client = await start_server(MemoryTrialStore())
+    def test_step_runs_hyperband_on_a_target_and_replays(self, tmp_path, capsys):
+        """A target's evaluator takes the rung's budget as its run length:
+        ``/step`` drives a Hyperband session on ``redis`` to completion in
+        batches, each trial journaled at its budget; the status reports the
+        best trial at the top budget, not a luckier short run, and
+        ``repro replay`` finds no divergence."""
+        from repro.cli import main
+
+        async def main_():
+            server, client = await start_server(JsonJournalStore(tmp_path))
             try:
                 await client.create_session(
                     target={"system": "redis", "workload": "default", "metric": "latency_p95"},
-                    optimizer="hyperband", seed=0, max_trials=5, session_id="hb-step",
+                    optimizer="hyperband", optimizer_options={"max_budget": 9.0}, seed=0, max_trials=20,
+                    session_id="hb-step",
                 )
-                with pytest.raises(ServiceError) as refused:
-                    await client.step("hb-step")
-                assert refused.value.status == 400 and "ask()/tell()" in str(refused.value)
-                # Refused before a suggestion was drawn: no suggestion number is spent.
-                assert server.handlers._hosted["hb-step"].session.optimizer.n_suggested == 0
+                ack = {"complete": False}
+                while not ack["complete"]:
+                    ack = await client.step("hb-step", n=4)
+                return await client.status("hb-step")
             finally:
                 await server.stop()
 
-        run(main())
+        status = run(main_())
+        records = JsonJournalStore(tmp_path).load_trials("hb-step")
+        assert len(records) == 20 and {r["fidelity"] for r in records} == {1.0, 3.0, 9.0}
+        assert all(r["status"] == "succeeded" and r["cost"] >= r["fidelity"] for r in records)
+        value = {fidelity: min(r["metrics"]["latency_p95"] for r in records if r["fidelity"] == fidelity)
+                 for fidelity in (3.0, 9.0)}
+        assert status["best_value"] == value[9.0] > value[3.0]
+        assert main(["replay", "hb-step", "--store", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert ": OK" in out and "20 trials" in out
 
 
 class TestSoak:

@@ -63,6 +63,7 @@ class TestFloatParameter:
         assert not p.validate(1.1)
         assert not p.validate("0.5")
         assert not p.validate(True)  # bools are not floats here
+        assert not p.validate(10**400)  # past the float range: out of range, not an OverflowError
         assert p.validate(0.0) and p.validate(1.0)
 
     def test_check_raises(self):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.codec import config_from_values
 from repro.space import (
     ConfigurationSpace,
     EqualsCondition,
@@ -41,6 +42,20 @@ def test_make_and_is_feasible_match_the_recording(name):
         assert outcome(space, lambda: space.make(values)) == row["make"], row["label"]
         assert outcome(space, lambda: space.make(values, check_constraints=False)) == row["make_unchecked"], row["label"]
         assert outcome(space, lambda: space.is_feasible(values)) == row["is_feasible"], row["label"]
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_every_malformed_value_is_an_invalid_value_on_the_wire_too(name):
+    """Each recorded row ``make`` refuses whatever the constraints (an unknown
+    name aside: the codec drops it) is an ``InvalidValueError``, and
+    ``config_from_values`` — how a told configuration comes in — raises just
+    that, with no catch of its own."""
+    space = SPACES[name]
+    rows = [row for row in RECORDED[name]["make"]
+            if row["make_unchecked"].get("error") not in (None, "UnknownParameterError")]
+    assert rows and {row["make_unchecked"]["error"] for row in rows} == {"InvalidValueError"}
+    for row in rows:
+        assert outcome(space, lambda: config_from_values(row["values"], space)) == row["make_unchecked"], row["label"]
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))

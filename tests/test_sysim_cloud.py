@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ReproError
-from repro.sysim import QUIET_CLOUD, VM_SIZES, CloudEnvironment, VMSize
+from repro.sysim import QUIET_CLOUD, VM_SIZES, CloudEnvironment, RedisServer, VMSize, redis_benchmark_workload
 
 
 class TestVMSizes:
@@ -83,6 +83,12 @@ class TestNoise:
         slow = env.slowdown(m)
         assert slow > fast
 
+    def test_a_reference_length_run_draws_as_before(self):
+        """At ``REFERENCE_S`` the log-sd factor is exactly 1.0: the draw is
+        bit for bit ``exp(N(0, transient_noise))``, so default-length runs do not move."""
+        env, twin = CloudEnvironment(transient_noise=0.05, seed=4), np.random.default_rng(4)
+        assert [env.transient_draw() for _ in range(50)] == [float(np.exp(twin.normal(0.0, 0.05))) for _ in range(50)]
+
     def test_validation(self):
         with pytest.raises(ReproError):
             CloudEnvironment(machine_spread=-0.1)
@@ -90,3 +96,25 @@ class TestNoise:
             CloudEnvironment(outlier_fraction=1.5)
         with pytest.raises(ReproError):
             CloudEnvironment(outlier_slowdown=0.0)
+
+
+def latency_cv(duration_s: float, **noise: float) -> float:
+    """CV of ``latency_p95`` over 400 default-config ``redis`` runs of
+    ``duration_s`` seconds, in a cloud with only the given noise sources."""
+    quiet = {"machine_spread": 0.0, "outlier_fraction": 0.0, "transient_noise": 0.0, "load_volatility": 0.0}
+    env = CloudEnvironment(**{**quiet, **noise}, seed=3)
+    server = RedisServer(env=env, seed=3)
+    values = np.array([server.run(redis_benchmark_workload(), duration_s=duration_s).latency_p95 for _ in range(400)])
+    return float(values.std() / values.mean())
+
+
+class TestRunLength:
+    """The transient part of the noise averages out over a longer run (its
+    log-sd scales as ``1/sqrt(duration_s)``); the co-tenant load walk does not."""
+
+    def test_transient_noise_averages_with_run_length(self):
+        assert latency_cv(6.0, transient_noise=0.05) / latency_cv(600.0, transient_noise=0.05) == pytest.approx(10.0, rel=0.1)
+
+    def test_load_noise_does_not_average_with_run_length(self):
+        cvs = [latency_cv(seconds, load_volatility=0.15) for seconds in (6.0, 60.0, 600.0)]
+        assert cvs[0] > 0.05 and cvs[0] == cvs[1] == cvs[2]

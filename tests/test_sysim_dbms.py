@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.benchmarking.measurement import REFERENCE_S
 from repro.exceptions import SystemCrashError
 from repro.sysim import QUIET_CLOUD, KnobLevel, SimulatedDBMS
 from repro.workloads import tpcc, tpch, ycsb
@@ -150,6 +151,15 @@ class TestDeployment:
         assert m.elapsed_s == pytest.approx(60 + db.restart_penalty_s)
         m2 = db.run(w, duration_s=60)  # no change: no restart
         assert m2.elapsed_s == pytest.approx(60)
+
+    def test_the_evaluator_runs_for_its_fidelity(self, db):
+        """``evaluator(workload, metric)`` answers ``(value, elapsed)``; a
+        fidelity is the run length, none is ``REFERENCE_S``, and with no
+        metric the value is every metric."""
+        evaluate, config = db.evaluator(tpcc(50), "throughput"), db.space.default_configuration()
+        assert evaluate(config)[1] == REFERENCE_S and evaluate(config, fidelity=5.0)[1] == 5.0
+        metrics, _ = db.evaluator(tpcc(50))(config)
+        assert {"throughput", "latency_p95", "elapsed_s"} <= set(metrics)
 
     def test_knob_levels_declared(self, db):
         levels = db.knob_levels()

@@ -110,9 +110,9 @@ class TestBenchmarkRunnerTrace:
         trace = SessionTrace()
         runner = BenchmarkRunner(
             quiet_dbms, tpcc(), Objective("throughput", minimize=False),
-            duration_s=10.0, repeats=2, trace=trace,
+            repeats=2, trace=trace,
         )
-        runner(quiet_dbms.space.default_configuration())
+        runner(quiet_dbms.space.default_configuration(), fidelity=10.0)
         assert trace.metrics.counter_value("benchmark.runs") == 2
         assert trace.metrics.counter_value("benchmark.seconds") == pytest.approx(runner.total_benchmark_seconds)
 
