@@ -16,7 +16,7 @@ naively repeating measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class _LoadModel:
     sum_y: float = 0.0
     sum_xx: float = 0.0
     sum_xy: float = 0.0
-    samples: list[tuple[float, float]] = field(default_factory=list)
 
     def add(self, load: float, value: float) -> None:
         self.n += 1
@@ -67,7 +66,6 @@ class _LoadModel:
         self.sum_y += value
         self.sum_xx += load * load
         self.sum_xy += load * value
-        self.samples.append((load, value))
 
     @property
     def slope(self) -> float:

@@ -6,11 +6,15 @@ Optimization" slide: *if PostgreSQL ``jit=off``, ignore ``jit_above_cost``,
 active only when a predicate over its parent's value holds; inactive
 parameters are pinned to their defaults and excluded from search.
 
-A condition only answers :meth:`Condition.evaluate` for one parent value.
-Where it applies — the parent must itself be active, and a child with several
-conditions needs them all — is the one activation rule of
+A condition only answers :meth:`Condition.evaluate` for one parent value
+and names its :attr:`~Condition.operands`, the values it compares the parent
+with. What it can answer over the parent's whole domain is asked of it on the
+parent's witness values for those operands
+(:meth:`~repro.space.params.Parameter.witnesses`), never derived from its
+kind. Where it applies — the parent must itself be active, and a child with
+several conditions needs them all — is the one activation rule of
 :class:`~repro.space.space.ConfigurationSpace`, which every configuration,
-pool and grid of the space is resolved through.
+pool, grid and activation pattern of the space is resolved through.
 """
 
 from __future__ import annotations
@@ -31,6 +35,10 @@ __all__ = [
 class Condition(ABC):
     """Activates ``child`` only when the parent's value satisfies a predicate."""
 
+    #: The values the predicate compares the parent's value with; ``None``
+    #: for an opaque predicate, which the space never calls to judge it.
+    operands: tuple[Any, ...] | None = None
+
     def __init__(self, child: str, parent: str) -> None:
         self.child = child
         self.parent = parent
@@ -50,6 +58,10 @@ class EqualsCondition(Condition):
         super().__init__(child, parent)
         self.value = value
 
+    @property
+    def operands(self) -> tuple[Any, ...]:
+        return (self.value,)
+
     def evaluate(self, parent_value: Any) -> bool:
         return parent_value == self.value
 
@@ -60,6 +72,10 @@ class InCondition(Condition):
     def __init__(self, child: str, parent: str, values: Sequence[Hashable]) -> None:
         super().__init__(child, parent)
         self.values = set(values)
+
+    @property
+    def operands(self) -> tuple[Any, ...]:
+        return tuple(self.values)
 
     def evaluate(self, parent_value: Any) -> bool:
         try:
@@ -75,6 +91,10 @@ class GreaterThanCondition(Condition):
         super().__init__(child, parent)
         self.threshold = threshold
 
+    @property
+    def operands(self) -> tuple[Any, ...]:
+        return (self.threshold,)
+
     def evaluate(self, parent_value: Any) -> bool:
         return parent_value > self.threshold
 
@@ -85,6 +105,10 @@ class LessThanCondition(Condition):
     def __init__(self, child: str, parent: str, threshold: float) -> None:
         super().__init__(child, parent)
         self.threshold = threshold
+
+    @property
+    def operands(self) -> tuple[Any, ...]:
+        return (self.threshold,)
 
     def evaluate(self, parent_value: Any) -> bool:
         return parent_value < self.threshold

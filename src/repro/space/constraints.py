@@ -112,9 +112,25 @@ class CallableConstraint(Constraint):
 
     def satisfied_many(self, columns: Mapping[str, Sequence[Any]], where: np.ndarray) -> np.ndarray:
         """The predicate of each marked row's mapping, built row by row, so it
-        never sees a row an earlier constraint rejected."""
+        never sees a row an earlier constraint rejected. A row on which the
+        predicate reads a knob ``columns`` lacks is one it does not apply to."""
         out = np.zeros(len(where), dtype=bool)
         names = list(columns)
         for i in np.flatnonzero(where).tolist():
-            out[i] = bool(self.predicate({name: columns[name][i] for name in names}))
+            try:
+                out[i] = bool(self.predicate(_Row({name: columns[name][i] for name in names})))
+            except _Absent:
+                out[i] = True
         return out
+
+
+class _Absent(KeyError):
+    """A predicate read a knob its row lacks."""
+
+
+class _Row(dict):
+    """One row's mapping for a predicate: reading a knob it lacks raises
+    :class:`_Absent`, not a bare ``KeyError`` the predicate may raise itself."""
+
+    def __missing__(self, name: str) -> Any:
+        raise _Absent(name)

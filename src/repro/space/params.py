@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Any, Hashable, Sequence
+from typing import Any, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -49,6 +49,14 @@ class Parameter(ABC):
         if not self.validate(value):
             raise InvalidValueError(f"{value!r} is not a valid value for {self!r}")
         return value
+
+    @abstractmethod
+    def witnesses(self, operands: Iterable[Any]) -> list[Any]:
+        """Values a draw can take that meet every region ``operands`` cut
+        the domain into: a drawn value's equality with, order against and
+        membership among the operands is that of some witness, so a condition
+        comparing the value with them answers on the witnesses all it can
+        answer on the domain."""
 
     # -- sampling --------------------------------------------------------
     @abstractmethod
@@ -161,6 +169,18 @@ class _NumericParameter(Parameter):
         v = np.exp(internal) if self.log else internal
         return np.clip(v, self.lower, self.upper)
 
+    def witnesses(self, operands: Iterable[Any]) -> list[Any]:
+        """The bounds and each operand inside them, each with the nearest
+        values below and above it that a draw can take (:meth:`_beside`)."""
+        inside = [t for t in operands if isinstance(t, (int, float, np.integer, np.floating))
+                  and self.lower <= t <= self.upper]
+        return list(dict.fromkeys(v for t in (self.lower, self.upper, *inside) for v in self._beside(t)))
+
+    @abstractmethod
+    def _beside(self, t: float) -> list[Any]:
+        """``t``, if a draw can take it, and the nearest values a draw can
+        take below and above it (``t`` lies within the bounds)."""
+
     def sample(self, rng: np.random.Generator) -> Any:
         return self.from_unit(self.prior.sample_unit(rng))
 
@@ -245,6 +265,14 @@ class FloatParameter(_NumericParameter):
                 return False
         return True
 
+    def _beside(self, t: float) -> list[float]:
+        if self.quantization is None:
+            near = (math.nextafter(float(t), -math.inf), float(t), math.nextafter(float(t), math.inf))
+            return [v for v in near if self.lower <= v <= self.upper]
+        q = self.quantization  # grid points near t, clipped and snapped as a draw is
+        ks = range(math.ceil(t / q) - 1, math.floor(t / q) + 2)
+        return [self._quantize(min(self.upper, max(self.lower, k * q))) for k in ks]
+
     def from_unit(self, u: float) -> float:
         return self._quantize(self._unit_to_float(u))
 
@@ -281,6 +309,9 @@ class IntegerParameter(_NumericParameter):
         if isinstance(value, (float, np.floating)) and float(value).is_integer():
             return self.lower <= int(value) <= self.upper
         return False
+
+    def _beside(self, t: float) -> list[int]:
+        return [v for v in range(math.ceil(t) - 1, math.floor(t) + 2) if self.lower <= v <= self.upper]
 
     def from_unit(self, u: float) -> int:
         v = self._unit_to_float(u)
@@ -358,6 +389,9 @@ class CategoricalParameter(Parameter):
             return value in self._index
         except TypeError:
             return False
+
+    def witnesses(self, operands: Iterable[Any]) -> list[Any]:
+        return list(self.choices)
 
     def index_of(self, value: Any) -> int:
         self.check(value)

@@ -219,6 +219,8 @@ class ConfigurationSpace:
                 raise UnknownParameterError(ref)
         if condition.child == condition.parent:
             raise SpaceError(f"parameter {condition.child!r} cannot condition itself")
+        if condition.operands is not None:  # asked now as it is asked where it is judged
+            self._answers(condition.parent, [condition])
         conditions = {**self._conditions, condition.child: [*self._conditions.get(condition.child, ()), condition]}
         self._order = self._parents_first(conditions)  # a refused condition leaves the space as it was
         self._conditions, self._patterns = conditions, {}
@@ -344,17 +346,43 @@ class ConfigurationSpace:
             ok = constraint.satisfied_many(columns, ok)
         return ok
 
+    def _answers(self, parent: str, conds: list[Condition]) -> list[tuple[bool, ...]]:
+        """The distinct vectors ``conds`` (conditions on ``parent`` that name
+        their operands) answer on the parent's witness values for those
+        operands (:meth:`Parameter.witnesses`); a condition that cannot answer
+        one is refused."""
+        witnesses = self._params[parent].witnesses([t for cond in conds for t in cond.operands])
+        try:
+            return list(dict.fromkeys(tuple(bool(cond.evaluate(v)) for cond in conds) for v in witnesses))
+        except (TypeError, ValueError) as err:
+            raise SpaceError(f"{' and '.join(map(repr, conds))} cannot answer every value of {parent!r}: {err}") from err
+
+    def condition_outcomes(self) -> list[tuple[list[Condition], list[tuple[bool, ...]]]]:
+        """What the conditions can answer together, as independent factors
+        ``(conditions, outcome vectors)``: per parent, what its conditions
+        answer on its witness values (:meth:`_answers`); per opaque condition
+        (a callable, never called here; alike ones share one), hold or not.
+        Parent values give exactly the products of one vector per factor."""
+        by_parent: dict[str, list[Condition]] = {}
+        opaque: dict[str, list[Condition]] = {}
+        for cond in self.conditions:
+            if cond.operands is None:
+                key = repr((type(cond).__name__, {k: v for k, v in vars(cond).items() if k != "child"}))
+                opaque.setdefault(key, []).append(cond)
+            else:
+                by_parent.setdefault(cond.parent, []).append(cond)
+        factors = [(conds, [(False,) * len(conds), (True,) * len(conds)]) for conds in opaque.values()]
+        return factors + [(conds, self._answers(parent, conds)) for parent, conds in by_parent.items()]
+
     def activation_patterns(self) -> list[frozenset[str]]:
-        """Every activation pattern a configuration can hold, fewest knobs first:
-        the activation rule run on one row per outcome of the distinct
-        conditions (kind, parent, operand), each taken as free to hold or not.
-        So the list may hold a pattern no values produce, never miss one they do."""
-        key = lambda c: (type(c).__name__, c.parent, repr({k: v for k, v in vars(c).items() if k != "child"}))  # noqa: E731
-        keys = list(dict.fromkeys(map(key, self.conditions)))
-        outcomes = dict(zip(keys, zip(*itertools.product((False, True), repeat=len(keys)))))
-        n = 2 ** len(keys)
-        held = self._activation(n, lambda cond, rows: [outcomes[key(cond)][i] for i in rows])
-        return sorted(set(self._patterns_of(held, n)), key=lambda p: (len(p), sorted(p)))
+        """Every activation pattern some configuration holds, and no other,
+        fewest knobs first: the activation rule run on one row per combination
+        of the conditions' joint outcomes (:meth:`condition_outcomes`)."""
+        factors = self.condition_outcomes()
+        rows = list(itertools.product(*(vectors for _, vectors in factors)))
+        column = {cond: [row[f][j] for row in rows] for f, (conds, _) in enumerate(factors) for j, cond in enumerate(conds)}
+        held = self._activation(len(rows), lambda cond, kept: [column[cond][i] for i in kept])
+        return sorted(set(self._patterns_of(held, len(rows))), key=lambda p: (len(p), sorted(p)))
 
     # -- construction of configurations --------------------------------------
     def make(self, values: Mapping[str, Any] | None = None, check_constraints: bool = True) -> Configuration:

@@ -20,18 +20,21 @@ semantics and the rule catalog live in ``docs/static-analysis.md``;
 ``SessionManager.create(strict=True)`` rejects any space whose report
 carries an ERROR finding.
 
-The analysis is purely static — no sampling, no evaluator calls. Condition
-satisfiability is decided analytically per condition type (thresholds vs
-bounds, pins vs domains) and jointly per (child, parent) group under the
-space's activation rule (``ConfigurationSpace._activation``: a child is
-active iff its parent is and every one of its conditions holds); deadness
-then propagates through the activation DAG to a fixpoint.
+The analysis is purely static — no sampling, no evaluator calls. What a
+condition means is the space's, not the linter's: the condition rules read
+:meth:`ConfigurationSpace.condition_outcomes` (each condition asked on its
+parent's witness values, in independent factors), so a verdict cannot
+disagree with how the space resolves a configuration. A knob is dead iff
+some factor has no answer on which its lineage's conditions all hold, which
+is asked per factor, never over their product, so the rules stay polynomial
+in the size of the space. The constraint rules reason over intervals and
+pairs of their own.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -45,13 +48,7 @@ from ..space.conditions import (
     LessThanCondition,
 )
 from ..space.constraints import LinearConstraint, RatioConstraint
-from ..space.params import (
-    CategoricalParameter,
-    FloatParameter,
-    IntegerParameter,
-    Parameter,
-    _NumericParameter,
-)
+from ..space.params import FloatParameter, IntegerParameter, _NumericParameter
 from ..space.priors import UniformPrior
 from ..space.space import constraint_params
 from ..exceptions import ConstraintViolationError, SpaceError
@@ -86,98 +83,7 @@ def _finding(rule: str, subject: str, message: str, hint: str = "") -> Finding:
     return Finding(rule=rule, severity=severity, subject=subject, message=message, hint=hint)
 
 
-# -- condition satisfiability --------------------------------------------------
-
-def _condition_truth(cond: Condition, parent: Parameter) -> bool | None:
-    """Decide a single condition over the parent's whole domain.
-
-    Returns ``True`` if it holds for every parent value, ``False`` if it can
-    never hold, ``None`` if it is genuinely value-dependent (the healthy
-    case) or undecidable (callable predicates on unbounded domains).
-    """
-    if isinstance(parent, CategoricalParameter):
-        try:
-            truths = [bool(cond.evaluate(c)) for c in parent.choices]
-        except Exception:
-            return None  # predicate crashed on a choice: undecidable here
-        if not any(truths):
-            return False
-        if all(truths):
-            return True
-        return None
-    if isinstance(parent, _NumericParameter):
-        lo, hi = parent.lower, parent.upper
-        if isinstance(cond, EqualsCondition):
-            return None if parent.validate(cond.value) else False
-        if isinstance(cond, InCondition):
-            valid = [v for v in cond.values if parent.validate(v)]
-            if not valid:
-                return False
-            return None
-        if isinstance(cond, GreaterThanCondition):
-            if cond.threshold >= hi:
-                return False
-            if cond.threshold < lo:
-                return True
-            return None
-        if isinstance(cond, LessThanCondition):
-            if cond.threshold <= lo:
-                return False
-            if cond.threshold > hi:
-                return True
-            return None
-    return None  # callable condition on a numeric parent: undecidable
-
-
-def _joint_feasible(conds: Sequence[Condition], parent: Parameter) -> bool | None:
-    """Can ALL of ``conds`` (sharing one parent) hold simultaneously?
-
-    ``None`` means undecidable (a callable predicate participates).
-    """
-    if any(isinstance(c, CallableCondition) for c in conds):
-        return None
-    if isinstance(parent, CategoricalParameter):
-        try:
-            return any(all(c.evaluate(choice) for c in conds) for choice in parent.choices)
-        except Exception:
-            return None
-    if not isinstance(parent, _NumericParameter):
-        return None
-    # Numeric parent: intersect pins (Equals/In) with strict threshold bounds.
-    pins: list[set[float]] = []
-    glo: float | None = None  # v > glo
-    ghi: float | None = None  # v < ghi
-    for c in conds:
-        if isinstance(c, EqualsCondition):
-            pins.append({c.value} if parent.validate(c.value) else set())
-        elif isinstance(c, InCondition):
-            pins.append({v for v in c.values if parent.validate(v)})
-        elif isinstance(c, GreaterThanCondition):
-            glo = c.threshold if glo is None else max(glo, c.threshold)
-        elif isinstance(c, LessThanCondition):
-            ghi = c.threshold if ghi is None else min(ghi, c.threshold)
-    if pins:
-        candidates = set.intersection(*pins) if pins else set()
-        return any(
-            (glo is None or v > glo) and (ghi is None or v < ghi) for v in candidates
-        )
-    lo, hi = parent.lower, parent.upper
-    if isinstance(parent, IntegerParameter):
-        lo_int = int(lo) if glo is None else max(int(lo), math.floor(glo) + 1)
-        hi_int = int(hi) if ghi is None else min(int(hi), math.ceil(ghi) - 1)
-        return lo_int <= hi_int
-    eff_lo = lo if glo is None else max(lo, glo)
-    eff_hi = hi if ghi is None else min(hi, ghi)
-    if eff_lo > eff_hi:
-        return False
-    if eff_lo == eff_hi:
-        # Single point: only reachable if both ends are closed (no threshold
-        # bound landed exactly there).
-        open_lo = glo is not None and glo >= lo
-        open_hi = ghi is not None and ghi <= hi
-        return not (open_lo or open_hi)
-    return True
-
+# -- conditions ------------------------------------------------------------------
 
 def _describe_condition(cond: Condition) -> str:
     if isinstance(cond, EqualsCondition):
@@ -211,83 +117,60 @@ def _lint_names(space: ConfigurationSpace, report: LintReport) -> None:
 
 
 def _lint_conditions(space: ConfigurationSpace, report: LintReport) -> None:
-    """Condition-graph rules: unsatisfiable, redundant and dead."""
-    by_child: dict[str, list[Condition]] = {}
+    """Condition rules, judged by what the space's conditions answer
+    themselves (:meth:`ConfigurationSpace.condition_outcomes`): a condition
+    that holds on no witness value of its parent (SP201) or on every one
+    (SP202), and a knob active in no configuration (SP203)."""
+    factors = space.condition_outcomes()
+    answers = {cond: {vector[j] for vector in vectors} for conds, vectors in factors for j, cond in enumerate(conds)}
+    never: set[str] = set()
     for cond in space.conditions:
-        by_child.setdefault(cond.child, []).append(cond)
-
-    dead: set[str] = set()
-    undecidable: set[str] = set()
-    for child, conds in by_child.items():
-        child_dead = False
-        for cond in conds:
-            if isinstance(cond, CallableCondition):
-                report.add(_finding(
-                    "SP401", child,
-                    f"condition on {child!r} ({_describe_condition(cond)}) holds a Python "
-                    "callable and cannot be serialised; a resumed/service session drops it",
-                    "express it with Equals/In/GreaterThan/LessThan conditions",
-                ))
-                undecidable.add(child)
-                continue
-            parent = space[cond.parent]
-            truth = _condition_truth(cond, parent)
-            if truth is False:
-                report.add(_finding(
-                    "SP201", child,
-                    f"condition ({_describe_condition(cond)}) can never hold: no value of "
-                    f"{cond.parent!r} satisfies it",
-                    f"widen the condition or fix the domain of {cond.parent!r}",
-                ))
-                child_dead = True
-            elif truth is True:
-                report.add(_finding(
-                    "SP202", child,
-                    f"condition ({_describe_condition(cond)}) holds for every value of "
-                    f"{cond.parent!r}; it never deactivates {child!r}",
-                    "drop the condition or tighten its predicate",
-                ))
-        # Joint (AND) analysis per parent: chained thresholds/pins that are
-        # individually fine can jointly exclude every value.
-        if not child_dead and child not in undecidable:
-            by_parent: dict[str, list[Condition]] = {}
-            for cond in conds:
-                by_parent.setdefault(cond.parent, []).append(cond)
-            for parent_name, group in by_parent.items():
-                if len(group) < 2:
-                    continue
-                feasible = _joint_feasible(group, space[parent_name])
-                if feasible is False:
-                    clauses = " AND ".join(_describe_condition(c) for c in group)
-                    report.add(_finding(
-                        "SP203", child,
-                        f"conditions on {child!r} jointly exclude every value of "
-                        f"{parent_name!r} ({clauses})",
-                        "relax one of the conditions; as written the parameter is dead",
-                    ))
-                    child_dead = True
-                    break
-        if child_dead:
-            dead.add(child)
-
-    # Transitive deadness: a child needs *all* its parents active, so one
-    # dead parent kills the whole subtree.
-    changed = True
-    while changed:
-        changed = False
-        for child, conds in by_child.items():
-            if child in dead:
-                continue
-            killers = sorted({c.parent for c in conds if c.parent in dead})
-            if killers:
-                report.add(_finding(
-                    "SP203", child,
-                    f"parameter {child!r} can never activate: it is conditioned on dead "
-                    f"parameter(s) {killers}",
-                    "revive or remove the dead ancestors",
-                ))
-                dead.add(child)
-                changed = True
+        child = cond.child
+        if isinstance(cond, CallableCondition):
+            report.add(_finding(
+                "SP401", child,
+                f"condition on {child!r} ({_describe_condition(cond)}) holds a Python "
+                "callable and cannot be serialised; a resumed/service session drops it",
+                "express it with Equals/In/GreaterThan/LessThan conditions",
+            ))
+        elif answers[cond] == {False}:
+            report.add(_finding(
+                "SP201", child,
+                f"condition ({_describe_condition(cond)}) can never hold: no value of "
+                f"{cond.parent!r} satisfies it",
+                f"widen the condition or fix the domain of {cond.parent!r}",
+            ))
+            never.add(child)
+        elif answers[cond] == {True}:
+            report.add(_finding(
+                "SP202", child,
+                f"condition ({_describe_condition(cond)}) holds for every value of "
+                f"{cond.parent!r}; it never deactivates {child!r}",
+                "drop the condition or tighten its predicate",
+            ))
+    # A knob is active iff every condition of it and of its conditioned
+    # ancestors holds. The factors are independent, so some values activate
+    # it iff each factor has a vector on which all those conditions hold:
+    # asked per factor, never over their product.
+    parents: dict[str, list[str]] = {}
+    for cond in space.conditions:
+        parents.setdefault(cond.child, []).append(cond.parent)
+    for child in parents:
+        lineage, pending = set(), [child]  # child and every knob its activation reads
+        while pending:
+            name = pending.pop()
+            if name not in lineage:
+                lineage.add(name)
+                pending += parents.get(name, [])
+        alive = all(any(all(held for held, cond in zip(vector, conds) if cond.child in lineage) for vector in vectors)
+                    for conds, vectors in factors)
+        if not alive and child not in never:
+            report.add(_finding(
+                "SP203", child,
+                f"parameter {child!r} can never activate: no values of {sorted(lineage - {child})} "
+                "meet its conditions and those of its conditioned ancestors together",
+                "relax the conditions; as written the parameter is dead",
+            ))
 
 
 def _linear_range(con: LinearConstraint, space: ConfigurationSpace) -> tuple[float, float] | None:

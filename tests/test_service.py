@@ -1307,6 +1307,9 @@ STATUS_RULE = [
         parameters=[param()], conditions=[{"kind": "gt", "child": "x", "parent": "x", "threshold": 0.0}])), 400),
     ("create-condition-unknown-parent", "POST", "/sessions", create_body(space=space_with(
         parameters=[param()], conditions=[{"kind": "gt", "child": "x", "parent": "ghost", "threshold": 0.0}])), 400),
+    ("create-condition-its-parent-cannot-answer", "POST", "/sessions", create_body(space=space_with(
+        parameters=[param(), {"type": "categorical", "name": "mode", "choices": ["a", "b"]}],
+        conditions=[{"kind": "gt", "child": "x", "parent": "mode", "threshold": 0.5}])), 400),
     ("create-log-over-non-positive-lower", "POST", "/sessions",
      create_body(space=space_with(parameters=[param(lower=0.0, log=True)])), 400),
     ("create-prior-not-an-object", "POST", "/sessions",

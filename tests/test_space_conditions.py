@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exceptions import SpaceError
 from repro.space import (
     BooleanParameter,
     CallableCondition,
@@ -37,6 +38,16 @@ class TestConditionPredicates:
         c = CallableCondition("c", "p", lambda v: v % 2 == 0)
         assert c.evaluate(4)
         assert not c.evaluate(3)
+
+    def test_a_condition_its_parent_cannot_answer_is_refused(self):
+        """A threshold on a categorical knob raises on every value it would be
+        asked about, so the space refuses it where it is added."""
+        space = ConfigurationSpace("refused")
+        space.add(CategoricalParameter("mode", ["a", "b"]))
+        space.add(FloatParameter("x", 0, 1))
+        with pytest.raises(SpaceError, match="GreaterThanCondition.*'mode'"):
+            space.add_condition(GreaterThanCondition("x", "mode", 0.5))
+        assert space.conditions == [] and space.make({}).active == {"mode", "x"}
 
     def test_missing_parent_inactive(self):
         """A parent that is itself inactive activates nothing, whatever it holds."""

@@ -85,3 +85,28 @@ def test_columns_answer_as_rows_do():
     where = np.array([True, True, False])
     assert ratio.satisfied_many(columns, where).tolist() == [True, False, False]
     assert linear.satisfied_many(columns, np.ones(3, dtype=bool)).tolist() == [False, False, True]
+
+
+def test_a_callable_constraint_does_not_apply_where_it_reads_a_missing_knob():
+    """A partial mapping is judged by every predicate that reads only knobs
+    it holds; one that reads a knob the mapping lacks does not apply."""
+    space = ConfigurationSpace("partial")
+    space.add(FloatParameter("a", 0.0, 10.0))
+    space.add(FloatParameter("e", 0.0, 1.0))
+    space.add_constraint(LinearConstraint({"a": 1.0}, 8.0))
+    space.add_constraint(CallableConstraint(lambda v: v["a"] + v["e"] * 4 < 11.0))
+    space.add_constraint(CallableConstraint(lambda v: v["a"] != 5.0))
+    assert space.is_feasible({"a": 6.0})
+    assert not space.is_feasible({"a": 5.0})
+    assert not space.is_feasible({"a": 9.0})
+    assert not space.is_feasible({"a": 7.5, "e": 1.0})
+    assert space.is_feasible({"a": 6.0, "e": 1.0})
+    assert space.is_feasible({"e": 1.0})
+
+
+def test_a_key_error_of_the_predicate_itself_is_not_swallowed():
+    space = ConfigurationSpace("own")
+    space.add(FloatParameter("a", 0.0, 10.0))
+    space.add_constraint(CallableConstraint(lambda v: {}["missing"]))
+    with pytest.raises(KeyError):
+        space.is_feasible({"a": 1.0})

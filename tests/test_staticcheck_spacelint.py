@@ -5,9 +5,13 @@ check that ``space_from_dict`` refuses each such description."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
+from hypothesis import given, settings
 
 from repro.space import (
+    BooleanParameter,
     CategoricalParameter,
     ConfigurationSpace,
     FloatParameter,
@@ -25,6 +29,8 @@ from repro.space.priors import NormalPrior
 from repro.exceptions import SpaceError
 from repro.space.serialize import space_from_dict, space_to_dict
 from repro.staticcheck import SPACE_RULES, Severity, lint_space
+
+from .test_space_rules import condition_graphs
 
 
 def rules_of(report, *, active_only: bool = True):
@@ -208,6 +214,72 @@ class TestConditionRules:
         assert ("SP201", "b") in subjects
         assert ("SP203", "d") in subjects
 
+    def test_sp203_quantization_grid_skips_the_only_band(self):
+        # c > 0.1 AND c < 0.4 on a 0.5 grid: no value of c lies in the band.
+        space = ConfigurationSpace("s")
+        space.add(FloatParameter("c", 0.0, 1.0, quantization=0.5))
+        space.add(FloatParameter("child", 0.0, 1.0, default=0.5))
+        space.add_condition(GreaterThanCondition("child", "c", 0.1))
+        space.add_condition(LessThanCondition("child", "c", 0.4))
+        assert {(f.rule, f.subject) for f in lint_space(space)} == {("SP203", "child")}
+
+    def test_sp203_conditions_conflict_across_levels(self):
+        # y needs a < 5; z needs y active (so a < 5) and a > 5.
+        space = ConfigurationSpace("s")
+        space.add(FloatParameter("a", 0.0, 10.0, default=5.0))
+        space.add(FloatParameter("y", 0.0, 1.0, default=0.5))
+        space.add(FloatParameter("z", 0.0, 1.0, default=0.5))
+        space.add_condition(LessThanCondition("y", "a", 5.0))
+        space.add_condition(GreaterThanCondition("z", "y", 0.1))
+        space.add_condition(GreaterThanCondition("z", "a", 5.0))
+        assert {(f.rule, f.subject) for f in lint_space(space)} == {("SP203", "z")}
+
+    def test_sp202_pins_that_cover_the_whole_domain(self):
+        space = ConfigurationSpace("s")
+        space.add(IntegerParameter("n", 1, 3, default=2))
+        space.add(FloatParameter("x", 0.0, 1.0, default=0.5))
+        space.add_condition(InCondition("x", "n", [1, 2, 3]))
+        assert rules_of(lint_space(space)) == ["SP202"]
+
+    def test_sp201_not_for_a_draw_clipped_to_an_off_grid_bound(self):
+        # A draw of c can be 0.1 (clipped up to the bound, off the 0.25 grid).
+        space = ConfigurationSpace("s")
+        space.add(FloatParameter("c", 0.1, 1.0, default=0.5, quantization=0.25))
+        space.add(FloatParameter("child", 0.0, 1.0, default=0.5))
+        space.add_condition(LessThanCondition("child", "c", 0.2))
+        assert list(lint_space(space)) == []
+
+    def test_deep_chains_and_wide_fan_ins_lint_in_polynomial_time(self):
+        # 2**24 joint outcomes either way; the linter asks 24 factors of two.
+        chain = ConfigurationSpace("chain")
+        hub = ConfigurationSpace("hub")
+        hub.add(FloatParameter("x", 0.0, 1.0, default=0.5))
+        for j in range(24):
+            chain.add(BooleanParameter(f"k{j}", default=True))
+            hub.add(BooleanParameter(f"k{j}", default=True))
+            hub.add_condition(EqualsCondition("x", f"k{j}", True))
+            if j:
+                chain.add_condition(EqualsCondition(f"k{j}", f"k{j - 1}", True))
+        chain.add(FloatParameter("x", 0.0, 1.0, default=0.5))
+        chain.add_condition(EqualsCondition("x", "k23", True))
+        chain.add_condition(EqualsCondition("x", "k0", False))
+        start = time.perf_counter()
+        assert [(f.rule, f.subject) for f in lint_space(chain)] == [("SP203", "x")]
+        assert list(lint_space(hub)) == []
+        hub.add_condition(EqualsCondition("x", "k0", False))
+        assert [(f.rule, f.subject) for f in lint_space(hub)] == [("SP203", "x")]
+        assert time.perf_counter() - start < 5.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(space=condition_graphs())
+    def test_dead_knobs_are_the_ones_the_full_lattice_never_activates(self, space):
+        """SP201 names only dead knobs, and SP203 every other one."""
+        dead = set(space.names).difference(*(config.active for config in space.grid(4)))
+        report = lint_space(space)
+        never = {f.subject for f in report if f.rule == "SP201"}
+        assert never <= dead
+        assert {f.subject for f in report if f.rule == "SP203"} == dead - never
+
     def test_sp401_callable_condition_flagged_not_killed(self):
         space = ConfigurationSpace("s")
         space.add(FloatParameter("p", 0.0, 1.0, default=0.5))
@@ -222,6 +294,51 @@ class TestConditionRules:
 
     def test_sp205_and_sp206_via_wire_dict(self):
         refused("unknown child", "unknown parent", "self-condition")
+
+
+def _clean(name: str) -> dict:
+    return {"target": name, "ok": True, "summary": "0 error(s), 0 warning(s)", "findings": [], "suppressed": []}
+
+
+#: ``lint_space(...).to_dict()`` of the in-tree spaces, recorded while the
+#: linter still decided conditions with analytic rules of its own.
+RECORDED_FINDINGS = {
+    **{name: _clean(name) for name in ("dbms", "redis", "nginx", "spark", "golden")},
+    "synthetic": {
+        "target": "synthetic", "ok": False, "summary": "1 error(s), 2 warning(s)",
+        "findings": [
+            {"rule": "SP307", "severity": "error", "subject": "synthetic",
+             "message": "the default configuration violates the space's constraints (configuration violates "
+                        "constraints: {'a': 2.0, 'b': 10, 'mode': 'x', 'flag': False, 'c': 0.5, 'd': 4, "
+                        "'e': 0.25, 'f': 'p'})",
+             "hint": "pick defaults that satisfy every constraint"},
+            {"rule": "SP401", "severity": "warning", "subject": "e",
+             "message": "condition on 'e' (callable predicate over d) holds a Python callable and cannot be "
+                        "serialised; a resumed/service session drops it",
+             "hint": "express it with Equals/In/GreaterThan/LessThan conditions"},
+            {"rule": "SP402", "severity": "warning", "subject": "budget",
+             "message": "constraint CallableConstraint('budget') cannot be serialised; sessions resumed from "
+                        "storage (and every service session) run without it",
+             "hint": "express it as a Linear/Ratio constraint, or enforce it inside the evaluator too"},
+        ],
+        "suppressed": [],
+    },
+}
+
+
+def in_tree_spaces() -> dict[str, ConfigurationSpace]:
+    from repro.targets import SYSTEMS, make_system
+
+    from .data.make_candidate_pools import make_synthetic_space
+    from .data.make_suggest_goldens import make_space
+
+    spaces = {name: make_system(name, seed=0, noise=0.0).space for name in SYSTEMS}
+    return {**spaces, "synthetic": make_synthetic_space(), "golden": make_space()}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_FINDINGS))
+def test_findings_of_the_in_tree_spaces_are_the_recorded_ones(name):
+    assert lint_space(in_tree_spaces()[name]).to_dict() == RECORDED_FINDINGS[name]
 
 
 class TestConstraintRules:
